@@ -2,11 +2,13 @@
 
 Emits deterministic machine-readable tables (CSV with a '#' metadata line, or
 JSON mirroring the same schema).  Exit codes: 0 ok, 1 invariant failure,
-2 usage, 3 convergence failure (partial output removed), 4 conditioning.
+2 usage, 3 convergence failure, 4 conditioning; main() alone maps errors to
+them.  A partial --out file is removed on every error exit.
 """
 
 import argparse
 import cmath
+import dataclasses
 import json
 import math
 import os
@@ -20,8 +22,7 @@ from .deformed_algebra import (DeformationParams, RealizationKind,
                                commutator_residual_uzp)
 from .errors import (BadParams, DeformedHeisenbergError, IllConditioned,
                      NotConverged, NotPositiveDefinite)
-from .fock_core import (TruncationConfig, annihilation, coherent_state,
-                        creation, guarded_norm, normalize)
+from .fock_core import TruncationConfig, coherent_state, guarded_norm
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -61,7 +62,8 @@ def _meta(args) -> dict:
 
 
 class _Writer:
-    """Streams rows to --out (or stdout); removes partial files on abort."""
+    """Streams rows to --out (or stdout); as a context manager it closes the
+    file and removes it if the block raises."""
 
     def __init__(self, path, fmt, meta, header):
         self.path = path
@@ -94,13 +96,14 @@ class _Writer:
                                       sorted(diagnostics.items())}
             json.dump(doc, self.fh, indent=1, sort_keys=True)
             self.fh.write("\n")
-        if self.path:
-            self.fh.close()
 
-    def abort(self):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
         if self.path:
             self.fh.close()
-            if os.path.exists(self.path):
+            if exc_type is not None and os.path.exists(self.path):
                 os.remove(self.path)
 
 
@@ -122,27 +125,18 @@ def _check_common(args) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
+SWEEP_HEADER = [f.name for f in dataclasses.fields(dispersion.SweepRow)]
+
+
 def cmd_sweep_dispersion(args) -> int:
-    grid = np.linspace(args.vmin, args.vmax, args.steps)
-    header = ["grid_value", "var_x_mus", "var_p_mus", "var_x_def",
-              "var_p_def", "product_def", "srur_bound", "validity_flag"]
-    w = _Writer(args.out, args.format, _meta(args), header)
-    try:
-        for g in grid:
-            d, f = (args.delta, g) if args.var == "phi" else (g, args.phi)
-            vx0, vp0 = dispersion.mus_dispersions(d, f)
-            stats = dispersion.perturbed_quadrature_stats(
-                d, f, args.beta, args.theta, args.z, args.p)
-            m = dispersion.perturbed_moments(
-                d, f, args.beta, args.theta, args.z, args.p)
-            ok = abs(m.epsilon) <= dispersion.VALIDITY_EPSILON_THRESHOLD
-            w.row([float(g), vx0, vp0, stats.var_x, stats.var_p,
-                   stats.product, stats.srur_bound, ok])
-    except NotConverged as e:
-        w.abort()
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    w.finish()
+    rows = dispersion.sweep_rows(
+        delta=args.delta, phi=args.phi, beta=args.beta, theta=args.theta,
+        varying=args.var, grid=np.linspace(args.vmin, args.vmax, args.steps),
+        z=args.z, p=args.p)
+    with _Writer(args.out, args.format, _meta(args), SWEEP_HEADER) as w:
+        for row in rows:
+            w.row([getattr(row, name) for name in SWEEP_HEADER])
+        w.finish()
     return EXIT_OK
 
 
@@ -156,8 +150,7 @@ def cmd_state(args) -> int:
                                           theta=args.theta, gamma=0.0,
                                           eta_phase=0.0)
     header = ["n", "re_c", "im_c", "abs_sq"]
-    w = _Writer(args.out, args.format, _meta(args), header)
-    try:
+    with _Writer(args.out, args.format, _meta(args), header) as w:
         n_max = args.dim - 1
         if params.z == 0:
             vec = aes_series.squeezed_symbol_coefficients(params.lam, params.mu,
@@ -171,12 +164,8 @@ def cmd_state(args) -> int:
         cn = c0 * c
         for n in range(len(cn)):
             w.row([n, cn[n].real, cn[n].imag, abs(cn[n]) ** 2])
-    except NotConverged as e:
-        w.abort()
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    w.finish(diagnostics={"c0": c0, "tail_estimate": max(tail,
-                                                         norm_diag.tail_estimate)})
+        w.finish(diagnostics={"c0": c0, "tail_estimate": max(
+            tail, norm_diag.tail_estimate)})
     return EXIT_OK
 
 
@@ -228,8 +217,9 @@ def _check_gamma(cfg):
     for k in range(4):
         for l in range(4):
             closed = dispersion.gamma_element(k, l, 0.3, 0.7, 1.0, 0.2)
-            worst = max(worst, abs(closed - _gamma_matrix(k, l, 0.3, 0.7, 1.0,
-                                                          0.2, cfg)))
+            matrix = dispersion.gamma_element_matrix(k, l, 0.3, 0.7, 1.0, 0.2,
+                                                     cfg)
+            worst = max(worst, abs(closed - matrix))
     return worst
 
 
@@ -239,10 +229,12 @@ def _check_mus():
 
 
 def _verify_checks(args):
-    """(suite, name, residual, bound) rows for every invariant check.
+    """(suite, name, residual, bound, error) rows for every invariant check.
 
-    A check that raises is reported as failed (residual inf) instead of
-    killing the rest of the report; small boxes trip the tail guards.
+    A check that raises a package error or an ArithmeticError is reported as
+    failed (residual inf, error "<class>: <message>") instead of killing the
+    rest of the report; small boxes trip the tail guards.  error is None for
+    a check that ran.
     """
     cfg = _cfg(args)
     checks = [
@@ -284,34 +276,23 @@ def _verify_checks(args):
     rows = []
     for suite, name, thunk, bound in checks:
         try:
-            r = float(thunk())
-        except DeformedHeisenbergError:
-            r = math.inf
-        rows.append((suite, name, r, bound))
+            r, error = float(thunk()), None
+        except (DeformedHeisenbergError, ArithmeticError) as e:
+            r, error = math.inf, f"{type(e).__name__}: {e}"
+        rows.append((suite, name, r, bound, error))
     return rows
 
 
-def _gamma_matrix(k, l, delta, phi, beta, theta, cfg):
-    from .fock_core import displacement_operator, squeeze_operator, vacuum
-    S = squeeze_operator(-math.atanh(delta) * cmath.exp(1j * phi), cfg)
-    D = displacement_operator(beta * cmath.exp(1j * theta)
-                              / math.sqrt(1 - delta * delta), cfg)
-    v = S @ (D @ vacuum(cfg))
-    ad = creation(cfg)
-    a = annihilation(cfg)
-    return complex(v.conj() @ (np.linalg.matrix_power(ad, k)
-                               @ np.linalg.matrix_power(a, l) @ v))
+def _check_report(suite, name, residual, bound, error) -> dict:
+    check = {"suite": suite, "name": name, "residual": _fmt(residual),
+             "bound": _fmt(bound), "passed": bool(residual <= bound)}
+    if error is not None:
+        check["error"] = error
+    return check
 
 
 def cmd_verify(args) -> int:
-    try:
-        rows = _verify_checks(args)
-    except (IllConditioned, NotPositiveDefinite) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONDITIONING
-    except NotConverged as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONVERGENCE
+    rows = _verify_checks(args)
     if args.suite:
         rows = [r for r in rows if r[0] == args.suite]
         if not rows:
@@ -319,9 +300,7 @@ def cmd_verify(args) -> int:
             return EXIT_USAGE
     report = {"meta": {k: _fmt(v) if isinstance(v, float) else v
                        for k, v in _meta(args).items()},
-              "checks": [{"suite": s, "name": n, "residual": _fmt(float(r)),
-                          "bound": _fmt(b), "passed": bool(r <= b)}
-                         for s, n, r, b in rows]}
+              "checks": [_check_report(*r) for r in rows]}
     report["passed"] = all(c["passed"] for c in report["checks"])
     text = json.dumps(report, indent=1, sort_keys=True) + "\n"
     if args.out:
@@ -336,23 +315,18 @@ def cmd_spectrum(args) -> int:
     cfg = _cfg(args)
     mu = args.delta * cmath.exp(1j * args.phi)
     header = ["n", "h_eig", "h_deviation", "ht_eig", "ht_deviation"]
-    w = _Writer(args.out, args.format, _meta(args), header)
-    try:
+    with _Writer(args.out, args.format, _meta(args), header) as w:
         sysm = pseudo_hermitian.build_system(mu, args.z, cfg)
         rep_h = pseudo_hermitian.spectrum_report(sysm, "pseudo")
         rep_ht = pseudo_hermitian.spectrum_report(sysm, "hermitian")
-    except (IllConditioned, NotPositiveDefinite) as e:
-        w.abort()
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONDITIONING
-    for n in range(cfg.dim):
-        eh = rep_h.eigenvalues[n].real
-        et = rep_ht.eigenvalues[n].real
-        w.row([n, eh, abs(eh - n), et, abs(et - n)])
-    w.finish(diagnostics={
-        "eta_condition": sysm.eta_condition,
-        "h_max_deviation": rep_h.max_deviation_from_integers,
-        "ht_max_deviation": rep_ht.max_deviation_from_integers})
+        for n in range(cfg.dim):
+            eh = rep_h.eigenvalues[n].real
+            et = rep_ht.eigenvalues[n].real
+            w.row([n, eh, abs(eh - n), et, abs(et - n)])
+        w.finish(diagnostics={
+            "eta_condition": sysm.eta_condition,
+            "h_max_deviation": rep_h.max_deviation_from_integers,
+            "ht_max_deviation": rep_ht.max_deviation_from_integers})
     return EXIT_OK
 
 

@@ -7,6 +7,7 @@ figure set (variance vs phi / delta).
 """
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,8 +19,9 @@ from .aes_series import fock_coefficients, squeezed_symbol_coefficients
 from .deformed_algebra import DeformationParams
 from .errors import BadParams, NotConverged
 from .fock_core import (FockOperator, FockVector, TruncationConfig,
-                        annihilation, check_tail, creation, expectation,
-                        normalize)
+                        annihilation, check_tail, creation,
+                        displacement_operator, expectation, normalize,
+                        squeeze_operator, vacuum)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -99,6 +101,20 @@ def gamma_element(k: int, l: int, delta, phi, beta, theta) -> complex:
     return _gaussian.gamma_kl(k, l, delta, phi, beta, theta)
 
 
+def gamma_element_matrix(k: int, l: int, delta, phi, beta, theta,
+                         cfg: TruncationConfig) -> complex:
+    """Gamma_kl by dense matrices on the truncated Fock space: the reference
+    the closed form is checked against."""
+    S = squeeze_operator(-math.atanh(delta) * cmath.exp(1j * phi), cfg)
+    D = displacement_operator(beta * cmath.exp(1j * theta)
+                              / math.sqrt(1 - delta * delta), cfg)
+    v = S @ (D @ vacuum(cfg))
+    ad = creation(cfg)
+    a = annihilation(cfg)
+    return complex(v.conj() @ (np.linalg.matrix_power(ad, k)
+                               @ np.linalg.matrix_power(a, l) @ v))
+
+
 def lambda_element(k: int, l: int, delta, phi, beta, theta) -> complex:
     """<0|D+ S+ a^k (a+)^l S D|0>, same generating-function route."""
     return _gaussian.lambda_kl(k, l, delta, phi, beta, theta)
@@ -151,88 +167,65 @@ class PerturbedMoments:
     def var_p(self) -> float:
         return self.p2_mean - self.mean_p_sq
 
+    @property
+    def stats(self) -> QuadratureStats:
+        """QuadratureStats view: means, variances and <F>."""
+        mean_x = SQRT2 * self.mean_a.real
+        mean_p = SQRT2 * self.mean_a.imag
+        corr_f = 2 * self.a_sq.imag - 2 * mean_x * mean_p
+        return QuadratureStats(mean_x=mean_x, mean_p=mean_p,
+                               var_x=self.var_x, var_p=self.var_p,
+                               corr_f=corr_f)
 
-def _first_order_expectations(delta, phi, beta, theta, z, p):
-    """<a>, <a^2>, <a+a> and epsilon on the normalized first-order state.
+
+def perturbed_moments(delta, phi, beta, theta, z, p) -> PerturbedMoments:
+    """First-order <a>, <a^2>, <a+a>, epsilon and the four X/P moments.
 
     The corrections come from sandwiching the bracket operator
     1 + z Q + (p^2/4) R,  Q = mu (a+)^3/3 - lam (a+)^2/2,
     R = mu (a+)^2/4 - (lam/2) a+  (nu = 0), against S D |0>, normal-ordering
     everything onto Gamma / Lambda elements; second-order cross terms in
-    (z, p^2, epsilon) are dropped.
+    (z, p^2, epsilon) are dropped.  Each of the 17 Gamma_kl / Lambda_kl
+    elements is evaluated once per point, and each Q / R block once.
     """
     mu = delta * cmath.exp(1j * phi)
     lam = beta * cmath.exp(1j * theta)
-
-    def G(k, l):
-        return _gaussian.gamma_kl(k, l, delta, phi, beta, theta)
-
-    def L(k, l):
-        return _gaussian.lambda_kl(k, l, delta, phi, beta, theta)
-
     q = p * p / 4.0
-    mean_q = mu * G(3, 0) / 3 - lam * G(2, 0) / 2
-    mean_r = mu * G(2, 0) / 4 - lam / 2 * G(1, 0)
+    G = functools.cache(functools.partial(_gaussian.gamma_kl, delta=delta,
+                                          phi=phi, beta=beta, theta=theta))
+    L = functools.cache(functools.partial(_gaussian.lambda_kl, delta=delta,
+                                          phi=phi, beta=beta, theta=theta))
+
+    def blocks(e):
+        """The Q and R blocks, e(m) being the element that carries (a+)^m."""
+        return mu * e(3) / 3 - lam * e(2) / 2, mu * e(2) / 4 - lam / 2 * e(1)
+
+    def a_power_blocks(j):
+        """<a^j (.)> + <(a+)^j (.)>^* for the Q and R blocks."""
+        aQ, aR = blocks(lambda m: L(j, m))
+        adQ, adR = blocks(lambda m: G(m + j, 0))
+        return aQ + adQ.conjugate(), aR + adR.conjugate()
+
+    mean_q, mean_r = blocks(lambda m: G(m, 0))
     eps = -(z * mean_q + q * mean_r).real
-
-    # <a (.)> and <a+ (.)> blocks
-    aQ = mu * L(1, 3) / 3 - lam * L(1, 2) / 2
-    adQ = mu * G(4, 0) / 3 - lam * G(3, 0) / 2
-    aR = mu * L(1, 2) / 4 - lam / 2 * L(1, 1)
-    adR = mu * G(3, 0) / 4 - lam / 2 * G(2, 0)
-    mean_a = ((1 + 2 * eps) * G(0, 1)
-              + z * (aQ + adQ.conjugate()) + q * (aR + adR.conjugate()))
-
-    a2Q = mu * L(2, 3) / 3 - lam * L(2, 2) / 2
-    ad2Q = mu * G(5, 0) / 3 - lam * G(4, 0) / 2
-    a2R = mu * L(2, 2) / 4 - lam / 2 * L(2, 1)
-    ad2R = mu * G(4, 0) / 4 - lam / 2 * G(3, 0)
-    a_sq = ((1 + 2 * eps) * G(0, 2)
-            + z * (a2Q + ad2Q.conjugate()) + q * (a2R + ad2R.conjugate()))
-
-    # a+ a against (a+)^k: a (a+)^k = (a+)^k a + k (a+)^{k-1}
-    ndQ = mu * (G(4, 1) + 3 * G(3, 0)) / 3 - lam * (G(3, 1) + 2 * G(2, 0)) / 2
-    ndR = mu * (G(3, 1) + 2 * G(2, 0)) / 4 - lam / 2 * (G(2, 1) + G(1, 0))
-    n_bar = ((1 + 2 * eps) * G(1, 1).real
-             + 2 * (z * ndQ + q * ndR).real)
-    return mean_a, a_sq, n_bar, eps
-
-
-def perturbed_moments(delta, phi, beta, theta, z, p) -> PerturbedMoments:
-    """First-order <X>^2, <X^2>, <P>^2, <P^2> assembled from the normal-ordered
-    expectation decomposition (strictly first order in z, p^2 and epsilon)."""
-    mean_a, a_sq, n_bar, eps = _first_order_expectations(delta, phi, beta,
-                                                         theta, z, p)
-    mu = delta * cmath.exp(1j * phi)
-    lam = beta * cmath.exp(1j * theta)
-    q = p * p / 4.0
-
-    def G(k, l):
-        return _gaussian.gamma_kl(k, l, delta, phi, beta, theta)
-
-    def L(k, l):
-        return _gaussian.lambda_kl(k, l, delta, phi, beta, theta)
+    norm = 1 + 2 * eps
+    q1, r1 = a_power_blocks(1)
+    q2, r2 = a_power_blocks(2)
+    # a+ a against (a+)^m: a (a+)^m = (a+)^m a + m (a+)^{m-1}
+    nq, nr = blocks(lambda m: G(m + 1, 1) + m * G(m, 0))
 
     g01 = G(0, 1)
-    corr = (z * ((mu * L(1, 3) / 3 - lam * L(1, 2) / 2)
-                 + (mu * G(4, 0) / 3 - lam * G(3, 0) / 2).conjugate())
-            + q * ((mu * L(1, 2) / 4 - lam / 2 * L(1, 1))
-                   + (mu * G(3, 0) / 4 - lam / 2 * G(2, 0)).conjugate()))
+    mean_a = norm * g01 + z * q1 + q * r1
+    a_sq = norm * G(0, 2) + z * q2 + q * r2
+    n_bar = norm * G(1, 1).real + 2 * (z * nq + q * nr).real
+
+    corr = z * q1 + q * r1
     mean_x_sq = 2 * (g01.real ** 2 * (1 + 4 * eps) + 2 * g01.real * corr.real)
     mean_p_sq = 2 * (g01.imag ** 2 * (1 + 4 * eps) + 2 * g01.imag * corr.imag)
-
-    core = (1 + 2 * eps) * (G(1, 1).real + G(0, 2).real)
-    core_p = (1 + 2 * eps) * (G(1, 1).real - G(0, 2).real)
-    zQ2 = (mu * L(2, 3) / 3 - lam * L(2, 2) / 2
-           + (mu * G(5, 0) / 3 - lam * G(4, 0) / 2).conjugate())
-    pR2 = (mu * L(2, 2) / 4 - lam / 2 * L(2, 1)
-           + (mu * G(4, 0) / 4 - lam / 2 * G(3, 0)).conjugate())
-    zN = 2 * (mu * (G(4, 1) + 3 * G(3, 0)) / 3
-              - lam * (G(3, 1) + 2 * G(2, 0)) / 2)
-    pN = 2 * (mu * (G(3, 1) + 2 * G(2, 0)) / 4
-              - lam / 2 * (G(2, 1) + G(1, 0)))
-    x2_mean = 0.5 + core + (z * (zQ2 + zN) + q * (pR2 + pN)).real
-    p2_mean = 0.5 + core_p + (z * (-zQ2 + zN) + q * (-pR2 + pN)).real
+    core = norm * (G(1, 1).real + G(0, 2).real)
+    core_p = norm * (G(1, 1).real - G(0, 2).real)
+    x2_mean = 0.5 + core + (z * (q2 + 2 * nq) + q * (r2 + 2 * nr)).real
+    p2_mean = 0.5 + core_p + (z * (-q2 + 2 * nq) + q * (-r2 + 2 * nr)).real
     return PerturbedMoments(mean_x_sq=mean_x_sq, x2_mean=x2_mean,
                             mean_p_sq=mean_p_sq, p2_mean=p2_mean,
                             epsilon=eps, mean_a=mean_a, a_sq=a_sq, n_bar=n_bar)
@@ -285,12 +278,7 @@ def _perturbed_moments_literal(delta, phi, beta, theta, z, p):
 
 def perturbed_quadrature_stats(delta, phi, beta, theta, z, p) -> QuadratureStats:
     """QuadratureStats view of perturbed_moments (means, variances, <F>)."""
-    m = perturbed_moments(delta, phi, beta, theta, z, p)
-    mean_x = SQRT2 * m.mean_a.real
-    mean_p = SQRT2 * m.mean_a.imag
-    corr_f = 2 * m.a_sq.imag - 2 * mean_x * mean_p
-    return QuadratureStats(mean_x=mean_x, mean_p=mean_p,
-                           var_x=m.var_x, var_p=m.var_p, corr_f=corr_f)
+    return perturbed_moments(delta, phi, beta, theta, z, p).stats
 
 
 # ---------------------------------------------------------------------------
@@ -395,32 +383,41 @@ class SweepRow:
     validity_flag: bool
 
 
-def figure_sweep(*, delta, phi, beta, theta, varying: str, grid,
-                 z_values, p_values):
-    """Variance table rows over a phi or delta grid, one block per (z, p).
+def sweep_rows(*, delta, phi, beta, theta, varying: str, grid, z, p):
+    """Variance table rows over a phi or delta grid for one (z, p).
 
-    Returns a list of (z, p, rows) with rows in grid order.  validity_flag
-    is False where |epsilon| = |Omega~ - 1| exceeds the module threshold and
+    Yields one SweepRow per grid value, in grid order, from a single
+    perturbed_moments evaluation each.  Grid values are taken as Python
+    floats, so every row field is a plain float or bool.  validity_flag is
+    False where |epsilon| = |Omega~ - 1| exceeds the module threshold and
     the first-order state can no longer be trusted.
     """
     if varying not in ("phi", "delta"):
         raise BadParams("varying must be 'phi' or 'delta'")
+    for g in map(float, grid):
+        d, f = (delta, g) if varying == "phi" else (g, phi)
+        vx0, vp0 = mus_dispersions(d, f)
+        m = perturbed_moments(d, f, beta, theta, z, p)
+        stats = m.stats
+        yield SweepRow(
+            grid_value=g, var_x_mus=vx0, var_p_mus=vp0,
+            var_x_def=stats.var_x, var_p_def=stats.var_p,
+            product_def=stats.product, srur_bound=stats.srur_bound,
+            validity_flag=abs(m.epsilon) <= VALIDITY_EPSILON_THRESHOLD)
+
+
+def figure_sweep(*, delta, phi, beta, theta, varying: str, grid,
+                 z_values, p_values):
+    """Variance table rows over a phi or delta grid, one block per (z, p).
+
+    Returns a list of (z, p, rows), each rows list built by sweep_rows with
+    one perturbed_moments evaluation per grid point.
+    """
     if np.isscalar(z_values):
         z_values = [z_values]
     if np.isscalar(p_values):
         p_values = [p_values]
-    blocks = []
-    for z, p in itertools.product(z_values, p_values):
-        rows = []
-        for g in grid:
-            d, f = (delta, g) if varying == "phi" else (g, phi)
-            vx0, vp0 = mus_dispersions(d, f)
-            stats = perturbed_quadrature_stats(d, f, beta, theta, z, p)
-            m = perturbed_moments(d, f, beta, theta, z, p)
-            rows.append(SweepRow(
-                grid_value=float(g), var_x_mus=vx0, var_p_mus=vp0,
-                var_x_def=stats.var_x, var_p_def=stats.var_p,
-                product_def=stats.product, srur_bound=stats.srur_bound,
-                validity_flag=abs(m.epsilon) <= VALIDITY_EPSILON_THRESHOLD))
-        blocks.append((z, p, rows))
-    return blocks
+    return [(z, p, list(sweep_rows(delta=delta, phi=phi, beta=beta,
+                                   theta=theta, varying=varying, grid=grid,
+                                   z=z, p=p)))
+            for z, p in itertools.product(z_values, p_values)]

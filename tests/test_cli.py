@@ -75,6 +75,63 @@ def test_sweep_quarter_turn_row_hits_five_sixths(tmp_path):
     assert abs(float(last[2]) - 5.0 / 6.0) < 1e-12
 
 
+# a 7-step phi sweep with z, p != 0: its exact digits pin the arithmetic of
+# the first-order moment kernel
+GOLDEN_SWEEP_ARGV = ["sweep-dispersion", "--delta", "0.4", "--beta", "1.5",
+                     "--theta", "0.7", "--z", "0.003", "--p", "0.02",
+                     "--var", "phi", "--min", "-1", "--max", "1",
+                     "--steps", "7"]
+GOLDEN_SWEEP_META = {
+    "beta": 1.5, "delta": 0.4, "dim": 64, "eta_phase": 0.0, "gamma": 0.0,
+    "guard": -1, "max": 1.0, "min": -1.0, "out": None, "p": 0.02,
+    "phi": 0.0, "steps": 7, "subcommand": "sweep-dispersion", "theta": 0.7,
+    "tol": 1e-10, "var": "phi", "z": 0.003}
+GOLDEN_SWEEP_HEADER = ("grid_value,var_x_mus,var_p_mus,var_x_def,var_p_def,"
+                       "product_def,srur_bound,validity_flag")
+GOLDEN_SWEEP_ROWS = (
+    "-1,0.43318937815802883,0.94776300279435233,"
+    "0.42324398851571132,0.94841457931052986,0.40141076931383907,"
+    "0.40136769419412643,1\n"
+    "-0.66666666666666674,0.31624416153478679,1.0647082194175943,"
+    "0.31005444151274553,1.0662762470037244,0.33060368626304604,"
+    "0.33065375108949185,1\n"
+    "-0.33333333333333337,0.24049669223107734,1.1404556887213038,"
+    "0.23739083480662004,1.1432975103828813,0.27140835042212252,"
+    "0.27148914248058997,1\n"
+    "0,0.21428571428571436,1.1666666666666667,"
+    "0.21354334041338663,1.1707084799715632,0.24999699946340595,"
+    "0.25006487846177994,1\n"
+    "0.33333333333333326,0.24049669223107734,1.1404556887213038,"
+    "0.24138923855241912,1.1452395864374196,0.27644851173021612,"
+    "0.2764883033287836,1\n"
+    "0.66666666666666652,0.31624416153478674,1.0647082194175943,"
+    "0.31796825522276495,1.0695894285972445,0.34009548441577997,"
+    "0.34011012877269514,1\n"
+    "1,0.43318937815802883,0.94776300279435233,"
+    "0.43476340968707494,0.95217273273548186,0.41396986389513801,"
+    "0.41396836062542275,1\n"
+)
+
+
+def test_sweep_golden_bytes(capsys):
+    assert cli.main(GOLDEN_SWEEP_ARGV) == 0
+    assert capsys.readouterr().out == (
+        "# beta=1.5 delta=0.40000000000000002 dim=64 eta_phase=0 format=csv "
+        "gamma=0 guard=-1 max=1 min=-1 out=None p=0.02 phi=0 steps=7 "
+        "subcommand=sweep-dispersion theta=0.69999999999999996 tol=1e-10 "
+        "var=phi z=0.0030000000000000001\n"
+        + GOLDEN_SWEEP_HEADER + "\n" + GOLDEN_SWEEP_ROWS)
+
+    # the JSON document carries the same doubles, printed by repr
+    assert cli.main(GOLDEN_SWEEP_ARGV + ["--format", "json"]) == 0
+    rows = [[float(v) for v in line.split(",")[:-1]] + [line.endswith(",1")]
+            for line in GOLDEN_SWEEP_ROWS.splitlines()]
+    doc = {"header": GOLDEN_SWEEP_HEADER.split(","),
+           "meta": dict(GOLDEN_SWEEP_META, format="json"), "rows": rows}
+    assert capsys.readouterr().out == json.dumps(doc, indent=1,
+                                                 sort_keys=True) + "\n"
+
+
 def test_sweep_two_step_grid_to_stdout(capsys):
     rc = cli.main(["sweep-dispersion", "--steps", "2", "--min", "0",
                    "--max", "1"])
@@ -121,6 +178,40 @@ def test_sweep_per_p_files_product_decreases(tmp_path):
         diff = products[lo] - products[hi]
         assert diff.max() < 1e-4
         assert np.median(diff) < 0.0
+
+
+# delta sweep across the validity threshold (flag drops past delta = 0.75)
+FLAG_SWEEP_ARGV = ["sweep-dispersion", "--phi", "0.5235987755982988",
+                   "--beta", "2", "--theta", "2.5132741228718345",
+                   "--z", "0.0025", "--p", "0.01", "--var", "delta",
+                   "--min", "0.7", "--max", "0.8", "--steps", "5"]
+
+
+def test_sweep_flags_are_plain_bools_for_both_vars(tmp_path, capsys):
+    assert cli.main(FLAG_SWEEP_ARGV + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [row[-1] for row in doc["rows"]] == [True, True, True, False,
+                                                False]
+    assert all(type(v) is float for row in doc["rows"] for v in row[:-1])
+
+    assert cli.main(FLAG_SWEEP_ARGV) == 0
+    assert [r[-1] for r in _data_rows(capsys.readouterr().out)] == [
+        "1", "1", "1", "0", "0"]
+    assert cli.main(["sweep-dispersion", "--var", "phi", "--steps", "5"]) == 0
+    assert {r[-1] for r in _data_rows(capsys.readouterr().out)} == {"1"}
+
+
+def test_sweep_bad_params_removes_partial_file(tmp_path, capsys):
+    out = tmp_path / "partial.csv"
+    # the grid walks past delta = 1 after three rows; a negative delta
+    # fails on the first
+    for argv in (["--var", "delta", "--min", "0", "--max", "1.5",
+                  "--steps", "5"],
+                 ["--delta", "-0.2"]):
+        rc = cli.main(["sweep-dispersion", *argv, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "delta" in capsys.readouterr().err
 
 
 def test_sweep_not_converged_removes_partial_file(tmp_path, monkeypatch):
@@ -241,6 +332,29 @@ def test_verify_small_dim_reports_designed_failures(tmp_path, capsys):
     assert math.isinf(float(failed["squeezed_eigenstate_residual"]["residual"]))
     g = float(failed["gamma_closed_vs_matrix"]["residual"])
     assert 0.01 < g < 0.04
+    # a check that raised names its exception; the others carry no error
+    for name in ("coherent_normalization", "squeezed_eigenstate_residual"):
+        assert failed[name]["error"].startswith("TailTooHeavy: top-2 levels")
+    assert [c["name"] for c in doc["checks"] if "error" in c] == [
+        "coherent_normalization", "squeezed_eigenstate_residual"]
+
+
+def test_verify_reports_arithmetic_error_as_failed_check(tmp_path,
+                                                         monkeypatch):
+    def overflow():
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "_check_mus", overflow)
+    out = tmp_path / "verify_overflow.json"
+    rc = cli.main(["verify", "--suite", "dispersion", "--out", str(out)])
+    assert rc == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["mus_point"] == {
+        "suite": "dispersion", "name": "mus_point", "residual": "inf",
+        "bound": "9.9999999999999998e-13", "passed": False,
+        "error": "OverflowError: math range error"}
+    assert checks["gamma_closed_vs_matrix"]["passed"] is True
+    assert "error" not in checks["gamma_closed_vs_matrix"]
 
 
 def test_verify_suite_filter(tmp_path):
