@@ -2,9 +2,10 @@
 
 The eigenstates of  e^{z a+} a + mu a+ + nu e^{z a+}  are built two independent
 ways: (i) exact finite-sum Fock amplitudes c_n (polynomials of degree n-1 in z),
-and (ii) the nilpotent operator exponential acting on the vacuum.  First-order
-perturbed squeezed/coherent states and the two-parameter Bargmann symbol live
-here as well.
+and (ii) the operator route: exp(x(a+))|0> for an exponent series x, with the
+exponential composed as a power series (fock_core.compose_series).
+First-order perturbed squeezed/coherent states and the two-parameter Bargmann
+symbol live here as well.
 """
 
 import cmath
@@ -18,11 +19,11 @@ from math import comb, factorial
 import numpy as np
 
 from . import _gaussian
-from .deformed_algebra import DeformationParams
+from .deformed_algebra import DeformationParams, exp_coefficients
 from .errors import BadParams, NonNormalizable, NotConverged, PhaseWindow, BranchCut
 from .fock_core import (FockVector, TruncationConfig, annihilation,
                         check_tail, creation, displacement_operator, norm,
-                        normalize, squeeze_operator, vacuum)
+                        normalize, series_operator, squeeze_operator, vacuum)
 
 
 @dataclass(frozen=True)
@@ -285,8 +286,7 @@ def squeezed_symbol_coefficients(lam: complex, mu: complex, n_max: int) -> Coeff
     g[0] = 1.0
     for n in range(1, n_max + 1):
         g[n] = (lam * g[n - 1] - (mu * g[n - 2] if n >= 2 else 0.0)) / n
-    sqrt_fact = np.array([math.sqrt(factorial(n)) for n in range(n_max + 1)])
-    return CoefficientVector(c=g * sqrt_fact,
+    return CoefficientVector(c=series_operator(g, TruncationConfig(n_max + 1))[:, 0],
                              params=DeformationParams(z=0.0, lam=lam, mu=mu))
 
 
@@ -321,68 +321,37 @@ def normalization_c0(params: DeformationParams, n_max: int = 96, tol: float = 1e
 # operator-route state assembly
 # ---------------------------------------------------------------------------
 
-def _apply_exp_nilpotent(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """exp(X) v for strictly triangular X, by the (finite) Taylor sum."""
-    out = v.copy()
-    term = v.copy()
-    for m in range(1, X.shape[0] + 1):
-        term = X @ term / m
-        if not term.any():
-            break
-        out += term
-    return out
-
-
-def deformed_exponent_operator(params: DeformationParams, cfg: TruncationConfig) -> np.ndarray:
-    """The nilpotent exponent  sum_k ((-z a+)^k/(k+1)!)(lam a+ - ((k+1)/(k+2)) mu (a+)^2)
-    whose exponential applied to |0> gives the deformed squeezed state."""
-    ad = creation(cfg)
-    N = cfg.dim
-    X = np.zeros((N, N), dtype=complex)
-    ad_pow = np.eye(N, dtype=complex)          # (a+)^k as we go
-    z, lam, mu = params.z, params.lam, params.mu
-    for k in range(N):
-        base = (-z) ** k / factorial(k + 1)
-        ad_k1 = ad_pow @ ad                    # (a+)^{k+1}
-        if not ad_k1.any():
-            break
-        X += base * lam * ad_k1
-        ad_k2 = ad_k1 @ ad
-        if ad_k2.any():
-            X += base * (-(k + 1) / (k + 2) * mu) * ad_k2
-        ad_pow = ad_k1
-    return X
+def _eigenstate(params: DeformationParams, nu: complex,
+                cfg: TruncationConfig) -> FockVector:
+    """Normalized exp(x(a+))|0> for the exponent
+    x(s) = int_0^s ((lam - mu t) e^{-z t} - nu) dt, tail-guarded."""
+    n = cfg.dim
+    integrand = np.convolve([params.lam, -params.mu],
+                            exp_coefficients([0.0, -params.z], n))
+    integrand[0] -= nu
+    x = np.r_[0.0, integrand[:n - 1] / np.arange(1, n)]
+    v = normalize(series_operator(exp_coefficients(x, n), cfg)[:, 0])
+    check_tail(v, cfg)
+    return v
 
 
 def deformed_squeezed_state(params: DeformationParams, cfg: TruncationConfig) -> FockVector:
     """Normalized eigenstate of e^{z a+} a + mu a+ with eigenvalue lam,
     assembled as the exact nilpotent exponential acting on the vacuum."""
-    X = deformed_exponent_operator(params, cfg)
-    v = _apply_exp_nilpotent(X, vacuum(cfg))
-    v = normalize(v)
-    check_tail(v, cfg)
-    return v
+    return _eigenstate(params, 0.0, cfg)
 
 
 def aes_operator(params: DeformationParams, cfg: TruncationConfig) -> np.ndarray:
     """The eigenvalue operator  e^{z a+} a + mu a+ + nu e^{z a+}  (all sums
     finite by nilpotency of a+)."""
-    ad = creation(cfg)
-    ez = _apply_exp_nilpotent(params.z * ad, np.eye(cfg.dim, dtype=complex))
-    return ez @ annihilation(cfg) + params.mu * ad + params.nu * ez
+    ez = series_operator(exp_coefficients([0.0, params.z], cfg.dim), cfg)
+    return ez @ annihilation(cfg) + params.mu * creation(cfg) + params.nu * ez
 
 
 def deformed_coherent_state(params: DeformationParams, cfg: TruncationConfig) -> FockVector:
     """Normalized eigenstate of e^{z a+} a + mu a+ + nu e^{z a+} with eigenvalue
     lam: the nu-shifted state  exp(exponent) e^{-nu a+} |0>."""
-    n = np.arange(cfg.dim)
-    seed = np.array([(-params.nu) ** k / math.sqrt(factorial(k)) for k in n],
-                    dtype=complex)
-    X = deformed_exponent_operator(params, cfg)
-    v = _apply_exp_nilpotent(X, seed)
-    v = normalize(v)
-    check_tail(v, cfg)
-    return v
+    return _eigenstate(params, params.nu, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -470,19 +439,6 @@ def omega_two_param_printed(delta, phi, beta, theta, gamma, eta_phase, z, p) -> 
     return 1 + z / (2 * r2 * r2) * z_block - p * p / (16 * r2 * r2) * p_block
 
 
-def _bracket_operator(coeffs, cfg):
-    """I + sum_j coeffs[j] (a+)^j for a {power: coefficient} mapping."""
-    ad = creation(cfg)
-    out = np.eye(cfg.dim, dtype=complex)
-    pw = np.eye(cfg.dim, dtype=complex)
-    top = max(coeffs)
-    for j in range(1, top + 1):
-        pw = pw @ ad
-        if j in coeffs:
-            out += coeffs[j] * pw
-    return out
-
-
 def perturbed_state_first_order(delta, phi, beta, theta, z,
                                 cfg: TruncationConfig) -> PerturbedState:
     """First-order-in-z normalized deformed squeezed state
@@ -496,7 +452,7 @@ def perturbed_state_first_order(delta, phi, beta, theta, z,
     lam = beta * cmath.exp(1j * theta)
     S = squeeze_operator(-math.atanh(delta) * cmath.exp(1j * phi), cfg)
     D = displacement_operator(lam / math.sqrt(1 - delta * delta), cfg)
-    T = _bracket_operator({3: z * mu / 3, 2: -z * lam / 2}, cfg)
+    T = series_operator([1.0, 0.0, -z * lam / 2, z * mu / 3], cfg)
     omega = omega_first_order(delta, phi, beta, theta, z)
     raw = omega * (T @ (S @ (D @ vacuum(cfg))))
     return PerturbedState(raw=raw, normalized=normalize(raw), omega=omega,
@@ -515,9 +471,8 @@ def two_param_perturbed_state(delta, phi, beta, theta, gamma, eta_phase, z, p,
     bt, tt = merged_displacement(beta, theta, gamma, eta_phase)
     S = squeeze_operator(-math.atanh(delta) * cmath.exp(1j * phi), cfg)
     D = displacement_operator(bt * cmath.exp(1j * tt) / math.sqrt(1 - delta * delta), cfg)
-    T = _bracket_operator({3: z * mu / 3,
-                           2: -z * lam / 2 + (p * p / 16) * mu,
-                           1: -(p * p / 4) * (lam / 2 - nu / 3)}, cfg)
+    T = series_operator([1.0, -(p * p / 4) * (lam / 2 - nu / 3),
+                         -z * lam / 2 + (p * p / 16) * mu, z * mu / 3], cfg)
     omega = omega_two_param(delta, phi, beta, theta, gamma, eta_phase, z, p)
     raw = omega * (T @ (S @ (D @ vacuum(cfg))))
     return PerturbedState(raw=raw, normalized=normalize(raw), omega=omega,

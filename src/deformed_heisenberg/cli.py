@@ -61,6 +61,13 @@ def _meta(args) -> dict:
     return out
 
 
+def _open_out(path):
+    try:
+        return open(path, "w")
+    except OSError as e:
+        raise BadParams(f"cannot write --out {path}: {e.strerror}") from e
+
+
 class _Writer:
     """Streams rows to --out (or stdout); as a context manager it closes the
     file and removes it if the block raises."""
@@ -71,7 +78,7 @@ class _Writer:
         self.meta = meta
         self.header = header
         self.rows = []
-        self.fh = open(path, "w") if path else sys.stdout
+        self.fh = _open_out(path) if path else sys.stdout
         if fmt == "csv":
             kv = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(meta.items()))
             self.fh.write(f"# {kv}\n")
@@ -111,9 +118,21 @@ def _cfg(args) -> TruncationConfig:
     return TruncationConfig(dim=args.dim, guard=args.guard)
 
 
+VERIFY_SUITES = ("fock", "algebra", "series", "paragrassmann", "dispersion",
+                 "pseudo")
+
+
 def _check_common(args) -> str:
+    for name, v in vars(args).items():
+        if isinstance(v, float) and not math.isfinite(v):
+            flag = {"vmin": "min", "vmax": "max"}.get(name, name)
+            return f"--{flag.replace('_', '-')} must be finite"
     if args.dim < 8:
         return "dim must be >= 8"
+    if not (args.guard == -1 or 0 <= args.guard < args.dim):
+        return "guard must be -1 (dim // 4) or in 0..dim-1"
+    if getattr(args, "suite", None) not in (None, *VERIFY_SUITES):
+        return f"unknown suite {args.suite!r}"
     if getattr(args, "steps", 2) < 2:
         return "steps must be >= 2"
     if hasattr(args, "vmin") and not (args.vmin < args.vmax):
@@ -229,7 +248,8 @@ def _check_mus():
 
 
 def _verify_checks(args):
-    """(suite, name, residual, bound, error) rows for every invariant check.
+    """(suite, name, residual, bound, error) rows for the checks of --suite
+    (all suites when it is unset).
 
     A check that raises a package error or an ArithmeticError is reported as
     failed (residual inf, error "<class>: <message>") instead of killing the
@@ -261,20 +281,23 @@ def _verify_checks(args):
          1e-8),
         ("dispersion", "mus_point", _check_mus, 1e-12),
     ]
-    # reference box for the pseudo-Hermitian bounds; eta's condition number
-    # grows fast with dim, so the stated tolerances are tied to this size
-    ref = TruncationConfig(48, 12)
-    sysm = pseudo_hermitian.build_system(0.2, 0.02, ref)
-    checks += [
-        ("pseudo", "pseudo_hermiticity",
-         lambda: pseudo_hermitian.pseudo_hermiticity_residual(sysm), 1e-7),
-        ("pseudo", "rho_g_unitarity",
-         lambda: pseudo_hermitian.unitarity_check(sysm), 1e-6),
-        ("pseudo", "commutators",
-         lambda: max(pseudo_hermitian.commutator_checks(sysm)), 1e-8),
-    ]
+    if args.suite in (None, "pseudo"):
+        # reference box for the pseudo bounds; eta's condition number grows
+        # fast with dim, so the stated tolerances are tied to this size
+        ref = TruncationConfig(48, 12)
+        sysm = pseudo_hermitian.build_system(0.2, 0.02, ref)
+        checks += [
+            ("pseudo", "pseudo_hermiticity",
+             lambda: pseudo_hermitian.pseudo_hermiticity_residual(sysm), 1e-7),
+            ("pseudo", "rho_g_unitarity",
+             lambda: pseudo_hermitian.unitarity_check(sysm), 1e-6),
+            ("pseudo", "commutators",
+             lambda: max(pseudo_hermitian.commutator_checks(sysm)), 1e-8),
+        ]
     rows = []
     for suite, name, thunk, bound in checks:
+        if args.suite not in (None, suite):
+            continue
         try:
             r, error = float(thunk()), None
         except (DeformedHeisenbergError, ArithmeticError) as e:
@@ -293,18 +316,13 @@ def _check_report(suite, name, residual, bound, error) -> dict:
 
 def cmd_verify(args) -> int:
     rows = _verify_checks(args)
-    if args.suite:
-        rows = [r for r in rows if r[0] == args.suite]
-        if not rows:
-            print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-            return EXIT_USAGE
     report = {"meta": {k: _fmt(v) if isinstance(v, float) else v
                        for k, v in _meta(args).items()},
               "checks": [_check_report(*r) for r in rows]}
     report["passed"] = all(c["passed"] for c in report["checks"])
     text = json.dumps(report, indent=1, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open_out(args.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -372,8 +390,7 @@ def _build_parser():
     sp = sub.add_parser("verify", help="run the invariant suites")
     _add_common(sp)
     sp.add_argument("--suite", default=None,
-                    help="restrict to one suite (fock, algebra, series, "
-                         "paragrassmann, dispersion, pseudo)")
+                    help=f"restrict to one suite ({', '.join(VERIFY_SUITES)})")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("spectrum", help="H and H~ spectra with deviations")

@@ -8,20 +8,22 @@ and the two-parameter algebra with
 
     [A, B] = 0,   [B, C] = -(2z/p^2)(cosh(pB) - 1),   [A, C] = (1/p) sinh(pB).
 
-All matrix functions of nilpotent-plus-scalar arguments are evaluated by exact
-finite Taylor sums (triangular_matrix_function), never by iterative solvers.
+The realizations are power series in a+ (or a, by transposition with z -> -z)
+built by fock_core.series_operator; the residual checks apply cosh, sinh and
+the reciprocal to those matrices by the independent matrix-side route
+(exact finite Taylor sums, triangular_matrix_function).
 """
 
 import cmath
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import BadParams, SingularCosh
-from .fock_core import (FockOperator, TruncationConfig, annihilation, creation,
-                        guarded_norm, triangular_matrix_function)
+from .fock_core import (FockOperator, TruncationConfig, annihilation,
+                        compose_series, creation, guarded_norm, series_operator,
+                        triangular_matrix_function)
 
 
 @dataclass(frozen=True)
@@ -111,11 +113,10 @@ def _pow_series(u, c, n):
 
     J.C.P. Miller recurrence: w0 = u0^c, n w_n u0 = sum_k ((c+1)k - n) u_k w_{n-k}.
     """
-    u = list(u) + [0.0] * n
     w = [complex(u[0]) ** c]
     for m in range(1, n):
         acc = 0.0j
-        for k in range(1, m + 1):
+        for k in range(1, min(m, len(u) - 1) + 1):
             acc += ((c + 1) * k - m) * u[k] * w[m - k]
         w.append(acc / (m * u[0]))
     return w
@@ -131,14 +132,19 @@ def exp_series(alpha, n):
     return out
 
 
+def exp_coefficients(u, n):
+    """Coefficients of e^{u(x)} to order n-1, for u(0) = 0."""
+    return compose_series(exp_series(0.0, n), u, n)
+
+
 def cosh_series(alpha, n):
     c, s = cmath.cosh(alpha), cmath.sinh(alpha)
-    return [(c if m % 2 == 0 else s) / math.factorial(m) for m in range(n)]
+    return [(c if m % 2 == 0 else s) * t for m, t in enumerate(exp_series(0, n))]
 
 
 def sinh_series(alpha, n):
     c, s = cmath.cosh(alpha), cmath.sinh(alpha)
-    return [(s if m % 2 == 0 else c) / math.factorial(m) for m in range(n)]
+    return [(s if m % 2 == 0 else c) * t for m, t in enumerate(exp_series(0, n))]
 
 
 def asinh_series(alpha, n):
@@ -181,51 +187,46 @@ def _apply_series(series_fn, M, cfg):
 # realizations
 # ---------------------------------------------------------------------------
 
+def _uzp_coefficients(z: float, p: float, n: int):
+    """Coefficients of the two-parameter B = (2/p) arcsinh((p/2) e^{zx}) and of
+    C = e^{zx} sqrt(1 + (p/2)^2 e^{2zx}) before its factor a (or a+)."""
+    e = exp_coefficients([0.0, z], n)
+    u = (p / 2) * e
+    u[0] = 0.0                            # expand around the scalar part p/2
+    B = (2 / p) * compose_series(asinh_series(p / 2, n), u, n)
+    C = np.convolve(e, compose_series(sqrt_one_plus_sq_series(p / 2, n), u, n))[:n]
+    return B, C
+
+
 def build_realization(kind: RealizationKind, params: DeformationParams,
                       cfg: TruncationConfig) -> AlgebraTriple:
-    """Operator triple (A, B, C) for the requested realization.
+    """Operator triple (A, B, C) for the requested realization: A = -a+,
+    C = C(a+) a, or for the kinds built on a, A = a, C = a+ C(a).
 
     Raises BadParams when p = 0 is passed for a p-dependent kind.
     """
+    if not isinstance(kind, RealizationKind):
+        raise BadParams(f"unknown realization kind {kind!r}")
     z, p = params.z, params.p
     if kind in P_KINDS and p == 0:
         raise BadParams(f"{kind.name} needs p != 0")
-    a = annihilation(cfg)
-    ad = creation(cfg)
-    N = cfg.dim
-    ident = np.eye(N, dtype=complex)
-
-    if kind == RealizationKind.TildeZ0_Cas1:
-        E = triangular_matrix_function(exp_series(0.0, N), 0.0, z * ad, cfg)
-        return AlgebraTriple(A=-ad, B=E, C=E @ a, kind=kind)
-
-    if kind == RealizationKind.TildeZ0_Cas2:
-        E = triangular_matrix_function(exp_series(0.0, N), 0.0, -z * a, cfg)
-        return AlgebraTriple(A=a, B=E, C=ad @ E, kind=kind)
-
-    if kind == RealizationKind.Uzp_One:
-        E = triangular_matrix_function(exp_series(0.0, N), 0.0, z * ad, cfg)
-        M = (p / 2) * E                       # diag p/2, rest nilpotent
-        B = (2 / p) * _apply_series(asinh_series, M, cfg)
-        C = E @ _apply_series(sqrt_one_plus_sq_series, M, cfg) @ a
-        return AlgebraTriple(A=-ad, B=B, C=C, kind=kind)
-
-    if kind == RealizationKind.Uzp_Two:
-        E = triangular_matrix_function(exp_series(0.0, N), 0.0, -z * a, cfg)
-        M = (p / 2) * E
-        B = (2 / p) * _apply_series(asinh_series, M, cfg)
-        C = ad @ E @ _apply_series(sqrt_one_plus_sq_series, M, cfg)
-        return AlgebraTriple(A=a, B=B, C=C, kind=kind)
-
-    if kind == RealizationKind.Celeghini_One:
-        B = (2 / p) * math.asinh(p / 2) * ident
-        return AlgebraTriple(A=-ad, B=B, C=math.sqrt(1 + p * p / 4) * a, kind=kind)
-
-    if kind == RealizationKind.Celeghini_Two:
-        B = (2 / p) * math.asinh(p / 2) * ident
-        return AlgebraTriple(A=a, B=B, C=math.sqrt(1 + p * p / 4) * ad, kind=kind)
-
-    raise BadParams(f"unknown realization kind {kind!r}")
+    if kind in (RealizationKind.Celeghini_One, RealizationKind.Celeghini_Two):
+        z = 0.0                        # the z = 0 members of the Uzp kinds
+    # the kinds built on a are transposes of their a+ series with z -> -z
+    on_a = kind in (RealizationKind.TildeZ0_Cas2, RealizationKind.Uzp_Two,
+                    RealizationKind.Celeghini_Two)
+    if on_a:
+        z = -z
+    if kind in P_KINDS:
+        B, C = _uzp_coefficients(z, p, cfg.dim)
+    else:
+        B = C = exp_coefficients([0.0, z], cfg.dim)
+    B, C = series_operator(B, cfg), series_operator(C, cfg)
+    if on_a:
+        return AlgebraTriple(A=annihilation(cfg), B=B.T,
+                             C=creation(cfg) @ C.T, kind=kind)
+    return AlgebraTriple(A=-creation(cfg), B=B, C=C @ annihilation(cfg),
+                         kind=kind)
 
 
 def commutator_residual_uzp(triple: AlgebraTriple, params: DeformationParams,

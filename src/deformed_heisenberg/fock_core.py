@@ -7,7 +7,7 @@ breaks the ladder relations there.
 """
 
 from dataclasses import dataclass
-from math import factorial, sqrt
+from math import sqrt
 
 import numpy as np
 import scipy.linalg
@@ -129,6 +129,48 @@ def triangular_matrix_function(series_coeffs, alpha: complex, K: FockOperator,
         if not term.any():
             break
         out += complex(series_coeffs[m]) * term
+    return out
+
+
+def series_operator(f, cfg: TruncationConfig) -> FockOperator:
+    """Matrix of f(a+) = sum_k f[k] (a+)^k: entry (n+k, n) = f[k] sqrt((n+k)!/n!).
+
+    One subdiagonal at a time from running products of sqrt(j): O(N^2), no
+    integer factorials.  Each root carries 2^-e (4^e >= N) and f[k] carries
+    2^{ek}, which is exact and keeps the products finite past N ~ 340, where
+    sqrt(n!) overflows.  The transpose is f(a); column 0 is f(a+)|0>.
+    """
+    N = cfg.dim
+    e = (N.bit_length() + 1) // 2
+    f = np.asarray(f, dtype=complex)
+    roots = np.ldexp(np.sqrt(np.arange(1, N, dtype=float)), -e)
+    out = np.zeros((N, N), dtype=complex)
+    flat = out.reshape(-1)
+    run = np.ones(N)
+    for k in range(min(len(f), N)):
+        if k:
+            run = run[:-1] * roots[k - 1:]     # prod_{j=n+1}^{n+k} sqrt(j) 2^-e
+        fk = np.ldexp(f[k].real, e * k) + 1j * np.ldexp(f[k].imag, e * k)
+        flat[k * N::N + 1] = fk * run          # the k-th subdiagonal
+    return out
+
+
+def compose_series(outer, u, n: int) -> np.ndarray:
+    """Coefficients of sum_m outer[m] u(x)^m to order n-1, for u(0) = 0; with
+    outer[m] = f^(m)(alpha)/m! that is f(alpha + u).
+
+    Horner's rule on truncated products: u^m starts at x^m, so the partial
+    sum it multiplies is needed only to order n-m-1.
+    """
+    u = np.asarray(u, dtype=complex)[:n]
+    if u[0] != 0:
+        raise NotNilpotent(f"inner series has a nonzero constant term {u[0]}")
+    u = u[:np.flatnonzero(u)[-1] + 1] if u.any() else u[:1]   # drop zero tail
+    out = np.zeros(n, dtype=complex)
+    for m in reversed(range(min(len(outer), n))):
+        k = n - m
+        out[:k] = np.convolve(u[:k], out[:k])[:k]
+        out[0] += outer[m]
     return out
 
 

@@ -6,7 +6,8 @@ the product of the blocks).  In particular H = a+a + mu e^{-z a+} (a+)^2 is
 *exactly* similar to a+a at finite N, eta = (G^-1)+ G^-1 is exactly positive
 definite, and rho G is unitary up to eigensolver noise.  Guarded norms are
 still used for residuals that involve the (upper-shift) annihilator, whose
-truncated top rows are garbage.
+truncated top rows are garbage.  G, G^-1, H and A are functions of a+ (plus
+a+a and a), built from their coefficient lists by fock_core.series_operator.
 """
 
 import math
@@ -14,57 +15,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .deformed_algebra import exp_coefficients
 from .errors import IllConditioned, NotPositiveDefinite
 from .fock_core import (DEFAULT_CONFIG, FockOperator, FockVector,
                         TruncationConfig, annihilation, creation,
-                        displacement_operator, guarded_norm, normalize, vacuum)
+                        displacement_operator, guarded_norm, normalize,
+                        number_operator, series_operator, vacuum)
 
 ETA_CONDITION_LIMIT = 1e12
 
 
-def _exp_nilpotent(E: np.ndarray) -> np.ndarray:
-    """exp(E) by the exact finite Taylor sum (E strictly triangular)."""
-    out = np.eye(E.shape[0], dtype=complex)
-    term = np.eye(E.shape[0], dtype=complex)
-    k = 1
-    while True:
-        term = term @ E / k
-        if not np.any(term):
-            return out
-        out += term
-        k += 1
-
-
-def _g_exponent(mu: complex, z: float, cfg: TruncationConfig) -> np.ndarray:
-    """-mu sum_k (-z a+)^k / k! (a+)^2 / (k+2): finite, strictly lower."""
-    ad = creation(cfg)
-    ad2 = ad @ ad
-    total = np.zeros_like(ad)
-    P = np.eye(cfg.dim, dtype=complex)
-    k = 0
-    while np.any(P):
-        total += P @ ad2 / (k + 2)
-        P = P @ (-z * ad) / (k + 1)
-        k += 1
-    return -mu * total
+def _g_coefficients(mu: complex, z: float, N: int) -> np.ndarray:
+    """Coefficients of the exponent of G, g(s) = -mu int_0^s t e^{-z t} dt."""
+    integrand = -mu * np.r_[0.0, exp_coefficients([0.0, -z], N)]
+    return np.r_[0.0, integrand[:N - 1] / np.arange(1, N)]
 
 
 def build_G(mu: complex, z: float, cfg: TruncationConfig = DEFAULT_CONFIG) -> FockOperator:
     """G = exp(-mu sum_k (-z a+)^k/k! (a+)^2/(k+2)), an exact finite sum."""
-    return _exp_nilpotent(_g_exponent(mu, z, cfg))
+    return series_operator(exp_coefficients(_g_coefficients(mu, z, cfg.dim),
+                                            cfg.dim), cfg)
 
 
 def build_H(mu: complex, z: float, cfg: TruncationConfig = DEFAULT_CONFIG) -> FockOperator:
     """H = a+a + mu e^{-z a+} (a+)^2: triangular with diagonal 0..N-1."""
-    ad = creation(cfg)
-    a = annihilation(cfg)
-    return ad @ a + mu * _exp_nilpotent(-z * ad) @ ad @ ad
+    e = exp_coefficients([0.0, -z], cfg.dim)
+    return number_operator(cfg) + series_operator(mu * np.r_[0.0, 0.0, e], cfg)
 
 
 def _build_A(mu: complex, z: float, cfg: TruncationConfig) -> FockOperator:
     """The deformed annihilator  A = a + mu a+ e^{-z a+}."""
-    ad = creation(cfg)
-    return annihilation(cfg) + mu * ad @ _exp_nilpotent(-z * ad)
+    e = exp_coefficients([0.0, -z], cfg.dim)
+    return annihilation(cfg) + series_operator(mu * np.r_[0.0, e], cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +78,8 @@ def build_system(mu: complex, z: float,
     makes rho G unitary and rho H rho^-1 Hermitian; a square root of the
     guarded block alone breaks both by orders of magnitude."""
     G = build_G(mu, z, cfg)
-    Ginv = _exp_nilpotent(-_g_exponent(mu, z, cfg))
+    Ginv = series_operator(exp_coefficients(-_g_coefficients(mu, z, cfg.dim),
+                                            cfg.dim), cfg)
     eta = Ginv.conj().T @ Ginv
     eta = (eta + eta.conj().T) / 2
     w, V = np.linalg.eigh(eta)
@@ -150,7 +133,7 @@ def ground_state(sys: PseudoHermitianSystem) -> FockVector:
 
 def coherent_eigenstate(nu: complex, sys: PseudoHermitianSystem) -> FockVector:
     """Normalized G e^{-nu a+}|0>: eigenstate of A with eigenvalue -nu."""
-    seed = _exp_nilpotent(-nu * creation(sys.cfg)) @ vacuum(sys.cfg)
+    seed = series_operator(exp_coefficients([0.0, -nu], sys.cfg.dim), sys.cfg)[:, 0]
     return normalize(sys.G @ seed)
 
 

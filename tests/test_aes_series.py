@@ -202,6 +202,26 @@ def test_deformed_coherent_state_cases():
     assert np.linalg.norm(r) < 1e-8
 
 
+def test_states_past_factorial_overflow():
+    # dim 200: sqrt(n!) and 1/(k+1)! used to pass through math.factorial,
+    # which cannot be converted to a float past 170
+    cfg = TruncationConfig(200)
+    vec = squeezed_symbol_coefficients(0.0, 0.5, cfg.dim - 1)
+    assert np.sum(np.abs(vec.c) ** 2) == pytest.approx(1 / math.sqrt(0.75),
+                                                       rel=1e-13)
+    c0, _ = normalization_c0(DeformationParams(z=0.0, lam=0.0, mu=0.5),
+                             n_max=cfg.dim - 1)
+    assert c0 == pytest.approx(0.75 ** 0.25, rel=1e-12)
+    for prm in (DeformationParams(z=0.01, lam=1.0, mu=0.3),
+                DeformationParams(z=0.01, lam=0.9, mu=0.3, nu=0.2)):
+        v = deformed_coherent_state(prm, cfg)
+        r = (aes_operator(prm, cfg) @ v - prm.lam * v)[:cfg.kept]
+        assert np.linalg.norm(r) < 1e-8
+    prm = DeformationParams(z=0.01, lam=1.0, mu=0.3)
+    np.testing.assert_allclose(deformed_squeezed_state(prm, cfg)[:CFG.dim],
+                               deformed_squeezed_state(prm, CFG), atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # first-order perturbed states and Omega factors
 # ---------------------------------------------------------------------------

@@ -375,6 +375,66 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+def test_verify_suite_runs_only_its_own_checks(monkeypatch, capsys):
+    calls = []
+
+    def build_system(*args, **kwargs):
+        calls.append("build_system")
+        raise AssertionError("pseudo reference system built")
+
+    def check_xp(cfg):
+        calls.append("check_xp")
+        return 0.0
+
+    monkeypatch.setattr(cli.pseudo_hermitian, "build_system", build_system)
+    monkeypatch.setattr(cli, "_check_xp", check_xp)
+    assert cli.main(["verify", "--suite", "paragrassmann"]) == 0
+    assert calls == []
+    # an unknown suite is refused before any check runs
+    assert cli.main(["verify", "--suite", "nope"]) == 2
+    assert calls == []
+    assert cli.main(["verify", "--suite", "fock"]) == 0
+    assert calls == ["check_xp"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--dim", "8", "--z", "nan"],
+    ["state", "--dim", "8", "--beta", "inf"],
+    ["sweep-dispersion", "--steps", "3", "--z", "inf"],
+    ["sweep-dispersion", "--steps", "3", "--min=-inf"],
+    ["verify", "--dim", "8", "--guard", "9"],
+    ["spectrum", "--dim", "8", "--guard", "8"],
+    ["state", "--dim", "8", "--guard", "-2"],
+])
+def test_nonfinite_floats_and_bad_guard_exit_2(argv, tmp_path):
+    # a subprocess with a timeout, so that a hang fails instead of stalling
+    out = tmp_path / "out.txt"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "deformed_heisenberg.cli", *argv, "--out",
+         str(out)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-dispersion", "--steps", "3"],
+    ["verify", "--dim", "8"],
+])
+def test_unwritable_out_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write --out {out}")
+    assert len(err.splitlines()) == 1
+    assert not out.parent.exists()
+
+
 def test_spectrum_undeformed_ladder(tmp_path):
     out = tmp_path / "sp0.json"
     rc = cli.main(["spectrum", "--delta", "0", "--z", "0", "--dim", "48",

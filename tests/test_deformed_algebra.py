@@ -68,6 +68,21 @@ def test_series_coefficients_reproduce_functions():
         1 / (alpha + t), rel=1e-10)
 
 
+def test_uzp_residuals_past_factorial_overflow():
+    # dim 200: the cosh/sinh generators used to divide by math.factorial(m),
+    # which cannot be converted to a float past m = 170
+    cfg = TruncationConfig(200)
+    for fn in (cosh_series, sinh_series):
+        c = np.array(fn(0.3, cfg.dim))
+        assert np.isfinite(c).all()
+        want = [(math.cosh(0.3), math.sinh(0.3))[(m + (fn is sinh_series)) % 2]
+                / math.factorial(m) for m in range(170)]
+        np.testing.assert_allclose(c[:170], want, rtol=1e-13, atol=0)
+    prm = DeformationParams(z=0.02, p=0.4)
+    tri = build_realization(RealizationKind.Uzp_One, prm, cfg)
+    assert max(commutator_residual_uzp(tri, prm, cfg)) < 1e-12
+
+
 def test_asinh_series_at_origin_matches_textbook_expansion():
     c = asinh_series(0.0, 6)
     expected = [0.0, 1.0, 0.0, -1 / 6, 0.0, 3 / 40]

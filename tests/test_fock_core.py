@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from deformed_heisenberg.errors import TailTooHeavy
+import scipy.linalg
+
+from deformed_heisenberg.deformed_algebra import asinh_series, exp_series
+from deformed_heisenberg.errors import NotNilpotent, TailTooHeavy
 from deformed_heisenberg.fock_core import (
-    TruncationConfig, annihilation, check_tail, coherent_state, creation,
-    displacement_operator, expectation, inner_product,
-    matrix_exponential, norm, normalize, number_operator, squeeze_operator,
-    tail_fraction, triangular_matrix_function, vacuum)
+    TruncationConfig, annihilation, check_tail, coherent_state,
+    compose_series, creation, displacement_operator, expectation,
+    inner_product, matrix_exponential, norm, normalize, number_operator,
+    series_operator, squeeze_operator, tail_fraction,
+    triangular_matrix_function, vacuum)
 
 CFG64 = TruncationConfig(64)
 
@@ -108,6 +112,83 @@ def test_triangular_matrix_function_asinh_at_z_zero():
     got = triangular_matrix_function(coeffs, alpha, B - alpha * np.eye(cfg.dim),
                                      cfg)
     np.testing.assert_allclose(got, math.asinh(p / 2) * np.eye(8), atol=1e-12)
+
+
+# coefficient lists with a nonzero constant term, complex entries and a tail
+# that runs past the box, so every subdiagonal is populated
+F = [0.7 - 0.2j, 1.1, 0.3j, -0.25, 0.05 + 0.05j, -0.01, 0.002j]
+G = [1.0, -0.4j, 0.2, 0.0, 0.08 - 0.01j]
+
+
+def test_series_operator_of_x_is_creation():
+    for dim in (1, 2, 16):
+        cfg = TruncationConfig(dim, 0)
+        np.testing.assert_array_equal(series_operator([0, 1], cfg),
+                                      creation(cfg))
+
+
+def test_exp_coefficients_match_expm_of_creation():
+    cfg = TruncationConfig(24, 6)
+    for z in (0.3, -1.2, 0.5 - 0.4j):
+        coeffs = compose_series(exp_series(0.0, cfg.dim), [0, z], cfg.dim)
+        k = np.arange(cfg.dim)
+        want = np.array([z ** m / math.factorial(m) for m in k])
+        np.testing.assert_allclose(coeffs, want, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(series_operator(coeffs, cfg),
+                                   scipy.linalg.expm(z * creation(cfg)),
+                                   rtol=0, atol=1e-13)
+
+
+def test_series_product_is_operator_product():
+    cfg = TruncationConfig(12, 3)
+    prod = np.convolve(F, G)[:cfg.dim]
+    np.testing.assert_allclose(series_operator(prod, cfg),
+                               series_operator(F, cfg) @ series_operator(G, cfg),
+                               rtol=0, atol=1e-14)
+
+
+def test_series_operator_transpose_is_function_of_a():
+    cfg = TruncationConfig(10, 2)
+    a = annihilation(cfg)
+    f_of_a = sum(c * np.linalg.matrix_power(a, k) for k, c in enumerate(F))
+    np.testing.assert_allclose(series_operator(F, cfg).T, f_of_a,
+                               rtol=0, atol=1e-14)
+
+
+def test_series_operator_column_zero_is_vacuum_image():
+    cfg = TruncationConfig(7, 1)
+    want = np.array([F[n] * math.sqrt(math.factorial(n)) for n in range(7)])
+    np.testing.assert_allclose(series_operator(F, cfg)[:, 0], want,
+                               rtol=1e-15, atol=0)
+
+
+def test_series_kernel_stays_finite_past_factorial_overflow():
+    # sqrt(n!) overflows a double near n = 340; the kernel's entries do not.
+    # 1/n! itself is subnormal past n ~ 170, so the far tail (~1e-160 here)
+    # is only good in absolute terms
+    cfg = TruncationConfig(400)
+    coeffs = compose_series(exp_series(0.0, cfg.dim), [0, 1.0], cfg.dim)
+    np.testing.assert_allclose(series_operator(coeffs, cfg)[:, 0],
+                               coherent_state(1.0, cfg), rtol=1e-13, atol=1e-15)
+    E = series_operator(compose_series(exp_series(0.0, cfg.dim), [0, 0.02],
+                                       cfg.dim), cfg)
+    assert np.isfinite(E).all()
+    np.testing.assert_allclose(E, scipy.linalg.expm(0.02 * creation(cfg)),
+                               rtol=0, atol=1e-12)
+
+
+def test_compose_series_matches_matrix_route_and_needs_u0_zero():
+    cfg = TruncationConfig(16, 4)
+    alpha = 0.2
+    u = np.array([0.0, 0.3, -0.1j, 0.05])
+    coeffs = compose_series(asinh_series(alpha, cfg.dim), u, cfg.dim)
+    K = series_operator(u, cfg)
+    np.testing.assert_allclose(
+        series_operator(coeffs, cfg),
+        triangular_matrix_function(asinh_series(alpha, cfg.dim), alpha, K, cfg),
+        rtol=0, atol=1e-14)
+    with pytest.raises(NotNilpotent):
+        compose_series(exp_series(0.0, 4), [0.1, 1.0], 4)
 
 
 def test_matrix_exponential_basics():
