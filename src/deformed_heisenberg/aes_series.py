@@ -1,9 +1,13 @@
 """Algebra eigenstates of the deformed oscillator: series amplitudes and states.
 
 The eigenstates of  e^{z a+} a + mu a+ + nu e^{z a+}  are built two independent
-ways: (i) exact finite-sum Fock amplitudes c_n (polynomials of degree n-1 in z),
-and (ii) the operator route: exp(x(a+))|0> for an exponent series x, with the
-exponential composed as a power series (fock_core.compose_series).
+ways: (i) Fock amplitudes c_n from the row recurrence of the eigen-equation,
+the production route (O(N^2), any dim), and (ii) the operator route:
+exp(x(a+))|0> for an exponent series x, with the exponential composed as a
+power series (fock_core.compose_series).  Two more routes only check (i):
+the exact-integer tables (upsilon_table, amplitude_coefficients), which the
+tests hold it against, and the unsummed double series that
+fock_coefficients evaluates as its cross-check.
 First-order perturbed squeezed/coherent states and the two-parameter Bargmann
 symbol live here as well.
 """
@@ -45,7 +49,7 @@ class CoefficientVector:
 
 
 # ---------------------------------------------------------------------------
-# upsilon table and amplitude polynomials
+# exact-integer tables (the reference) and the amplitude recurrence
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -122,39 +126,41 @@ def amplitude_coefficients(n: int):
     return tuple(sorted(out.items()))
 
 
-def _scaled_amplitude(n: int, lam: complex, mu: complex, z: float) -> complex:
-    """c_n * sqrt(n!) with C_0 = 1."""
-    tot = 0j
-    for (s, t), K in amplitude_coefficients(n):
-        tot += K * lam ** t * mu ** s * z ** (n - 2 * s - t)
-    return tot
-
-
-def _amplitude_iter(params: DeformationParams, n_max: int):
-    """Yield c_0, c_1, ... lazily; each c_n costs an exact-integer table whose
-    price grows quickly with n, so adaptive consumers should stop early."""
-    lam, mu, z = params.lam, params.mu, params.z
-    sqrt_fact = 1.0
-    for n in range(n_max + 1):
-        if n > 0:
-            sqrt_fact *= math.sqrt(n)
-        yield _scaled_amplitude(n, lam, mu, z) / sqrt_fact
-
-
 def _amplitudes(params: DeformationParams, n_max: int) -> np.ndarray:
-    """c_n for n = 0..n_max with C_0 = 1 (finite-sum route, exact)."""
-    return np.fromiter(_amplitude_iter(params, n_max), dtype=complex,
-                       count=n_max + 1)
+    """c_n for n = 0..n_max with C_0 = 1, from row n of the eigen-equation
+
+        sqrt(n+1) c_{n+1} = lam c_n - mu sqrt(n) c_{n-1}
+            - sum_{k=1}^{n} (z^k/k!) sqrt(n!/(n-k)!) sqrt(n-k+1) c_{n-k+1}:
+
+    one dot product per row, weighted from one log-factorial table (no
+    factorial, any n_max).  Entries past the float range turn inf or nan.
+    """
+    lam, mu, z = params.lam, params.mu, params.z
+    j = np.arange(n_max + 1)
+    root, log_fact = np.sqrt(j), np.r_[0.0, np.cumsum(np.log(j[1:]))]
+    log_zk = j * math.log(abs(z)) - log_fact              # log |z^k / k!|
+    c = np.r_[1.0 + 0j, np.zeros(n_max, dtype=complex)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_max):                            # root[0] = 0 drops c[-1]
+            k = j[n:0:-1]                                 # pairs with c_1..c_n
+            w = np.copysign(1.0, z) ** k * np.exp(
+                log_zk[k] + 0.5 * (log_fact[n] - log_fact[n - k]))
+            c[n + 1] = (lam * c[n] - mu * root[n] * c[n - 1]
+                        - (w * root[1:n + 1]) @ c[1:n + 1]) / root[n + 1]
+    return c
 
 
 # ---------------------------------------------------------------------------
-# the double-sum route (independent cross-check of the finite-sum amplitudes)
+# the double-sum route (independent cross-check of the recurrence amplitudes)
 # ---------------------------------------------------------------------------
 
-# Float-route cap on |Y| = |mu/z^2 - lam/z|.  The k-sum peaks at k ~ |Y| with
-# terms ~ Y^k/k!; in double precision Y**k overflows once k ln|Y| > 709 and
-# 1/k! underflows to zero near k ~ 280, so stay well below both.
+# Float-route cap on |Y| = |mu/z^2 - lam/z|: past it the k-sum needs more
+# terms than double precision can form (Y**k overflows once k ln|Y| > 709),
+# so "auto" skips the check and cross_check=True goes to mpmath.  Below the
+# cap the float route still loses digits to cancellation; it bounds that loss
+# itself (_k_sum) and leaves out the amplitudes it cannot check.
 _FLOAT_Y_MAX = 80.0
+_EPS = float(np.finfo(float).eps)
 
 
 def _phase_window_check(params: DeformationParams) -> None:
@@ -168,17 +174,51 @@ def _phase_window_check(params: DeformationParams) -> None:
 
 
 def _double_sum_term(n, k, X, Y):
+    """Term k of the double sum for c_n, and the sum of its summands' moduli."""
     # divide the X/Y value by the integer factorial, never int/int: the latter
     # goes through float and underflows to exact zero for k beyond ~280
-    term = 0 * X
+    term, size = 0 * X, 0 * abs(X)
     for m in range(min(k, n) + 1):
-        term += (X ** m * Y ** (k - m)) * (comb(n, m) * (-k) ** (n - m)) / factorial(k - m)
-    return term
+        s = (X ** m * Y ** (k - m)) * (comb(n, m) * (-k) ** (n - m)) / factorial(k - m)
+        term += s
+        size += abs(s)
+    return term, size
 
 
-def _double_sum_amplitudes(params, n_max, k_cutoff, tol, use_mp):
-    """c_n via the unsummed (k, m) double series; returns (array, terms, tail)."""
+def _k_sum(n, X, Y, k_cutoff, tol, size_cap=math.inf):
+    """Sum term k = 0, 1, ... of c_n's double sum until three terms in a row
+    fall below tol relative to the partial sum; returns (total, terms, tail).
+
+    Returns None once the first-order rounding bound of a float sum,
+    8 eps (summands so far) sum |summand|, passes size_cap: each summand
+    carries at most about 5k roundings (its powers) and the sum one more.
+    """
+    total, size, count, small = 0 * X, 0.0, 0, 0
+    for k in range(k_cutoff + 1):
+        t, s = _double_sum_term(n, k, X, Y)
+        total += t
+        size += s
+        count += min(k, n) + 1
+        if 8 * _EPS * count * size > size_cap:
+            return None
+        # compare in the arithmetic of the sum: float(|total|) can overflow
+        tail = abs(t) / (abs(total) + 1e-300)
+        small = small + 1 if tail < tol else 0
+        if small == 3:
+            return total, k + 1, float(tail)
+    raise NotConverged(f"double sum for c_{n} not converged after {k_cutoff} "
+                       f"terms (tail {float(tail):.2e})")
+
+
+def _double_sum_amplitudes(params, n_max, k_cutoff, tol, use_mp, room):
+    """c_n via the unsummed (k, m) double series; returns (array, terms, tail).
+
+    In floats an entry is nan where the rounding bound of its sum passes
+    room (absolute, in units of c_n), or where a summand overflows.
+    """
     lam, mu, z = params.lam, params.mu, params.z
+    out = np.full(n_max + 1, np.nan, dtype=complex)
+    worst_tail, worst_k = 0.0, 0
     if use_mp:
         import mpmath as mp
         Y0 = mu / z ** 2 - lam / z
@@ -189,54 +229,26 @@ def _double_sum_amplitudes(params, n_max, k_cutoff, tol, use_mp):
         with mp.workdps(dps):
             X, Y = mp.mpc(mu) / z ** 2, mp.mpc(mu) / z ** 2 - mp.mpc(lam) / z
             pref = mp.e ** (-Y)
-            floor = mp.mpf("1e-300")
-            out = np.empty(n_max + 1, dtype=complex)
-            worst_tail, worst_k = 0.0, 0
             for n in range(n_max + 1):
-                total, small, k = mp.mpc(0), 0, 0
-                while k <= k_cutoff:
-                    t = _double_sum_term(n, k, X, Y)
-                    total += t
-                    # compare in mp: float(|total|) overflows past 1e308
-                    if abs(t) < tol * (abs(total) + floor):
-                        small += 1
-                        if small >= 3:
-                            break
-                    else:
-                        small = 0
-                    k += 1
-                tail = float(abs(t) / (abs(total) + floor))
-                if small < 3:
-                    raise NotConverged(
-                        f"double sum for c_{n} not converged after {k_cutoff} terms "
-                        f"(tail {tail:.2e})")
-                worst_tail, worst_k = max(worst_tail, tail), max(worst_k, k + 1)
+                total, k, tail = _k_sum(n, X, Y, k_cutoff, tol)
+                worst_tail, worst_k = max(worst_tail, tail), max(worst_k, k)
                 out[n] = complex(pref * z ** n * total / mp.sqrt(mp.factorial(n)))
         return out, worst_k, worst_tail
     X = mu / z ** 2
     Y = mu / z ** 2 - lam / z
     pref = cmath.exp(-Y)
-    out = np.empty(n_max + 1, dtype=complex)
-    worst_tail, worst_k = 0.0, 0
     for n in range(n_max + 1):
-        total, small, k = 0j, 0, 0
-        while k <= k_cutoff:
-            t = _double_sum_term(n, k, X, Y)
-            total += t
-            if abs(t) < tol * max(abs(total), 1e-300):
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-            k += 1
-        tail = abs(t) / max(abs(total), 1e-300)
-        if small < 3:
-            raise NotConverged(
-                f"double sum for c_{n} not converged after {k_cutoff} terms "
-                f"(tail {tail:.2e})")
-        worst_tail, worst_k = max(worst_tail, tail), max(worst_k, k + 1)
-        out[n] = pref * z ** n * total / math.sqrt(factorial(n))
+        # c_n = pref z^n / sqrt(n!) (the k-sum), with |z^n / sqrt(n!)| = e^{log_w}
+        log_w = n * math.log(abs(z)) - 0.5 * math.lgamma(n + 1)
+        try:                        # a summand, or the cap, can pass the float range
+            got = _k_sum(n, X, Y, k_cutoff, tol,
+                         size_cap=room * math.exp(-log_w) / abs(pref))
+        except OverflowError:
+            continue
+        if got is not None:
+            total, k, tail = got
+            worst_tail, worst_k = max(worst_tail, tail), max(worst_k, k)
+            out[n] = pref * math.copysign(1.0, z) ** n * math.exp(log_w) * total
     return out, worst_k, worst_tail
 
 
@@ -244,12 +256,15 @@ def fock_coefficients(params: DeformationParams, n_max: int, k_cutoff=None,
                       tol: float = 1e-10, cross_check="auto"):
     """Amplitudes c_n (C_0 = 1) of the deformed squeezed eigenstate, z != 0.
 
-    The returned values come from the exact finite-sum route.  When the
-    eigenvalue data allows it (|mu/z^2 - lam/z| small enough for floating
-    point, or cross_check=True forcing high-precision arithmetic), the
-    unsummed double series is evaluated independently and folded into the
-    diagnostics: tail_estimate covers both the k-sum tail and the worst
-    relative deviation between the two routes.
+    The returned values come from the row recurrence of the eigen-equation
+    (_amplitudes).  When the eigenvalue data allows it (|mu/z^2 - lam/z|
+    small enough for floating point, or cross_check=True forcing
+    high-precision arithmetic), the unsummed double series is evaluated
+    independently and folded into the diagnostics: tail_estimate covers both
+    the k-sum tail and the worst relative deviation between the two routes.
+    The float double sum checks only the amplitudes whose rounding bound
+    stays below a tenth of the convergence tolerance; terms_used is 0 when it
+    checks none.
 
     cross_check: "auto" | True | False.
     """
@@ -257,6 +272,8 @@ def fock_coefficients(params: DeformationParams, n_max: int, k_cutoff=None,
         raise BadParams("z = 0 eigenstates come from squeezed_symbol_coefficients")
     _phase_window_check(params)
     c = _amplitudes(params, n_max)
+    if not np.isfinite(c).all():
+        raise NotConverged("amplitudes leave the float range: no normalizable state")
     vec = CoefficientVector(c=c, params=params, c0_fixed=1.0)
 
     Y = abs(params.mu / params.z ** 2 - params.lam / params.z)
@@ -266,15 +283,19 @@ def fock_coefficients(params: DeformationParams, n_max: int, k_cutoff=None,
 
     if k_cutoff is None:
         k_cutoff = max(300, int(4 * Y) + 40 * (n_max + 1))
+    conv_tol = max(tol, 1e-9)
     other, terms, tail = _double_sum_amplitudes(params, n_max, k_cutoff, tol,
-                                                use_mp=Y > _FLOAT_Y_MAX)
-    dev = float(max(abs(other - c) / np.maximum(np.abs(c), 1.0)))
+                                                use_mp=Y > _FLOAT_Y_MAX,
+                                                room=conv_tol / 10)
+    checked = ~np.isnan(other)
+    dev = float(max(abs(other - c)[checked] / np.maximum(np.abs(c[checked]), 1.0),
+                    default=0.0))
     if dev > max(100 * tol, 1e-6):
         raise NotConverged(f"route deviation {dev:.2e}: double sum mis-converged, "
                            f"raise k_cutoff or tighten tol")
     tail = max(tail, dev)
     return vec, SeriesDiagnostics(terms_used=terms, tail_estimate=tail,
-                                  converged=tail < max(tol, 1e-9))
+                                  converged=tail < conv_tol)
 
 
 def squeezed_symbol_coefficients(lam: complex, mu: complex, n_max: int) -> CoefficientVector:
@@ -293,13 +314,12 @@ def squeezed_symbol_coefficients(lam: complex, mu: complex, n_max: int) -> Coeff
 def normalization_c0(params: DeformationParams, n_max: int = 96, tol: float = 1e-12):
     """Real positive C_0 with sum |c_n|^2 = 1, by adaptive partial sums."""
     _phase_window_check(params)
-    if params.z == 0:
-        amps = iter(squeezed_symbol_coefficients(params.lam, params.mu, n_max).c)
-    else:
-        amps = _amplitude_iter(params, n_max)
+    amps = (squeezed_symbol_coefficients(params.lam, params.mu, n_max).c
+            if params.z == 0 else _amplitudes(params, n_max))
+    with np.errstate(over="ignore", invalid="ignore"):   # inf or nan: not converged
+        weights = np.abs(amps) ** 2
     total, small, used, w = 0.0, 0, 0, 0.0
-    for cn in amps:
-        w = abs(cn) ** 2
+    for w in weights:
         total += w
         used += 1
         if w < tol * max(total, 1e-300):

@@ -160,11 +160,11 @@ def cmd_sweep_dispersion(args) -> int:
 
 
 def cmd_state(args) -> int:
-    if args.gamma != 0:
-        print("error: state emission covers the nu=0 squeezed family; "
-              "use --gamma 0", file=sys.stderr)
-        return EXIT_USAGE
-    params = DeformationParams.from_polar(z=args.z, p=args.p, delta=args.delta,
+    for flag in ("gamma", "p"):
+        if getattr(args, flag) != 0:
+            raise BadParams("state emission covers the one-parameter nu=0 "
+                            f"squeezed family; use --{flag} 0")
+    params = DeformationParams.from_polar(z=args.z, delta=args.delta,
                                           phi=args.phi, beta=args.beta,
                                           theta=args.theta, gamma=0.0,
                                           eta_phase=0.0)
@@ -407,7 +407,14 @@ def main(argv=None) -> int:
         print(f"error: {msg}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader closed stdout (dheis ... | head): stop quietly, and point
+        # stdout at devnull so that the interpreter's final flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except BadParams as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,6 +56,71 @@ def test_amplitude_polynomial_degree():
         assert min(degs) >= 0
 
 
+def _mp_recurrence(prm, n_max, dps=60):
+    """The row recurrence of the eigen-equation in dps-digit arithmetic."""
+    import mpmath as mp
+    with mp.workdps(dps):
+        lam, mu, z = mp.mpc(prm.lam), mp.mpc(prm.mu), mp.mpf(prm.z)
+        sqrt_fact = [mp.sqrt(mp.factorial(j)) for j in range(n_max + 1)]
+        zk = [z ** k / mp.factorial(k) for k in range(n_max + 1)]
+        c = [mp.mpc(1)]
+        for n in range(n_max):
+            rhs = lam * c[n] - (mu * mp.sqrt(n) * c[n - 1] if n else 0)
+            for k in range(1, n + 1):
+                rhs -= (zk[k] * sqrt_fact[n] / sqrt_fact[n - k]
+                        * mp.sqrt(n - k + 1) * c[n - k + 1])
+            c.append(rhs / mp.sqrt(n + 1))
+        return np.array([complex(x) for x in c])
+
+
+def _exact_power(w, t):
+    """w^t for w = (re, im) in Fractions."""
+    re, im = Fraction(1), Fraction(0)
+    for _ in range(t):
+        re, im = re * w[0] - im * w[1], re * w[1] + im * w[0]
+    return re, im
+
+
+def test_recurrence_matches_exact_integer_tables():
+    # the tables' polynomial sum K lam^t mu^s z^(n-2s-t), in exact Fractions
+    # and rounded once, is the reference for the float recurrence
+    lam = (Fraction(7, 10), Fraction(1, 5))               # 0.7 + 0.2i
+    mu = (Fraction(3, 10), Fraction(-1, 10))              # 0.3 - 0.1i
+    z = Fraction(1, 2)
+    prm = DeformationParams(z=float(z), lam=complex(*map(float, lam)),
+                            mu=complex(*map(float, mu)))
+    c = fock_coefficients(prm, 12, cross_check=False)[0].c
+    for n in range(13):
+        re = im = Fraction(0)
+        for (s, t), K in amplitude_coefficients(n):
+            lr, li = _exact_power(lam, t)
+            mr, mi = _exact_power(mu, s)
+            w = K * z ** (n - 2 * s - t)
+            re, im = re + w * (lr * mr - li * mi), im + w * (lr * mi + li * mr)
+        want = complex(float(re), float(im)) / math.sqrt(math.factorial(n))
+        assert abs(c[n] - want) <= 1e-15 * max(abs(want), 1.0), n
+
+
+@pytest.mark.parametrize("prm,dim", [
+    (DeformationParams(z=0.001, lam=cmath.exp(0.3j), mu=0.5 * cmath.exp(0.9j)),
+     128),
+    (DeformationParams(z=0.02, lam=1.0, mu=0.5), 256),
+], ids=["dim128", "dim256"])
+def test_recurrence_matches_mpmath(prm, dim):
+    c = fock_coefficients(prm, dim - 1, cross_check=False)[0].c
+    ref = _mp_recurrence(prm, dim - 1)
+    assert np.max(np.abs(c - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-14
+
+
+def test_recurrence_eigen_residual_at_dim_256():
+    cfg = TruncationConfig(256)
+    prm = DeformationParams(z=0.02, lam=cmath.exp(0.4j), mu=0.5 * cmath.exp(-1j))
+    c0, _ = normalization_c0(prm, n_max=cfg.dim - 1)
+    psi = c0 * fock_coefficients(prm, cfg.dim - 1)[0].c
+    r = (aes_operator(prm, cfg) @ psi - prm.lam * psi)[:cfg.kept]
+    assert np.linalg.norm(r) < 1e-12
+
+
 def test_amplitude_degree_by_polynomial_fit():
     lam, mu = 0.7 + 0.2j, 0.3 - 0.1j
     n = 6
@@ -100,6 +166,53 @@ def test_fock_coefficients_high_precision_route():
     assert diag.converged
     assert diag.tail_estimate < 1e-9
     assert vec.c[1] == pytest.approx(0.3, abs=1e-12)
+
+
+def test_route_check_catches_planted_error(monkeypatch):
+    # the parameters of the verify route check: the float double sum checks
+    # every amplitude there, so a 1e-6 error in c_3 cannot pass
+    prm = DeformationParams(z=0.5, lam=0.7 + 0.2j, mu=0.3 - 0.1j)
+    exact = aes._amplitudes
+
+    def planted(params, n_max):
+        c = exact(params, n_max)
+        c[3] += 1e-6 * (1 + 1j)
+        return c
+
+    monkeypatch.setattr(aes, "_amplitudes", planted)
+    with pytest.raises(NotConverged, match="route deviation"):
+        fock_coefficients(prm, 10, cross_check=True)
+
+
+def test_float_cross_check_skips_what_it_cannot_resolve():
+    # |Y| = 30.3: the float double sum cancels away every digit of c_n (off
+    # by up to 1e14 at n = 31); its rounding bound says so and the check is
+    # left out, where it used to fail correct amplitudes
+    prm = DeformationParams.from_polar(z=0.115156, delta=0.401904,
+                                       phi=-1.87563, beta=0.548369,
+                                       theta=-0.388594)
+    _, diag = fock_coefficients(prm, 31)
+    assert diag.terms_used == 0 and diag.converged
+    # |Y| = 0.82: the check covers at least c_0..c_10, and agrees where it runs
+    prm = DeformationParams(z=0.5, lam=0.7 + 0.2j, mu=0.3 - 0.1j)
+    other, terms, _ = aes._double_sum_amplitudes(prm, 31, 2000, 1e-10,
+                                                 use_mp=False, room=1e-10)
+    c = _mp_recurrence(prm, 31)
+    checked = ~np.isnan(other)
+    assert checked[:11].all() and terms > 0
+    assert np.max(np.abs(other - c)[checked]) < 1e-10
+
+
+def test_float_cross_check_stops_before_summand_overflow():
+    # |Y| = 55.5: Y**k would pass the float range before the k-sum converges;
+    # the rounding bound stops each sum first
+    prm = DeformationParams.from_polar(z=0.0136372, delta=0.0158662,
+                                       phi=-2.07702, beta=1.11137,
+                                       theta=-1.39953)
+    vec, diag = fock_coefficients(prm, 47)
+    assert diag.converged
+    np.testing.assert_allclose(vec.c, _mp_recurrence(prm, 47), rtol=0,
+                               atol=1e-14)
 
 
 def test_fock_coefficients_error_paths():

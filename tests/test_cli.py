@@ -285,6 +285,59 @@ def test_state_rejects_nonzero_gamma(capsys):
     rc = cli.main(["state", "--gamma", "0.1"])
     assert rc == 2
     assert "gamma" in capsys.readouterr().err
+    # the two-parameter states are not emitted: --p is refused, not ignored
+    rc = cli.main(["state", "--dim", "16", "--p", "0.4"])
+    assert rc == 2
+    assert "--p" in capsys.readouterr().err
+
+
+def _run_cli(argv, timeout):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "deformed_heisenberg.cli", *argv],
+        capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": src})
+
+
+def test_state_dim_256_is_fast():
+    # the exact-integer tables took minutes here; the recurrence is O(N^2)
+    proc = _run_cli(["state", "--dim", "256"], timeout=30)
+    assert proc.returncode == 0
+    rows = _data_rows(proc.stdout)
+    assert [int(r[0]) for r in rows[1:]] == list(range(256))
+
+
+@pytest.mark.parametrize("argv", [
+    # the float double sum used to call these correct amplitudes wrong
+    # ("route deviation 1.45e+14") and to overflow (OverflowError)
+    ["--dim", "32", "--z", "0.115156", "--delta", "0.401904", "--phi",
+     "-1.87563", "--beta", "0.548369", "--theta", "-0.388594"],
+    ["--dim", "48", "--z", "0.0136372", "--p", "0", "--delta", "0.0158662",
+     "--phi", "-2.07702", "--beta", "1.11137", "--theta", "-1.39953"],
+    # |Y| = 2.2 runs the float check past n = 170, where z^n / sqrt(n!)
+    # leaves the float range
+    ["--dim", "256", "--z", "0.3", "--delta", "0.1"],
+], ids=["cancellation", "overflow", "past_factorial_overflow"])
+def test_state_cross_check_cannot_fail_correct_amplitudes(argv):
+    proc = _run_cli(["state", *argv], timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_state_into_closed_pipe_exits_quietly():
+    # 2048 rows (90 kB) are more than the pipe and the stdout buffer hold, so
+    # the program is still writing when the reader goes away
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deformed_heisenberg.cli", "state", "--dim",
+         "2048"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline().startswith("# ")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in proc.stderr.read()
+    proc.stderr.close()
 
 
 def test_state_not_converged_removes_partial_file(tmp_path, monkeypatch):
@@ -410,12 +463,7 @@ def test_verify_suite_runs_only_its_own_checks(monkeypatch, capsys):
 def test_nonfinite_floats_and_bad_guard_exit_2(argv, tmp_path):
     # a subprocess with a timeout, so that a hang fails instead of stalling
     out = tmp_path / "out.txt"
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "deformed_heisenberg.cli", *argv, "--out",
-         str(out)],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src})
+    proc = _run_cli([*argv, "--out", str(out)], timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
