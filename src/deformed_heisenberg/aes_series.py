@@ -276,7 +276,8 @@ def fock_coefficients(params: DeformationParams, n_max: int, k_cutoff=None,
         raise NotConverged("amplitudes leave the float range: no normalizable state")
     vec = CoefficientVector(c=c, params=params, c0_fixed=1.0)
 
-    Y = abs(params.mu / params.z ** 2 - params.lam / params.z)
+    z2 = params.z ** 2                        # 0 once |z| < 1.5e-162
+    Y = abs(params.mu / z2 - params.lam / params.z) if z2 else math.inf
     run = cross_check is True or (cross_check == "auto" and Y <= _FLOAT_Y_MAX)
     if not run:
         return vec, SeriesDiagnostics(terms_used=0, tail_estimate=0.0, converged=True)

@@ -79,22 +79,24 @@ class _Writer:
         self.header = header
         self.rows = []
         self.fh = _open_out(path) if path else sys.stdout
-        if fmt == "csv":
-            kv = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(meta.items()))
-            self.fh.write(f"# {kv}\n")
-            self.fh.write(",".join(header) + "\n")
+        # held back to the first row or finish: a failed command prints none
+        kv = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(meta.items()))
+        self.preamble = f"# {kv}\n" + ",".join(header) + "\n"
+
+    def _write(self, text):
+        self.fh.write(self.preamble + text)
+        self.preamble = ""
 
     def row(self, values):
         if self.fmt == "csv":
-            self.fh.write(",".join(_fmt(v) for v in values) + "\n")
+            self._write(",".join(_fmt(v) for v in values) + "\n")
         else:
             self.rows.append([_jsonable(v) for v in values])
 
     def finish(self, diagnostics=None):
         if self.fmt == "csv":
-            if diagnostics:
-                for k, v in sorted(diagnostics.items()):
-                    self.fh.write(f"# {k}={_fmt(v)}\n")
+            self._write("".join(f"# {k}={_fmt(v)}\n" for k, v in
+                                sorted((diagnostics or {}).items())))
         else:
             doc = {"meta": {k: _jsonable(v) for k, v in self.meta.items()},
                    "header": self.header, "rows": self.rows}
@@ -232,14 +234,9 @@ def _check_ode():
 
 
 def _check_gamma(cfg):
-    worst = 0.0
-    for k in range(4):
-        for l in range(4):
-            closed = dispersion.gamma_element(k, l, 0.3, 0.7, 1.0, 0.2)
-            matrix = dispersion.gamma_element_matrix(k, l, 0.3, 0.7, 1.0, 0.2,
-                                                     cfg)
-            worst = max(worst, abs(closed - matrix))
-    return worst
+    matrix = dispersion.gamma_matrix_table(0.3, 0.7, 1.0, 0.2, 3, cfg)
+    return max(abs(dispersion.gamma_element(k, l, 0.3, 0.7, 1.0, 0.2)
+                   - matrix[k, l]) for k in range(4) for l in range(4))
 
 
 def _check_mus():

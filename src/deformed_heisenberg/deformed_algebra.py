@@ -10,8 +10,8 @@ and the two-parameter algebra with
 
 The realizations are power series in a+ (or a, by transposition with z -> -z)
 built by fock_core.series_operator; the residual checks apply cosh, sinh and
-the reciprocal to those matrices by the independent matrix-side route
-(exact finite Taylor sums, triangular_matrix_function).
+the reciprocal to those matrices by an independent route, their Taylor sums
+in dense matrix powers (triangular_matrix_function, Paterson-Stockmeyer).
 """
 
 import cmath
@@ -263,15 +263,14 @@ def tilde_basis_change(triple: AlgebraTriple, p: float,
 
         A -> A,   B -> (2/p) sinh(pB/2),   C -> cosh(pB/2)^{-1} C.
 
-    The inverse cosh factor is an exact finite sum (reciprocal series on the
-    nilpotent split); SingularCosh if its scalar part vanishes numerically.
+    The inverse cosh factor is the reciprocal's Taylor sum on the nilpotent
+    split; SingularCosh if its scalar part vanishes numerically.
     """
     A, B, C = triple.A, triple.B, triple.C
     half = (p / 2) * B
     B_t = (2 / p) * _apply_series(sinh_series, half, cfg)
     cosh_half = _apply_series(cosh_series, half, cfg)
-    alpha, K = _nilpotent_part(cosh_half)
-    if abs(alpha) < 1e-12:
-        raise SingularCosh(f"cosh(pB/2) scalar part {alpha} ~ 0")
-    inv = triangular_matrix_function(recip_series(alpha, cfg.dim), alpha, K, cfg)
+    if abs(cosh_half[0, 0]) < 1e-12:
+        raise SingularCosh(f"cosh(pB/2) scalar part {cosh_half[0, 0]} ~ 0")
+    inv = _apply_series(recip_series, cosh_half, cfg)
     return AlgebraTriple(A=A, B=B_t, C=inv @ C, kind=triple.kind)

@@ -19,9 +19,8 @@ from .aes_series import fock_coefficients, squeezed_symbol_coefficients
 from .deformed_algebra import DeformationParams
 from .errors import BadParams, NotConverged
 from .fock_core import (FockOperator, FockVector, TruncationConfig,
-                        annihilation, check_tail, creation,
-                        displacement_operator, expectation, normalize,
-                        squeeze_operator, vacuum)
+                        annihilation, check_tail, displacement_operator,
+                        expectation, normalize, squeeze_operator, vacuum)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -101,18 +100,20 @@ def gamma_element(k: int, l: int, delta, phi, beta, theta) -> complex:
     return _gaussian.gamma_kl(k, l, delta, phi, beta, theta)
 
 
-def gamma_element_matrix(k: int, l: int, delta, phi, beta, theta,
-                         cfg: TruncationConfig) -> complex:
-    """Gamma_kl by dense matrices on the truncated Fock space: the reference
-    the closed form is checked against."""
+def gamma_matrix_table(delta, phi, beta, theta, k_max: int,
+                       cfg: TruncationConfig) -> np.ndarray:
+    """Gamma_kl, k, l <= k_max, on the truncated Fock space: the reference the
+    closed form is checked against.  v = S D|0> by dense expm, the rows
+    w_l = a^l v by index shifts, and Gamma_kl = <w_k|w_l>."""
     S = squeeze_operator(-math.atanh(delta) * cmath.exp(1j * phi), cfg)
     D = displacement_operator(beta * cmath.exp(1j * theta)
                               / math.sqrt(1 - delta * delta), cfg)
-    v = S @ (D @ vacuum(cfg))
-    ad = creation(cfg)
-    a = annihilation(cfg)
-    return complex(v.conj() @ (np.linalg.matrix_power(ad, k)
-                               @ np.linalg.matrix_power(a, l) @ v))
+    W = np.zeros((k_max + 1, cfg.dim), dtype=complex)
+    W[0] = S @ (D @ vacuum(cfg))
+    roots = np.sqrt(np.arange(1, cfg.dim, dtype=float))
+    for l in range(1, k_max + 1):
+        W[l, :-1] = roots * W[l - 1, 1:]
+    return W.conj() @ W.T
 
 
 def lambda_element(k: int, l: int, delta, phi, beta, theta) -> complex:
@@ -397,13 +398,17 @@ def sweep_rows(*, delta, phi, beta, theta, varying: str, grid, z, p):
     for g in map(float, grid):
         d, f = (delta, g) if varying == "phi" else (g, phi)
         vx0, vp0 = mus_dispersions(d, f)
-        m = perturbed_moments(d, f, beta, theta, z, p)
-        stats = m.stats
-        yield SweepRow(
-            grid_value=g, var_x_mus=vx0, var_p_mus=vp0,
-            var_x_def=stats.var_x, var_p_def=stats.var_p,
-            product_def=stats.product, srur_bound=stats.srur_bound,
-            validity_flag=abs(m.epsilon) <= VALIDITY_EPSILON_THRESHOLD)
+        try:
+            m = perturbed_moments(d, f, beta, theta, z, p)
+            stats = m.stats
+            row = SweepRow(
+                grid_value=g, var_x_mus=vx0, var_p_mus=vp0,
+                var_x_def=stats.var_x, var_p_def=stats.var_p,
+                product_def=stats.product, srur_bound=stats.srur_bound,
+                validity_flag=abs(m.epsilon) <= VALIDITY_EPSILON_THRESHOLD)
+        except OverflowError as e:
+            raise NotConverged(f"moments overflow at {varying}={g}") from e
+        yield row
 
 
 def figure_sweep(*, delta, phi, beta, theta, varying: str, grid,

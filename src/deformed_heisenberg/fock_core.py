@@ -7,7 +7,7 @@ breaks the ladder relations there.
 """
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isqrt, sqrt
 
 import numpy as np
 import scipy.linalg
@@ -113,22 +113,26 @@ def guarded_norm(mat: FockOperator, cfg: TruncationConfig) -> float:
 
 def triangular_matrix_function(series_coeffs, alpha: complex, K: FockOperator,
                                cfg: TruncationConfig) -> FockOperator:
-    """f(alpha*I + K) for strictly triangular (nilpotent) K, by the exact finite
-    Taylor sum  sum_m coeffs[m] K^m  with coeffs[m] = f^(m)(alpha)/m!.
-
-    Exact within the truncation since K^N = 0; alpha is the expansion point the
-    coefficients were generated at (recorded for the caller's bookkeeping).
+    """f(alpha*I + K) for strictly triangular (nilpotent) K: the Taylor sum
+    sum_m coeffs[m] K^m, coeffs[m] = f^(m)(alpha)/m!, over its first n <= N
+    terms (exact, as K^N = 0).  Paterson-Stockmeyer with s = ceil(sqrt(n)):
+    K^2..K^s once, then Horner's rule in K^s over blocks of s coefficients,
+    at most 2s - 2 dense matmuls.  alpha is the expansion point.
     """
     if np.any(np.abs(np.diag(K)) != 0):
         raise NotNilpotent("K has a nonzero diagonal entry")
     N = cfg.dim
-    out = complex(series_coeffs[0]) * np.eye(N, dtype=complex)
-    term = np.eye(N, dtype=complex)
-    for m in range(1, min(len(series_coeffs), N)):
-        term = term @ K
-        if not term.any():
-            break
-        out += complex(series_coeffs[m]) * term
+    c = np.asarray(series_coeffs[:N], dtype=complex)
+    s = isqrt(len(c) - 1) + 1
+    P = np.empty_like(K, dtype=complex, order="C", shape=(s + 1, N, N))
+    P[0], P[1] = np.eye(N), K                     # K^0..K^s
+    for m in range(2, s + 1):
+        P[m] = P[m - 1] @ K
+    out = None
+    for j in reversed(range(0, len(c), s)):
+        cj = c[j:j + s]
+        block = np.tensordot(cj, P[:len(cj)], axes=1)   # sum_i c[j+i] K^i
+        out = block if out is None else out @ P[s] + block
     return out
 
 

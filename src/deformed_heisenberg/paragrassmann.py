@@ -159,10 +159,6 @@ def peval(p, x):
     return out
 
 
-def pcomplex(p):
-    return [scalar_to_complex(c) for c in p]
-
-
 # ---------------------------------------------------------------------------
 # the nilpotent ring C[xi][z]/(z^k0)
 # ---------------------------------------------------------------------------
@@ -214,10 +210,6 @@ class NilpotentPoly:
             return all(not c for p in self.coeffs for c in p)
         return all(abs(scalar_to_complex(c)) <= float_tol
                    for p in self.coeffs for c in p)
-
-    def max_abs(self) -> float:
-        vals = [abs(scalar_to_complex(c)) for p in self.coeffs for c in p]
-        return max(vals) if vals else 0.0
 
 
 # ---------------------------------------------------------------------------

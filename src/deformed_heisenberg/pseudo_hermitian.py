@@ -82,6 +82,8 @@ def build_system(mu: complex, z: float,
                                             cfg.dim), cfg)
     eta = Ginv.conj().T @ Ginv
     eta = (eta + eta.conj().T) / 2
+    if not np.isfinite(eta).all():
+        raise IllConditioned("eta leaves the float range; reduce |mu| or |z|")
     w, V = np.linalg.eigh(eta)
     if w.min() > 0:
         rho = V @ np.diag(np.sqrt(w)) @ V.conj().T

@@ -307,6 +307,28 @@ def test_state_dim_256_is_fast():
     assert [int(r[0]) for r in rows[1:]] == list(range(256))
 
 
+def test_verify_dim_256_is_fast():
+    # the matrix-side checks take O(sqrt(N)) dense products per function
+    proc = _run_cli(["verify", "--dim", "256"], timeout=30)
+    assert proc.returncode == 0
+    checks = json.loads(proc.stdout)["checks"]
+    assert len(checks) == 18
+    assert all(c["passed"] for c in checks)
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["state", "--dim", "256", "--z", "0.5", "--delta", "0.3", "--beta", "0.7",
+      "--phi", "-0.3", "--theta", "0.2"], 3),
+    (["spectrum", "--dim", "48"], 4),
+], ids=["state_not_converged", "spectrum_ill_conditioned"])
+def test_failed_command_prints_nothing_on_stdout(argv, rc, capsys):
+    # the '#' meta line and the header wait for the first row
+    assert cli.main(argv) == rc
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv", [
     # the float double sum used to call these correct amplitudes wrong
     # ("route deviation 1.45e+14") and to overflow (OverflowError)

@@ -1,0 +1,84 @@
+"""Property: every argument vector argparse accepts ends in a documented exit
+code (0-4), never in an escaped exception, and leaves no partial --out file."""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from deformed_heisenberg import cli
+
+# one flag at a time may take a wild value; the rest stay in a range where
+# most commands get past their parameter checks
+SANE = st.floats(-0.5, 1.5)
+WILD = st.one_of(
+    st.sampled_from([0.0, -1.0, 1.0, 0.999999, 5e-324, 1e-300, 1e300, -1e300,
+                     float("nan"), float("inf"), float("-inf")]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+FLOAT_FLAGS = ("delta", "phi", "beta", "theta", "gamma", "eta-phase", "z",
+               "p", "tol")
+
+
+@st.composite
+def argvs(draw):
+    sub = draw(st.sampled_from(["state", "spectrum", "verify",
+                                "sweep-dispersion"]))
+    dim = draw(st.integers(8, 24))
+    argv = [sub, f"--dim={dim}",
+            f"--format={draw(st.sampled_from(['csv', 'json']))}"]
+    flags = FLOAT_FLAGS + (("min", "max") if sub == "sweep-dispersion" else ())
+    values = {f: draw(SANE) for f in flags if draw(st.booleans())}
+    if values and draw(st.booleans()):
+        values[draw(st.sampled_from(sorted(values)))] = draw(WILD)
+    # --flag=value, so that argparse never reads "-inf" as an option
+    argv += [f"--{f}={v!r}" for f, v in values.items()]
+    guard = draw(st.one_of(st.none(), st.integers(-1, dim - 1),
+                           st.integers(-3, 30)))
+    if guard is not None:
+        argv.append(f"--guard={guard}")
+    if sub == "sweep-dispersion":
+        argv += [f"--steps={draw(st.integers(2, 40))}",
+                 f"--var={draw(st.sampled_from(['phi', 'delta']))}"]
+    if sub == "verify" and draw(st.booleans()):
+        argv.append(f"--suite={draw(st.sampled_from(cli.VERIFY_SUITES))}")
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs(), to_file=st.booleans())
+# argvs that used to end in a traceback: eigh of a non-finite eta
+# (LinAlgError), z^2 underflowing to 0 (ZeroDivisionError) and first-order
+# moments past the float range (OverflowError)
+@example(argv=["spectrum", "--dim=8", "--delta=1e+300"], to_file=True)
+@example(argv=["spectrum", "--dim=19", "--z=12509968845.0"], to_file=True)
+@example(argv=["state", "--dim=8", "--z=1.0456480959940515e-171"],
+         to_file=True)
+@example(argv=["sweep-dispersion", "--dim=8", "--beta=1e+300", "--steps=2"],
+         to_file=True)
+@example(argv=["sweep-dispersion", "--dim=8", "--beta=7.262834877752672e+49",
+               "--p=5.685684151177333e+38", "--steps=4"], to_file=True)
+def test_accepted_argv_ends_in_documented_exit_code(argv, to_file):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        if to_file:
+            argv = [*argv, f"--out={out}"]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main(argv)
+        assert rc in range(5)
+        if not to_file:
+            return
+        if rc == 0:
+            assert os.path.exists(out)
+        elif rc == 1 and argv[0] == "verify":
+            # a failed check is a complete report, not a partial file
+            with open(out) as fh:
+                assert json.load(fh)["passed"] is False
+        else:
+            assert not os.path.exists(out)

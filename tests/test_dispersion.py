@@ -14,7 +14,9 @@ from deformed_heisenberg.deformed_algebra import DeformationParams
 from deformed_heisenberg.dispersion import (VALIDITY_EPSILON_THRESHOLD,
                                             _perturbed_moments_literal, cnp0,
                                             cnpp0, figure_sweep,
-                                            gamma_element, general_cn_tau,
+                                            gamma_element,
+                                            gamma_matrix_table,
+                                            general_cn_tau,
                                             general_dispersion,
                                             lambda_element,
                                             matrix_element_table,
@@ -156,6 +158,22 @@ def test_gamma_lambda_against_matrix_sandwich():
                                   @ (np.linalg.matrix_power(ad, l) @ st))
                 assert abs(mg - gamma_element(k, l, delta, 1.1, beta, 0.3)) < tol
                 assert abs(ml - lambda_element(k, l, delta, 1.1, beta, 0.3)) < tol
+
+
+def test_gamma_matrix_table_matches_per_element_sandwich():
+    # the old per-element route: S D|0> and (a+)^k a^l by matrix_power
+    cfg = TruncationConfig(32)
+    a = np.diag(np.sqrt(np.arange(1, cfg.dim, dtype=float)), 1).astype(complex)
+    ad = a.conj().T
+    args = (0.3, 0.7, 1.0, 0.2)
+    v = _sandwich_state(*args, cfg)
+    table = gamma_matrix_table(*args, 3, cfg)
+    assert table.shape == (4, 4)
+    for k in range(4):
+        for l in range(4):
+            ref = v.conj() @ (np.linalg.matrix_power(ad, k)
+                              @ np.linalg.matrix_power(a, l) @ v)
+            assert abs(table[k, l] - ref) < 1e-14 * max(1.0, abs(ref))
 
 
 def test_matrix_element_table_symmetries():

@@ -7,7 +7,9 @@ import pytest
 
 import scipy.linalg
 
-from deformed_heisenberg.deformed_algebra import asinh_series, exp_series
+from deformed_heisenberg.deformed_algebra import (
+    DeformationParams, RealizationKind, _nilpotent_part, asinh_series,
+    build_realization, cosh_series, exp_series, sinh_series)
 from deformed_heisenberg.errors import NotNilpotent, TailTooHeavy
 from deformed_heisenberg.fock_core import (
     TruncationConfig, annihilation, check_tail, coherent_state,
@@ -112,6 +114,94 @@ def test_triangular_matrix_function_asinh_at_z_zero():
     got = triangular_matrix_function(coeffs, alpha, B - alpha * np.eye(cfg.dim),
                                      cfg)
     np.testing.assert_allclose(got, math.asinh(p / 2) * np.eye(8), atol=1e-12)
+
+
+def _term_by_term(coeffs, K, cfg):
+    # the reference evaluation: one dense matmul per Taylor term
+    out = complex(coeffs[0]) * np.eye(cfg.dim, dtype=complex)
+    term = np.eye(cfg.dim, dtype=complex)
+    for m in range(1, min(len(coeffs), cfg.dim)):
+        term = term @ K
+        if not term.any():
+            break
+        out += complex(coeffs[m]) * term
+    return out
+
+
+def _taylor_like(n, seed):
+    # random complex coefficients damped like f^(m)(alpha)/m!
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return c / np.array([math.factorial(m) for m in range(n)], dtype=float)
+
+
+@pytest.mark.parametrize("n", [1, 2, 25, 26, 64, 100],
+                         ids=["one", "two", "s_squared", "s_squared_plus_1",
+                              "N", "past_N"])
+def test_paterson_stockmeyer_matches_term_by_term_on_creation(n):
+    cfg = TruncationConfig(64)
+    coeffs = _taylor_like(n, seed=n)
+    got = triangular_matrix_function(coeffs, 0.0, creation(cfg), cfg)
+    # K = a+ puts term m on subdiagonal m alone, so every entry is one product
+    np.testing.assert_allclose(got, _term_by_term(coeffs, creation(cfg), cfg),
+                               rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("series_fn", [cosh_series, sinh_series])
+def test_paterson_stockmeyer_matches_term_by_term_on_uzp_b(series_fn):
+    # the operand of the two-parameter residual check: K = p B - alpha I
+    cfg = TruncationConfig(160)
+    params = DeformationParams(z=0.02, p=0.4)
+    B = build_realization(RealizationKind.Uzp_One, params, cfg).B
+    alpha, K = _nilpotent_part(params.p * B)
+    coeffs = series_fn(alpha, cfg.dim)
+    ref = _term_by_term(coeffs, K, cfg)
+    got = triangular_matrix_function(coeffs, alpha, K, cfg)
+    assert np.abs(got - ref).max() < 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("offsets", [(1, 2), (40, 41)],
+                         ids=["adjacent", "square_vanishes"])
+def test_paterson_stockmeyer_matches_term_by_term_on_two_subdiagonals(offsets):
+    cfg = TruncationConfig(64)
+    rng = np.random.default_rng(7)
+    K = np.zeros((cfg.dim, cfg.dim), dtype=complex)
+    for k in offsets:
+        K += np.diag(0.3 * (rng.normal(size=cfg.dim - k)
+                            + 1j * rng.normal(size=cfg.dim - k)), -k)
+    coeffs = _taylor_like(cfg.dim, seed=3)
+    ref = _term_by_term(coeffs, K, cfg)
+    got = triangular_matrix_function(coeffs, 0.0, K, cfg)
+    assert np.abs(got - ref).max() < 1e-14 * np.abs(ref).max()
+    zero = np.zeros_like(K)
+    np.testing.assert_array_equal(
+        triangular_matrix_function(coeffs, 0.0, zero, cfg),
+        coeffs[0] * np.eye(cfg.dim))
+
+
+class _CountingMatrix(np.ndarray):
+    """ndarray that counts the dense products it takes part in."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountingMatrix.products += 1
+        return super().__matmul__(other)
+
+    def __rmatmul__(self, other):
+        _CountingMatrix.products += 1
+        return super().__rmatmul__(other)
+
+
+def test_paterson_stockmeyer_matmul_count(monkeypatch):
+    # term by term this is 255 products; Paterson-Stockmeyer needs at most
+    # 2 ceil(sqrt(N)) - 2
+    cfg = TruncationConfig(256)
+    monkeypatch.setattr(_CountingMatrix, "products", 0)
+    K = creation(cfg).view(_CountingMatrix)
+    triangular_matrix_function(exp_series(0.0, cfg.dim), 0.0, K, cfg)
+    bound = 2 * math.ceil(math.sqrt(cfg.dim))
+    assert 0 < _CountingMatrix.products <= bound
 
 
 # coefficient lists with a nonzero constant term, complex entries and a tail
