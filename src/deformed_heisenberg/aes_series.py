@@ -2,12 +2,12 @@
 
 The eigenstates of  e^{z a+} a + mu a+ + nu e^{z a+}  are built two independent
 ways: (i) Fock amplitudes c_n from the row recurrence of the eigen-equation,
-the production route (O(N^2), any dim), and (ii) the operator route:
-exp(x(a+))|0> for an exponent series x, with the exponential composed as a
-power series (fock_core.compose_series).  Two more routes only check (i):
-the exact-integer tables (upsilon_table, amplitude_coefficients), which the
-tests hold it against, and the unsummed double series that
-fock_coefficients evaluates as its cross-check.
+the production route for every z, z = 0 included (O(N^2), any dim), and
+(ii) the operator route: exp(x(a+))|0> for an exponent series x, with the
+exponential composed as a power series (fock_core.compose_series).  Two more
+routes only check (i): the exact-integer tables (upsilon_table,
+amplitude_coefficients), which the tests hold it against, and the unsummed
+double series that fock_coefficients evaluates as its cross-check (z != 0).
 First-order perturbed squeezed/coherent states and the two-parameter Bargmann
 symbol live here as well.
 """
@@ -37,15 +37,6 @@ class SeriesDiagnostics:
     terms_used: int
     tail_estimate: float
     converged: bool
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Fock amplitudes c_n (c[0] = c0_fixed, the arbitrary overall constant)."""
-
-    c: np.ndarray
-    params: DeformationParams
-    c0_fixed: complex = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +124,20 @@ def _amplitudes(params: DeformationParams, n_max: int) -> np.ndarray:
             - sum_{k=1}^{n} (z^k/k!) sqrt(n!/(n-k)!) sqrt(n-k+1) c_{n-k+1}:
 
     one dot product per row, weighted from one log-factorial table (no
-    factorial, any n_max).  Entries past the float range turn inf or nan.
+    factorial, any n_max).  Any real z: at z = 0 every k-weight is
+    exp(-inf) = 0 and the rows are those of the squeezed state of a + mu a+.
+    Entries past the float range turn inf or nan.
     """
     lam, mu, z = params.lam, params.mu, params.z
+    if z == 0 and abs(mu) >= 1:
+        raise NonNormalizable(f"|mu| = {abs(mu)} >= 1 squeezed state has no norm")
     j = np.arange(n_max + 1)
     root, log_fact = np.sqrt(j), np.r_[0.0, np.cumsum(np.log(j[1:]))]
-    log_zk = j * math.log(abs(z)) - log_fact              # log |z^k / k!|
     c = np.r_[1.0 + 0j, np.zeros(n_max, dtype=complex)]
+    # math.log, not np.log: the two differ in the last bit on a few inputs
+    log_z = math.log(abs(z)) if z else -math.inf
     with np.errstate(over="ignore", invalid="ignore"):
+        log_zk = j * log_z - log_fact                     # log |z^k / k!|
         for n in range(n_max):                            # root[0] = 0 drops c[-1]
             k = j[n:0:-1]                                 # pairs with c_1..c_n
             w = np.copysign(1.0, z) ** k * np.exp(
@@ -254,7 +251,8 @@ def _double_sum_amplitudes(params, n_max, k_cutoff, tol, use_mp, room):
 
 def fock_coefficients(params: DeformationParams, n_max: int, k_cutoff=None,
                       tol: float = 1e-10, cross_check="auto"):
-    """Amplitudes c_n (C_0 = 1) of the deformed squeezed eigenstate, z != 0.
+    """(c, SeriesDiagnostics): amplitudes c_n (C_0 = 1) of the deformed
+    squeezed eigenstate, for any real z.
 
     The returned values come from the row recurrence of the eigen-equation
     (_amplitudes).  When the eigenvalue data allows it (|mu/z^2 - lam/z|
@@ -264,23 +262,21 @@ def fock_coefficients(params: DeformationParams, n_max: int, k_cutoff=None,
     the k-sum tail and the worst relative deviation between the two routes.
     The float double sum checks only the amplitudes whose rounding bound
     stays below a tenth of the convergence tolerance; terms_used is 0 when it
-    checks none.
+    checks none, and always where z^2 = 0 leaves no double sum to form.
 
     cross_check: "auto" | True | False.
     """
-    if params.z == 0:
-        raise BadParams("z = 0 eigenstates come from squeezed_symbol_coefficients")
     _phase_window_check(params)
     c = _amplitudes(params, n_max)
     if not np.isfinite(c).all():
         raise NotConverged("amplitudes leave the float range: no normalizable state")
-    vec = CoefficientVector(c=c, params=params, c0_fixed=1.0)
 
     z2 = params.z ** 2                        # 0 once |z| < 1.5e-162
     Y = abs(params.mu / z2 - params.lam / params.z) if z2 else math.inf
-    run = cross_check is True or (cross_check == "auto" and Y <= _FLOAT_Y_MAX)
+    run = math.isfinite(Y) and (cross_check is True or
+                                (cross_check == "auto" and Y <= _FLOAT_Y_MAX))
     if not run:
-        return vec, SeriesDiagnostics(terms_used=0, tail_estimate=0.0, converged=True)
+        return c, SeriesDiagnostics(terms_used=0, tail_estimate=0.0, converged=True)
 
     if k_cutoff is None:
         k_cutoff = max(300, int(4 * Y) + 40 * (n_max + 1))
@@ -295,28 +291,14 @@ def fock_coefficients(params: DeformationParams, n_max: int, k_cutoff=None,
         raise NotConverged(f"route deviation {dev:.2e}: double sum mis-converged, "
                            f"raise k_cutoff or tighten tol")
     tail = max(tail, dev)
-    return vec, SeriesDiagnostics(terms_used=terms, tail_estimate=tail,
-                                  converged=tail < conv_tol)
-
-
-def squeezed_symbol_coefficients(lam: complex, mu: complex, n_max: int) -> CoefficientVector:
-    """Taylor amplitudes of the z = 0 symbol exp(lam xi - mu xi^2/2):
-    c_n = g_n sqrt(n!) with g the Taylor coefficients."""
-    if abs(mu) >= 1:
-        raise NonNormalizable(f"|mu| = {abs(mu)} >= 1 squeezed state has no norm")
-    g = np.zeros(n_max + 1, dtype=complex)
-    g[0] = 1.0
-    for n in range(1, n_max + 1):
-        g[n] = (lam * g[n - 1] - (mu * g[n - 2] if n >= 2 else 0.0)) / n
-    return CoefficientVector(c=series_operator(g, TruncationConfig(n_max + 1))[:, 0],
-                             params=DeformationParams(z=0.0, lam=lam, mu=mu))
+    return c, SeriesDiagnostics(terms_used=terms, tail_estimate=tail,
+                                converged=tail < conv_tol)
 
 
 def normalization_c0(params: DeformationParams, n_max: int = 96, tol: float = 1e-12):
     """Real positive C_0 with sum |c_n|^2 = 1, by adaptive partial sums."""
     _phase_window_check(params)
-    amps = (squeezed_symbol_coefficients(params.lam, params.mu, n_max).c
-            if params.z == 0 else _amplitudes(params, n_max))
+    amps = _amplitudes(params, n_max)
     with np.errstate(over="ignore", invalid="ignore"):   # inf or nan: not converged
         weights = np.abs(amps) ** 2
     total, small, used, w = 0.0, 0, 0, 0.0

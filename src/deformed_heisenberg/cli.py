@@ -2,8 +2,9 @@
 
 Emits deterministic machine-readable tables (CSV with a '#' metadata line, or
 JSON mirroring the same schema).  Exit codes: 0 ok, 1 invariant failure,
-2 usage, 3 convergence failure, 4 conditioning; main() alone maps errors to
-them.  A partial --out file is removed on every error exit.
+2 usage, 3 convergence failure or a state with no finite norm,
+4 conditioning; main() alone maps errors to them.  A table is written only
+once it is complete, and a partial --out file is removed on every error exit.
 """
 
 import argparse
@@ -21,7 +22,7 @@ from .deformed_algebra import (DeformationParams, RealizationKind,
                                build_realization, commutator_residual_tilde,
                                commutator_residual_uzp)
 from .errors import (BadParams, DeformedHeisenbergError, IllConditioned,
-                     NotConverged, NotPositiveDefinite)
+                     NonNormalizable, NotConverged, NotPositiveDefinite)
 from .fock_core import TruncationConfig, coherent_state, guarded_norm
 
 EXIT_OK = 0
@@ -69,34 +70,31 @@ def _open_out(path):
 
 
 class _Writer:
-    """Streams rows to --out (or stdout); as a context manager it closes the
-    file and removes it if the block raises."""
+    """Collects formatted rows and writes the whole table to --out (or
+    stdout) in finish, so a command that fails prints none of it; as a
+    context manager it closes the file and removes it if the block raises."""
 
     def __init__(self, path, fmt, meta, header):
         self.path = path
         self.fmt = fmt
         self.meta = meta
         self.header = header
-        self.rows = []
+        self.rows = []                  # CSV lines, or JSON row lists
         self.fh = _open_out(path) if path else sys.stdout
-        # held back to the first row or finish: a failed command prints none
-        kv = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(meta.items()))
-        self.preamble = f"# {kv}\n" + ",".join(header) + "\n"
-
-    def _write(self, text):
-        self.fh.write(self.preamble + text)
-        self.preamble = ""
 
     def row(self, values):
         if self.fmt == "csv":
-            self._write(",".join(_fmt(v) for v in values) + "\n")
+            self.rows.append(",".join(_fmt(v) for v in values) + "\n")
         else:
             self.rows.append([_jsonable(v) for v in values])
 
     def finish(self, diagnostics=None):
         if self.fmt == "csv":
-            self._write("".join(f"# {k}={_fmt(v)}\n" for k, v in
-                                sorted((diagnostics or {}).items())))
+            kv = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(self.meta.items()))
+            self.fh.write(f"# {kv}\n" + ",".join(self.header) + "\n")
+            self.fh.writelines(self.rows)
+            self.fh.write("".join(f"# {k}={_fmt(v)}\n" for k, v in
+                                  sorted((diagnostics or {}).items())))
         else:
             doc = {"meta": {k: _jsonable(v) for k, v in self.meta.items()},
                    "header": self.header, "rows": self.rows}
@@ -173,20 +171,14 @@ def cmd_state(args) -> int:
     header = ["n", "re_c", "im_c", "abs_sq"]
     with _Writer(args.out, args.format, _meta(args), header) as w:
         n_max = args.dim - 1
-        if params.z == 0:
-            vec = aes_series.squeezed_symbol_coefficients(params.lam, params.mu,
-                                                          n_max)
-            c, tail = vec.c, 0.0
-        else:
-            vec, diag = aes_series.fock_coefficients(params, n_max, tol=args.tol)
-            c, tail = vec.c, diag.tail_estimate
+        c, diag = aes_series.fock_coefficients(params, n_max, tol=args.tol)
         c0, norm_diag = aes_series.normalization_c0(params, n_max=max(96, n_max),
                                                     tol=min(args.tol, 1e-12))
         cn = c0 * c
         for n in range(len(cn)):
             w.row([n, cn[n].real, cn[n].imag, abs(cn[n]) ** 2])
         w.finish(diagnostics={"c0": c0, "tail_estimate": max(
-            tail, norm_diag.tail_estimate)})
+            diag.tail_estimate, norm_diag.tail_estimate)})
     return EXIT_OK
 
 
@@ -415,7 +407,7 @@ def main(argv=None) -> int:
     except BadParams as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except NotConverged as e:
+    except (NotConverged, NonNormalizable) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except (IllConditioned, NotPositiveDefinite) as e:

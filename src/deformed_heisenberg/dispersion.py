@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _gaussian
-from .aes_series import fock_coefficients, squeezed_symbol_coefficients
+from .aes_series import fock_coefficients
 from .deformed_algebra import DeformationParams
 from .errors import BadParams, NotConverged
 from .fock_core import (FockOperator, FockVector, TruncationConfig,
@@ -287,19 +287,19 @@ def perturbed_quadrature_stats(delta, phi, beta, theta, z, p) -> QuadratureStats
 # ---------------------------------------------------------------------------
 
 def _reduced_coefficients(params: DeformationParams, n_max: int, tol: float):
-    """c_n with C_0 = 1 for the z-deformed squeezed state (nu = 0 sector).
+    """c_n with C_0 = 1 for the z-deformed squeezed state (nu = 0 sector),
+    any z (z = 0 gives the undeformed squeezed state).
 
     These are the per-n inner double sums of the tau expansion with the
-    common exp factor cancelled against the normalization denominator.
+    common exp factor cancelled against the normalization denominator; the
+    amplitudes come from the row recurrence of fock_coefficients.
     """
     if params.nu != 0:
         raise BadParams("the all-order dispersion sums cover the nu = 0 states")
-    if params.z == 0:
-        return squeezed_symbol_coefficients(params.lam, params.mu, n_max).c
-    vec, diag = fock_coefficients(params, n_max, tol=tol)
+    c, diag = fock_coefficients(params, n_max, tol=tol)
     if not diag.converged:
         raise NotConverged("coefficient routes disagree beyond tolerance")
-    return vec.c
+    return c
 
 
 def general_cn_tau(params: DeformationParams, n: int, tau: complex,

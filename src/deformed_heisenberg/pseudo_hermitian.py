@@ -80,8 +80,9 @@ def build_system(mu: complex, z: float,
     G = build_G(mu, z, cfg)
     Ginv = series_operator(exp_coefficients(-_g_coefficients(mu, z, cfg.dim),
                                             cfg.dim), cfg)
-    eta = Ginv.conj().T @ Ginv
-    eta = (eta + eta.conj().T) / 2
+    with np.errstate(over="ignore", invalid="ignore"):   # caught just below
+        eta = Ginv.conj().T @ Ginv
+        eta = (eta + eta.conj().T) / 2
     if not np.isfinite(eta).all():
         raise IllConditioned("eta leaves the float range; reduce |mu| or |z|")
     w, V = np.linalg.eigh(eta)

@@ -130,7 +130,7 @@ def test_criterion_05_dual_route_amplitudes():
     for prm in _45_grid():
         v_op = deformed_squeezed_state(prm, cfg)
         c0, _ = normalization_c0(prm)
-        c = fock_coefficients(prm, cfg.dim - 1)[0].c
+        c = fock_coefficients(prm, cfg.dim - 1)[0]
         worst = max(worst, np.max(np.abs(v_op - c0 * c)))
     print(f"criterion 05: worst amplitude gap {worst:.3e} (bound 1e-9)")
     assert worst < 1e-9

@@ -13,7 +13,7 @@ from deformed_heisenberg.aes_series import (
     deformed_squeezed_state, fock_coefficients, merged_displacement,
     normalization_c0, omega_first_order, omega_two_param,
     omega_two_param_printed, perturbed_state_first_order,
-    squeezed_symbol_coefficients, standard_squeezed_symbol_zero_z,
+    standard_squeezed_symbol_zero_z,
     two_param_log_symbol, two_param_perturbed_state, two_param_symbol,
     upsilon_table)
 from deformed_heisenberg.deformed_algebra import DeformationParams
@@ -24,6 +24,11 @@ from deformed_heisenberg.fock_core import (
     displacement_operator, norm, normalize, squeeze_operator, vacuum)
 
 CFG = TruncationConfig(64)
+
+
+def _squeezed(lam, mu, n_max):
+    """z = 0 amplitudes (C_0 = 1): the squeezed state of a + mu a+."""
+    return fock_coefficients(DeformationParams(z=0.0, lam=lam, mu=mu), n_max)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +94,7 @@ def test_recurrence_matches_exact_integer_tables():
     z = Fraction(1, 2)
     prm = DeformationParams(z=float(z), lam=complex(*map(float, lam)),
                             mu=complex(*map(float, mu)))
-    c = fock_coefficients(prm, 12, cross_check=False)[0].c
+    c = fock_coefficients(prm, 12, cross_check=False)[0]
     for n in range(13):
         re = im = Fraction(0)
         for (s, t), K in amplitude_coefficients(n):
@@ -107,7 +112,7 @@ def test_recurrence_matches_exact_integer_tables():
     (DeformationParams(z=0.02, lam=1.0, mu=0.5), 256),
 ], ids=["dim128", "dim256"])
 def test_recurrence_matches_mpmath(prm, dim):
-    c = fock_coefficients(prm, dim - 1, cross_check=False)[0].c
+    c = fock_coefficients(prm, dim - 1, cross_check=False)[0]
     ref = _mp_recurrence(prm, dim - 1)
     assert np.max(np.abs(c - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-14
 
@@ -116,7 +121,7 @@ def test_recurrence_eigen_residual_at_dim_256():
     cfg = TruncationConfig(256)
     prm = DeformationParams(z=0.02, lam=cmath.exp(0.4j), mu=0.5 * cmath.exp(-1j))
     c0, _ = normalization_c0(prm, n_max=cfg.dim - 1)
-    psi = c0 * fock_coefficients(prm, cfg.dim - 1)[0].c
+    psi = c0 * fock_coefficients(prm, cfg.dim - 1)[0]
     r = (aes_operator(prm, cfg) @ psi - prm.lam * psi)[:cfg.kept]
     assert np.linalg.norm(r) < 1e-12
 
@@ -126,7 +131,7 @@ def test_amplitude_degree_by_polynomial_fit():
     n = 6
     zs = np.linspace(0.1, 1.2, n + 4)
     vals = np.array([fock_coefficients(DeformationParams(z=z, lam=lam, mu=mu),
-                                       n)[0].c[n] * math.sqrt(math.factorial(n))
+                                       n)[0][n] * math.sqrt(math.factorial(n))
                      for z in zs])
     coef = np.polynomial.polynomial.polyfit(zs, vals, n - 1)
     recon = np.polynomial.polynomial.polyval(zs, coef)
@@ -138,22 +143,21 @@ def test_amplitude_degree_by_polynomial_fit():
 
 def test_first_two_amplitudes_closed_forms():
     lam, mu, z = 0.7 + 0.2j, 0.3 - 0.1j, 0.5
-    vec, _ = fock_coefficients(DeformationParams(z=z, lam=lam, mu=mu), 2)
-    assert vec.c[0] == 1.0
-    assert vec.c[1] == pytest.approx(lam, abs=1e-15)
+    c, _ = fock_coefficients(DeformationParams(z=z, lam=lam, mu=mu), 2)
+    assert c[0] == 1.0
+    assert c[1] == pytest.approx(lam, abs=1e-15)
     want = math.sqrt(2) * ((lam ** 2 / 2 - mu / 2) - (lam / 2) * z)
-    assert vec.c[2] == pytest.approx(want, abs=1e-15)
+    assert c[2] == pytest.approx(want, abs=1e-15)
 
 
 def test_fock_coefficients_match_zero_z_symbol_for_tiny_z():
-    vec, _ = fock_coefficients(DeformationParams(z=1e-6, lam=0.7, mu=0.3), 10)
-    sym = squeezed_symbol_coefficients(0.7, 0.3, 10)
-    assert max(abs(vec.c - sym.c)) < 1e-4
+    c, _ = fock_coefficients(DeformationParams(z=1e-6, lam=0.7, mu=0.3), 10)
+    assert max(abs(c - _squeezed(0.7, 0.3, 10))) < 1e-4
 
 
 def test_fock_coefficients_dual_route_agreement():
     prm = DeformationParams(z=0.5, lam=0.7 + 0.2j, mu=0.3 - 0.1j)
-    vec, diag = fock_coefficients(prm, 12)
+    _, diag = fock_coefficients(prm, 12)
     assert diag.converged
     assert diag.tail_estimate < 1e-9
     assert diag.terms_used > 0          # the float cross-check actually ran
@@ -162,10 +166,10 @@ def test_fock_coefficients_dual_route_agreement():
 def test_fock_coefficients_high_precision_route():
     # |mu/z^2 - lam/z| = 470 forces the arbitrary-precision branch
     prm = DeformationParams(z=0.01, lam=0.3, mu=0.05)
-    vec, diag = fock_coefficients(prm, 5, cross_check=True)
+    c, diag = fock_coefficients(prm, 5, cross_check=True)
     assert diag.converged
     assert diag.tail_estimate < 1e-9
-    assert vec.c[1] == pytest.approx(0.3, abs=1e-12)
+    assert c[1] == pytest.approx(0.3, abs=1e-12)
 
 
 def test_route_check_catches_planted_error(monkeypatch):
@@ -209,15 +213,13 @@ def test_float_cross_check_stops_before_summand_overflow():
     prm = DeformationParams.from_polar(z=0.0136372, delta=0.0158662,
                                        phi=-2.07702, beta=1.11137,
                                        theta=-1.39953)
-    vec, diag = fock_coefficients(prm, 47)
+    c, diag = fock_coefficients(prm, 47)
     assert diag.converged
-    np.testing.assert_allclose(vec.c, _mp_recurrence(prm, 47), rtol=0,
+    np.testing.assert_allclose(c, _mp_recurrence(prm, 47), rtol=0,
                                atol=1e-14)
 
 
 def test_fock_coefficients_error_paths():
-    with pytest.raises(BadParams):
-        fock_coefficients(DeformationParams(z=0.0, lam=1.0), 4)
     with pytest.raises(NotConverged):
         fock_coefficients(DeformationParams(z=0.5, lam=0.7, mu=0.3), 8,
                           k_cutoff=2, cross_check=True)
@@ -234,21 +236,39 @@ def test_phase_window_warning():
 # ---------------------------------------------------------------------------
 
 def test_squeezed_symbol_coherent_and_even_cases():
-    vec = squeezed_symbol_coefficients(0.8, 0.0, 8)
+    c = _squeezed(0.8, 0.0, 8)
     want = np.array([0.8 ** n / math.sqrt(math.factorial(n)) for n in range(9)])
-    np.testing.assert_allclose(vec.c, want, atol=1e-14)
-    vec = squeezed_symbol_coefficients(0.0, 0.5, 9)
-    assert max(abs(vec.c[1::2])) == 0.0
+    np.testing.assert_allclose(c, want, atol=1e-14)
+    c = _squeezed(0.0, 0.5, 9)
+    assert max(abs(c[1::2])) == 0.0
     with pytest.raises(NonNormalizable):
-        squeezed_symbol_coefficients(0.3, 1.0, 4)
+        _squeezed(0.3, 1.0, 4)
 
 
 def test_squeezed_symbol_state_is_eigenvector():
     lam, mu = 0.7, 0.3
-    v = normalize(squeezed_symbol_coefficients(lam, mu, 63).c)
+    v = normalize(_squeezed(lam, mu, 63))
     a, ad = annihilation(CFG), creation(CFG)
     r = (a + mu * ad) @ v - lam * v
     assert np.linalg.norm(r[:CFG.kept]) < 1e-9
+
+
+def test_zero_z_amplitudes_past_bargmann_underflow():
+    # N = 700: 1/sqrt(n!) underflows long before these amplitudes do, which
+    # used to zero or skew the tail past n ~ 304; the reference is the Taylor
+    # recurrence of the symbol exp(lam xi - mu xi^2/2), c_n = g_n sqrt(n!)
+    import mpmath as mp
+    lam, mu, n_max = 1.5 * cmath.exp(-2j), 0.9 * cmath.exp(1j), 699
+    c, diag = fock_coefficients(DeformationParams(z=0.0, lam=lam, mu=mu),
+                                n_max, cross_check=True)
+    assert diag.terms_used == 0          # no double sum exists at z = 0
+    with mp.workdps(80):
+        g = [mp.mpc(1), mp.mpc(lam)]
+        for n in range(2, n_max + 1):
+            g.append((lam * g[-1] - mu * g[-2]) / n)
+        ref = np.array([complex(x * mp.sqrt(mp.factorial(n)))
+                        for n, x in enumerate(g)])
+    assert np.max(np.abs(c - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-14
 
 
 def test_normalization_c0_limits_and_sum():
@@ -258,7 +278,7 @@ def test_normalization_c0_limits_and_sum():
     assert c0 == pytest.approx((1 - 0.5 ** 2) ** 0.25, abs=1e-9)
     prm = DeformationParams(z=0.003, lam=2 * cmath.exp(0.8j * math.pi), mu=0.5)
     c0, diag = normalization_c0(prm)
-    c = fock_coefficients(prm, diag.terms_used - 1, cross_check=False)[0].c
+    c = fock_coefficients(prm, diag.terms_used - 1, cross_check=False)[0]
     assert abs(np.sum(np.abs(c0 * c) ** 2) - 1.0) < 1e-11
     assert diag.converged
 
@@ -277,14 +297,14 @@ def test_deformed_squeezed_state_matches_series_route():
     prm = DeformationParams(z=0.01, lam=1.0, mu=0.3)
     v_op = deformed_squeezed_state(prm, CFG)
     c0, _ = normalization_c0(prm)
-    c = fock_coefficients(prm, CFG.dim - 1, cross_check=False)[0].c
+    c = fock_coefficients(prm, CFG.dim - 1, cross_check=False)[0]
     assert max(abs(v_op - c0 * c)) < 1e-9
 
 
 def test_deformed_squeezed_state_zero_z_is_symbol_state():
     prm = DeformationParams(z=0.0, lam=0.7, mu=0.3)
     v = deformed_squeezed_state(prm, CFG)
-    ref = normalize(squeezed_symbol_coefficients(0.7, 0.3, 63).c)
+    ref = normalize(_squeezed(0.7, 0.3, 63))
     assert max(abs(v - ref)) < 1e-12
 
 
@@ -319,8 +339,8 @@ def test_states_past_factorial_overflow():
     # dim 200: sqrt(n!) and 1/(k+1)! used to pass through math.factorial,
     # which cannot be converted to a float past 170
     cfg = TruncationConfig(200)
-    vec = squeezed_symbol_coefficients(0.0, 0.5, cfg.dim - 1)
-    assert np.sum(np.abs(vec.c) ** 2) == pytest.approx(1 / math.sqrt(0.75),
+    c = _squeezed(0.0, 0.5, cfg.dim - 1)
+    assert np.sum(np.abs(c) ** 2) == pytest.approx(1 / math.sqrt(0.75),
                                                        rel=1e-13)
     c0, _ = normalization_c0(DeformationParams(z=0.0, lam=0.0, mu=0.5),
                              n_max=cfg.dim - 1)
@@ -479,8 +499,7 @@ def test_zero_z_symbol_state_is_exact_eigenstate():
     got = standard_squeezed_symbol_zero_z(p, lam, mu, nu, xi)
     assert got == pytest.approx(
         cmath.exp(((lam - shift) * xi - mu * xi * xi / 2) / c))
-    v = normalize(squeezed_symbol_coefficients((lam - shift) / c, mu / c,
-                                               63).c)
+    v = normalize(_squeezed((lam - shift) / c, mu / c, 63))
     a, ad = annihilation(CFG), creation(CFG)
     op = c * a + mu * ad + (nu * (2 / p) * math.asinh(p / 2)) * np.eye(64)
     r = (op @ v - lam * v)[:CFG.kept]

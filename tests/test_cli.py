@@ -252,6 +252,43 @@ def test_state_zero_deformation_is_poissonian(tmp_path):
     assert doc["diagnostics"]["tail_estimate"] < 1e-12
 
 
+ZERO_Z_WIDE = ["state", "--z", "0", "--delta", "0.9", "--phi", "1",
+               "--beta", "1.5", "--theta", "-2"]
+
+
+def test_state_zero_z_short_box_is_not_converged(capsys):
+    # the norm of this state needs about 551 terms: dim 400 cannot hold it
+    rc = cli.main([*ZERO_Z_WIDE, "--dim", "400"])
+    assert rc == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_state_zero_z_c0_at_dim_700(tmp_path):
+    import mpmath as mp
+    out = tmp_path / "state.json"
+    rc = cli.main([*ZERO_Z_WIDE, "--dim", "700", "--format", "json",
+                   "--out", str(out)])
+    assert rc == 0
+    c0 = json.loads(out.read_text())["diagnostics"]["c0"]
+    # closed-form norm of exp(lam a+ - mu a+^2/2)|0> for |mu| < 1
+    with mp.workdps(50):
+        lam = mp.mpc(1.5 * complex(math.cos(-2), math.sin(-2)))
+        mu = mp.mpc(0.9 * complex(math.cos(1), math.sin(1)))
+        d = 1 - abs(mu) ** 2
+        norm2 = mp.exp((2 * abs(lam) ** 2 - mp.conj(mu) * lam ** 2
+                        - mu * mp.conj(lam) ** 2).real / (2 * d)) / mp.sqrt(d)
+        want = float(1 / mp.sqrt(norm2))
+    assert abs(c0 - want) < 1e-13
+
+
+def test_state_zero_z_unnormalizable_is_exit_3(capsys):
+    # |mu| >= 1 has no norm at z = 0, like the NotConverged cases at z != 0
+    rc = cli.main(["state", "--z", "0", "--delta", "1.2"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no norm" in captured.err
+
+
 def test_state_first_amplitude_ratio_is_lambda(tmp_path):
     # c_1 / c_0 equals the coherent amplitude independently of z
     for z in ("0", "0.01", "0.03"):

@@ -1,11 +1,13 @@
 """Property: every argument vector argparse accepts ends in a documented exit
-code (0-4), never in an escaped exception, and leaves no partial --out file."""
+code (0-4), never in an escaped exception or a numpy RuntimeWarning, and
+leaves no partial --out file and no partial table on stdout."""
 
 import contextlib
 import io
 import json
 import os
 import tempfile
+import warnings
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -63,16 +65,30 @@ def argvs(draw):
          to_file=True)
 @example(argv=["sweep-dispersion", "--dim=8", "--beta=7.262834877752672e+49",
                "--p=5.685684151177333e+38", "--steps=4"], to_file=True)
+# the same failures with stdout as the target: a sweep that fails mid-grid
+# used to stream its first rows, and eta's overflow to print RuntimeWarnings
+@example(argv=["sweep-dispersion", "--dim=8", "--beta=7.262834877752672e+49",
+               "--p=5.685684151177333e+38", "--steps=4"], to_file=False)
+@example(argv=["spectrum", "--dim=19", "--z=12509968845.0"], to_file=False)
 def test_accepted_argv_ends_in_documented_exit_code(argv, to_file):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
         if to_file:
             argv = [*argv, f"--out={out}"]
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = cli.main(argv)
         assert rc in range(5)
+        # numpy's floating-point warnings, not the package's own
+        # PhaseWindow / BranchCut flags
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        assert "RuntimeWarning" not in stderr.getvalue()
         if not to_file:
+            if rc != 0 and not (rc == 1 and argv[0] == "verify"):
+                assert stdout.getvalue() == ""
             return
         if rc == 0:
             assert os.path.exists(out)
