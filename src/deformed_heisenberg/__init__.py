@@ -13,8 +13,8 @@ from .deformed_algebra import (AlgebraTriple, DeformationParams,
                                commutator_residual_uzp, tilde_basis_change)
 from .errors import (BadParams, BranchCut, DeformedHeisenbergError,
                      IllConditioned, NonNormalizable, NotConverged,
-                     NotNilpotent, NotPositiveDefinite, PhaseWindow,
-                     SingularCosh, TailTooHeavy, ZeroNorm)
+                     NotNilpotent, PhaseWindow, SingularCosh,
+                     TailTooHeavy, ZeroNorm)
 from .fock_core import (DEFAULT_CONFIG, TruncationConfig, annihilation,
                         coherent_state, creation, displacement_operator,
                         expectation, guarded_norm, inner_product, norm,
@@ -25,8 +25,8 @@ __all__ = [
     "build_realization", "commutator_residual_tilde",
     "commutator_residual_uzp", "tilde_basis_change",
     "BadParams", "BranchCut", "DeformedHeisenbergError", "IllConditioned",
-    "NonNormalizable", "NotConverged", "NotNilpotent", "NotPositiveDefinite",
-    "PhaseWindow", "SingularCosh", "TailTooHeavy", "ZeroNorm",
+    "NonNormalizable", "NotConverged", "NotNilpotent", "PhaseWindow",
+    "SingularCosh", "TailTooHeavy", "ZeroNorm",
     "DEFAULT_CONFIG", "TruncationConfig", "annihilation", "coherent_state",
     "creation", "displacement_operator", "expectation", "guarded_norm",
     "inner_product", "norm", "normalize", "number_operator",

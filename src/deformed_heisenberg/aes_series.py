@@ -26,8 +26,8 @@ from . import _gaussian
 from .deformed_algebra import DeformationParams, exp_coefficients
 from .errors import BadParams, NonNormalizable, NotConverged, PhaseWindow, BranchCut
 from .fock_core import (FockVector, TruncationConfig, annihilation,
-                        check_tail, creation, displacement_operator, norm,
-                        normalize, series_operator, squeeze_operator, vacuum)
+                        check_tail, creation, norm, normalize, series_operator,
+                        squeezed_displaced_vacuum)
 
 
 @dataclass(frozen=True)
@@ -449,15 +449,12 @@ def perturbed_state_first_order(delta, phi, beta, theta, z,
         Omega [1 + z(mu (a+)^3/3 - lam (a+)^2/2)] S(-artanh(delta) e^{i phi})
               D(lam / sqrt(1-delta^2)) |0>.
     """
-    if not (0 <= delta < 1):
-        raise BadParams("need 0 <= delta < 1")
     mu = delta * cmath.exp(1j * phi)
     lam = beta * cmath.exp(1j * theta)
-    S = squeeze_operator(-math.atanh(delta) * cmath.exp(1j * phi), cfg)
-    D = displacement_operator(lam / math.sqrt(1 - delta * delta), cfg)
+    v = squeezed_displaced_vacuum(delta, phi, lam, cfg)
     T = series_operator([1.0, 0.0, -z * lam / 2, z * mu / 3], cfg)
     omega = omega_first_order(delta, phi, beta, theta, z)
-    raw = omega * (T @ (S @ (D @ vacuum(cfg))))
+    raw = omega * (T @ v)
     return PerturbedState(raw=raw, normalized=normalize(raw), omega=omega,
                           norm_error=abs(norm(raw) - 1.0))
 
@@ -466,18 +463,15 @@ def two_param_perturbed_state(delta, phi, beta, theta, gamma, eta_phase, z, p,
                               cfg: TruncationConfig) -> PerturbedState:
     """First order in z and p^2 normalized two-parameter state; the displacement
     carries the merged amplitude lam - nu while the bracket keeps lam, mu, nu."""
-    if not (0 <= delta < 1):
-        raise BadParams("need 0 <= delta < 1")
     mu = delta * cmath.exp(1j * phi)
     lam = beta * cmath.exp(1j * theta)
     nu = -gamma * cmath.exp(1j * eta_phase)
     bt, tt = merged_displacement(beta, theta, gamma, eta_phase)
-    S = squeeze_operator(-math.atanh(delta) * cmath.exp(1j * phi), cfg)
-    D = displacement_operator(bt * cmath.exp(1j * tt) / math.sqrt(1 - delta * delta), cfg)
+    v = squeezed_displaced_vacuum(delta, phi, bt * cmath.exp(1j * tt), cfg)
     T = series_operator([1.0, -(p * p / 4) * (lam / 2 - nu / 3),
                          -z * lam / 2 + (p * p / 16) * mu, z * mu / 3], cfg)
     omega = omega_two_param(delta, phi, beta, theta, gamma, eta_phase, z, p)
-    raw = omega * (T @ (S @ (D @ vacuum(cfg))))
+    raw = omega * (T @ v)
     return PerturbedState(raw=raw, normalized=normalize(raw), omega=omega,
                           norm_error=abs(norm(raw) - 1.0))
 

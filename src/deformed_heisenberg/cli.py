@@ -22,7 +22,7 @@ from .deformed_algebra import (DeformationParams, RealizationKind,
                                build_realization, commutator_residual_tilde,
                                commutator_residual_uzp)
 from .errors import (BadParams, DeformedHeisenbergError, IllConditioned,
-                     NonNormalizable, NotConverged, NotPositiveDefinite)
+                     NonNormalizable, NotConverged)
 from .fock_core import TruncationConfig, coherent_state, guarded_norm
 
 EXIT_OK = 0
@@ -410,7 +410,7 @@ def main(argv=None) -> int:
     except (NotConverged, NonNormalizable) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (IllConditioned, NotPositiveDefinite) as e:
+    except IllConditioned as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONDITIONING
     except DeformedHeisenbergError as e:

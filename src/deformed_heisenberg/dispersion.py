@@ -19,8 +19,8 @@ from .aes_series import fock_coefficients
 from .deformed_algebra import DeformationParams
 from .errors import BadParams, NotConverged
 from .fock_core import (FockOperator, FockVector, TruncationConfig,
-                        annihilation, check_tail, displacement_operator,
-                        expectation, normalize, squeeze_operator, vacuum)
+                        annihilation, check_tail, expectation, normalize,
+                        squeezed_displaced_vacuum)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -105,11 +105,9 @@ def gamma_matrix_table(delta, phi, beta, theta, k_max: int,
     """Gamma_kl, k, l <= k_max, on the truncated Fock space: the reference the
     closed form is checked against.  v = S D|0> by dense expm, the rows
     w_l = a^l v by index shifts, and Gamma_kl = <w_k|w_l>."""
-    S = squeeze_operator(-math.atanh(delta) * cmath.exp(1j * phi), cfg)
-    D = displacement_operator(beta * cmath.exp(1j * theta)
-                              / math.sqrt(1 - delta * delta), cfg)
     W = np.zeros((k_max + 1, cfg.dim), dtype=complex)
-    W[0] = S @ (D @ vacuum(cfg))
+    W[0] = squeezed_displaced_vacuum(delta, phi, beta * cmath.exp(1j * theta),
+                                     cfg)
     roots = np.sqrt(np.arange(1, cfg.dim, dtype=float))
     for l in range(1, k_max + 1):
         W[l, :-1] = roots * W[l - 1, 1:]

@@ -1,8 +1,11 @@
 """Error taxonomy shared by all modules.
 
-Exceptions signal hard contract violations; the two Warning subclasses flag
-evaluations that are well-defined but numerically delicate (convergence phase
-windows, branch cuts) without aborting.
+Exceptions mark a result the package will not return: bad parameters, a
+series that did not converge, a state with no finite norm, a metric too
+ill-conditioned to use.  cli.main maps them to exit codes (BadParams 2;
+NotConverged and NonNormalizable 3; IllConditioned 4; the rest 1).  The two
+Warning subclasses flag evaluations that are well-defined but numerically
+delicate (convergence phase windows, branch cuts) without aborting.
 """
 
 
@@ -39,11 +42,8 @@ class NonNormalizable(DeformedHeisenbergError):
 
 
 class IllConditioned(DeformedHeisenbergError):
-    """Metric operator too ill-conditioned for a reliable similarity transform."""
-
-
-class NotPositiveDefinite(DeformedHeisenbergError):
-    """Metric operator has a non-positive eigenvalue on the guarded block."""
+    """The metric eta = (G^-1)+ G^-1 is too ill-conditioned for the similarity
+    transform: cond(eta) exceeds the limit, or G^-1 leaves the float range."""
 
 
 class PhaseWindow(UserWarning):

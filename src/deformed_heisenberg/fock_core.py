@@ -6,13 +6,14 @@ Identity checks always exclude the top ``guard`` levels because truncation
 breaks the ladder relations there.
 """
 
+import cmath
 from dataclasses import dataclass
-from math import isqrt, sqrt
+from math import atanh, isqrt, sqrt
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NotNilpotent, TailTooHeavy, ZeroNorm
+from .errors import BadParams, NotNilpotent, TailTooHeavy, ZeroNorm
 
 # semantic aliases; everything here is plain numpy
 FockVector = np.ndarray
@@ -200,6 +201,17 @@ def squeeze_operator(chi: complex, cfg: TruncationConfig) -> FockOperator:
     a = annihilation(cfg)
     ad = a.conj().T
     return matrix_exponential(chi * (ad @ ad) / 2 - np.conj(chi) * (a @ a) / 2)
+
+
+def squeezed_displaced_vacuum(delta: float, phi: float, w: complex,
+                              cfg: TruncationConfig) -> FockVector:
+    """S(-artanh(delta) e^{i phi}) D(w / sqrt(1 - delta^2)) |0>, the undeformed
+    squeezed state of a + delta e^{i phi} a+ with eigenvalue w."""
+    if not (0 <= delta < 1):
+        raise BadParams("need 0 <= delta < 1")
+    S = squeeze_operator(-atanh(delta) * cmath.exp(1j * phi), cfg)
+    D = displacement_operator(w / sqrt(1 - delta * delta), cfg)
+    return S @ (D @ vacuum(cfg))
 
 
 def inner_product(u: FockVector, v: FockVector) -> complex:

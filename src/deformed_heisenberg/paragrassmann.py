@@ -6,23 +6,19 @@ Solves, with z a paragrassmann generator (z^k0 = 0),
 
 by the grade-by-grade integral recursion: phi = sum_k z^k (C_k + A_k(xi)) e^g,
 g = (lam - nu) xi - mu xi^2/2, with the integration convention A_k(0) = 0.
-
-Two arithmetic modes: "exact" (complex rationals, residuals are literal zeros)
-and "float" (double-precision complex, for interfacing with the matrix side).
+The arithmetic is exact (complex rationals), so residuals are literal zeros.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-
-import numpy as np
+from math import factorial
 
 from . import _gaussian
 from .errors import BadParams
-from .fock_core import (TruncationConfig, creation, displacement_operator,
-                        squeeze_operator, vacuum)
+from .fock_core import (TruncationConfig, series_operator,
+                        squeezed_displaced_vacuum)
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +33,7 @@ class QC:
     im: Fraction = Fraction(0)
 
     def __add__(self, other):
-        o = as_scalar(other, "exact")
+        o = as_scalar(other)
         return QC(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
@@ -46,20 +42,20 @@ class QC:
         return QC(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-as_scalar(other, "exact"))
+        return self + (-as_scalar(other))
 
     def __rsub__(self, other):
-        return as_scalar(other, "exact") + (-self)
+        return as_scalar(other) + (-self)
 
     def __mul__(self, other):
-        o = as_scalar(other, "exact")
+        o = as_scalar(other)
         return QC(self.re * o.re - self.im * o.im,
                   self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = as_scalar(other, "exact")
+        o = as_scalar(other)
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("division by zero complex rational")
@@ -71,7 +67,7 @@ class QC:
 
     def __eq__(self, other):
         try:
-            o = as_scalar(other, "exact")
+            o = as_scalar(other)
         except (TypeError, ValueError):
             return NotImplemented
         return self.re == o.re and self.im == o.im
@@ -86,27 +82,19 @@ class QC:
         return f"QC({self.re}, {self.im})"
 
 
-def as_scalar(x, mode):
-    """Coerce x into the scalar ring of the requested mode."""
-    if mode == "exact":
-        if isinstance(x, QC):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QC(Fraction(x))
-        if isinstance(x, float):
-            return QC(Fraction(x))          # exact binary value of the float
-        if isinstance(x, complex):
-            return QC(Fraction(x.real), Fraction(x.imag))
-        if isinstance(x, tuple) and len(x) == 2:
-            return QC(Fraction(x[0]), Fraction(x[1]))
-        raise TypeError(f"cannot coerce {x!r} to a complex rational")
+def as_scalar(x) -> QC:
+    """Coerce x into the complex rationals."""
     if isinstance(x, QC):
-        return x.to_complex()
-    return complex(x)
-
-
-def scalar_to_complex(x) -> complex:
-    return x.to_complex() if isinstance(x, QC) else complex(x)
+        return x
+    if isinstance(x, (int, Fraction)):
+        return QC(Fraction(x))
+    if isinstance(x, float):
+        return QC(Fraction(x))              # exact binary value of the float
+    if isinstance(x, complex):
+        return QC(Fraction(x.real), Fraction(x.imag))
+    if isinstance(x, tuple) and len(x) == 2:
+        return QC(Fraction(x[0]), Fraction(x[1]))
+    raise TypeError(f"cannot coerce {x!r} to a complex rational")
 
 
 # ---------------------------------------------------------------------------
@@ -169,23 +157,21 @@ class NilpotentPoly:
 
     k0: int
     coeffs: tuple
-    mode: str = "exact"
 
     @classmethod
-    def from_polys(cls, polys, k0, mode="exact"):
+    def from_polys(cls, polys, k0):
         polys = list(polys)[:k0]
         polys += [[] for _ in range(k0 - len(polys))]
-        return cls(k0=k0, coeffs=tuple(tuple(ptrim(list(p))) for p in polys),
-                   mode=mode)
+        return cls(k0=k0, coeffs=tuple(tuple(ptrim(list(p))) for p in polys))
 
     def __add__(self, other):
-        assert self.k0 == other.k0 and self.mode == other.mode
+        assert self.k0 == other.k0
         return NilpotentPoly.from_polys(
             [padd(list(a), list(b)) for a, b in zip(self.coeffs, other.coeffs)],
-            self.k0, self.mode)
+            self.k0)
 
     def __mul__(self, other):
-        assert self.k0 == other.k0 and self.mode == other.mode
+        assert self.k0 == other.k0
         out = [[] for _ in range(self.k0)]
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -195,21 +181,18 @@ class NilpotentPoly:
                     break               # z^{k0} = 0: overflow grades drop exactly
                 if b:
                     out[i + j] = padd(out[i + j], pmul(list(a), list(b)))
-        return NilpotentPoly.from_polys(out, self.k0, self.mode)
+        return NilpotentPoly.from_polys(out, self.k0)
 
     def scale(self, s):
         return NilpotentPoly.from_polys([pscale(s, list(p)) for p in self.coeffs],
-                                        self.k0, self.mode)
+                                        self.k0)
 
     def diff_xi(self):
         return NilpotentPoly.from_polys([pdiff(list(p)) for p in self.coeffs],
-                                        self.k0, self.mode)
+                                        self.k0)
 
-    def is_zero(self, float_tol: float = 0.0) -> bool:
-        if self.mode == "exact":
-            return all(not c for p in self.coeffs for c in p)
-        return all(abs(scalar_to_complex(c)) <= float_tol
-                   for p in self.coeffs for c in p)
+    def is_zero(self) -> bool:
+        return all(not c for p in self.coeffs for c in p)
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +236,12 @@ class ParagrassmannSolution:
     Ak: tuple                 # A_k as coefficient tuples, A_0 = ()
     constants: tuple          # the C_k
     exponent: tuple           # (lam - nu, mu)
-    mode: str = "exact"
     normalizable: bool = True
 
     def polynomial_part(self) -> NilpotentPoly:
         """The NilpotentPoly sum_k z^k (C_k + A_k)."""
         polys = [padd([self.constants[k]], list(self.Ak[k])) for k in range(self.k0)]
-        return NilpotentPoly.from_polys(polys, self.k0, self.mode)
+        return NilpotentPoly.from_polys(polys, self.k0)
 
 
 def _leibniz_ladder(p, g1, l):
@@ -270,9 +252,8 @@ def _leibniz_ladder(p, g1, l):
     return L
 
 
-def _solve_single(lam, mu, nu, k0, constants, mode):
-    one = as_scalar(1, mode)
-    g1 = ptrim([lam - nu, -(mu * one)])        # g' = (lam - nu) - mu xi
+def _solve_single(lam, mu, nu, k0, constants):
+    g1 = ptrim([lam - nu, -mu])                # g' = (lam - nu) - mu xi
     weight = ptrim([nu, mu])                   # mu xi + nu
     Ak = [[]]                                  # A_0 = 0
     for k in range(1, k0):
@@ -280,25 +261,25 @@ def _solve_single(lam, mu, nu, k0, constants, mode):
         for l in range(1, k + 1):
             base = padd([constants[k - l]], list(Ak[k - l]))
             contrib = _leibniz_ladder(base, g1, l)
-            coeff = as_scalar(Fraction((-1) ** (l + 1), factorial(l)), mode)
+            coeff = as_scalar(Fraction((-1) ** (l + 1), factorial(l)))
             rhs = padd(rhs, pscale(coeff, contrib))
         Ak.append(pint(pmul(weight, rhs)))
     return ParagrassmannSolution(
         k0=k0, Ak=tuple(tuple(p) for p in Ak), constants=tuple(constants),
-        exponent=(lam - nu, mu * one), mode=mode)
+        exponent=(lam - nu, mu))
 
 
-def solve_appendix_a(spec: GrassmannODESpec, mode: str = "exact"):
+def solve_appendix_a(spec: GrassmannODESpec):
     """One independent solution per free constant: solution j has C_j = 1 and
     all other C_i = 0.  Every antiderivative carries A_k(0) = 0."""
-    lam = as_scalar(spec.lam, mode)
-    mu = as_scalar(spec.mu, mode)
-    nu = as_scalar(spec.nu, mode)
-    zero, one = as_scalar(0, mode), as_scalar(1, mode)
+    lam = as_scalar(spec.lam)
+    mu = as_scalar(spec.mu)
+    nu = as_scalar(spec.nu)
+    zero, one = as_scalar(0), as_scalar(1)
     out = []
     for j in range(spec.k0):
         constants = [one if i == j else zero for i in range(spec.k0)]
-        sol = _solve_single(lam, mu, nu, spec.k0, constants, mode)
+        sol = _solve_single(lam, mu, nu, spec.k0, constants)
         out.append(sol)
     return out
 
@@ -306,30 +287,28 @@ def solve_appendix_a(spec: GrassmannODESpec, mode: str = "exact"):
 def residual_check(solution: ParagrassmannSolution, spec: GrassmannODESpec) -> NilpotentPoly:
     """Substitute phi into the full ODE; returns the residual divided by e^g
     (zero iff phi solves the equation, since e^g never vanishes)."""
-    mode = solution.mode
-    lam = as_scalar(spec.lam, mode)
-    mu = as_scalar(spec.mu, mode)
-    nu = as_scalar(spec.nu, mode)
-    one = as_scalar(1, mode)
+    lam = as_scalar(spec.lam)
+    mu = as_scalar(spec.mu)
+    nu = as_scalar(spec.nu)
     k0 = spec.k0
-    g1 = ptrim([lam - nu, -(mu * one)])
+    g1 = ptrim([lam - nu, -mu])
     weight = ptrim([nu, mu])
     P = solution.polynomial_part()
 
     # phi' / e^g, grade by grade
     dphi = NilpotentPoly.from_polys(
-        [_leibniz_ladder(list(p), g1, 1) for p in P.coeffs], k0, mode)
+        [_leibniz_ladder(list(p), g1, 1) for p in P.coeffs], k0)
 
     # (mu xi + nu) sum_l (-z)^l / l! d^l phi / e^g
     shift = [[] for _ in range(k0)]
     for l in range(k0):
-        coeff = as_scalar(Fraction((-1) ** l, factorial(l)), mode)
+        coeff = as_scalar(Fraction((-1) ** l, factorial(l)))
         for k in range(k0 - l):
             term = pscale(coeff, _leibniz_ladder(list(P.coeffs[k]), g1, l))
             shift[l + k] = padd(shift[l + k], pmul(weight, term))
-    shifted = NilpotentPoly.from_polys(shift, k0, mode)
+    shifted = NilpotentPoly.from_polys(shift, k0)
 
-    minus_lam_phi = P.scale(-(lam * one))
+    minus_lam_phi = P.scale(-lam)
     return dphi + shifted + minus_lam_phi
 
 
@@ -337,7 +316,7 @@ def residual_check(solution: ParagrassmannSolution, spec: GrassmannODESpec) -> N
 # printed closed forms
 # ---------------------------------------------------------------------------
 
-def deformed_coherent_symbols_mu0(nu, lam, k0: int, mode: str = "exact") -> ParagrassmannSolution:
+def deformed_coherent_symbols_mu0(nu, lam, k0: int) -> ParagrassmannSolution:
     """Closed-form mu = 0 coherent symbols for k0 in {1, 2, 3} (the first,
     normalizable solution branch; higher k0 delegates to solve_appendix_a).
 
@@ -345,13 +324,13 @@ def deformed_coherent_symbols_mu0(nu, lam, k0: int, mode: str = "exact") -> Para
     the sign of its first term is forced by the ODE (see the test suite for
     the rejected sign variant).
     """
-    lam = as_scalar(lam, mode)
-    nu = as_scalar(nu, mode)
-    zero, one = as_scalar(0, mode), as_scalar(1, mode)
-    half = as_scalar(Fraction(1, 2), mode)
+    lam = as_scalar(lam)
+    nu = as_scalar(nu)
+    zero, one = as_scalar(0), as_scalar(1)
+    half = as_scalar(Fraction(1, 2))
     if k0 > 3:
-        return solve_appendix_a(GrassmannODESpec(lam=lam, mu=zero, nu=nu, k0=k0),
-                                mode)[0]
+        return solve_appendix_a(GrassmannODESpec(lam=lam, mu=zero, nu=nu,
+                                                 k0=k0))[0]
     if k0 == 1:
         Ak = ([],)
     elif k0 == 2:
@@ -365,10 +344,10 @@ def deformed_coherent_symbols_mu0(nu, lam, k0: int, mode: str = "exact") -> Para
     constants = tuple(one if i == 0 else zero for i in range(k0))
     return ParagrassmannSolution(k0=k0, Ak=tuple(tuple(p) for p in Ak),
                                  constants=constants,
-                                 exponent=(lam - nu, zero), mode=mode)
+                                 exponent=(lam - nu, zero))
 
 
-def grassmann_squeezed_symbol(lam, mu, mode: str = "exact"):
+def grassmann_squeezed_symbol(lam, mu):
     """k0 = 2 squeezed symbols (nu = 0): the normalizable branch
 
         [1 + z mu (lam xi^2/2 - mu xi^3/3)] e^{lam xi - mu xi^2/2}
@@ -376,19 +355,18 @@ def grassmann_squeezed_symbol(lam, mu, mode: str = "exact"):
     and the z-proportional partner, flagged non-normalizable (z is not an
     invertible paragrassmann number, so the z e^g branch has no unit-norm
     representative).  Returns (normalizable, partner)."""
-    lam = as_scalar(lam, mode)
-    mu = as_scalar(mu, mode)
-    zero, one = as_scalar(0, mode), as_scalar(1, mode)
-    half = as_scalar(Fraction(1, 2), mode)
-    third = as_scalar(Fraction(1, 3), mode)
+    lam = as_scalar(lam)
+    mu = as_scalar(mu)
+    zero, one = as_scalar(0), as_scalar(1)
+    half = as_scalar(Fraction(1, 2))
+    third = as_scalar(Fraction(1, 3))
     A1 = ptrim([zero, zero, mu * lam * half, -(mu * mu) * third])
     primary = ParagrassmannSolution(k0=2, Ak=((), tuple(A1)),
                                     constants=(one, zero),
-                                    exponent=(lam, mu), mode=mode)
+                                    exponent=(lam, mu))
     partner = ParagrassmannSolution(k0=2, Ak=((), ()),
                                     constants=(zero, one),
-                                    exponent=(lam, mu), mode=mode,
-                                    normalizable=False)
+                                    exponent=(lam, mu), normalizable=False)
     return primary, partner
 
 
@@ -431,14 +409,9 @@ def grassmann_squeezed_fock_state(delta, phi, beta, theta, cfg: TruncationConfig
     and the matching norm factor.  In nilpotent arithmetic the squared norm is
     exactly 1: <v0|v0> = 1 and the grade-1 component 2 Re<v0|v1> vanishes.
     """
-    if not (0 <= delta < 1):
-        raise BadParams("need 0 <= delta < 1")
     mu = delta * cmath.exp(1j * phi)
     lam = beta * cmath.exp(1j * theta)
-    S = squeeze_operator(-math.atanh(delta) * cmath.exp(1j * phi), cfg)
-    D = displacement_operator(lam / math.sqrt(1 - delta * delta), cfg)
-    ad = creation(cfg)
-    v0 = S @ (D @ vacuum(cfg))
-    Q = mu * lam * (ad @ ad) / 2 - mu * mu * (ad @ ad @ ad) / 3
-    v1 = Q @ v0 + omega_pg_slope(delta, phi, beta, theta) * v0
-    return v0, v1
+    v0 = squeezed_displaced_vacuum(delta, phi, lam, cfg)
+    Q = series_operator([omega_pg_slope(delta, phi, beta, theta), 0.0,
+                         mu * lam / 2, -mu * mu / 3], cfg)
+    return v0, Q @ v0

@@ -4,7 +4,8 @@ Everything here lives in the lower-triangular algebra generated by a+, where
 truncation to N levels is exact (the leading N x N block of a product equals
 the product of the blocks).  In particular H = a+a + mu e^{-z a+} (a+)^2 is
 *exactly* similar to a+a at finite N, eta = (G^-1)+ G^-1 is exactly positive
-definite, and rho G is unitary up to eigensolver noise.  Guarded norms are
+definite, and rho = sqrt(eta) comes from the SVD of G^-1 without forming eta,
+so rho G is unitary to the SVD's backward error.  Guarded norms are
 still used for residuals that involve the (upper-shift) annihilator, whose
 truncated top rows are garbage.  G, G^-1, H and A are functions of a+ (plus
 a+a and a), built from their coefficient lists by fock_core.series_operator.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformed_algebra import exp_coefficients
-from .errors import IllConditioned, NotPositiveDefinite
+from .errors import IllConditioned
 from .fock_core import (DEFAULT_CONFIG, FockOperator, FockVector,
                         TruncationConfig, annihilation, creation,
                         displacement_operator, guarded_norm, normalize,
@@ -51,71 +52,68 @@ def _build_A(mu: complex, z: float, cfg: TruncationConfig) -> FockOperator:
 
 @dataclass(frozen=True, eq=False)
 class PseudoHermitianSystem:
-    """G, H, the deformed annihilator, the metric eta and its square root."""
+    """G, H, the deformed annihilator, G^-1 and the metric's square root."""
 
     G: FockOperator
     H: FockOperator
     A_op: FockOperator
-    eta: FockOperator
-    rho_hat: FockOperator        # None when eta is numerically non-PD
+    Ginv: FockOperator
+    rho_hat: FockOperator
     rho_inv: FockOperator
-    eta_eigs: np.ndarray
+    eta_eigs: np.ndarray         # sigma(G^-1)^2, ascending
     params: tuple                # (mu, z)
     cfg: TruncationConfig
 
     @property
     def eta_condition(self) -> float:
-        lo = float(self.eta_eigs.min())
-        if lo <= 0:
-            return math.inf
-        return float(self.eta_eigs.max()) / lo
+        """cond(eta) = cond(G^-1)^2; inf when G^-1 is numerically singular."""
+        lo = float(self.eta_eigs[0])
+        return float(self.eta_eigs[-1]) / lo if lo > 0 else math.inf
 
 
 def build_system(mu: complex, z: float,
                  cfg: TruncationConfig = DEFAULT_CONFIG) -> PseudoHermitianSystem:
-    """Assemble the full system.  rho is the spectral square root of the full
-    eta matrix: keeping rho^2 = eta exact (to eigensolver precision) is what
-    makes rho G unitary and rho H rho^-1 Hermitian; a square root of the
-    guarded block alone breaks both by orders of magnitude."""
+    """Assemble the full system.  With G^-1 = W Sigma V+, the metric is
+    eta = V Sigma^2 V+, so rho = V Sigma V+ and rho^-1 = V Sigma^-1 V+ on the
+    full space: rho^2 = eta to the SVD's backward error, which keeps rho G
+    unitary and rho H rho^-1 Hermitian (a square root of the guarded block
+    alone breaks both by orders of magnitude), and the singular values are
+    never negative."""
     G = build_G(mu, z, cfg)
     Ginv = series_operator(exp_coefficients(-_g_coefficients(mu, z, cfg.dim),
                                             cfg.dim), cfg)
-    with np.errstate(over="ignore", invalid="ignore"):   # caught just below
-        eta = Ginv.conj().T @ Ginv
-        eta = (eta + eta.conj().T) / 2
-    if not np.isfinite(eta).all():
-        raise IllConditioned("eta leaves the float range; reduce |mu| or |z|")
-    w, V = np.linalg.eigh(eta)
-    if w.min() > 0:
-        rho = V @ np.diag(np.sqrt(w)) @ V.conj().T
-        rho_inv = V @ np.diag(1 / np.sqrt(w)) @ V.conj().T
-    else:
-        rho = rho_inv = None
+    if not np.isfinite(Ginv).all():
+        raise IllConditioned("G^-1 leaves the float range; reduce |mu| or |z|")
+    _, s, Vh = np.linalg.svd(Ginv)
+    V = Vh.conj().T
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        eta_eigs = s[::-1] ** 2          # _require_rho rejects inf and 0
+        rho, rho_inv = (V * s) @ Vh, (V / s) @ Vh
     return PseudoHermitianSystem(G=G, H=build_H(mu, z, cfg),
-                                 A_op=_build_A(mu, z, cfg), eta=eta,
-                                 rho_hat=rho, rho_inv=rho_inv, eta_eigs=w,
-                                 params=(mu, z), cfg=cfg)
+                                 A_op=_build_A(mu, z, cfg), Ginv=Ginv,
+                                 rho_hat=rho, rho_inv=rho_inv,
+                                 eta_eigs=eta_eigs, params=(mu, z), cfg=cfg)
 
 
 def _require_rho(sys: PseudoHermitianSystem) -> None:
-    if sys.rho_hat is None:
-        raise NotPositiveDefinite(
-            f"eta has a non-positive eigenvalue ({sys.eta_eigs.min():.3e}) "
-            f"under truncation; reduce |mu| or dim")
     if sys.eta_condition > ETA_CONDITION_LIMIT:
         raise IllConditioned(
             f"eta condition number {sys.eta_condition:.3e} exceeds "
-            f"{ETA_CONDITION_LIMIT:.0e}")
+            f"{ETA_CONDITION_LIMIT:.0e} (sigma_min(G^-1) = "
+            f"{math.sqrt(sys.eta_eigs[0]):.3e}); reduce |mu|, |z| or dim")
+
+
+def metric(sys: PseudoHermitianSystem) -> FockOperator:
+    """eta = (G^-1)+ G^-1, Hermitian by construction."""
+    eta = sys.Ginv.conj().T @ sys.Ginv
+    return (eta + eta.conj().T) / 2
 
 
 def pseudo_hermiticity_residual(sys: PseudoHermitianSystem) -> float:
     """Guarded norm of H+ - eta H eta^-1, with eta^-1 = G G+ used exactly."""
-    if sys.eta_condition > ETA_CONDITION_LIMIT:
-        raise IllConditioned(
-            f"eta condition number {sys.eta_condition:.3e} exceeds "
-            f"{ETA_CONDITION_LIMIT:.0e}")
+    _require_rho(sys)
     lhs = sys.H.conj().T
-    rhs = sys.eta @ sys.H @ (sys.G @ sys.G.conj().T)
+    rhs = metric(sys) @ sys.H @ (sys.G @ sys.G.conj().T)
     return guarded_norm(lhs - rhs, sys.cfg)
 
 
@@ -141,7 +139,7 @@ def coherent_eigenstate(nu: complex, sys: PseudoHermitianSystem) -> FockVector:
 
 
 def rho_hat(sys: PseudoHermitianSystem) -> FockOperator:
-    """The Hermitian square root of eta (full-space spectral root)."""
+    """The Hermitian positive square root of eta, from the SVD of G^-1."""
     _require_rho(sys)
     return sys.rho_hat
 

@@ -154,11 +154,11 @@ def test_criterion_06_paragrassmann_exactness():
     lam, mu, nu = F(2), F(3), F(1)
     sol = solve_appendix_a(GrassmannODESpec(lam=lam, mu=mu, nu=nu, k0=2))[0]
     want = [0, (lam - nu) * nu, mu * (lam - 2 * nu) / 2, -mu * mu / 3]
-    assert list(sol.Ak[1]) == [as_scalar(w, "exact") for w in want]
+    assert list(sol.Ak[1]) == [as_scalar(w) for w in want]
     # first correction, nu = 0 family
     lam, mu = F(5, 4), F(1, 2)
     primary, _ = grassmann_squeezed_symbol(lam, mu)
-    assert list(primary.Ak[1]) == [as_scalar(w, "exact")
+    assert list(primary.Ak[1]) == [as_scalar(w)
                                    for w in (0, 0, mu * lam / 2,
                                              -mu * mu / 3)]
     # second correction, mu = 0 family: the xi coefficient must carry
@@ -167,14 +167,14 @@ def test_criterion_06_paragrassmann_exactness():
     spec = GrassmannODESpec(lam=lam, mu=0, nu=nu, k0=3)
     good = deformed_coherent_symbols_mu0(nu, lam, 3)
     assert good.Ak[2][1] == as_scalar(
-        -lam * lam * nu / 2 + 2 * lam * nu * nu - 3 * nu ** 3 / 2, "exact")
+        -lam * lam * nu / 2 + 2 * lam * nu * nu - 3 * nu ** 3 / 2)
     assert residual_check(good, spec).is_zero()
     flipped = pg.ParagrassmannSolution(
         k0=3, Ak=(good.Ak[0], good.Ak[1],
                   (good.Ak[2][0],
-                   good.Ak[2][1] + as_scalar(lam * lam * nu, "exact"))
+                   good.Ak[2][1] + as_scalar(lam * lam * nu))
                   + good.Ak[2][2:]),
-        constants=good.constants, exponent=good.exponent, mode=good.mode)
+        constants=good.constants, exponent=good.exponent)
     assert not residual_check(flipped, spec).is_zero()
     print(f"criterion 06: {checked} exact ODE residuals identically zero; "
           f"printed corrections reproduced")

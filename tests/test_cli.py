@@ -580,6 +580,16 @@ def test_spectrum_conditioning_failure_exits_4(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_spectrum_names_the_eta_condition(capsys):
+    # eta is positive definite here (sigma_min(G^-1) = 1.7e-5); the fault is
+    # cond(eta) = 1.4e20, past the limit
+    rc = cli.main(["spectrum", "--dim", "128", "--delta", "0.2", "--z", "0.02"])
+    assert rc == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: eta condition number 1.435e+20 exceeds 1e+12")
+
+
 def test_flag_validation_exits_2(capsys):
     assert cli.main(["sweep-dispersion", "--steps", "1"]) == 2
     assert "steps" in capsys.readouterr().err

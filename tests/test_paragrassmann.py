@@ -36,14 +36,15 @@ def test_complex_rational_arithmetic():
 
 
 def test_as_scalar_coercions():
-    assert as_scalar(3, "exact") == QC(F(3))
-    assert as_scalar(F(2, 7), "exact") == QC(F(2, 7))
-    assert as_scalar(0.5, "exact") == QC(F(1, 2))
-    assert as_scalar(1 + 2j, "exact") == QC(F(1), F(2))
-    assert as_scalar((F(1, 3), F(1, 5)), "exact") == QC(F(1, 3), F(1, 5))
-    assert as_scalar(QC(F(1), F(1)), "float") == 1 + 1j
+    assert as_scalar(3) == QC(F(3))
+    assert as_scalar(F(2, 7)) == QC(F(2, 7))
+    assert as_scalar(0.5) == QC(F(1, 2))
+    assert as_scalar(1 + 2j) == QC(F(1), F(2))
+    assert as_scalar((F(1, 3), F(1, 5))) == QC(F(1, 3), F(1, 5))
+    q = QC(F(1), F(1))
+    assert as_scalar(q) is q
     with pytest.raises(TypeError):
-        as_scalar("nope", "exact")
+        as_scalar("nope")
 
 
 def test_polynomial_helpers():
@@ -129,16 +130,10 @@ def test_solver_residuals_random_rationals():
             assert residual_check(sol, spec).is_zero(), spec
 
 
-def test_solver_float_mode():
-    spec = GrassmannODESpec(lam=0.8 + 0.3j, mu=0.4 - 0.2j, nu=0.1j, k0=3)
-    for sol in solve_appendix_a(spec, mode="float"):
-        assert residual_check(sol, spec).is_zero(float_tol=1e-12)
-
-
 def test_solutions_are_independent_and_integrate_from_zero():
     spec = GrassmannODESpec(lam=2, mu=3, nu=1, k0=4)
     sols = solve_appendix_a(spec)
-    one = as_scalar(1, "exact")
+    one = as_scalar(1)
     for j, sol in enumerate(sols):
         P = sol.polynomial_part()
         for i in range(j):
@@ -156,7 +151,7 @@ def test_k0_one_is_plain_gaussian():
     spec = GrassmannODESpec(lam=F(3, 2), mu=F(1, 3), nu=F(1, 2), k0=1)
     (sol,) = solve_appendix_a(spec)
     assert sol.Ak == ((),)
-    assert sol.exponent[0] == as_scalar(F(3, 2) - F(1, 2), "exact")
+    assert sol.exponent[0] == as_scalar(F(3, 2) - F(1, 2))
     assert residual_check(sol, spec).is_zero()
 
 
@@ -166,14 +161,14 @@ def test_general_first_correction():
     spec = GrassmannODESpec(lam=lam, mu=mu, nu=nu, k0=2)
     sol = solve_appendix_a(spec)[0]
     want = [0, (lam - nu) * nu, mu * (lam - 2 * nu) / 2, -mu * mu / 3]
-    assert list(sol.Ak[1]) == [as_scalar(w, "exact") for w in want]
+    assert list(sol.Ak[1]) == [as_scalar(w) for w in want]
 
 
 def test_second_correction_frozen_values():
     spec = GrassmannODESpec(lam=2, mu=3, nu=1, k0=3)
     sol = solve_appendix_a(spec)[0]
     want = [F(0), F(2), F(5), F(-3, 2), F(-105, 8), F(0), F(9, 2)]
-    assert list(sol.Ak[2]) == [as_scalar(w, "exact") for w in want]
+    assert list(sol.Ak[2]) == [as_scalar(w) for w in want]
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +184,8 @@ def test_coherent_symbols_mu0_match_solver():
         solver = solve_appendix_a(spec)[0]
         assert closed.Ak == solver.Ak
     two = deformed_coherent_symbols_mu0(nu, lam, 2)
-    assert list(two.Ak[1]) == [as_scalar(0, "exact"),
-                               as_scalar((lam - nu) * nu, "exact")]
+    assert list(two.Ak[1]) == [as_scalar(0),
+                               as_scalar((lam - nu) * nu)]
 
 
 def test_coherent_symbols_mu0_sign_variant_rejected():
@@ -201,12 +196,12 @@ def test_coherent_symbols_mu0_sign_variant_rejected():
     spec = GrassmannODESpec(lam=lam, mu=0, nu=nu, k0=3)
     good = deformed_coherent_symbols_mu0(nu, lam, 3)
     assert good.Ak[2][1] == as_scalar(-lam * lam * nu / 2 + 2 * lam * nu * nu
-                                      - 3 * nu ** 3 / 2, "exact")
-    flipped_c1 = good.Ak[2][1] + as_scalar(lam * lam * nu, "exact")
+                                      - 3 * nu ** 3 / 2)
+    flipped_c1 = good.Ak[2][1] + as_scalar(lam * lam * nu)
     bad = pg.ParagrassmannSolution(
         k0=3, Ak=(good.Ak[0], good.Ak[1],
                   (good.Ak[2][0], flipped_c1) + good.Ak[2][2:]),
-        constants=good.constants, exponent=good.exponent, mode=good.mode)
+        constants=good.constants, exponent=good.exponent)
     assert residual_check(good, spec).is_zero()
     assert not residual_check(bad, spec).is_zero()
 
@@ -220,7 +215,7 @@ def test_squeezed_symbol_matches_solver_and_mu0_limit():
     assert primary.normalizable and not partner.normalizable
     solver = solve_appendix_a(spec)
     assert primary.Ak == solver[0].Ak
-    assert list(primary.Ak[1]) == [as_scalar(c, "exact")
+    assert list(primary.Ak[1]) == [as_scalar(c)
                                    for c in (0, 0, mu * lam / 2, -mu * mu / 3)]
     # mu = 0 collapses onto the nu = 0 coherent symbol (no correction at all)
     prim0, _ = grassmann_squeezed_symbol(lam, 0)
@@ -234,11 +229,11 @@ def test_squeezed_k0_three_exponent_form():
     spec = GrassmannODESpec(lam=lam, mu=mu, nu=0, k0=3)
     sol = solve_appendix_a(spec)[0]
     A1, A2 = list(sol.Ak[1]), list(sol.Ak[2])
-    half = as_scalar(F(1, 2), "exact")
+    half = as_scalar(F(1, 2))
     f = padd(A2, pscale(-1 * half, pmul(A1, A1)))
     want = [0, 0, mu * (mu - lam * lam) / 4, F(2, 3) * mu * mu * lam,
             F(-3, 8) * mu ** 3]
-    assert f == [as_scalar(w, "exact") for w in want]
+    assert f == [as_scalar(w) for w in want]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import scipy.linalg
 
 from deformed_heisenberg.aes_series import deformed_squeezed_state
 from deformed_heisenberg.deformed_algebra import DeformationParams
-from deformed_heisenberg.errors import IllConditioned, NotPositiveDefinite
+from deformed_heisenberg.errors import IllConditioned
 from deformed_heisenberg.fock_core import (TruncationConfig, annihilation,
                                            creation, displacement_operator,
                                            guarded_norm, matrix_exponential,
@@ -21,7 +21,7 @@ from deformed_heisenberg.pseudo_hermitian import (ETA_CONDITION_LIMIT,
                                                   commutator_checks,
                                                   generalized_coherent_state,
                                                   ground_state,
-                                                  hermitian_hamiltonian,
+                                                  hermitian_hamiltonian, metric,
                                                   pseudo_hermiticity_residual,
                                                   rho_hat, spectrum_report,
                                                   unitarity_check)
@@ -115,15 +115,18 @@ def test_metric_positive_on_parameter_box():
         sys = build_system(mu, z, CFG)
         assert sys.eta_eigs.min() > 0.0
         assert sys.eta_condition < ETA_CONDITION_LIMIT
-        assert guarded_norm(sys.eta - sys.eta.conj().T, CFG) == 0.0
+        eta = metric(sys)
+        assert guarded_norm(eta - eta.conj().T, CFG) == 0.0
 
 
 def test_rho_and_hermitian_hamiltonian():
     sys = build_system(MU, Z, CFG)
     rho = rho_hat(sys)
     assert np.abs(rho - rho.conj().T).max() < 1e-12
-    assert np.abs(rho @ rho - sys.eta).max() < 1e-10 * sys.eta_eigs.max()
-    assert unitarity_check(sys) < 1e-8
+    assert np.abs(rho @ rho - metric(sys)).max() < 1e-10 * sys.eta_eigs.max()
+    # rho^2 = eta to the SVD's backward error keeps rho G unitary near
+    # machine precision on this box (`dheis verify`'s pseudo suite)
+    assert unitarity_check(sys) < 1e-11
     Ht = hermitian_hamiltonian(sys)
     assert guarded_norm(Ht - Ht.conj().T, CFG) < 1e-7
     rep = spectrum_report(sys, "hermitian")
@@ -136,9 +139,10 @@ def test_rho_and_hermitian_hamiltonian():
 
 
 def test_rho_matches_independent_square_root():
-    # same matrix through scipy's Schur-based sqrtm instead of our eigh route
+    # eta formed from G^-1 and rooted by scipy's Schur-based sqrtm, instead
+    # of our route through the SVD of G^-1
     sys = build_system(0.25, 0.0, CFG)
-    other = scipy.linalg.sqrtm(sys.eta)
+    other = scipy.linalg.sqrtm(metric(sys))
     assert guarded_norm(sys.rho_hat - other, CFG) < 1e-9
 
 
@@ -149,7 +153,7 @@ def test_zero_z_metric_is_gaussian_product():
     ad = creation(CFG)
     route = matrix_exponential(0.5 * np.conj(mu) * (a @ a)) \
         @ matrix_exponential(0.5 * mu * (ad @ ad))
-    assert guarded_norm(sys.eta - route, CFG) < 1e-10
+    assert guarded_norm(metric(sys) - route, CFG) < 1e-10
 
 
 def test_zero_z_hermitian_form_is_two_photon():
@@ -187,7 +191,28 @@ def test_error_paths():
         rho_hat(ill)
     with pytest.raises(IllConditioned):
         pseudo_hermiticity_residual(ill)
-    npd = build_system(0.8, 0.0, TruncationConfig(64))
-    assert npd.rho_hat is None
-    with pytest.raises(NotPositiveDefinite):
-        rho_hat(npd)
+    # singular values are never negative: what fails here is cond(eta)
+    steep = build_system(0.8, 0.0, TruncationConfig(64))
+    assert steep.eta_eigs.min() >= 0.0
+    with pytest.raises(IllConditioned):
+        rho_hat(steep)
+
+
+def test_n128_metric_fails_on_conditioning_not_sign():
+    # sigma_min(G^-1) = 1.7e-5 > 0, so eta is positive definite; the fault
+    # is cond(eta) = 1.4e20, and the error has to say so
+    sys = build_system(MU, Z, TruncationConfig(128))
+    assert sys.eta_eigs.min() > 0.0
+    assert sys.eta_condition > 1e19
+    with pytest.raises(IllConditioned, match="eta condition number"):
+        hermitian_hamiltonian(sys)
+
+
+def test_non_finite_inverse_is_ill_conditioned():
+    with pytest.raises(IllConditioned, match="float range"):
+        build_system(1e300, 0.001, TruncationConfig(8))
+    # G^-1 finite, sigma_max^2 past the float range: rejected on use
+    sys = build_system(0.5, 12509968845.0, TruncationConfig(19))
+    assert sys.eta_condition == math.inf
+    with pytest.raises(IllConditioned, match="eta condition number inf"):
+        rho_hat(sys)
