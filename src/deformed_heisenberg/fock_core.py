@@ -4,6 +4,10 @@ States are plain 1-d complex numpy arrays of amplitudes over |0>..|N-1>
 (FockVector); operators are dense N x N complex matrices (FockOperator).
 Identity checks always exclude the top ``guard`` levels because truncation
 breaks the ladder relations there.
+
+Everything here is plain numpy except ``matrix_exponential``, which imports
+scipy on its first call: the import costs about as much as numpy's, and only
+the dense S(chi)/D(lam) checks reach it.
 """
 
 import cmath
@@ -11,11 +15,10 @@ from dataclasses import dataclass
 from math import atanh, isqrt, sqrt
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BadParams, NotNilpotent, TailTooHeavy, ZeroNorm
 
-# semantic aliases; everything here is plain numpy
+# semantic aliases
 FockVector = np.ndarray
 FockOperator = np.ndarray
 
@@ -180,7 +183,14 @@ def compose_series(outer, u, n: int) -> np.ndarray:
 
 
 def matrix_exponential(M: FockOperator) -> FockOperator:
-    """expm via scipy's scaling-and-squaring (Pade) implementation."""
+    """expm via scipy's scaling-and-squaring (Pade) implementation.
+
+    scipy is imported here, not at module level, so that the commands that
+    never take a dense exponential (state, sweep-dispersion, spectrum) do not
+    pay its import at start-up.
+    """
+    import scipy.linalg
+
     return scipy.linalg.expm(np.asarray(M, dtype=complex))
 
 

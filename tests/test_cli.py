@@ -235,6 +235,33 @@ def test_sweep_not_converged_removes_partial_file(tmp_path, monkeypatch):
     assert "error:" in buf.getvalue()
 
 
+def test_sweep_reports_negative_variance_rows(capsys):
+    # at beta = 1e4, x2_mean - mean_x^2 cancels to var_p_def = -1085.5 at
+    # phi = +-pi; the table says so instead of exiting 0 silently
+    argv = ["sweep-dispersion", "--beta", "1e4", "--z", "0.002", "--steps",
+            "3"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    rows = _data_rows(out)
+    assert [float(r[4]) < 0 for r in rows] == [True, False, True]
+    assert out.splitlines()[-1] == "# negative_variance_rows=2"
+    assert cli.main([*argv, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["diagnostics"] == {"negative_variance_rows": 2}
+
+
+def test_sweep_without_negative_variance_has_no_trailer(capsys):
+    # a sweep_table request of the benchmark: every variance is positive
+    argv = ["sweep-dispersion", "--var", "phi", "--steps", "2000", "--z",
+            "0.00323773", "--p", "0", "--beta", "1.31699", "--theta",
+            "1.73882", "--delta", "0.242733"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(l.startswith("#") for l in lines) == 1   # the meta line only
+    assert cli.main([*argv, "--format", "json"]) == 0
+    assert "diagnostics" not in json.loads(capsys.readouterr().out)
+
+
 def test_state_zero_deformation_is_poissonian(tmp_path):
     out = tmp_path / "state.json"
     rc = cli.main(["state", "--z", "0", "--delta", "0", "--beta", "1",
@@ -427,6 +454,57 @@ def test_verify_default_box_passes(tmp_path):
     for c in checks:
         assert c["passed"] is True
         assert float(c["residual"]) <= float(c["bound"])
+
+
+def test_verify_pseudo_bounds_are_tight(capsys):
+    # the dim-48 reference box reads 1.2e-9, 1.4e-13 and 2.5e-14; bounds of
+    # 1e-7, 1e-6 and 1e-8 let a metric route that lost six digits pass
+    assert cli.main(["verify", "--dim", "64", "--suite", "pseudo"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    bounds = {c["name"]: float(c["bound"]) for c in checks}
+    assert bounds == {"pseudo_hermiticity": 1e-8, "rho_g_unitarity": 1e-10,
+                      "commutators": 1e-11}
+    assert all(c["passed"] for c in checks)
+
+
+_IMPORT_BUDGET = """
+import contextlib, io, json, sys
+import deformed_heisenberg.cli as cli
+seen = {"import": "scipy" in sys.modules}
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    seen[name] = [rc, "scipy" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_only_dense_exponentials_load_scipy():
+    # scipy is imported inside fock_core.matrix_exponential; importing it at
+    # module level doubles every request's start-up.  The test process has
+    # scipy loaded already, so this runs in a fresh interpreter.
+    runs = [
+        ("state", ["state", "--dim", "32", "--z", "0.01", "--delta", "0.2"]),
+        ("sweep_phi", ["sweep-dispersion", "--steps", "5"]),
+        ("sweep_delta", ["sweep-dispersion", "--var", "delta", "--min", "0",
+                         "--max", "0.9", "--steps", "5"]),
+        ("spectrum", ["spectrum", "--dim", "48", "--delta", "0.2", "--z",
+                      "0.02"]),
+        ("verify_pseudo", ["verify", "--dim", "64", "--suite", "pseudo"]),
+        ("verify_dispersion", ["verify", "--dim", "64", "--suite",
+                               "dispersion"]),
+    ]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BUDGET, json.dumps(runs)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen == {"import": False, "state": [0, False],
+                    "sweep_phi": [0, False], "sweep_delta": [0, False],
+                    "spectrum": [0, False], "verify_pseudo": [0, False],
+                    "verify_dispersion": [0, True]}
 
 
 def test_verify_small_dim_reports_designed_failures(tmp_path, capsys):
