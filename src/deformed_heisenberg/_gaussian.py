@@ -6,14 +6,17 @@ Everything here evaluates
 
 by exact combinatorial expansion (no numeric differencing).  Shared by the
 squeezed-displaced matrix-element closed forms and the first-order norm
-factors of the perturbed states.
+factors of the perturbed states.  The parameters may be scalars or numpy
+arrays of one shape: the expansion runs once per (k, l) and numpy evaluates
+it over the whole array, so a sweep grid costs one call, not one per point.
 """
 
-import cmath
-from math import factorial, sqrt
+from math import factorial
+
+import numpy as np
 
 
-def quadratic_exponential_derivative(k: int, l: int, A, B, C, D, E) -> complex:
+def quadratic_exponential_derivative(k: int, l: int, A, B, C, D, E):
     """Mixed derivative of exp(A s^2 + B t^2 + C s t + D s + E t) at s = t = 0."""
     tot = 0j
     for na in range(k // 2 + 1):
@@ -27,35 +30,28 @@ def quadratic_exponential_derivative(k: int, l: int, A, B, C, D, E) -> complex:
     return tot * factorial(k) * factorial(l)
 
 
-def _displacement_pair(delta, phi, beta, theta):
-    r = sqrt(1 - delta * delta)
-    d_plus = (beta * cmath.exp(-1j * theta)
-              - delta * beta * cmath.exp(1j * (theta - phi))) / r
-    d_minus = (beta * cmath.exp(1j * theta)
-               - delta * beta * cmath.exp(1j * (phi - theta))) / r
-    return d_plus, d_minus
+def _coefficients(delta, phi, beta, theta):
+    """r = sqrt(1 - delta^2), the s^2 coefficient -delta e^{-i phi}/2 and the
+    displacement coefficient of S D|0>'s generating function; for real
+    parameters the t^2 and second linear coefficients are their conjugates."""
+    if np.any(np.asarray(delta) >= 1):
+        raise ValueError("need delta < 1")
+    r = np.sqrt(1 - delta * delta)
+    d = (beta * np.exp(-1j * theta)
+         - delta * beta * np.exp(1j * (theta - phi))) / r
+    return r, -delta * np.exp(-1j * phi) / 2, d
 
 
-def gamma_kl(k: int, l: int, delta: float, phi: float, beta: float, theta: float) -> complex:
+def gamma_kl(k: int, l: int, delta, phi, beta, theta):
     """<0|D+ S+ (a+)^k a^l S D|0> for the squeezed-displaced vacuum."""
-    if delta >= 1:
-        raise ValueError("need delta < 1")
-    r = sqrt(1 - delta * delta)
-    A = -delta * cmath.exp(-1j * phi) / 2
-    B = -delta * cmath.exp(1j * phi) / 2
-    C = delta * delta
-    D, E = _displacement_pair(delta, phi, beta, theta)
-    return quadratic_exponential_derivative(k, l, A, B, C, D, E) / r ** (k + l)
+    r, a, d = _coefficients(delta, phi, beta, theta)
+    return quadratic_exponential_derivative(
+        k, l, a, a.conjugate(), delta * delta, d, d.conjugate()) / r ** (k + l)
 
 
-def lambda_kl(k: int, l: int, delta: float, phi: float, beta: float, theta: float) -> complex:
+def lambda_kl(k: int, l: int, delta, phi, beta, theta):
     """<0|D+ S+ a^k (a+)^l S D|0> (anti-normal ordering)."""
-    if delta >= 1:
-        raise ValueError("need delta < 1")
-    r = sqrt(1 - delta * delta)
-    A = -delta * cmath.exp(1j * phi) / 2
-    B = -delta * cmath.exp(-1j * phi) / 2
-    C = 1.0
-    d_plus, d_minus = _displacement_pair(delta, phi, beta, theta)
-    # sigma couples to a^k, tau to (a+)^l: linear coefficients swap vs gamma_kl
-    return quadratic_exponential_derivative(k, l, A, B, C, d_minus, d_plus) / r ** (k + l)
+    r, a, d = _coefficients(delta, phi, beta, theta)
+    # sigma couples to a^k, tau to (a+)^l: every coefficient swaps vs gamma_kl
+    return quadratic_exponential_derivative(
+        k, l, a.conjugate(), a, 1.0, d.conjugate(), d) / r ** (k + l)

@@ -3,7 +3,8 @@
 Covers the X/P operators and their dispersions, the squeezed-vacuum matrix
 elements Gamma_kl / Lambda_kl, the first-order perturbed moment formulas, the
 all-order C_n(tau) dispersion sums, and the data sweeps behind the standard
-figure set (variance vs phi / delta).
+figure set (variance vs phi / delta).  The first-order moments take scalars
+or numpy arrays, so a sweep evaluates its whole grid in one call.
 """
 
 import cmath
@@ -185,10 +186,12 @@ def perturbed_moments(delta, phi, beta, theta, z, p) -> PerturbedMoments:
     R = mu (a+)^2/4 - (lam/2) a+  (nu = 0), against S D |0>, normal-ordering
     everything onto Gamma / Lambda elements; second-order cross terms in
     (z, p^2, epsilon) are dropped.  Each of the 17 Gamma_kl / Lambda_kl
-    elements is evaluated once per point, and each Q / R block once.
+    elements is evaluated once per call, and each Q / R block once.  The
+    parameters may be numpy arrays of one broadcast shape (a sweep grid);
+    every field then is an array of that shape, evaluated elementwise.
     """
-    mu = delta * cmath.exp(1j * phi)
-    lam = beta * cmath.exp(1j * theta)
+    mu = delta * np.exp(1j * phi)
+    lam = beta * np.exp(1j * theta)
     q = p * p / 4.0
     G = functools.cache(functools.partial(_gaussian.gamma_kl, delta=delta,
                                           phi=phi, beta=beta, theta=theta))
@@ -345,15 +348,12 @@ def general_dispersion(params: DeformationParams, n_max: int = 128,
             f"norm series tail {w[-3:].sum() / s0:.2e} above tolerance at "
             f"n_max={n_max}")
 
-    s_cp = complex(0)      # sum conj(C_n) C'_n
-    s_cpp = complex(0)     # sum conj(C_n) C''_n
-    s_pp = 0.0             # sum |C'_n|^2
-    for n in range(n_max + 1):
-        cb = c[n].conjugate()
-        cp = cnp0(c, n)
-        s_cp += cb * cp
-        s_cpp += cb * cnpp0(c, n)
-        s_pp += abs(cp) ** 2
+    # the cnp0 / cnpp0 terms for every n at once
+    n = np.arange(1, n_max + 1)
+    cp = np.sqrt(n / 2.0) * c[:-1]
+    s_cp = np.vdot(c[1:], cp)                       # sum conj(C_n) C'_n
+    s_cpp = np.vdot(c[2:], np.sqrt(n[1:] * (n[1:] - 1)) / 2.0 * c[:-2])
+    s_pp = np.vdot(cp, cp).real                     # sum |C'_n|^2
 
     mean_x = 2 * s_cp.real / s0
     mean_p = -2 * s_cp.imag / s0
@@ -385,28 +385,31 @@ class SweepRow:
 def sweep_rows(*, delta, phi, beta, theta, varying: str, grid, z, p):
     """Variance table rows over a phi or delta grid for one (z, p).
 
-    Yields one SweepRow per grid value, in grid order, from a single
-    perturbed_moments evaluation each.  Grid values are taken as Python
-    floats, so every row field is a plain float or bool.  validity_flag is
-    False where |epsilon| = |Omega~ - 1| exceeds the module threshold and
-    the first-order state can no longer be trusted.
+    Yields one SweepRow per grid value, in grid order.  The whole grid goes
+    through a single perturbed_moments call on numpy arrays; every row field
+    is then a plain float or bool.  validity_flag is False where
+    |epsilon| = |Omega~ - 1| exceeds the module threshold and the
+    first-order state can no longer be trusted.  A row with a non-finite
+    column raises NotConverged naming the first such grid value.
     """
     if varying not in ("phi", "delta"):
         raise BadParams("varying must be 'phi' or 'delta'")
-    for g in map(float, grid):
-        d, f = (delta, g) if varying == "phi" else (g, phi)
-        vx0, vp0 = mus_dispersions(d, f)
-        try:
-            m = perturbed_moments(d, f, beta, theta, z, p)
-            stats = m.stats
-            row = SweepRow(
-                grid_value=g, var_x_mus=vx0, var_p_mus=vp0,
-                var_x_def=stats.var_x, var_p_def=stats.var_p,
-                product_def=stats.product, srur_bound=stats.srur_bound,
-                validity_flag=abs(m.epsilon) <= VALIDITY_EPSILON_THRESHOLD)
-        except OverflowError as e:
-            raise NotConverged(f"moments overflow at {varying}={g}") from e
-        yield row
+    grid = [float(g) for g in grid]
+    point = (lambda g: (delta, g)) if varying == "phi" else (lambda g: (g, phi))
+    d, f = point(np.array(grid))
+    if not np.all((0 <= d) & (d < 1)):
+        raise BadParams("need 0 <= delta < 1")
+    with np.errstate(all="ignore"):
+        m = perturbed_moments(d, f, beta, theta, z, p)
+        st = m.stats
+        cols = (st.var_x, st.var_p, st.product, st.srur_bound)
+        ok = np.abs(m.epsilon) <= VALIDITY_EPSILON_THRESHOLD
+    bad = ~np.isfinite(cols).all(axis=0)
+    if bad.any():
+        raise NotConverged(f"moments overflow at {varying}="
+                           f"{grid[bad.argmax()]}")
+    for g, *row in zip(grid, *(c.tolist() for c in (*cols, ok))):
+        yield SweepRow(g, *mus_dispersions(*point(g)), *row)
 
 
 def figure_sweep(*, delta, phi, beta, theta, varying: str, grid,
@@ -414,7 +417,7 @@ def figure_sweep(*, delta, phi, beta, theta, varying: str, grid,
     """Variance table rows over a phi or delta grid, one block per (z, p).
 
     Returns a list of (z, p, rows), each rows list built by sweep_rows with
-    one perturbed_moments evaluation per grid point.
+    one perturbed_moments evaluation over the whole grid.
     """
     if np.isscalar(z_values):
         z_values = [z_values]

@@ -6,11 +6,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from deformed_heisenberg import cli
+from deformed_heisenberg import _gaussian, cli
 from deformed_heisenberg.errors import NotConverged
 
 PI = "3.141592653589793"
@@ -53,8 +54,8 @@ def test_sweep_layout_and_formatting(tmp_path):
     assert len(rows) == 200
     # floats carry 17 significant digits; booleans print as 0/1
     assert lines[2] == ("-3.1415926535897931,1.5,0.16666666666666666,"
-                        "1.4399999999999906,0.17333333333333484,"
-                        "0.24960000000000054,0.25,1")
+                        "1.4400000000000048,0.17333333333333473,"
+                        "0.24960000000000285,0.25,1")
     for r in rows:
         assert r[-1] in ("0", "1")
 
@@ -90,26 +91,26 @@ GOLDEN_SWEEP_HEADER = ("grid_value,var_x_mus,var_p_mus,var_x_def,var_p_def,"
                        "product_def,srur_bound,validity_flag")
 GOLDEN_SWEEP_ROWS = (
     "-1,0.43318937815802883,0.94776300279435233,"
-    "0.42324398851571132,0.94841457931052986,0.40141076931383907,"
-    "0.40136769419412643,1\n"
+    "0.4232439885157131,0.94841457931053075,0.40141076931384112,"
+    "0.40136769419412577,1\n"
     "-0.66666666666666674,0.31624416153478679,1.0647082194175943,"
-    "0.31005444151274553,1.0662762470037244,0.33060368626304604,"
-    "0.33065375108949185,1\n"
+    "0.31005444151274419,1.0662762470037235,0.33060368626304437,"
+    "0.33065375108949235,1\n"
     "-0.33333333333333337,0.24049669223107734,1.1404556887213038,"
-    "0.23739083480662004,1.1432975103828813,0.27140835042212252,"
-    "0.27148914248058997,1\n"
+    "0.23739083480662182,1.1432975103828831,0.27140835042212497,"
+    "0.2714891424805902,1\n"
     "0,0.21428571428571436,1.1666666666666667,"
-    "0.21354334041338663,1.1707084799715632,0.24999699946340595,"
+    "0.21354334041338707,1.170708479971565,0.24999699946340684,"
     "0.25006487846177994,1\n"
     "0.33333333333333326,0.24049669223107734,1.1404556887213038,"
-    "0.24138923855241912,1.1452395864374196,0.27644851173021612,"
-    "0.2764883033287836,1\n"
+    "0.24138923855241878,1.1452395864374192,0.27644851173021562,"
+    "0.27648830332878349,1\n"
     "0.66666666666666652,0.31624416153478674,1.0647082194175943,"
-    "0.31796825522276495,1.0695894285972445,0.34009548441577997,"
-    "0.34011012877269514,1\n"
+    "0.31796825522276462,1.0695894285972454,0.34009548441577991,"
+    "0.34011012877269486,1\n"
     "1,0.43318937815802883,0.94776300279435233,"
-    "0.43476340968707494,0.95217273273548186,0.41396986389513801,"
-    "0.41396836062542275,1\n"
+    "0.43476340968707505,0.95217273273548209,0.41396986389513823,"
+    "0.41396836062542242,1\n"
 )
 
 
@@ -214,36 +215,71 @@ def test_sweep_bad_params_removes_partial_file(tmp_path, capsys):
         assert "delta" in capsys.readouterr().err
 
 
-def test_sweep_not_converged_removes_partial_file(tmp_path, monkeypatch):
-    calls = {"n": 0}
-    real = cli.dispersion.perturbed_moments
-
-    def stall(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] >= 3:
-            raise NotConverged("synthetic stall for the abort path")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cli.dispersion, "perturbed_moments", stall)
+def test_sweep_not_converged_removes_partial_file(tmp_path, capsys):
+    # at beta = 1e60 the first-order moments overflow the float range
     out = tmp_path / "partial.csv"
-    buf = io.StringIO()
-    monkeypatch.setattr(sys, "stderr", buf)
-    rc = cli.main(["sweep-dispersion", "--steps", "10", "--min", "0",
-                   "--max", "1", "--out", str(out)])
+    rc = cli.main(["sweep-dispersion", "--steps", "3", "--beta", "1e60",
+                   "--out", str(out)])
     assert rc == 3
     assert not out.exists()
-    assert "error:" in buf.getvalue()
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta", ["1e60", "1e100", "1e300"])
+def test_sweep_non_finite_row_exits_3(beta, capsys):
+    # a row whose moments leave the float range is a convergence failure, not
+    # an inf in the table; numpy's overflow must not surface as a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["sweep-dispersion", "--steps", "3", "--beta", beta])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == ("error: moments overflow at "
+                            "phi=-3.141592653589793\n")
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = {"n": 0}
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("var", ["phi", "delta"])
+def test_sweep_cost_does_not_grow_with_steps(var, monkeypatch, capsys):
+    # the whole grid goes through one perturbed_moments call, so the number of
+    # Gaussian kernel calls is the same for 10 rows as for 2000
+    moments = _count_calls(monkeypatch, cli.dispersion, "perturbed_moments")
+    kernel = _count_calls(monkeypatch, _gaussian,
+                          "quadratic_exponential_derivative")
+    seen = []
+    for steps in ("10", "2000"):
+        moments["n"] = kernel["n"] = 0
+        assert cli.main(["sweep-dispersion", "--var", var, "--min", "0",
+                         "--max", "0.9", "--steps", steps, "--z", "0.003",
+                         "--p", "0.01"]) == 0
+        assert len(_data_rows(capsys.readouterr().out)) == int(steps)
+        assert moments["n"] == 1
+        seen.append(kernel["n"])
+    assert seen[0] == seen[1] > 0
 
 
 def test_sweep_reports_negative_variance_rows(capsys):
-    # at beta = 1e4, x2_mean - mean_x^2 cancels to var_p_def = -1085.5 at
+    # at beta = 100 the first-order z beta^3 terms drive var_x_def to -0.9 at
     # phi = +-pi; the table says so instead of exiting 0 silently
-    argv = ["sweep-dispersion", "--beta", "1e4", "--z", "0.002", "--steps",
+    argv = ["sweep-dispersion", "--beta", "100", "--z", "0.002", "--steps",
             "3"]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     rows = _data_rows(out)
-    assert [float(r[4]) < 0 for r in rows] == [True, False, True]
+    assert [float(r[3]) < 0 for r in rows] == [True, False, True]
+    assert float(rows[0][3]) == pytest.approx(-0.9, abs=1e-6)
     assert out.splitlines()[-1] == "# negative_variance_rows=2"
     assert cli.main([*argv, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -210,6 +210,58 @@ def test_perturbed_moments_two_assemblies_agree():
         assert abs(pm.p2_mean - lit[3]) < 1e-12
 
 
+def _grid_cases():
+    # (delta, phi) with one of them a grid array, at p = 0 and p = 0.01
+    for p in (0.0, 0.01):
+        for b, t, z in ((1.4, -2.0, 0.003), (0.5, 0.3, 0.0005),
+                        (2.0, 0.8 * math.pi, 0.005)):
+            yield (np.linspace(0.0, 0.9, 61), 0.7), b, t, z, p
+            yield (0.45, np.linspace(-math.pi, math.pi, 61)), b, t, z, p
+
+
+def _grid_points(dp):
+    d, f = dp
+    return [(float(x), f) for x in d] if np.ndim(d) else [(d, float(x))
+                                                         for x in f]
+
+
+def test_perturbed_moments_on_grid_match_literal_assembly():
+    # the array path against the scalar literal transcription, point by point,
+    # within 1e-12 of each moment's cancellation scale (measured 3.6e-15)
+    for dp, b, t, z, p in _grid_cases():
+        pm = perturbed_moments(*dp, b, t, z, p)
+        for i, (d, f) in enumerate(_grid_points(dp)):
+            mxs, x2, mps, p2 = _perturbed_moments_literal(d, f, b, t, z, p)
+            sx = 1 + abs(x2) + abs(mxs)
+            sp = 1 + abs(p2) + abs(mps)
+            assert abs(pm.mean_x_sq[i] - mxs) < 1e-12 * sx
+            assert abs(pm.x2_mean[i] - x2) < 1e-12 * sx
+            assert abs(pm.mean_p_sq[i] - mps) < 1e-12 * sp
+            assert abs(pm.p2_mean[i] - p2) < 1e-12 * sp
+
+
+def test_perturbed_moments_on_grid_match_scalar_calls():
+    # numpy's vector loops round differently from its scalar ones, so the
+    # match is to a few ulps of the scale (measured 4.4e-15), not bitwise
+    fields = ("mean_x_sq", "x2_mean", "mean_p_sq", "p2_mean", "epsilon",
+              "mean_a", "a_sq", "n_bar")
+    for dp, b, t, z, p in _grid_cases():
+        pm = perturbed_moments(*dp, b, t, z, p)
+        assert all(np.shape(getattr(pm, k)) == (61,) for k in fields)
+        for i, (d, f) in enumerate(_grid_points(dp)):
+            one = perturbed_moments(d, f, b, t, z, p)
+            scale = 1 + abs(one.x2_mean) + abs(one.p2_mean) + abs(one.n_bar)
+            for k in fields:
+                assert abs(getattr(pm, k)[i] - getattr(one, k)) < 1e-13 * scale
+
+
+def test_gaussian_elements_reject_delta_one_anywhere_in_grid():
+    with pytest.raises(ValueError):
+        gamma_element(1, 1, np.array([0.2, 1.0]), 0.3, 1.0, 0.1)
+    with pytest.raises(ValueError):
+        lambda_element(1, 1, np.array([0.2, 1.0]), 0.3, 1.0, 0.1)
+
+
 def test_perturbed_moments_track_matrix_amplitudes():
     # the leftover is second order; at beta = 2 the prefactor is ~1e3, so the
     # phi-wide bound is 5e-4 only once z drops to 5e-4 (measured 989 z^2)
@@ -300,6 +352,28 @@ def test_general_dispersion_matches_first_order():
     q1 = perturbed_quadrature_stats(0.4, 1.0, 1.2, 0.8 * math.pi, z, 0.0)
     assert abs(qs.var_x - q1.var_x) < 30 * z * z
     assert abs(qs.var_p - q1.var_p) < 30 * z * z
+
+
+def test_general_dispersion_sums_match_per_n_reference():
+    # the array sums against the per-n cnp0 / cnpp0 terms
+    prm = DeformationParams(z=0.004, lam=1.3 * cmath.exp(0.6j),
+                            mu=0.35 * cmath.exp(-1.2j))
+    n_max = 64
+    c, _ = fock_coefficients(prm, n_max, tol=1e-12)
+    s0 = float(np.sum(np.abs(c) ** 2))
+    s_cp = sum(c[n].conjugate() * cnp0(c, n) for n in range(n_max + 1))
+    s_cpp = sum(c[n].conjugate() * cnpp0(c, n) for n in range(n_max + 1))
+    s_pp = sum(abs(cnp0(c, n)) ** 2 for n in range(n_max + 1))
+    mean_x, mean_p = 2 * s_cp.real / s0, -2 * s_cp.imag / s0
+    x2 = -0.5 + (2 * s_cpp.real + 2 * s_pp) / s0
+    p2 = -0.5 + (-2 * s_cpp.real + 2 * s_pp) / s0
+    qs = general_dispersion(prm, n_max=n_max, tol=1e-12)
+    assert qs.mean_x == pytest.approx(mean_x, abs=1e-13)
+    assert qs.mean_p == pytest.approx(mean_p, abs=1e-13)
+    assert qs.var_x == pytest.approx(x2 - mean_x ** 2, abs=1e-13)
+    assert qs.var_p == pytest.approx(p2 - mean_p ** 2, abs=1e-13)
+    corr_f = -2 * (2 * s_cpp / s0).imag - 2 * mean_x * mean_p
+    assert qs.corr_f == pytest.approx(corr_f, abs=1e-13)
 
 
 def test_general_dispersion_zero_z_route():
