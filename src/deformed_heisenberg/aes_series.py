@@ -311,7 +311,10 @@ def normalization_c0(params: DeformationParams, n_max: int = 96, tol: float = 1e
                 break
         else:
             small = 0
-    tail = w / max(total, 1e-300)
+    # the last term alone can be a zero of an odd amplitude or undercut the
+    # terms already computed past the stop, so report their sum if larger
+    with np.errstate(over="ignore"):
+        tail = max(w, weights[used:].sum()) / max(total, 1e-300)
     if small < 3:
         raise NotConverged(
             f"norm series not converged by n_max={n_max} (tail {tail:.2e})")

@@ -137,7 +137,16 @@ def _check_common(args) -> str:
         return "steps must be >= 2"
     if hasattr(args, "vmin") and not (args.vmin < args.vmax):
         return "min must be < max"
+    if args.tol <= 0:
+        return "tol must be > 0"
     return ""
+
+
+def _require_zero(args, flags, scope):
+    """Refuse, rather than ignore, a flag the command's formulas take as 0."""
+    for flag in flags:
+        if getattr(args, flag) != 0:
+            raise BadParams(f"{scope}; use --{flag} 0")
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +157,7 @@ SWEEP_HEADER = [f.name for f in dataclasses.fields(dispersion.SweepRow)]
 
 
 def cmd_sweep_dispersion(args) -> int:
+    _require_zero(args, ("gamma",), "the first-order moments cover nu=0")
     rows = dispersion.sweep_rows(
         delta=args.delta, phi=args.phi, beta=args.beta, theta=args.theta,
         varying=args.var, grid=np.linspace(args.vmin, args.vmax, args.steps),
@@ -166,10 +176,8 @@ def cmd_sweep_dispersion(args) -> int:
 
 
 def cmd_state(args) -> int:
-    for flag in ("gamma", "p"):
-        if getattr(args, flag) != 0:
-            raise BadParams("state emission covers the one-parameter nu=0 "
-                            f"squeezed family; use --{flag} 0")
+    _require_zero(args, ("gamma", "p"), "state emission covers the "
+                  "one-parameter nu=0 squeezed family")
     params = DeformationParams.from_polar(z=args.z, delta=args.delta,
                                           phi=args.phi, beta=args.beta,
                                           theta=args.theta, gamma=0.0,

@@ -1,15 +1,14 @@
 """Quadrature statistics of the deformed states.
 
 Covers the X/P operators and their dispersions, the squeezed-vacuum matrix
-elements Gamma_kl / Lambda_kl, the first-order perturbed moment formulas, the
-all-order C_n(tau) dispersion sums, and the data sweeps behind the standard
-figure set (variance vs phi / delta).  The first-order moments take scalars
-or numpy arrays, so a sweep evaluates its whole grid in one call.
+elements Gamma_kl / Lambda_kl, the first-order perturbed moments and the
+variance tables built from them (sweep_rows, over a phi or delta grid), and
+the all-order dispersions of general_dispersion.  The first-order moments
+take scalars or numpy arrays, so a sweep evaluates its whole grid in one call.
 """
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -118,28 +117,6 @@ def gamma_matrix_table(delta, phi, beta, theta, k_max: int,
 def lambda_element(k: int, l: int, delta, phi, beta, theta) -> complex:
     """<0|D+ S+ a^k (a+)^l S D|0>, same generating-function route."""
     return _gaussian.lambda_kl(k, l, delta, phi, beta, theta)
-
-
-@dataclass(frozen=True)
-class MatrixElementTable:
-    """All Gamma_kl and Lambda_kl with k, l <= k_max."""
-
-    gamma: np.ndarray
-    lambda_elem: np.ndarray
-
-    @property
-    def k_max(self) -> int:
-        return self.gamma.shape[0] - 1
-
-
-def matrix_element_table(delta, phi, beta, theta, k_max: int) -> MatrixElementTable:
-    g = np.empty((k_max + 1, k_max + 1), dtype=complex)
-    lm = np.empty_like(g)
-    for k in range(k_max + 1):
-        for l in range(k_max + 1):
-            g[k, l] = gamma_element(k, l, delta, phi, beta, theta)
-            lm[k, l] = lambda_element(k, l, delta, phi, beta, theta)
-    return MatrixElementTable(gamma=g, lambda_elem=lm)
 
 
 # ---------------------------------------------------------------------------
@@ -287,68 +264,27 @@ def perturbed_quadrature_stats(delta, phi, beta, theta, z, p) -> QuadratureStats
 # all-order dispersions from C_n(tau)
 # ---------------------------------------------------------------------------
 
-def _reduced_coefficients(params: DeformationParams, n_max: int, tol: float):
-    """c_n with C_0 = 1 for the z-deformed squeezed state (nu = 0 sector),
-    any z (z = 0 gives the undeformed squeezed state).
-
-    These are the per-n inner double sums of the tau expansion with the
-    common exp factor cancelled against the normalization denominator; the
-    amplitudes come from the row recurrence of fock_coefficients.
-    """
+def general_dispersion(params: DeformationParams, n_max: int = 128,
+                       tol: float = 1e-12) -> QuadratureStats:
+    """All-order dispersions of X and P on the z-deformed squeezed state
+    (nu = 0, any z) from sums over n of C_n(0) = c_n, C'_n(0) = sqrt(n/2)
+    c_{n-1} and C''_n(0) = sqrt(n(n-1))/2 c_{n-2}, C_n(tau) being the
+    amplitudes of e^{tau a+ / sqrt2} on the C_0 = 1 state of
+    fock_coefficients; P follows by the tau -> i tau rule."""
     if params.nu != 0:
         raise BadParams("the all-order dispersion sums cover the nu = 0 states")
+    tol = max(tol, 1e-12)
     c, diag = fock_coefficients(params, n_max, tol=tol)
     if not diag.converged:
         raise NotConverged("coefficient routes disagree beyond tolerance")
-    return c
-
-
-def general_cn_tau(params: DeformationParams, n: int, tau: complex,
-                   n_max=None, tol: float = 1e-10) -> complex:
-    """C_n(tau): the n-th amplitude of e^{tau a+ / sqrt2} applied to the
-    (unnormalized, C_0 = 1) deformed squeezed state.
-
-        C_n(tau) = sum_r  (n r) (tau/sqrt2)^r sqrt((n-r)!/n!) c_{n-r}
-    """
-    if n_max is None:
-        n_max = n
-    c = _reduced_coefficients(params, max(n, n_max), tol)
-    total = 0.0 + 0.0j
-    for r in range(n + 1):
-        w = math.comb(n, r) * math.sqrt(math.factorial(n - r) / math.factorial(n))
-        total += (tau / SQRT2) ** r * w * c[n - r]
-    return total
-
-
-def cnp0(c, n: int) -> complex:
-    """C'_n(0) = sqrt(n/2) c_{n-1}; zero for n = 0."""
-    if n == 0:
-        return 0j
-    return math.sqrt(n / 2.0) * c[n - 1]
-
-
-def cnpp0(c, n: int) -> complex:
-    """C''_n(0) = sqrt(n(n-1))/2 c_{n-2}; zero for n < 2."""
-    if n < 2:
-        return 0j
-    return math.sqrt(n * (n - 1)) / 2.0 * c[n - 2]
-
-
-def general_dispersion(params: DeformationParams, n_max: int = 128,
-                       tol: float = 1e-12) -> QuadratureStats:
-    """All-order dispersions of X and P on the z-deformed squeezed state from
-    the C_n(0), C'_n(0), C''_n(0) sums; P follows by the tau -> i tau rule."""
-    c = _reduced_coefficients(params, n_max, max(tol, 1e-12))
     w = np.abs(c) ** 2
-    s0 = float(np.sum(w))
-    if s0 <= 0:
-        raise NotConverged("empty norm sum")
-    if w[-3:].sum() > max(tol, 1e-12) * s0:
+    s0 = float(np.sum(w))                           # >= |c_0|^2 = 1
+    if w[-3:].sum() > tol * s0:
         raise NotConverged(
             f"norm series tail {w[-3:].sum() / s0:.2e} above tolerance at "
             f"n_max={n_max}")
 
-    # the cnp0 / cnpp0 terms for every n at once
+    # C'_n(0) and C''_n(0) for every n at once
     n = np.arange(1, n_max + 1)
     cp = np.sqrt(n / 2.0) * c[:-1]
     s_cp = np.vdot(c[1:], cp)                       # sum conj(C_n) C'_n
@@ -410,20 +346,3 @@ def sweep_rows(*, delta, phi, beta, theta, varying: str, grid, z, p):
                            f"{grid[bad.argmax()]}")
     for g, *row in zip(grid, *(c.tolist() for c in (*cols, ok))):
         yield SweepRow(g, *mus_dispersions(*point(g)), *row)
-
-
-def figure_sweep(*, delta, phi, beta, theta, varying: str, grid,
-                 z_values, p_values):
-    """Variance table rows over a phi or delta grid, one block per (z, p).
-
-    Returns a list of (z, p, rows), each rows list built by sweep_rows with
-    one perturbed_moments evaluation over the whole grid.
-    """
-    if np.isscalar(z_values):
-        z_values = [z_values]
-    if np.isscalar(p_values):
-        p_values = [p_values]
-    return [(z, p, list(sweep_rows(delta=delta, phi=phi, beta=beta,
-                                   theta=theta, varying=varying, grid=grid,
-                                   z=z, p=p)))
-            for z, p in itertools.product(z_values, p_values)]

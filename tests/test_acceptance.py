@@ -25,12 +25,11 @@ from deformed_heisenberg.deformed_algebra import (DeformationParams,
                                                   build_realization,
                                                   commutator_residual_tilde,
                                                   commutator_residual_uzp)
-from deformed_heisenberg.dispersion import (figure_sweep, gamma_element,
+from deformed_heisenberg.dispersion import (gamma_element,
                                             general_dispersion,
-                                            matrix_element_table,
-                                            mus_dispersions,
+                                            lambda_element, mus_dispersions,
                                             perturbed_quadrature_stats,
-                                            quadrature_stats)
+                                            quadrature_stats, sweep_rows)
 from deformed_heisenberg.fock_core import (TruncationConfig, annihilation,
                                            creation, displacement_operator,
                                            squeeze_operator, vacuum)
@@ -192,8 +191,10 @@ def test_criterion_07_gamma_lambda_closed_forms():
             for _ in range(8):
                 av.append(a @ av[-1])
                 adv.append(ad @ adv[-1])
-            tab = matrix_element_table(d, phi, b, theta, 8)
-            g, lm = tab.gamma, tab.lambda_elem
+            g = np.array([[gamma_element(k, l, d, phi, b, theta)
+                           for l in range(9)] for k in range(9)])
+            lm = np.array([[lambda_element(k, l, d, phi, b, theta)
+                            for l in range(9)] for k in range(9)])
             assert g[0, 0] == 1.0 and lm[0, 0] == 1.0
             for k in range(9):
                 for l in range(9 - k):
@@ -217,11 +218,9 @@ def test_criterion_07_gamma_lambda_closed_forms():
 
 def test_criterion_08a_deformed_product_dominates_mus():
     grid = np.linspace(-math.pi, math.pi, 161)
-    blocks = figure_sweep(delta=0.5, phi=None, beta=2.0,
-                          theta=0.8 * math.pi, varying="phi", grid=grid,
-                          z_values=0.0025, p_values=0.01)
-    deficit = min(r.product_def - r.var_x_mus * r.var_p_mus
-                  for r in blocks[0][2])
+    rows = sweep_rows(delta=0.5, phi=None, beta=2.0, theta=0.8 * math.pi,
+                      varying="phi", grid=grid, z=0.0025, p=0.01)
+    deficit = min(r.product_def - r.var_x_mus * r.var_p_mus for r in rows)
     print(f"criterion 08a: smallest product margin over the undeformed "
           f"minimum {deficit:.3e} (bound -1e-9)")
     assert deficit >= -1e-9, (
@@ -232,11 +231,9 @@ def test_criterion_08a_deformed_product_dominates_mus():
 
 def test_criterion_08b_product_decreases_with_p():
     grid = np.linspace(-math.pi, math.pi, 41)
-    blocks = figure_sweep(delta=0.5, phi=None, beta=2.0,
-                          theta=0.8 * math.pi, varying="phi", grid=grid,
-                          z_values=0.003, p_values=[0.0, 0.06, 0.11])
-    prod = {p: np.array([r.product_def for r in rows])
-            for _, p, rows in blocks}
+    prod = {p: np.array([r.product_def for r in sweep_rows(
+        delta=0.5, phi=None, beta=2.0, theta=0.8 * math.pi, varying="phi",
+        grid=grid, z=0.003, p=p)]) for p in (0.0, 0.06, 0.11)}
     worst_creep = -math.inf
     for lo, hi in ((0.0, 0.06), (0.06, 0.11)):
         diff = prod[hi] - prod[lo]
@@ -248,11 +245,10 @@ def test_criterion_08b_product_decreases_with_p():
 
 
 def test_criterion_08c_validity_flag_trips_past_075():
-    blocks = figure_sweep(delta=None, phi=math.pi / 6, beta=2.0,
-                          theta=0.8 * math.pi, varying="delta",
-                          grid=[0.1, 0.3, 0.5, 0.7, 0.75, 0.76, 0.8],
-                          z_values=0.0025, p_values=0.01)
-    rows = blocks[0][2]
+    rows = list(sweep_rows(delta=None, phi=math.pi / 6, beta=2.0,
+                           theta=0.8 * math.pi, varying="delta",
+                           grid=[0.1, 0.3, 0.5, 0.7, 0.75, 0.76, 0.8],
+                           z=0.0025, p=0.01))
     flags = [r.validity_flag for r in rows]
     assert flags == [True, True, True, True, True, False, False]
     margin = min(r.product_def - r.var_x_mus * r.var_p_mus

@@ -344,6 +344,20 @@ def test_state_zero_z_c0_at_dim_700(tmp_path):
     assert abs(c0 - want) < 1e-13
 
 
+@pytest.mark.parametrize("argv, least", [
+    # weights past the stop point sum to 1.21e-11 of the total, 15 times
+    # the last term
+    ([*ZERO_Z_WIDE, "--dim", "700"], 1.2e-11),
+    # the squeezed vacuum stops on an odd amplitude, which is exactly zero
+    (["state", "--z", "0", "--delta", "0.5", "--beta", "0"], 1.3e-13),
+])
+def test_state_tail_estimate_counts_computed_remainder(argv, least, capsys):
+    assert cli.main(argv) == 0
+    trailer = capsys.readouterr().out.splitlines()[-1]
+    assert trailer.startswith("# tail_estimate=")
+    assert float(trailer.partition("=")[2]) >= least
+
+
 def test_state_zero_z_unnormalizable_is_exit_3(capsys):
     # |mu| >= 1 has no norm at z = 0, like the NotConverged cases at z != 0
     rc = cli.main(["state", "--z", "0", "--delta", "1.2"])
@@ -389,6 +403,29 @@ def test_state_rejects_nonzero_gamma(capsys):
     rc = cli.main(["state", "--dim", "16", "--p", "0.4"])
     assert rc == 2
     assert "--p" in capsys.readouterr().err
+
+
+def test_sweep_rejects_nonzero_gamma(tmp_path, capsys):
+    # the first-order moments are the nu = 0 ones: --gamma is refused, not
+    # ignored under a meta line that claims it
+    assert cli.main(["sweep-dispersion", "--gamma", "0.5", "--steps", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--gamma 0" in err
+    path = tmp_path / "sweep.csv"
+    assert cli.main(["sweep-dispersion", "--gamma=-1e-3", "--steps", "2",
+                     "--out", str(path)]) == 2
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-10", "-0.0"])
+def test_nonpositive_tol_is_usage_error(tol, capsys):
+    # not a convergence failure: the series converges, the request cannot
+    for argv in (["state", "--dim", "16"], ["sweep-dispersion", "--steps", "2"]):
+        assert cli.main([*argv, f"--tol={tol}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: tol must be > 0\n"
 
 
 def _run_cli(argv, timeout):

@@ -12,19 +12,16 @@ from deformed_heisenberg.aes_series import (deformed_squeezed_state,
                                             two_param_perturbed_state)
 from deformed_heisenberg.deformed_algebra import DeformationParams
 from deformed_heisenberg.dispersion import (VALIDITY_EPSILON_THRESHOLD,
-                                            _perturbed_moments_literal, cnp0,
-                                            cnpp0, figure_sweep,
+                                            _perturbed_moments_literal,
                                             gamma_element,
                                             gamma_matrix_table,
-                                            general_cn_tau,
                                             general_dispersion,
                                             lambda_element,
-                                            matrix_element_table,
                                             momentum_operator,
                                             mus_dispersions, perturbed_moments,
                                             perturbed_quadrature_stats,
                                             position_operator,
-                                            quadrature_stats)
+                                            quadrature_stats, sweep_rows)
 from deformed_heisenberg.errors import BadParams, NotConverged, TailTooHeavy
 from deformed_heisenberg.fock_core import (TruncationConfig, coherent_state,
                                            displacement_operator,
@@ -176,10 +173,12 @@ def test_gamma_matrix_table_matches_per_element_sandwich():
             assert abs(table[k, l] - ref) < 1e-14 * max(1.0, abs(ref))
 
 
-def test_matrix_element_table_symmetries():
-    tab = matrix_element_table(0.45, 1.1, 1.4, 0.3, 6)
-    assert tab.k_max == 6
-    g, lm = tab.gamma, tab.lambda_elem
+def test_gamma_lambda_element_symmetries():
+    args = (0.45, 1.1, 1.4, 0.3)
+    g = np.array([[gamma_element(k, l, *args) for l in range(7)]
+                  for k in range(7)])
+    lm = np.array([[lambda_element(k, l, *args) for l in range(7)]
+                   for k in range(7)])
     assert g[0, 0] == 1.0 and lm[0, 0] == 1.0
     # the first row/column identities come out of one shared code path: exact
     assert np.abs(g[0, :] - lm[:, 0]).max() == 0.0
@@ -301,26 +300,6 @@ def test_perturbed_quadrature_stats_view():
     assert qs.mean_p == pytest.approx(math.sqrt(2) * pm.mean_a.imag, abs=1e-14)
 
 
-def test_general_cn_tau_and_derivatives():
-    prm = DeformationParams(z=0.01, lam=1.2 * cmath.exp(0.5j),
-                            mu=0.4 * cmath.exp(1.1j))
-    c, diag = fock_coefficients(prm, 12, tol=1e-10)
-    assert diag.converged
-    for n in range(8):
-        assert general_cn_tau(prm, n, 0.0) == c[n]
-    assert cnp0(c, 0) == 0j
-    assert cnpp0(c, 0) == 0j
-    assert cnpp0(c, 1) == 0j
-    for n in (1, 2, 5, 8):
-        h = 1e-5
-        fd1 = (general_cn_tau(prm, n, h) - general_cn_tau(prm, n, -h)) / (2 * h)
-        assert abs(fd1 - cnp0(c, n)) < 1e-9
-        h = 1e-4
-        fd2 = (general_cn_tau(prm, n, h) - 2 * general_cn_tau(prm, n, 0.0)
-               + general_cn_tau(prm, n, -h)) / h ** 2
-        assert abs(fd2 - cnpp0(c, n)) < 1e-7
-
-
 def test_general_dispersion_small_z_limit():
     prm = DeformationParams(z=1e-6, lam=2 * cmath.exp(0.8j * math.pi),
                             mu=0.3 * cmath.exp(1j * math.pi / 6))
@@ -355,15 +334,19 @@ def test_general_dispersion_matches_first_order():
 
 
 def test_general_dispersion_sums_match_per_n_reference():
-    # the array sums against the per-n cnp0 / cnpp0 terms
+    # the array sums against per-n terms: C'_n(0) = sqrt(n/2) c_{n-1} and
+    # C''_n(0) = sqrt(n(n-1))/2 c_{n-2}, both zero below their first index
     prm = DeformationParams(z=0.004, lam=1.3 * cmath.exp(0.6j),
                             mu=0.35 * cmath.exp(-1.2j))
     n_max = 64
     c, _ = fock_coefficients(prm, n_max, tol=1e-12)
+    cp = [0j] + [math.sqrt(n / 2.0) * c[n - 1] for n in range(1, n_max + 1)]
+    cpp = [0j, 0j] + [math.sqrt(n * (n - 1)) / 2.0 * c[n - 2]
+                      for n in range(2, n_max + 1)]
     s0 = float(np.sum(np.abs(c) ** 2))
-    s_cp = sum(c[n].conjugate() * cnp0(c, n) for n in range(n_max + 1))
-    s_cpp = sum(c[n].conjugate() * cnpp0(c, n) for n in range(n_max + 1))
-    s_pp = sum(abs(cnp0(c, n)) ** 2 for n in range(n_max + 1))
+    s_cp = sum(c[n].conjugate() * cp[n] for n in range(n_max + 1))
+    s_cpp = sum(c[n].conjugate() * cpp[n] for n in range(n_max + 1))
+    s_pp = sum(abs(cp[n]) ** 2 for n in range(n_max + 1))
     mean_x, mean_p = 2 * s_cp.real / s0, -2 * s_cp.imag / s0
     x2 = -0.5 + (2 * s_cpp.real + 2 * s_pp) / s0
     p2 = -0.5 + (-2 * s_cpp.real + 2 * s_pp) / s0
@@ -395,13 +378,10 @@ def test_general_dispersion_error_paths():
                                              mu=0.5), n_max=24)
 
 
-def test_figure_sweep_structure_and_bands():
+def test_sweep_rows_structure_and_bands():
     grid = np.linspace(-math.pi, math.pi, 41)
-    blocks = figure_sweep(delta=0.5, phi=None, beta=2.0, theta=0.8 * math.pi,
-                          varying="phi", grid=grid, z_values=[0.001, 0.002],
-                          p_values=0.0)
-    assert [(z, p) for z, p, _ in blocks] == [(0.001, 0.0), (0.002, 0.0)]
-    rows = blocks[0][2]
+    rows = list(sweep_rows(delta=0.5, phi=None, beta=2.0, theta=0.8 * math.pi,
+                           varying="phi", grid=grid, z=0.001, p=0.0))
     assert len(rows) == 41
     assert [r.grid_value for r in rows] == pytest.approx(list(grid))
     for r in rows:
@@ -417,16 +397,15 @@ def test_figure_sweep_structure_and_bands():
         # first-order rows may undershoot the bound by their own O(z^2) error
         assert r.product_def >= r.srur_bound - 1e-4
     with pytest.raises(BadParams):
-        figure_sweep(delta=0.5, phi=0.0, beta=2.0, theta=0.8 * math.pi,
-                     varying="x", grid=[0.1], z_values=0.001, p_values=0.0)
+        list(sweep_rows(delta=0.5, phi=0.0, beta=2.0, theta=0.8 * math.pi,
+                        varying="x", grid=[0.1], z=0.001, p=0.0))
 
 
-def test_figure_sweep_p_trend():
+def test_sweep_rows_p_trend():
     grid = np.linspace(-math.pi, math.pi, 41)
-    blocks = figure_sweep(delta=0.5, phi=None, beta=2.0, theta=0.8 * math.pi,
-                          varying="phi", grid=grid, z_values=0.003,
-                          p_values=[0.0, 0.06, 0.11])
-    prod = {p: np.array([r.product_def for r in rows]) for _, p, rows in blocks}
+    prod = {p: np.array([r.product_def for r in sweep_rows(
+        delta=0.5, phi=None, beta=2.0, theta=0.8 * math.pi, varying="phi",
+        grid=grid, z=0.003, p=p)]) for p in (0.0, 0.06, 0.11)}
     # increasing p lowers the product over most of the circle; the slack
     # absorbs the O(p^4) spots where it creeps up by a few 1e-5
     for lo, hi in ((0.0, 0.06), (0.06, 0.11)):
@@ -435,14 +414,13 @@ def test_figure_sweep_p_trend():
         assert np.median(diff) < 0.0
 
 
-def test_figure_sweep_validity_flag():
+def test_sweep_rows_validity_flag():
     # delta sweep at the settings that calibrated the threshold: the flag
     # drops between 0.75 (|eps| = 0.0744) and 0.76 (|eps| = 0.0827)
-    blocks = figure_sweep(delta=None, phi=math.pi / 6, beta=2.0,
-                          theta=0.8 * math.pi, varying="delta",
-                          grid=[0.5, 0.7, 0.75, 0.76, 0.8],
-                          z_values=0.0025, p_values=0.01)
-    flags = [r.validity_flag for r in blocks[0][2]]
+    rows = sweep_rows(delta=None, phi=math.pi / 6, beta=2.0,
+                      theta=0.8 * math.pi, varying="delta",
+                      grid=[0.5, 0.7, 0.75, 0.76, 0.8], z=0.0025, p=0.01)
+    flags = [r.validity_flag for r in rows]
     assert flags == [True, True, True, False, False]
     eps75 = perturbed_moments(0.75, math.pi / 6, 2.0, 0.8 * math.pi,
                               0.0025, 0.01).epsilon
