@@ -15,10 +15,10 @@ from .errors import (BadParams, BranchCut, DeformedHeisenbergError,
                      IllConditioned, NonNormalizable, NotConverged,
                      NotNilpotent, PhaseWindow, SingularCosh,
                      TailTooHeavy, ZeroNorm)
-from .fock_core import (DEFAULT_CONFIG, TruncationConfig, annihilation,
-                        coherent_state, creation, displacement_operator,
-                        expectation, guarded_norm, inner_product, norm,
-                        normalize, number_operator, squeeze_operator, vacuum)
+from .fock_core import (TruncationConfig, annihilation, coherent_state,
+                        creation, displacement_operator, expectation,
+                        guarded_norm, inner_product, norm, normalize,
+                        number_operator, squeeze_operator, vacuum)
 
 __all__ = [
     "AlgebraTriple", "DeformationParams", "RealizationKind",
@@ -27,8 +27,7 @@ __all__ = [
     "BadParams", "BranchCut", "DeformedHeisenbergError", "IllConditioned",
     "NonNormalizable", "NotConverged", "NotNilpotent", "PhaseWindow",
     "SingularCosh", "TailTooHeavy", "ZeroNorm",
-    "DEFAULT_CONFIG", "TruncationConfig", "annihilation", "coherent_state",
-    "creation", "displacement_operator", "expectation", "guarded_norm",
-    "inner_product", "norm", "normalize", "number_operator",
-    "squeeze_operator", "vacuum",
+    "TruncationConfig", "annihilation", "coherent_state", "creation",
+    "displacement_operator", "expectation", "guarded_norm", "inner_product",
+    "norm", "normalize", "number_operator", "squeeze_operator", "vacuum",
 ]

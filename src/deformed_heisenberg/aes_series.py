@@ -296,7 +296,11 @@ def fock_coefficients(params: DeformationParams, n_max: int, k_cutoff=None,
 
 
 def normalization_c0(params: DeformationParams, n_max: int = 96, tol: float = 1e-12):
-    """Real positive C_0 with sum |c_n|^2 = 1, by adaptive partial sums."""
+    """Real positive C_0 with sum |c_n|^2 = 1, by adaptive partial sums.
+
+    The sum stops after three terms in a row below tol of the running total;
+    NotConverged is raised if it does not, or if the weights computed past
+    the stop (up to n_max) exceed sqrt(tol) of the accepted total."""
     _phase_window_check(params)
     amps = _amplitudes(params, n_max)
     with np.errstate(over="ignore", invalid="ignore"):   # inf or nan: not converged
@@ -314,8 +318,10 @@ def normalization_c0(params: DeformationParams, n_max: int = 96, tol: float = 1e
     # the last term alone can be a zero of an odd amplitude or undercut the
     # terms already computed past the stop, so report their sum if larger
     with np.errstate(over="ignore"):
-        tail = max(w, weights[used:].sum()) / max(total, 1e-300)
-    if small < 3:
+        rest = weights[used:].sum()
+    tail = max(w, rest) / max(total, 1e-300)
+    # a series that dips below tol and grows again is not converged; nan fails
+    if small < 3 or not rest <= math.sqrt(tol) * total:
         raise NotConverged(
             f"norm series not converged by n_max={n_max} (tail {tail:.2e})")
     return 1.0 / math.sqrt(total), SeriesDiagnostics(terms_used=used,

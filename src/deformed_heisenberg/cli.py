@@ -1,5 +1,11 @@
 """Command-line front end: dheis {sweep-dispersion | state | verify | spectrum}.
 
+Each subcommand accepts only the flags it reads (SUBCOMMAND_FLAGS):
+  sweep-dispersion: delta phi beta theta z p var min max steps format out
+  state: delta phi beta theta z p (0 only) dim tol format out
+  verify: dim guard suite out (the report is always JSON)
+  spectrum: delta phi z dim format out
+
 Emits deterministic machine-readable tables (CSV with a '#' metadata line, or
 JSON mirroring the same schema).  Exit codes: 0 ok, 1 invariant failure,
 2 usage, 3 convergence failure or a state with no finite norm,
@@ -52,14 +58,7 @@ def _jsonable(v):
 
 
 def _meta(args) -> dict:
-    keep = ("subcommand delta phi beta theta gamma eta_phase z p var vmin "
-            "vmax steps dim guard tol format out suite nu".split())
-    out = {}
-    for k in keep:
-        if hasattr(args, k):
-            v = getattr(args, k)
-            out[k.replace("vmin", "min").replace("vmax", "max")] = v
-    return out
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def _open_out(path):
@@ -114,10 +113,6 @@ class _Writer:
                 os.remove(self.path)
 
 
-def _cfg(args) -> TruncationConfig:
-    return TruncationConfig(dim=args.dim, guard=args.guard)
-
-
 VERIFY_SUITES = ("fock", "algebra", "series", "paragrassmann", "dispersion",
                  "pseudo")
 
@@ -125,28 +120,21 @@ VERIFY_SUITES = ("fock", "algebra", "series", "paragrassmann", "dispersion",
 def _check_common(args) -> str:
     for name, v in vars(args).items():
         if isinstance(v, float) and not math.isfinite(v):
-            flag = {"vmin": "min", "vmax": "max"}.get(name, name)
-            return f"--{flag.replace('_', '-')} must be finite"
-    if args.dim < 8:
+            return f"--{name} must be finite"
+    if getattr(args, "dim", 8) < 8:
         return "dim must be >= 8"
-    if not (args.guard == -1 or 0 <= args.guard < args.dim):
+    if hasattr(args, "guard") and not (args.guard == -1
+                                       or 0 <= args.guard < args.dim):
         return "guard must be -1 (dim // 4) or in 0..dim-1"
     if getattr(args, "suite", None) not in (None, *VERIFY_SUITES):
         return f"unknown suite {args.suite!r}"
     if getattr(args, "steps", 2) < 2:
         return "steps must be >= 2"
-    if hasattr(args, "vmin") and not (args.vmin < args.vmax):
+    if hasattr(args, "min") and not (args.min < args.max):
         return "min must be < max"
-    if args.tol <= 0:
+    if getattr(args, "tol", 1.0) <= 0:
         return "tol must be > 0"
     return ""
-
-
-def _require_zero(args, flags, scope):
-    """Refuse, rather than ignore, a flag the command's formulas take as 0."""
-    for flag in flags:
-        if getattr(args, flag) != 0:
-            raise BadParams(f"{scope}; use --{flag} 0")
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +145,9 @@ SWEEP_HEADER = [f.name for f in dataclasses.fields(dispersion.SweepRow)]
 
 
 def cmd_sweep_dispersion(args) -> int:
-    _require_zero(args, ("gamma",), "the first-order moments cover nu=0")
     rows = dispersion.sweep_rows(
         delta=args.delta, phi=args.phi, beta=args.beta, theta=args.theta,
-        varying=args.var, grid=np.linspace(args.vmin, args.vmax, args.steps),
+        varying=args.var, grid=np.linspace(args.min, args.max, args.steps),
         z=args.z, p=args.p)
     with _Writer(args.out, args.format, _meta(args), SWEEP_HEADER) as w:
         negative = 0
@@ -176,8 +163,9 @@ def cmd_sweep_dispersion(args) -> int:
 
 
 def cmd_state(args) -> int:
-    _require_zero(args, ("gamma", "p"), "state emission covers the "
-                  "one-parameter nu=0 squeezed family")
+    if args.p != 0:
+        raise BadParams("state emission covers the one-parameter nu=0 "
+                        "squeezed family; use --p 0")
     params = DeformationParams.from_polar(z=args.z, delta=args.delta,
                                           phi=args.phi, beta=args.beta,
                                           theta=args.theta, gamma=0.0,
@@ -259,7 +247,7 @@ def _verify_checks(args):
     rest of the report; small boxes trip the tail guards.  error is None for
     a check that ran.
     """
-    cfg = _cfg(args)
+    cfg = TruncationConfig(dim=args.dim, guard=args.guard)
     checks = [
         ("fock", "canonical_xp_commutator", lambda: _check_xp(cfg), 1e-10),
         ("fock", "coherent_normalization",
@@ -321,8 +309,7 @@ def _check_report(suite, name, residual, bound, error) -> dict:
 
 def cmd_verify(args) -> int:
     rows = _verify_checks(args)
-    report = {"meta": {k: _fmt(v) if isinstance(v, float) else v
-                       for k, v in _meta(args).items()},
+    report = {"meta": _meta(args),
               "checks": [_check_report(*r) for r in rows]}
     report["passed"] = all(c["passed"] for c in report["checks"])
     text = json.dumps(report, indent=1, sort_keys=True) + "\n"
@@ -335,7 +322,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _cfg(args)
+    cfg = TruncationConfig(dim=args.dim)
     mu = args.delta * cmath.exp(1j * args.phi)
     header = ["n", "h_eig", "h_deviation", "ht_eig", "ht_deviation"]
     with _Writer(args.out, args.format, _meta(args), header) as w:
@@ -357,20 +344,43 @@ def cmd_spectrum(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
-    sp.add_argument("--delta", type=float, default=0.5)
-    sp.add_argument("--phi", type=float, default=0.0)
-    sp.add_argument("--beta", type=float, default=1.0)
-    sp.add_argument("--theta", type=float, default=0.0)
-    sp.add_argument("--gamma", type=float, default=0.0)
-    sp.add_argument("--eta-phase", dest="eta_phase", type=float, default=0.0)
-    sp.add_argument("--z", type=float, default=0.001)
-    sp.add_argument("--p", type=float, default=0.0)
-    sp.add_argument("--dim", type=int, default=64)
-    sp.add_argument("--guard", type=int, default=-1)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", default=None)
+# every flag once, as add_argument keywords; dest is the flag name
+FLAGS = {
+    "delta": dict(type=float, default=0.5),
+    "phi": dict(type=float, default=0.0),
+    "beta": dict(type=float, default=1.0),
+    "theta": dict(type=float, default=0.0),
+    "z": dict(type=float, default=0.001),
+    "p": dict(type=float, default=0.0),
+    "var": dict(choices=("phi", "delta"), default="phi"),
+    "min": dict(type=float, default=-math.pi),
+    "max": dict(type=float, default=math.pi),
+    "steps": dict(type=int, default=200),
+    "dim": dict(type=int, default=64),
+    "guard": dict(type=int, default=-1),
+    "tol": dict(type=float, default=1e-10),
+    "suite": dict(help=f"restrict to one suite ({', '.join(VERIFY_SUITES)})"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "out": {},
+}
+
+# the flags each subcommand reads, and no others
+SUBCOMMAND_FLAGS = {
+    "sweep-dispersion": ("delta", "phi", "beta", "theta", "z", "p", "var",
+                         "min", "max", "steps", "format", "out"),
+    "state": ("delta", "phi", "beta", "theta", "z", "p", "dim", "tol",
+              "format", "out"),
+    "verify": ("dim", "guard", "suite", "out"),
+    "spectrum": ("delta", "phi", "z", "dim", "format", "out"),
+}
+
+_COMMANDS = {
+    "sweep-dispersion": (cmd_sweep_dispersion,
+                         "variance table over a phi or delta grid"),
+    "state": (cmd_state, "Fock amplitudes of a deformed squeezed state"),
+    "verify": (cmd_verify, "run the invariant suites (JSON report)"),
+    "spectrum": (cmd_spectrum, "H and H~ spectra with deviations"),
+}
 
 
 def _build_parser():
@@ -378,29 +388,13 @@ def _build_parser():
         prog="dheis",
         description="Deformed Heisenberg algebra states: data tables and checks")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    sp = sub.add_parser("sweep-dispersion",
-                        help="variance table over a phi or delta grid")
-    _add_common(sp)
-    sp.add_argument("--var", choices=("phi", "delta"), default="phi")
-    sp.add_argument("--min", dest="vmin", type=float, default=-math.pi)
-    sp.add_argument("--max", dest="vmax", type=float, default=math.pi)
-    sp.add_argument("--steps", type=int, default=200)
-    sp.set_defaults(func=cmd_sweep_dispersion)
-
-    sp = sub.add_parser("state", help="Fock amplitudes of a deformed state")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_state)
-
-    sp = sub.add_parser("verify", help="run the invariant suites")
-    _add_common(sp)
-    sp.add_argument("--suite", default=None,
-                    help=f"restrict to one suite ({', '.join(VERIFY_SUITES)})")
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("spectrum", help="H and H~ spectra with deviations")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_spectrum)
+    for name, (func, text) in _COMMANDS.items():
+        flags = SUBCOMMAND_FLAGS[name]
+        sp = sub.add_parser(name, help=f"{text}; flags: "
+                            + " ".join(f"--{f}" for f in flags))
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **FLAGS[flag])
+        sp.set_defaults(func=func)
     return ap
 
 

@@ -51,9 +51,6 @@ class TruncationConfig:
         return self.dim - self.guard
 
 
-DEFAULT_CONFIG = TruncationConfig(dim=64, guard=16)
-
-
 def annihilation(cfg: TruncationConfig) -> FockOperator:
     """Matrix of a: entry (n-1, n) = sqrt(n)."""
     return np.diag(np.sqrt(np.arange(1, cfg.dim, dtype=float)), 1).astype(complex)

@@ -18,10 +18,10 @@ import numpy as np
 
 from .deformed_algebra import exp_coefficients
 from .errors import IllConditioned
-from .fock_core import (DEFAULT_CONFIG, FockOperator, FockVector,
-                        TruncationConfig, annihilation, creation,
-                        displacement_operator, guarded_norm, normalize,
-                        number_operator, series_operator, vacuum)
+from .fock_core import (FockOperator, FockVector, TruncationConfig,
+                        annihilation, creation, displacement_operator,
+                        guarded_norm, normalize, number_operator,
+                        series_operator, vacuum)
 
 ETA_CONDITION_LIMIT = 1e12
 
@@ -32,13 +32,13 @@ def _g_coefficients(mu: complex, z: float, N: int) -> np.ndarray:
     return np.r_[0.0, integrand[:N - 1] / np.arange(1, N)]
 
 
-def build_G(mu: complex, z: float, cfg: TruncationConfig = DEFAULT_CONFIG) -> FockOperator:
+def build_G(mu: complex, z: float, cfg: TruncationConfig) -> FockOperator:
     """G = exp(-mu sum_k (-z a+)^k/k! (a+)^2/(k+2)), an exact finite sum."""
     return series_operator(exp_coefficients(_g_coefficients(mu, z, cfg.dim),
                                             cfg.dim), cfg)
 
 
-def build_H(mu: complex, z: float, cfg: TruncationConfig = DEFAULT_CONFIG) -> FockOperator:
+def build_H(mu: complex, z: float, cfg: TruncationConfig) -> FockOperator:
     """H = a+a + mu e^{-z a+} (a+)^2: triangular with diagonal 0..N-1."""
     e = exp_coefficients([0.0, -z], cfg.dim)
     return number_operator(cfg) + series_operator(mu * np.r_[0.0, 0.0, e], cfg)
@@ -71,8 +71,7 @@ class PseudoHermitianSystem:
         return float(self.eta_eigs[-1]) / lo if lo > 0 else math.inf
 
 
-def build_system(mu: complex, z: float,
-                 cfg: TruncationConfig = DEFAULT_CONFIG) -> PseudoHermitianSystem:
+def build_system(mu: complex, z: float, cfg: TruncationConfig) -> PseudoHermitianSystem:
     """Assemble the full system.  With G^-1 = W Sigma V+, the metric is
     eta = V Sigma^2 V+, so rho = V Sigma V+ and rho^-1 = V Sigma^-1 V+ on the
     full space: rho^2 = eta to the SVD's backward error, which keeps rho G

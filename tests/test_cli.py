@@ -46,7 +46,7 @@ def test_sweep_layout_and_formatting(tmp_path):
     assert rc == 0
     lines = out.read_text().splitlines()
     # one-line flag echo, then the fixed header, then the grid
-    assert lines[0].startswith("# beta=2 delta=0.5 dim=64 ")
+    assert lines[0].startswith("# beta=2 delta=0.5 format=csv max=")
     assert "subcommand=sweep-dispersion" in lines[0]
     assert lines[1] == ("grid_value,var_x_mus,var_p_mus,var_x_def,var_p_def,"
                         "product_def,srur_bound,validity_flag")
@@ -83,10 +83,9 @@ GOLDEN_SWEEP_ARGV = ["sweep-dispersion", "--delta", "0.4", "--beta", "1.5",
                      "--var", "phi", "--min", "-1", "--max", "1",
                      "--steps", "7"]
 GOLDEN_SWEEP_META = {
-    "beta": 1.5, "delta": 0.4, "dim": 64, "eta_phase": 0.0, "gamma": 0.0,
-    "guard": -1, "max": 1.0, "min": -1.0, "out": None, "p": 0.02,
-    "phi": 0.0, "steps": 7, "subcommand": "sweep-dispersion", "theta": 0.7,
-    "tol": 1e-10, "var": "phi", "z": 0.003}
+    "beta": 1.5, "delta": 0.4, "max": 1.0, "min": -1.0, "out": None,
+    "p": 0.02, "phi": 0.0, "steps": 7, "subcommand": "sweep-dispersion",
+    "theta": 0.7, "var": "phi", "z": 0.003}
 GOLDEN_SWEEP_HEADER = ("grid_value,var_x_mus,var_p_mus,var_x_def,var_p_def,"
                        "product_def,srur_bound,validity_flag")
 GOLDEN_SWEEP_ROWS = (
@@ -117,10 +116,9 @@ GOLDEN_SWEEP_ROWS = (
 def test_sweep_golden_bytes(capsys):
     assert cli.main(GOLDEN_SWEEP_ARGV) == 0
     assert capsys.readouterr().out == (
-        "# beta=1.5 delta=0.40000000000000002 dim=64 eta_phase=0 format=csv "
-        "gamma=0 guard=-1 max=1 min=-1 out=None p=0.02 phi=0 steps=7 "
-        "subcommand=sweep-dispersion theta=0.69999999999999996 tol=1e-10 "
-        "var=phi z=0.0030000000000000001\n"
+        "# beta=1.5 delta=0.40000000000000002 format=csv max=1 min=-1 "
+        "out=None p=0.02 phi=0 steps=7 subcommand=sweep-dispersion "
+        "theta=0.69999999999999996 var=phi z=0.0030000000000000001\n"
         + GOLDEN_SWEEP_HEADER + "\n" + GOLDEN_SWEEP_ROWS)
 
     # the JSON document carries the same doubles, printed by repr
@@ -358,6 +356,28 @@ def test_state_tail_estimate_counts_computed_remainder(argv, least, capsys):
     assert float(trailer.partition("=")[2]) >= least
 
 
+@pytest.mark.parametrize("argv", [
+    # the norm series dips below tol at n = 150, then its weights grow to
+    # 9e22 of the accepted total by n = 700
+    ["--z", "0.04497", "--delta", "0.7721", "--beta", "2.266",
+     "--phi=0.9608", "--theta=-2.032", "--dim", "701"],
+    # here they overflow: the table used to print inf
+    ["--z", "0.29995", "--delta", "0.22217", "--beta", "0.57609",
+     "--phi", "1.9004", "--theta=-1.15176", "--dim", "701"],
+    # 1.7e22 of the total by n = 255, with a cross-check that passes: the
+    # amplitudes are right, the state has no norm in this box
+    ["--dim", "256", "--z", "0.3", "--delta", "0.1"],
+], ids=["regrowth", "overflow", "dim_256"])
+def test_state_norm_that_grows_past_its_stop_is_exit_3(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["state", *argv])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: norm series not converged by n_max=")
+
+
 def test_state_zero_z_unnormalizable_is_exit_3(capsys):
     # |mu| >= 1 has no norm at z = 0, like the NotConverged cases at z != 0
     rc = cli.main(["state", "--z", "0", "--delta", "1.2"])
@@ -396,9 +416,11 @@ def test_state_csv_diagnostics_trailer(tmp_path):
 
 
 def test_state_rejects_nonzero_gamma(capsys):
-    rc = cli.main(["state", "--gamma", "0.1"])
-    assert rc == 2
-    assert "gamma" in capsys.readouterr().err
+    # state has no --gamma flag: argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["state", "--gamma", "0.1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --gamma" in capsys.readouterr().err
     # the two-parameter states are not emitted: --p is refused, not ignored
     rc = cli.main(["state", "--dim", "16", "--p", "0.4"])
     assert rc == 2
@@ -406,26 +428,26 @@ def test_state_rejects_nonzero_gamma(capsys):
 
 
 def test_sweep_rejects_nonzero_gamma(tmp_path, capsys):
-    # the first-order moments are the nu = 0 ones: --gamma is refused, not
-    # ignored under a meta line that claims it
-    assert cli.main(["sweep-dispersion", "--gamma", "0.5", "--steps", "2"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "--gamma 0" in err
+    # the first-order moments are the nu = 0 ones: sweep-dispersion has no
+    # --gamma flag, so none is ignored under a meta line that claims it
     path = tmp_path / "sweep.csv"
-    assert cli.main(["sweep-dispersion", "--gamma=-1e-3", "--steps", "2",
-                     "--out", str(path)]) == 2
+    for argv in (["--gamma", "0.5"], ["--gamma=-1e-3", "--out", str(path)]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep-dispersion", *argv, "--steps", "2"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --gamma" in err
     assert not path.exists()
 
 
 @pytest.mark.parametrize("tol", ["0", "-1e-10", "-0.0"])
 def test_nonpositive_tol_is_usage_error(tol, capsys):
     # not a convergence failure: the series converges, the request cannot
-    for argv in (["state", "--dim", "16"], ["sweep-dispersion", "--steps", "2"]):
-        assert cli.main([*argv, f"--tol={tol}"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: tol must be > 0\n"
+    assert cli.main(["state", "--dim", "16", f"--tol={tol}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: tol must be > 0\n"
 
 
 def _run_cli(argv, timeout):
@@ -474,8 +496,9 @@ def test_failed_command_prints_nothing_on_stdout(argv, rc, capsys):
     ["--dim", "48", "--z", "0.0136372", "--p", "0", "--delta", "0.0158662",
      "--phi", "-2.07702", "--beta", "1.11137", "--theta", "-1.39953"],
     # |Y| = 2.2 runs the float check past n = 170, where z^n / sqrt(n!)
-    # leaves the float range
-    ["--dim", "256", "--z", "0.3", "--delta", "0.1"],
+    # leaves the float range (at z = 0.3 this state has no norm; see
+    # test_state_norm_that_grows_past_its_stop_is_exit_3)
+    ["--dim", "256", "--z", "0.15", "--delta", "0.1"],
 ], ids=["cancellation", "overflow", "past_factorial_overflow"])
 def test_state_cross_check_cannot_fail_correct_amplitudes(argv):
     proc = _run_cli(["state", *argv], timeout=60)
@@ -667,8 +690,6 @@ def test_verify_suite_runs_only_its_own_checks(monkeypatch, capsys):
     ["sweep-dispersion", "--steps", "3", "--z", "inf"],
     ["sweep-dispersion", "--steps", "3", "--min=-inf"],
     ["verify", "--dim", "8", "--guard", "9"],
-    ["spectrum", "--dim", "8", "--guard", "8"],
-    ["state", "--dim", "8", "--guard", "-2"],
 ])
 def test_nonfinite_floats_and_bad_guard_exit_2(argv, tmp_path):
     # a subprocess with a timeout, so that a hang fails instead of stalling
@@ -676,6 +697,26 @@ def test_nonfinite_floats_and_bad_guard_exit_2(argv, tmp_path):
     proc = _run_cli([*argv, "--out", str(out)], timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--z", "0.1"],
+    ["spectrum", "--beta", "1"],
+    ["sweep-dispersion", "--dim", "64"],
+    ["state", "--eta-phase", "1"],
+    ["spectrum", "--dim", "8", "--guard", "8"],
+    ["state", "--dim", "8", "--guard", "-2"],
+], ids=["verify-z", "spectrum-beta", "sweep-dim", "state-eta-phase",
+        "spectrum-guard", "state-guard"])
+def test_flag_the_subcommand_does_not_read_exits_2(argv, tmp_path):
+    # a flag the command would ignore is refused, not echoed in the meta line
+    out = tmp_path / "out.txt"
+    proc = _run_cli([*argv, "--out", str(out)], timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"unrecognized arguments: {argv[-2]}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
 
@@ -744,7 +785,7 @@ def test_spectrum_names_the_eta_condition(capsys):
 def test_flag_validation_exits_2(capsys):
     assert cli.main(["sweep-dispersion", "--steps", "1"]) == 2
     assert "steps" in capsys.readouterr().err
-    assert cli.main(["sweep-dispersion", "--dim", "4"]) == 2
+    assert cli.main(["state", "--dim", "4"]) == 2
     assert "dim" in capsys.readouterr().err
     assert cli.main(["sweep-dispersion", "--min", "1", "--max", "1"]) == 2
     assert "min" in capsys.readouterr().err

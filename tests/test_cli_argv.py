@@ -22,31 +22,38 @@ WILD = st.one_of(
                      float("nan"), float("inf"), float("-inf")]),
     st.floats(allow_nan=True, allow_infinity=True))
 
-FLOAT_FLAGS = ("delta", "phi", "beta", "theta", "gamma", "eta-phase", "z",
-               "p", "tol")
+
+def _float_flags(sub):
+    return [f for f in cli.SUBCOMMAND_FLAGS[sub]
+            if cli.FLAGS[f].get("type") is float]
 
 
 @st.composite
 def argvs(draw):
-    sub = draw(st.sampled_from(["state", "spectrum", "verify",
-                                "sweep-dispersion"]))
+    # each subcommand's own flags only, read from the parser's table
+    sub = draw(st.sampled_from(sorted(cli.SUBCOMMAND_FLAGS)))
+    own = cli.SUBCOMMAND_FLAGS[sub]
+    argv = [sub]
     dim = draw(st.integers(8, 24))
-    argv = [sub, f"--dim={dim}",
-            f"--format={draw(st.sampled_from(['csv', 'json']))}"]
-    flags = FLOAT_FLAGS + (("min", "max") if sub == "sweep-dispersion" else ())
-    values = {f: draw(SANE) for f in flags if draw(st.booleans())}
+    if "dim" in own:
+        argv.append(f"--dim={dim}")
+    if "format" in own:
+        argv.append(f"--format={draw(st.sampled_from(['csv', 'json']))}")
+    values = {f: draw(SANE) for f in _float_flags(sub) if draw(st.booleans())}
     if values and draw(st.booleans()):
         values[draw(st.sampled_from(sorted(values)))] = draw(WILD)
     # --flag=value, so that argparse never reads "-inf" as an option
     argv += [f"--{f}={v!r}" for f, v in values.items()]
-    guard = draw(st.one_of(st.none(), st.integers(-1, dim - 1),
-                           st.integers(-3, 30)))
-    if guard is not None:
-        argv.append(f"--guard={guard}")
-    if sub == "sweep-dispersion":
-        argv += [f"--steps={draw(st.integers(2, 40))}",
-                 f"--var={draw(st.sampled_from(['phi', 'delta']))}"]
-    if sub == "verify" and draw(st.booleans()):
+    if "guard" in own:
+        guard = draw(st.one_of(st.none(), st.integers(-1, dim - 1),
+                               st.integers(-3, 30)))
+        if guard is not None:
+            argv.append(f"--guard={guard}")
+    if "steps" in own:
+        argv.append(f"--steps={draw(st.integers(2, 40))}")
+    if "var" in own:
+        argv.append(f"--var={draw(st.sampled_from(['phi', 'delta']))}")
+    if "suite" in own and draw(st.booleans()):
         argv.append(f"--suite={draw(st.sampled_from(cli.VERIFY_SUITES))}")
     return argv
 
@@ -61,13 +68,12 @@ def argvs(draw):
 @example(argv=["spectrum", "--dim=19", "--z=12509968845.0"], to_file=True)
 @example(argv=["state", "--dim=8", "--z=1.0456480959940515e-171"],
          to_file=True)
-@example(argv=["sweep-dispersion", "--dim=8", "--beta=1e+300", "--steps=2"],
-         to_file=True)
-@example(argv=["sweep-dispersion", "--dim=8", "--beta=7.262834877752672e+49",
+@example(argv=["sweep-dispersion", "--beta=1e+300", "--steps=2"], to_file=True)
+@example(argv=["sweep-dispersion", "--beta=7.262834877752672e+49",
                "--p=5.685684151177333e+38", "--steps=4"], to_file=True)
 # the same failures with stdout as the target: a sweep that fails mid-grid
 # used to stream its first rows, and eta's overflow to print RuntimeWarnings
-@example(argv=["sweep-dispersion", "--dim=8", "--beta=7.262834877752672e+49",
+@example(argv=["sweep-dispersion", "--beta=7.262834877752672e+49",
                "--p=5.685684151177333e+38", "--steps=4"], to_file=False)
 @example(argv=["spectrum", "--dim=19", "--z=12509968845.0"], to_file=False)
 def test_accepted_argv_ends_in_documented_exit_code(argv, to_file):
