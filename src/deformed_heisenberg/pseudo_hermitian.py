@@ -26,9 +26,17 @@ from .fock_core import (FockOperator, FockVector, TruncationConfig,
 ETA_CONDITION_LIMIT = 1e12
 
 
+def _scaled_exp_series(c: complex, z: float, shift: int, N: int) -> np.ndarray:
+    """Coefficients of c x^shift e^{-z x}.  A huge z makes them inf or nan
+    without numpy warnings; build_system's finiteness and condition checks
+    turn that into an error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return c * np.r_[np.zeros(shift), exp_coefficients([0.0, -z], N)]
+
+
 def _g_coefficients(mu: complex, z: float, N: int) -> np.ndarray:
     """Coefficients of the exponent of G, g(s) = -mu int_0^s t e^{-z t} dt."""
-    integrand = -mu * np.r_[0.0, exp_coefficients([0.0, -z], N)]
+    integrand = _scaled_exp_series(-mu, z, 1, N)
     return np.r_[0.0, integrand[:N - 1] / np.arange(1, N)]
 
 
@@ -40,14 +48,14 @@ def build_G(mu: complex, z: float, cfg: TruncationConfig) -> FockOperator:
 
 def build_H(mu: complex, z: float, cfg: TruncationConfig) -> FockOperator:
     """H = a+a + mu e^{-z a+} (a+)^2: triangular with diagonal 0..N-1."""
-    e = exp_coefficients([0.0, -z], cfg.dim)
-    return number_operator(cfg) + series_operator(mu * np.r_[0.0, 0.0, e], cfg)
+    return number_operator(cfg) + series_operator(
+        _scaled_exp_series(mu, z, 2, cfg.dim), cfg)
 
 
 def _build_A(mu: complex, z: float, cfg: TruncationConfig) -> FockOperator:
     """The deformed annihilator  A = a + mu a+ e^{-z a+}."""
-    e = exp_coefficients([0.0, -z], cfg.dim)
-    return annihilation(cfg) + series_operator(mu * np.r_[0.0, e], cfg)
+    return annihilation(cfg) + series_operator(
+        _scaled_exp_series(mu, z, 1, cfg.dim), cfg)
 
 
 @dataclass(frozen=True, eq=False)

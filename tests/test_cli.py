@@ -575,10 +575,12 @@ print(json.dumps(seen))
 """
 
 
-def test_only_dense_exponentials_load_scipy():
-    # scipy is imported inside fock_core.matrix_exponential; importing it at
-    # module level doubles every request's start-up.  The test process has
-    # scipy loaded already, so this runs in a fresh interpreter.
+def test_cli_never_loads_scipy():
+    # scipy is imported inside fock_core.matrix_exponential, which only the
+    # dense reference operators call; S D|0> in verify is an expm_action on
+    # the vacuum.  Importing scipy would double every request's start-up.
+    # The test process has scipy loaded already, so this runs in a fresh
+    # interpreter.
     runs = [
         ("state", ["state", "--dim", "32", "--z", "0.01", "--delta", "0.2"]),
         ("sweep_phi", ["sweep-dispersion", "--steps", "5"]),
@@ -589,6 +591,7 @@ def test_only_dense_exponentials_load_scipy():
         ("verify_pseudo", ["verify", "--dim", "64", "--suite", "pseudo"]),
         ("verify_dispersion", ["verify", "--dim", "64", "--suite",
                                "dispersion"]),
+        ("verify", ["verify", "--dim", "64"]),
     ]
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
@@ -600,7 +603,7 @@ def test_only_dense_exponentials_load_scipy():
     assert seen == {"import": False, "state": [0, False],
                     "sweep_phi": [0, False], "sweep_delta": [0, False],
                     "spectrum": [0, False], "verify_pseudo": [0, False],
-                    "verify_dispersion": [0, True]}
+                    "verify_dispersion": [0, False], "verify": [0, False]}
 
 
 def test_verify_small_dim_reports_designed_failures(tmp_path, capsys):
@@ -780,6 +783,17 @@ def test_spectrum_names_the_eta_condition(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: eta condition number 1.435e+20 exceeds 1e+12")
+
+
+def test_spectrum_huge_z_exits_4_without_numpy_warnings():
+    # e^{-z a+} has non-finite coefficients here; mu times them used to print
+    # "invalid value encountered in multiply" RuntimeWarnings before the error
+    proc = _run_cli(["spectrum", "--dim", "8", "--z", "3.675416707529021e+44"],
+                    timeout=30)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
 def test_flag_validation_exits_2(capsys):
