@@ -4,7 +4,8 @@ The eigenstates of  e^{z a+} a + mu a+ + nu e^{z a+}  are built two independent
 ways: (i) Fock amplitudes c_n from the row recurrence of the eigen-equation,
 the production route for every z, z = 0 included (O(N^2), any dim), and
 (ii) the operator route: exp(x(a+))|0> for an exponent series x, with the
-exponential composed as a power series (fock_core.compose_series).  Two more
+exponential's coefficients from the recurrence of w' = x' w
+(deformed_algebra.exp_coefficients).  Two more
 routes only check (i): the exact-integer tables (upsilon_table,
 amplitude_coefficients), which the tests hold it against, and the unsummed
 double series that fock_coefficients evaluates as its cross-check (z != 0).

@@ -9,20 +9,24 @@ and the two-parameter algebra with
     [A, B] = 0,   [B, C] = -(2z/p^2)(cosh(pB) - 1),   [A, C] = (1/p) sinh(pB).
 
 The realizations are power series in a+ (or a, by transposition with z -> -z)
-built by fock_core.series_operator; the residual checks apply cosh, sinh and
-the reciprocal to those matrices by an independent route, their Taylor sums
-in dense matrix powers (triangular_matrix_function, Paterson-Stockmeyer).
+built by fock_core.series_operator.  Each coefficient list comes from the
+O(N^2) recurrence of its series' own ODE: exp_coefficients for e^{u(x)} and
+_pow_series for u(x)^c, with no series composition.  The residual checks
+apply cosh, sinh and the reciprocal to those matrices by an independent
+route, their Taylor sums in dense matrix powers (triangular_matrix_function,
+Paterson-Stockmeyer).
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import BadParams, SingularCosh
-from .fock_core import (FockOperator, TruncationConfig, annihilation,
-                        compose_series, creation, guarded_norm, series_operator,
+from .errors import BadParams, NotNilpotent, SingularCosh
+from .fock_core import (FockOperator, TruncationConfig, annihilation, creation,
+                        guarded_norm, series_operator,
                         triangular_matrix_function)
 
 
@@ -105,60 +109,59 @@ class AlgebraTriple:
 
 
 # ---------------------------------------------------------------------------
-# scalar Taylor-series generators (expansion coefficients f^(m)(alpha)/m!)
+# power-series kernels: each coefficient list from the recurrence of its ODE
 # ---------------------------------------------------------------------------
+
+def exp_coefficients(u, n):
+    """Coefficients of e^{u(x)} to order n-1, for u(0) = 0.
+
+    w = e^u solves w' = u' w, so m w_m = sum_{k=1}^{m} k u_k w_{m-k}: one dot
+    product per order, O(n^2) in all.  A huge u gives inf or nan without
+    numpy warnings; callers check finiteness where it matters.
+    """
+    u = np.asarray(u, dtype=complex)[:n]
+    if u[0] != 0:
+        raise NotNilpotent(f"exponent series has a nonzero constant term {u[0]}")
+    ku = np.arange(len(u)) * u
+    w = np.zeros(n, dtype=complex)
+    w[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, n):
+            k = min(m, len(u) - 1)
+            w[m] = ku[1:k + 1] @ w[m - 1::-1][:k] / m
+    return w
+
 
 def _pow_series(u, c, n):
     """Coefficients of (u(x))^c to order n-1 given coefficients of u, u[0] != 0.
 
-    J.C.P. Miller recurrence: w0 = u0^c, n w_n u0 = sum_k ((c+1)k - n) u_k w_{n-k}.
+    J.C.P. Miller recurrence (Knuth, TAOCP vol. 2, 4.7): w_0 = u_0^c,
+    m u_0 w_m = sum_{k=1}^{m} ((c+1)k - m) u_k w_{m-k}, one dot product per order.
     """
-    w = [complex(u[0]) ** c]
-    for m in range(1, n):
-        acc = 0.0j
-        for k in range(1, min(m, len(u) - 1) + 1):
-            acc += ((c + 1) * k - m) * u[k] * w[m - k]
-        w.append(acc / (m * u[0]))
+    u = np.asarray(u, dtype=complex)[:n]
+    k = np.arange(len(u))
+    w = np.zeros(n, dtype=complex)
+    w[0] = complex(u[0]) ** c
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, n):
+            j = min(m, len(u) - 1)
+            w[m] = ((((c + 1) * k[1:j + 1] - m) * u[1:j + 1])
+                    @ w[m - 1::-1][:j]) / (m * u[0])
     return w
 
 
-def exp_series(alpha, n):
-    """exp(alpha + x) = e^alpha sum x^m/m!."""
-    e = cmath.exp(alpha)
-    out, term = [], e
-    for m in range(n):
-        out.append(term)
-        term /= (m + 1)
-    return out
-
-
-def exp_coefficients(u, n):
-    """Coefficients of e^{u(x)} to order n-1, for u(0) = 0."""
-    return compose_series(exp_series(0.0, n), u, n)
-
+# Taylor data f^(m)(alpha)/m! for the matrix route (triangular_matrix_function)
 
 def cosh_series(alpha, n):
     c, s = cmath.cosh(alpha), cmath.sinh(alpha)
-    return [(c if m % 2 == 0 else s) * t for m, t in enumerate(exp_series(0, n))]
+    return [(c if m % 2 == 0 else s) * t
+            for m, t in enumerate(exp_coefficients([0.0, 1.0], n))]
 
 
 def sinh_series(alpha, n):
     c, s = cmath.cosh(alpha), cmath.sinh(alpha)
-    return [(s if m % 2 == 0 else c) * t for m, t in enumerate(exp_series(0, n))]
-
-
-def asinh_series(alpha, n):
-    """Coefficients of arcsinh(alpha + x): derivative is (1+(alpha+x)^2)^(-1/2)."""
-    h = _pow_series([1 + alpha * alpha, 2 * alpha, 1.0], -0.5, max(n - 1, 1))
-    out = [cmath.asinh(alpha)]
-    for m in range(1, n):
-        out.append(h[m - 1] / m)
-    return out
-
-
-def sqrt_one_plus_sq_series(alpha, n):
-    """Coefficients of sqrt(1 + (alpha + x)^2)."""
-    return _pow_series([1 + alpha * alpha, 2 * alpha, 1.0], 0.5, n)
+    return [(s if m % 2 == 0 else c) * t
+            for m, t in enumerate(exp_coefficients([0.0, 1.0], n))]
 
 
 def recip_series(alpha, n):
@@ -177,10 +180,10 @@ def _nilpotent_part(M, tol=1e-12):
     return alpha, K
 
 
-def _apply_series(series_fn, M, cfg):
+def _apply_series(series_fn, M):
     """f(M) for M = alpha I + nilpotent, with f's Taylor data from series_fn(alpha, N)."""
     alpha, K = _nilpotent_part(M)
-    return triangular_matrix_function(series_fn(alpha, cfg.dim), alpha, K, cfg)
+    return triangular_matrix_function(series_fn(alpha, M.shape[0]), K)
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +192,17 @@ def _apply_series(series_fn, M, cfg):
 
 def _uzp_coefficients(z: float, p: float, n: int):
     """Coefficients of the two-parameter B = (2/p) arcsinh((p/2) e^{zx}) and of
-    C = e^{zx} sqrt(1 + (p/2)^2 e^{2zx}) before its factor a (or a+)."""
+    C = e^{zx} sqrt(1 + (p/2)^2 e^{2zx}) before its factor a (or a+).
+
+    With q = 1 + (p/2)^2 e^{2zx}: C = e^{zx} q^{1/2}, and B' = z e^{zx} q^{-1/2},
+    so B = (2/p) arcsinh(p/2) + int_0^x z e^{zt} q^{-1/2} dt.
+    """
     e = exp_coefficients([0.0, z], n)
-    u = (p / 2) * e
-    u[0] = 0.0                            # expand around the scalar part p/2
-    B = (2 / p) * compose_series(asinh_series(p / 2, n), u, n)
-    C = np.convolve(e, compose_series(sqrt_one_plus_sq_series(p / 2, n), u, n))[:n]
+    q = (p / 2) ** 2 * exp_coefficients([0.0, 2 * z], n)
+    q[0] += 1.0
+    C = np.convolve(e, _pow_series(q, 0.5, n))[:n]
+    dB = z * np.convolve(e, _pow_series(q, -0.5, n))[:n - 1]
+    B = np.r_[(2 / p) * math.asinh(p / 2), dB / np.arange(1, n)]
     return B, C
 
 
@@ -238,8 +246,8 @@ def commutator_residual_uzp(triple: AlgebraTriple, params: DeformationParams,
     z, p = params.z, params.p
     A, B, C = triple.A, triple.B, triple.C
     ident = np.eye(cfg.dim, dtype=complex)
-    cosh_pB = _apply_series(cosh_series, p * B, cfg)
-    sinh_pB = _apply_series(sinh_series, p * B, cfg)
+    cosh_pB = _apply_series(cosh_series, p * B)
+    sinh_pB = _apply_series(sinh_series, p * B)
     r1 = guarded_norm(A @ B - B @ A, cfg)
     r2 = guarded_norm(B @ C - C @ B + (2 * z / p ** 2) * (cosh_pB - ident), cfg)
     r3 = guarded_norm(A @ C - C @ A - sinh_pB / p, cfg)
@@ -268,9 +276,9 @@ def tilde_basis_change(triple: AlgebraTriple, p: float,
     """
     A, B, C = triple.A, triple.B, triple.C
     half = (p / 2) * B
-    B_t = (2 / p) * _apply_series(sinh_series, half, cfg)
-    cosh_half = _apply_series(cosh_series, half, cfg)
+    B_t = (2 / p) * _apply_series(sinh_series, half)
+    cosh_half = _apply_series(cosh_series, half)
     if abs(cosh_half[0, 0]) < 1e-12:
         raise SingularCosh(f"cosh(pB/2) scalar part {cosh_half[0, 0]} ~ 0")
-    inv = _apply_series(recip_series, cosh_half, cfg)
+    inv = _apply_series(recip_series, cosh_half)
     return AlgebraTriple(A=A, B=B_t, C=inv @ C, kind=triple.kind)

@@ -5,6 +5,10 @@ States are plain 1-d complex numpy arrays of amplitudes over |0>..|N-1>
 Identity checks always exclude the top ``guard`` levels because truncation
 breaks the ladder relations there.
 
+``series_operator`` builds f(a+) from a coefficient list in O(N^2); the lists
+come from the power-series recurrences of ``deformed_algebra``.  The residual
+checks use ``triangular_matrix_function``, a Taylor sum in matrix powers.
+
 Everything here is plain numpy except ``matrix_exponential``, which imports
 scipy on its first call.  Only the dense references ``displacement_operator``
 and ``squeeze_operator`` reach it; the production S D|0> applies the
@@ -113,17 +117,16 @@ def guarded_norm(mat: FockOperator, cfg: TruncationConfig) -> float:
     return float(np.linalg.norm(guarded_block(mat, cfg), ord=2))
 
 
-def triangular_matrix_function(series_coeffs, alpha: complex, K: FockOperator,
-                               cfg: TruncationConfig) -> FockOperator:
-    """f(alpha*I + K) for strictly triangular (nilpotent) K: the Taylor sum
-    sum_m coeffs[m] K^m, coeffs[m] = f^(m)(alpha)/m!, over its first n <= N
-    terms (exact, as K^N = 0).  Paterson-Stockmeyer with s = ceil(sqrt(n)):
-    K^2..K^s once, then Horner's rule in K^s over blocks of s coefficients,
-    at most 2s - 2 dense matmuls.  alpha is the expansion point.
+def triangular_matrix_function(series_coeffs, K: FockOperator) -> FockOperator:
+    """f(alpha*I + K) for strictly triangular (nilpotent) N x N K: the Taylor
+    sum sum_m coeffs[m] K^m, coeffs[m] = f^(m)(alpha)/m!, over its first
+    n <= N terms (exact, as K^N = 0).  Paterson-Stockmeyer with
+    s = ceil(sqrt(n)): K^2..K^s once, then Horner's rule in K^s over blocks
+    of s coefficients, at most 2s - 2 dense matmuls.
     """
     if np.any(np.abs(np.diag(K)) != 0):
         raise NotNilpotent("K has a nonzero diagonal entry")
-    N = cfg.dim
+    N = K.shape[0]
     c = np.asarray(series_coeffs[:N], dtype=complex)
     s = isqrt(len(c) - 1) + 1
     P = np.empty_like(K, dtype=complex, order="C", shape=(s + 1, N, N))
@@ -158,25 +161,6 @@ def series_operator(f, cfg: TruncationConfig) -> FockOperator:
             run = run[:-1] * roots[k - 1:]     # prod_{j=n+1}^{n+k} sqrt(j) 2^-e
         fk = np.ldexp(f[k].real, e * k) + 1j * np.ldexp(f[k].imag, e * k)
         flat[k * N::N + 1] = fk * run          # the k-th subdiagonal
-    return out
-
-
-def compose_series(outer, u, n: int) -> np.ndarray:
-    """Coefficients of sum_m outer[m] u(x)^m to order n-1, for u(0) = 0; with
-    outer[m] = f^(m)(alpha)/m! that is f(alpha + u).
-
-    Horner's rule on truncated products: u^m starts at x^m, so the partial
-    sum it multiplies is needed only to order n-m-1.
-    """
-    u = np.asarray(u, dtype=complex)[:n]
-    if u[0] != 0:
-        raise NotNilpotent(f"inner series has a nonzero constant term {u[0]}")
-    u = u[:np.flatnonzero(u)[-1] + 1] if u.any() else u[:1]   # drop zero tail
-    out = np.zeros(n, dtype=complex)
-    for m in reversed(range(min(len(outer), n))):
-        k = n - m
-        out[:k] = np.convolve(u[:k], out[:k])[:k]
-        out[0] += outer[m]
     return out
 
 

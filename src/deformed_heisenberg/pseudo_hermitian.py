@@ -8,7 +8,10 @@ definite, and rho = sqrt(eta) comes from the SVD of G^-1 without forming eta,
 so rho G is unitary to the SVD's backward error.  Guarded norms are
 still used for residuals that involve the (upper-shift) annihilator, whose
 truncated top rows are garbage.  G, G^-1, H and A are functions of a+ (plus
-a+a and a), built from their coefficient lists by fock_core.series_operator.
+a+a and a), built from their coefficient lists by fock_core.series_operator;
+the lists of G = e^{g(a+)} and G^-1 = e^{-g(a+)} come from the O(N^2)
+recurrence deformed_algebra.exp_coefficients.  D(nu)|0> is an exponential
+action on the vacuum (fock_core.squeezed_displaced_vacuum), not a dense expm.
 """
 
 import math
@@ -19,14 +22,15 @@ import numpy as np
 from .deformed_algebra import exp_coefficients
 from .errors import IllConditioned
 from .fock_core import (FockOperator, FockVector, TruncationConfig,
-                        annihilation, creation, displacement_operator,
-                        guarded_norm, normalize, number_operator,
-                        series_operator, vacuum)
+                        annihilation, creation, guarded_norm, normalize,
+                        number_operator, series_operator,
+                        squeezed_displaced_vacuum, vacuum)
 
 ETA_CONDITION_LIMIT = 1e12
 
 
-def _scaled_exp_series(c: complex, z: float, shift: int, N: int) -> np.ndarray:
+def _scaled_exp_coefficients(c: complex, z: float, shift: int,
+                             N: int) -> np.ndarray:
     """Coefficients of c x^shift e^{-z x}.  A huge z makes them inf or nan
     without numpy warnings; build_system's finiteness and condition checks
     turn that into an error."""
@@ -36,7 +40,7 @@ def _scaled_exp_series(c: complex, z: float, shift: int, N: int) -> np.ndarray:
 
 def _g_coefficients(mu: complex, z: float, N: int) -> np.ndarray:
     """Coefficients of the exponent of G, g(s) = -mu int_0^s t e^{-z t} dt."""
-    integrand = _scaled_exp_series(-mu, z, 1, N)
+    integrand = _scaled_exp_coefficients(-mu, z, 1, N)
     return np.r_[0.0, integrand[:N - 1] / np.arange(1, N)]
 
 
@@ -49,13 +53,13 @@ def build_G(mu: complex, z: float, cfg: TruncationConfig) -> FockOperator:
 def build_H(mu: complex, z: float, cfg: TruncationConfig) -> FockOperator:
     """H = a+a + mu e^{-z a+} (a+)^2: triangular with diagonal 0..N-1."""
     return number_operator(cfg) + series_operator(
-        _scaled_exp_series(mu, z, 2, cfg.dim), cfg)
+        _scaled_exp_coefficients(mu, z, 2, cfg.dim), cfg)
 
 
 def _build_A(mu: complex, z: float, cfg: TruncationConfig) -> FockOperator:
     """The deformed annihilator  A = a + mu a+ e^{-z a+}."""
     return annihilation(cfg) + series_operator(
-        _scaled_exp_series(mu, z, 1, cfg.dim), cfg)
+        _scaled_exp_coefficients(mu, z, 1, cfg.dim), cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +171,7 @@ def unitarity_check(sys: PseudoHermitianSystem) -> float:
 def generalized_coherent_state(nu: complex, sys: PseudoHermitianSystem) -> FockVector:
     """rho G D(nu)|0>, eigenstate of rho A rho^-1 with eigenvalue nu."""
     _require_rho(sys)
-    psi = sys.rho_hat @ sys.G @ (displacement_operator(nu, sys.cfg) @ vacuum(sys.cfg))
+    psi = sys.rho_hat @ sys.G @ squeezed_displaced_vacuum(0.0, 0.0, nu, sys.cfg)
     return normalize(psi)
 
 

@@ -3,18 +3,20 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from deformed_heisenberg.deformed_algebra import (
-    AlgebraTriple, DeformationParams, P_KINDS, RealizationKind, asinh_series,
-    build_realization, commutator_residual_tilde, commutator_residual_uzp,
-    cosh_series, exp_series, recip_series, sinh_series,
-    sqrt_one_plus_sq_series, tilde_basis_change)
+    AlgebraTriple, DeformationParams, P_KINDS, RealizationKind, _pow_series,
+    _uzp_coefficients, build_realization, commutator_residual_tilde,
+    commutator_residual_uzp, cosh_series, exp_coefficients, recip_series,
+    sinh_series, tilde_basis_change)
 from deformed_heisenberg.errors import BadParams
 from deformed_heisenberg.fock_core import (
     TruncationConfig, annihilation, creation, guarded_norm,
     matrix_exponential)
+from deformed_heisenberg.pseudo_hermitian import _g_coefficients
 
 CFG = TruncationConfig(64)
 
@@ -54,18 +56,22 @@ def _poly_eval(coeffs, x):
 def test_series_coefficients_reproduce_functions():
     # partial Taylor sums around alpha evaluated at alpha + t
     alpha, t, n = 0.3, 0.12, 30
-    assert _poly_eval(exp_series(alpha, n), t) == pytest.approx(
-        math.exp(alpha + t), rel=1e-13)
     assert _poly_eval(cosh_series(alpha, n), t) == pytest.approx(
         math.cosh(alpha + t), rel=1e-13)
     assert _poly_eval(sinh_series(alpha, n), t) == pytest.approx(
         math.sinh(alpha + t), rel=1e-13)
-    assert _poly_eval(asinh_series(alpha, n), t) == pytest.approx(
-        math.asinh(alpha + t), rel=1e-13)
-    assert _poly_eval(sqrt_one_plus_sq_series(alpha, n), t) == pytest.approx(
-        math.sqrt(1 + (alpha + t) ** 2), rel=1e-13)
     assert _poly_eval(recip_series(alpha, n), t) == pytest.approx(
         1 / (alpha + t), rel=1e-10)
+    # the recurrences' series at 0, evaluated at x = t
+    z, p = 0.3, 0.4
+    assert _poly_eval(exp_coefficients([0.0, z], n), t) == pytest.approx(
+        math.exp(z * t), rel=1e-13)
+    B, C = _uzp_coefficients(z, p, n)
+    assert _poly_eval(B, t) == pytest.approx(
+        (2 / p) * math.asinh((p / 2) * math.exp(z * t)), rel=1e-13)
+    assert _poly_eval(C, t) == pytest.approx(
+        math.exp(z * t) * math.sqrt(1 + (p / 2) ** 2 * math.exp(2 * z * t)),
+        rel=1e-13)
 
 
 def test_uzp_residuals_past_factorial_overflow():
@@ -83,10 +89,80 @@ def test_uzp_residuals_past_factorial_overflow():
     assert max(commutator_residual_uzp(tri, prm, cfg)) < 1e-12
 
 
-def test_asinh_series_at_origin_matches_textbook_expansion():
-    c = asinh_series(0.0, 6)
-    expected = [0.0, 1.0, 0.0, -1 / 6, 0.0, 3 / 40]
-    np.testing.assert_allclose(np.real(c), expected, atol=1e-15)
+def test_pow_series_matches_binomial_expansion():
+    # (1 + x)^{1/2} and (1 + x^2)^{-1/2}
+    np.testing.assert_allclose(_pow_series([1.0, 1.0], 0.5, 5),
+                               [1, 1 / 2, -1 / 8, 1 / 16, -5 / 128],
+                               rtol=1e-15, atol=0)
+    np.testing.assert_allclose(_pow_series([1.0, 0.0, 1.0], -0.5, 6),
+                               [1, 0, -1 / 2, 0, 3 / 8, 0], rtol=1e-15, atol=0)
+
+
+# The power-series kernels against 60-digit mpmath references.  The bound is
+# on max_k |got_k - ref_k| / |ref_k| over the entries above 1e-290.
+
+def _max_rel_err(got, ref):
+    ref = np.array([complex(r) for r in ref])
+    keep = np.abs(ref) > 1e-290
+    return np.max(np.abs(np.asarray(got)[keep] - ref[keep]) / np.abs(ref[keep]))
+
+
+@pytest.mark.parametrize("z, p, n", [(0.02, 0.1, 24), (-0.02, 0.4, 24),
+                                     (0.02, 0.4, 64), (0.0, 0.4, 40)])
+def test_uzp_coefficients_match_mpmath_taylor(z, p, n):
+    # composing B and C from Taylor tables put the (0.02, 0.4, 64) case at
+    # 2.1e-11 / 5.0e-11
+    B, C = _uzp_coefficients(z, p, n)
+    with mp.workdps(60):
+        Z, P = mp.mpf(z), mp.mpf(p)
+        ref_B = mp.taylor(lambda x: 2 / P * mp.asinh(P / 2 * mp.exp(Z * x)),
+                          0, n - 1)
+        ref_C = mp.taylor(lambda x: mp.exp(Z * x)
+                          * mp.sqrt(1 + (P / 2) ** 2 * mp.exp(2 * Z * x)),
+                          0, n - 1)
+    assert _max_rel_err(B, ref_B) < 1e-12
+    assert _max_rel_err(C, ref_C) < 1e-12
+
+
+@pytest.mark.parametrize("c", [0.5, -0.5])
+def test_pow_series_matches_mpmath_taylor(c):
+    u = [1.04, 0.3, -0.1j, 0.05]
+    with mp.workdps(60):
+        um = [mp.mpc(v) for v in reversed(u)]
+        ref = mp.taylor(lambda x: mp.polyval(um, x) ** c, 0, 39)
+    assert _max_rel_err(_pow_series(u, c, 40), ref) < 1e-12
+
+
+def _cauchy_taylor(f, n, r, m=512):
+    """First n Taylor coefficients at 0 of an entire f, by the trapezoidal
+    rule for the Cauchy integral on |x| = r with m nodes:
+    c_k = mean_j f(x_j) x_j^{-k}, off by the aliased c_{k+lm} r^{lm} and by
+    rounding, about 10^-dps max|f| r^-k.  Entries below 10^(10-dps) max|f|
+    r^-k are returned as 0: an exact zero (c_1 of exp(x^2 h(x))) reads as
+    rounding noise there."""
+    xs = [r * mp.expjpi(mp.mpf(2 * j) / m) for j in range(m)]
+    terms = [f(x) for x in xs]
+    floor = mp.mpf(10) ** (10 - mp.mp.dps) * max(abs(t) for t in terms)
+    inv = [1 / x for x in xs]
+    out = []
+    for k in range(n):
+        c = mp.fsum(terms) / m
+        out.append(c if abs(c) > floor / mp.mpf(r) ** k else 0)
+        terms = [t * i for t, i in zip(terms, inv)]
+    return out
+
+
+def test_exp_coefficients_match_mpmath_cauchy_integral():
+    # the exponent of G in the pseudo-Hermitian system.  mp.taylor would
+    # differentiate at (prec + 20)(n + 1) ~ 57 000 bits and take about 30 s
+    # for 256 orders; on |x| = 30 every |c_k| r^k above the 1e-290 cut lies
+    # within 1e18 of the largest, so 60 digits leave ~1e-40 relative
+    n = 256
+    g = _g_coefficients(0.05 * cmath.exp(2j), 0.01, n)
+    with mp.workdps(60):
+        gm = [mp.mpc(v.real, v.imag) for v in reversed(g)]
+        ref = _cauchy_taylor(lambda x: mp.exp(mp.polyval(gm, x)), n, r=30)
+    assert _max_rel_err(exp_coefficients(g, n), ref) < 1e-12
 
 
 def test_tilde_case_one_matrices():

@@ -8,12 +8,12 @@ import pytest
 import scipy.linalg
 
 from deformed_heisenberg.deformed_algebra import (
-    DeformationParams, RealizationKind, _nilpotent_part, asinh_series,
-    build_realization, cosh_series, exp_series, sinh_series)
+    DeformationParams, RealizationKind, _apply_series, _nilpotent_part,
+    build_realization, cosh_series, exp_coefficients, sinh_series)
 from deformed_heisenberg.errors import NotNilpotent, TailTooHeavy
 from deformed_heisenberg.fock_core import (
     TruncationConfig, annihilation, check_tail, coherent_state,
-    compose_series, creation, displacement_operator, expectation,
+    creation, displacement_operator, expectation,
     inner_product, matrix_exponential, norm, normalize, number_operator,
     series_operator, squeeze_operator, tail_fraction,
     triangular_matrix_function, vacuum)
@@ -95,25 +95,24 @@ def test_triangular_matrix_function_exponential():
     z = 0.3
     K = z * creation(cfg)
     coeffs = [1 / math.factorial(m) for m in range(cfg.dim)]
-    M = triangular_matrix_function(coeffs, 0.0, K, cfg)
+    M = triangular_matrix_function(coeffs, K)
     assert M[1, 0] == pytest.approx(z)
     assert M[2, 0] == pytest.approx(z * z * math.sqrt(2) / 2)
     # identity map: coeffs (alpha, 1, 0...) reproduce alpha I + K
-    ident = triangular_matrix_function([0.7, 1.0, 0, 0], 0.7, K, cfg)
+    ident = triangular_matrix_function([0.7, 1.0, 0, 0], K)
     np.testing.assert_allclose(ident, 0.7 * np.eye(4) + K, atol=1e-15)
 
 
 def test_triangular_matrix_function_asinh_at_z_zero():
-    # arcsinh((p/2) e^{z a+}) collapses to a scalar when z = 0
-    from deformed_heisenberg.deformed_algebra import asinh_series
+    # B = (2/p) arcsinh((p/2) e^{z a+}) collapses to a scalar when z = 0, and
+    # the matrix route's sinh(p B / 2) gives back (p/2) I
     cfg = TruncationConfig(8, 2)
     p = 0.4
-    B = (p / 2) * np.eye(cfg.dim, dtype=complex)
-    alpha = p / 2
-    coeffs = asinh_series(alpha, cfg.dim)
-    got = triangular_matrix_function(coeffs, alpha, B - alpha * np.eye(cfg.dim),
-                                     cfg)
-    np.testing.assert_allclose(got, math.asinh(p / 2) * np.eye(8), atol=1e-12)
+    B = build_realization(RealizationKind.Uzp_One, DeformationParams(p=p),
+                          cfg).B
+    np.testing.assert_array_equal(B, B[0, 0] * np.eye(cfg.dim))
+    np.testing.assert_allclose(_apply_series(sinh_series, (p / 2) * B),
+                               (p / 2) * np.eye(8), rtol=0, atol=1e-15)
 
 
 def _term_by_term(coeffs, K, cfg):
@@ -141,7 +140,7 @@ def _taylor_like(n, seed):
 def test_paterson_stockmeyer_matches_term_by_term_on_creation(n):
     cfg = TruncationConfig(64)
     coeffs = _taylor_like(n, seed=n)
-    got = triangular_matrix_function(coeffs, 0.0, creation(cfg), cfg)
+    got = triangular_matrix_function(coeffs, creation(cfg))
     # K = a+ puts term m on subdiagonal m alone, so every entry is one product
     np.testing.assert_allclose(got, _term_by_term(coeffs, creation(cfg), cfg),
                                rtol=1e-13, atol=0)
@@ -156,7 +155,7 @@ def test_paterson_stockmeyer_matches_term_by_term_on_uzp_b(series_fn):
     alpha, K = _nilpotent_part(params.p * B)
     coeffs = series_fn(alpha, cfg.dim)
     ref = _term_by_term(coeffs, K, cfg)
-    got = triangular_matrix_function(coeffs, alpha, K, cfg)
+    got = triangular_matrix_function(coeffs, K)
     assert np.abs(got - ref).max() < 1e-15 * np.abs(ref).max()
 
 
@@ -171,11 +170,11 @@ def test_paterson_stockmeyer_matches_term_by_term_on_two_subdiagonals(offsets):
                             + 1j * rng.normal(size=cfg.dim - k)), -k)
     coeffs = _taylor_like(cfg.dim, seed=3)
     ref = _term_by_term(coeffs, K, cfg)
-    got = triangular_matrix_function(coeffs, 0.0, K, cfg)
+    got = triangular_matrix_function(coeffs, K)
     assert np.abs(got - ref).max() < 1e-14 * np.abs(ref).max()
     zero = np.zeros_like(K)
     np.testing.assert_array_equal(
-        triangular_matrix_function(coeffs, 0.0, zero, cfg),
+        triangular_matrix_function(coeffs, zero),
         coeffs[0] * np.eye(cfg.dim))
 
 
@@ -199,7 +198,7 @@ def test_paterson_stockmeyer_matmul_count(monkeypatch):
     cfg = TruncationConfig(256)
     monkeypatch.setattr(_CountingMatrix, "products", 0)
     K = creation(cfg).view(_CountingMatrix)
-    triangular_matrix_function(exp_series(0.0, cfg.dim), 0.0, K, cfg)
+    triangular_matrix_function(exp_coefficients([0.0, 1.0], cfg.dim), K)
     bound = 2 * math.ceil(math.sqrt(cfg.dim))
     assert 0 < _CountingMatrix.products <= bound
 
@@ -220,7 +219,7 @@ def test_series_operator_of_x_is_creation():
 def test_exp_coefficients_match_expm_of_creation():
     cfg = TruncationConfig(24, 6)
     for z in (0.3, -1.2, 0.5 - 0.4j):
-        coeffs = compose_series(exp_series(0.0, cfg.dim), [0, z], cfg.dim)
+        coeffs = exp_coefficients([0, z], cfg.dim)
         k = np.arange(cfg.dim)
         want = np.array([z ** m / math.factorial(m) for m in k])
         np.testing.assert_allclose(coeffs, want, rtol=1e-14, atol=0)
@@ -257,28 +256,26 @@ def test_series_kernel_stays_finite_past_factorial_overflow():
     # 1/n! itself is subnormal past n ~ 170, so the far tail (~1e-160 here)
     # is only good in absolute terms
     cfg = TruncationConfig(400)
-    coeffs = compose_series(exp_series(0.0, cfg.dim), [0, 1.0], cfg.dim)
+    coeffs = exp_coefficients([0, 1.0], cfg.dim)
     np.testing.assert_allclose(series_operator(coeffs, cfg)[:, 0],
                                coherent_state(1.0, cfg), rtol=1e-13, atol=1e-15)
-    E = series_operator(compose_series(exp_series(0.0, cfg.dim), [0, 0.02],
-                                       cfg.dim), cfg)
+    E = series_operator(exp_coefficients([0, 0.02], cfg.dim), cfg)
     assert np.isfinite(E).all()
     np.testing.assert_allclose(E, scipy.linalg.expm(0.02 * creation(cfg)),
                                rtol=0, atol=1e-12)
 
 
-def test_compose_series_matches_matrix_route_and_needs_u0_zero():
+def test_exp_coefficients_match_matrix_route_and_need_u0_zero():
     cfg = TruncationConfig(16, 4)
-    alpha = 0.2
     u = np.array([0.0, 0.3, -0.1j, 0.05])
-    coeffs = compose_series(asinh_series(alpha, cfg.dim), u, cfg.dim)
+    coeffs = exp_coefficients(u, cfg.dim)
     K = series_operator(u, cfg)
     np.testing.assert_allclose(
         series_operator(coeffs, cfg),
-        triangular_matrix_function(asinh_series(alpha, cfg.dim), alpha, K, cfg),
+        triangular_matrix_function(exp_coefficients([0, 1.0], cfg.dim), K),
         rtol=0, atol=1e-14)
     with pytest.raises(NotNilpotent):
-        compose_series(exp_series(0.0, 4), [0.1, 1.0], 4)
+        exp_coefficients([0.1, 1.0], 4)
 
 
 def test_matrix_exponential_basics():
@@ -289,7 +286,7 @@ def test_matrix_exponential_basics():
     K = 0.2 * creation(cfg)
     coeffs = [1 / math.factorial(m) for m in range(cfg.dim)]
     np.testing.assert_allclose(matrix_exponential(K),
-                               triangular_matrix_function(coeffs, 0.0, K, cfg),
+                               triangular_matrix_function(coeffs, K),
                                atol=1e-13)
     for _ in range(5):
         M = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
