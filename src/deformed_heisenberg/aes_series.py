@@ -251,7 +251,7 @@ def _double_sum_amplitudes(params, n_max, k_cutoff, tol, use_mp, room):
 
 
 def fock_coefficients(params: DeformationParams, n_max: int, k_cutoff=None,
-                      tol: float = 1e-10, cross_check="auto"):
+                      tol: float = 1e-10, cross_check="auto", amps=None):
     """(c, SeriesDiagnostics): amplitudes c_n (C_0 = 1) of the deformed
     squeezed eigenstate, for any real z.
 
@@ -265,10 +265,12 @@ def fock_coefficients(params: DeformationParams, n_max: int, k_cutoff=None,
     stays below a tenth of the convergence tolerance; terms_used is 0 when it
     checks none, and always where z^2 = 0 leaves no double sum to form.
 
-    cross_check: "auto" | True | False.
+    cross_check: "auto" | True | False.  amps: _amplitudes(params, m) for
+    some m >= n_max, whose first n_max + 1 rows are those of a shorter run,
+    reused instead of running the recurrence again.
     """
     _phase_window_check(params)
-    c = _amplitudes(params, n_max)
+    c = _amplitudes(params, n_max) if amps is None else amps[:n_max + 1]
     if not np.isfinite(c).all():
         raise NotConverged("amplitudes leave the float range: no normalizable state")
 
@@ -296,14 +298,16 @@ def fock_coefficients(params: DeformationParams, n_max: int, k_cutoff=None,
                                 converged=tail < conv_tol)
 
 
-def normalization_c0(params: DeformationParams, n_max: int = 96, tol: float = 1e-12):
+def normalization_c0(params: DeformationParams, n_max: int = 96, tol: float = 1e-12,
+                     amps=None):
     """Real positive C_0 with sum |c_n|^2 = 1, by adaptive partial sums.
 
     The sum stops after three terms in a row below tol of the running total;
     NotConverged is raised if it does not, or if the weights computed past
-    the stop (up to n_max) exceed sqrt(tol) of the accepted total."""
+    the stop (up to n_max) exceed sqrt(tol) of the accepted total.  amps is
+    reused as in fock_coefficients."""
     _phase_window_check(params)
-    amps = _amplitudes(params, n_max)
+    amps = _amplitudes(params, n_max) if amps is None else amps[:n_max + 1]
     with np.errstate(over="ignore", invalid="ignore"):   # inf or nan: not converged
         weights = np.abs(amps) ** 2
     total, small, used, w = 0.0, 0, 0, 0.0

@@ -11,10 +11,13 @@ and the two-parameter algebra with
 The realizations are power series in a+ (or a, by transposition with z -> -z)
 built by fock_core.series_operator.  Each coefficient list comes from the
 O(N^2) recurrence of its series' own ODE: exp_coefficients for e^{u(x)} and
-_pow_series for u(x)^c, with no series composition.  The residual checks
+_pow_series for u(x)^c, with no series composition.  z and p are real, so
+every realization is a float64 triple; its ladder factor a (or a+) scales
+columns (rows) in O(N^2) instead of a dense product.  The residual checks
 apply cosh, sinh and the reciprocal to those matrices by an independent
 route, their Taylor sums in dense matrix powers (triangular_matrix_function,
-Paterson-Stockmeyer).
+Paterson-Stockmeyer), in real arithmetic; cosh and sinh of one matrix share
+one table of its powers.
 """
 
 import cmath
@@ -25,9 +28,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import BadParams, NotNilpotent, SingularCosh
-from .fock_core import (FockOperator, TruncationConfig, annihilation, creation,
-                        guarded_norm, series_operator,
-                        triangular_matrix_function)
+from .fock_core import (FockOperator, TruncationConfig, guarded_norm,
+                        series_operator, triangular_matrix_function)
 
 
 @dataclass(frozen=True)
@@ -150,18 +152,24 @@ def _pow_series(u, c, n):
     return w
 
 
-# Taylor data f^(m)(alpha)/m! for the matrix route (triangular_matrix_function)
+# Taylor data f^(m)(alpha)/m! for the matrix route (triangular_matrix_function);
+# a real alpha gives real data
+
+def _cosh_sinh_at(alpha):
+    m = cmath if isinstance(alpha, complex) else math
+    return m.cosh(alpha), m.sinh(alpha)
+
 
 def cosh_series(alpha, n):
-    c, s = cmath.cosh(alpha), cmath.sinh(alpha)
+    c, s = _cosh_sinh_at(alpha)
     return [(c if m % 2 == 0 else s) * t
-            for m, t in enumerate(exp_coefficients([0.0, 1.0], n))]
+            for m, t in enumerate(exp_coefficients([0.0, 1.0], n).real)]
 
 
 def sinh_series(alpha, n):
-    c, s = cmath.cosh(alpha), cmath.sinh(alpha)
+    c, s = _cosh_sinh_at(alpha)
     return [(s if m % 2 == 0 else c) * t
-            for m, t in enumerate(exp_coefficients([0.0, 1.0], n))]
+            for m, t in enumerate(exp_coefficients([0.0, 1.0], n).real)]
 
 
 def recip_series(alpha, n):
@@ -170,12 +178,13 @@ def recip_series(alpha, n):
 
 
 def _nilpotent_part(M, tol=1e-12):
-    """Split M = alpha I + K with K strictly triangular; the diagonal must be constant."""
+    """Split M = alpha I + K with K strictly triangular; the diagonal must be
+    constant.  alpha is a Python float for a real M, complex otherwise."""
     d = np.diag(M)
-    alpha = complex(d[0])
+    alpha = d[0].item()
     if np.max(np.abs(d - alpha)) > tol:
         raise BadParams("matrix diagonal is not constant; cannot split off scalar part")
-    K = M - alpha * np.eye(M.shape[0], dtype=complex)
+    K = M - alpha * np.eye(M.shape[0], dtype=M.dtype)
     np.fill_diagonal(K, 0.0)
     return alpha, K
 
@@ -184,6 +193,14 @@ def _apply_series(series_fn, M):
     """f(M) for M = alpha I + nilpotent, with f's Taylor data from series_fn(alpha, N)."""
     alpha, K = _nilpotent_part(M)
     return triangular_matrix_function(series_fn(alpha, M.shape[0]), K)
+
+
+def _cosh_sinh(M):
+    """(cosh M, sinh M) for M = alpha I + nilpotent, from one table of powers."""
+    alpha, K = _nilpotent_part(M)
+    n = M.shape[0]
+    return triangular_matrix_function([cosh_series(alpha, n),
+                                       sinh_series(alpha, n)], K)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +246,17 @@ def build_realization(kind: RealizationKind, params: DeformationParams,
         B, C = _uzp_coefficients(z, p, cfg.dim)
     else:
         B = C = exp_coefficients([0.0, z], cfg.dim)
-    B, C = series_operator(B, cfg), series_operator(C, cfg)
+    # z and p are real, so the coefficients are: their imaginary parts are 0
+    B, C = series_operator(B.real, cfg), series_operator(C.real, cfg)
+    root = np.sqrt(np.arange(1.0, cfg.dim))       # a's entries (n-1, n)
+    # C(a+) a in O(N^2): column n is sqrt(n) times column n-1 of C(a+), one
+    # product per entry as in the dense matmul; a+ C(a) is its transpose
+    C[:, 1:] = C[:, :-1] * root
+    C[:, 0] = 0.0
+    a = np.diag(root, 1)
     if on_a:
-        return AlgebraTriple(A=annihilation(cfg), B=B.T,
-                             C=creation(cfg) @ C.T, kind=kind)
-    return AlgebraTriple(A=-creation(cfg), B=B, C=C @ annihilation(cfg),
-                         kind=kind)
+        return AlgebraTriple(A=a, B=B.T, C=C.T, kind=kind)
+    return AlgebraTriple(A=-a.T, B=B, C=C, kind=kind)
 
 
 def commutator_residual_uzp(triple: AlgebraTriple, params: DeformationParams,
@@ -245,9 +267,8 @@ def commutator_residual_uzp(triple: AlgebraTriple, params: DeformationParams,
     """
     z, p = params.z, params.p
     A, B, C = triple.A, triple.B, triple.C
-    ident = np.eye(cfg.dim, dtype=complex)
-    cosh_pB = _apply_series(cosh_series, p * B)
-    sinh_pB = _apply_series(sinh_series, p * B)
+    ident = np.eye(cfg.dim)
+    cosh_pB, sinh_pB = _cosh_sinh(p * B)
     r1 = guarded_norm(A @ B - B @ A, cfg)
     r2 = guarded_norm(B @ C - C @ B + (2 * z / p ** 2) * (cosh_pB - ident), cfg)
     r3 = guarded_norm(A @ C - C @ A - sinh_pB / p, cfg)
@@ -275,9 +296,8 @@ def tilde_basis_change(triple: AlgebraTriple, p: float,
     split; SingularCosh if its scalar part vanishes numerically.
     """
     A, B, C = triple.A, triple.B, triple.C
-    half = (p / 2) * B
-    B_t = (2 / p) * _apply_series(sinh_series, half)
-    cosh_half = _apply_series(cosh_series, half)
+    cosh_half, sinh_half = _cosh_sinh((p / 2) * B)
+    B_t = (2 / p) * sinh_half
     if abs(cosh_half[0, 0]) < 1e-12:
         raise SingularCosh(f"cosh(pB/2) scalar part {cosh_half[0, 0]} ~ 0")
     inv = _apply_series(recip_series, cosh_half)

@@ -1,13 +1,16 @@
 """Truncated Fock-space linear algebra.
 
 States are plain 1-d complex numpy arrays of amplitudes over |0>..|N-1>
-(FockVector); operators are dense N x N complex matrices (FockOperator).
-Identity checks always exclude the top ``guard`` levels because truncation
-breaks the ladder relations there.
+(FockVector); operators are dense N x N matrices (FockOperator), complex
+except where the kernels below get real data.  Identity checks always exclude
+the top ``guard`` levels because truncation breaks the ladder relations there.
 
 ``series_operator`` builds f(a+) from a coefficient list in O(N^2); the lists
 come from the power-series recurrences of ``deformed_algebra``.  The residual
-checks use ``triangular_matrix_function``, a Taylor sum in matrix powers.
+checks use ``triangular_matrix_function``, a Taylor sum in matrix powers that
+evaluates several functions of one matrix from one table of its powers.  Both
+kernels take their dtype from their inputs: real data give a float64 matrix,
+at about a quarter of the complex flops.
 
 Everything here is plain numpy except ``matrix_exponential``, which imports
 scipy on its first call.  Only the dense references ``displacement_operator``
@@ -123,20 +126,29 @@ def triangular_matrix_function(series_coeffs, K: FockOperator) -> FockOperator:
     n <= N terms (exact, as K^N = 0).  Paterson-Stockmeyer with
     s = ceil(sqrt(n)): K^2..K^s once, then Horner's rule in K^s over blocks
     of s coefficients, at most 2s - 2 dense matmuls.
+
+    Coefficients with leading axes give one function per row, stacked in the
+    same leading axes of the result; the functions share K^2..K^s, so each
+    one adds only its s - 1 Horner products.  The result is real when the
+    coefficients and K are.
     """
     if np.any(np.abs(np.diag(K)) != 0):
         raise NotNilpotent("K has a nonzero diagonal entry")
     N = K.shape[0]
-    c = np.asarray(series_coeffs[:N], dtype=complex)
-    s = isqrt(len(c) - 1) + 1
-    P = np.empty_like(K, dtype=complex, order="C", shape=(s + 1, N, N))
+    c = np.asarray(series_coeffs)[..., :N]
+    c = c.astype(np.result_type(c, K, float))
+    s = isqrt(c.shape[-1] - 1) + 1
+    P = np.empty_like(K, dtype=c.dtype, order="C", shape=(s + 1, N, N))
     P[0], P[1] = np.eye(N), K                     # K^0..K^s
     for m in range(2, s + 1):
         P[m] = P[m - 1] @ K
     out = None
-    for j in reversed(range(0, len(c), s)):
-        cj = c[j:j + s]
-        block = np.tensordot(cj, P[:len(cj)], axes=1)   # sum_i c[j+i] K^i
+    for j in reversed(range(0, c.shape[-1], s)):
+        # sum_i c[j+i] K^i, as one (1 x k)(k x N^2) product per function, so
+        # that a stacked row is bit-identical to a call with that row alone
+        cj = c[..., None, j:j + s]
+        k = cj.shape[-1]
+        block = np.matmul(cj, P[:k].reshape(k, -1)).reshape(c.shape[:-1] + (N, N))
         out = block if out is None else out @ P[s] + block
     return out
 
@@ -147,19 +159,23 @@ def series_operator(f, cfg: TruncationConfig) -> FockOperator:
     One subdiagonal at a time from running products of sqrt(j): O(N^2), no
     integer factorials.  Each root carries 2^-e (4^e >= N) and f[k] carries
     2^{ek}, which is exact and keeps the products finite past N ~ 340, where
-    sqrt(n!) overflows.  The transpose is f(a); column 0 is f(a+)|0>.
+    sqrt(n!) overflows.  The transpose is f(a); column 0 is f(a+)|0>.  Real
+    coefficients give a real matrix.
     """
     N = cfg.dim
     e = (N.bit_length() + 1) // 2
-    f = np.asarray(f, dtype=complex)
+    f = np.asarray(f)
+    cplx = np.iscomplexobj(f)
     roots = np.ldexp(np.sqrt(np.arange(1, N, dtype=float)), -e)
-    out = np.zeros((N, N), dtype=complex)
+    out = np.zeros((N, N), dtype=complex if cplx else float)
     flat = out.reshape(-1)
     run = np.ones(N)
     for k in range(min(len(f), N)):
         if k:
             run = run[:-1] * roots[k - 1:]     # prod_{j=n+1}^{n+k} sqrt(j) 2^-e
-        fk = np.ldexp(f[k].real, e * k) + 1j * np.ldexp(f[k].imag, e * k)
+        fk = np.ldexp(f[k].real, e * k)
+        if cplx:
+            fk = fk + 1j * np.ldexp(f[k].imag, e * k)
         flat[k * N::N + 1] = fk * run          # the k-th subdiagonal
     return out
 

@@ -563,6 +563,36 @@ def test_verify_pseudo_bounds_are_tight(capsys):
     assert all(c["passed"] for c in checks)
 
 
+def test_verify_algebra_bounds_are_tight(capsys):
+    # the residuals read <= 6.3e-14 up to dim 256 (2.1e-13 at dim 512);
+    # bounds of 1e-8 and 1e-7 let a realization that lost half its digits pass
+    assert cli.main(["verify", "--dim", "256", "--suite", "algebra"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert len(checks) == 8
+    for c in checks:
+        assert float(c["bound"]) == 1e-11, c["name"]
+        assert float(c["residual"]) < 1e-13, c["name"]
+
+
+def test_state_runs_the_recurrence_once(monkeypatch, capsys):
+    # one vector of amplitudes serves the table (to dim - 1) and the norm
+    # sum (to max(96, dim - 1)), for dims on both sides of 97
+    calls = []
+    run = cli.aes_series._amplitudes
+
+    def counted(params, n_max):
+        calls.append(n_max)
+        return run(params, n_max)
+
+    monkeypatch.setattr(cli.aes_series, "_amplitudes", counted)
+    for dim, n_max in ((48, 96), (200, 199)):
+        calls.clear()
+        assert cli.main(["state", "--dim", str(dim), "--z", "0.01",
+                         "--delta", "0.2"]) == 0
+        assert calls == [n_max]
+    capsys.readouterr()
+
+
 _IMPORT_BUDGET = """
 import contextlib, io, json, sys
 import deformed_heisenberg.cli as cli

@@ -15,7 +15,7 @@ from deformed_heisenberg.deformed_algebra import (
 from deformed_heisenberg.errors import BadParams
 from deformed_heisenberg.fock_core import (
     TruncationConfig, annihilation, creation, guarded_norm,
-    matrix_exponential)
+    matrix_exponential, series_operator)
 from deformed_heisenberg.pseudo_hermitian import _g_coefficients
 
 CFG = TruncationConfig(64)
@@ -185,6 +185,56 @@ def test_tilde_case_two_matrices():
     np.testing.assert_allclose(tri.A, a, atol=0)
     np.testing.assert_allclose(tri.B, matrix_exponential(-0.3 * a), atol=1e-13)
     np.testing.assert_allclose(tri.C, ad @ tri.B, atol=0)
+
+
+_ON_A = {RealizationKind.TildeZ0_Cas2, RealizationKind.Uzp_Two,
+         RealizationKind.Celeghini_Two}
+_CELEGHINI = {RealizationKind.Celeghini_One, RealizationKind.Celeghini_Two}
+
+
+def _realization_series(kind, z, p, n):
+    # the complex coefficient lists of B(x) and C(x), x = a+ or a
+    z = 0.0 if kind in _CELEGHINI else z
+    z = -z if kind in _ON_A else z
+    if kind in P_KINDS:
+        return _uzp_coefficients(z, p, n)
+    e = exp_coefficients([0.0, z], n)
+    return e, e
+
+
+@pytest.mark.parametrize("dim", [8, 64, 200])
+@pytest.mark.parametrize("kind", list(RealizationKind), ids=lambda k: k.name)
+def test_realizations_are_real_and_match_complex_construction(kind, dim):
+    # the complex-arithmetic construction: complex series matrices and dense
+    # products with the complex ladder matrices
+    cfg = TruncationConfig(dim)
+    prm = DeformationParams(z=0.02, p=0.4)
+    b, c = _realization_series(kind, prm.z, prm.p, dim)
+    assert b.dtype == c.dtype == complex
+    B, C = series_operator(b, cfg), series_operator(c, cfg)
+    a, ad = annihilation(cfg), creation(cfg)
+    if kind in _ON_A:
+        want = (a, B.T, ad @ C.T)
+    else:
+        want = (-ad, B, C @ a)
+    tri = build_realization(kind, prm, cfg)
+    for got, ref in zip((tri.A, tri.B, tri.C), want):
+        assert got.dtype == np.float64
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("dim", [8, 64, 200])
+@pytest.mark.parametrize("kind", list(RealizationKind), ids=lambda k: k.name)
+def test_ladder_factor_is_exact_dense_product(kind, dim):
+    # C(a+) a and a+ C(a) are set by scaling columns (rows) of C(a+) (C(a));
+    # each entry of the dense product is that one product plus exact zeros
+    cfg = TruncationConfig(dim)
+    prm = DeformationParams(z=-0.02, p=0.1)
+    _, c = _realization_series(kind, prm.z, prm.p, dim)
+    C = series_operator(c.real, cfg)
+    a = annihilation(cfg).real
+    want = a.T @ C.T if kind in _ON_A else C @ a
+    assert np.array_equal(build_realization(kind, prm, cfg).C, want)
 
 
 def test_p_kinds_reject_zero_p():

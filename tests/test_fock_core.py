@@ -178,18 +178,51 @@ def test_paterson_stockmeyer_matches_term_by_term_on_two_subdiagonals(offsets):
         coeffs[0] * np.eye(cfg.dim))
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [1, 26, 64, 80])
+def test_stacked_coefficients_match_separate_calls(n, dtype):
+    # one power table for several functions changes no bit of any of them
+    cfg = TruncationConfig(64)
+    rng = np.random.default_rng(n)
+    coeffs = np.stack([_taylor_like(n, seed=n + i) for i in range(3)])
+    K = np.tril(rng.normal(size=(cfg.dim, cfg.dim))
+                + 1j * rng.normal(size=(cfg.dim, cfg.dim)), -1)
+    if dtype is float:
+        coeffs, K = coeffs.real, K.real
+    got = triangular_matrix_function(coeffs, 0.1 * K)
+    assert got.shape == (3, cfg.dim, cfg.dim)
+    assert got.dtype == dtype
+    for row, fn in zip(coeffs, got):
+        assert np.array_equal(fn, triangular_matrix_function(row, 0.1 * K))
+
+
+def test_real_data_give_a_real_function():
+    cfg = TruncationConfig(16)
+    K = 0.2 * creation(cfg).real
+    coeffs = [1 / math.factorial(m) for m in range(cfg.dim)]
+    got = triangular_matrix_function(coeffs, K)
+    assert got.dtype == np.float64
+    np.testing.assert_allclose(got, scipy.linalg.expm(K), rtol=0, atol=1e-15)
+    assert triangular_matrix_function(coeffs, K + 0j).dtype == complex
+    assert series_operator([0.5, 1.0], cfg).dtype == np.float64
+    assert series_operator([0.5, 1.0j], cfg).dtype == complex
+
+
 class _CountingMatrix(np.ndarray):
-    """ndarray that counts the dense products it takes part in."""
+    """ndarray that counts the dense N x N products it takes part in; a
+    product of stacked matrices counts one per matrix in the stack."""
 
     products = 0
 
     def __matmul__(self, other):
-        _CountingMatrix.products += 1
-        return super().__matmul__(other)
+        out = super().__matmul__(other)
+        _CountingMatrix.products += math.prod(np.shape(out)[:-2])
+        return out
 
     def __rmatmul__(self, other):
-        _CountingMatrix.products += 1
-        return super().__rmatmul__(other)
+        out = super().__rmatmul__(other)
+        _CountingMatrix.products += math.prod(np.shape(out)[:-2])
+        return out
 
 
 def test_paterson_stockmeyer_matmul_count(monkeypatch):
@@ -201,6 +234,21 @@ def test_paterson_stockmeyer_matmul_count(monkeypatch):
     triangular_matrix_function(exp_coefficients([0.0, 1.0], cfg.dim), K)
     bound = 2 * math.ceil(math.sqrt(cfg.dim))
     assert 0 < _CountingMatrix.products <= bound
+
+
+def test_cosh_and_sinh_share_one_power_table(monkeypatch):
+    # separately, cosh and sinh of a+ take up to 2 (2 ceil(sqrt(N)) - 2)
+    # products; with one table of powers the second adds only its Horner steps
+    cfg = TruncationConfig(256)
+    monkeypatch.setattr(_CountingMatrix, "products", 0)
+    coeffs = [cosh_series(0.0, cfg.dim), sinh_series(0.0, cfg.dim)]
+    K = creation(cfg).real.view(_CountingMatrix)
+    both = triangular_matrix_function(coeffs, K)
+    bound = 3 * math.ceil(math.sqrt(cfg.dim))
+    assert 0 < _CountingMatrix.products <= bound
+    for row, fn in zip(coeffs, both):
+        ref = _term_by_term(row, creation(cfg), cfg)
+        assert np.abs(fn - ref).max() < 1e-15 * np.abs(ref).max()
 
 
 # coefficient lists with a nonzero constant term, complex entries and a tail
