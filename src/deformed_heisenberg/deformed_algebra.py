@@ -13,11 +13,12 @@ built by fock_core.series_operator.  Each coefficient list comes from the
 O(N^2) recurrence of its series' own ODE: exp_coefficients for e^{u(x)} and
 _pow_series for u(x)^c, with no series composition.  z and p are real, so
 every realization is a float64 triple; its ladder factor a (or a+) scales
-columns (rows) in O(N^2) instead of a dense product.  The residual checks
-apply cosh, sinh and the reciprocal to those matrices by an independent
-route, their Taylor sums in dense matrix powers (triangular_matrix_function,
-Paterson-Stockmeyer), in real arithmetic; cosh and sinh of one matrix share
-one table of its powers.
+columns (rows) in O(N^2) instead of a dense product, and so do the
+commutators [A, B] and [A, C] with the ladder A = -a+ (or a) in the residual
+checks.  Those checks apply cosh, sinh and the reciprocal to the matrices by
+an independent route, their Taylor sums in dense matrix powers
+(triangular_matrix_function, Paterson-Stockmeyer), in real arithmetic; cosh
+and sinh of one matrix share one table of its powers.
 """
 
 import cmath
@@ -259,6 +260,24 @@ def build_realization(kind: RealizationKind, params: DeformationParams,
     return AlgebraTriple(A=-a.T, B=B, C=C, kind=kind)
 
 
+def _ladder_commutator(A, X):
+    """A X - X A.  For a ladder A (-a+ or a: one nonzero diagonal, next to
+    the main one) each entry of A X and of X A is a single product, so row
+    and column scalings by that diagonal give the dense products' values in
+    O(N^2).  Any other A takes the dense products."""
+    off = -1 if np.diagonal(A, -1).any() else 1
+    d = np.diagonal(A, off)
+    if np.count_nonzero(A) != np.count_nonzero(d):
+        return A @ X - X @ A
+    # A X moves row src of X to row dst; X A moves column dst to column src
+    src, dst = ((slice(None, -1), slice(1, None)) if off < 0
+                else (slice(1, None), slice(None, -1)))
+    out = np.zeros(X.shape, dtype=np.result_type(A, X))
+    out[dst] = d[:, None] * X[src]
+    out[:, src] -= X[:, dst] * d
+    return out
+
+
 def commutator_residual_uzp(triple: AlgebraTriple, params: DeformationParams,
                             cfg: TruncationConfig):
     """Guarded norms of the two-parameter defining relations:
@@ -269,9 +288,9 @@ def commutator_residual_uzp(triple: AlgebraTriple, params: DeformationParams,
     A, B, C = triple.A, triple.B, triple.C
     ident = np.eye(cfg.dim)
     cosh_pB, sinh_pB = _cosh_sinh(p * B)
-    r1 = guarded_norm(A @ B - B @ A, cfg)
+    r1 = guarded_norm(_ladder_commutator(A, B), cfg)
     r2 = guarded_norm(B @ C - C @ B + (2 * z / p ** 2) * (cosh_pB - ident), cfg)
-    r3 = guarded_norm(A @ C - C @ A - sinh_pB / p, cfg)
+    r3 = guarded_norm(_ladder_commutator(A, C) - sinh_pB / p, cfg)
     return r1, r2, r3
 
 
@@ -280,9 +299,9 @@ def commutator_residual_tilde(triple: AlgebraTriple, params: DeformationParams,
     """Guarded norms of [A,B], [B,C] + z B^2, [A,C] - B."""
     z = params.z
     A, B, C = triple.A, triple.B, triple.C
-    r1 = guarded_norm(A @ B - B @ A, cfg)
+    r1 = guarded_norm(_ladder_commutator(A, B), cfg)
     r2 = guarded_norm(B @ C - C @ B + z * (B @ B), cfg)
-    r3 = guarded_norm(A @ C - C @ A - B, cfg)
+    r3 = guarded_norm(_ladder_commutator(A, C) - B, cfg)
     return r1, r2, r3
 
 

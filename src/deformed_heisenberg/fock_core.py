@@ -5,8 +5,10 @@ States are plain 1-d complex numpy arrays of amplitudes over |0>..|N-1>
 except where the kernels below get real data.  Identity checks always exclude
 the top ``guard`` levels because truncation breaks the ladder relations there.
 
-``series_operator`` builds f(a+) from a coefficient list in O(N^2); the lists
-come from the power-series recurrences of ``deformed_algebra``.  The residual
+``series_operator`` builds f(a+) from a coefficient list in O(N^2), in one
+vectorised pass with no Python loop over the orders (a cumprod of the scaled
+roots and one product with the coefficients); the lists come from the
+power-series recurrences of ``deformed_algebra``.  The residual
 checks use ``triangular_matrix_function``, a Taylor sum in matrix powers that
 evaluates several functions of one matrix from one table of its powers.  Both
 kernels take their dtype from their inputs: real data give a float64 matrix,
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from math import atanh, ceil, isqrt, sqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadParams, NotNilpotent, TailTooHeavy, ZeroNorm
 
@@ -156,28 +159,41 @@ def triangular_matrix_function(series_coeffs, K: FockOperator) -> FockOperator:
 def series_operator(f, cfg: TruncationConfig) -> FockOperator:
     """Matrix of f(a+) = sum_k f[k] (a+)^k: entry (n+k, n) = f[k] sqrt((n+k)!/n!).
 
-    One subdiagonal at a time from running products of sqrt(j): O(N^2), no
-    integer factorials.  Each root carries 2^-e (4^e >= N) and f[k] carries
+    Running products of sqrt(j), with no integer factorials: O(N^2) in one
+    vectorised pass.  Each root carries 2^-e (4^e >= N) and f[k] carries
     2^{ek}, which is exact and keeps the products finite past N ~ 340, where
-    sqrt(n!) overflows.  The transpose is f(a); column 0 is f(a+)|0>.  Real
-    coefficients give a real matrix.
+    sqrt(n!) overflows.  The products are one cumprod along the rows of a
+    Hankel view of the roots, multiplied left to right from sqrt(n+1), and
+    the coefficients are a Toeplitz view, so every entry is the same
+    sequence of roundings as a product built one subdiagonal at a time.  The
+    one N x N temporary is the product table, laid out with row stride
+    N + 1 so that its leading N x N block reads prod_{j=n+1}^{m} at (n, m),
+    1 on the diagonal and exact zeros below it.  The transpose is f(a);
+    column 0 is f(a+)|0>.  Real coefficients give a real matrix.
     """
     N = cfg.dim
     e = (N.bit_length() + 1) // 2
-    f = np.asarray(f)
-    cplx = np.iscomplexobj(f)
-    roots = np.ldexp(np.sqrt(np.arange(1, N, dtype=float)), -e)
-    out = np.zeros((N, N), dtype=complex if cplx else float)
-    flat = out.reshape(-1)
-    run = np.ones(N)
-    for k in range(min(len(f), N)):
-        if k:
-            run = run[:-1] * roots[k - 1:]     # prod_{j=n+1}^{n+k} sqrt(j) 2^-e
-        fk = np.ldexp(f[k].real, e * k)
-        if cplx:
-            fk = fk + 1j * np.ldexp(f[k].imag, e * k)
-        flat[k * N::N + 1] = fk * run          # the k-th subdiagonal
-    return out
+    f = np.asarray(f)[:N]
+    ek = e * np.arange(len(f))
+    fk = np.ldexp(f.real, ek)
+    if np.iscomplexobj(f):
+        with np.errstate(invalid="ignore"):    # 1j * inf is nan, silently
+            fk = fk + 1j * np.ldexp(f.imag, ek)
+    # g[N - 1 + k] = fk[k], zero elsewhere, so F[m, n] = fk[m - n] or 0
+    g = np.zeros(2 * N - 1, dtype=np.result_type(fk, float))
+    g[N - 1:N - 1 + len(fk)] = fk
+    F = sliding_window_view(g, N)[:, ::-1]
+    # r[n + j] = sqrt(n + j + 1) 2^-e, then zeros: a product that runs past
+    # sqrt(N - 1) is exactly 0
+    r = np.zeros(2 * N - 1)
+    r[:N - 1] = np.ldexp(np.sqrt(np.arange(1, N, dtype=float)), -e)
+    buf = np.empty(N * (N + 1) + 1)
+    buf[0] = 1.0
+    rows = buf[1:].reshape(N, N + 1)
+    rows[:, N] = 1.0
+    np.cumprod(sliding_window_view(r, N), axis=1, out=rows[:, :N])
+    S = buf[:N * N].reshape(N, N)     # S[n, m] = prod_{j=n+1}^{m} sqrt(j) 2^-e
+    return np.multiply(F, S.T, out=np.empty((N, N), dtype=g.dtype))
 
 
 def matrix_exponential(M: FockOperator) -> FockOperator:

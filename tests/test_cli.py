@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from deformed_heisenberg import _gaussian, cli
-from deformed_heisenberg.errors import NotConverged
+from deformed_heisenberg.errors import NotConverged, PhaseWindow
 
 PI = "3.141592653589793"
 HALF_PI = "1.5707963267948966"
@@ -845,7 +845,68 @@ def test_argparse_failures_raise_systemexit_2(capsys):
 
 def test_installed_entry_point_runs():
     # python -m deformed_heisenberg.cli, with the source tree on the child's
-    # path; the dheis console script calls the same main()
+    # path; the dheis console script calls the same run()
     proc = _run_cli(["spectrum", "--delta", "0", "--dim", "16"], timeout=60)
     assert proc.returncode == 0
     assert "h_eig" in proc.stdout
+
+
+def _spy_freeze(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append(1))
+    return calls
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["verify", "--dim", "32", "--suite", "dispersion"], 0),
+    (["verify", "--dim", "16", "--suite", "dispersion"], 1),
+    (["state", "--dim", "4"], 2),
+], ids=["ok", "invariant", "usage"])
+def test_entry_freezes_once_and_returns_main_exit_code(argv, rc, monkeypatch,
+                                                       capsys):
+    calls = _spy_freeze(monkeypatch)
+    assert cli.main(argv) == rc
+    assert calls == []
+    assert cli.run(argv) == rc
+    assert calls == [1]
+    capsys.readouterr()
+
+
+def test_module_main_block_runs_the_entry(monkeypatch, capsys):
+    import runpy
+    calls = _spy_freeze(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["dheis", "state", "--dim", "4"])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+        # re-running a module of an imported package warns about it
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module("deformed_heisenberg.cli", run_name="__main__")
+    assert exc.value.code == 2
+    assert calls == [1]
+    capsys.readouterr()
+
+
+def test_console_script_names_the_entry():
+    import tomllib
+    root = os.path.dirname(os.path.dirname(os.path.dirname(cli.__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"dheis": "deformed_heisenberg.cli:run"}
+
+
+def test_warning_is_one_line_without_install_path():
+    # mu = 0 with arg(lam) = 3 lies outside the z > 0 convergence window
+    proc = _run_cli(["state", "--dim", "64", "--z", "0.01", "--delta", "0",
+                     "--beta", "1", "--theta", "3"], timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "warning: PhaseWindow: mu=0 series phase arg(lam)=3.0000 outside the "
+        "convergence window for z=0.01\n")
+
+
+def test_main_restores_the_warning_format(capsys):
+    before = warnings.formatwarning
+    with pytest.warns(PhaseWindow):
+        assert cli.main(["state", "--dim", "16", "--z", "0.01", "--delta",
+                         "0", "--beta", "1", "--theta", "3"]) == 0
+    assert warnings.formatwarning is before
+    capsys.readouterr()

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from deformed_heisenberg.deformed_algebra import (
-    AlgebraTriple, DeformationParams, P_KINDS, RealizationKind, _pow_series,
-    _uzp_coefficients, build_realization, commutator_residual_tilde,
+    AlgebraTriple, DeformationParams, P_KINDS, RealizationKind,
+    _ladder_commutator, _pow_series, _uzp_coefficients, build_realization, commutator_residual_tilde,
     commutator_residual_uzp, cosh_series, exp_coefficients, recip_series,
     sinh_series, tilde_basis_change)
 from deformed_heisenberg.errors import BadParams
@@ -235,6 +235,29 @@ def test_ladder_factor_is_exact_dense_product(kind, dim):
     a = annihilation(cfg).real
     want = a.T @ C.T if kind in _ON_A else C @ a
     assert np.array_equal(build_realization(kind, prm, cfg).C, want)
+
+
+@pytest.mark.parametrize("dim", [8, 64, 200])
+@pytest.mark.parametrize("kind", list(RealizationKind), ids=lambda k: k.name)
+def test_ladder_commutator_is_exact_dense_commutator(kind, dim):
+    # the residual checks take [A, B] and [A, C] by scaling rows and columns
+    # with A's one nonzero diagonal; each entry of the dense A X and X A is
+    # that one product plus exact zeros
+    cfg = TruncationConfig(dim)
+    for z in (0.0, 0.02, -0.02):
+        for p in (0.1, 0.4):
+            tri = build_realization(kind, DeformationParams(z=z, p=p), cfg)
+            A = tri.A
+            for X in (tri.B, tri.C):
+                assert np.array_equal(_ladder_commutator(A, X), A @ X - X @ A)
+
+
+def test_ladder_commutator_takes_dense_products_for_other_operators():
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((16, 16))
+    a = annihilation(TruncationConfig(16)).real
+    for A in (a + a.T, a + np.eye(16), rng.standard_normal((16, 16))):
+        assert np.array_equal(_ladder_commutator(A, X), A @ X - X @ A)
 
 
 def test_p_kinds_reject_zero_p():

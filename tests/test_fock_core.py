@@ -264,6 +264,45 @@ def test_series_operator_of_x_is_creation():
                                       creation(cfg))
 
 
+def _series_operator_by_subdiagonal(f, cfg):
+    # the kernel one subdiagonal per iteration, from running products of
+    # the 2^-e scaled roots: the reference for the vectorised pass
+    N = cfg.dim
+    e = (N.bit_length() + 1) // 2
+    f = np.asarray(f)
+    cplx = np.iscomplexobj(f)
+    roots = np.ldexp(np.sqrt(np.arange(1, N, dtype=float)), -e)
+    out = np.zeros((N, N), dtype=complex if cplx else float)
+    flat = out.reshape(-1)
+    run = np.ones(N)
+    for k in range(min(len(f), N)):
+        if k:
+            run = run[:-1] * roots[k - 1:]
+        fk = np.ldexp(f[k].real, e * k)
+        if cplx:
+            fk = fk + 1j * np.ldexp(f[k].imag, e * k)
+        flat[k * N::N + 1] = fk * run
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 64, 160, 256, 400])
+def test_series_operator_matches_subdiagonal_loop(dim):
+    # N = 400 is past the point where the 2^-e scaling keeps sqrt(n!) finite
+    cfg = TruncationConfig(dim)
+    rng = np.random.default_rng(dim)
+    for length in sorted({1, max(1, dim // 2), dim, dim + 5}):
+        # about 0.3^k / sqrt(k!), the size of a Bargmann coefficient
+        decay = np.exp([k * math.log(0.3) - math.lgamma(k + 1) / 2
+                        for k in range(length)])
+        re = rng.standard_normal(length) * decay
+        im = rng.standard_normal(length) * decay
+        for f in (re, re + 1j * im, exp_coefficients([0, 0.02], length)):
+            got = series_operator(f, cfg)
+            want = _series_operator_by_subdiagonal(f, cfg)
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert np.array_equal(got, want), (dim, length, f.dtype)
+
+
 def test_exp_coefficients_match_expm_of_creation():
     cfg = TruncationConfig(24, 6)
     for z in (0.3, -1.2, 0.5 - 0.4j):

@@ -1,12 +1,15 @@
 """The lower-triangular ladder system: G, H, the metric and its square root."""
 
 import cmath
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from deformed_heisenberg import cli
 from deformed_heisenberg.aes_series import deformed_squeezed_state
 from deformed_heisenberg.deformed_algebra import DeformationParams
 from deformed_heisenberg.errors import IllConditioned
@@ -34,6 +37,32 @@ def test_build_g_zero_z_is_plain_gaussian():
     ad = creation(CFG)
     ref = scipy.linalg.expm(-0.5 * MU * (ad @ ad))
     assert np.abs(build_G(MU, 0.0, CFG) - ref).max() < 1e-12
+
+
+def _spectrum_argvs():
+    # the default box and the spectrum requests of the first operator_checks
+    # block of seeds 1-3 (workloads.py is loaded by path: benchmarks/ is not
+    # a package, and its top-level imports are stdlib only)
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    w = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(w)
+    argvs = [["spectrum"]]
+    for seed in (1, 2, 3):
+        argvs += [a for a in next(w.blocks("operator_checks", seed))
+                  if a[0] == "spectrum"]
+    return argvs
+
+
+@pytest.mark.parametrize("argv", _spectrum_argvs(), ids=" ".join)
+def test_pseudo_spectrum_is_what_eigvals_returns(argv):
+    # H is triangular: eigvals balances first, which isolates every
+    # eigenvalue, so it returns diag(H) exactly
+    args = cli._build_parser().parse_args(argv)
+    sys = build_system(args.delta * cmath.exp(1j * args.phi), args.z,
+                       TruncationConfig(args.dim))
+    want = np.sort_complex(np.linalg.eigvals(sys.H))
+    assert np.array_equal(spectrum_report(sys, "pseudo").eigenvalues, want)
 
 
 def test_g_similarity_maps_ladder_operators():
