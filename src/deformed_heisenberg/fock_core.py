@@ -14,10 +14,15 @@ evaluates several functions of one matrix from one table of its powers.  Both
 kernels take their dtype from their inputs: real data give a float64 matrix,
 at about a quarter of the complex flops.
 
+``vacuum_image`` gives exp(x(a+))|0> without the matrix exp(x(a+)), in
+O(N^2) from the Bargmann ODE of e^x, its weights exponentiated from logs.
+
 Everything here is plain numpy except ``matrix_exponential``, which imports
 scipy on its first call.  Only the dense references ``displacement_operator``
 and ``squeeze_operator`` reach it; the production S D|0> applies the
 generators to the vacuum with ``expm_action``, so no CLI command loads scipy.
+scipy stays a runtime dependency all the same: the traced benchmark
+(benchmarks/traced_cli.py) wraps ``matrix_exponential`` by name.
 """
 
 import cmath
@@ -85,10 +90,7 @@ def vacuum(cfg: TruncationConfig) -> FockVector:
 
 def coherent_state(xi_bar: complex, cfg: TruncationConfig) -> FockVector:
     """Unnormalized |xi_bar> = e^{xi_bar a^dagger}|0>: amps[n] = xi_bar^n / sqrt(n!)."""
-    amps = np.empty(cfg.dim, dtype=complex)
-    amps[0] = 1.0
-    for n in range(1, cfg.dim):
-        amps[n] = amps[n - 1] * xi_bar / sqrt(n)
+    amps = vacuum_image([0.0, xi_bar], [0.0, 0.0], cfg.dim)
     check_tail(amps, cfg)
     return amps
 
@@ -194,6 +196,35 @@ def series_operator(f, cfg: TruncationConfig) -> FockOperator:
     np.cumprod(sliding_window_view(r, N), axis=1, out=rows[:, :N])
     S = buf[:N * N].reshape(N, N)     # S[n, m] = prod_{j=n+1}^{m} sqrt(j) 2^-e
     return np.multiply(F, S.T, out=np.empty((N, N), dtype=g.dtype))
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """log j! for j = 0..n-1, as one running sum of logs."""
+    return np.r_[0.0, np.cumsum(np.log(np.arange(1, n)))]
+
+
+def vacuum_image(kx, log_scale, n: int) -> FockVector:
+    """Fock amplitudes psi_0..psi_{n-1} (psi_0 = 1) of exp(x(a+))|0>, x(0) = 0:
+    psi_m = sqrt(m!) w_m for the symbol w = e^x, and w' = x' w gives
+
+        m psi_m = sum_{k=1}^{m} k x_k sqrt(m!/(m-k)!) psi_{m-k}.
+
+    k x_k = kx[k] e^{log_scale[k]} (index 0 unused, zero past len(kx) - 1),
+    so that an order too small for a float can come as a log; each weight is
+    exponentiated from log_scale[k] plus half a log-factorial difference.
+    Entries past the float range turn inf or nan without numpy warnings.
+    """
+    kx = np.asarray(kx, dtype=complex)[:n]
+    log_scale = np.asarray(log_scale, dtype=float)[:n]
+    log_fact = log_factorials(n)
+    psi = np.r_[1.0 + 0j, np.zeros(n - 1, dtype=complex)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, n):
+            k = min(m, len(kx) - 1)     # orders 1..k pair with m-1..m-k
+            w = kx[1:k + 1] * np.exp(log_scale[1:k + 1] + 0.5 * (
+                log_fact[m] - log_fact[m - k:m][::-1]))
+            psi[m] = w @ psi[m - k:m][::-1] / m
+    return psi
 
 
 def matrix_exponential(M: FockOperator) -> FockOperator:

@@ -30,7 +30,7 @@ from .errors import IllConditioned
 from .fock_core import (FockOperator, FockVector, TruncationConfig,
                         annihilation, creation, guarded_norm, normalize,
                         number_operator, series_operator,
-                        squeezed_displaced_vacuum, vacuum)
+                        squeezed_displaced_vacuum, vacuum, vacuum_image)
 
 ETA_CONDITION_LIMIT = 1e12
 
@@ -151,8 +151,7 @@ def ground_state(sys: PseudoHermitianSystem) -> FockVector:
 
 def coherent_eigenstate(nu: complex, sys: PseudoHermitianSystem) -> FockVector:
     """Normalized G e^{-nu a+}|0>: eigenstate of A with eigenvalue -nu."""
-    seed = series_operator(exp_coefficients([0.0, -nu], sys.cfg.dim), sys.cfg)[:, 0]
-    return normalize(sys.G @ seed)
+    return normalize(sys.G @ vacuum_image([0.0, -nu], [0.0, 0.0], sys.cfg.dim))
 
 
 def rho_hat(sys: PseudoHermitianSystem) -> FockOperator:

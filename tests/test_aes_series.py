@@ -16,12 +16,14 @@ from deformed_heisenberg.aes_series import (
     standard_squeezed_symbol_zero_z,
     two_param_log_symbol, two_param_perturbed_state, two_param_symbol,
     upsilon_table)
-from deformed_heisenberg.deformed_algebra import DeformationParams
+from deformed_heisenberg.deformed_algebra import (DeformationParams,
+                                                  exp_coefficients)
 from deformed_heisenberg.errors import (BadParams, NonNormalizable,
                                         NotConverged, PhaseWindow)
 from deformed_heisenberg.fock_core import (
     TruncationConfig, annihilation, coherent_state, creation,
-    displacement_operator, norm, normalize, squeeze_operator, vacuum)
+    displacement_operator, norm, normalize, series_operator,
+    squeeze_operator, vacuum)
 
 CFG = TruncationConfig(64)
 
@@ -94,7 +96,7 @@ def test_recurrence_matches_exact_integer_tables():
     z = Fraction(1, 2)
     prm = DeformationParams(z=float(z), lam=complex(*map(float, lam)),
                             mu=complex(*map(float, mu)))
-    c = fock_coefficients(prm, 12, cross_check=False)[0]
+    c = fock_coefficients(prm, 12)[0]
     for n in range(13):
         re = im = Fraction(0)
         for (s, t), K in amplitude_coefficients(n):
@@ -110,9 +112,12 @@ def test_recurrence_matches_exact_integer_tables():
     (DeformationParams(z=0.001, lam=cmath.exp(0.3j), mu=0.5 * cmath.exp(0.9j)),
      128),
     (DeformationParams(z=0.02, lam=1.0, mu=0.5), 256),
-], ids=["dim128", "dim256"])
+    # |mu/z^2 - lam/z| = 55.5, where the float double sum used to overflow
+    (DeformationParams.from_polar(z=0.0136372, delta=0.0158662, phi=-2.07702,
+                                  beta=1.11137, theta=-1.39953), 48),
+], ids=["dim128", "dim256", "Y55"])
 def test_recurrence_matches_mpmath(prm, dim):
-    c = fock_coefficients(prm, dim - 1, cross_check=False)[0]
+    c = fock_coefficients(prm, dim - 1)[0]
     ref = _mp_recurrence(prm, dim - 1)
     assert np.max(np.abs(c - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-14
 
@@ -155,26 +160,56 @@ def test_fock_coefficients_match_zero_z_symbol_for_tiny_z():
     assert max(abs(c - _squeezed(0.7, 0.3, 10))) < 1e-4
 
 
-def test_fock_coefficients_dual_route_agreement():
-    prm = DeformationParams(z=0.5, lam=0.7 + 0.2j, mu=0.3 - 0.1j)
-    _, diag = fock_coefficients(prm, 12)
-    assert diag.converged
-    assert diag.tail_estimate < 1e-9
-    assert diag.terms_used > 0          # the float cross-check actually ran
+def _mp_double_sum(prm, n_max, tol=1e-30):
+    """The paper's unsummed double series for c_n (C_0 = 1), in mpmath:
+
+        c_n = e^{-Y} z^n / sqrt(n!) sum_k sum_{m <= min(k, n)}
+              C(n, m) (-k)^{n-m} X^m Y^{k-m} / (k-m)!,
+
+    X = mu/z^2, Y = mu/z^2 - lam/z, each k-sum stopped after three terms in
+    a row below tol of its partial sum."""
+    import mpmath as mp
+    y = abs(prm.mu / prm.z ** 2 - prm.lam / prm.z)
+    # 0.434|Y| digits cancel in e^{-Y} sum_k Y^k/k!, up to ~0.87|Y| for
+    # complex Y; the k^n and X^m growth adds ~n log10|Y| more
+    dps = 40 + int(0.9 * y) + int(n_max * max(2.0, math.log10(max(y, 10.0))))
+    with mp.workdps(dps):
+        z = mp.mpf(prm.z)
+        X = mp.mpc(prm.mu) / z ** 2
+        Y = X - mp.mpc(prm.lam) / z
+        out = []
+        for n in range(n_max + 1):
+            total, small = mp.mpc(0), 0
+            for k in range(int(4 * y) + 40 * (n_max + 1) + 300):
+                term = mp.fsum(math.comb(n, m) * (-k) ** (n - m) * X ** m
+                               * Y ** (k - m) / mp.factorial(k - m)
+                               for m in range(min(k, n) + 1))
+                total += term
+                small = small + 1 if abs(term) < tol * abs(total) else 0
+                if small == 3:
+                    break
+            assert small == 3, f"double sum for c_{n} not converged"
+            out.append(complex(mp.exp(-Y) * z ** n * total
+                               / mp.sqrt(mp.factorial(n))))
+    return np.array(out)
 
 
-def test_fock_coefficients_high_precision_route():
-    # |mu/z^2 - lam/z| = 470 forces the arbitrary-precision branch
-    prm = DeformationParams(z=0.01, lam=0.3, mu=0.05)
-    c, diag = fock_coefficients(prm, 5, cross_check=True)
-    assert diag.converged
-    assert diag.tail_estimate < 1e-9
-    assert c[1] == pytest.approx(0.3, abs=1e-12)
+@pytest.mark.parametrize("prm,n_max", [
+    # |mu/z^2 - lam/z| = 0.82 and 470: the double sum cancels about 0.4|Y|
+    # digits, so the second box needs some 480 of them
+    (DeformationParams(z=0.5, lam=0.7 + 0.2j, mu=0.3 - 0.1j), 12),
+    (DeformationParams(z=0.01, lam=0.3, mu=0.05), 5),
+], ids=["Y0.82", "Y470"])
+def test_recurrence_matches_paper_double_sum(prm, n_max):
+    c, diag = fock_coefficients(prm, n_max)
+    ref = _mp_double_sum(prm, n_max)
+    assert np.max(np.abs(c - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-14
+    assert diag.terms_used == n_max + 1 and diag.tail_estimate < 1e-15
 
 
 def test_route_check_catches_planted_error(monkeypatch):
-    # the parameters of the verify route check: the float double sum checks
-    # every amplitude there, so a 1e-6 error in c_3 cannot pass
+    # the vacuum-image route checks every amplitude, so a 1e-6 error in c_3
+    # cannot pass
     prm = DeformationParams(z=0.5, lam=0.7 + 0.2j, mu=0.3 - 0.1j)
     exact = aes._amplitudes
 
@@ -184,45 +219,14 @@ def test_route_check_catches_planted_error(monkeypatch):
         return c
 
     monkeypatch.setattr(aes, "_amplitudes", planted)
-    with pytest.raises(NotConverged, match="route deviation"):
-        fock_coefficients(prm, 10, cross_check=True)
-
-
-def test_float_cross_check_skips_what_it_cannot_resolve():
-    # |Y| = 30.3: the float double sum cancels away every digit of c_n (off
-    # by up to 1e14 at n = 31); its rounding bound says so and the check is
-    # left out, where it used to fail correct amplitudes
-    prm = DeformationParams.from_polar(z=0.115156, delta=0.401904,
-                                       phi=-1.87563, beta=0.548369,
-                                       theta=-0.388594)
-    _, diag = fock_coefficients(prm, 31)
-    assert diag.terms_used == 0 and diag.converged
-    # |Y| = 0.82: the check covers at least c_0..c_10, and agrees where it runs
-    prm = DeformationParams(z=0.5, lam=0.7 + 0.2j, mu=0.3 - 0.1j)
-    other, terms, _ = aes._double_sum_amplitudes(prm, 31, 2000, 1e-10,
-                                                 use_mp=False, room=1e-10)
-    c = _mp_recurrence(prm, 31)
-    checked = ~np.isnan(other)
-    assert checked[:11].all() and terms > 0
-    assert np.max(np.abs(other - c)[checked]) < 1e-10
-
-
-def test_float_cross_check_stops_before_summand_overflow():
-    # |Y| = 55.5: Y**k would pass the float range before the k-sum converges;
-    # the rounding bound stops each sum first
-    prm = DeformationParams.from_polar(z=0.0136372, delta=0.0158662,
-                                       phi=-2.07702, beta=1.11137,
-                                       theta=-1.39953)
-    c, diag = fock_coefficients(prm, 47)
-    assert diag.converged
-    np.testing.assert_allclose(c, _mp_recurrence(prm, 47), rtol=0,
-                               atol=1e-14)
+    with pytest.raises(NotConverged,
+                       match="row recurrence and the vacuum-image route"):
+        fock_coefficients(prm, 10)
 
 
 def test_fock_coefficients_error_paths():
-    with pytest.raises(NotConverged):
-        fock_coefficients(DeformationParams(z=0.5, lam=0.7, mu=0.3), 8,
-                          k_cutoff=2, cross_check=True)
+    with pytest.raises(NotConverged, match="leave the float range"):
+        fock_coefficients(DeformationParams(z=0.5, lam=1e200, mu=0.3), 8)
 
 
 def test_phase_window_warning():
@@ -260,8 +264,8 @@ def test_zero_z_amplitudes_past_bargmann_underflow():
     import mpmath as mp
     lam, mu, n_max = 1.5 * cmath.exp(-2j), 0.9 * cmath.exp(1j), 699
     c, diag = fock_coefficients(DeformationParams(z=0.0, lam=lam, mu=mu),
-                                n_max, cross_check=True)
-    assert diag.terms_used == 0          # no double sum exists at z = 0
+                                n_max)
+    assert diag.terms_used == n_max + 1  # the vacuum image checks z = 0 too
     with mp.workdps(80):
         g = [mp.mpc(1), mp.mpc(lam)]
         for n in range(2, n_max + 1):
@@ -278,9 +282,8 @@ def test_normalization_c0_limits_and_sum():
     assert c0 == pytest.approx((1 - 0.5 ** 2) ** 0.25, abs=1e-9)
     prm = DeformationParams(z=0.003, lam=2 * cmath.exp(0.8j * math.pi), mu=0.5)
     c0, diag = normalization_c0(prm)
-    c = fock_coefficients(prm, diag.terms_used - 1, cross_check=False)[0]
+    c = fock_coefficients(prm, diag.terms_used - 1)[0]
     assert abs(np.sum(np.abs(c0 * c) ** 2) - 1.0) < 1e-11
-    assert diag.converged
 
 
 def test_normalization_c0_not_converged():
@@ -297,7 +300,7 @@ def test_deformed_squeezed_state_matches_series_route():
     prm = DeformationParams(z=0.01, lam=1.0, mu=0.3)
     v_op = deformed_squeezed_state(prm, CFG)
     c0, _ = normalization_c0(prm)
-    c = fock_coefficients(prm, CFG.dim - 1, cross_check=False)[0]
+    c = fock_coefficients(prm, CFG.dim - 1)[0]
     assert max(abs(v_op - c0 * c)) < 1e-9
 
 
@@ -306,6 +309,33 @@ def test_deformed_squeezed_state_zero_z_is_symbol_state():
     v = deformed_squeezed_state(prm, CFG)
     ref = normalize(_squeezed(0.7, 0.3, 63))
     assert max(abs(v - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("delta,beta,dim", [(0.3, 12.0, 400),
+                                             (0.1, 17.0, 600)])
+def test_deformed_squeezed_state_past_coefficient_underflow(delta, beta, dim):
+    # the amplitudes peak at n = 177 and 285, past the n ~ 170 where the
+    # Bargmann coefficients of exp(x(a+)) and z^n/n! underflow; the state
+    # built from those coefficients was 1.4e-8 and 1.6e-3 off.  The first
+    # state holds 7e-6 of its norm in the top quarter, 1e-9 in the top eighth
+    prm = DeformationParams.from_polar(z=0.001, delta=delta, phi=0.7,
+                                       beta=beta, theta=-0.4)
+    ref = _mp_recurrence(prm, dim - 1)
+    v = deformed_squeezed_state(prm, TruncationConfig(dim, dim // 8))
+    assert np.max(np.abs(v - ref / np.linalg.norm(ref))) < 1e-13
+
+
+def test_aes_operator_matches_dense_product():
+    # the realization's O(N^2) C(a+) a against the dense product, entry for
+    # entry
+    for dim in (8, 64, 160, 256):
+        cfg = TruncationConfig(dim)
+        for z in (0.0, 0.01, -0.02):
+            prm = DeformationParams(z=z, lam=0.9, mu=0.3 - 0.1j, nu=0.2 + 0.5j)
+            ez = series_operator(exp_coefficients([0.0, z], dim), cfg)
+            dense = (ez @ annihilation(cfg) + prm.mu * creation(cfg)
+                     + prm.nu * ez)
+            assert np.array_equal(aes_operator(prm, cfg), dense), (dim, z)
 
 
 def test_deformed_squeezed_state_eigen_residual():

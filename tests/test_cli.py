@@ -309,7 +309,9 @@ def test_state_zero_deformation_is_poissonian(tmp_path):
         assert abs(w - math.exp(-1.0) / math.factorial(n)) < 1e-15
         assert im_c == 0.0
     assert abs(sum(r[3] for r in rows) - 1.0) < 1e-12
-    assert sorted(doc["diagnostics"].keys()) == ["c0", "tail_estimate"]
+    assert sorted(doc["diagnostics"].keys()) == ["c0", "route_deviation",
+                                                 "tail_estimate"]
+    assert doc["diagnostics"]["route_deviation"] < 1e-15
     assert doc["diagnostics"]["tail_estimate"] < 1e-12
 
 
@@ -410,9 +412,10 @@ def test_state_csv_diagnostics_trailer(tmp_path):
     assert lines[1] == "n,re_c,im_c,abs_sq"
     assert lines[2].startswith("0,0.56020489757040759,0,")
     trailer = [l for l in lines[2:] if l.startswith("#")]
-    assert len(trailer) == 2
+    assert len(trailer) == 3
     assert trailer[0].startswith("# c0=")
-    assert trailer[1].startswith("# tail_estimate=")
+    assert trailer[1].startswith("# route_deviation=")
+    assert trailer[2].startswith("# tail_estimate=")
 
 
 def test_state_rejects_nonzero_gamma(capsys):
@@ -596,11 +599,12 @@ def test_state_runs_the_recurrence_once(monkeypatch, capsys):
 _IMPORT_BUDGET = """
 import contextlib, io, json, sys
 import deformed_heisenberg.cli as cli
-seen = {"import": "scipy" in sys.modules}
+modules = json.loads(sys.argv[2])
+seen = {"import": [m for m in modules if m in sys.modules]}
 for name, argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.main(argv)
-    seen[name] = [rc, "scipy" in sys.modules]
+    seen[name] = [rc, [m for m in modules if m in sys.modules]]
 print(json.dumps(seen))
 """
 
@@ -609,8 +613,9 @@ def test_cli_never_loads_scipy():
     # scipy is imported inside fock_core.matrix_exponential, which only the
     # dense reference operators call; S D|0> in verify is an expm_action on
     # the vacuum.  Importing scipy would double every request's start-up.
-    # The test process has scipy loaded already, so this runs in a fresh
-    # interpreter.
+    # mpmath is a test dependency only: the 60-digit references live in the
+    # tests.  The test process has both loaded already, so this runs in a
+    # fresh interpreter.
     runs = [
         ("state", ["state", "--dim", "32", "--z", "0.01", "--delta", "0.2"]),
         ("sweep_phi", ["sweep-dispersion", "--steps", "5"]),
@@ -625,15 +630,16 @@ def test_cli_never_loads_scipy():
     ]
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_BUDGET, json.dumps(runs)],
+        [sys.executable, "-c", _IMPORT_BUDGET, json.dumps(runs),
+         json.dumps(["scipy", "mpmath"])],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert seen == {"import": False, "state": [0, False],
-                    "sweep_phi": [0, False], "sweep_delta": [0, False],
-                    "spectrum": [0, False], "verify_pseudo": [0, False],
-                    "verify_dispersion": [0, False], "verify": [0, False]}
+    assert seen == {"import": [], "state": [0, []], "sweep_phi": [0, []],
+                    "sweep_delta": [0, []], "spectrum": [0, []],
+                    "verify_pseudo": [0, []], "verify_dispersion": [0, []],
+                    "verify": [0, []]}
 
 
 def test_verify_small_dim_reports_designed_failures(tmp_path, capsys):
