@@ -137,7 +137,7 @@ def test_state_table_is_checked_or_refused(argv):
         rc = cli.main(argv)
     assert not [w for w in caught if w.category is RuntimeWarning]
     if rc == 0:
-        deviation = json.loads(stdout.getvalue())["diagnostics"]["route_deviation"]
-        assert deviation <= aes_series.ROUTE_DEVIATION_BOUND
+        diagnostics = json.loads(stdout.getvalue())["diagnostics"]
+        assert diagnostics["route_deviation"] <= aes_series.ROUTE_DEVIATION_BOUND
     else:
         assert rc == 3
