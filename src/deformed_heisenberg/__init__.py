@@ -5,6 +5,13 @@ terms of oscillator operators, their algebra eigenstates (deformed coherent
 and squeezed states), exact nilpotent-variable calculus, quadrature dispersion
 analysis, and the associated pseudo-Hermitian ladder Hamiltonian — all backed
 by brute-force matrix checks on truncated Fock spaces.
+
+Records are typing.NamedTuple classes, and the value types that check their
+arguments (TruncationConfig, DeformationParams, GrassmannODESpec) are
+NamedTuple subclasses with a validating __new__; QC is a __slots__ class.
+None is a dataclass: every dheis request is a fresh interpreter, and the
+dataclass decorator generates and compiles each class's methods at import,
+about 0.8 ms per class at every process start.
 """
 
 from .deformed_algebra import (AlgebraTriple, DeformationParams,

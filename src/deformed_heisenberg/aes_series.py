@@ -14,10 +14,10 @@ symbol live here as well.
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .fock_core import (FockVector, TruncationConfig, check_tail,
                         squeezed_displaced_vacuum, vacuum_image)
 
 
-@dataclass(frozen=True)
-class SeriesDiagnostics:
+class SeriesDiagnostics(NamedTuple):
     """Terms used by a series that passed its checks, and its error estimate."""
 
     terms_used: int
@@ -42,8 +41,7 @@ class SeriesDiagnostics:
 # exact-integer tables (the reference) and the amplitude recurrence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UpsilonTable:
+class UpsilonTable(NamedTuple):
     """Exact integers upsilon[m][j] (0 <= m <= n, 0 <= j <= n-m) defined by
 
         k^{n-m}/(k-m)!  =  sum_j upsilon[m][j] / (k-m-j)!   for all k >= m,
@@ -282,8 +280,7 @@ def deformed_coherent_state(params: DeformationParams, cfg: TruncationConfig) ->
 # first-order perturbed states and their norm factors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PerturbedState:
+class PerturbedState(NamedTuple):
     """First-order state with its printed norm factor.
 
     raw is Omega * (bracket) S D |0> exactly as assembled (normalized only to

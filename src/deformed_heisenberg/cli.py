@@ -11,7 +11,10 @@ the recurrence and the vacuum-image route (exit 3 above
 aes_series.ROUTE_DEVIATION_BOUND); tail_estimate, the norm series' remainder.
 
 Emits deterministic machine-readable tables (CSV with a '#' metadata line, or
-JSON mirroring the same schema).  Exit codes: 0 ok, 1 invariant failure,
+JSON mirroring the same schema).  _fmt writes every CSV cell: a float or
+np.float64 as "%.17g", a bool as 1/0 and an int by str, looked up by exact
+type in one dict; any other type (complex, numpy ints and bools) goes down an
+isinstance chain.  Exit codes: 0 ok, 1 invariant failure,
 2 usage, 3 convergence failure or a state with no finite norm,
 4 conditioning; main() alone maps errors to them.  A table is written only
 once it is complete, and a partial --out file is removed on every error exit.
@@ -30,7 +33,6 @@ was frozen.
 
 import argparse
 import cmath
-import dataclasses
 import gc
 import json
 import math
@@ -55,9 +57,17 @@ EXIT_CONVERGENCE = 3
 EXIT_CONDITIONING = 4
 
 
+# the usual cell types, looked up by their exact type (so a bool is never
+# taken for an int, and bool, which has no subclasses, never reaches the
+# chain); every other type goes down the isinstance chain of _fmt
+_FMT_EXACT = {float: "%.17g".__mod__, np.float64: "%.17g".__mod__, int: str,
+              bool: lambda v: "1" if v else "0"}
+
+
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
+    f = _FMT_EXACT.get(type(v))
+    if f is not None:
+        return f(v)
     if isinstance(v, float):
         return format(v, ".17g")
     if isinstance(v, complex):
@@ -100,7 +110,7 @@ class _Writer:
 
     def row(self, values):
         if self.fmt == "csv":
-            self.rows.append(",".join(_fmt(v) for v in values) + "\n")
+            self.rows.append(",".join(map(_fmt, values)) + "\n")
         else:
             self.rows.append([_jsonable(v) for v in values])
 
@@ -158,7 +168,7 @@ def _check_common(args) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-SWEEP_HEADER = [f.name for f in dataclasses.fields(dispersion.SweepRow)]
+SWEEP_HEADER = list(dispersion.SweepRow._fields)
 
 
 def cmd_sweep_dispersion(args) -> int:
@@ -169,7 +179,7 @@ def cmd_sweep_dispersion(args) -> int:
     with _Writer(args.out, args.format, _meta(args), SWEEP_HEADER) as w:
         negative = 0
         for row in rows:
-            w.row([getattr(row, name) for name in SWEEP_HEADER])
+            w.row(row)
             negative += row.var_x_def < 0 or row.var_p_def < 0
         # a first-order variance goes negative where x2_mean - mean_x^2
         # cancels (large beta) or the expansion breaks down (delta near 1);

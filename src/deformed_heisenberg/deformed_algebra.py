@@ -23,8 +23,8 @@ and sinh of one matrix share one table of its powers.
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,26 +33,23 @@ from .fock_core import (FockOperator, TruncationConfig, guarded_norm,
                         series_operator, triangular_matrix_function)
 
 
-@dataclass(frozen=True)
-class DeformationParams:
+class DeformationParams(NamedTuple("DeformationParams",
+                                   [("z", float), ("p", float), ("lam", complex),
+                                    ("mu", complex), ("nu", complex)])):
     """Deformation scalars z, p (real) and the linear-combination coefficients
     lam, mu, nu (complex), with polar accessors:
 
         mu = delta e^{i phi},  lam = beta e^{i theta},  nu = -gamma e^{i eta_phase}.
     """
 
-    z: float = 0.0
-    p: float = 0.0
-    lam: complex = 0.0
-    mu: complex = 0.0
-    nu: complex = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("z", "p"):
-            val = getattr(self, name)
+    def __new__(cls, z=0.0, p=0.0, lam=0.0, mu=0.0, nu=0.0):
+        for name, val in (("z", z), ("p", p)):
             if isinstance(val, complex) and val.imag != 0:
                 raise BadParams(f"{name} must be real, got {val}")
-            object.__setattr__(self, name, float(np.real(val)))
+        return super().__new__(cls, float(np.real(z)), float(np.real(p)),
+                               lam, mu, nu)
 
     @classmethod
     def from_polar(cls, delta=0.0, phi=0.0, beta=0.0, theta=0.0,
@@ -103,8 +100,7 @@ P_KINDS = {RealizationKind.Uzp_One, RealizationKind.Uzp_Two,
            RealizationKind.Celeghini_One, RealizationKind.Celeghini_Two}
 
 
-@dataclass(frozen=True, eq=False)
-class AlgebraTriple:
+class AlgebraTriple(NamedTuple):
     A: FockOperator
     B: FockOperator
     C: FockOperator
@@ -243,12 +239,13 @@ def build_realization(kind: RealizationKind, params: DeformationParams,
                     RealizationKind.Celeghini_Two)
     if on_a:
         z = -z
+    # z and p are real, so the coefficients are: their imaginary parts are 0
     if kind in P_KINDS:
         B, C = _uzp_coefficients(z, p, cfg.dim)
-    else:
-        B = C = exp_coefficients([0.0, z], cfg.dim)
-    # z and p are real, so the coefficients are: their imaginary parts are 0
-    B, C = series_operator(B.real, cfg), series_operator(C.real, cfg)
+        B, C = series_operator(B.real, cfg), series_operator(C.real, cfg)
+    else:                              # C(a+) = B = e^{z a+}: build it once
+        B = series_operator(exp_coefficients([0.0, z], cfg.dim).real, cfg)
+        C = B.copy()
     root = np.sqrt(np.arange(1.0, cfg.dim))       # a's entries (n-1, n)
     # C(a+) a in O(N^2): column n is sqrt(n) times column n-1 of C(a+), one
     # product per entry as in the dense matmul; a+ C(a) is its transpose

@@ -4,13 +4,15 @@ Covers the X/P operators and their dispersions, the squeezed-vacuum matrix
 elements Gamma_kl / Lambda_kl, the first-order perturbed moments and the
 variance tables built from them (sweep_rows, over a phi or delta grid), and
 the all-order dispersions of general_dispersion.  The first-order moments
-take scalars or numpy arrays, so a sweep evaluates its whole grid in one call.
+and the undeformed dispersions (mus_dispersions) take scalars or numpy
+arrays, so a sweep evaluates its whole grid in one call of each and builds
+its rows from the result columns.
 """
 
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +37,7 @@ VALIDITY_EPSILON_THRESHOLD = 0.075
 # quadratures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureStats:
+class QuadratureStats(NamedTuple):
     """Means and dispersions of X and P plus the X-P correlation <F>,
     F = {X - <X>, P - <P>}."""
 
@@ -80,14 +81,18 @@ def quadrature_stats(state: FockVector, cfg: TruncationConfig) -> QuadratureStat
                            var_x=x2 - mx * mx, var_p=p2 - mp * mp, corr_f=f)
 
 
-def mus_dispersions(delta: float, phi: float):
-    """Dispersions of the undeformed squeezed states (independent of lam)."""
-    if not (0 <= delta < 1):
+def mus_dispersions(delta, phi):
+    """Dispersions of the undeformed squeezed states (independent of lam).
+
+    delta and phi may be numpy arrays of one broadcast shape (a sweep grid);
+    the pair is then a pair of arrays, each element computed as for scalars.
+    """
+    if not np.all((0 <= delta) & (delta < 1)):
         raise BadParams("need 0 <= delta < 1")
     r2 = 2 * (1 - delta * delta)
     base = 1 + delta * delta
-    return ((base - 2 * delta * math.cos(phi)) / r2,
-            (base + 2 * delta * math.cos(phi)) / r2)
+    return ((base - 2 * delta * np.cos(phi)) / r2,
+            (base + 2 * delta * np.cos(phi)) / r2)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +129,7 @@ def lambda_element(k: int, l: int, delta, phi, beta, theta) -> complex:
 # first-order moments of the perturbed states (gamma = 0 sector)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PerturbedMoments:
+class PerturbedMoments(NamedTuple):
     """<X>^2, <X^2> and the P analogues, first order in z and p^2."""
 
     mean_x_sq: float
@@ -305,8 +309,7 @@ def general_dispersion(params: DeformationParams, n_max: int = 128,
 # figure sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     grid_value: float
     var_x_mus: float
     var_p_mus: float
@@ -321,19 +324,18 @@ def sweep_rows(*, delta, phi, beta, theta, varying: str, grid, z, p):
     """Variance table rows over a phi or delta grid for one (z, p).
 
     Yields one SweepRow per grid value, in grid order.  The whole grid goes
-    through a single perturbed_moments call on numpy arrays; every row field
-    is then a plain float or bool.  validity_flag is False where
+    through one mus_dispersions and one perturbed_moments call on numpy
+    arrays, and the rows are zipped from the result columns; every row field
+    is a plain float or bool.  validity_flag is False where
     |epsilon| = |Omega~ - 1| exceeds the module threshold and the
     first-order state can no longer be trusted.  A row with a non-finite
     column raises NotConverged naming the first such grid value.
     """
     if varying not in ("phi", "delta"):
         raise BadParams("varying must be 'phi' or 'delta'")
-    grid = [float(g) for g in grid]
-    point = (lambda g: (delta, g)) if varying == "phi" else (lambda g: (g, phi))
-    d, f = point(np.array(grid))
-    if not np.all((0 <= d) & (d < 1)):
-        raise BadParams("need 0 <= delta < 1")
+    g = np.array(grid, dtype=float)
+    d, f = (delta, g) if varying == "phi" else (g, phi)
+    mus = mus_dispersions(d, f)
     with np.errstate(all="ignore"):
         m = perturbed_moments(d, f, beta, theta, z, p)
         st = m.stats
@@ -342,6 +344,6 @@ def sweep_rows(*, delta, phi, beta, theta, varying: str, grid, z, p):
     bad = ~np.isfinite(cols).all(axis=0)
     if bad.any():
         raise NotConverged(f"moments overflow at {varying}="
-                           f"{grid[bad.argmax()]}")
-    for g, *row in zip(grid, *(c.tolist() for c in (*cols, ok))):
-        yield SweepRow(g, *mus_dispersions(*point(g)), *row)
+                           f"{float(g[bad.argmax()])}")
+    yield from map(SweepRow._make,
+                   zip(*(c.tolist() for c in (g, *mus, *cols, ok))))

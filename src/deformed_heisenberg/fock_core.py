@@ -26,8 +26,8 @@ scipy stays a runtime dependency all the same: the traced benchmark
 """
 
 import cmath
-from dataclasses import dataclass
 from math import atanh, ceil, isqrt, sqrt
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,27 +39,27 @@ FockVector = np.ndarray
 FockOperator = np.ndarray
 
 
-@dataclass(frozen=True)
-class TruncationConfig:
+class TruncationConfig(NamedTuple("TruncationConfig",
+                                  [("dim", int), ("guard", int),
+                                   ("tail_tol", float)])):
     """Basis size, guard band and tail tolerance for a truncated Fock space.
 
     guard defaults to dim // 4; tail_tol is the maximum relative norm allowed
     in the top ``guard`` levels of any state accepted as converged.
     """
 
-    dim: int
-    guard: int = -1  # -1 means "use dim // 4"
-    tail_tol: float = 1e-8
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.guard == -1:
-            object.__setattr__(self, "guard", self.dim // 4)
-        if not (0 <= self.guard < self.dim):
-            raise ValueError(f"need 0 <= guard < dim, got guard={self.guard}")
-        if self.tail_tol < 0:
+    def __new__(cls, dim: int, guard: int = -1, tail_tol: float = 1e-8):
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
+        if guard == -1:                 # -1 means "use dim // 4"
+            guard = dim // 4
+        if not (0 <= guard < dim):
+            raise ValueError(f"need 0 <= guard < dim, got guard={guard}")
+        if tail_tol < 0:
             raise ValueError("tail_tol must be >= 0")
+        return super().__new__(cls, dim, guard, tail_tol)
 
     @property
     def kept(self) -> int:

@@ -11,9 +11,9 @@ The arithmetic is exact (complex rationals), so residuals are literal zeros.
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from . import _gaussian
 from .errors import BadParams
@@ -25,12 +25,14 @@ from .fock_core import (TruncationConfig, series_operator,
 # complex rationals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class QC:
     """Complex number with exact rational real and imaginary parts."""
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction = Fraction(0)):
+        self.re = re
+        self.im = im
 
     def __add__(self, other):
         o = as_scalar(other)
@@ -151,8 +153,7 @@ def peval(p, x):
 # the nilpotent ring C[xi][z]/(z^k0)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NilpotentPoly:
+class NilpotentPoly(NamedTuple):
     """Element sum_k z^k P_k(xi) of C[xi][z]/(z^k0); coeffs[k] is P_k."""
 
     k0: int
@@ -216,20 +217,18 @@ def hermite_polynomial(m: int):
 # the grade-by-grade ODE solver
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GrassmannODESpec:
-    lam: object
-    mu: object
-    nu: object
-    k0: int
+class GrassmannODESpec(NamedTuple("GrassmannODESpec",
+                                  [("lam", object), ("mu", object),
+                                   ("nu", object), ("k0", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k0 < 1:
+    def __new__(cls, lam, mu, nu, k0):
+        if k0 < 1:
             raise BadParams("k0 must be >= 1")
+        return super().__new__(cls, lam, mu, nu, k0)
 
 
-@dataclass(frozen=True)
-class ParagrassmannSolution:
+class ParagrassmannSolution(NamedTuple):
     """phi = sum_k z^k (C_k + A_k(xi)) exp((lam-nu) xi - mu xi^2/2)."""
 
     k0: int

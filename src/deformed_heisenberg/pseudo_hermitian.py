@@ -21,7 +21,7 @@ columns of G and the rows of G^-1), is still open.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ def _build_A(mu: complex, z: float, cfg: TruncationConfig) -> FockOperator:
         _scaled_exp_coefficients(mu, z, 1, cfg.dim), cfg)
 
 
-@dataclass(frozen=True, eq=False)
-class PseudoHermitianSystem:
+class PseudoHermitianSystem(NamedTuple):
     """G, H, the deformed annihilator, G^-1 and the metric's square root."""
 
     G: FockOperator
@@ -180,8 +179,7 @@ def generalized_coherent_state(nu: complex, sys: PseudoHermitianSystem) -> FockV
     return normalize(psi)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     eigenvalues: np.ndarray
     max_deviation_from_integers: float
 

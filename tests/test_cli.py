@@ -179,6 +179,32 @@ def test_sweep_per_p_files_product_decreases(tmp_path):
         assert np.median(diff) < 0.0
 
 
+def _fmt_chain(v) -> str:
+    # reference: _fmt without its exact-type table, the isinstance chain
+    # alone, which still formats every type the table does not hold
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, float):
+        return format(v, ".17g")
+    if isinstance(v, complex):
+        return (f"{_fmt_chain(v.real)}{'+' if v.imag >= 0 else '-'}"
+                f"{_fmt_chain(abs(v.imag))}j")
+    return str(v)
+
+
+def test_fmt_table_matches_isinstance_chain():
+    floats = [0.1, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+              1.7976931348623157e308]
+    values = [*floats, *map(np.float64, floats), True, False, np.True_,
+              np.False_, 0, -7, 2 ** 70, np.int64(-7), np.int64(2 ** 40),
+              complex(0.1, -2.5), complex(-1.5, 0.0), complex(3.0, -0.0),
+              complex(-0.0, math.inf), np.complex128(0.25 - 1e-300j)]
+    for v in values:
+        assert cli._fmt(v) == _fmt_chain(v), (type(v), v)
+    assert [cli._fmt(v) for v in (True, 1, 1.0, np.float64(-0.0))] == [
+        "1", "1", "1", "-0"]
+
+
 # delta sweep across the validity threshold (flag drops past delta = 0.75)
 FLAG_SWEEP_ARGV = ["sweep-dispersion", "--phi", "0.5235987755982988",
                    "--beta", "2", "--theta", "2.5132741228718345",
@@ -614,8 +640,9 @@ def test_cli_never_loads_scipy():
     # dense reference operators call; S D|0> in verify is an expm_action on
     # the vacuum.  Importing scipy would double every request's start-up.
     # mpmath is a test dependency only: the 60-digit references live in the
-    # tests.  The test process has both loaded already, so this runs in a
-    # fresh interpreter.
+    # tests.  dataclasses would mean a record class generated at import, about
+    # 0.8 ms each per request.  The test process has all three loaded
+    # already, so this runs in a fresh interpreter.
     runs = [
         ("state", ["state", "--dim", "32", "--z", "0.01", "--delta", "0.2"]),
         ("sweep_phi", ["sweep-dispersion", "--steps", "5"]),
@@ -631,7 +658,7 @@ def test_cli_never_loads_scipy():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_BUDGET, json.dumps(runs),
-         json.dumps(["scipy", "mpmath"])],
+         json.dumps(["scipy", "mpmath", "dataclasses"])],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr

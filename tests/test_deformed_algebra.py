@@ -1,6 +1,7 @@
 """Boson realizations: parameter handling, series data, defining relations."""
 
 import cmath
+import inspect
 import math
 
 import mpmath as mp
@@ -29,6 +30,41 @@ def test_params_reject_complex_deformation_scalars():
     # a complex with zero imaginary part is fine and is coerced to float
     prm = DeformationParams(z=complex(0.5, 0.0))
     assert prm.z == 0.5 and isinstance(prm.z, float)
+
+
+def test_value_types_keep_signature_validation_and_equality():
+    # the two public value types are NamedTuple subclasses with a checking
+    # __new__: the constructors, checks, immutability and value equality of
+    # a frozen dataclass, without its code generation at import
+    def params(cls):
+        return [(q.name, q.default)
+                for q in inspect.signature(cls).parameters.values()]
+
+    assert params(TruncationConfig) == [("dim", inspect.Parameter.empty),
+                                        ("guard", -1), ("tail_tol", 1e-8)]
+    assert params(DeformationParams) == [("z", 0.0), ("p", 0.0), ("lam", 0.0),
+                                         ("mu", 0.0), ("nu", 0.0)]
+    with pytest.raises(BadParams):
+        DeformationParams(z=1j)
+    with pytest.raises(ValueError):
+        TruncationConfig(0)
+    with pytest.raises(ValueError):
+        TruncationConfig(8, guard=8)
+    with pytest.raises(ValueError):
+        TruncationConfig(8, tail_tol=-1.0)
+    assert TruncationConfig(64).guard == 16
+    assert TruncationConfig(64).kept == 48
+    pairs = [(TruncationConfig(64), TruncationConfig(dim=64, guard=16)),
+             (DeformationParams(z=1, lam=2 + 1j, mu=0.3),
+              DeformationParams(z=1.0, p=0j, lam=2 + 1j, mu=0.3, nu=0.0))]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            a.z = 0.5
+    assert TruncationConfig(64) != TruncationConfig(64, tail_tol=1e-6)
+    assert DeformationParams(z=0.1) != DeformationParams(z=0.2)
+    assert repr(TruncationConfig(8)) == ("TruncationConfig(dim=8, guard=2, "
+                                         "tail_tol=1e-08)")
 
 
 def test_params_polar_round_trip():

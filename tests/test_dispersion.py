@@ -102,9 +102,21 @@ def test_mus_dispersions_values():
     # X is squeezed where cos(phi) > delta, anti-squeezed on the other side
     assert mus_dispersions(0.3, 0.0)[0] < 0.5 < mus_dispersions(0.3, 0.0)[1]
     assert mus_dispersions(0.3, math.pi)[1] < 0.5 < mus_dispersions(0.3, math.pi)[0]
-    for bad in (-0.1, 1.0, 1.5):
+    for bad in (-0.1, 1.0, 1.5, math.nan):
         with pytest.raises(BadParams):
             mus_dispersions(bad, 0.0)
+        with pytest.raises(BadParams):
+            mus_dispersions(np.array([0.2, bad, 0.5]), 0.0)
+    # a grid gives, element by element, the scalar calls' doubles: a phi
+    # sweep of the benchmark, and the delta sweep of the seed-1 request whose
+    # first-order variances go negative (phi 2.69375)
+    for delta, phi in ((0.242733, np.linspace(-math.pi, math.pi, 2000)),
+                       (np.linspace(0.0, 0.9, 1000), 2.69375)):
+        vx, vp = mus_dispersions(delta, phi)
+        d, f = np.broadcast_arrays(delta, phi)
+        scalar = [mus_dispersions(*df) for df in zip(d.tolist(), f.tolist())]
+        assert vx.tolist() == [s[0] for s in scalar]
+        assert vp.tolist() == [s[1] for s in scalar]
 
 
 def test_mus_dispersions_match_matrix_and_minimize():
