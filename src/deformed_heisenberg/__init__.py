@@ -8,10 +8,11 @@ by brute-force matrix checks on truncated Fock spaces.
 
 Records are typing.NamedTuple classes, and the value types that check their
 arguments (TruncationConfig, DeformationParams, GrassmannODESpec) are
-NamedTuple subclasses with a validating __new__; QC is a __slots__ class.
-None is a dataclass: every dheis request is a fresh interpreter, and the
-dataclass decorator generates and compiles each class's methods at import,
-about 0.8 ms per class at every process start.
+NamedTuple subclasses with a validating __new__; QC and NilpotentPoly, which
+carry ring arithmetic, are __slots__ classes.
+None is a standard-library data class: every dheis request is a fresh
+interpreter, and that decorator generates and compiles each class's methods
+at import, about 0.8 ms per class at every process start.
 """
 
 from .deformed_algebra import (AlgebraTriple, DeformationParams,

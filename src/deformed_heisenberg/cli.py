@@ -11,10 +11,7 @@ the recurrence and the vacuum-image route (exit 3 above
 aes_series.ROUTE_DEVIATION_BOUND); tail_estimate, the norm series' remainder.
 
 Emits deterministic machine-readable tables (CSV with a '#' metadata line, or
-JSON mirroring the same schema).  _fmt writes every CSV cell: a float or
-np.float64 as "%.17g", a bool as 1/0 and an int by str, looked up by exact
-type in one dict; any other type (complex, numpy ints and bools) goes down an
-isinstance chain.  Exit codes: 0 ok, 1 invariant failure,
+JSON mirroring the same schema).  Exit codes: 0 ok, 1 invariant failure,
 2 usage, 3 convergence failure or a state with no finite norm,
 4 conditioning; main() alone maps errors to them.  A table is written only
 once it is complete, and a partial --out file is removed on every error exit.
@@ -57,17 +54,9 @@ EXIT_CONVERGENCE = 3
 EXIT_CONDITIONING = 4
 
 
-# the usual cell types, looked up by their exact type (so a bool is never
-# taken for an int, and bool, which has no subclasses, never reaches the
-# chain); every other type goes down the isinstance chain of _fmt
-_FMT_EXACT = {float: "%.17g".__mod__, np.float64: "%.17g".__mod__, int: str,
-              bool: lambda v: "1" if v else "0"}
-
-
 def _fmt(v) -> str:
-    f = _FMT_EXACT.get(type(v))
-    if f is not None:
-        return f(v)
+    if isinstance(v, bool):
+        return "1" if v else "0"
     if isinstance(v, float):
         return format(v, ".17g")
     if isinstance(v, complex):

@@ -153,11 +153,25 @@ def peval(p, x):
 # the nilpotent ring C[xi][z]/(z^k0)
 # ---------------------------------------------------------------------------
 
-class NilpotentPoly(NamedTuple):
+class NilpotentPoly:
     """Element sum_k z^k P_k(xi) of C[xi][z]/(z^k0); coeffs[k] is P_k."""
 
-    k0: int
-    coeffs: tuple
+    __slots__ = ("k0", "coeffs")
+
+    def __init__(self, k0: int, coeffs: tuple):
+        self.k0 = k0
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, NilpotentPoly):
+            return NotImplemented
+        return self.k0 == other.k0 and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.k0, self.coeffs))
+
+    def __repr__(self):
+        return f"NilpotentPoly(k0={self.k0!r}, coeffs={self.coeffs!r})"
 
     @classmethod
     def from_polys(cls, polys, k0):

@@ -179,32 +179,6 @@ def test_sweep_per_p_files_product_decreases(tmp_path):
         assert np.median(diff) < 0.0
 
 
-def _fmt_chain(v) -> str:
-    # reference: _fmt without its exact-type table, the isinstance chain
-    # alone, which still formats every type the table does not hold
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return format(v, ".17g")
-    if isinstance(v, complex):
-        return (f"{_fmt_chain(v.real)}{'+' if v.imag >= 0 else '-'}"
-                f"{_fmt_chain(abs(v.imag))}j")
-    return str(v)
-
-
-def test_fmt_table_matches_isinstance_chain():
-    floats = [0.1, -0.0, math.nan, math.inf, -math.inf, 5e-324,
-              1.7976931348623157e308]
-    values = [*floats, *map(np.float64, floats), True, False, np.True_,
-              np.False_, 0, -7, 2 ** 70, np.int64(-7), np.int64(2 ** 40),
-              complex(0.1, -2.5), complex(-1.5, 0.0), complex(3.0, -0.0),
-              complex(-0.0, math.inf), np.complex128(0.25 - 1e-300j)]
-    for v in values:
-        assert cli._fmt(v) == _fmt_chain(v), (type(v), v)
-    assert [cli._fmt(v) for v in (True, 1, 1.0, np.float64(-0.0))] == [
-        "1", "1", "1", "-0"]
-
-
 # delta sweep across the validity threshold (flag drops past delta = 0.75)
 FLAG_SWEEP_ARGV = ["sweep-dispersion", "--phi", "0.5235987755982988",
                    "--beta", "2", "--theta", "2.5132741228718345",

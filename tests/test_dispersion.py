@@ -107,16 +107,21 @@ def test_mus_dispersions_values():
             mus_dispersions(bad, 0.0)
         with pytest.raises(BadParams):
             mus_dispersions(np.array([0.2, bad, 0.5]), 0.0)
-    # a grid gives, element by element, the scalar calls' doubles: a phi
-    # sweep of the benchmark, and the delta sweep of the seed-1 request whose
-    # first-order variances go negative (phi 2.69375)
+    # a grid and the scalar calls give, element by element, the doubles of
+    # the scalar formula with libm's cos (an np.cos one ulp off would move
+    # printed sweep digits): a phi sweep of the benchmark, and the delta
+    # sweep of the seed-1 request whose first-order variances go negative
+    # (phi 2.69375)
     for delta, phi in ((0.242733, np.linspace(-math.pi, math.pi, 2000)),
                        (np.linspace(0.0, 0.9, 1000), 2.69375)):
         vx, vp = mus_dispersions(delta, phi)
         d, f = np.broadcast_arrays(delta, phi)
-        scalar = [mus_dispersions(*df) for df in zip(d.tolist(), f.tolist())]
-        assert vx.tolist() == [s[0] for s in scalar]
-        assert vp.tolist() == [s[1] for s in scalar]
+        for i, (dl, ph) in enumerate(zip(d.tolist(), f.tolist())):
+            r2 = 2 * (1 - dl * dl)
+            base = 1 + dl * dl
+            ref = ((base - 2 * dl * math.cos(ph)) / r2,
+                   (base + 2 * dl * math.cos(ph)) / r2)
+            assert (vx[i], vp[i]) == ref == mus_dispersions(dl, ph), (dl, ph)
 
 
 def test_mus_dispersions_match_matrix_and_minimize():

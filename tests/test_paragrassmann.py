@@ -66,6 +66,15 @@ def test_nilpotent_poly_truncates_grades():
     assert x.diff_xi().coeffs[0] == (1,)
     assert not x.is_zero()
     assert NilpotentPoly.from_polys([[], []], 2).is_zero()
+    # a ring element, not a sequence: equal by value, and no tuple
+    # repetition or concatenation standing in for ring arithmetic
+    assert x == NilpotentPoly.from_polys([[0, 1], [1]], 2)
+    assert hash(x) == hash(NilpotentPoly.from_polys([[0, 1], [1]], 2))
+    assert x != (2, x.coeffs)
+    with pytest.raises(TypeError):
+        2 * x
+    with pytest.raises(TypeError):
+        (2,) + x
 
 
 # ---------------------------------------------------------------------------
