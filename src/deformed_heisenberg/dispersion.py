@@ -108,8 +108,8 @@ def gamma_element(k: int, l: int, delta, phi, beta, theta) -> complex:
 def gamma_matrix_table(delta, phi, beta, theta, k_max: int,
                        cfg: TruncationConfig) -> np.ndarray:
     """Gamma_kl, k, l <= k_max, on the truncated Fock space: the reference the
-    closed form is checked against.  v = S D|0> by exponential actions on
-    the vacuum (no dense expm), the rows w_l = a^l v by index shifts, and
+    closed form is checked against.  v = S D|0> from its Bargmann symbol
+    (no dense expm), the rows w_l = a^l v by index shifts, and
     Gamma_kl = <w_k|w_l>."""
     W = np.zeros((k_max + 1, cfg.dim), dtype=complex)
     W[0] = squeezed_displaced_vacuum(delta, phi, beta * cmath.exp(1j * theta),

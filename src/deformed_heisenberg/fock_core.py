@@ -16,23 +16,25 @@ at about a quarter of the complex flops.
 
 ``vacuum_image`` gives exp(x(a+))|0> without the matrix exp(x(a+)), in
 O(N^2) from the Bargmann ODE of e^x, its weights exponentiated from logs.
+It builds every state here, S D|0> too: <0|S D|0> times the image of
+x = w a+ - mu (a+)^2 / 2, the exact amplitudes of the state.
 
 Everything here is plain numpy except ``matrix_exponential``, which imports
 scipy on its first call.  Only the dense references ``displacement_operator``
-and ``squeeze_operator`` reach it; the production S D|0> applies the
-generators to the vacuum with ``expm_action``, so no CLI command loads scipy.
-scipy stays a runtime dependency all the same: the traced benchmark
+and ``squeeze_operator`` reach it, and no CLI command does, so none loads
+scipy.  scipy stays a runtime dependency all the same: the traced benchmark
 (benchmarks/traced_cli.py) wraps ``matrix_exponential`` by name.
 """
 
 import cmath
-from math import atanh, ceil, isqrt, sqrt
+from math import isqrt, sqrt
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadParams, NotNilpotent, TailTooHeavy, ZeroNorm
+from .errors import (BadParams, NotConverged, NotNilpotent, TailTooHeavy,
+                     ZeroNorm)
 
 # semantic aliases
 FockVector = np.ndarray
@@ -230,7 +232,7 @@ def vacuum_image(kx, log_scale, n: int) -> FockVector:
 def matrix_exponential(M: FockOperator) -> FockOperator:
     """expm via scipy's scaling-and-squaring (Pade) implementation: the dense
     reference for D(lam) and S(chi), which the tests compare the production
-    ``expm_action`` route against.
+    ``squeezed_displaced_vacuum`` against.
 
     scipy is imported here, not at module level, so that no CLI command pays
     its import at start-up.
@@ -240,84 +242,47 @@ def matrix_exponential(M: FockOperator) -> FockOperator:
     return scipy.linalg.expm(np.asarray(M, dtype=complex))
 
 
-_TAYLOR_DEGREE, _THETA = 40, 6.0     # m and theta_m of expm_action
-_UNIT_ROUNDOFF = 2.0 ** -53
-
-
-def expm_action(M: FockOperator, v: FockVector) -> FockVector:
-    """exp(M) v without forming exp(M) (Al-Mohy & Higham, SIAM J. Sci.
-    Comput. 33 (2011) 488), one O(N^2) matvec per Taylor term.
-
-    s = ceil(||M||_1 / 6.0) steps, each a Taylor sum of degree <= 40 in M/s;
-    their Table 3.1 value theta_40 = 6.0 puts the backward error of a step
-    below u = 2^-53.  A step stops early once two successive terms together
-    fall below u times the partial sum (max-abs norms).  theta_55 = 9.9 would
-    take fewer steps, but a step's terms then grow to ~1e3 times the result
-    before they cancel: that put S D|0> 1.4e-13 off at delta = 0.95, N = 48,
-    against 1.5e-14 here.  M = 0 returns a copy of v.
-    """
-    M = np.asarray(M, dtype=complex)
-    F = np.array(v, dtype=complex)
-    norm1 = float(np.abs(M).sum(axis=0).max())
-    if norm1 == 0.0:
-        return F
-    s = ceil(norm1 / _THETA)
-    A = M / s
-    for _ in range(s):
-        term = F
-        c1 = np.abs(term).max()
-        for k in range(1, _TAYLOR_DEGREE + 1):
-            term = A @ term
-            term /= k
-            F += term
-            c2 = np.abs(term).max()
-            if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(F).max():
-                break
-            c1 = c2
-    return F
-
-
-def _displacement_generator(lam: complex, cfg: TruncationConfig) -> FockOperator:
-    """lam a^dagger - conj(lam) a."""
-    a = annihilation(cfg)
-    return lam * a.conj().T - np.conj(lam) * a
-
-
-def _squeeze_generator(chi: complex, cfg: TruncationConfig) -> FockOperator:
-    """chi (a^dagger)^2/2 - conj(chi) a^2/2, with a^2 set from its one
-    diagonal, (n-2, n) = sqrt(n-1) sqrt(n), instead of by a matmul."""
-    r = np.sqrt(np.arange(1, cfg.dim, dtype=float))
-    a2 = np.zeros((cfg.dim, cfg.dim), dtype=complex)
-    a2[:-2, 2:] = np.diag(r[:-1] * r[1:])
-    return chi * a2.T / 2 - np.conj(chi) * a2 / 2
-
-
 def displacement_operator(lam: complex, cfg: TruncationConfig) -> FockOperator:
     """D(lam) = exp(lam a^dagger - conj(lam) a), by dense expm."""
-    return matrix_exponential(_displacement_generator(lam, cfg))
+    a = annihilation(cfg)
+    return matrix_exponential(lam * a.conj().T - np.conj(lam) * a)
 
 
 def squeeze_operator(chi: complex, cfg: TruncationConfig) -> FockOperator:
-    """S(chi) = exp(chi (a^dagger)^2/2 - conj(chi) a^2/2), by dense expm.
+    """S(chi) = exp(chi (a^dagger)^2/2 - conj(chi) a^2/2), by dense expm, with
+    a^2 set from its one diagonal, (n-2, n) = sqrt(n-1) sqrt(n).
 
     With chi = -artanh(delta) e^{i phi} this satisfies the Bogoliubov relation
     S^dagger a S = (a - delta e^{i phi} a^dagger) / sqrt(1 - delta^2)
     on the guarded subspace.
     """
-    return matrix_exponential(_squeeze_generator(chi, cfg))
+    r = np.sqrt(np.arange(1, cfg.dim, dtype=float))
+    a2 = np.zeros((cfg.dim, cfg.dim), dtype=complex)
+    a2[:-2, 2:] = np.diag(r[:-1] * r[1:])
+    return matrix_exponential(chi * a2.T / 2 - np.conj(chi) * a2 / 2)
 
 
 def squeezed_displaced_vacuum(delta: float, phi: float, w: complex,
                               cfg: TruncationConfig) -> FockVector:
-    """S(-artanh(delta) e^{i phi}) D(w / sqrt(1 - delta^2)) |0>, the undeformed
-    squeezed state of a + delta e^{i phi} a+ with eigenvalue w: D's generator
-    and then S's act on the vacuum through ``expm_action``."""
+    """S(-artanh(delta) e^{i phi}) D(alpha) |0>, alpha = w / sqrt(1 - delta^2),
+    the undeformed squeezed state of a + mu a+ (mu = delta e^{i phi}) with
+    eigenvalue w.  Its Bargmann symbol c0 e^{w xi - mu xi^2 / 2} gives the
+    exact amplitudes as c0 times a vacuum image, with c0 = <0|S D|0> =
+    (1 - delta^2)^(1/4) exp(-|alpha|^2/2 + conj(mu) alpha^2/2).  NotConverged
+    once c0 underflows or an amplitude leaves the float range (|alpha| ~ 38).
+    """
     if not (0 <= delta < 1):
         raise BadParams("need 0 <= delta < 1")
-    v = expm_action(_displacement_generator(w / sqrt(1 - delta * delta), cfg),
-                    vacuum(cfg))
-    return expm_action(_squeeze_generator(-atanh(delta) * cmath.exp(1j * phi),
-                                          cfg), v)
+    mu = delta * cmath.exp(1j * phi)
+    alpha = w / sqrt(1 - delta * delta)
+    # |c0| <= 1 (nan past |alpha| ~ 1e154), so c0 psi cannot overflow
+    c0 = (1 - delta * delta) ** 0.25 * cmath.exp(
+        -abs(alpha) * abs(alpha) / 2 + mu.conjugate() * alpha * alpha / 2)
+    psi = vacuum_image([0.0, w, -mu], [0.0, 0.0, 0.0], cfg.dim)
+    if not abs(c0) >= np.finfo(float).tiny or not np.isfinite(psi).all():
+        raise NotConverged(f"S D|0> at |alpha| = {abs(alpha):.4g} leaves the "
+                           "float range")
+    return c0 * psi
 
 
 def inner_product(u: FockVector, v: FockVector) -> complex:

@@ -10,8 +10,9 @@ still used for residuals that involve the (upper-shift) annihilator, whose
 truncated top rows are garbage.  G, G^-1, H and A are functions of a+ (plus
 a+a and a), built from their coefficient lists by fock_core.series_operator;
 the lists of G = e^{g(a+)} and G^-1 = e^{-g(a+)} come from the O(N^2)
-recurrence deformed_algebra.exp_coefficients.  D(nu)|0> is an exponential
-action on the vacuum (fock_core.squeezed_displaced_vacuum), not a dense expm.
+recurrence deformed_algebra.exp_coefficients.  D(nu)|0> is e^{-|nu|^2/2}
+times the vacuum image of nu a+ (fock_core.squeezed_displaced_vacuum at
+delta = 0), not a dense expm.
 
 The spectrum of H is read off its diagonal, 0..N-1 by construction, so the
 h_eig column of ``dheis spectrum`` is diag(H) and its deviation is 0: it

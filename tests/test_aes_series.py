@@ -393,9 +393,13 @@ def test_perturbed_state_z_zero_reduces_to_squeezed_displaced():
     st = perturbed_state_first_order(0.5, 0.9, 2.0, 0.4, 0.0, CFG)
     assert st.omega == 1.0
     assert st.norm_error < 1e-12
-    S = squeeze_operator(-math.atanh(0.5) * cmath.exp(0.9j), CFG)
-    D = displacement_operator(2.0 * cmath.exp(0.4j) / math.sqrt(0.75), CFG)
-    np.testing.assert_allclose(st.raw, S @ (D @ vacuum(CFG)), atol=1e-12)
+    # the dense reference is built at 2N and cut to N: at N it is a truncated
+    # exponential, 1e-10 off the exact amplitudes at the top levels
+    big = TruncationConfig(2 * CFG.dim)
+    S = squeeze_operator(-math.atanh(0.5) * cmath.exp(0.9j), big)
+    D = displacement_operator(2.0 * cmath.exp(0.4j) / math.sqrt(0.75), big)
+    np.testing.assert_allclose(st.raw, (S @ (D @ vacuum(big)))[:CFG.dim],
+                               atol=1e-12)
 
 
 def test_omega_is_one_when_beta_vanishes():

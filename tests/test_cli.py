@@ -611,8 +611,9 @@ print(json.dumps(seen))
 
 def test_cli_never_loads_scipy():
     # scipy is imported inside fock_core.matrix_exponential, which only the
-    # dense reference operators call; S D|0> in verify is an expm_action on
-    # the vacuum.  Importing scipy would double every request's start-up.
+    # dense reference operators call; S D|0> in verify is built from its
+    # Bargmann symbol by the vacuum-image kernel.  Importing scipy would
+    # double every request's start-up.
     # mpmath is a test dependency only: the 60-digit references live in the
     # tests.  dataclasses would mean a record class generated at import, about
     # 0.8 ms each per request.  The test process has all three loaded

@@ -175,12 +175,14 @@ def test_gamma_lambda_against_matrix_sandwich():
 
 
 def test_gamma_matrix_table_matches_per_element_sandwich():
-    # the old per-element route: S D|0> and (a+)^k a^l by matrix_power
+    # the old per-element route: S D|0> and (a+)^k a^l by matrix_power.  The
+    # dense S D|0> is built at 2N and cut to N: at N it is a truncated
+    # exponential, 1.9e-14 off the exact amplitudes the table holds
     cfg = TruncationConfig(32)
     a = np.diag(np.sqrt(np.arange(1, cfg.dim, dtype=float)), 1).astype(complex)
     ad = a.conj().T
     args = (0.3, 0.7, 1.0, 0.2)
-    v = _sandwich_state(*args, cfg)
+    v = _sandwich_state(*args, TruncationConfig(2 * cfg.dim))[:cfg.dim]
     table = gamma_matrix_table(*args, 3, cfg)
     assert table.shape == (4, 4)
     for k in range(4):
