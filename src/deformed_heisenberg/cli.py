@@ -9,6 +9,8 @@ Each subcommand accepts only the flags it reads (SUBCOMMAND_FLAGS):
 state's diagnostics: c0, the norm factor; route_deviation, the gap between
 the recurrence and the vacuum-image route (exit 3 above
 aes_series.ROUTE_DEVIATION_BOUND); tail_estimate, the norm series' remainder.
+state stops that series at min(--tol, 1e-12), so every --tol >= 1e-12 acts
+alike.
 
 Emits deterministic machine-readable tables (CSV with a '#' metadata line, or
 JSON mirroring the same schema).  Exit codes: 0 ok, 1 invariant failure,
@@ -132,13 +134,28 @@ class _Writer:
 VERIFY_SUITES = ("fock", "algebra", "series", "paragrassmann", "dispersion",
                  "pseudo")
 
+# numpy describes an array only while its size in bytes fits an intp
+_MAX_ITEMS = np.iinfo(np.intp).max // np.dtype(complex).itemsize
+
+
+def _size(args) -> tuple:
+    """The flag that sets a subcommand's array sizes, and the entries of the
+    largest complex array it sets: a column of --steps, or dim x dim."""
+    return ("steps", args.steps) if hasattr(args, "steps") else \
+        ("dim", args.dim ** 2)
+
 
 def _check_common(args) -> str:
     for name, v in vars(args).items():
         if isinstance(v, float) and not math.isfinite(v):
             return f"--{name} must be finite"
+    if getattr(args, "delta", 0.0) < 0 or getattr(args, "beta", 0.0) < 0:
+        return "polar moduli delta, beta, gamma must be >= 0"
     if getattr(args, "dim", 8) < 8:
         return "dim must be >= 8"
+    flag, items = _size(args)
+    if items > _MAX_ITEMS:
+        return f"--{flag} {getattr(args, flag)} is past numpy's array size limit"
     if hasattr(args, "guard") and not (args.guard == -1
                                        or 0 <= args.guard < args.dim):
         return "guard must be -1 (dim // 4) or in 0..dim-1"
@@ -382,7 +399,9 @@ FLAGS = {
     "steps": dict(type=int, default=200),
     "dim": dict(type=int, default=64),
     "guard": dict(type=int, default=-1),
-    "tol": dict(type=float, default=1e-10),
+    "tol": dict(type=float, default=1e-10,
+                help="norm series tolerance; state uses min(tol, 1e-12), so "
+                     "values >= 1e-12 act alike"),
     "suite": dict(help=f"restrict to one suite ({', '.join(VERIFY_SUITES)})"),
     "format": dict(choices=("csv", "json"), default="csv"),
     "out": {},
@@ -445,6 +464,11 @@ def main(argv=None) -> int:
         return EXIT_OK
     except BadParams as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        flag = _size(args)[0]
+        print(f"error: not enough memory for --{flag} {getattr(args, flag)}",
+              file=sys.stderr)
         return EXIT_USAGE
     except (NotConverged, NonNormalizable) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -731,6 +731,16 @@ def test_verify_suite_runs_only_its_own_checks(monkeypatch, capsys):
     ["sweep-dispersion", "--steps", "3", "--z", "inf"],
     ["sweep-dispersion", "--steps", "3", "--min=-inf"],
     ["verify", "--dim", "8", "--guard", "9"],
+    # sizes past numpy's array size limit
+    ["state", "--dim", str(2 ** 62)],
+    ["verify", "--dim", str(2 ** 62)],
+    ["spectrum", "--dim", str(2 ** 62)],
+    ["sweep-dispersion", "--steps", str(2 ** 62)],
+    # negative polar moduli, for every subcommand that reads them
+    ["state", "--dim", "8", "--beta", "-1"],
+    ["spectrum", "--dim", "16", "--delta", "-0.5"],
+    ["sweep-dispersion", "--steps", "3", "--beta", "-1"],
+    ["sweep-dispersion", "--steps", "3", "--var", "delta", "--delta", "-1"],
 ])
 def test_nonfinite_floats_and_bad_guard_exit_2(argv, tmp_path):
     # a subprocess with a timeout, so that a hang fails instead of stalling
@@ -739,6 +749,37 @@ def test_nonfinite_floats_and_bad_guard_exit_2(argv, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["state", "--dim", str(2 ** 62)], "--dim"),
+    (["sweep-dispersion", "--steps", str(2 ** 62)], "--steps"),
+])
+def test_sizes_past_numpys_limit_name_their_flag(argv, flag, capsys):
+    # refused before any array is built
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag} {2 ** 62} is past numpy's array size limit\n")
+
+
+@pytest.mark.parametrize("argv, target, flag", [
+    (["verify", "--dim", "64"], (cli, "_verify_checks"), "--dim 64"),
+    (["state", "--dim", "64"], (cli.aes_series, "_amplitudes"), "--dim 64"),
+    (["sweep-dispersion", "--steps", "5"], (cli.dispersion, "sweep_rows"),
+     "--steps 5"),
+])
+def test_memory_error_exits_2_naming_the_size_flag(argv, target, flag,
+                                                   monkeypatch, tmp_path,
+                                                   capsys):
+    # the allocation failure is simulated: a test never makes a real one
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(*target, out_of_memory)
+    out = tmp_path / "out.txt"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: not enough memory for {flag}\n"
     assert not out.exists()
 
 
