@@ -80,10 +80,7 @@ def run(argv) -> tuple:
         warnings.resetwarnings()
         warnings.simplefilter("default")
         warnings.showwarning = _show_warning
-        try:
-            rc = cli.main(argv)
-        except SystemExit as e:         # argparse refuses the argv
-            rc = e.code
+        rc = cli.main(argv)
     return rc, out.getvalue(), err.getvalue()
 
 

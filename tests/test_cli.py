@@ -737,10 +737,10 @@ def test_verify_suite_runs_only_its_own_checks(monkeypatch, capsys):
     ["spectrum", "--dim", str(2 ** 62)],
     ["sweep-dispersion", "--steps", str(2 ** 62)],
     # negative polar moduli, for every subcommand that reads them
-    ["state", "--dim", "8", "--beta", "-1"],
     ["spectrum", "--dim", "16", "--delta", "-0.5"],
     ["sweep-dispersion", "--steps", "3", "--beta", "-1"],
-    ["sweep-dispersion", "--steps", "3", "--var", "delta", "--delta", "-1"],
+    ["sweep-dispersion", "--steps", "3", "--var", "delta", "--min", "0",
+     "--max", "0.5", "--delta", "-1"],
 ])
 def test_nonfinite_floats_and_bad_guard_exit_2(argv, tmp_path):
     # a subprocess with a timeout, so that a hang fails instead of stalling

@@ -177,7 +177,7 @@ def test_gamma_lambda_against_matrix_sandwich():
 def test_gamma_matrix_table_matches_per_element_sandwich():
     # the old per-element route: S D|0> and (a+)^k a^l by matrix_power.  The
     # dense S D|0> is built at 2N and cut to N: at N it is a truncated
-    # exponential, 1.9e-14 off the exact amplitudes the table holds
+    # exponential, and its entries are 1.2e-12 off the table's exact ones
     cfg = TruncationConfig(32)
     a = np.diag(np.sqrt(np.arange(1, cfg.dim, dtype=float)), 1).astype(complex)
     ad = a.conj().T
