@@ -10,7 +10,10 @@ test_golden_paths.py replays it.
 
 The hashes hold the last bits of the libm and BLAS they were made with, so a
 change that regenerates the manifest changes test data: say which argvs
-moved and why.  Run from the repository root:
+moved and why.  Before it overwrites the manifest, the script prints to
+stderr how many argvs changed hash against the old one, and which.  The BLAS
+is pinned to one thread, as benchmarks/run.py pins every request and
+tests/conftest.py pins the tests.  Run from the repository root:
 
     PYTHONPATH=src python tests/golden/generate.py
 """
@@ -20,11 +23,16 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
 
-from deformed_heisenberg import cli
+# before numpy loads: the pins take effect only when the BLAS starts
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from deformed_heisenberg import cli  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 MANIFEST = HERE / "manifest.tsv"
@@ -88,10 +96,27 @@ def digest(rc, out, err) -> str:
     return hashlib.sha256(json.dumps([rc, out, err]).encode()).hexdigest()
 
 
+def _moved(old: dict, new: dict) -> list:
+    """Lines naming each argv of ``new`` whose hash differs from ``old``'s,
+    or that ``old`` lacks, then each argv that ``new`` dropped."""
+    return ([f"moved: {argv}" for argv, sha in new.items()
+             if argv in old and old[argv] != sha]
+            + [f"added: {argv}" for argv in new if argv not in old]
+            + [f"dropped: {argv}" for argv in old if argv not in new])
+
+
 def main() -> int:
-    lines = [f"{json.dumps(argv)}\t{digest(*run(argv))}\n" for argv in corpus()]
-    MANIFEST.write_text("".join(lines))
-    print(f"{len(lines)} argvs -> {MANIFEST}", file=sys.stderr)
+    new = {json.dumps(argv): digest(*run(argv)) for argv in corpus()}
+    old = {}
+    if MANIFEST.exists():
+        old = dict(line.rstrip("\n").split("\t")
+                   for line in MANIFEST.read_text().splitlines())
+    moved = _moved(old, new)
+    changed = sum(line.startswith("moved") for line in moved)
+    print(f"{changed} of {len(new)} argvs changed hash", file=sys.stderr)
+    print("".join(f"  {line}\n" for line in moved), end="", file=sys.stderr)
+    MANIFEST.write_text("".join(f"{argv}\t{sha}\n" for argv, sha in new.items()))
+    print(f"{len(new)} argvs -> {MANIFEST}", file=sys.stderr)
     return 0
 
 
