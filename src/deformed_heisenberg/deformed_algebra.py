@@ -11,14 +11,22 @@ and the two-parameter algebra with
 The realizations are power series in a+ (or a, by transposition with z -> -z)
 built by fock_core.series_operator.  Each coefficient list comes from the
 O(N^2) recurrence of its series' own ODE: exp_coefficients for e^{u(x)} and
-_pow_series for u(x)^c, with no series composition.  z and p are real, so
-every realization is a float64 triple; its ladder factor a (or a+) scales
-columns (rows) in O(N^2) instead of a dense product, and so do the
-commutators [A, B] and [A, C] with the ladder A = -a+ (or a) in the residual
-checks.  Those checks apply cosh, sinh and the reciprocal to the matrices by
-an independent route, their Taylor sums in dense matrix powers
-(triangular_matrix_function, Paterson-Stockmeyer), in real arithmetic; cosh
-and sinh of one matrix share one table of its powers.
+_pow_series for u(x)^c, with no series composition; the linear exponent
+e^{zx}, most of the calls, runs a scalar loop with the recurrence's bits.
+z and p are real, so every realization is a float64 triple; its ladder
+factor a (or a+) scales columns (rows) in O(N^2) instead of a dense
+product, and so do the commutators [A, B] and [A, C] with the ladder
+A = -a+ (or a) in the residual checks.  Those checks apply cosh, sinh and
+the reciprocal to the matrices by an independent route, their Taylor sums
+in dense matrix powers (triangular_matrix_function, Paterson-Stockmeyer, cut
+at roundoff), in real arithmetic; cosh and sinh of one matrix share one
+table of its powers.
+
+tilde_residual_blocks and uzp_residual_blocks give each family's three
+residual matrices.  commutator_residual_tilde and commutator_residual_uzp
+return their three guarded norms; ``dheis verify`` prints only the largest,
+through fock_core.max_guarded_norm, and so takes one SVD per realization
+where the three norms would take three.
 """
 
 import cmath
@@ -115,13 +123,17 @@ def exp_coefficients(u, n):
     """Coefficients of e^{u(x)} to order n-1, for u(0) = 0.
 
     w = e^u solves w' = u' w, so m w_m = sum_{k=1}^{m} k u_k w_{m-k}: one dot
-    product per order, O(n^2) in all.  A huge u gives inf or nan without
-    numpy warnings; callers check finiteness where it matters.
+    product per order, O(n^2) in all.  A linear u = u_1 x, the most common
+    exponent here, takes _exp_linear's scalar loop instead, with the same
+    bits.  A huge u gives inf or nan without numpy warnings; callers check
+    finiteness where it matters.
     """
     u = np.asarray(u, dtype=complex)[:n]
     if u[0] != 0:
         raise NotNilpotent(f"exponent series has a nonzero constant term {u[0]}")
     ku = np.arange(len(u)) * u
+    if len(u) == 2:
+        return _exp_linear(complex(ku[1]), n)
     w = np.zeros(n, dtype=complex)
     w[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -129,6 +141,27 @@ def exp_coefficients(u, n):
             k = min(m, len(u) - 1)
             w[m] = ku[1:k + 1] @ w[m - 1::-1][:k] / m
     return w
+
+
+def _exp_linear(u1: complex, n: int) -> np.ndarray:
+    """Coefficients of e^{u1 x} to order n-1: w_m = u1 w_{m-1} / m in plain
+    Python floats, several times faster than numpy's one-term dot products
+    at n = 160.  Each step rounds as exp_coefficients' loop does, signed
+    zeros, inf and nan included: the complex product (re re - im im,
+    re im + im re) added to a +0 accumulator, as a dot product sums, then
+    numpy's complex division by m + 0j, ((re + im 0) (1/m), (im - re 0) (1/m)),
+    whose zero products turn an inf part into nan.  Python floats never
+    warn, and overflow to inf as numpy's do.
+    """
+    ur, ui = u1.real, u1.imag
+    wr, wi = 1.0, 0.0
+    w = [1.0, 0.0]                     # re, im of w_0, w_1, ...
+    for m in range(1, n):
+        pr, pi = 0.0 + (ur * wr - ui * wi), 0.0 + (ur * wi + ui * wr)
+        r = 1.0 / m
+        wr, wi = (pr + pi * 0.0) * r, (pi - pr * 0.0) * r
+        w += (wr, wi)
+    return np.array(w).view(complex)
 
 
 def _pow_series(u, c, n):
@@ -275,31 +308,39 @@ def _ladder_commutator(A, X):
     return out
 
 
-def commutator_residual_uzp(triple: AlgebraTriple, params: DeformationParams,
-                            cfg: TruncationConfig):
-    """Guarded norms of the two-parameter defining relations:
+def uzp_residual_blocks(triple: AlgebraTriple, params: DeformationParams):
+    """Residual matrices of the two-parameter defining relations:
 
         [A,B],   [B,C] + (2z/p^2)(cosh pB - 1),   [A,C] - (1/p) sinh pB.
     """
     z, p = params.z, params.p
     A, B, C = triple.A, triple.B, triple.C
-    ident = np.eye(cfg.dim)
     cosh_pB, sinh_pB = _cosh_sinh(p * B)
-    r1 = guarded_norm(_ladder_commutator(A, B), cfg)
-    r2 = guarded_norm(B @ C - C @ B + (2 * z / p ** 2) * (cosh_pB - ident), cfg)
-    r3 = guarded_norm(_ladder_commutator(A, C) - sinh_pB / p, cfg)
-    return r1, r2, r3
+    return (_ladder_commutator(A, B),
+            B @ C - C @ B + (2 * z / p ** 2) * (cosh_pB - np.eye(len(B))),
+            _ladder_commutator(A, C) - sinh_pB / p)
+
+
+def tilde_residual_blocks(triple: AlgebraTriple, params: DeformationParams):
+    """Residual matrices [A,B], [B,C] + z B^2, [A,C] - B."""
+    z = params.z
+    A, B, C = triple.A, triple.B, triple.C
+    return (_ladder_commutator(A, B), B @ C - C @ B + z * (B @ B),
+            _ladder_commutator(A, C) - B)
+
+
+def commutator_residual_uzp(triple: AlgebraTriple, params: DeformationParams,
+                            cfg: TruncationConfig):
+    """Guarded norms of the three uzp_residual_blocks."""
+    return tuple(guarded_norm(R, cfg)
+                 for R in uzp_residual_blocks(triple, params))
 
 
 def commutator_residual_tilde(triple: AlgebraTriple, params: DeformationParams,
                               cfg: TruncationConfig):
-    """Guarded norms of [A,B], [B,C] + z B^2, [A,C] - B."""
-    z = params.z
-    A, B, C = triple.A, triple.B, triple.C
-    r1 = guarded_norm(_ladder_commutator(A, B), cfg)
-    r2 = guarded_norm(B @ C - C @ B + z * (B @ B), cfg)
-    r3 = guarded_norm(_ladder_commutator(A, C) - B, cfg)
-    return r1, r2, r3
+    """Guarded norms of the three tilde_residual_blocks."""
+    return tuple(guarded_norm(R, cfg)
+                 for R in tilde_residual_blocks(triple, params))
 
 
 def tilde_basis_change(triple: AlgebraTriple, p: float,

@@ -134,14 +134,17 @@ def pseudo_hermiticity_residual(sys: PseudoHermitianSystem) -> float:
     return guarded_norm(lhs - rhs, sys.cfg)
 
 
-def commutator_checks(sys: PseudoHermitianSystem):
-    """Guarded norms of [H,A]+A, [H,a+]-a+, [A,a+]-1."""
+def commutator_blocks(sys: PseudoHermitianSystem):
+    """Residual matrices [H,A]+A, [H,a+]-a+, [A,a+]-1."""
     ad = creation(sys.cfg)
     H, A = sys.H, sys.A_op
-    r1 = guarded_norm(H @ A - A @ H + A, sys.cfg)
-    r2 = guarded_norm(H @ ad - ad @ H - ad, sys.cfg)
-    r3 = guarded_norm(A @ ad - ad @ A - np.eye(sys.cfg.dim), sys.cfg)
-    return r1, r2, r3
+    return (H @ A - A @ H + A, H @ ad - ad @ H - ad,
+            A @ ad - ad @ A - np.eye(sys.cfg.dim))
+
+
+def commutator_checks(sys: PseudoHermitianSystem):
+    """Guarded norms of the three commutator_blocks."""
+    return tuple(guarded_norm(R, sys.cfg) for R in commutator_blocks(sys))
 
 
 def ground_state(sys: PseudoHermitianSystem) -> FockVector:

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from deformed_heisenberg import _gaussian, cli
+from deformed_heisenberg import _gaussian, cli, fock_core
 from deformed_heisenberg.errors import NotConverged, PhaseWindow
 
 PI = "3.141592653589793"
@@ -783,6 +783,34 @@ def test_memory_error_exits_2_naming_the_size_flag(argv, target, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, least", [
+    (["state", "--dim", "64"], 64),             # one dim-long vector
+    (["verify", "--dim", "64"], 64 * 64),       # one dim x dim matrix
+    (["spectrum", "--dim", "64"], 64 * 64),
+    (["sweep-dispersion", "--steps", "200"], 200),   # one --steps column
+])
+def test_size_past_physical_memory_exits_2_naming_its_flag(argv, least,
+                                                           monkeypatch,
+                                                           capsys):
+    # the memory figure is simulated: no test allocates.  The bound is the
+    # smallest complex array the request holds, so the size that just fits
+    # is accepted and one byte less memory refuses it
+    need = 16 * least
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+    assert cli._check_common(cli._build_parser().parse_args(argv)) == ""
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    assert cli.main(argv) == 2
+    flag = " ".join(argv[1:3])
+    assert capsys.readouterr().err == (
+        f"error: {flag} needs at least {need} bytes, more than the "
+        f"{need - 1} bytes of physical memory\n")
+
+
+def test_physical_memory_is_read_from_the_system():
+    memory = cli._physical_memory()
+    assert memory is None or memory > 0
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--z", "0.1"],
     ["spectrum", "--beta", "1"],
@@ -873,6 +901,36 @@ def test_spectrum_huge_z_exits_4_without_numpy_warnings():
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+@pytest.mark.parametrize("z", ["1e300", "-1e300"])
+def test_spectrum_past_the_float_range_prints_no_numpy_warning(z, capsys):
+    # e^{-z x} overflows in exp_coefficients' scalar loop, which must turn
+    # inf into nan as numpy's complex division does, silently
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["spectrum", "--dim", "8", f"--z={z}"])
+    assert rc == 4
+    assert not [w for w in caught if w.category is RuntimeWarning]
+    assert capsys.readouterr().err.startswith("error: G^-1 leaves the float")
+
+
+def test_verify_takes_one_svd_per_algebra_row(monkeypatch, capsys):
+    # every row that prints the largest of several guarded norms takes the
+    # SVDs of only the blocks that can win: 13 SVDs for verify's 12 norm
+    # rows (pseudo's commutators take two), against 30 with one per norm
+    calls = []
+    for module in (cli, cli.pseudo_hermitian, fock_core):
+        real = module.guarded_norm
+
+        def counted(mat, cfg, real=real):
+            calls.append(1)
+            return real(mat, cfg)
+
+        monkeypatch.setattr(module, "guarded_norm", counted)
+    assert cli.main(["verify", "--dim", "64"]) == 0
+    capsys.readouterr()
+    assert len(calls) <= 13
 
 
 def test_flag_validation_exits_2(capsys):

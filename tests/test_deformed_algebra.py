@@ -12,11 +12,12 @@ from deformed_heisenberg.deformed_algebra import (
     AlgebraTriple, DeformationParams, P_KINDS, RealizationKind,
     _ladder_commutator, _pow_series, _uzp_coefficients, build_realization, commutator_residual_tilde,
     commutator_residual_uzp, cosh_series, exp_coefficients, recip_series,
-    sinh_series, tilde_basis_change)
+    sinh_series, tilde_basis_change, tilde_residual_blocks,
+    uzp_residual_blocks)
 from deformed_heisenberg.errors import BadParams
 from deformed_heisenberg.fock_core import (
     TruncationConfig, annihilation, creation, guarded_norm,
-    matrix_exponential, series_operator)
+    matrix_exponential, max_guarded_norm, series_operator)
 from deformed_heisenberg.pseudo_hermitian import _g_coefficients
 
 CFG = TruncationConfig(64)
@@ -348,6 +349,40 @@ def test_tilde_defining_relations():
         tri = build_realization(kind, prm, CFG)
         r1, r2, r3 = commutator_residual_tilde(tri, prm, CFG)
         assert max(r1, r2, r3) < 1e-9, (kind, r1, r2, r3)
+
+
+@pytest.mark.parametrize("dim", [64, 128, 160])
+def test_verify_rows_print_the_largest_residual_norm(dim):
+    # verify's 8 algebra rows take max_guarded_norm of the residual blocks,
+    # with an SVD only for the blocks that can win; the printed number is
+    # the largest of the three norms, exactly
+    cfg = TruncationConfig(dim)
+    boxes = [(kind, DeformationParams(z=z), tilde_residual_blocks,
+              commutator_residual_tilde)
+             for z in (0.0, 0.02, -0.02)
+             for kind in (RealizationKind.TildeZ0_Cas1,
+                          RealizationKind.TildeZ0_Cas2)]
+    boxes += [(RealizationKind.Uzp_One, DeformationParams(z=0.02, p=p),
+               uzp_residual_blocks, commutator_residual_uzp)
+              for p in (0.1, 0.4)]
+    for kind, prm, blocks, residuals in boxes:
+        tri = build_realization(kind, prm, cfg)
+        assert max_guarded_norm(blocks(tri, prm), cfg) == \
+            max(residuals(tri, prm, cfg)), (kind, prm)
+
+
+@pytest.mark.parametrize("z", [0.02, -0.02, 1.0, -3.7, 5e-324, 1e150, -1e300,
+                               1e300, 0.3 - 0.7j, -2.5 + 1e-3j, 1e300j,
+                               -1e300 + 1e300j, 1e-300 + 2j])
+def test_linear_exponent_loop_is_the_dot_product_loop_bit_for_bit(z):
+    # e^{zx} runs a scalar loop; the trailing zero sends [0, z, 0] through
+    # the dot products.  Bit for bit: signed zeros, and the inf and nan
+    # that numpy's complex division by m makes past the float range
+    for n in (1, 2, 3, 17, 160, 400):
+        fast = exp_coefficients([0.0, z], n)
+        ref = exp_coefficients([0.0, z, 0.0], n)
+        assert np.array_equal(fast, ref, equal_nan=True), n
+        assert np.array_equal(fast.view(np.uint64), ref.view(np.uint64)), n
 
 
 def test_tilde_basis_change_satisfies_one_parameter_relations():

@@ -14,10 +14,12 @@ from deformed_heisenberg.deformed_algebra import (
     build_realization, cosh_series, exp_coefficients, sinh_series)
 from deformed_heisenberg.errors import (BadParams, NotConverged, NotNilpotent,
                                        TailTooHeavy)
+from deformed_heisenberg import fock_core
 from deformed_heisenberg.fock_core import (
     TruncationConfig, annihilation, check_tail, coherent_state,
-    creation, displacement_operator, expectation,
-    inner_product, matrix_exponential, norm, normalize, number_operator,
+    creation, displacement_operator, expectation, guarded_norm,
+    inner_product, matrix_exponential, max_guarded_norm, norm, normalize,
+    number_operator,
     series_operator, squeeze_operator, squeezed_displaced_vacuum,
     tail_fraction, triangular_matrix_function, vacuum)
 
@@ -252,6 +254,112 @@ def test_cosh_and_sinh_share_one_power_table(monkeypatch):
     for row, fn in zip(coeffs, both):
         ref = _term_by_term(row, creation(cfg), cfg)
         assert np.abs(fn - ref).max() < 1e-15 * np.abs(ref).max()
+
+
+def _shared_term_by_term(rows, K):
+    # the reference in K's own dtype: one dense matmul per Taylor term, each
+    # power shared by every row
+    out = [row[0] * np.eye(len(K)) for row in rows]
+    term = np.eye(len(K))
+    for m in range(1, len(K)):
+        term = term @ K
+        for f, row in zip(out, rows):
+            f += row[m] * term
+    return out
+
+
+@pytest.mark.parametrize("dim", [160, 256])
+@pytest.mark.parametrize("p", [0.1, 0.4])
+def test_cut_taylor_sum_matches_term_by_term_on_uzp_boxes(p, dim,
+                                                          monkeypatch):
+    # verify's uzp operands, ||K||_F <= 1.5: the sum stops at roundoff after
+    # 12-21 terms, so past the power table K^2..K^(s-1) it takes at most two
+    # products, and it keeps every digit of the full sum
+    cfg = TruncationConfig(dim)
+    params = DeformationParams(z=0.02, p=p)
+    B = build_realization(RealizationKind.Uzp_One, params, cfg).B
+    alpha, K = _nilpotent_part(p * B)
+    rows = [cosh_series(alpha, dim), sinh_series(alpha, dim)]
+    s = math.isqrt(dim - 1) + 1
+    for row, ref in zip(rows, _shared_term_by_term(rows, K)):
+        monkeypatch.setattr(_CountingMatrix, "products", 0)
+        got = triangular_matrix_function(row, K.view(_CountingMatrix))
+        assert _CountingMatrix.products <= s - 1 + 2
+        assert np.abs(got - ref).max() < 1e-15 * np.abs(ref).max()
+
+
+def _kept_by_fsum(row, norm):
+    # the cut rule term by term: the fewest M with
+    # sum_{m>=M} |c_m| norm^m < u sum_m |c_m| norm^m, u = 2^-53
+    t = [abs(c) * norm ** m for m, c in enumerate(row)]
+    total = math.fsum(t)
+    return next(M for M in range(1, len(t) + 1)
+                if math.fsum(t[M:]) < 2.0 ** -53 * total)
+
+
+@pytest.mark.parametrize("norm", [0.09, 0.9, 1.43, 7.0, 45.0])
+def test_taylor_cut_keeps_the_terms_above_roundoff(norm):
+    rng = np.random.default_rng(int(norm * 100))
+    rows = np.stack([cosh_series(0.3, 160), sinh_series(-0.2, 160),
+                     _taylor_like(160, seed=4).real,
+                     rng.normal(size=160) * 0.5 ** np.arange(160)])
+    kept = fock_core._taylor_terms_kept(rows, norm)
+    assert list(kept) == [_kept_by_fsum(row, norm) for row in rows]
+    # no bound to sum: a zero K keeps the constant term, a nonfinite
+    # coefficient every term
+    assert list(fock_core._taylor_terms_kept(rows, 0.0)) == [1] * 4
+    rows[1, 7] = np.inf
+    assert fock_core._taylor_terms_kept(rows, norm)[1] == 160
+
+
+def _count_svds(monkeypatch):
+    # max_guarded_norm takes each SVD through fock_core.guarded_norm
+    calls = []
+
+    def counted(mat, cfg):
+        calls.append(1)
+        return guarded_norm(mat, cfg)
+
+    monkeypatch.setattr(fock_core, "guarded_norm", counted)
+    return calls
+
+
+def test_max_guarded_norm_skips_only_blocks_that_cannot_win(monkeypatch):
+    cfg = TruncationConfig(40, 10)
+    rng = np.random.default_rng(11)
+    big, small = rng.normal(size=(2, 40, 40)) * [[[1.0]], [[1e-3]]]
+    # a column of norm 1 (spectral norm 1) beside a flat block whose
+    # columns are shorter but whose spectral norm is 3: the largest column
+    # norm is a bound, not the winner
+    spike = np.zeros((40, 40))
+    spike[:30, 0] = 30 ** -0.5
+    flat = np.full((40, 40), 0.1)
+    cases = [([big, small, small], 1),          # the largest block first
+             ([small, small, big], 1),          # last
+             ([big, small, big.copy()], 2),     # two blocks tie
+             ([spike, flat, small], 2)]
+    for mats, svds in cases:
+        calls = _count_svds(monkeypatch)
+        got = max_guarded_norm(mats, cfg)
+        assert got == max(guarded_norm(M, cfg) for M in mats)
+        assert len(calls) == svds
+    assert max_guarded_norm([spike, flat], cfg) == guarded_norm(flat, cfg)
+
+
+def test_max_guarded_norm_outside_the_bounds_range_takes_every_svd(
+        monkeypatch):
+    cfg = TruncationConfig(16, 4)
+    rng = np.random.default_rng(2)
+    tiny = 1e-120 * rng.normal(size=(16, 16))
+    calls = _count_svds(monkeypatch)
+    assert max_guarded_norm([tiny, tiny / 2], cfg) == guarded_norm(tiny, cfg)
+    assert len(calls) == 2
+    # an inf entry makes its SVD nan, and the nan is the result wherever the
+    # block stands, where max() would keep it only in first place
+    inf = np.ones((16, 16))
+    inf[1, 1] = np.inf
+    for mats in ([inf, np.eye(16)], [np.eye(16), inf]):
+        assert math.isnan(max_guarded_norm(mats, cfg))
 
 
 # coefficient lists with a nonzero constant term, complex entries and a tail
