@@ -109,13 +109,14 @@ def main() -> int:
     new = {json.dumps(argv): digest(*run(argv)) for argv in corpus()}
     old = {}
     if MANIFEST.exists():
-        old = dict(line.rstrip("\n").split("\t")
+        old = dict(line.split("\t")
                    for line in MANIFEST.read_text().splitlines())
     moved = _moved(old, new)
     changed = sum(line.startswith("moved") for line in moved)
     print(f"{changed} of {len(new)} argvs changed hash", file=sys.stderr)
     print("".join(f"  {line}\n" for line in moved), end="", file=sys.stderr)
-    MANIFEST.write_text("".join(f"{argv}\t{sha}\n" for argv, sha in new.items()))
+    MANIFEST.write_text("".join(f"{argv}\t{sha}\n"
+                                for argv, sha in new.items()))
     print(f"{len(new)} argvs -> {MANIFEST}", file=sys.stderr)
     return 0
 

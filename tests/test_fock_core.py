@@ -9,19 +9,19 @@ import pytest
 
 import scipy.linalg
 
+from deformed_heisenberg import fock_core
 from deformed_heisenberg.deformed_algebra import (
     DeformationParams, RealizationKind, _apply_series, _nilpotent_part,
     build_realization, cosh_series, exp_coefficients, sinh_series)
 from deformed_heisenberg.errors import (BadParams, NotConverged, NotNilpotent,
                                        TailTooHeavy)
-from deformed_heisenberg import fock_core
 from deformed_heisenberg.fock_core import (
     TruncationConfig, annihilation, check_tail, coherent_state,
     creation, displacement_operator, expectation, guarded_norm,
     inner_product, matrix_exponential, max_guarded_norm, norm, normalize,
-    number_operator,
-    series_operator, squeeze_operator, squeezed_displaced_vacuum,
-    tail_fraction, triangular_matrix_function, vacuum)
+    number_operator, series_operator, squeeze_operator,
+    squeezed_displaced_vacuum, tail_fraction, triangular_matrix_function,
+    vacuum)
 
 CFG64 = TruncationConfig(64)
 
@@ -273,8 +273,8 @@ def _shared_term_by_term(rows, K):
 def test_cut_taylor_sum_matches_term_by_term_on_uzp_boxes(p, dim,
                                                           monkeypatch):
     # verify's uzp operands, ||K||_F <= 1.5: the sum stops at roundoff after
-    # 12-21 terms, so past the power table K^2..K^(s-1) it takes at most two
-    # products, and it keeps every digit of the full sum
+    # 12-21 terms, so a function takes at most s - 1 + 2 products (the full
+    # sum takes 2s - 2), and it keeps every digit of the full sum
     cfg = TruncationConfig(dim)
     params = DeformationParams(z=0.02, p=p)
     B = build_realization(RealizationKind.Uzp_One, params, cfg).B

@@ -16,11 +16,13 @@ from deformed_heisenberg.errors import IllConditioned
 from deformed_heisenberg.fock_core import (TruncationConfig, annihilation,
                                            creation, displacement_operator,
                                            guarded_norm, matrix_exponential,
-                                           normalize, vacuum)
+                                           max_guarded_norm, normalize,
+                                           vacuum)
 from deformed_heisenberg.pseudo_hermitian import (ETA_CONDITION_LIMIT,
                                                   build_G, build_H,
                                                   build_system,
                                                   coherent_eigenstate,
+                                                  commutator_blocks,
                                                   commutator_checks,
                                                   generalized_coherent_state,
                                                   ground_state,
@@ -104,6 +106,11 @@ def test_commutator_checks():
     r1, r2, r3 = commutator_checks(build_system(0.3, 0.05, CFG))
     assert r1 < 1e-8 and r2 < 1e-8
     assert r3 < 1e-10
+    # verify prints the largest through max_guarded_norm, on its own box too
+    for sys_ in (build_system(0.0, 0.0, CFG), build_system(0.3, 0.05, CFG),
+                 build_system(0.2, 0.02, TruncationConfig(48, 12))):
+        assert max_guarded_norm(commutator_blocks(sys_), sys_.cfg) == \
+            max(commutator_checks(sys_))
 
 
 def test_pseudo_hermiticity_residual():
