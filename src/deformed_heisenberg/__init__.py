@@ -10,9 +10,6 @@ Records are typing.NamedTuple classes, and the value types that check their
 arguments (TruncationConfig, DeformationParams, GrassmannODESpec) are
 NamedTuple subclasses with a validating __new__; QC and NilpotentPoly, which
 carry ring arithmetic, are __slots__ classes.
-None is a standard-library data class: every dheis request is a fresh
-interpreter, and that decorator generates and compiles each class's methods
-at import, about 0.8 ms per class at every process start.
 """
 
 from .deformed_algebra import (AlgebraTriple, DeformationParams,

@@ -2,21 +2,20 @@
 
 Each subcommand accepts only the flags it reads (SUBCOMMAND_FLAGS):
   sweep-dispersion: delta phi beta theta z p var min max steps format out
-  state: delta phi beta theta z p (0 only) dim tol format out
-  verify: dim guard suite out (the report is always JSON)
+  state: delta phi beta theta z p (0 only) dim format out
+  verify: dim suite out (the report is always JSON)
   spectrum: delta phi z dim format out
 
 state's diagnostics: c0, the norm factor; route_deviation, the gap between
 the recurrence and the vacuum-image route (exit 3 above
 aes_series.ROUTE_DEVIATION_BOUND); tail_estimate, the norm series' remainder.
-state stops that series at min(--tol, 1e-12), so every --tol >= 1e-12 acts
-alike.
 
 Emits deterministic machine-readable tables (CSV with a '#' metadata line, or
 JSON mirroring the same schema).  Exit codes: 0 ok, 1 invariant failure,
 2 usage, 3 convergence failure or a state with no finite norm,
-4 conditioning; main() alone maps errors to them.  A table is written only
-once it is complete, and a partial --out file is removed on every error exit.
+4 conditioning; main() alone maps errors to them, package errors through
+EXIT_CODES.  A table is written only once it is complete, and a partial
+--out file is removed on every error exit.
 A warning raised while a subcommand runs goes to stderr as one line,
 "warning: <category>: <message>", with no install path or source line.
 
@@ -56,21 +55,25 @@ EXIT_USAGE = 2
 EXIT_CONVERGENCE = 3
 EXIT_CONDITIONING = 4
 
+# the exit code of each package error: the first class that matches wins
+EXIT_CODES = (
+    (BadParams, EXIT_USAGE),
+    (NotConverged, EXIT_CONVERGENCE),
+    (NonNormalizable, EXIT_CONVERGENCE),
+    (IllConditioned, EXIT_CONDITIONING),
+    (DeformedHeisenbergError, EXIT_INVARIANT),
+)
+
 
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, float):
         return format(v, ".17g")
-    if isinstance(v, complex):
-        return f"{_fmt(v.real)}{'+' if v.imag >= 0 else '-'}{_fmt(abs(v.imag))}j"
     return str(v)
 
 
 def _jsonable(v):
-    # complex has no JSON form; everything else passes through natively
-    if isinstance(v, complex):
-        return _fmt(v)
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
     return v
@@ -135,27 +138,23 @@ class _Writer:
 VERIFY_SUITES = ("fock", "algebra", "series", "paragrassmann", "dispersion",
                  "pseudo")
 
-# numpy describes an array only while its size in bytes fits an intp
-_MAX_ITEMS = np.iinfo(np.intp).max // np.dtype(complex).itemsize
-
 
 def _size(args) -> tuple:
-    """The flag that sets a subcommand's array sizes, the entries of the
-    largest complex array it sets (a column of --steps, or dim x dim), and
-    the entries of the smallest one it must hold: the sweep's column,
-    state's dim-long vector, a dim x dim matrix for verify and spectrum."""
+    """The flag that sets a subcommand's array sizes and the entries of the
+    smallest complex array it must hold: the sweep's column, state's
+    dim-long vector, a dim x dim matrix for verify and spectrum."""
     if hasattr(args, "steps"):
-        return "steps", args.steps, args.steps
-    least = args.dim if args.subcommand == "state" else args.dim ** 2
-    return "dim", args.dim ** 2, least
+        return "steps", args.steps
+    return "dim", args.dim if args.subcommand == "state" else args.dim ** 2
 
 
-def _physical_memory():
-    """Bytes of physical memory, or None where the system does not say."""
+def _physical_memory() -> int:
+    """Bytes of physical memory or, where the system does not say, the most
+    bytes numpy can describe in one array (its intp limit)."""
     try:
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
-        return None
+        return np.iinfo(np.intp).max
 
 
 def _check_common(args) -> str:
@@ -166,27 +165,18 @@ def _check_common(args) -> str:
         return "polar moduli delta, beta, gamma must be >= 0"
     if getattr(args, "dim", 8) < 8:
         return "dim must be >= 8"
-    flag, items, least = _size(args)
-    if items > _MAX_ITEMS:
-        return f"--{flag} {getattr(args, flag)} is past numpy's array size limit"
+    flag, least = _size(args)
     # a lower bound on what the request holds, so no request that fits is
     # refused; past it the allocation is overcommitted and the kernel kills
     # the process when the pages are touched, before any MemoryError
     need, memory = least * np.dtype(complex).itemsize, _physical_memory()
-    if memory is not None and need > memory:
+    if need > memory:
         return (f"--{flag} {getattr(args, flag)} needs at least {need} bytes, "
                 f"more than the {memory} bytes of physical memory")
-    if hasattr(args, "guard") and not (args.guard == -1
-                                       or 0 <= args.guard < args.dim):
-        return "guard must be -1 (dim // 4) or in 0..dim-1"
-    if getattr(args, "suite", None) not in (None, *VERIFY_SUITES):
-        return f"unknown suite {args.suite!r}"
     if getattr(args, "steps", 2) < 2:
         return "steps must be >= 2"
     if hasattr(args, "min") and not (args.min < args.max):
         return "min must be < max"
-    if getattr(args, "tol", 1.0) <= 0:
-        return "tol must be > 0"
     return ""
 
 
@@ -230,7 +220,6 @@ def cmd_state(args) -> int:
         amps = aes_series._amplitudes(params, max(96, n_max))
         # a state with no norm is reported as such before its route check
         c0, norm_diag = aes_series.normalization_c0(params, n_max=max(96, n_max),
-                                                    tol=min(args.tol, 1e-12),
                                                     amps=amps)
         c, diag = aes_series.fock_coefficients(params, n_max, amps=amps)
         cn = c0 * c
@@ -300,10 +289,11 @@ def _verify_checks(args):
     """(suite, name, residual, bound, error) rows for the checks of --suite
     (all suites when it is unset).
 
-    A check that raises a package error or an ArithmeticError is reported as
-    failed (residual inf, error "<class>: <message>") instead of killing the
-    rest of the report; small boxes trip the tail guards.  error is None for
-    a check that ran.
+    A check that raises a package error, an ArithmeticError or a LinAlgError
+    (an SVD of a residual with a nan entry) is reported as failed (residual
+    inf, error "<class>: <message>") instead of killing the rest of the
+    report; small boxes trip the tail guards.  error is None for a check that
+    ran.
 
     The algebra rows and pseudo's commutators print the largest of three
     guarded norms.  fock_core.max_guarded_norm gives it with the SVDs of only
@@ -311,7 +301,7 @@ def _verify_checks(args):
     would give: 13 SVDs per full report, not 30.  The uzp rows' cosh and
     sinh are Taylor sums cut at roundoff (triangular_matrix_function).
     """
-    cfg = TruncationConfig(dim=args.dim, guard=args.guard)
+    cfg = TruncationConfig(dim=args.dim)
     checks = [
         ("fock", "canonical_xp_commutator", lambda: _check_xp(cfg), 1e-10),
         ("fock", "coherent_normalization",
@@ -361,7 +351,8 @@ def _verify_checks(args):
             continue
         try:
             r, error = float(thunk()), None
-        except (DeformedHeisenbergError, ArithmeticError) as e:
+        except (DeformedHeisenbergError, ArithmeticError,
+                np.linalg.LinAlgError) as e:
             r, error = math.inf, f"{type(e).__name__}: {e}"
         rows.append((suite, name, r, bound, error))
     return rows
@@ -425,11 +416,7 @@ FLAGS = {
     "max": dict(type=float, default=math.pi),
     "steps": dict(type=int, default=200),
     "dim": dict(type=int, default=64),
-    "guard": dict(type=int, default=-1),
-    "tol": dict(type=float, default=1e-10,
-                help="norm series tolerance; state uses min(tol, 1e-12), so "
-                     "values >= 1e-12 act alike"),
-    "suite": dict(help=f"restrict to one suite ({', '.join(VERIFY_SUITES)})"),
+    "suite": dict(choices=VERIFY_SUITES, help="restrict to one suite"),
     "format": dict(choices=("csv", "json"), default="csv"),
     "out": {},
 }
@@ -438,9 +425,9 @@ FLAGS = {
 SUBCOMMAND_FLAGS = {
     "sweep-dispersion": ("delta", "phi", "beta", "theta", "z", "p", "var",
                          "min", "max", "steps", "format", "out"),
-    "state": ("delta", "phi", "beta", "theta", "z", "p", "dim", "tol",
-              "format", "out"),
-    "verify": ("dim", "guard", "suite", "out"),
+    "state": ("delta", "phi", "beta", "theta", "z", "p", "dim", "format",
+              "out"),
+    "verify": ("dim", "suite", "out"),
     "spectrum": ("delta", "phi", "z", "dim", "format", "out"),
 }
 
@@ -489,23 +476,14 @@ def main(argv=None) -> int:
         # stdout at devnull so that the interpreter's final flush cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except BadParams as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except MemoryError:
         flag = _size(args)[0]
         print(f"error: not enough memory for --{flag} {getattr(args, flag)}",
               file=sys.stderr)
         return EXIT_USAGE
-    except (NotConverged, NonNormalizable) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except IllConditioned as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONDITIONING
     except DeformedHeisenbergError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVARIANT
+        return next(code for cls, code in EXIT_CODES if isinstance(e, cls))
     finally:
         warnings.formatwarning = fmt
 

@@ -2,8 +2,7 @@
 
 Exceptions mark a result the package will not return: bad parameters, a
 series that did not converge, a state with no finite norm, a metric too
-ill-conditioned to use.  cli.main maps them to exit codes (BadParams 2;
-NotConverged and NonNormalizable 3; IllConditioned 4; the rest 1).  The two
+ill-conditioned to use.  cli.EXIT_CODES gives the exit code of each.  The two
 Warning subclasses flag evaluations that are well-defined but numerically
 delicate (convergence phase windows, branch cuts) without aborting.
 """

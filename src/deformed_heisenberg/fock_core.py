@@ -148,9 +148,10 @@ def max_guarded_norm(mats, cfg: TruncationConfig) -> float:
     be the largest, so it gets no SVD; the block with that column norm
     always does, and the result is its guarded_norm, bit for bit.  When a
     bound is inf or nan, or every column norm is below 1e-100 (where the
-    squares lose entries to underflow), every block gets its SVD, and a nan
-    norm among them is the result: Python's max would drop it unless it
-    came first.
+    squares lose entries to underflow), every block gets its SVD.  A block
+    with a nan entry then raises numpy.linalg.LinAlgError ("SVD did not
+    converge"); one with an inf entry has a nan norm, and that nan is the
+    result: Python's max would drop it unless it came first.
     """
     blocks = [guarded_block(M, cfg) for M in mats]
     upper = [float(np.linalg.norm(b)) for b in blocks]

@@ -444,13 +444,21 @@ def test_sweep_rejects_nonzero_gamma(tmp_path, capsys):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("tol", ["0", "-1e-10", "-0.0"])
-def test_nonpositive_tol_is_usage_error(tol, capsys):
-    # not a convergence failure: the series converges, the request cannot
-    assert cli.main(["state", "--dim", "16", f"--tol={tol}"]) == 2
+@pytest.mark.parametrize("argv", [
+    ["state", "--dim", "16", "--tol", "1e-10"],
+    ["verify", "--dim", "16", "--guard", "4"],
+], ids=["state-tol", "verify-guard"])
+def test_removed_tol_and_guard_flags_are_unrecognized(argv, tmp_path, capsys):
+    # state stops its norm series at 1e-12 and verify's bounds are set at
+    # the dim // 4 guard, so neither flag had a value that changed a table
+    path = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(path)])
+    assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: tol must be > 0\n"
+    assert f"unrecognized arguments: {argv[-2]}" in err
+    assert not path.exists()
 
 
 def _run_cli(argv, timeout):
@@ -684,6 +692,27 @@ def test_verify_reports_arithmetic_error_as_failed_check(tmp_path,
     assert "error" not in checks["gamma_closed_vs_matrix"]
 
 
+def test_verify_reports_linalg_error_as_failed_check(tmp_path, monkeypatch):
+    # a residual with a nan entry makes the SVD behind guarded_norm raise
+    # LinAlgError, which the report gives as an inf row, not a traceback
+    def position_with_nan(cfg):
+        X = np.zeros((cfg.dim, cfg.dim))
+        X[0, 0] = math.nan
+        return X
+
+    monkeypatch.setattr(cli.dispersion, "position_operator", position_with_nan)
+    out = tmp_path / "verify_nan.json"
+    assert cli.main(["verify", "--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert len(checks) == 18
+    failed = [c for c in checks if not c["passed"]]
+    assert failed == [{
+        "suite": "fock", "name": "canonical_xp_commutator", "residual": "inf",
+        "bound": "1e-10", "passed": False,
+        "error": "LinAlgError: SVD did not converge"}]
+    assert all("error" not in c for c in checks if c["passed"])
+
+
 def test_verify_suite_filter(tmp_path):
     out = tmp_path / "verify_pg.json"
     rc = cli.main(["verify", "--suite", "paragrassmann", "--out", str(out)])
@@ -697,9 +726,10 @@ def test_verify_suite_filter(tmp_path):
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
-    rc = cli.main(["verify", "--suite", "nope"])
-    assert rc == 2
-    assert "unknown suite" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "nope"])
+    assert exc.value.code == 2
+    assert "--suite: invalid choice: 'nope'" in capsys.readouterr().err
 
 
 def test_verify_suite_runs_only_its_own_checks(monkeypatch, capsys):
@@ -718,7 +748,9 @@ def test_verify_suite_runs_only_its_own_checks(monkeypatch, capsys):
     assert cli.main(["verify", "--suite", "paragrassmann"]) == 0
     assert calls == []
     # an unknown suite is refused before any check runs
-    assert cli.main(["verify", "--suite", "nope"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "nope"])
+    assert exc.value.code == 2
     assert calls == []
     assert cli.main(["verify", "--suite", "fock"]) == 0
     assert calls == ["check_xp"]
@@ -730,7 +762,6 @@ def test_verify_suite_runs_only_its_own_checks(monkeypatch, capsys):
     ["state", "--dim", "8", "--beta", "inf"],
     ["sweep-dispersion", "--steps", "3", "--z", "inf"],
     ["sweep-dispersion", "--steps", "3", "--min=-inf"],
-    ["verify", "--dim", "8", "--guard", "9"],
     # sizes past numpy's array size limit
     ["state", "--dim", str(2 ** 62)],
     ["verify", "--dim", str(2 ** 62)],
@@ -756,11 +787,21 @@ def test_nonfinite_floats_and_bad_guard_exit_2(argv, tmp_path):
     (["state", "--dim", str(2 ** 62)], "--dim"),
     (["sweep-dispersion", "--steps", str(2 ** 62)], "--steps"),
 ])
-def test_sizes_past_numpys_limit_name_their_flag(argv, flag, capsys):
-    # refused before any array is built
+def test_sizes_past_numpys_limit_name_their_flag(argv, flag, monkeypatch,
+                                                capsys):
+    # refused before any array is built.  Where the system does not give its
+    # memory, the limit is numpy's intp byte limit; the test takes that path
+    # so that the figure is the same on every machine
+    def no_sysconf(name):
+        raise ValueError(name)
+
+    monkeypatch.setattr(cli.os, "sysconf", no_sysconf)
+    limit = np.iinfo(np.intp).max
+    assert cli._physical_memory() == limit
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == (
-        f"error: {flag} {2 ** 62} is past numpy's array size limit\n")
+        f"error: {flag} {2 ** 62} needs at least {16 * 2 ** 62} bytes, "
+        f"more than the {limit} bytes of physical memory\n")
 
 
 @pytest.mark.parametrize("argv, target, flag", [
@@ -818,8 +859,9 @@ def test_physical_memory_is_read_from_the_system():
     ["state", "--eta-phase", "1"],
     ["spectrum", "--dim", "8", "--guard", "8"],
     ["state", "--dim", "8", "--guard", "-2"],
+    ["verify", "--dim", "8", "--guard", "9"],
 ], ids=["verify-z", "spectrum-beta", "sweep-dim", "state-eta-phase",
-        "spectrum-guard", "state-guard"])
+        "spectrum-guard", "state-guard", "verify-guard"])
 def test_flag_the_subcommand_does_not_read_exits_2(argv, tmp_path):
     # a flag the command would ignore is refused, not echoed in the meta line
     out = tmp_path / "out.txt"
@@ -829,6 +871,12 @@ def test_flag_the_subcommand_does_not_read_exits_2(argv, tmp_path):
     assert f"unrecognized arguments: {argv[-2]}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_flags_table_has_no_leftover_entries():
+    # a flag in FLAGS that no subcommand lists is parsed by none of them
+    assert set(cli.FLAGS) == set().union(*cli.SUBCOMMAND_FLAGS.values())
+    assert set(cli._COMMANDS) == set(cli.SUBCOMMAND_FLAGS)
 
 
 @pytest.mark.parametrize("argv", [

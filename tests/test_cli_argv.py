@@ -44,11 +44,6 @@ def argvs(draw):
         values[draw(st.sampled_from(sorted(values)))] = draw(WILD)
     # --flag=value, so that argparse never reads "-inf" as an option
     argv += [f"--{f}={v!r}" for f, v in values.items()]
-    if "guard" in own:
-        guard = draw(st.one_of(st.none(), st.integers(-1, dim - 1),
-                               st.integers(-3, 30)))
-        if guard is not None:
-            argv.append(f"--guard={guard}")
     if "steps" in own:
         argv.append(f"--steps={draw(st.integers(2, 40))}")
     if "var" in own:
