@@ -444,23 +444,6 @@ def test_sweep_rejects_nonzero_gamma(tmp_path, capsys):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["state", "--dim", "16", "--tol", "1e-10"],
-    ["verify", "--dim", "16", "--guard", "4"],
-], ids=["state-tol", "verify-guard"])
-def test_removed_tol_and_guard_flags_are_unrecognized(argv, tmp_path, capsys):
-    # state stops its norm series at 1e-12 and verify's bounds are set at
-    # the dim // 4 guard, so neither flag had a value that changed a table
-    path = tmp_path / "out.txt"
-    with pytest.raises(SystemExit) as exc:
-        cli.main([*argv, "--out", str(path)])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert f"unrecognized arguments: {argv[-2]}" in err
-    assert not path.exists()
-
-
 def _run_cli(argv, timeout):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     return subprocess.run(
@@ -859,9 +842,10 @@ def test_physical_memory_is_read_from_the_system():
     ["state", "--eta-phase", "1"],
     ["spectrum", "--dim", "8", "--guard", "8"],
     ["state", "--dim", "8", "--guard", "-2"],
-    ["verify", "--dim", "8", "--guard", "9"],
+    ["state", "--dim", "16", "--tol", "1e-10"],
+    ["verify", "--dim", "64", "--guard", "4"],
 ], ids=["verify-z", "spectrum-beta", "sweep-dim", "state-eta-phase",
-        "spectrum-guard", "state-guard", "verify-guard"])
+        "spectrum-guard", "state-guard", "state-tol", "verify-guard"])
 def test_flag_the_subcommand_does_not_read_exits_2(argv, tmp_path):
     # a flag the command would ignore is refused, not echoed in the meta line
     out = tmp_path / "out.txt"
