@@ -2,8 +2,9 @@
 
 The corpus is the traffic the benchmark sends, cut to a size a test can
 replay: the first two blocks of seeds 1-10 of every workload in
-benchmarks/workloads.py, plus each subcommand with its defaults and one
-``state`` argv that raises a PhaseWindow warning, each argv once.  Each
+benchmarks/workloads.py, plus each subcommand with its defaults, one
+``state`` argv that raises a PhaseWindow warning and the JSON argvs below,
+each argv once.  Each
 argv runs in-process through ``cli.main``; manifest.tsv holds one line per
 argv, its JSON form and the sha256 of its exit code, stdout and stderr.
 test_golden_paths.py replays it.
@@ -43,6 +44,10 @@ BLOCKS_PER_SEED = 2
 # mu = 0 with arg(lam) = 3 lies outside the z > 0 convergence window
 PHASE_WINDOW = ["state", "--dim", "64", "--z", "0.01", "--delta", "0",
                 "--beta", "1", "--theta", "3"]
+# the JSON writer on a table that completes: the default spectrum exits 4,
+# this operator_checks one exits 0
+SPECTRUM_OK = ["spectrum", "--dim", "128", "--delta", "0.0464064", "--phi",
+               "-0.379741", "--z", "0.0065224"]
 
 
 def _workloads():
@@ -64,6 +69,10 @@ def corpus() -> list:
                 argvs += next(gen)
     argvs += [[name] for name in cli.SUBCOMMAND_FLAGS]
     argvs.append(PHASE_WINDOW)
+    argvs += [[name, "--format", "json"]
+              for name, flags in cli.SUBCOMMAND_FLAGS.items()
+              if "format" in flags]
+    argvs.append(SPECTRUM_OK + ["--format", "json"])
     # a verify argv is its dim alone, so the blocks repeat three of them
     return [list(a) for a in dict.fromkeys(map(tuple, argvs))]
 
