@@ -42,16 +42,17 @@ def _coefficients(delta, phi, beta, theta):
     return r, -delta * np.exp(-1j * phi) / 2, d
 
 
-def gamma_kl(k: int, l: int, delta, phi, beta, theta):
-    """<0|D+ S+ (a+)^k a^l S D|0> for the squeezed-displaced vacuum."""
-    r, a, d = _coefficients(delta, phi, beta, theta)
+def gamma_kl(k: int, l: int, delta, phi, beta, theta, coefficients=None):
+    """<0|D+ S+ (a+)^k a^l S D|0> for the squeezed-displaced vacuum; a caller
+    of many elements passes coefficients=_coefficients(...) computed once."""
+    r, a, d = coefficients or _coefficients(delta, phi, beta, theta)
     return quadratic_exponential_derivative(
         k, l, a, a.conjugate(), delta * delta, d, d.conjugate()) / r ** (k + l)
 
 
-def lambda_kl(k: int, l: int, delta, phi, beta, theta):
-    """<0|D+ S+ a^k (a+)^l S D|0> (anti-normal ordering)."""
-    r, a, d = _coefficients(delta, phi, beta, theta)
+def lambda_kl(k: int, l: int, delta, phi, beta, theta, coefficients=None):
+    """<0|D+ S+ a^k (a+)^l S D|0> (anti-normal ordering), as gamma_kl."""
+    r, a, d = coefficients or _coefficients(delta, phi, beta, theta)
     # sigma couples to a^k, tau to (a+)^l: every coefficient swaps vs gamma_kl
     return quadratic_exponential_derivative(
         k, l, a.conjugate(), a, 1.0, d.conjugate(), d) / r ** (k + l)

@@ -11,7 +11,8 @@ the recurrence and the vacuum-image route (exit 3 above
 aes_series.ROUTE_DEVIATION_BOUND); tail_estimate, the norm series' remainder.
 
 Emits deterministic machine-readable tables (CSV with a '#' metadata line, or
-JSON mirroring the same schema).  Exit codes: 0 ok, 1 invariant failure,
+JSON mirroring the same schema); every table goes to one writer, _Writer,
+as columns, and a CSV body is one template formatted once.  Exit codes: 0 ok, 1 invariant failure,
 2 usage, 3 convergence failure or a state with no finite norm,
 4 conditioning; main() alone maps errors to them, package errors through
 EXIT_CODES.  A table is written only once it is complete, and a partial
@@ -32,6 +33,7 @@ was frozen.
 import argparse
 import cmath
 import gc
+import itertools
 import json
 import math
 import os
@@ -73,12 +75,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
-
-
 def _meta(args) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func"}
 
@@ -90,38 +86,41 @@ def _open_out(path):
         raise BadParams(f"cannot write --out {path}: {e.strerror}") from e
 
 
+def _csv_body(columns) -> str:
+    """The CSV lines of a table of equal-length columns, each of one kind:
+    one template, %d per int or bool column and %.17g per float one, gives
+    the bytes of ",".join(map(_fmt, row)) row by row."""
+    line = ",".join("%.17g" if isinstance(c[0], float) else "%d"
+                    for c in columns) + "\n"
+    return (line * len(columns[0])) % tuple(
+        itertools.chain.from_iterable(zip(*columns)))
+
+
 class _Writer:
-    """Collects formatted rows and writes the whole table to --out (or
-    stdout) in finish, so a command that fails prints none of it; as a
-    context manager it closes the file and removes it if the block raises."""
+    """Writes a whole table, as columns of plain numbers, to --out (or stdout)
+    in finish, so a command that fails prints none of it; as a context
+    manager it closes the file and removes it if the block raises."""
 
     def __init__(self, path, fmt, meta, header):
         self.path = path
         self.fmt = fmt
         self.meta = meta
         self.header = header
-        self.rows = []                  # CSV lines, or JSON row lists
         self.fh = _open_out(path) if path else sys.stdout
 
-    def row(self, values):
-        if self.fmt == "csv":
-            self.rows.append(",".join(map(_fmt, values)) + "\n")
-        else:
-            self.rows.append([_jsonable(v) for v in values])
-
-    def finish(self, diagnostics=None):
+    def finish(self, columns, diagnostics=None):
         if self.fmt == "csv":
             kv = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(self.meta.items()))
             self.fh.write(f"# {kv}\n" + ",".join(self.header) + "\n")
-            self.fh.writelines(self.rows)
+            self.fh.write(_csv_body(columns))
             self.fh.write("".join(f"# {k}={_fmt(v)}\n" for k, v in
                                   sorted((diagnostics or {}).items())))
         else:
-            doc = {"meta": {k: _jsonable(v) for k, v in self.meta.items()},
-                   "header": self.header, "rows": self.rows}
+            # json writes a numpy float as the float it is
+            doc = {"meta": self.meta, "header": self.header,
+                   "rows": list(zip(*columns))}
             if diagnostics:
-                doc["diagnostics"] = {k: _jsonable(v) for k, v in
-                                      sorted(diagnostics.items())}
+                doc["diagnostics"] = diagnostics
             json.dump(doc, self.fh, indent=1, sort_keys=True)
             self.fh.write("\n")
 
@@ -184,23 +183,21 @@ def _check_common(args) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-SWEEP_HEADER = list(dispersion.SweepRow._fields)
+SWEEP_HEADER = list(dispersion.SweepTable._fields)
 
 
 def cmd_sweep_dispersion(args) -> int:
-    rows = dispersion.sweep_rows(
-        delta=args.delta, phi=args.phi, beta=args.beta, theta=args.theta,
-        varying=args.var, grid=np.linspace(args.min, args.max, args.steps),
-        z=args.z, p=args.p)
     with _Writer(args.out, args.format, _meta(args), SWEEP_HEADER) as w:
-        negative = 0
-        for row in rows:
-            w.row(row)
-            negative += row.var_x_def < 0 or row.var_p_def < 0
+        table = dispersion.sweep_table(
+            delta=args.delta, phi=args.phi, beta=args.beta, theta=args.theta,
+            varying=args.var, grid=np.linspace(args.min, args.max, args.steps),
+            z=args.z, p=args.p)
         # a first-order variance goes negative where x2_mean - mean_x^2
         # cancels (large beta) or the expansion breaks down (delta near 1);
         # validity_flag alone does not say the value is meaningless
-        w.finish(diagnostics={"negative_variance_rows": negative}
+        negative = int(np.count_nonzero(
+            np.minimum(table.var_x_def, table.var_p_def) < 0))
+        w.finish(table, diagnostics={"negative_variance_rows": negative}
                  if negative else None)
     return EXIT_OK
 
@@ -223,9 +220,10 @@ def cmd_state(args) -> int:
                                                     amps=amps)
         c, diag = aes_series.fock_coefficients(params, n_max, amps=amps)
         cn = c0 * c
-        for n in range(len(cn)):
-            w.row([n, cn[n].real, cn[n].imag, abs(cn[n]) ** 2])
-        w.finish(diagnostics={"c0": c0, "route_deviation": diag.tail_estimate,
+        # scalar abs and **: numpy's vector forms differ in the last bit
+        w.finish([list(range(len(cn))), cn.real.tolist(), cn.imag.tolist(),
+                  [abs(v) ** 2 for v in cn.tolist()]],
+                 diagnostics={"c0": c0, "route_deviation": diag.tail_estimate,
                               "tail_estimate": norm_diag.tail_estimate})
     return EXIT_OK
 
@@ -388,11 +386,10 @@ def cmd_spectrum(args) -> int:
         sysm = pseudo_hermitian.build_system(mu, args.z, cfg)
         rep_h = pseudo_hermitian.spectrum_report(sysm, "pseudo")
         rep_ht = pseudo_hermitian.spectrum_report(sysm, "hermitian")
-        for n in range(cfg.dim):
-            eh = rep_h.eigenvalues[n].real
-            et = rep_ht.eigenvalues[n].real
-            w.row([n, eh, abs(eh - n), et, abs(et - n)])
-        w.finish(diagnostics={
+        n = np.arange(cfg.dim)
+        eh, et = rep_h.eigenvalues.real, rep_ht.eigenvalues.real
+        w.finish([n.tolist(), eh.tolist(), np.abs(eh - n).tolist(),
+                  et.tolist(), np.abs(et - n).tolist()], diagnostics={
             "eta_condition": sysm.eta_condition,
             "h_max_deviation": rep_h.max_deviation_from_integers,
             "ht_max_deviation": rep_ht.max_deviation_from_integers})

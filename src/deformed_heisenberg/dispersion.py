@@ -2,11 +2,11 @@
 
 Covers the X/P operators and their dispersions, the squeezed-vacuum matrix
 elements Gamma_kl / Lambda_kl, the first-order perturbed moments and the
-variance tables built from them (sweep_rows, over a phi or delta grid), and
+variance tables built from them (sweep_table, over a phi or delta grid), and
 the all-order dispersions of general_dispersion.  The first-order moments
 and the undeformed dispersions (mus_dispersions) take scalars or numpy
-arrays, so a sweep evaluates its whole grid in one call of each and builds
-its rows from the result columns.
+arrays, so a sweep evaluates its whole grid in one call of each and returns
+the result columns as the table; no per-row record is built.
 """
 
 import cmath
@@ -167,18 +167,20 @@ def perturbed_moments(delta, phi, beta, theta, z, p) -> PerturbedMoments:
     1 + z Q + (p^2/4) R,  Q = mu (a+)^3/3 - lam (a+)^2/2,
     R = mu (a+)^2/4 - (lam/2) a+  (nu = 0), against S D |0>, normal-ordering
     everything onto Gamma / Lambda elements; second-order cross terms in
-    (z, p^2, epsilon) are dropped.  Each of the 17 Gamma_kl / Lambda_kl
-    elements is evaluated once per call, and each Q / R block once.  The
-    parameters may be numpy arrays of one broadcast shape (a sweep grid);
-    every field then is an array of that shape, evaluated elementwise.
+    (z, p^2, epsilon) are dropped.  The generating-function coefficients of
+    S D|0> are computed once per call, each of the 17 Gamma_kl / Lambda_kl
+    elements once from them, and each Q / R block once.  The parameters may
+    be numpy arrays of one broadcast shape (a sweep grid); every field then
+    is an array of that shape, evaluated elementwise.
     """
     mu = delta * np.exp(1j * phi)
     lam = beta * np.exp(1j * theta)
     q = p * p / 4.0
-    G = functools.cache(functools.partial(_gaussian.gamma_kl, delta=delta,
-                                          phi=phi, beta=beta, theta=theta))
-    L = functools.cache(functools.partial(_gaussian.lambda_kl, delta=delta,
-                                          phi=phi, beta=beta, theta=theta))
+    element = dict(delta=delta, phi=phi, beta=beta, theta=theta,
+                   coefficients=_gaussian._coefficients(delta, phi, beta,
+                                                        theta))
+    G = functools.cache(functools.partial(_gaussian.gamma_kl, **element))
+    L = functools.cache(functools.partial(_gaussian.lambda_kl, **element))
 
     def blocks(e):
         """The Q and R blocks, e(m) being the element that carries (a+)^m."""
@@ -309,27 +311,26 @@ def general_dispersion(params: DeformationParams, n_max: int = 128,
 # figure sweeps
 # ---------------------------------------------------------------------------
 
-class SweepRow(NamedTuple):
-    grid_value: float
-    var_x_mus: float
-    var_p_mus: float
-    var_x_def: float
-    var_p_def: float
-    product_def: float
-    srur_bound: float
-    validity_flag: bool
+class SweepTable(NamedTuple):
+    grid_value: list
+    var_x_mus: list
+    var_p_mus: list
+    var_x_def: list
+    var_p_def: list
+    product_def: list
+    srur_bound: list
+    validity_flag: list
 
 
-def sweep_rows(*, delta, phi, beta, theta, varying: str, grid, z, p):
-    """Variance table rows over a phi or delta grid for one (z, p).
+def sweep_table(*, delta, phi, beta, theta, varying: str, grid, z, p):
+    """Variance table over a phi or delta grid for one (z, p), as columns.
 
-    Yields one SweepRow per grid value, in grid order.  The whole grid goes
-    through one mus_dispersions and one perturbed_moments call on numpy
-    arrays, and the rows are zipped from the result columns; every row field
-    is a plain float or bool.  validity_flag is False where
-    |epsilon| = |Omega~ - 1| exceeds the module threshold and the
-    first-order state can no longer be trusted.  A row with a non-finite
-    column raises NotConverged naming the first such grid value.
+    The whole grid goes through one mus_dispersions and one perturbed_moments
+    call on numpy arrays; each SweepTable field is a list, one plain float
+    (validity_flag: bool) per grid value in grid order.  validity_flag is
+    False where |epsilon| = |Omega~ - 1| exceeds the module threshold and the
+    first-order state can no longer be trusted.  A non-finite column raises
+    NotConverged naming the first grid value where it is not finite.
     """
     if varying not in ("phi", "delta"):
         raise BadParams("varying must be 'phi' or 'delta'")
@@ -345,5 +346,4 @@ def sweep_rows(*, delta, phi, beta, theta, varying: str, grid, z, p):
     if bad.any():
         raise NotConverged(f"moments overflow at {varying}="
                            f"{float(g[bad.argmax()])}")
-    yield from map(SweepRow._make,
-                   zip(*(c.tolist() for c in (g, *mus, *cols, ok))))
+    return SweepTable._make(c.tolist() for c in (g, *mus, *cols, ok))

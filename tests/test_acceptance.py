@@ -29,7 +29,7 @@ from deformed_heisenberg.dispersion import (gamma_element,
                                             general_dispersion,
                                             lambda_element, mus_dispersions,
                                             perturbed_quadrature_stats,
-                                            quadrature_stats, sweep_rows)
+                                            quadrature_stats, sweep_table)
 from deformed_heisenberg.fock_core import (TruncationConfig, annihilation,
                                            creation, displacement_operator,
                                            squeeze_operator, vacuum)
@@ -218,9 +218,10 @@ def test_criterion_07_gamma_lambda_closed_forms():
 
 def test_criterion_08a_deformed_product_dominates_mus():
     grid = np.linspace(-math.pi, math.pi, 161)
-    rows = sweep_rows(delta=0.5, phi=None, beta=2.0, theta=0.8 * math.pi,
-                      varying="phi", grid=grid, z=0.0025, p=0.01)
-    deficit = min(r.product_def - r.var_x_mus * r.var_p_mus for r in rows)
+    t = sweep_table(delta=0.5, phi=None, beta=2.0, theta=0.8 * math.pi,
+                    varying="phi", grid=grid, z=0.0025, p=0.01)
+    deficit = min(product - vx * vp for product, vx, vp in
+                  zip(t.product_def, t.var_x_mus, t.var_p_mus))
     print(f"criterion 08a: smallest product margin over the undeformed "
           f"minimum {deficit:.3e} (bound -1e-9)")
     assert deficit >= -1e-9, (
@@ -231,9 +232,9 @@ def test_criterion_08a_deformed_product_dominates_mus():
 
 def test_criterion_08b_product_decreases_with_p():
     grid = np.linspace(-math.pi, math.pi, 41)
-    prod = {p: np.array([r.product_def for r in sweep_rows(
+    prod = {p: np.array(sweep_table(
         delta=0.5, phi=None, beta=2.0, theta=0.8 * math.pi, varying="phi",
-        grid=grid, z=0.003, p=p)]) for p in (0.0, 0.06, 0.11)}
+        grid=grid, z=0.003, p=p).product_def) for p in (0.0, 0.06, 0.11)}
     worst_creep = -math.inf
     for lo, hi in ((0.0, 0.06), (0.06, 0.11)):
         diff = prod[hi] - prod[lo]
@@ -245,14 +246,14 @@ def test_criterion_08b_product_decreases_with_p():
 
 
 def test_criterion_08c_validity_flag_trips_past_075():
-    rows = list(sweep_rows(delta=None, phi=math.pi / 6, beta=2.0,
-                           theta=0.8 * math.pi, varying="delta",
-                           grid=[0.1, 0.3, 0.5, 0.7, 0.75, 0.76, 0.8],
-                           z=0.0025, p=0.01))
-    flags = [r.validity_flag for r in rows]
+    t = sweep_table(delta=None, phi=math.pi / 6, beta=2.0,
+                    theta=0.8 * math.pi, varying="delta",
+                    grid=[0.1, 0.3, 0.5, 0.7, 0.75, 0.76, 0.8],
+                    z=0.0025, p=0.01)
+    flags = t.validity_flag
     assert flags == [True, True, True, True, True, False, False]
-    margin = min(r.product_def - r.var_x_mus * r.var_p_mus
-                 for r in rows if r.validity_flag)
+    margin = min(product - vx * vp for product, vx, vp, ok in
+                 zip(t.product_def, t.var_x_mus, t.var_p_mus, flags) if ok)
     print(f"criterion 08c: flag pattern {flags}; smallest deformed-product "
           f"excess in the valid region {margin:.3e} (must be > 0)")
     assert margin > 0.0

@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deformed_heisenberg import _gaussian, cli, fock_core
 from deformed_heisenberg.errors import NotConverged, PhaseWindow
@@ -129,6 +131,34 @@ def test_sweep_golden_bytes(capsys):
            "meta": dict(GOLDEN_SWEEP_META, format="json"), "rows": rows}
     assert capsys.readouterr().out == json.dumps(doc, indent=1,
                                                  sort_keys=True) + "\n"
+
+
+# the cells a table can hold; each column holds one kind.  The float kind
+# mixes Python floats and numpy.float64, and the edge values that the golden
+# corpus never prints: signed zeros and infinities, nan, subnormals and the
+# largest doubles
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                     -5e-324, 2.2250738585072009e-308, sys.float_info.max,
+                     -sys.float_info.max]),
+    st.floats(allow_nan=True, allow_infinity=True))
+_CELLS = {"float": st.one_of(_FLOATS, _FLOATS.map(np.float64)),
+          "int": st.integers(-2 ** 70, 2 ** 70), "bool": st.booleans()}
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1,
+                          max_size=8))
+    n = draw(st.integers(1, 12))
+    return [draw(st.lists(_CELLS[k], min_size=n, max_size=n)) for k in kinds]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(columns=_tables())
+def test_csv_template_gives_the_bytes_of_fmt(columns):
+    assert cli._csv_body(columns) == "".join(
+        ",".join(map(cli._fmt, row)) + "\n" for row in zip(*columns))
 
 
 def test_sweep_two_step_grid_to_stdout(capsys):
@@ -790,7 +820,7 @@ def test_sizes_past_numpys_limit_name_their_flag(argv, flag, monkeypatch,
 @pytest.mark.parametrize("argv, target, flag", [
     (["verify", "--dim", "64"], (cli, "_verify_checks"), "--dim 64"),
     (["state", "--dim", "64"], (cli.aes_series, "_amplitudes"), "--dim 64"),
-    (["sweep-dispersion", "--steps", "5"], (cli.dispersion, "sweep_rows"),
+    (["sweep-dispersion", "--steps", "5"], (cli.dispersion, "sweep_table"),
      "--steps 5"),
 ])
 def test_memory_error_exits_2_naming_the_size_flag(argv, target, flag,
@@ -831,8 +861,15 @@ def test_size_past_physical_memory_exits_2_naming_its_flag(argv, least,
 
 
 def test_physical_memory_is_read_from_the_system():
+    # _check_common compares a byte count with it on every request, so it is
+    # always a positive int, and the system's figure where there is one
     memory = cli._physical_memory()
-    assert memory is None or memory > 0
+    assert type(memory) is int and memory > 0
+    try:
+        system = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    assert memory == system
 
 
 @pytest.mark.parametrize("argv", [

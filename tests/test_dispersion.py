@@ -21,7 +21,7 @@ from deformed_heisenberg.dispersion import (VALIDITY_EPSILON_THRESHOLD,
                                             mus_dispersions, perturbed_moments,
                                             perturbed_quadrature_stats,
                                             position_operator,
-                                            quadrature_stats, sweep_rows)
+                                            quadrature_stats, sweep_table)
 from deformed_heisenberg.errors import BadParams, NotConverged, TailTooHeavy
 from deformed_heisenberg.fock_core import (TruncationConfig, coherent_state,
                                            displacement_operator,
@@ -399,32 +399,35 @@ def test_general_dispersion_error_paths():
 
 def test_sweep_rows_structure_and_bands():
     grid = np.linspace(-math.pi, math.pi, 41)
-    rows = list(sweep_rows(delta=0.5, phi=None, beta=2.0, theta=0.8 * math.pi,
-                           varying="phi", grid=grid, z=0.001, p=0.0))
-    assert len(rows) == 41
-    assert [r.grid_value for r in rows] == pytest.approx(list(grid))
-    for r in rows:
-        vx, vp = mus_dispersions(0.5, r.grid_value)
-        assert r.var_x_mus == pytest.approx(vx, abs=1e-14)
-        assert r.var_p_mus == pytest.approx(vp, abs=1e-14)
+    t = sweep_table(delta=0.5, phi=None, beta=2.0, theta=0.8 * math.pi,
+                    varying="phi", grid=grid, z=0.001, p=0.0)
+    assert [len(col) for col in t] == [41] * len(t)
+    # plain Python values: the CSV writer picks %d or %.17g by type
+    assert all(type(v) is float for col in t[:-1] for v in col)
+    assert all(type(v) is bool for v in t.validity_flag)
+    assert t.grid_value == pytest.approx(list(grid))
+    for phi, vx_mus, vp_mus, vx, vp, product, bound, _ in zip(*t):
+        vx_ref, vp_ref = mus_dispersions(0.5, phi)
+        assert vx_mus == pytest.approx(vx_ref, abs=1e-14)
+        assert vp_mus == pytest.approx(vp_ref, abs=1e-14)
         # the relative squeezing swaps quadratures at cos(phi) = 0
-        c = math.cos(r.grid_value)
+        c = math.cos(phi)
         if c > 0.1:
-            assert r.var_x_def < r.var_p_def
+            assert vx < vp
         elif c < -0.1:
-            assert r.var_p_def < r.var_x_def
+            assert vp < vx
         # first-order rows may undershoot the bound by their own O(z^2) error
-        assert r.product_def >= r.srur_bound - 1e-4
+        assert product >= bound - 1e-4
     with pytest.raises(BadParams):
-        list(sweep_rows(delta=0.5, phi=0.0, beta=2.0, theta=0.8 * math.pi,
-                        varying="x", grid=[0.1], z=0.001, p=0.0))
+        sweep_table(delta=0.5, phi=0.0, beta=2.0, theta=0.8 * math.pi,
+                    varying="x", grid=[0.1], z=0.001, p=0.0)
 
 
 def test_sweep_rows_p_trend():
     grid = np.linspace(-math.pi, math.pi, 41)
-    prod = {p: np.array([r.product_def for r in sweep_rows(
+    prod = {p: np.array(sweep_table(
         delta=0.5, phi=None, beta=2.0, theta=0.8 * math.pi, varying="phi",
-        grid=grid, z=0.003, p=p)]) for p in (0.0, 0.06, 0.11)}
+        grid=grid, z=0.003, p=p).product_def) for p in (0.0, 0.06, 0.11)}
     # increasing p lowers the product over most of the circle; the slack
     # absorbs the O(p^4) spots where it creeps up by a few 1e-5
     for lo, hi in ((0.0, 0.06), (0.06, 0.11)):
@@ -436,10 +439,10 @@ def test_sweep_rows_p_trend():
 def test_sweep_rows_validity_flag():
     # delta sweep at the settings that calibrated the threshold: the flag
     # drops between 0.75 (|eps| = 0.0744) and 0.76 (|eps| = 0.0827)
-    rows = sweep_rows(delta=None, phi=math.pi / 6, beta=2.0,
-                      theta=0.8 * math.pi, varying="delta",
-                      grid=[0.5, 0.7, 0.75, 0.76, 0.8], z=0.0025, p=0.01)
-    flags = [r.validity_flag for r in rows]
+    flags = sweep_table(delta=None, phi=math.pi / 6, beta=2.0,
+                        theta=0.8 * math.pi, varying="delta",
+                        grid=[0.5, 0.7, 0.75, 0.76, 0.8], z=0.0025,
+                        p=0.01).validity_flag
     assert flags == [True, True, True, False, False]
     eps75 = perturbed_moments(0.75, math.pi / 6, 2.0, 0.8 * math.pi,
                               0.0025, 0.01).epsilon
