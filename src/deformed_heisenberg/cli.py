@@ -11,9 +11,10 @@ the recurrence and the vacuum-image route (exit 3 above
 aes_series.ROUTE_DEVIATION_BOUND); tail_estimate, the norm series' remainder.
 
 Emits deterministic machine-readable tables (CSV with a '#' metadata line, or
-JSON mirroring the same schema); every table goes to one writer, _Writer,
-as columns, and a CSV body is one template formatted once.  Exit codes: 0 ok, 1 invariant failure,
-2 usage, 3 convergence failure or a state with no finite norm,
+JSON mirroring the same schema).  sweep-dispersion, state and spectrum hand
+their whole table to one writer, _Writer, as columns; a CSV body is one
+template formatted once.  Exit codes: 0 ok, 1 invariant failure, 2 usage,
+3 convergence failure or a state with no finite norm,
 4 conditioning; main() alone maps errors to them, package errors through
 EXIT_CODES.  A table is written only once it is complete, and a partial
 --out file is removed on every error exit.
