@@ -123,7 +123,8 @@ def _amplitudes(params: DeformationParams, n_max: int) -> np.ndarray:
     one dot product per row, weighted from one log-factorial table (no
     factorial, any n_max).  Any real z: at z = 0 every k-weight is
     exp(-inf) = 0 and the rows are those of the squeezed state of a + mu a+.
-    Entries past the float range turn inf or nan.
+    Entries past the float range turn inf or nan, reported as numpy's error
+    state says; fock_coefficients and normalization_c0 check finiteness.
     """
     lam, mu, z = params.lam, params.mu, params.z
     if z == 0 and abs(mu) >= 1:
@@ -133,14 +134,14 @@ def _amplitudes(params: DeformationParams, n_max: int) -> np.ndarray:
     c = np.r_[1.0 + 0j, np.zeros(n_max, dtype=complex)]
     # math.log, not np.log: the two differ in the last bit on a few inputs
     log_z = math.log(abs(z)) if z else -math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):       # 0 * -inf = nan at j = 0, unread
         log_zk = j * log_z - log_fact                     # log |z^k / k!|
-        for n in range(n_max):                            # root[0] = 0 drops c[-1]
-            k = j[n:0:-1]                                 # pairs with c_1..c_n
-            w = np.copysign(1.0, z) ** k * np.exp(
-                log_zk[k] + 0.5 * (log_fact[n] - log_fact[n - k]))
-            c[n + 1] = (lam * c[n] - mu * root[n] * c[n - 1]
-                        - (w * root[1:n + 1]) @ c[1:n + 1]) / root[n + 1]
+    for n in range(n_max):                                # root[0] = 0 drops c[-1]
+        k = j[n:0:-1]                                     # pairs with c_1..c_n
+        w = np.copysign(1.0, z) ** k * np.exp(
+            log_zk[k] + 0.5 * (log_fact[n] - log_fact[n - k]))
+        c[n + 1] = (lam * c[n] - mu * root[n] * c[n - 1]
+                    - (w * root[1:n + 1]) @ c[1:n + 1]) / root[n + 1]
     return c
 
 
@@ -198,8 +199,7 @@ def fock_coefficients(params: DeformationParams, n_max: int, amps=None):
     if not np.isfinite(c).all():
         raise NotConverged("amplitudes leave the float range: no normalizable state")
     psi = vacuum_image(*_exponent_slope(params, 0.0, n_max + 1), n_max + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dev = float(np.max(np.abs(psi - c)) / np.max(np.abs(c)))
+    dev = float(np.max(np.abs(psi - c)) / np.max(np.abs(c)))
     if not dev <= ROUTE_DEVIATION_BOUND:          # nan fails too
         raise NotConverged(
             f"route deviation {dev:.2e} between the row recurrence and the "
@@ -217,8 +217,7 @@ def normalization_c0(params: DeformationParams, n_max: int = 96, tol: float = 1e
     reused as in fock_coefficients."""
     _phase_window_check(params)
     amps = _amplitudes(params, n_max) if amps is None else amps[:n_max + 1]
-    with np.errstate(over="ignore", invalid="ignore"):   # inf or nan: not converged
-        weights = np.abs(amps) ** 2
+    weights = np.abs(amps) ** 2          # inf or nan: not converged
     total, small, used, w = 0.0, 0, 0, 0.0
     for w in weights.tolist():          # floats: overflow is inf, unwarned
         total += w
@@ -231,9 +230,8 @@ def normalization_c0(params: DeformationParams, n_max: int = 96, tol: float = 1e
             small = 0
     # the last term alone can be a zero of an odd amplitude or undercut the
     # terms already computed past the stop, so report their sum if larger
-    with np.errstate(over="ignore", invalid="ignore"):     # inf / inf: nan
-        rest = weights[used:].sum()
-        tail = max(w, rest) / max(total, 1e-300)
+    rest = weights[used:].sum()
+    tail = max(w, rest) / max(total, 1e-300)          # inf / inf: nan
     # a series that dips below tol and grows again is not converged; nan fails
     if small < 3 or not rest <= math.sqrt(tol) * total:
         raise NotConverged(

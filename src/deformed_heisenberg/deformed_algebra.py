@@ -24,9 +24,9 @@ table of its powers.
 
 tilde_residual_blocks and uzp_residual_blocks give each family's three
 residual matrices.  commutator_residual_tilde and commutator_residual_uzp
-return their three guarded norms; ``dheis verify`` prints only the largest,
-through fock_core.max_guarded_norm, and so takes one SVD per realization
-where the three norms would take three.
+return the largest of their guarded norms, the residual ``dheis verify``
+prints, through fock_core.max_guarded_norm: one SVD per realization where
+the three norms would take three.
 """
 
 import cmath
@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadParams, NotNilpotent, SingularCosh
-from .fock_core import (FockOperator, TruncationConfig, guarded_norm,
+from .fock_core import (FockOperator, TruncationConfig, max_guarded_norm,
                         series_operator, triangular_matrix_function)
 
 
@@ -125,8 +125,8 @@ def exp_coefficients(u, n):
     w = e^u solves w' = u' w, so m w_m = sum_{k=1}^{m} k u_k w_{m-k}: one dot
     product per order, O(n^2) in all.  A linear u = u_1 x, the most common
     exponent here, takes _exp_linear's scalar loop instead, with the same
-    bits.  A huge u gives inf or nan without numpy warnings; callers check
-    finiteness where it matters.
+    bits.  A huge u gives inf or nan, reported as numpy's error state says;
+    callers check finiteness where it matters.
     """
     u = np.asarray(u, dtype=complex)[:n]
     if u[0] != 0:
@@ -136,10 +136,9 @@ def exp_coefficients(u, n):
         return _exp_linear(complex(ku[1]), n)
     w = np.zeros(n, dtype=complex)
     w[0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, n):
-            k = min(m, len(u) - 1)
-            w[m] = ku[1:k + 1] @ w[m - 1::-1][:k] / m
+    for m in range(1, n):
+        k = min(m, len(u) - 1)
+        w[m] = ku[1:k + 1] @ w[m - 1::-1][:k] / m
     return w
 
 
@@ -174,11 +173,10 @@ def _pow_series(u, c, n):
     k = np.arange(len(u))
     w = np.zeros(n, dtype=complex)
     w[0] = complex(u[0]) ** c
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, n):
-            j = min(m, len(u) - 1)
-            w[m] = ((((c + 1) * k[1:j + 1] - m) * u[1:j + 1])
-                    @ w[m - 1::-1][:j]) / (m * u[0])
+    for m in range(1, n):
+        j = min(m, len(u) - 1)
+        w[m] = ((((c + 1) * k[1:j + 1] - m) * u[1:j + 1])
+                @ w[m - 1::-1][:j]) / (m * u[0])
     return w
 
 
@@ -330,17 +328,15 @@ def tilde_residual_blocks(triple: AlgebraTriple, params: DeformationParams):
 
 
 def commutator_residual_uzp(triple: AlgebraTriple, params: DeformationParams,
-                            cfg: TruncationConfig):
-    """Guarded norms of the three uzp_residual_blocks."""
-    return tuple(guarded_norm(R, cfg)
-                 for R in uzp_residual_blocks(triple, params))
+                            cfg: TruncationConfig) -> float:
+    """Largest guarded norm of the three uzp_residual_blocks."""
+    return max_guarded_norm(uzp_residual_blocks(triple, params), cfg)
 
 
 def commutator_residual_tilde(triple: AlgebraTriple, params: DeformationParams,
-                              cfg: TruncationConfig):
-    """Guarded norms of the three tilde_residual_blocks."""
-    return tuple(guarded_norm(R, cfg)
-                 for R in tilde_residual_blocks(triple, params))
+                              cfg: TruncationConfig) -> float:
+    """Largest guarded norm of the three tilde_residual_blocks."""
+    return max_guarded_norm(tilde_residual_blocks(triple, params), cfg)
 
 
 def tilde_basis_change(triple: AlgebraTriple, p: float,

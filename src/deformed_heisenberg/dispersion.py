@@ -337,11 +337,10 @@ def sweep_table(*, delta, phi, beta, theta, varying: str, grid, z, p):
     g = np.array(grid, dtype=float)
     d, f = (delta, g) if varying == "phi" else (g, phi)
     mus = mus_dispersions(d, f)
-    with np.errstate(all="ignore"):
-        m = perturbed_moments(d, f, beta, theta, z, p)
-        st = m.stats
-        cols = (st.var_x, st.var_p, st.product, st.srur_bound)
-        ok = np.abs(m.epsilon) <= VALIDITY_EPSILON_THRESHOLD
+    m = perturbed_moments(d, f, beta, theta, z, p)
+    st = m.stats
+    cols = (st.var_x, st.var_p, st.product, st.srur_bound)
+    ok = np.abs(m.epsilon) <= VALIDITY_EPSILON_THRESHOLD
     bad = ~np.isfinite(cols).all(axis=0)
     if bad.any():
         raise NotConverged(f"moments overflow at {varying}="

@@ -174,6 +174,7 @@ def _taylor_terms_kept(c, norm_K: float) -> np.ndarray:
     range, or hold an inf or nan coefficient, keeps every term."""
     n = c.shape[-1]
     m = np.arange(n)
+    # log 0 = -inf for the zero Taylor terms of every cosh and sinh row
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_t = np.log(np.abs(c)) + np.where(m > 0, m * np.log(norm_K), 0.0)
         peak = log_t.max(axis=-1, keepdims=True)
@@ -258,8 +259,7 @@ def series_operator(f, cfg: TruncationConfig) -> FockOperator:
     ek = e * np.arange(len(f))
     fk = np.ldexp(f.real, ek)
     if np.iscomplexobj(f):
-        with np.errstate(invalid="ignore"):    # 1j * inf is nan, silently
-            fk = fk + 1j * np.ldexp(f.imag, ek)
+        fk = fk + 1j * np.ldexp(f.imag, ek)
     # g[N - 1 + k] = fk[k], zero elsewhere, so F[m, n] = fk[m - n] or 0
     g = np.zeros(2 * N - 1, dtype=np.result_type(fk, float))
     g[N - 1:N - 1 + len(fk)] = fk
@@ -291,18 +291,18 @@ def vacuum_image(kx, log_scale, n: int) -> FockVector:
     k x_k = kx[k] e^{log_scale[k]} (index 0 unused, zero past len(kx) - 1),
     so that an order too small for a float can come as a log; each weight is
     exponentiated from log_scale[k] plus half a log-factorial difference.
-    Entries past the float range turn inf or nan without numpy warnings.
+    Entries past the float range turn inf or nan, reported as numpy's error
+    state says (dheis ignores them and checks finiteness instead).
     """
     kx = np.asarray(kx, dtype=complex)[:n]
     log_scale = np.asarray(log_scale, dtype=float)[:n]
     log_fact = log_factorials(n)
     psi = np.r_[1.0 + 0j, np.zeros(n - 1, dtype=complex)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, n):
-            k = min(m, len(kx) - 1)     # orders 1..k pair with m-1..m-k
-            w = kx[1:k + 1] * np.exp(log_scale[1:k + 1] + 0.5 * (
-                log_fact[m] - log_fact[m - k:m][::-1]))
-            psi[m] = w @ psi[m - k:m][::-1] / m
+    for m in range(1, n):
+        k = min(m, len(kx) - 1)         # orders 1..k pair with m-1..m-k
+        w = kx[1:k + 1] * np.exp(log_scale[1:k + 1] + 0.5 * (
+            log_fact[m] - log_fact[m - k:m][::-1]))
+        psi[m] = w @ psi[m - k:m][::-1] / m
     return psi
 
 

@@ -29,20 +29,20 @@ import numpy as np
 from .deformed_algebra import exp_coefficients
 from .errors import IllConditioned
 from .fock_core import (FockOperator, FockVector, TruncationConfig,
-                        annihilation, creation, guarded_norm, normalize,
-                        number_operator, series_operator,
-                        squeezed_displaced_vacuum, vacuum, vacuum_image)
+                        annihilation, creation, guarded_norm,
+                        max_guarded_norm, normalize, number_operator,
+                        series_operator, squeezed_displaced_vacuum, vacuum,
+                        vacuum_image)
 
 ETA_CONDITION_LIMIT = 1e12
 
 
 def _scaled_exp_coefficients(c: complex, z: float, shift: int,
                              N: int) -> np.ndarray:
-    """Coefficients of c x^shift e^{-z x}.  A huge z makes them inf or nan
-    without numpy warnings; build_system's finiteness and condition checks
-    turn that into an error."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return c * np.r_[np.zeros(shift), exp_coefficients([0.0, -z], N)]
+    """Coefficients of c x^shift e^{-z x}.  A huge z makes them inf or nan,
+    reported as numpy's error state says; build_system's finiteness and
+    condition checks turn that into an error."""
+    return c * np.r_[np.zeros(shift), exp_coefficients([0.0, -z], N)]
 
 
 def _g_coefficients(mu: complex, z: float, N: int) -> np.ndarray:
@@ -79,7 +79,6 @@ class PseudoHermitianSystem(NamedTuple):
     rho_hat: FockOperator
     rho_inv: FockOperator
     eta_eigs: np.ndarray         # sigma(G^-1)^2, ascending
-    params: tuple                # (mu, z)
     cfg: TruncationConfig
 
     @property
@@ -103,13 +102,12 @@ def build_system(mu: complex, z: float, cfg: TruncationConfig) -> PseudoHermitia
         raise IllConditioned("G^-1 leaves the float range; reduce |mu| or |z|")
     _, s, Vh = np.linalg.svd(Ginv)
     V = Vh.conj().T
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        eta_eigs = s[::-1] ** 2          # _require_rho rejects inf and 0
-        rho, rho_inv = (V * s) @ Vh, (V / s) @ Vh
+    eta_eigs = s[::-1] ** 2              # _require_rho rejects inf and 0
+    rho, rho_inv = (V * s) @ Vh, (V / s) @ Vh
     return PseudoHermitianSystem(G=G, H=build_H(mu, z, cfg),
                                  A_op=_build_A(mu, z, cfg), Ginv=Ginv,
                                  rho_hat=rho, rho_inv=rho_inv,
-                                 eta_eigs=eta_eigs, params=(mu, z), cfg=cfg)
+                                 eta_eigs=eta_eigs, cfg=cfg)
 
 
 def _require_rho(sys: PseudoHermitianSystem) -> None:
@@ -142,9 +140,9 @@ def commutator_blocks(sys: PseudoHermitianSystem):
             A @ ad - ad @ A - np.eye(sys.cfg.dim))
 
 
-def commutator_checks(sys: PseudoHermitianSystem):
-    """Guarded norms of the three commutator_blocks."""
-    return tuple(guarded_norm(R, sys.cfg) for R in commutator_blocks(sys))
+def commutator_checks(sys: PseudoHermitianSystem) -> float:
+    """Largest guarded norm of the three commutator_blocks."""
+    return max_guarded_norm(commutator_blocks(sys), sys.cfg)
 
 
 def ground_state(sys: PseudoHermitianSystem) -> FockVector:

@@ -92,12 +92,12 @@ def test_criterion_03_commutation_residuals():
             prm = DeformationParams(z=z, p=p)
             for kind in (RealizationKind.Uzp_One, RealizationKind.Uzp_Two):
                 tri = build_realization(kind, prm, cfg)
-                worst = max(worst, *commutator_residual_uzp(tri, prm, cfg))
+                worst = max(worst, commutator_residual_uzp(tri, prm, cfg))
         prm = DeformationParams(z=z)
         for kind in (RealizationKind.TildeZ0_Cas1,
                      RealizationKind.TildeZ0_Cas2):
             tri = build_realization(kind, prm, cfg)
-            worst = max(worst, *commutator_residual_tilde(tri, prm, cfg))
+            worst = max(worst, commutator_residual_tilde(tri, prm, cfg))
     print(f"criterion 03: worst commutation residual {worst:.3e} (bound 1e-7)")
     assert worst < 1e-7
 
@@ -264,14 +264,14 @@ def test_criterion_09_pseudo_hermitian_suite():
     sys_ = build_system(0.2, 0.02, cfg)
     spec_dev = float(np.max(np.abs(
         np.sort(np.linalg.eigvals(sys_.H).real) - np.arange(cfg.dim))))
-    r1, r2, r3 = commutator_checks(sys_)
+    comm = commutator_checks(sys_)
     ph = pseudo_hermiticity_residual(sys_)
     un = unitarity_check(sys_)
     print(f"criterion 09: spectrum dev {spec_dev:.3e} (1e-12), commutators "
-          f"{max(r1, r2, r3):.3e} (1e-8), pseudo-hermiticity {ph:.3e} "
+          f"{comm:.3e} (1e-8), pseudo-hermiticity {ph:.3e} "
           f"(1e-7), unitarity {un:.3e} (1e-6)")
     assert spec_dev < 1e-12
-    assert max(r1, r2, r3) < 1e-8
+    assert comm < 1e-8
     assert ph < 1e-7
     assert un < 1e-6
 

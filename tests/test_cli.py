@@ -785,6 +785,8 @@ def test_verify_suite_runs_only_its_own_checks(monkeypatch, capsys):
     ["sweep-dispersion", "--steps", "3", "--beta", "-1"],
     ["sweep-dispersion", "--steps", "3", "--var", "delta", "--min", "0",
      "--max", "0.5", "--delta", "-1"],
+    # finite ends whose span overflows: linspace would yield a nan grid value
+    ["sweep-dispersion", "--steps", "2", "--min=-1e308", "--max=1e308"],
 ])
 def test_nonfinite_floats_and_bad_guard_exit_2(argv, tmp_path):
     # a subprocess with a timeout, so that a hang fails instead of stalling
@@ -972,7 +974,7 @@ def test_spectrum_huge_z_exits_4_without_numpy_warnings():
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
-@pytest.mark.parametrize("z", ["1e300", "-1e300"])
+@pytest.mark.parametrize("z", ["1e300", "-1e300", "1e308", "-1e308"])
 def test_spectrum_past_the_float_range_prints_no_numpy_warning(z, capsys):
     # e^{-z x} overflows in exp_coefficients' scalar loop, which must turn
     # inf into nan as numpy's complex division does, silently

@@ -19,7 +19,8 @@ from deformed_heisenberg import aes_series, cli
 SANE = st.floats(-0.5, 1.5)
 WILD = st.one_of(
     st.sampled_from([0.0, -1.0, 1.0, 0.999999, 5e-324, 1e-300, 1e300, -1e300,
-                     float("nan"), float("inf"), float("-inf")]),
+                     1e308, -1e308, float("nan"), float("inf"),
+                     float("-inf")]),
     st.floats(allow_nan=True, allow_infinity=True))
 
 
@@ -71,6 +72,13 @@ def argvs(draw):
 @example(argv=["sweep-dispersion", "--beta=7.262834877752672e+49",
                "--p=5.685684151177333e+38", "--steps=4"], to_file=False)
 @example(argv=["spectrum", "--dim=19", "--z=12509968845.0"], to_file=False)
+# overflow in kernels that no local np.errstate covered (series_operator's
+# ldexp, the G^-1 coefficients) used to print RuntimeWarnings before exit 4
+@example(argv=["spectrum", "--dim=8", "--delta=1e+308"], to_file=False)
+@example(argv=["spectrum", "--dim=16", "--delta=1e+308", "--phi=1e+200"],
+         to_file=False)
+@example(argv=["spectrum", "--dim=48", "--delta=1e+200", "--z=1e+308"],
+         to_file=False)
 def test_accepted_argv_ends_in_documented_exit_code(argv, to_file):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
