@@ -20,8 +20,8 @@ EXIT_CODES.  A table is written only once it is complete, and a partial
 --out file is removed on every error exit.
 A warning raised while a subcommand runs goes to stderr as one line,
 "warning: <category>: <message>", with no install path or source line.
-numpy's floating-point errors are ignored while it runs (the one
-np.errstate of main): a kernel past the float range is reported by the
+numpy's floating-point errors are ignored while it runs (one errstate
+context, in main): a kernel past the float range is reported by the
 package's own finiteness checks, as an error and its exit code, never as a
 numpy RuntimeWarning.  Library calls outside main keep numpy's reporting.
 
