@@ -14,7 +14,6 @@ symbol live here as well.
 import cmath
 import math
 import warnings
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple
@@ -52,8 +51,9 @@ class UpsilonTable(NamedTuple):
     n: int
     rows: tuple
 
-    def identity_residual(self, m: int, k: int) -> Fraction:
+    def identity_residual(self, m: int, k: int):
         """LHS - RHS of the defining identity at integer k >= m (exact rational)."""
+        from fractions import Fraction      # not at load: see cli's docstring
         d = k - m
         lhs = Fraction(k ** (self.n - m), factorial(d))
         rhs = sum((Fraction(self.rows[m][j], factorial(d - j))
@@ -67,6 +67,7 @@ def upsilon_table(n: int) -> UpsilonTable:
     the system is triangular in j."""
     if n < 0:
         raise BadParams("n must be >= 0")
+    from fractions import Fraction          # not at load: see cli's docstring
     rows = []
     for m in range(n + 1):
         d = n - m

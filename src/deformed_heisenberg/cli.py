@@ -26,20 +26,32 @@ package's own finiteness checks, as an error and its exit code, never as a
 numpy RuntimeWarning.  Library calls outside main keep numpy's reporting.
 
 run() is the process entry (``python -m deformed_heisenberg.cli`` and the
-dheis console script): it freezes the heap once the imports are done and
-then calls main().  A short request would otherwise spend about a tenth of
-its wall time in the collector walking the import-time objects again, above
-all in the final collection at interpreter exit.  main() does not freeze:
-tests and the traced benchmark run import this module and call main()
-in-process, and a frozen heap would never collect the garbage of whatever
-was frozen.
+dheis console script) and its one way out.  It freezes the heap once the
+imports are done, calls main(), flushes stdout and stderr and ends the
+process with os._exit(exit code); argparse's SystemExit (a usage error,
+--help) takes the same exit.  The frozen heap keeps the collector from
+walking the import-time objects again, and os._exit skips the interpreter's
+teardown, which after a request only frees memory the system reclaims: every
+file a request writes is closed by _Writer or a with block, and nothing
+registers an atexit hook; a request must close what it opens before main()
+returns.  main() neither freezes nor exits: tests and the traced benchmark
+run import this module and call main() in-process, and a frozen heap would
+never collect the garbage of whatever was frozen.
+
+A request pays for every module it loads, so only what every request uses is
+imported at load time: json is imported where a JSON document is written,
+fractions (and decimal, which it imports) only where exact arithmetic runs
+(aes_series' exact-integer tables, paragrassmann's complex rationals) and
+scipy only where a dense exponential runs.  Importing this module still
+loads every package module.  Likewise _build_parser adds flags only to the
+subparser that argv[0] names; the other subparsers stay, without flags, so
+usage errors and help texts do not change.
 """
 
 import argparse
 import cmath
 import gc
 import itertools
-import json
 import math
 import os
 import sys
@@ -120,6 +132,7 @@ class _Writer:
             self.fh.write("".join(f"# {k}={_fmt(v)}\n" for k, v in
                                   sorted((diagnostics or {}).items())))
         else:
+            import json
             # json writes a numpy float as the float it is
             doc = {"meta": self.meta, "header": self.header,
                    "rows": list(zip(*columns))}
@@ -370,6 +383,7 @@ def _check_report(suite, name, residual, bound, error) -> dict:
 
 
 def cmd_verify(args) -> int:
+    import json
     rows = _verify_checks(args)
     report = {"meta": _meta(args),
               "checks": [_check_report(*r) for r in rows]}
@@ -442,7 +456,11 @@ _COMMANDS = {
 }
 
 
-def _build_parser():
+def _build_parser(argv=()):
+    """The dheis parser.  When argv[0] names a subcommand, only that
+    subparser gets its flags; the others still exist, so that every usage
+    error and help text stays the same."""
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
     ap = argparse.ArgumentParser(
         prog="dheis",
         description="Deformed Heisenberg algebra states: data tables and checks")
@@ -451,8 +469,9 @@ def _build_parser():
         flags = SUBCOMMAND_FLAGS[name]
         sp = sub.add_parser(name, help=f"{text}; flags: "
                             + " ".join(f"--{f}" for f in flags))
-        for flag in flags:
-            sp.add_argument(f"--{flag}", **FLAGS[flag])
+        if named in (None, name):
+            for flag in flags:
+                sp.add_argument(f"--{flag}", **FLAGS[flag])
         sp.set_defaults(func=func)
     return ap
 
@@ -462,8 +481,8 @@ def _format_warning(message, category, filename, lineno, line=None):
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     msg = _check_common(args)
     if msg:
         print(f"error: {msg}", file=sys.stderr)
@@ -476,7 +495,8 @@ def main(argv=None) -> int:
         return rc
     except BrokenPipeError:
         # the reader closed stdout (dheis ... | head): stop quietly, and point
-        # stdout at devnull so that the interpreter's final flush cannot fail
+        # stdout at devnull so that no later flush (run's, or the
+        # interpreter's at exit) can fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
     except MemoryError:
@@ -491,11 +511,22 @@ def main(argv=None) -> int:
         warnings.formatwarning = fmt
 
 
-def run(argv=None) -> int:
-    """Freeze the import-time heap (see the module docstring), then main()."""
+def run(argv=None):
+    """Freeze the import-time heap, run main() and end the process with its
+    exit code once stdout and stderr are flushed (see the module docstring).
+    Never returns."""
     gc.freeze()
-    return main(argv)
+    try:
+        rc = main(argv)
+    except SystemExit as e:             # argparse: a usage error or --help
+        rc = e.code
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:             # only --help's text can be left
+        pass
+    sys.stderr.flush()
+    os._exit(rc)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

@@ -7,11 +7,13 @@ Solves, with z a paragrassmann generator (z^k0 = 0),
 by the grade-by-grade integral recursion: phi = sum_k z^k (C_k + A_k(xi)) e^g,
 g = (lam - nu) xi - mu xi^2/2, with the integration convention A_k(0) = 0.
 The arithmetic is exact (complex rationals), so residuals are literal zeros.
+fractions is imported by the first coercion into them (as_scalar), not when
+this module loads, and an int operand is not coerced: a Fraction times, plus
+or over an int is already exact.
 """
 
 import cmath
 import math
-from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
@@ -26,15 +28,17 @@ from .fock_core import (TruncationConfig, series_operator,
 # ---------------------------------------------------------------------------
 
 class QC:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational (Fraction) real and imaginary parts."""
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: Fraction, im: Fraction = Fraction(0)):
+    def __init__(self, re, im=None):
         self.re = re
-        self.im = im
+        self.im = re * 0 if im is None else im     # a zero Fraction by default
 
     def __add__(self, other):
+        if type(other) is int:
+            return QC(self.re + other, self.im)
         o = as_scalar(other)
         return QC(self.re + o.re, self.im + o.im)
 
@@ -46,10 +50,9 @@ class QC:
     def __sub__(self, other):
         return self + (-as_scalar(other))
 
-    def __rsub__(self, other):
-        return as_scalar(other) + (-self)
-
     def __mul__(self, other):
+        if type(other) is int:
+            return QC(self.re * other, self.im * other)
         o = as_scalar(other)
         return QC(self.re * o.re - self.im * o.im,
                   self.re * o.im + self.im * o.re)
@@ -57,6 +60,8 @@ class QC:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if type(other) is int:
+            return QC(self.re / other, self.im / other)
         o = as_scalar(other)
         d = o.re * o.re + o.im * o.im
         if d == 0:
@@ -74,24 +79,17 @@ class QC:
             return NotImplemented
         return self.re == o.re and self.im == o.im
 
-    def __hash__(self):
-        return hash((self.re, self.im))
-
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
-
-    def __repr__(self):
-        return f"QC({self.re}, {self.im})"
 
 
 def as_scalar(x) -> QC:
     """Coerce x into the complex rationals."""
     if isinstance(x, QC):
         return x
-    if isinstance(x, (int, Fraction)):
-        return QC(Fraction(x))
-    if isinstance(x, float):
-        return QC(Fraction(x))              # exact binary value of the float
+    from fractions import Fraction
+    if isinstance(x, (int, float, Fraction)):
+        return QC(Fraction(x))              # a float: its exact binary value
     if isinstance(x, complex):
         return QC(Fraction(x.real), Fraction(x.imag))
     if isinstance(x, tuple) and len(x) == 2:
@@ -169,9 +167,6 @@ class NilpotentPoly:
 
     def __hash__(self):
         return hash((self.k0, self.coeffs))
-
-    def __repr__(self):
-        return f"NilpotentPoly(k0={self.k0!r}, coeffs={self.coeffs!r})"
 
     @classmethod
     def from_polys(cls, polys, k0):
@@ -274,7 +269,7 @@ def _solve_single(lam, mu, nu, k0, constants):
         for l in range(1, k + 1):
             base = padd([constants[k - l]], list(Ak[k - l]))
             contrib = _leibniz_ladder(base, g1, l)
-            coeff = as_scalar(Fraction((-1) ** (l + 1), factorial(l)))
+            coeff = as_scalar((-1) ** (l + 1)) / factorial(l)
             rhs = padd(rhs, pscale(coeff, contrib))
         Ak.append(pint(pmul(weight, rhs)))
     return ParagrassmannSolution(
@@ -315,7 +310,7 @@ def residual_check(solution: ParagrassmannSolution, spec: GrassmannODESpec) -> N
     # (mu xi + nu) sum_l (-z)^l / l! d^l phi / e^g
     shift = [[] for _ in range(k0)]
     for l in range(k0):
-        coeff = as_scalar(Fraction((-1) ** l, factorial(l)))
+        coeff = as_scalar((-1) ** l) / factorial(l)
         for k in range(k0 - l):
             term = pscale(coeff, _leibniz_ladder(list(P.coeffs[k]), g1, l))
             shift[l + k] = padd(shift[l + k], pmul(weight, term))
@@ -340,7 +335,7 @@ def deformed_coherent_symbols_mu0(nu, lam, k0: int) -> ParagrassmannSolution:
     lam = as_scalar(lam)
     nu = as_scalar(nu)
     zero, one = as_scalar(0), as_scalar(1)
-    half = as_scalar(Fraction(1, 2))
+    half = one / 2
     if k0 > 3:
         return solve_appendix_a(GrassmannODESpec(lam=lam, mu=zero, nu=nu,
                                                  k0=k0))[0]
@@ -371,8 +366,7 @@ def grassmann_squeezed_symbol(lam, mu):
     lam = as_scalar(lam)
     mu = as_scalar(mu)
     zero, one = as_scalar(0), as_scalar(1)
-    half = as_scalar(Fraction(1, 2))
-    third = as_scalar(Fraction(1, 3))
+    half, third = one / 2, one / 3
     A1 = ptrim([zero, zero, mu * lam * half, -(mu * mu) * third])
     primary = ParagrassmannSolution(k0=2, Ak=((), tuple(A1)),
                                     constants=(one, zero),

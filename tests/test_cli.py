@@ -474,12 +474,20 @@ def test_sweep_rejects_nonzero_gamma(tmp_path, capsys):
     assert not path.exists()
 
 
+def _child_env():
+    """This environment with the source tree on the path, and without
+    PYTHONUNBUFFERED: a child's stdout is block-buffered, as from a shell."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(
+        cli.__file__))}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def _run_cli(argv, timeout):
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     return subprocess.run(
         [sys.executable, "-m", "deformed_heisenberg.cli", *argv],
         capture_output=True, text=True, timeout=timeout,
-        env={**os.environ, "PYTHONPATH": src})
+        env=_child_env())
 
 
 def test_state_dim_256_is_fast():
@@ -528,22 +536,6 @@ def test_state_cross_check_cannot_fail_correct_amplitudes(argv):
     proc = _run_cli(["state", *argv], timeout=60)
     assert proc.returncode == 0
     assert proc.stderr == ""
-
-
-def test_state_into_closed_pipe_exits_quietly():
-    # 2048 rows (90 kB) are more than the pipe and the stdout buffer hold, so
-    # the program is still writing when the reader goes away
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "deformed_heisenberg.cli", "state", "--dim",
-         "2048"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout.readline().startswith("# ")
-    proc.stdout.close()
-    assert proc.wait(timeout=60) == 0
-    assert "Traceback" not in proc.stderr.read()
-    proc.stderr.close()
 
 
 def test_state_not_converged_removes_partial_file(tmp_path, monkeypatch):
@@ -651,12 +643,11 @@ def test_cli_never_loads_scipy():
                                "dispersion"]),
         ("verify", ["verify", "--dim", "64"]),
     ]
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_BUDGET, json.dumps(runs),
          json.dumps(["scipy", "mpmath", "dataclasses"])],
         capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src})
+        env=_child_env())
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert seen == {"import": [], "state": [0, []], "sweep_phi": [0, []],
@@ -1029,10 +1020,115 @@ def test_installed_entry_point_runs():
     assert "h_eig" in proc.stdout
 
 
-def _spy_freeze(monkeypatch):
-    calls = []
-    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append(1))
-    return calls
+def _entry(argv):
+    """A python -m deformed_heisenberg.cli child writing into pipes."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "deformed_heisenberg.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=_child_env())
+
+
+def _outcome(proc):
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _main_in_process(argv, capsys):
+    try:
+        rc = cli.main(argv)
+    except SystemExit as e:             # argparse's usage errors
+        rc = e.code
+    return (rc, *capsys.readouterr())
+
+
+# one request per subcommand; the sweep and state tables (279 kB, 90 kB)
+# are more than a pipe and the stdout buffer hold
+ENTRY_ARGVS = {
+    "sweep-dispersion": ["sweep-dispersion", "--steps", "2000"],
+    "state": ["state", "--dim", "2048"],
+    "verify": ["verify", "--dim", "64"],
+    "spectrum": ["spectrum", "--dim", "64", "--delta", "0.2", "--z", "0.02"],
+}
+
+
+@pytest.mark.parametrize("argv", ENTRY_ARGVS.values(), ids=ENTRY_ARGVS)
+def test_entry_writes_the_bytes_of_main(argv, tmp_path, capsys):
+    # the entry skips the interpreter's teardown, so all it writes must be
+    # flushed or closed before it ends the process
+    want = _main_in_process(argv, capsys)
+    assert want[0] == 0
+    assert _outcome(_run_cli(argv, timeout=60)) == want
+    out = tmp_path / "table"            # the path is in the meta line
+    argv = [*argv, "--out", str(out)]
+    assert _main_in_process(argv, capsys) == (0, "", "")
+    want = out.read_text()
+    out.unlink()
+    assert _outcome(_run_cli(argv, timeout=60)) == (0, "", "")
+    assert out.read_text() == want
+
+
+@pytest.mark.parametrize("argv", ENTRY_ARGVS.values(), ids=ENTRY_ARGVS)
+def test_entry_into_a_pipe_closed_after_one_byte_exits_0(argv):
+    with _entry(argv) as proc:
+        assert proc.stdout.read(1) == ("{" if argv[0] == "verify" else "#")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == ""
+
+
+def test_help_into_a_closed_pipe_exits_0():
+    # the reader is gone before the child starts: run() flushes the help
+    # text argparse left in the stdout buffer into the broken pipe
+    with _entry(["--help"]) as proc:
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == ""
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["--help"], 0),
+    (["verify", "--dim", "16", "--suite", "dispersion"], 1),
+    (["state", "--dim", "4"], 2),
+    (["bogus"], 2),
+    (["state", "--dim", "256", "--z", "0.5", "--delta", "0.3", "--beta",
+      "0.7", "--phi", "-0.3", "--theta", "0.2"], 3),
+    (["spectrum", "--dim", "48"], 4),
+], ids=["help", "invariant", "usage", "argparse", "convergence",
+        "conditioning"])
+def test_entry_exit_codes_and_messages_are_mains(argv, rc, monkeypatch,
+                                                 capsys):
+    monkeypatch.setenv("COLUMNS", "80")     # the help text's width
+    want = _main_in_process(argv, capsys)
+    assert want[0] == rc
+    assert _outcome(_run_cli(argv, timeout=60)) == want
+
+
+# a child whose gc.freeze writes one line to fd 2, then runs the entry: as
+# run(argv), or as the python -m block with argv in sys.argv
+_SPY_ENTRY = """
+import gc, os, runpy, sys
+freeze = gc.freeze
+
+
+def spy():
+    os.write(2, b"gc.freeze\\n")
+    freeze()
+
+
+gc.freeze = spy
+how, sys.argv[1:] = sys.argv[1], sys.argv[2:]
+if how == "run":
+    from deformed_heisenberg import cli
+    cli.run(sys.argv[1:])
+else:
+    runpy.run_module("deformed_heisenberg.cli", run_name="__main__",
+                     alter_sys=True)
+"""
+
+
+def _spy_entry(how, argv):
+    return subprocess.run([sys.executable, "-c", _SPY_ENTRY, how, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=_child_env())
 
 
 @pytest.mark.parametrize("argv, rc", [
@@ -1042,25 +1138,44 @@ def _spy_freeze(monkeypatch):
 ], ids=["ok", "invariant", "usage"])
 def test_entry_freezes_once_and_returns_main_exit_code(argv, rc, monkeypatch,
                                                        capsys):
-    calls = _spy_freeze(monkeypatch)
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append(1))
     assert cli.main(argv) == rc
     assert calls == []
-    assert cli.run(argv) == rc
-    assert calls == [1]
     capsys.readouterr()
+    # run() ends its process, so it runs in a child
+    proc = _spy_entry("run", argv)
+    assert proc.returncode == rc
+    assert proc.stderr.count("gc.freeze\n") == 1, proc.stderr
 
 
-def test_module_main_block_runs_the_entry(monkeypatch, capsys):
-    import runpy
-    calls = _spy_freeze(monkeypatch)
-    monkeypatch.setattr(sys, "argv", ["dheis", "state", "--dim", "4"])
-    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
-        # re-running a module of an imported package warns about it
-        warnings.simplefilter("ignore", RuntimeWarning)
-        runpy.run_module("deformed_heisenberg.cli", run_name="__main__")
-    assert exc.value.code == 2
-    assert calls == [1]
-    capsys.readouterr()
+def test_module_main_block_runs_the_entry():
+    proc = _spy_entry("module", ["state", "--dim", "4"])
+    assert proc.returncode == 2
+    assert proc.stderr == "gc.freeze\nerror: dim must be >= 8\n"
+
+
+_IMPORT_SET = """
+import contextlib, io, sys
+import deformed_heisenberg.cli as cli
+unused = ("json", "fractions", "decimal", "scipy", "mpmath")
+print(*[m for m in unused if m in sys.modules])
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+print(rc, *[m for m in unused if m in sys.modules])
+"""
+
+
+def test_state_request_loads_no_unused_module():
+    # json is imported where a JSON document is written, fractions (and
+    # decimal, which it imports) where exact arithmetic runs; a CSV state
+    # request needs neither, nor scipy or the tests' mpmath
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SET, "state", "--dim", "48", "--z",
+         "0.01", "--delta", "0.2"],
+        capture_output=True, text=True, timeout=60,
+        env=_child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n0\n", "")
 
 
 def test_console_script_names_the_entry():

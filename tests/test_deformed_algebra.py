@@ -1,6 +1,7 @@
 """Boson realizations: parameter handling, series data, defining relations."""
 
 import cmath
+import contextlib
 import inspect
 import math
 
@@ -377,12 +378,16 @@ def test_verify_rows_print_the_largest_residual_norm(dim):
 def test_linear_exponent_loop_is_the_dot_product_loop_bit_for_bit(z):
     # e^{zx} runs a scalar loop; the trailing zero sends [0, z, 0] through
     # the dot products.  Bit for bit: signed zeros, and the inf and nan
-    # that numpy's complex division by m makes past the float range
-    for n in (1, 2, 3, 17, 160, 400):
-        fast = exp_coefficients([0.0, z], n)
-        ref = exp_coefficients([0.0, z, 0.0], n)
-        assert np.array_equal(fast, ref, equal_nan=True), n
-        assert np.array_equal(fast.view(np.uint64), ref.view(np.uint64)), n
+    # that numpy's complex division by m makes past the float range, where
+    # numpy reports the overflow
+    past = abs(z) >= 1e150
+    with pytest.warns(RuntimeWarning) if past else contextlib.nullcontext():
+        for n in (1, 2, 3, 17, 160, 400):
+            fast = exp_coefficients([0.0, z], n)
+            ref = exp_coefficients([0.0, z, 0.0], n)
+            assert np.array_equal(fast, ref, equal_nan=True), n
+            assert np.array_equal(fast.view(np.uint64),
+                                  ref.view(np.uint64)), n
 
 
 def test_tilde_basis_change_satisfies_one_parameter_relations():
