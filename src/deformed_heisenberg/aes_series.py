@@ -121,11 +121,12 @@ def _amplitudes(params: DeformationParams, n_max: int) -> np.ndarray:
         sqrt(n+1) c_{n+1} = lam c_n - mu sqrt(n) c_{n-1}
             - sum_{k=1}^{n} (z^k/k!) sqrt(n!/(n-k)!) sqrt(n-k+1) c_{n-k+1}:
 
-    one dot product per row, weighted from one log-factorial table (no
-    factorial, any n_max).  Any real z: at z = 0 every k-weight is
-    exp(-inf) = 0 and the rows are those of the squeezed state of a + mu a+.
-    Entries past the float range turn inf or nan, reported as numpy's error
-    state says; fock_coefficients and normalization_c0 check finiteness.
+    one dot product per row, weighted from views of one log-factorial table
+    (no factorial, any n_max, O(n_max) memory).  Any real z: at z = 0 every
+    k-weight is exp(-inf) = 0 and the rows are those of the squeezed state of
+    a + mu a+.  Entries past the float range turn inf or nan, reported as
+    numpy's error state says; fock_coefficients and normalization_c0 check
+    finiteness.
     """
     lam, mu, z = params.lam, params.mu, params.z
     if z == 0 and abs(mu) >= 1:
@@ -137,10 +138,11 @@ def _amplitudes(params: DeformationParams, n_max: int) -> np.ndarray:
     log_z = math.log(abs(z)) if z else -math.inf
     with np.errstate(invalid="ignore"):       # 0 * -inf = nan at j = 0, unread
         log_zk = j * log_z - log_fact                     # log |z^k / k!|
+    sign = np.copysign(1.0, z) ** j                       # sign of z^k
     for n in range(n_max):                                # root[0] = 0 drops c[-1]
-        k = j[n:0:-1]                                     # pairs with c_1..c_n
-        w = np.copysign(1.0, z) ** k * np.exp(
-            log_zk[k] + 0.5 * (log_fact[n] - log_fact[n - k]))
+        # k = n..1 pairs with c_1..c_n, and n - k = 0..n-1
+        w = sign[n:0:-1] * np.exp(
+            log_zk[n:0:-1] + 0.5 * (log_fact[n] - log_fact[:n]))
         c[n + 1] = (lam * c[n] - mu * root[n] * c[n - 1]
                     - (w * root[1:n + 1]) @ c[1:n + 1]) / root[n + 1]
     return c

@@ -11,13 +11,17 @@ the recurrence and the vacuum-image route (exit 3 above
 aes_series.ROUTE_DEVIATION_BOUND); tail_estimate, the norm series' remainder.
 
 Emits deterministic machine-readable tables (CSV with a '#' metadata line, or
-JSON mirroring the same schema).  sweep-dispersion, state and spectrum hand
-their whole table to one writer, _Writer, as columns; a CSV body is one
+JSON mirroring the same schema).  Every subcommand opens its output, --out
+or stdout, in one writer, _Writer, before any work; sweep-dispersion, state
+and spectrum hand it their whole table as columns, and a CSV body is one
 template formatted once.  Exit codes: 0 ok, 1 invariant failure, 2 usage,
 3 convergence failure or a state with no finite norm,
 4 conditioning; main() alone maps errors to them, package errors through
 EXIT_CODES.  A table is written only once it is complete, and a partial
---out file is removed on every error exit.
+--out file is removed on every error exit.  An output that cannot be
+written ends in one line and exit 2: an --out that cannot be opened, or a
+write, flush or close of --out or stdout that fails (a full disk) prints
+"error: cannot write <--out path | stdout>: <reason>".
 A warning raised while a subcommand runs goes to stderr as one line,
 "warning: <category>: <message>", with no install path or source line.
 numpy's floating-point errors are ignored while it runs (one errstate
@@ -26,17 +30,27 @@ package's own finiteness checks, as an error and its exit code, never as a
 numpy RuntimeWarning.  Library calls outside main keep numpy's reporting.
 
 run() is the process entry (``python -m deformed_heisenberg.cli`` and the
-dheis console script) and its one way out.  It freezes the heap once the
-imports are done, calls main(), flushes stdout and stderr and ends the
-process with os._exit(exit code); argparse's SystemExit (a usage error,
---help) takes the same exit.  The frozen heap keeps the collector from
-walking the import-time objects again, and os._exit skips the interpreter's
-teardown, which after a request only frees memory the system reclaims: every
-file a request writes is closed by _Writer or a with block, and nothing
-registers an atexit hook; a request must close what it opens before main()
-returns.  main() neither freezes nor exits: tests and the traced benchmark
-run import this module and call main() in-process, and a frozen heap would
-never collect the garbage of whatever was frozen.
+dheis console script) and its one way out.  Under ``python -m`` a request
+starts in four steps: pause, import, freeze, resume.  The package namespace
+is lazy, so this module runs before numpy loads, and run as __main__ its
+first statement pauses the cyclic collector (gc.disable): the imports run
+no collector pass.  run() freezes the heap (gc.freeze), so the collector
+never walks the import-time objects, and only then resumes the collector
+(gc.enable) and calls main(); resumed before the freeze, its first pass
+would walk every import-time object once.  The dheis console script imports
+this module as a library module and then calls run(), so that script starts
+unpaused: its imports pay the collector passes, and run() freezes and
+resumes as above.  Imported as a library module (tests, the traced
+benchmark run), this module leaves the collector as it found it.
+
+run() flushes stdout and stderr and ends the process with os._exit(exit
+code); argparse's SystemExit (a usage error, --help) takes the same exit.
+os._exit skips the interpreter's teardown, which after a request only frees
+memory the system reclaims: every file a request writes is closed by
+_Writer, and nothing registers an atexit hook; a request must close what it
+opens before main() returns.  main() neither freezes nor exits: tests and
+the traced benchmark run import this module and call main() in-process, and
+a frozen heap would never collect the garbage of whatever was frozen.
 
 A request pays for every module it loads, so only what every request uses is
 imported at load time: json is imported where a JSON document is written,
@@ -48,9 +62,13 @@ subparser that argv[0] names; the other subparsers stay, without flags, so
 usage errors and help texts do not change.
 """
 
+import gc
+
+if __name__ == "__main__":
+    gc.disable()        # resumed by run(), after gc.freeze (module docstring)
+
 import argparse
 import cmath
-import gc
 import itertools
 import math
 import os
@@ -113,28 +131,28 @@ def _csv_body(columns) -> str:
 
 
 class _Writer:
-    """Writes a whole table, as columns of plain numbers, to --out (or stdout)
-    in finish, so a command that fails prints none of it; as a context
-    manager it closes the file and removes it if the block raises."""
+    """A request's output: --out, opened at once so that an unwritable path
+    fails before any work, or stdout.  finish writes a whole table, as
+    columns of plain numbers, so a command that fails prints none of it; as a
+    context manager it closes the file and removes it if the block or the
+    close raises."""
 
-    def __init__(self, path, fmt, meta, header):
+    def __init__(self, path):
         self.path = path
-        self.fmt = fmt
-        self.meta = meta
-        self.header = header
         self.fh = _open_out(path) if path else sys.stdout
 
-    def finish(self, columns, diagnostics=None):
-        if self.fmt == "csv":
-            kv = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(self.meta.items()))
-            self.fh.write(f"# {kv}\n" + ",".join(self.header) + "\n")
+    def finish(self, args, header, columns, diagnostics=None):
+        meta = _meta(args)
+        if args.format == "csv":
+            kv = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(meta.items()))
+            self.fh.write(f"# {kv}\n" + ",".join(header) + "\n")
             self.fh.write(_csv_body(columns))
             self.fh.write("".join(f"# {k}={_fmt(v)}\n" for k, v in
                                   sorted((diagnostics or {}).items())))
         else:
             import json
             # json writes a numpy float as the float it is
-            doc = {"meta": self.meta, "header": self.header,
+            doc = {"meta": meta, "header": header,
                    "rows": list(zip(*columns))}
             if diagnostics:
                 doc["diagnostics"] = diagnostics
@@ -145,9 +163,18 @@ class _Writer:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if self.path:
-            self.fh.close()
-            if exc_type is not None and os.path.exists(self.path):
+        if not self.path:
+            return
+        failed = exc_type is not None
+        try:
+            self.fh.close()             # flushes: a full disk can fail here
+        except OSError:
+            failed = True
+            raise
+        finally:
+            # a regular file only: --out /dev/full or a symlink stays
+            if (failed and os.path.isfile(self.path)
+                    and not os.path.islink(self.path)):
                 os.remove(self.path)
 
 
@@ -206,7 +233,7 @@ SWEEP_HEADER = list(dispersion.SweepTable._fields)
 
 
 def cmd_sweep_dispersion(args) -> int:
-    with _Writer(args.out, args.format, _meta(args), SWEEP_HEADER) as w:
+    with _Writer(args.out) as w:
         table = dispersion.sweep_table(
             delta=args.delta, phi=args.phi, beta=args.beta, theta=args.theta,
             varying=args.var, grid=np.linspace(args.min, args.max, args.steps),
@@ -216,7 +243,8 @@ def cmd_sweep_dispersion(args) -> int:
         # validity_flag alone does not say the value is meaningless
         negative = int(np.count_nonzero(
             np.minimum(table.var_x_def, table.var_p_def) < 0))
-        w.finish(table, diagnostics={"negative_variance_rows": negative}
+        w.finish(args, SWEEP_HEADER, table,
+                 diagnostics={"negative_variance_rows": negative}
                  if negative else None)
     return EXIT_OK
 
@@ -230,7 +258,7 @@ def cmd_state(args) -> int:
                                           theta=args.theta, gamma=0.0,
                                           eta_phase=0.0)
     header = ["n", "re_c", "im_c", "abs_sq"]
-    with _Writer(args.out, args.format, _meta(args), header) as w:
+    with _Writer(args.out) as w:
         n_max = args.dim - 1
         # one run of the recurrence serves the table and the norm sum
         amps = aes_series._amplitudes(params, max(96, n_max))
@@ -240,8 +268,9 @@ def cmd_state(args) -> int:
         c, diag = aes_series.fock_coefficients(params, n_max, amps=amps)
         cn = c0 * c
         # scalar abs and **: numpy's vector forms differ in the last bit
-        w.finish([list(range(len(cn))), cn.real.tolist(), cn.imag.tolist(),
-                  [abs(v) ** 2 for v in cn.tolist()]],
+        w.finish(args, header, [list(range(len(cn))), cn.real.tolist(),
+                                cn.imag.tolist(),
+                                [abs(v) ** 2 for v in cn.tolist()]],
                  diagnostics={"c0": c0, "route_deviation": diag.tail_estimate,
                               "tail_estimate": norm_diag.tail_estimate})
     return EXIT_OK
@@ -384,16 +413,11 @@ def _check_report(suite, name, residual, bound, error) -> dict:
 
 def cmd_verify(args) -> int:
     import json
-    rows = _verify_checks(args)
-    report = {"meta": _meta(args),
-              "checks": [_check_report(*r) for r in rows]}
-    report["passed"] = all(c["passed"] for c in report["checks"])
-    text = json.dumps(report, indent=1, sort_keys=True) + "\n"
-    if args.out:
-        with _open_out(args.out) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _Writer(args.out) as w:
+        report = {"meta": _meta(args),
+                  "checks": [_check_report(*r) for r in _verify_checks(args)]}
+        report["passed"] = all(c["passed"] for c in report["checks"])
+        w.fh.write(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return EXIT_OK if report["passed"] else EXIT_INVARIANT
 
 
@@ -401,14 +425,15 @@ def cmd_spectrum(args) -> int:
     cfg = TruncationConfig(dim=args.dim)
     mu = args.delta * cmath.exp(1j * args.phi)
     header = ["n", "h_eig", "h_deviation", "ht_eig", "ht_deviation"]
-    with _Writer(args.out, args.format, _meta(args), header) as w:
+    with _Writer(args.out) as w:
         sysm = pseudo_hermitian.build_system(mu, args.z, cfg)
         rep_h = pseudo_hermitian.spectrum_report(sysm, "pseudo")
         rep_ht = pseudo_hermitian.spectrum_report(sysm, "hermitian")
         n = np.arange(cfg.dim)
         eh, et = rep_h.eigenvalues.real, rep_ht.eigenvalues.real
-        w.finish([n.tolist(), eh.tolist(), np.abs(eh - n).tolist(),
-                  et.tolist(), np.abs(et - n).tolist()], diagnostics={
+        w.finish(args, header, [n.tolist(), eh.tolist(),
+                                np.abs(eh - n).tolist(), et.tolist(),
+                                np.abs(et - n).tolist()], diagnostics={
             "eta_condition": sysm.eta_condition,
             "h_max_deviation": rep_h.max_deviation_from_integers,
             "ht_max_deviation": rep_ht.max_deviation_from_integers})
@@ -480,6 +505,14 @@ def _format_warning(message, category, filename, lineno, line=None):
     return f"warning: {category.__name__}: {message}\n"
 
 
+def _silence_stdout():
+    """Point stdout at devnull, so that no later flush of what it still
+    holds (run's, or the interpreter's at exit) can fail."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser(argv).parse_args(argv)
@@ -494,11 +527,17 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return rc
     except BrokenPipeError:
-        # the reader closed stdout (dheis ... | head): stop quietly, and point
-        # stdout at devnull so that no later flush (run's, or the
-        # interpreter's at exit) can fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader closed stdout (dheis ... | head): stop quietly
+        _silence_stdout()
         return EXIT_OK
+    except OSError as e:
+        # a write, flush or close of the output failed (a full disk, an I/O
+        # error); _Writer has removed a partial --out file
+        if not args.out:
+            _silence_stdout()
+        target = f"--out {args.out}" if args.out else "stdout"
+        print(f"error: cannot write {target}: {e.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     except MemoryError:
         flag = _size(args)[0]
         print(f"error: not enough memory for --{flag} {getattr(args, flag)}",
@@ -512,18 +551,22 @@ def main(argv=None) -> int:
 
 
 def run(argv=None):
-    """Freeze the import-time heap, run main() and end the process with its
-    exit code once stdout and stderr are flushed (see the module docstring).
-    Never returns."""
+    """Freeze the import-time heap, resume the collector, run main() and end
+    the process with its exit code once stdout and stderr are flushed (see
+    the module docstring).  Never returns."""
     gc.freeze()
+    gc.enable()         # after the freeze: the collector walks no import object
     try:
         rc = main(argv)
     except SystemExit as e:             # argparse: a usage error or --help
         rc = e.code
     try:
-        sys.stdout.flush()
-    except BrokenPipeError:             # only --help's text can be left
+        sys.stdout.flush()              # only --help's text can be left
+    except BrokenPipeError:
         pass
+    except OSError as e:
+        print(f"error: cannot write stdout: {e.strerror}", file=sys.stderr)
+        rc = EXIT_USAGE
     sys.stderr.flush()
     os._exit(rc)
 

@@ -207,6 +207,43 @@ def test_recurrence_matches_paper_double_sum(prm, n_max):
     assert diag.terms_used == n_max + 1 and diag.tail_estimate < 1e-15
 
 
+def _amplitudes_reference(params, n_max):
+    """The row recurrence with each row's weights built from a fancy-indexed
+    k and an array power, as first written; _amplitudes reads the same
+    numbers from views of its tables."""
+    lam, mu, z = params.lam, params.mu, params.z
+    j = np.arange(n_max + 1)
+    root, log_fact = np.sqrt(j), aes.log_factorials(n_max + 1)
+    c = np.r_[1.0 + 0j, np.zeros(n_max, dtype=complex)]
+    log_z = math.log(abs(z)) if z else -math.inf
+    log_zk = j * log_z - log_fact
+    for n in range(n_max):
+        k = j[n:0:-1]
+        w = np.copysign(1.0, z) ** k * np.exp(
+            log_zk[k] + 0.5 * (log_fact[n] - log_fact[n - k]))
+        c[n + 1] = (lam * c[n] - mu * root[n] * c[n - 1]
+                    - (w * root[1:n + 1]) @ c[1:n + 1]) / root[n + 1]
+    return c
+
+
+def _random_boxes(count, seed):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        z = (0.0, 1.0, -1.0)[i % 3] * rng.uniform(1e-4, 0.05)
+        lam = complex(*rng.uniform(-1, 1, 2))
+        mu = complex(*rng.uniform(-0.6, 0.6, 2))      # |mu| < 1 for z = 0
+        yield DeformationParams(z=z, lam=lam, mu=mu), int(rng.integers(8, 1024))
+
+
+@pytest.mark.parametrize("prm,n_max", list(_random_boxes(36, seed=2705)))
+def test_amplitudes_are_the_reference_loop_bit_for_bit(prm, n_max):
+    # past the float range both turn inf or nan alike; compare the bits
+    with np.errstate(all="ignore"):
+        got, want = aes._amplitudes(prm, n_max), _amplitudes_reference(prm,
+                                                                       n_max)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 def test_route_check_catches_planted_error(monkeypatch):
     # the vacuum-image route checks every amplitude, so a 1e-6 error in c_3
     # cannot pass

@@ -1,9 +1,13 @@
 """Command-line front end: deterministic sweep/state/verify/spectrum output."""
 
+import errno
 import io
 import json
 import math
 import os
+import resource
+import shutil
+import signal
 import subprocess
 import sys
 import warnings
@@ -897,7 +901,12 @@ def test_flags_table_has_no_leftover_entries():
     ["sweep-dispersion", "--steps", "3"],
     ["verify", "--dim", "8"],
 ])
-def test_unwritable_out_exits_2(argv, tmp_path, capsys):
+def test_unwritable_out_exits_2(argv, tmp_path, monkeypatch, capsys):
+    # the output is opened before any work: verify runs none of its checks
+    def no_checks(args):
+        raise AssertionError("a check ran before --out was opened")
+
+    monkeypatch.setattr(cli, "_verify_checks", no_checks)
     out = tmp_path / "missing" / "x.out"
     assert cli.main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -1102,20 +1111,32 @@ def test_entry_exit_codes_and_messages_are_mains(argv, rc, monkeypatch,
     assert _outcome(_run_cli(argv, timeout=60)) == want
 
 
-# a child whose gc.freeze writes one line to fd 2, then runs the entry: as
-# run(argv), or as the python -m block with argv in sys.argv
+# a child whose gc.freeze writes the number of collector passes before it to
+# fd 2, and whose first main() call writes whether the collector is on; it
+# runs the entry as run(argv), as the dheis console script does after its
+# library import, or as the python -m block with argv in sys.argv
 _SPY_ENTRY = """
 import gc, os, runpy, sys
+passes = []
 freeze = gc.freeze
 
 
+def on_call(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "main":
+        sys.setprofile(None)
+        os.write(2, b"main: collector on=%d\\n" % gc.isenabled())
+
+
 def spy():
-    os.write(2, b"gc.freeze\\n")
+    os.write(2, b"gc.freeze: %d passes\\n" % len(passes))
     freeze()
+    sys.setprofile(on_call)
 
 
 gc.freeze = spy
 how, sys.argv[1:] = sys.argv[1], sys.argv[2:]
+gc.collect()
+gc.callbacks.append(lambda phase, info: phase == "start" and passes.append(1))
 if how == "run":
     from deformed_heisenberg import cli
     cli.run(sys.argv[1:])
@@ -1125,10 +1146,10 @@ else:
 """
 
 
-def _spy_entry(how, argv):
+def _spy_entry(how, argv, env=None):
     return subprocess.run([sys.executable, "-c", _SPY_ENTRY, how, *argv],
                           capture_output=True, text=True, timeout=60,
-                          env=_child_env())
+                          env=env or _child_env())
 
 
 @pytest.mark.parametrize("argv, rc", [
@@ -1143,16 +1164,118 @@ def test_entry_freezes_once_and_returns_main_exit_code(argv, rc, monkeypatch,
     assert cli.main(argv) == rc
     assert calls == []
     capsys.readouterr()
-    # run() ends its process, so it runs in a child
+    # run() ends its process, so it runs in a child; main() runs with the
+    # collector on although the library import did not pause it
     proc = _spy_entry("run", argv)
     assert proc.returncode == rc
-    assert proc.stderr.count("gc.freeze\n") == 1, proc.stderr
+    assert proc.stderr.count("gc.freeze: ") == 1, proc.stderr
+    assert "\nmain: collector on=1\n" in proc.stderr
 
 
-def test_module_main_block_runs_the_entry():
-    proc = _spy_entry("module", ["state", "--dim", "4"])
+def test_module_main_block_runs_the_entry(tmp_path):
+    # the imports run with the collector paused, and main() with it on.  The
+    # package runs from a copy whose bytecode cache the first child writes,
+    # as an installed program has it: compiling cli.py from source would
+    # allocate enough for one pass before its first line runs
+    shutil.copytree(os.path.dirname(cli.__file__),
+                    tmp_path / "deformed_heisenberg",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**_child_env(), "PYTHONPATH": str(tmp_path)}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    for _ in range(2):
+        proc = _spy_entry("module", ["state", "--dim", "4"], env)
     assert proc.returncode == 2
-    assert proc.stderr == "gc.freeze\nerror: dim must be >= 8\n"
+    assert proc.stderr == ("gc.freeze: 0 passes\nmain: collector on=1\n"
+                           "error: dim must be >= 8\n")
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full")
+NO_SPACE = os.strerror(errno.ENOSPC)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", ENTRY_ARGVS.values(), ids=ENTRY_ARGVS)
+def test_out_on_a_full_disk_exits_2(argv, monkeypatch, capsys):
+    removed = []
+    monkeypatch.setattr(cli.os, "remove", removed.append)
+    assert cli.main([*argv, "--out", "/dev/full"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot write --out /dev/full: {NO_SPACE}\n")
+    assert removed == []                # a device is not a partial file
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", ENTRY_ARGVS.values(), ids=ENTRY_ARGVS)
+def test_stdout_on_a_full_disk_exits_2(argv, monkeypatch, capsys):
+    with open("/dev/full", "w") as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        assert cli.main(argv) == 2
+        full.flush()                    # main pointed it at devnull
+    assert capsys.readouterr().err == f"error: cannot write stdout: {NO_SPACE}\n"
+
+
+FULL_DISK_CASES = {**{f"{name}-out": (argv, True)
+                      for name, argv in ENTRY_ARGVS.items()},
+                   **{f"{name}-stdout": (argv, False)
+                      for name, argv in ENTRY_ARGVS.items()},
+                   "help-stdout": (["--help"], False)}
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv, to_out", FULL_DISK_CASES.values(),
+                         ids=FULL_DISK_CASES)
+def test_entry_on_a_full_disk_exits_2(argv, to_out):
+    if to_out:
+        proc = _run_cli([*argv, "--out", "/dev/full"], timeout=60)
+        want = f"error: cannot write --out /dev/full: {NO_SPACE}\n"
+    else:
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "deformed_heisenberg.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+                env=_child_env())
+        want = f"error: cannot write stdout: {NO_SPACE}\n"
+    assert (proc.returncode, proc.stderr) == (2, want)
+    assert os.path.exists("/dev/full")
+
+
+@pytest.mark.parametrize("out", ["/dev/null", "/dev/stdout"])
+def test_error_exit_removes_no_device_or_symlink_out(out, monkeypatch,
+                                                     capsys):
+    # exit 3 removes a partial --out file, but never a device node or a
+    # symlink such as /dev/stdout, whatever it points to
+    if not os.path.exists(out):
+        pytest.skip(f"no {out}")
+    removed = []
+    monkeypatch.setattr(cli.os, "remove", removed.append)
+    assert cli.main(["state", "--dim", "256", "--z", "0.5", "--delta", "0.3",
+                     "--beta", "0.7", "--phi", "-0.3", "--theta", "0.2",
+                     "--out", out]) == 3
+    assert removed == []
+    capsys.readouterr()
+
+
+def _file_size_limit(limit):
+    """A child's preexec_fn: a write past limit bytes fails with EFBIG."""
+    def preexec():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+    return preexec
+
+
+@pytest.mark.parametrize("argv", ENTRY_ARGVS.values(), ids=ENTRY_ARGVS)
+def test_entry_removes_a_partial_out_file_it_could_not_write(argv, tmp_path):
+    # each table is longer than 1000 bytes: the write or the close that
+    # passes the limit fails, and the entry removes what it wrote
+    out = tmp_path / "table"
+    proc = subprocess.run(
+        [sys.executable, "-m", "deformed_heisenberg.cli", *argv, "--out",
+         str(out)], capture_output=True, text=True, timeout=60,
+        env=_child_env(), preexec_fn=_file_size_limit(1000))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: cannot write --out {out}: {os.strerror(errno.EFBIG)}\n")
+    assert not out.exists()
 
 
 _IMPORT_SET = """
