@@ -1256,12 +1256,10 @@ def test_error_exit_removes_no_device_or_symlink_out(out, monkeypatch,
     capsys.readouterr()
 
 
-def _file_size_limit(limit):
-    """A child's preexec_fn: a write past limit bytes fails with EFBIG."""
-    def preexec():
-        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
-        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
-    return preexec
+def _limit_file_size():
+    """A child's preexec_fn: a write past 1000 bytes fails with EFBIG."""
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1000, 1000))
 
 
 @pytest.mark.parametrize("argv", ENTRY_ARGVS.values(), ids=ENTRY_ARGVS)
@@ -1272,7 +1270,7 @@ def test_entry_removes_a_partial_out_file_it_could_not_write(argv, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "deformed_heisenberg.cli", *argv, "--out",
          str(out)], capture_output=True, text=True, timeout=60,
-        env=_child_env(), preexec_fn=_file_size_limit(1000))
+        env=_child_env(), preexec_fn=_limit_file_size)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", f"error: cannot write --out {out}: {os.strerror(errno.EFBIG)}\n")
     assert not out.exists()
