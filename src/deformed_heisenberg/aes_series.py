@@ -158,6 +158,9 @@ def _amplitudes(params: DeformationParams, n_max: int) -> np.ndarray:
 # reference at z -0.047, delta 0.69, beta 2.5, N 512, the vacuum image 1.6e-10).
 ROUTE_DEVIATION_BOUND = 1e-9
 
+# normalization_c0's stop: a norm-series term below this share of the total
+NORM_TOL = 1e-12
+
 
 def _phase_window_check(params: DeformationParams) -> None:
     if params.mu == 0 and params.lam != 0 and params.z != 0:
@@ -210,14 +213,13 @@ def fock_coefficients(params: DeformationParams, n_max: int, amps=None):
     return c, SeriesDiagnostics(terms_used=n_max + 1, tail_estimate=dev)
 
 
-def normalization_c0(params: DeformationParams, n_max: int = 96, tol: float = 1e-12,
-                     amps=None):
+def normalization_c0(params: DeformationParams, n_max: int = 96, amps=None):
     """Real positive C_0 with sum |c_n|^2 = 1, by adaptive partial sums.
 
-    The sum stops after three terms in a row below tol of the running total;
-    NotConverged is raised if it does not, or if the weights computed past
-    the stop (up to n_max) exceed sqrt(tol) of the accepted total.  amps is
-    reused as in fock_coefficients."""
+    The sum stops after three terms in a row below NORM_TOL of the running
+    total; NotConverged is raised if it does not, or if the weights computed
+    past the stop (up to n_max) exceed sqrt(NORM_TOL) of the accepted total.
+    amps is reused as in fock_coefficients."""
     _phase_window_check(params)
     amps = _amplitudes(params, n_max) if amps is None else amps[:n_max + 1]
     weights = np.abs(amps) ** 2          # inf or nan: not converged
@@ -225,7 +227,7 @@ def normalization_c0(params: DeformationParams, n_max: int = 96, tol: float = 1e
     for w in weights.tolist():          # floats: overflow is inf, unwarned
         total += w
         used += 1
-        if w < tol * max(total, 1e-300):
+        if w < NORM_TOL * max(total, 1e-300):
             small += 1
             if small >= 3:
                 break
@@ -235,8 +237,8 @@ def normalization_c0(params: DeformationParams, n_max: int = 96, tol: float = 1e
     # terms already computed past the stop, so report their sum if larger
     rest = weights[used:].sum()
     tail = max(w, rest) / max(total, 1e-300)          # inf / inf: nan
-    # a series that dips below tol and grows again is not converged; nan fails
-    if small < 3 or not rest <= math.sqrt(tol) * total:
+    # not converged: a series that dips below NORM_TOL and grows again, or nan
+    if small < 3 or not rest <= math.sqrt(NORM_TOL) * total:
         raise NotConverged(
             f"norm series not converged by n_max={n_max} (tail {tail:.2e})")
     return 1.0 / math.sqrt(total), SeriesDiagnostics(terms_used=used,

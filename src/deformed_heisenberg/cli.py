@@ -31,8 +31,8 @@ numpy RuntimeWarning.  Library calls outside main keep numpy's reporting.
 
 run() is the process entry (``python -m deformed_heisenberg.cli`` and the
 dheis console script) and its one way out.  Under ``python -m`` a request
-starts in four steps: pause, import, freeze, resume.  The package namespace
-is lazy, so this module runs before numpy loads, and run as __main__ its
+starts in four steps: pause, import, freeze, resume.  The package imports
+nothing, so this module runs before numpy loads, and run as __main__ its
 first statement pauses the cyclic collector (gc.disable): the imports run
 no collector pass.  run() freezes the heap (gc.freeze), so the collector
 never walks the import-time objects, and only then resumes the collector
@@ -45,6 +45,11 @@ benchmark run), this module leaves the collector as it found it.
 
 run() flushes stdout and stderr and ends the process with os._exit(exit
 code); argparse's SystemExit (a usage error, --help) takes the same exit.
+It turns write_through off on both streams, so that under PYTHONUNBUFFERED
+too they hold what is written until these flushes: a write that argparse or
+warnings swallow on a full disk fails again at the flush, where run() sees
+it.  A stderr that cannot be written ends in exit 2 with nothing more
+printed; a table already written stays.
 os._exit skips the interpreter's teardown, which after a request only frees
 memory the system reclaims: every file a request writes is closed by
 _Writer, and nothing registers an atexit hook; a request must close what it
@@ -150,14 +155,17 @@ class _Writer:
             self.fh.write("".join(f"# {k}={_fmt(v)}\n" for k, v in
                                   sorted((diagnostics or {}).items())))
         else:
-            import json
             # json writes a numpy float as the float it is
             doc = {"meta": meta, "header": header,
                    "rows": list(zip(*columns))}
             if diagnostics:
                 doc["diagnostics"] = diagnostics
-            json.dump(doc, self.fh, indent=1, sort_keys=True)
-            self.fh.write("\n")
+            self.write_json(doc)
+
+    def write_json(self, doc):
+        """Every JSON document a subcommand prints, in one layout."""
+        import json
+        self.fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
     def __enter__(self):
         return self
@@ -412,12 +420,11 @@ def _check_report(suite, name, residual, bound, error) -> dict:
 
 
 def cmd_verify(args) -> int:
-    import json
     with _Writer(args.out) as w:
         report = {"meta": _meta(args),
                   "checks": [_check_report(*r) for r in _verify_checks(args)]}
         report["passed"] = all(c["passed"] for c in report["checks"])
-        w.fh.write(json.dumps(report, indent=1, sort_keys=True) + "\n")
+        w.write_json(report)
     return EXIT_OK if report["passed"] else EXIT_INVARIANT
 
 
@@ -556,18 +563,23 @@ def run(argv=None):
     the module docstring).  Never returns."""
     gc.freeze()
     gc.enable()         # after the freeze: the collector walks no import object
+    for stream in (sys.stdout, sys.stderr):
+        stream.reconfigure(write_through=False)     # see the module docstring
     try:
-        rc = main(argv)
-    except SystemExit as e:             # argparse: a usage error or --help
-        rc = e.code
-    try:
-        sys.stdout.flush()              # only --help's text can be left
-    except BrokenPipeError:
-        pass
-    except OSError as e:
-        print(f"error: cannot write stdout: {e.strerror}", file=sys.stderr)
+        try:
+            rc = main(argv)
+        except SystemExit as e:         # argparse: a usage error or --help
+            rc = e.code
+        try:
+            sys.stdout.flush()          # only --help's text can be left
+        except BrokenPipeError:
+            pass
+        except OSError as e:
+            rc = EXIT_USAGE
+            print(f"error: cannot write stdout: {e.strerror}", file=sys.stderr)
+        sys.stderr.flush()
+    except OSError:                     # stderr cannot be written
         rc = EXIT_USAGE
-    sys.stderr.flush()
     os._exit(rc)
 
 

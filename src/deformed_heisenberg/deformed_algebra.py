@@ -205,12 +205,17 @@ def recip_series(alpha, n):
     return [(-1) ** m / alpha ** (m + 1) for m in range(n)]
 
 
-def _nilpotent_part(M, tol=1e-12):
+# the largest spread of a diagonal that _nilpotent_part takes as constant
+DIAGONAL_TOL = 1e-12
+
+
+def _nilpotent_part(M):
     """Split M = alpha I + K with K strictly triangular; the diagonal must be
-    constant.  alpha is a Python float for a real M, complex otherwise."""
+    constant (to DIAGONAL_TOL).  alpha is a Python float for a real M,
+    complex otherwise."""
     d = np.diag(M)
     alpha = d[0].item()
-    if np.max(np.abs(d - alpha)) > tol:
+    if np.max(np.abs(d - alpha)) > DIAGONAL_TOL:
         raise BadParams("matrix diagonal is not constant; cannot split off scalar part")
     K = M - alpha * np.eye(M.shape[0], dtype=M.dtype)
     np.fill_diagonal(K, 0.0)

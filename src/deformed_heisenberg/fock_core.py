@@ -108,9 +108,7 @@ def tail_fraction(v: FockVector, cfg: TruncationConfig) -> float:
     total = float(np.linalg.norm(v))
     if total == 0.0:
         return 0.0
-    if cfg.guard == 0:
-        return 0.0
-    return float(np.linalg.norm(v[cfg.kept:])) / total
+    return float(np.linalg.norm(v[cfg.kept:])) / total     # guard 0: empty
 
 
 def check_tail(v: FockVector, cfg: TruncationConfig) -> None:

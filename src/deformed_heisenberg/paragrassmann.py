@@ -165,9 +165,6 @@ class NilpotentPoly:
             return NotImplemented
         return self.k0 == other.k0 and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.k0, self.coeffs))
-
     @classmethod
     def from_polys(cls, polys, k0):
         polys = list(polys)[:k0]

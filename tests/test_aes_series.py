@@ -18,8 +18,9 @@ from deformed_heisenberg.aes_series import (
     upsilon_table)
 from deformed_heisenberg.deformed_algebra import (DeformationParams,
                                                   exp_coefficients)
-from deformed_heisenberg.errors import (BadParams, NonNormalizable,
-                                        NotConverged, PhaseWindow)
+from deformed_heisenberg.errors import (BadParams, BranchCut,
+                                        NonNormalizable, NotConverged,
+                                        PhaseWindow)
 from deformed_heisenberg.fock_core import (
     TruncationConfig, annihilation, coherent_state, creation,
     displacement_operator, norm, normalize, series_operator,
@@ -38,6 +39,8 @@ def _squeezed(lam, mu, n_max):
 # ---------------------------------------------------------------------------
 
 def test_upsilon_row_endpoints():
+    with pytest.raises(BadParams):
+        upsilon_table(-1)
     for n in range(0, 7):
         tab = upsilon_table(n)
         # n = m row: k^0/(k-m)! needs a single unit entry
@@ -560,6 +563,9 @@ def test_two_param_symbol_guards():
         two_param_log_symbol(DeformationParams(z=0.1, p=0.0, lam=1.0), 1.0)
     with pytest.raises(BadParams):
         two_param_log_symbol(prm, 0.0)
+    with pytest.warns(BranchCut):
+        two_param_log_symbol(
+            DeformationParams(z=0.1, p=0.1, lam=1, mu=0.2), -1.0)
 
 
 def test_zero_z_symbol_state_is_exact_eigenstate():

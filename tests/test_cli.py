@@ -1215,29 +1215,60 @@ def test_stdout_on_a_full_disk_exits_2(argv, monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: cannot write stdout: {NO_SPACE}\n"
 
 
-FULL_DISK_CASES = {**{f"{name}-out": (argv, True)
+def _entry_into_full(argv, stream, unbuffered=False):
+    """A python -m deformed_heisenberg.cli child with stream ("stdout" or
+    "stderr") on /dev/full and the other one on a pipe; unbuffered sets
+    PYTHONUNBUFFERED."""
+    env = {**_child_env(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})}
+    with open("/dev/full", "w") as full:
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE,
+                 stream: full}
+        return subprocess.run(
+            [sys.executable, "-m", "deformed_heisenberg.cli", *argv],
+            text=True, timeout=60, env=env, **pipes)
+
+
+FULL_DISK_CASES = {**{f"{name}-out": (argv, True, False)
                       for name, argv in ENTRY_ARGVS.items()},
-                   **{f"{name}-stdout": (argv, False)
+                   **{f"{name}-stdout": (argv, False, False)
                       for name, argv in ENTRY_ARGVS.items()},
-                   "help-stdout": (["--help"], False)}
+                   "help-stdout": (["--help"], False, False),
+                   # argparse swallows the failed write of the help text
+                   "help-stdout-unbuffered": (["--help"], False, True)}
 
 
 @needs_dev_full
-@pytest.mark.parametrize("argv, to_out", FULL_DISK_CASES.values(),
+@pytest.mark.parametrize("argv, to_out, unbuffered", FULL_DISK_CASES.values(),
                          ids=FULL_DISK_CASES)
-def test_entry_on_a_full_disk_exits_2(argv, to_out):
+def test_entry_on_a_full_disk_exits_2(argv, to_out, unbuffered):
     if to_out:
         proc = _run_cli([*argv, "--out", "/dev/full"], timeout=60)
         want = f"error: cannot write --out /dev/full: {NO_SPACE}\n"
     else:
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "deformed_heisenberg.cli", *argv],
-                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
-                env=_child_env())
+        proc = _entry_into_full(argv, "stdout", unbuffered)
         want = f"error: cannot write stdout: {NO_SPACE}\n"
     assert (proc.returncode, proc.stderr) == (2, want)
     assert os.path.exists("/dev/full")
+
+
+# an error line from main, one from argparse, and a warning ahead of a table
+STDERR_ARGVS = {
+    "usage": ["state", "--dim", "4"],
+    "argparse": ["bogus"],
+    "warning": ["state", "--dim", "8", "--delta", "0", "--beta", "1",
+                "--theta", "3", "--z", "0.01"],
+}
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", STDERR_ARGVS.values(), ids=STDERR_ARGVS)
+def test_entry_with_stderr_on_a_full_disk_exits_2(argv, unbuffered):
+    # nothing more is printed, and a table already written stays
+    want = _run_cli(argv, timeout=60).stdout
+    proc = _entry_into_full(argv, "stderr", unbuffered)
+    assert (proc.returncode, proc.stdout) == (2, want)
 
 
 @pytest.mark.parametrize("out", ["/dev/null", "/dev/stdout"])

@@ -11,11 +11,12 @@ import pytest
 
 from deformed_heisenberg.deformed_algebra import (
     AlgebraTriple, DeformationParams, P_KINDS, RealizationKind,
-    _ladder_commutator, _pow_series, _uzp_coefficients, build_realization, commutator_residual_tilde,
+    _ladder_commutator, _nilpotent_part, _pow_series, _uzp_coefficients,
+    build_realization, commutator_residual_tilde,
     commutator_residual_uzp, cosh_series, exp_coefficients, recip_series,
     sinh_series, tilde_basis_change, tilde_residual_blocks,
     uzp_residual_blocks)
-from deformed_heisenberg.errors import BadParams
+from deformed_heisenberg.errors import BadParams, SingularCosh
 from deformed_heisenberg.fock_core import (
     TruncationConfig, annihilation, creation, guarded_norm,
     matrix_exponential, series_operator)
@@ -302,6 +303,8 @@ def test_p_kinds_reject_zero_p():
     for kind in P_KINDS:
         with pytest.raises(BadParams):
             build_realization(kind, DeformationParams(z=0.01), CFG)
+    with pytest.raises(BadParams):
+        build_realization("x", DeformationParams(), CFG)
 
 
 def test_uzp_one_at_z_zero_collapses_to_scalar_forms():
@@ -417,6 +420,18 @@ def test_tilde_basis_change_small_p_is_near_identity():
     # B -> B + O(p^2 B^3)
     assert guarded_norm(mapped.B - tri.B, CFG) < 1e-5
     assert guarded_norm(mapped.C - tri.C, CFG) < 1e-5
+
+
+def test_matrix_functions_refuse_what_they_cannot_evaluate():
+    # alpha I + K needs a constant diagonal
+    with pytest.raises(BadParams):
+        _nilpotent_part(np.diag([1.0, 2.0]))
+    # B = (i pi/p) I: the scalar part of cosh(pB/2) is cos(pi/2) ~ 6e-17
+    p, eye = 0.3, np.eye(CFG.dim)
+    tri = AlgebraTriple(A=eye, B=(1j * math.pi / p) * eye, C=eye,
+                        kind=RealizationKind.Uzp_One)
+    with pytest.raises(SingularCosh):
+        tilde_basis_change(tri, p, CFG)
 
 
 def test_limit_chain_z_then_p():

@@ -14,7 +14,7 @@ from deformed_heisenberg.deformed_algebra import (
     DeformationParams, RealizationKind, _apply_series, _nilpotent_part,
     build_realization, cosh_series, exp_coefficients, sinh_series)
 from deformed_heisenberg.errors import (BadParams, NotConverged, NotNilpotent,
-                                       TailTooHeavy)
+                                       TailTooHeavy, ZeroNorm)
 from deformed_heisenberg.fock_core import (
     TruncationConfig, annihilation, check_tail, coherent_state,
     creation, displacement_operator, expectation, guarded_norm,
@@ -474,6 +474,8 @@ def test_exp_coefficients_match_matrix_route_and_need_u0_zero():
         rtol=0, atol=1e-14)
     with pytest.raises(NotNilpotent):
         exp_coefficients([0.1, 1.0], 4)
+    with pytest.raises(NotNilpotent):
+        triangular_matrix_function([1.0, 1.0], np.eye(2))
 
 
 def test_matrix_exponential_basics():
@@ -588,12 +590,14 @@ def test_squeezed_displaced_vacuum_outside_float_range_raises():
 
 def test_tail_guard():
     v = np.zeros(64, dtype=complex)
+    assert tail_fraction(v, CFG64) == 0.0
     v[0] = 1.0
     assert tail_fraction(v, CFG64) == 0.0
     check_tail(v, CFG64)  # must not raise
     v[-1] = 1.0
     # fraction is measured in norm, not probability: 1/sqrt(2) of the weight
     assert tail_fraction(v, CFG64) == pytest.approx(1 / math.sqrt(2))
+    assert tail_fraction(v, TruncationConfig(64, guard=0)) == 0.0
     with pytest.raises(TailTooHeavy):
         check_tail(v, CFG64)
 
@@ -602,3 +606,5 @@ def test_norms():
     v = np.array([3.0, 4.0], dtype=complex)
     assert norm(v) == pytest.approx(5.0)
     assert norm(normalize(v)) == pytest.approx(1.0)
+    with pytest.raises(ZeroNorm):
+        normalize(np.zeros(4))
