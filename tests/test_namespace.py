@@ -1,6 +1,7 @@
 """The package imports nothing: each name is imported from the module that
 defines it, and a bare import loads not even numpy."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,39 @@ import sys
 import pytest
 
 import deformed_heisenberg
+
+# every public name and its home module
+HOMES = {
+    "deformed_algebra": [
+        "AlgebraTriple", "DeformationParams", "RealizationKind",
+        "build_realization", "commutator_residual_tilde",
+        "commutator_residual_uzp", "tilde_basis_change"],
+    "errors": [
+        "BadParams", "BranchCut", "DeformedHeisenbergError",
+        "IllConditioned", "NonNormalizable", "NotConverged", "NotNilpotent",
+        "PhaseWindow", "SingularCosh", "TailTooHeavy", "ZeroNorm"],
+    "fock_core": [
+        "TruncationConfig", "annihilation", "coherent_state", "creation",
+        "displacement_operator", "expectation", "guarded_norm",
+        "inner_product", "norm", "normalize", "number_operator",
+        "squeeze_operator", "vacuum"],
+}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in HOMES.items()
+                                          for n in names])
+def test_each_name_is_its_home_modules_object(module, name):
+    # the home module defines the name, and the package does not serve it
+    home = importlib.import_module(f"deformed_heisenberg.{module}")
+    assert getattr(home, name).__module__ == home.__name__
+    assert not hasattr(deformed_heisenberg, name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        deformed_heisenberg.nope
+    assert not hasattr(deformed_heisenberg, "nope")
+
 
 # prints whether numpy is loaded, whether the collector is on, and the public
 # names of the package other than its loaded submodules
