@@ -82,7 +82,7 @@ import warnings
 
 import numpy as np
 
-from . import aes_series, dispersion, paragrassmann, pseudo_hermitian
+from . import _gaussian, aes_series, dispersion, paragrassmann, pseudo_hermitian
 from .deformed_algebra import (DeformationParams, RealizationKind,
                                build_realization, commutator_residual_tilde,
                                commutator_residual_uzp)
@@ -329,9 +329,9 @@ def _check_ode():
 
 
 def _check_gamma(cfg):
-    matrix = dispersion.gamma_matrix_table(0.3, 0.7, 1.0, 0.2, 3, cfg)
-    return max(abs(dispersion.gamma_element(k, l, 0.3, 0.7, 1.0, 0.2)
-                   - matrix[k, l]) for k in range(4) for l in range(4))
+    args = (0.3, 0.7, 1.0, 0.2)
+    return float(np.abs(_gaussian.gamma_kl(3, 3, *args)
+                        - dispersion.gamma_matrix_table(*args, 3, cfg)).max())
 
 
 def _check_mus():

@@ -10,7 +10,6 @@ the result columns as the table; no per-row record is built.
 """
 
 import cmath
-import functools
 import math
 from typing import NamedTuple
 
@@ -100,9 +99,9 @@ def mus_dispersions(delta, phi):
 # ---------------------------------------------------------------------------
 
 def gamma_element(k: int, l: int, delta, phi, beta, theta) -> complex:
-    """<0|D+ S+ (a+)^k a^l S D|0> by exact differentiation of the Gaussian
-    generating function."""
-    return _gaussian.gamma_kl(k, l, delta, phi, beta, theta)
+    """<0|D+ S+ (a+)^k a^l S D|0>, the corner of the Hermite recurrence table
+    of the Gaussian generating function's derivatives."""
+    return _gaussian.gamma_kl(k, l, delta, phi, beta, theta)[..., k, l]
 
 
 def gamma_matrix_table(delta, phi, beta, theta, k_max: int,
@@ -121,8 +120,8 @@ def gamma_matrix_table(delta, phi, beta, theta, k_max: int,
 
 
 def lambda_element(k: int, l: int, delta, phi, beta, theta) -> complex:
-    """<0|D+ S+ a^k (a+)^l S D|0>, same generating-function route."""
-    return _gaussian.lambda_kl(k, l, delta, phi, beta, theta)
+    """<0|D+ S+ a^k (a+)^l S D|0>, the corner of the same recurrence table."""
+    return _gaussian.lambda_kl(k, l, delta, phi, beta, theta)[..., k, l]
 
 
 # ---------------------------------------------------------------------------
@@ -167,20 +166,17 @@ def perturbed_moments(delta, phi, beta, theta, z, p) -> PerturbedMoments:
     1 + z Q + (p^2/4) R,  Q = mu (a+)^3/3 - lam (a+)^2/2,
     R = mu (a+)^2/4 - (lam/2) a+  (nu = 0), against S D |0>, normal-ordering
     everything onto Gamma / Lambda elements; second-order cross terms in
-    (z, p^2, epsilon) are dropped.  The generating-function coefficients of
-    S D|0> are computed once per call, each of the 17 Gamma_kl / Lambda_kl
-    elements once from them, and each Q / R block once.  The parameters may
-    be numpy arrays of one broadcast shape (a sweep grid); every field then
-    is an array of that shape, evaluated elementwise.
+    (z, p^2, epsilon) are dropped.  The 17 elements come from one Gamma table
+    (k <= 5, l <= 2) and one Lambda table (k <= 2, l <= 3), and each Q / R
+    block is formed once.  The parameters may be numpy arrays of one
+    broadcast shape (a sweep grid); every field then is an array of that
+    shape, evaluated elementwise.
     """
     mu = delta * np.exp(1j * phi)
     lam = beta * np.exp(1j * theta)
     q = p * p / 4.0
-    element = dict(delta=delta, phi=phi, beta=beta, theta=theta,
-                   coefficients=_gaussian._coefficients(delta, phi, beta,
-                                                        theta))
-    G = functools.cache(functools.partial(_gaussian.gamma_kl, **element))
-    L = functools.cache(functools.partial(_gaussian.lambda_kl, **element))
+    G = _gaussian.gamma_kl(5, 2, delta, phi, beta, theta)
+    L = _gaussian.lambda_kl(2, 3, delta, phi, beta, theta)
 
     def blocks(e):
         """The Q and R blocks, e(m) being the element that carries (a+)^m."""
@@ -188,28 +184,28 @@ def perturbed_moments(delta, phi, beta, theta, z, p) -> PerturbedMoments:
 
     def a_power_blocks(j):
         """<a^j (.)> + <(a+)^j (.)>^* for the Q and R blocks."""
-        aQ, aR = blocks(lambda m: L(j, m))
-        adQ, adR = blocks(lambda m: G(m + j, 0))
+        aQ, aR = blocks(lambda m: L[..., j, m])
+        adQ, adR = blocks(lambda m: G[..., m + j, 0])
         return aQ + adQ.conjugate(), aR + adR.conjugate()
 
-    mean_q, mean_r = blocks(lambda m: G(m, 0))
+    mean_q, mean_r = blocks(lambda m: G[..., m, 0])
     eps = -(z * mean_q + q * mean_r).real
     norm = 1 + 2 * eps
     q1, r1 = a_power_blocks(1)
     q2, r2 = a_power_blocks(2)
     # a+ a against (a+)^m: a (a+)^m = (a+)^m a + m (a+)^{m-1}
-    nq, nr = blocks(lambda m: G(m + 1, 1) + m * G(m, 0))
+    nq, nr = blocks(lambda m: G[..., m + 1, 1] + m * G[..., m, 0])
 
-    g01 = G(0, 1)
+    g01 = G[..., 0, 1]
     mean_a = norm * g01 + z * q1 + q * r1
-    a_sq = norm * G(0, 2) + z * q2 + q * r2
-    n_bar = norm * G(1, 1).real + 2 * (z * nq + q * nr).real
+    a_sq = norm * G[..., 0, 2] + z * q2 + q * r2
+    n_bar = norm * G[..., 1, 1].real + 2 * (z * nq + q * nr).real
 
     corr = z * q1 + q * r1
     mean_x_sq = 2 * (g01.real ** 2 * (1 + 4 * eps) + 2 * g01.real * corr.real)
     mean_p_sq = 2 * (g01.imag ** 2 * (1 + 4 * eps) + 2 * g01.imag * corr.imag)
-    core = norm * (G(1, 1).real + G(0, 2).real)
-    core_p = norm * (G(1, 1).real - G(0, 2).real)
+    core = norm * (G[..., 1, 1].real + G[..., 0, 2].real)
+    core_p = norm * (G[..., 1, 1].real - G[..., 0, 2].real)
     x2_mean = 0.5 + core + (z * (q2 + 2 * nq) + q * (r2 + 2 * nr)).real
     p2_mean = 0.5 + core_p + (z * (-q2 + 2 * nq) + q * (-r2 + 2 * nr)).real
     return PerturbedMoments(mean_x_sq=mean_x_sq, x2_mean=x2_mean,
@@ -225,38 +221,34 @@ def _perturbed_moments_literal(delta, phi, beta, theta, z, p):
     mu = delta * cmath.exp(1j * phi)
     lam = beta * cmath.exp(1j * theta)
     mub, lamb = mu.conjugate(), lam.conjugate()
+    G = _gaussian.gamma_kl(3, 5, delta, phi, beta, theta)
+    L = _gaussian.lambda_kl(4, 4, delta, phi, beta, theta)
 
-    def G(k, l):
-        return _gaussian.gamma_kl(k, l, delta, phi, beta, theta)
+    eps = -(z * (mu * G[3, 0] / 3 - lam * G[2, 0] / 2)
+            + p * p / 4 * (mu * G[2, 0] / 4 - lam / 2 * G[1, 0])).real
 
-    def L(k, l):
-        return _gaussian.lambda_kl(k, l, delta, phi, beta, theta)
+    inner = ((1 + 4 * eps) * G[0, 1]
+             + 2 * z * (mub / 3 * G[0, 4] - lamb / 2 * G[0, 3]
+                        + mu / 3 * L[1, 3] - lam / 2 * L[1, 2])
+             + p * p / 2 * (mub / 4 * G[0, 3] - lamb / 2 * G[0, 2]
+                            + mu / 4 * L[1, 2] - lam / 2 * L[1, 1]))
+    mean_x_sq = 2 * G[0, 1].real * inner.real
+    mean_p_sq = 2 * G[0, 1].imag * inner.imag
 
-    eps = -(z * (mu * G(3, 0) / 3 - lam * G(2, 0) / 2)
-            + p * p / 4 * (mu * G(2, 0) / 4 - lam / 2 * G(1, 0))).real
-
-    inner = ((1 + 4 * eps) * G(0, 1)
-             + 2 * z * (mub / 3 * G(0, 4) - lamb / 2 * G(0, 3)
-                        + mu / 3 * L(1, 3) - lam / 2 * L(1, 2))
-             + p * p / 2 * (mub / 4 * G(0, 3) - lamb / 2 * G(0, 2)
-                            + mu / 4 * L(1, 2) - lam / 2 * L(1, 1)))
-    mean_x_sq = 2 * G(0, 1).real * inner.real
-    mean_p_sq = 2 * G(0, 1).imag * inner.imag
-
-    re_blocks = (z * (mub / 3 * G(0, 5) - lamb / 2 * G(0, 4)
-                      + mu / 3 * L(2, 3) - lam / 2 * L(2, 2))
-                 + p * p / 4 * (mub / 4 * G(0, 4) - lamb / 2 * G(0, 3)
-                                + mu / 4 * L(2, 2) - lam / 2 * L(2, 1)))
-    plain_blocks = (z * (mub / 3 * (L(4, 1) - G(0, 3))
-                         - lamb / 2 * (L(3, 1) - G(0, 2))
-                         + mu / 3 * (L(1, 4) - L(0, 3))
-                         - lam / 2 * (L(1, 3) - L(0, 2)))
-                    + p * p / 4 * (mub / 4 * (L(3, 1) - G(0, 2))
-                                   - lamb / 2 * (L(2, 1) - G(0, 1))
-                                   + mu / 4 * (L(1, 3) - L(0, 2))
-                                   - lam / 2 * (L(1, 2) - L(0, 1))))
-    base = (1 + 2 * eps) * (G(1, 1) + G(0, 2)).real
-    base_p = (1 + 2 * eps) * (G(1, 1) - G(0, 2)).real
+    re_blocks = (z * (mub / 3 * G[0, 5] - lamb / 2 * G[0, 4]
+                      + mu / 3 * L[2, 3] - lam / 2 * L[2, 2])
+                 + p * p / 4 * (mub / 4 * G[0, 4] - lamb / 2 * G[0, 3]
+                                + mu / 4 * L[2, 2] - lam / 2 * L[2, 1]))
+    plain_blocks = (z * (mub / 3 * (L[4, 1] - G[0, 3])
+                         - lamb / 2 * (L[3, 1] - G[0, 2])
+                         + mu / 3 * (L[1, 4] - L[0, 3])
+                         - lam / 2 * (L[1, 3] - L[0, 2]))
+                    + p * p / 4 * (mub / 4 * (L[3, 1] - G[0, 2])
+                                   - lamb / 2 * (L[2, 1] - G[0, 1])
+                                   + mu / 4 * (L[1, 3] - L[0, 2])
+                                   - lam / 2 * (L[1, 2] - L[0, 1])))
+    base = (1 + 2 * eps) * (G[1, 1] + G[0, 2]).real
+    base_p = (1 + 2 * eps) * (G[1, 1] - G[0, 2]).real
     x2_mean = 0.5 + base + re_blocks.real + plain_blocks.real
     p2_mean = 0.5 + base_p - re_blocks.real + plain_blocks.real
     return mean_x_sq, x2_mean, mean_p_sq, p2_mean

@@ -112,6 +112,8 @@ def tail_fraction(v: FockVector, cfg: TruncationConfig) -> float:
 
 
 def check_tail(v: FockVector, cfg: TruncationConfig) -> None:
+    if not np.isfinite(norm(v)):         # nan fails no tail comparison
+        raise NotConverged("state norm leaves the float range")
     frac = tail_fraction(v, cfg)
     if frac > cfg.tail_tol:
         raise TailTooHeavy(
@@ -371,6 +373,8 @@ def norm(v: FockVector) -> float:
 
 def normalize(v: FockVector) -> FockVector:
     n = norm(v)
+    if not np.isfinite(n):
+        raise NotConverged("state norm leaves the float range")
     if n < 1e-300:
         raise ZeroNorm("cannot normalize a zero vector")
     return v / n

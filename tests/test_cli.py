@@ -285,21 +285,23 @@ def _count_calls(monkeypatch, module, name):
 
 @pytest.mark.parametrize("var", ["phi", "delta"])
 def test_sweep_cost_does_not_grow_with_steps(var, monkeypatch, capsys):
-    # the whole grid goes through one perturbed_moments call, so the number of
-    # Gaussian kernel calls is the same for 10 rows as for 2000
-    moments = _count_calls(monkeypatch, cli.dispersion, "perturbed_moments")
-    kernel = _count_calls(monkeypatch, _gaussian,
-                          "quadratic_exponential_derivative")
-    seen = []
+    # the whole grid goes through one perturbed_moments call, which takes one
+    # Gamma and one Lambda table: two kernel calls for 10 rows as for 2000
+    counts = {name: _count_calls(monkeypatch, module, name)
+              for module, name in ((cli.dispersion, "perturbed_moments"),
+                                   (_gaussian, "quadratic_exponential_derivative"),
+                                   (_gaussian, "gamma_kl"),
+                                   (_gaussian, "lambda_kl"))}
     for steps in ("10", "2000"):
-        moments["n"] = kernel["n"] = 0
+        for c in counts.values():
+            c["n"] = 0
         assert cli.main(["sweep-dispersion", "--var", var, "--min", "0",
                          "--max", "0.9", "--steps", steps, "--z", "0.003",
                          "--p", "0.01"]) == 0
         assert len(_data_rows(capsys.readouterr().out)) == int(steps)
-        assert moments["n"] == 1
-        seen.append(kernel["n"])
-    assert seen[0] == seen[1] > 0
+        assert {k: c["n"] for k, c in counts.items()} == {
+            "perturbed_moments": 1, "quadratic_exponential_derivative": 2,
+            "gamma_kl": 1, "lambda_kl": 1}
 
 
 def test_sweep_reports_negative_variance_rows(capsys):

@@ -274,9 +274,10 @@ def test_perturbed_moments_on_grid_match_scalar_calls():
 
 
 def test_gaussian_elements_reject_delta_one_anywhere_in_grid():
-    with pytest.raises(ValueError):
+    # the rule and message of mus_dispersions, an error cli.EXIT_CODES maps
+    with pytest.raises(BadParams, match="need 0 <= delta < 1"):
         gamma_element(1, 1, np.array([0.2, 1.0]), 0.3, 1.0, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams, match="need 0 <= delta < 1"):
         lambda_element(1, 1, np.array([0.2, 1.0]), 0.3, 1.0, 0.1)
 
 

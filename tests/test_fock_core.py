@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 
 from deformed_heisenberg import fock_core
+from deformed_heisenberg.aes_series import deformed_squeezed_state
 from deformed_heisenberg.deformed_algebra import (
     DeformationParams, RealizationKind, _apply_series, _nilpotent_part,
     build_realization, cosh_series, exp_coefficients, sinh_series)
@@ -600,6 +601,19 @@ def test_tail_guard():
     assert tail_fraction(v, TruncationConfig(64, guard=0)) == 0.0
     with pytest.raises(TailTooHeavy):
         check_tail(v, CFG64)
+    # a nan or inf norm fails every tail comparison: the guard names it
+    v[-1] = math.nan
+    with pytest.raises(NotConverged, match="float range"):
+        check_tail(v, CFG64)
+    # states whose amplitudes overflow (numpy reports it on the way) are
+    # refused, not returned as nan or inf
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(NotConverged, match="float range"):
+        coherent_state(1e200, CFG64)
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(NotConverged, match="float range"):
+        deformed_squeezed_state(DeformationParams(z=0.01, lam=1e150, mu=0.3),
+                                CFG64)
 
 
 def test_norms():
@@ -608,3 +622,6 @@ def test_norms():
     assert norm(normalize(v)) == pytest.approx(1.0)
     with pytest.raises(ZeroNorm):
         normalize(np.zeros(4))
+    for bad in ([np.inf, 1.0], [np.nan, 1.0]):
+        with pytest.raises(NotConverged, match="float range"):
+            normalize(np.array(bad))
