@@ -102,7 +102,7 @@ GOLDEN_SWEEP_ROWS = (
     "0.31005444151274419,1.0662762470037235,0.33060368626304437,"
     "0.33065375108949235,1\n"
     "-0.33333333333333337,0.24049669223107734,1.1404556887213038,"
-    "0.23739083480662182,1.1432975103828831,0.27140835042212497,"
+    "0.23739083480662138,1.1432975103828831,0.27140835042212447,"
     "0.2714891424805902,1\n"
     "0,0.21428571428571436,1.1666666666666667,"
     "0.21354334041338707,1.170708479971565,0.24999699946340684,"
