@@ -87,13 +87,13 @@ def test_gamma_lambda_tables_match_triple_sum():
     assert worst < ELEMENT_TOL
 
 
-@pytest.mark.parametrize("table", [_gaussian.gamma_kl, _gaussian.lambda_kl])
-def test_grid_table_matches_triple_sum_pointwise(table):
+@pytest.mark.parametrize("table, which", [(_gaussian.gamma_kl, 0),
+                                          (_gaussian.lambda_kl, 1)])
+def test_grid_table_matches_triple_sum_pointwise(table, which):
     # a delta grid carries its shape in front of the (i, j) axes
     deltas = np.linspace(0.0, 0.9, 7)
     grid = table(K, K, deltas, 0.7, 1.8, -2.1)
     assert grid.shape == (7, K + 1, K + 1)
-    pick = 0 if table is _gaussian.gamma_kl else 1
     for d, got in zip(deltas, grid):
-        ref = _mp_elements(float(d), 0.7, 1.8, -2.1)[pick]
+        ref = _mp_elements(float(d), 0.7, 1.8, -2.1)[which]
         assert _worst(got, ref) < ELEMENT_TOL
