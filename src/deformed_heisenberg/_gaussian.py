@@ -9,10 +9,9 @@ by the two-variable Hermite recurrences (Appell and Kampe de Feriet 1926),
 for the squeezed-displaced matrix elements and the first-order norm factors
 of the perturbed states.  The parameters may be scalars or numpy arrays of
 one shape, which the table carries in front of its (i, j) axes: a sweep grid
-costs one table, not one per point or element.
+costs one table, not one per point or element.  numpy is imported by each
+function that uses it, so that importing this module loads no numpy.
 """
-
-import numpy as np
 
 from .errors import BadParams
 
@@ -22,6 +21,7 @@ def quadratic_exponential_derivative(k: int, l: int, A, B, C, D, E):
 
         H[0, j+1] = E H[0, j] + 2j B H[0, j-1]
         H[i+1, j] = D H[i, j] + 2i A H[i-1, j] + j C H[i, j-1]."""
+    import numpy as np
     H = np.zeros(np.broadcast(A, B, C, D, E).shape + (k + 1, l + 1), complex)
     H[..., 0, 0] = 1.0
     # at j = 0 (i = 0) the index -1 reads the last column (row): still zero
@@ -38,6 +38,7 @@ def _coefficients(k: int, l: int, delta, phi, beta, theta):
     """r^(i + j) over the (k, l) table, r = sqrt(1 - delta^2), then the s^2
     coefficient -delta e^{-i phi}/2 and the displacement of S D|0>'s
     generating function, whose conjugates are the t^2 and t coefficients."""
+    import numpy as np
     if not np.all((0 <= delta) & (delta < 1)):
         raise BadParams("need 0 <= delta < 1")
     r = np.sqrt(1 - delta * delta)

@@ -9,6 +9,17 @@ image exp(x(a+))|0> from the Bargmann ODE psi' = x' psi of the symbol e^{x}
 (upsilon_table, amplitude_coefficients) and the paper's double series (mpmath).
 First-order perturbed squeezed/coherent states and the two-parameter Bargmann
 symbol live here as well.
+
+Both routes and the norm sum are plain Python over lists of complex:
+_amplitudes, _exponent_slope, normalization_c0 and fock_coefficients return
+lists, and ``dheis state``, which runs only these, never loads numpy.  Each
+row sum stops where the rest cannot reach its last bit, so a row costs a
+few dozen terms at the state table's |z| rather than n.  Python floats do
+not warn and math.exp raises OverflowError where numpy returned inf: the
+kernels turn an overflow into nan entries, which the finiteness and norm
+checks report as NotConverged.  The states built from the vacuum image
+(deformed_squeezed_state, deformed_coherent_state) are numpy arrays; numpy
+is imported where an array is built.
 """
 
 import cmath
@@ -18,13 +29,11 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple
 
-import numpy as np
-
 from . import _gaussian
 from .deformed_algebra import (DeformationParams, RealizationKind,
                                build_realization)
 from .errors import BadParams, NonNormalizable, NotConverged, PhaseWindow, BranchCut
-from .fock_core import (FockVector, TruncationConfig, check_tail,
+from .fock_core import (_UNIT_ROUNDOFF, TruncationConfig, check_tail,
                         log_factorials, norm, normalize, series_operator,
                         squeezed_displaced_vacuum, vacuum_image)
 
@@ -115,36 +124,53 @@ def amplitude_coefficients(n: int):
     return tuple(sorted(out.items()))
 
 
-def _amplitudes(params: DeformationParams, n_max: int) -> np.ndarray:
-    """c_n for n = 0..n_max with C_0 = 1, from row n of the eigen-equation
+def _amplitudes(params: DeformationParams, n_max: int) -> list:
+    """c_n for n = 0..n_max with C_0 = 1, as a list of complex, from row n of
+    the eigen-equation
 
         sqrt(n+1) c_{n+1} = lam c_n - mu sqrt(n) c_{n-1}
-            - sum_{k=1}^{n} (z^k/k!) sqrt(n!/(n-k)!) sqrt(n-k+1) c_{n-k+1}:
+            - sum_{k=1}^{n} (z^k/k!) sqrt(n!/(n-k)!) sqrt(n-k+1) c_{n-k+1},
 
-    one dot product per row, weighted from views of one log-factorial table
-    (no factorial, any n_max, O(n_max) memory).  Any real z: at z = 0 every
-    k-weight is exp(-inf) = 0 and the rows are those of the squeezed state of
-    a + mu a+.  Entries past the float range turn inf or nan, reported as
-    numpy's error state says; fock_coefficients and normalization_c0 check
-    finiteness.
+    each weight exponentiated from one log-factorial table (no factorial,
+    any n_max, O(n_max) memory).  Any real z: at z = 0 the rows are those of
+    the squeezed state of a + mu a+.  A row stops where the rest cannot
+    reach its last bit, as fock_core.vacuum_image's rows do: the k-weights
+    fall by at most q_k = |z| sqrt(n-k)/(k+1) from order k to k+1, and q_k
+    falls with k, so once q_k <= 1/8 the rest is at most 2 q_k times the
+    order-k weight times env[n-k], env[m] = max(|c_m|, env[m-1] / 4).
+    Entries past the float range turn inf or nan; a weight whose exponential
+    overflows makes that amplitude and every later one nan.
+    fock_coefficients and normalization_c0 check finiteness.
     """
-    lam, mu, z = params.lam, params.mu, params.z
+    # Python complex, so that a numpy scalar parameter keeps no numpy type
+    lam, mu, z = complex(params.lam), complex(params.mu), params.z
     if z == 0 and abs(mu) >= 1:
         raise NonNormalizable(f"|mu| = {abs(mu)} >= 1 squeezed state has no norm")
-    j = np.arange(n_max + 1)
-    root, log_fact = np.sqrt(j), log_factorials(n_max + 1)
-    c = np.r_[1.0 + 0j, np.zeros(n_max, dtype=complex)]
-    # math.log, not np.log: the two differ in the last bit on a few inputs
-    log_z = math.log(abs(z)) if z else -math.inf
-    with np.errstate(invalid="ignore"):       # 0 * -inf = nan at j = 0, unread
-        log_zk = j * log_z - log_fact                     # log |z^k / k!|
-    sign = np.copysign(1.0, z) ** j                       # sign of z^k
-    for n in range(n_max):                                # root[0] = 0 drops c[-1]
-        # k = n..1 pairs with c_1..c_n, and n - k = 0..n-1
-        w = sign[n:0:-1] * np.exp(
-            log_zk[n:0:-1] + 0.5 * (log_fact[n] - log_fact[:n]))
-        c[n + 1] = (lam * c[n] - mu * root[n] * c[n - 1]
-                    - (w * root[1:n + 1]) @ c[1:n + 1]) / root[n + 1]
+    root = [math.sqrt(j) for j in range(n_max + 1)]
+    log_fact = log_factorials(n_max + 1)
+    half = [0.5 * v for v in log_fact]
+    az = abs(z)
+    log_z = math.log(az) if z else -math.inf
+    log_zk = [0.0] + [k * log_z - log_fact[k] for k in range(1, n_max + 1)]
+    odd = -1.0 if z < 0 else 1.0          # the sign of z^k, k odd
+    c, env = [1.0 + 0j], [1.0]
+    try:
+        for n in range(n_max):            # root[0] = 0 drops c[n - 1]
+            acc = lam * c[n] - mu * root[n] * c[n - 1]
+            hn = half[n]
+            # k = 1..n pairs with c_n..c_1; none at z = 0
+            for k in range(1, n + 1 if z else 1):
+                e = math.exp(log_zk[k] + (hn - half[n - k])) * root[n - k + 1]
+                acc -= (odd * e if k & 1 else e) * c[n - k + 1]
+                q = az * root[n - k] / (k + 1)
+                if q <= 0.125 and (2 * q * e * env[n - k]
+                                   <= _UNIT_ROUNDOFF * abs(acc)):
+                    break
+            v = acc / root[n + 1]
+            c.append(v)
+            env.append(max(abs(v), 0.25 * env[-1]))
+    except OverflowError:           # a weight or a modulus past the float range
+        c += [complex(math.nan, math.nan)] * (n_max + 1 - len(c))
     return c
 
 
@@ -176,20 +202,24 @@ def _exponent_slope(params: DeformationParams, nu: complex, n: int):
     """(kx, log_scale) of fock_core.vacuum_image for the eigenstates' symbol
     e^{x}, x(s) = int_0^s ((lam - mu t) e^{-z t} - nu) dt: k x_1 = lam - nu and
     k x_k = (-z)^{k-2}/(k-2)! (-mu - lam z/(k-1)), with |z|^{k-2}/(k-2)!
-    as its log (-inf for k >= 3 at z = 0), which cannot underflow."""
-    lam, mu, z = params.lam, params.mu, params.z
-    k = np.arange(2, n)
-    kx = np.r_[0.0, lam - nu,
-               (-mu - lam * z / (k - 1)) * math.copysign(1.0, -z) ** (k - 2)]
+    as its log (-inf for k >= 3 at z = 0), which cannot underflow.  Both are
+    lists; the steps of log_scale, log|z| - log(k-2), fall with k, which
+    lets vacuum_image cut its rows."""
+    lam, mu, z = complex(params.lam), complex(params.mu), params.z
+    sign = math.copysign(1.0, -z)
+    kx = [0.0, lam - complex(nu)] + [
+        (-mu - lam * z / (k - 1)) * sign ** (k - 2) for k in range(2, n)]
     log_z = math.log(abs(z)) if z else -math.inf
-    log_scale = np.r_[0.0, 0.0, 0.0,
-                      np.cumsum(log_z - np.log(np.arange(1, n - 2)))]
+    log_scale, acc = [0.0, 0.0, 0.0], 0.0
+    for j in range(1, n - 2):
+        acc += log_z - math.log(j)
+        log_scale.append(acc)
     return kx, log_scale
 
 
 def fock_coefficients(params: DeformationParams, n_max: int, amps=None):
     """(c, SeriesDiagnostics): amplitudes c_n (C_0 = 1) of the deformed
-    squeezed eigenstate, for any real z.
+    squeezed eigenstate, for any real z, as a list of complex.
 
     The values come from the row recurrence of the eigen-equation
     (_amplitudes); the vacuum-image route, which shares only the
@@ -202,15 +232,29 @@ def fock_coefficients(params: DeformationParams, n_max: int, amps=None):
     """
     _phase_window_check(params)
     c = _amplitudes(params, n_max) if amps is None else amps[:n_max + 1]
-    if not np.isfinite(c).all():
+    if not all(map(cmath.isfinite, c)):
         raise NotConverged("amplitudes leave the float range: no normalizable state")
     psi = vacuum_image(*_exponent_slope(params, 0.0, n_max + 1), n_max + 1)
-    dev = float(np.max(np.abs(psi - c)) / np.max(np.abs(c)))
+    try:
+        gaps = [abs(p - v) for p, v in zip(psi, c)]
+        # a nan gap (the vacuum image past the float range) is the result
+        dev = (math.nan if any(map(math.isnan, gaps))
+               else max(gaps) / max(map(abs, c)))
+    except OverflowError:           # a modulus past the float range
+        dev = math.inf
     if not dev <= ROUTE_DEVIATION_BOUND:          # nan fails too
         raise NotConverged(
             f"route deviation {dev:.2e} between the row recurrence and the "
             f"vacuum-image route exceeds {ROUTE_DEVIATION_BOUND:.0e}")
     return c, SeriesDiagnostics(terms_used=n_max + 1, tail_estimate=dev)
+
+
+def _weight(a: complex) -> float:
+    """|a|^2, inf where it leaves the float range (abs and ** raise there)."""
+    try:
+        return abs(a) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def normalization_c0(params: DeformationParams, n_max: int = 96, amps=None):
@@ -222,9 +266,9 @@ def normalization_c0(params: DeformationParams, n_max: int = 96, amps=None):
     amps is reused as in fock_coefficients."""
     _phase_window_check(params)
     amps = _amplitudes(params, n_max) if amps is None else amps[:n_max + 1]
-    weights = np.abs(amps) ** 2          # inf or nan: not converged
+    weights = [_weight(a) for a in amps]          # inf or nan: not converged
     total, small, used, w = 0.0, 0, 0, 0.0
-    for w in weights.tolist():          # floats: overflow is inf, unwarned
+    for w in weights:
         total += w
         used += 1
         if w < NORM_TOL * max(total, 1e-300):
@@ -235,7 +279,7 @@ def normalization_c0(params: DeformationParams, n_max: int = 96, amps=None):
             small = 0
     # the last term alone can be a zero of an odd amplitude or undercut the
     # terms already computed past the stop, so report their sum if larger
-    rest = weights[used:].sum()
+    rest = sum(weights[used:])
     tail = max(w, rest) / max(total, 1e-300)          # inf / inf: nan
     # not converged: a series that dips below NORM_TOL and grows again, or nan
     if small < 3 or not rest <= math.sqrt(NORM_TOL) * total:
@@ -250,21 +294,24 @@ def normalization_c0(params: DeformationParams, n_max: int = 96, amps=None):
 # ---------------------------------------------------------------------------
 
 def _eigenstate(params: DeformationParams, nu: complex,
-                cfg: TruncationConfig) -> FockVector:
+                cfg: TruncationConfig):
     """Normalized exp(x(a+))|0> for the exponent
-    x(s) = int_0^s ((lam - mu t) e^{-z t} - nu) dt, tail-guarded."""
-    v = normalize(vacuum_image(*_exponent_slope(params, nu, cfg.dim), cfg.dim))
+    x(s) = int_0^s ((lam - mu t) e^{-z t} - nu) dt, tail-guarded: a numpy
+    array."""
+    import numpy as np
+    v = normalize(np.array(
+        vacuum_image(*_exponent_slope(params, nu, cfg.dim), cfg.dim)))
     check_tail(v, cfg)
     return v
 
 
-def deformed_squeezed_state(params: DeformationParams, cfg: TruncationConfig) -> FockVector:
+def deformed_squeezed_state(params: DeformationParams, cfg: TruncationConfig):
     """Normalized eigenstate of e^{z a+} a + mu a+ with eigenvalue lam,
     the vacuum image of exp(x(a+))."""
     return _eigenstate(params, 0.0, cfg)
 
 
-def aes_operator(params: DeformationParams, cfg: TruncationConfig) -> np.ndarray:
+def aes_operator(params: DeformationParams, cfg: TruncationConfig):
     """The eigenvalue operator  e^{z a+} a + mu a+ + nu e^{z a+}: C - mu A
     + nu B of the TildeZ0_Cas1 realization (A = -a+, B = e^{z a+},
     C = e^{z a+} a), built in O(N^2)."""
@@ -273,7 +320,7 @@ def aes_operator(params: DeformationParams, cfg: TruncationConfig) -> np.ndarray
     return t.C - params.mu * t.A + params.nu * t.B
 
 
-def deformed_coherent_state(params: DeformationParams, cfg: TruncationConfig) -> FockVector:
+def deformed_coherent_state(params: DeformationParams, cfg: TruncationConfig):
     """Normalized eigenstate of e^{z a+} a + mu a+ + nu e^{z a+} with eigenvalue
     lam: the nu-shifted state  exp(exponent) e^{-nu a+} |0>."""
     return _eigenstate(params, params.nu, cfg)
@@ -291,8 +338,8 @@ class PerturbedState(NamedTuple):
     | ||raw|| - 1 |, an O(z^2)-grade diagnostic.
     """
 
-    raw: FockVector
-    normalized: FockVector
+    raw: "numpy.ndarray"
+    normalized: "numpy.ndarray"
     omega: float
     norm_error: float
 

@@ -24,10 +24,13 @@ write, flush or close of --out or stdout that fails (a full disk) prints
 "error: cannot write <--out path | stdout>: <reason>".
 A warning raised while a subcommand runs goes to stderr as one line,
 "warning: <category>: <message>", with no install path or source line.
-numpy's floating-point errors are ignored while it runs (one errstate
-context, in main): a kernel past the float range is reported by the
-package's own finiteness checks, as an error and its exit code, never as a
-numpy RuntimeWarning.  Library calls outside main keep numpy's reporting.
+numpy's floating-point errors are ignored while sweep-dispersion, verify or
+spectrum runs (one errstate context, in main): a kernel past the float
+range is reported by the package's own finiteness checks, as an error and
+its exit code, never as a numpy RuntimeWarning.  Library calls outside main
+keep numpy's reporting.  state runs on plain Python floats, which never
+warn; its kernels turn an overflow into nan entries, which the same checks
+report.
 
 run() is the process entry (``python -m deformed_heisenberg.cli`` and the
 dheis console script) and its one way out.  Under ``python -m`` a request
@@ -58,13 +61,18 @@ the traced benchmark run import this module and call main() in-process, and
 a frozen heap would never collect the garbage of whatever was frozen.
 
 A request pays for every module it loads, so only what every request uses is
-imported at load time: json is imported where a JSON document is written,
-fractions (and decimal, which it imports) only where exact arithmetic runs
-(aes_series' exact-integer tables, paragrassmann's complex rationals) and
-scipy only where a dense exponential runs.  Importing this module still
-loads every package module.  Likewise _build_parser adds flags only to the
-subparser that argv[0] names; the other subparsers stay, without flags, so
-usage errors and help texts do not change.
+imported at load time: numpy is imported by each function that uses it,
+json where a JSON document is written, fractions (and decimal, which it
+imports) only where exact arithmetic runs (aes_series' exact-integer
+tables, paragrassmann's complex rationals) and scipy only where a dense
+exponential runs.  state loads none of them: its kernels are plain Python.
+Importing this module still loads every package module, none of which
+imports numpy at load time.  run() imports numpy for the other subcommands
+(ARRAY_COMMANDS, picked from argv[0]) while the collector is still paused,
+before the freeze, so that numpy's import objects are frozen too and its
+import runs no collector pass.  Likewise _build_parser adds flags only to
+the subparser that argv[0] names; the other subparsers stay, without flags,
+so usage errors and help texts do not change.
 """
 
 import gc
@@ -79,8 +87,6 @@ import math
 import os
 import sys
 import warnings
-
-import numpy as np
 
 from . import _gaussian, aes_series, dispersion, paragrassmann, pseudo_hermitian
 from .deformed_algebra import (DeformationParams, RealizationKind,
@@ -201,11 +207,15 @@ def _size(args) -> tuple:
 
 def _physical_memory() -> int:
     """Bytes of physical memory or, where the system does not say, the most
-    bytes numpy can describe in one array (its intp limit)."""
+    bytes numpy can describe in one array (its intp limit, sys.maxsize)."""
     try:
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
-        return np.iinfo(np.intp).max
+        return sys.maxsize
+
+
+# bytes per complex entry (numpy's complex128)
+COMPLEX_ITEMSIZE = 16
 
 
 def _check_common(args) -> str:
@@ -220,7 +230,7 @@ def _check_common(args) -> str:
     # a lower bound on what the request holds, so no request that fits is
     # refused; past it the allocation is overcommitted and the kernel kills
     # the process when the pages are touched, before any MemoryError
-    need, memory = least * np.dtype(complex).itemsize, _physical_memory()
+    need, memory = least * COMPLEX_ITEMSIZE, _physical_memory()
     if need > memory:
         return (f"--{flag} {getattr(args, flag)} needs at least {need} bytes, "
                 f"more than the {memory} bytes of physical memory")
@@ -241,6 +251,7 @@ SWEEP_HEADER = list(dispersion.SweepTable._fields)
 
 
 def cmd_sweep_dispersion(args) -> int:
+    import numpy as np
     with _Writer(args.out) as w:
         table = dispersion.sweep_table(
             delta=args.delta, phi=args.phi, beta=args.beta, theta=args.theta,
@@ -274,17 +285,17 @@ def cmd_state(args) -> int:
         c0, norm_diag = aes_series.normalization_c0(params, n_max=max(96, n_max),
                                                     amps=amps)
         c, diag = aes_series.fock_coefficients(params, n_max, amps=amps)
-        cn = c0 * c
-        # scalar abs and **: numpy's vector forms differ in the last bit
-        w.finish(args, header, [list(range(len(cn))), cn.real.tolist(),
-                                cn.imag.tolist(),
-                                [abs(v) ** 2 for v in cn.tolist()]],
+        re, im = [c0 * v.real for v in c], [c0 * v.imag for v in c]
+        w.finish(args, header, [list(range(len(c))), re, im,
+                                [abs(complex(x, y)) ** 2
+                                 for x, y in zip(re, im)]],
                  diagnostics={"c0": c0, "route_deviation": diag.tail_estimate,
                               "tail_estimate": norm_diag.tail_estimate})
     return EXIT_OK
 
 
 def _check_xp(cfg):
+    import numpy as np
     X = dispersion.position_operator(cfg)
     P = dispersion.momentum_operator(cfg)
     return guarded_norm(X @ P - P @ X - 1j * np.eye(cfg.dim), cfg)
@@ -311,6 +322,7 @@ def _check_routes():
 
 
 def _check_eigenstate(cfg):
+    import numpy as np
     sp = DeformationParams.from_polar(z=0.01, p=0.0, delta=0.4, phi=0.9,
                                       beta=1.2, theta=0.4, gamma=0.0,
                                       eta_phase=0.0)
@@ -329,6 +341,7 @@ def _check_ode():
 
 
 def _check_gamma(cfg):
+    import numpy as np
     args = (0.3, 0.7, 1.0, 0.2)
     return float(np.abs(_gaussian.gamma_kl(3, 3, *args)
                         - dispersion.gamma_matrix_table(*args, 3, cfg)).max())
@@ -355,6 +368,7 @@ def _verify_checks(args):
     would give: 13 SVDs per full report, not 30.  The uzp rows' cosh and
     sinh are Taylor sums cut at roundoff (triangular_matrix_function).
     """
+    import numpy as np
     cfg = TruncationConfig(dim=args.dim)
     checks = [
         ("fock", "canonical_xp_commutator", lambda: _check_xp(cfg), 1e-10),
@@ -429,6 +443,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    import numpy as np
     cfg = TruncationConfig(dim=args.dim)
     mu = args.delta * cmath.exp(1j * args.phi)
     header = ["n", "h_eig", "h_deviation", "ht_eig", "ht_deviation"]
@@ -478,6 +493,9 @@ SUBCOMMAND_FLAGS = {
     "verify": ("dim", "suite", "out"),
     "spectrum": ("delta", "phi", "z", "dim", "format", "out"),
 }
+
+# the subcommands that work on numpy arrays; state needs none
+ARRAY_COMMANDS = ("sweep-dispersion", "verify", "spectrum")
 
 _COMMANDS = {
     "sweep-dispersion": (cmd_sweep_dispersion,
@@ -529,7 +547,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     fmt, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
-        with np.errstate(all="ignore"):       # see the module docstring
+        if args.subcommand in ARRAY_COMMANDS:
+            import numpy as np
+            with np.errstate(all="ignore"):       # see the module docstring
+                rc = args.func(args)
+        else:
             rc = args.func(args)
         sys.stdout.flush()
         return rc
@@ -561,6 +583,9 @@ def run(argv=None):
     """Freeze the import-time heap, resume the collector, run main() and end
     the process with its exit code once stdout and stderr are flushed (see
     the module docstring).  Never returns."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in ARRAY_COMMANDS:
+        import numpy                    # noqa: F401  (frozen with the rest)
     gc.freeze()
     gc.enable()         # after the freeze: the collector walks no import object
     for stream in (sys.stdout, sys.stderr):

@@ -27,6 +27,10 @@ residual matrices.  commutator_residual_tilde and commutator_residual_uzp
 return the largest of their guarded norms, the residual ``dheis verify``
 prints, through fock_core.max_guarded_norm: one SVD per realization where
 the three norms would take three.
+
+numpy is imported by each function that uses it, so that importing this
+module loads no numpy: DeformationParams, which ``dheis state`` builds,
+needs none.
 """
 
 import cmath
@@ -34,10 +38,8 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import BadParams, NotNilpotent, SingularCosh
-from .fock_core import (FockOperator, TruncationConfig, max_guarded_norm,
+from .fock_core import (TruncationConfig, max_guarded_norm,
                         series_operator, triangular_matrix_function)
 
 
@@ -56,8 +58,7 @@ class DeformationParams(NamedTuple("DeformationParams",
         for name, val in (("z", z), ("p", p)):
             if isinstance(val, complex) and val.imag != 0:
                 raise BadParams(f"{name} must be real, got {val}")
-        return super().__new__(cls, float(np.real(z)), float(np.real(p)),
-                               lam, mu, nu)
+        return super().__new__(cls, float(z.real), float(p.real), lam, mu, nu)
 
     @classmethod
     def from_polar(cls, delta=0.0, phi=0.0, beta=0.0, theta=0.0,
@@ -109,9 +110,9 @@ P_KINDS = {RealizationKind.Uzp_One, RealizationKind.Uzp_Two,
 
 
 class AlgebraTriple(NamedTuple):
-    A: FockOperator
-    B: FockOperator
-    C: FockOperator
+    A: "numpy.ndarray"
+    B: "numpy.ndarray"
+    C: "numpy.ndarray"
     kind: RealizationKind
 
 
@@ -128,6 +129,7 @@ def exp_coefficients(u, n):
     bits.  A huge u gives inf or nan, reported as numpy's error state says;
     callers check finiteness where it matters.
     """
+    import numpy as np
     u = np.asarray(u, dtype=complex)[:n]
     if u[0] != 0:
         raise NotNilpotent(f"exponent series has a nonzero constant term {u[0]}")
@@ -142,7 +144,7 @@ def exp_coefficients(u, n):
     return w
 
 
-def _exp_linear(u1: complex, n: int) -> np.ndarray:
+def _exp_linear(u1: complex, n: int):
     """Coefficients of e^{u1 x} to order n-1: w_m = u1 w_{m-1} / m in plain
     Python floats, several times faster than numpy's one-term dot products
     at n = 160.  Each step rounds as exp_coefficients' loop does, signed
@@ -152,6 +154,7 @@ def _exp_linear(u1: complex, n: int) -> np.ndarray:
     whose zero products turn an inf part into nan.  Python floats never
     warn, and overflow to inf as numpy's do.
     """
+    import numpy as np
     ur, ui = u1.real, u1.imag
     wr, wi = 1.0, 0.0
     w = [1.0, 0.0]                     # re, im of w_0, w_1, ...
@@ -169,6 +172,7 @@ def _pow_series(u, c, n):
     J.C.P. Miller recurrence (Knuth, TAOCP vol. 2, 4.7): w_0 = u_0^c,
     m u_0 w_m = sum_{k=1}^{m} ((c+1)k - m) u_k w_{m-k}, one dot product per order.
     """
+    import numpy as np
     u = np.asarray(u, dtype=complex)[:n]
     k = np.arange(len(u))
     w = np.zeros(n, dtype=complex)
@@ -213,6 +217,7 @@ def _nilpotent_part(M):
     """Split M = alpha I + K with K strictly triangular; the diagonal must be
     constant (to DIAGONAL_TOL).  alpha is a Python float for a real M,
     complex otherwise."""
+    import numpy as np
     d = np.diag(M)
     alpha = d[0].item()
     if np.max(np.abs(d - alpha)) > DIAGONAL_TOL:
@@ -247,6 +252,7 @@ def _uzp_coefficients(z: float, p: float, n: int):
     With q = 1 + (p/2)^2 e^{2zx}: C = e^{zx} q^{1/2}, and B' = z e^{zx} q^{-1/2},
     so B = (2/p) arcsinh(p/2) + int_0^x z e^{zt} q^{-1/2} dt.
     """
+    import numpy as np
     e = exp_coefficients([0.0, z], n)
     q = (p / 2) ** 2 * exp_coefficients([0.0, 2 * z], n)
     q[0] += 1.0
@@ -263,6 +269,7 @@ def build_realization(kind: RealizationKind, params: DeformationParams,
 
     Raises BadParams when p = 0 is passed for a p-dependent kind.
     """
+    import numpy as np
     if not isinstance(kind, RealizationKind):
         raise BadParams(f"unknown realization kind {kind!r}")
     z, p = params.z, params.p
@@ -298,6 +305,7 @@ def _ladder_commutator(A, X):
     the main one) each entry of A X and of X A is a single product, so row
     and column scalings by that diagonal give the dense products' values in
     O(N^2).  Any other A takes the dense products."""
+    import numpy as np
     off = -1 if np.diagonal(A, -1).any() else 1
     d = np.diagonal(A, off)
     if np.count_nonzero(A) != np.count_nonzero(d):
@@ -316,6 +324,7 @@ def uzp_residual_blocks(triple: AlgebraTriple, params: DeformationParams):
 
         [A,B],   [B,C] + (2z/p^2)(cosh pB - 1),   [A,C] - (1/p) sinh pB.
     """
+    import numpy as np
     z, p = params.z, params.p
     A, B, C = triple.A, triple.B, triple.C
     cosh_pB, sinh_pB = _cosh_sinh(p * B)

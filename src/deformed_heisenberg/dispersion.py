@@ -6,20 +6,20 @@ variance tables built from them (sweep_table, over a phi or delta grid), and
 the all-order dispersions of general_dispersion.  The first-order moments
 and the undeformed dispersions (mus_dispersions) take scalars or numpy
 arrays, so a sweep evaluates its whole grid in one call of each and returns
-the result columns as the table; no per-row record is built.
+the result columns as the table; no per-row record is built.  numpy is
+imported by each function that uses it, so that importing this module loads
+no numpy.
 """
 
 import cmath
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from . import _gaussian
 from .aes_series import fock_coefficients
 from .deformed_algebra import DeformationParams
 from .errors import BadParams, NotConverged
-from .fock_core import (FockOperator, FockVector, TruncationConfig,
+from .fock_core import (TruncationConfig,
                         annihilation, check_tail, expectation, normalize,
                         squeezed_displaced_vacuum)
 
@@ -55,17 +55,17 @@ class QuadratureStats(NamedTuple):
         return self.var_x * self.var_p
 
 
-def position_operator(cfg: TruncationConfig) -> FockOperator:
+def position_operator(cfg: TruncationConfig):
     a = annihilation(cfg)
     return (a + a.conj().T) / SQRT2
 
 
-def momentum_operator(cfg: TruncationConfig) -> FockOperator:
+def momentum_operator(cfg: TruncationConfig):
     a = annihilation(cfg)
     return 1j * (a.conj().T - a) / SQRT2
 
 
-def quadrature_stats(state: FockVector, cfg: TruncationConfig) -> QuadratureStats:
+def quadrature_stats(state, cfg: TruncationConfig) -> QuadratureStats:
     """Direct matrix evaluation of the X/P statistics on a Fock vector."""
     check_tail(state, cfg)
     psi = normalize(state)
@@ -86,6 +86,7 @@ def mus_dispersions(delta, phi):
     delta and phi may be numpy arrays of one broadcast shape (a sweep grid);
     the pair is then a pair of arrays, each element computed as for scalars.
     """
+    import numpy as np
     if not np.all((0 <= delta) & (delta < 1)):
         raise BadParams("need 0 <= delta < 1")
     r2 = 2 * (1 - delta * delta)
@@ -105,11 +106,12 @@ def gamma_element(k: int, l: int, delta, phi, beta, theta) -> complex:
 
 
 def gamma_matrix_table(delta, phi, beta, theta, k_max: int,
-                       cfg: TruncationConfig) -> np.ndarray:
+                       cfg: TruncationConfig):
     """Gamma_kl, k, l <= k_max, on the truncated Fock space: the reference the
     closed form is checked against.  v = S D|0> from its Bargmann symbol
     (no dense expm), the rows w_l = a^l v by index shifts, and
     Gamma_kl = <w_k|w_l>."""
+    import numpy as np
     W = np.zeros((k_max + 1, cfg.dim), dtype=complex)
     W[0] = squeezed_displaced_vacuum(delta, phi, beta * cmath.exp(1j * theta),
                                      cfg)
@@ -172,6 +174,7 @@ def perturbed_moments(delta, phi, beta, theta, z, p) -> PerturbedMoments:
     broadcast shape (a sweep grid); every field then is an array of that
     shape, evaluated elementwise.
     """
+    import numpy as np
     mu = delta * np.exp(1j * phi)
     lam = beta * np.exp(1j * theta)
     q = p * p / 4.0
@@ -270,10 +273,11 @@ def general_dispersion(params: DeformationParams, n_max: int = 128,
     c_{n-1} and C''_n(0) = sqrt(n(n-1))/2 c_{n-2}, C_n(tau) being the
     amplitudes of e^{tau a+ / sqrt2} on the C_0 = 1 state of
     fock_coefficients; P follows by the tau -> i tau rule."""
+    import numpy as np
     if params.nu != 0:
         raise BadParams("the all-order dispersion sums cover the nu = 0 states")
     tol = max(tol, 1e-12)
-    c, _ = fock_coefficients(params, n_max)
+    c = np.array(fock_coefficients(params, n_max)[0])
     w = np.abs(c) ** 2
     s0 = float(np.sum(w))                           # >= |c_0|^2 = 1
     if w[-3:].sum() > tol * s0:
@@ -324,6 +328,7 @@ def sweep_table(*, delta, phi, beta, theta, varying: str, grid, z, p):
     first-order state can no longer be trusted.  A non-finite column raises
     NotConverged naming the first grid value where it is not finite.
     """
+    import numpy as np
     if varying not in ("phi", "delta"):
         raise BadParams("varying must be 'phi' or 'delta'")
     g = np.array(grid, dtype=float)

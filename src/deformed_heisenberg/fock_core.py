@@ -1,8 +1,8 @@
 """Truncated Fock-space linear algebra.
 
-States are plain 1-d complex numpy arrays of amplitudes over |0>..|N-1>
-(FockVector); operators are dense N x N matrices (FockOperator), complex
-except where the kernels below get real data.  Identity checks always exclude
+States are plain 1-d complex numpy arrays of amplitudes over |0>..|N-1>;
+operators are dense N x N numpy matrices, complex except where the kernels
+below get real data.  Identity checks always exclude
 the top ``guard`` levels because truncation breaks the ladder relations there.
 
 ``series_operator`` builds f(a+) from a coefficient list in O(N^2), in one
@@ -21,30 +21,31 @@ O(N^3) SVD.  A check that reports the largest of several takes
 takes the SVD of only the blocks that can be the largest.
 
 ``vacuum_image`` gives exp(x(a+))|0> without the matrix exp(x(a+)), in
-O(N^2) from the Bargmann ODE of e^x, its weights exponentiated from logs.
+O(N^2) from the Bargmann ODE of e^x, its weights exponentiated from logs;
+each row's sum stops where a bound on the rest cannot reach its last bit.
 It builds every state here, S D|0> too: <0|S D|0> times the image of
 x = w a+ - mu (a+)^2 / 2, the exact amplitudes of the state.
 
-Everything here is plain numpy except ``matrix_exponential``, which imports
-scipy on its first call.  Only the dense references ``displacement_operator``
-and ``squeeze_operator`` reach it, and no CLI command does, so none loads
-scipy.  scipy stays a runtime dependency all the same: the traced benchmark
-(benchmarks/traced_cli.py) wraps ``matrix_exponential`` by name.
+``vacuum_image`` and ``log_factorials`` are plain Python: they return lists
+of complex (of float), and ``dheis state`` runs on them without numpy.  The
+array callers (``coherent_state``, ``squeezed_displaced_vacuum`` and the
+eigenstates of aes_series) wrap the list.  Every other kernel here is numpy,
+imported by the function that uses it, so that importing this module loads
+no numpy; ``matrix_exponential`` imports scipy the same way.  Only the dense
+references ``displacement_operator`` and ``squeeze_operator`` reach it, and
+no CLI command does, so none loads scipy.  scipy stays a runtime dependency
+all the same: the traced benchmark (benchmarks/traced_cli.py) wraps
+``matrix_exponential`` by name.
 """
 
 import cmath
+import math
+import sys
 from math import isqrt, sqrt
 from typing import NamedTuple
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
 from .errors import (BadParams, NotConverged, NotNilpotent, TailTooHeavy,
                      ZeroNorm)
-
-# semantic aliases
-FockVector = np.ndarray
-FockOperator = np.ndarray
 
 
 class TruncationConfig(NamedTuple("TruncationConfig",
@@ -75,44 +76,49 @@ class TruncationConfig(NamedTuple("TruncationConfig",
         return self.dim - self.guard
 
 
-def annihilation(cfg: TruncationConfig) -> FockOperator:
+def annihilation(cfg: TruncationConfig):
     """Matrix of a: entry (n-1, n) = sqrt(n)."""
+    import numpy as np
     return np.diag(np.sqrt(np.arange(1, cfg.dim, dtype=float)), 1).astype(complex)
 
 
-def creation(cfg: TruncationConfig) -> FockOperator:
+def creation(cfg: TruncationConfig):
     """Matrix of a^dagger: entry (n+1, n) = sqrt(n+1). Strictly lower triangular,
     hence nilpotent in the truncation: (a^dagger)^N = 0."""
     return annihilation(cfg).conj().T
 
 
-def number_operator(cfg: TruncationConfig) -> FockOperator:
+def number_operator(cfg: TruncationConfig):
+    import numpy as np
     return np.diag(np.arange(cfg.dim, dtype=float)).astype(complex)
 
 
-def vacuum(cfg: TruncationConfig) -> FockVector:
+def vacuum(cfg: TruncationConfig):
+    import numpy as np
     v = np.zeros(cfg.dim, dtype=complex)
     v[0] = 1.0
     return v
 
 
-def coherent_state(xi_bar: complex, cfg: TruncationConfig) -> FockVector:
+def coherent_state(xi_bar: complex, cfg: TruncationConfig):
     """Unnormalized |xi_bar> = e^{xi_bar a^dagger}|0>: amps[n] = xi_bar^n / sqrt(n!)."""
-    amps = vacuum_image([0.0, xi_bar], [0.0, 0.0], cfg.dim)
+    import numpy as np
+    amps = np.array(vacuum_image([0.0, xi_bar], [0.0, 0.0], cfg.dim))
     check_tail(amps, cfg)
     return amps
 
 
-def tail_fraction(v: FockVector, cfg: TruncationConfig) -> float:
+def tail_fraction(v, cfg: TruncationConfig) -> float:
     """Relative norm carried by the top ``guard`` levels."""
+    import numpy as np
     total = float(np.linalg.norm(v))
     if total == 0.0:
         return 0.0
     return float(np.linalg.norm(v[cfg.kept:])) / total     # guard 0: empty
 
 
-def check_tail(v: FockVector, cfg: TruncationConfig) -> None:
-    if not np.isfinite(norm(v)):         # nan fails no tail comparison
+def check_tail(v, cfg: TruncationConfig) -> None:
+    if not math.isfinite(norm(v)):         # nan fails no tail comparison
         raise NotConverged("state norm leaves the float range")
     frac = tail_fraction(v, cfg)
     if frac > cfg.tail_tol:
@@ -122,14 +128,15 @@ def check_tail(v: FockVector, cfg: TruncationConfig) -> None:
         )
 
 
-def guarded_block(mat: FockOperator, cfg: TruncationConfig) -> FockOperator:
+def guarded_block(mat, cfg: TruncationConfig):
     """Leading (N-g) x (N-g) block, the only part where operator identities hold."""
     k = cfg.kept
     return mat[:k, :k]
 
 
-def guarded_norm(mat: FockOperator, cfg: TruncationConfig) -> float:
+def guarded_norm(mat, cfg: TruncationConfig) -> float:
     """Spectral norm of the guarded block."""
+    import numpy as np
     return float(np.linalg.norm(guarded_block(mat, cfg), ord=2))
 
 
@@ -153,6 +160,7 @@ def max_guarded_norm(mats, cfg: TruncationConfig) -> float:
     converge"); one with an inf entry has a nan norm, and that nan is the
     result: Python's max would drop it unless it came first.
     """
+    import numpy as np
     blocks = [guarded_block(M, cfg) for M in mats]
     upper = [float(np.linalg.norm(b)) for b in blocks]
     lower = max(float(np.linalg.norm(b, axis=0).max()) for b in blocks)
@@ -163,15 +171,16 @@ def max_guarded_norm(mats, cfg: TruncationConfig) -> float:
 
 
 # unit roundoff of float64
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_UNIT_ROUNDOFF = sys.float_info.epsilon / 2
 
 
-def _taylor_terms_kept(c, norm_K: float) -> np.ndarray:
+def _taylor_terms_kept(c, norm_K: float):
     """Per coefficient row, the fewest leading terms M whose neglected tail
     sum_{m>=M} |c_m| ||K||_F^m falls below the unit roundoff times the whole
     sum, an upper bound on ||f(K)||_F.  The bounds are summed from their
     logs, scaled to the row's largest; a row whose bounds leave the float
     range, or hold an inf or nan coefficient, keeps every term."""
+    import numpy as np
     n = c.shape[-1]
     m = np.arange(n)
     # log 0 = -inf for the zero Taylor terms of every cosh and sinh row
@@ -184,7 +193,7 @@ def _taylor_terms_kept(c, norm_K: float) -> np.ndarray:
     return np.where(np.isfinite(peak[..., 0]), np.maximum(kept, 1), n)
 
 
-def triangular_matrix_function(series_coeffs, K: FockOperator) -> FockOperator:
+def triangular_matrix_function(series_coeffs, K):
     """f(alpha*I + K) for strictly triangular (nilpotent) N x N K: the Taylor
     sum sum_m coeffs[m] K^m, coeffs[m] = f^(m)(alpha)/m!, over its first
     n <= N terms (exact, as K^N = 0), cut where the rest cannot reach the
@@ -211,6 +220,7 @@ def triangular_matrix_function(series_coeffs, K: FockOperator) -> FockOperator:
     zero-padded past M, so a stacked row is bit-identical to a call with
     that row alone.  The result is real when the coefficients and K are.
     """
+    import numpy as np
     if np.any(np.abs(np.diag(K)) != 0):
         raise NotNilpotent("K has a nonzero diagonal entry")
     N = K.shape[0]
@@ -238,7 +248,7 @@ def triangular_matrix_function(series_coeffs, K: FockOperator) -> FockOperator:
     return out
 
 
-def series_operator(f, cfg: TruncationConfig) -> FockOperator:
+def series_operator(f, cfg: TruncationConfig):
     """Matrix of f(a+) = sum_k f[k] (a+)^k: entry (n+k, n) = f[k] sqrt((n+k)!/n!).
 
     Running products of sqrt(j), with no integer factorials: O(N^2) in one
@@ -253,6 +263,8 @@ def series_operator(f, cfg: TruncationConfig) -> FockOperator:
     1 on the diagonal and exact zeros below it.  The transpose is f(a);
     column 0 is f(a+)|0>.  Real coefficients give a real matrix.
     """
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
     N = cfg.dim
     e = (N.bit_length() + 1) // 2
     f = np.asarray(f)[:N]
@@ -277,36 +289,86 @@ def series_operator(f, cfg: TruncationConfig) -> FockOperator:
     return np.multiply(F, S.T, out=np.empty((N, N), dtype=g.dtype))
 
 
-def log_factorials(n: int) -> np.ndarray:
+def log_factorials(n: int) -> list:
     """log j! for j = 0..n-1, as one running sum of logs."""
-    return np.r_[0.0, np.cumsum(np.log(np.arange(1, n)))]
+    out, acc = [0.0], 0.0
+    for j in range(1, n):
+        acc += math.log(j)
+        out.append(acc)
+    return out
 
 
-def vacuum_image(kx, log_scale, n: int) -> FockVector:
-    """Fock amplitudes psi_0..psi_{n-1} (psi_0 = 1) of exp(x(a+))|0>, x(0) = 0:
-    psi_m = sqrt(m!) w_m for the symbol w = e^x, and w' = x' w gives
+def vacuum_image(kx, log_scale, n: int) -> list:
+    """Fock amplitudes psi_0..psi_{n-1} (psi_0 = 1) of exp(x(a+))|0>, x(0) = 0,
+    as a list of complex: psi_m = sqrt(m!) w_m for the symbol w = e^x, and
+    w' = x' w gives
 
         m psi_m = sum_{k=1}^{m} k x_k sqrt(m!/(m-k)!) psi_{m-k}.
 
     k x_k = kx[k] e^{log_scale[k]} (index 0 unused, zero past len(kx) - 1),
     so that an order too small for a float can come as a log; each weight is
     exponentiated from log_scale[k] plus half a log-factorial difference.
-    Entries past the float range turn inf or nan, reported as numpy's error
-    state says (dheis ignores them and checks finiteness instead).
+
+    A row's sum stops after order k when the rest cannot reach its last bit.
+    Past the order from which the log_scale steps d_j = log_scale[j+1] -
+    log_scale[j] no longer grow, the weight ratios r_j = e^{d_j} sqrt(m-j)
+    fall with j, so the i-th order after k weighs at most r_k^i times order
+    k.  The amplitudes it pairs with are bounded by an envelope,
+    env[p] = max(|psi_p|, env[p-1] / 4): |psi_{p-i}| <= 4^i env[p].  So once
+    r_k <= 1/8 the rest is at most 2 r_k times the order-k weight, the
+    largest |kx| past k and env[m-k-1], and the sum stops when that is below
+    the unit roundoff of the partial sum.  The envelope forgets the early
+    amplitudes that only the far orders reach, which a running max would
+    not.  For the eigenstates' symbols (aes_series) the weights fall like
+    (|z| sqrt(m))^k / k!, so a row takes a few dozen orders, not m.
+
+    Entries past the float range turn inf or nan, as Python's float
+    arithmetic gives them; a weight whose exponential overflows (math.exp
+    raises) makes that amplitude and every later one nan.  Callers check
+    finiteness.
     """
-    kx = np.asarray(kx, dtype=complex)[:n]
-    log_scale = np.asarray(log_scale, dtype=float)[:n]
-    log_fact = log_factorials(n)
-    psi = np.r_[1.0 + 0j, np.zeros(n - 1, dtype=complex)]
-    for m in range(1, n):
-        k = min(m, len(kx) - 1)         # orders 1..k pair with m-1..m-k
-        w = kx[1:k + 1] * np.exp(log_scale[1:k + 1] + 0.5 * (
-            log_fact[m] - log_fact[m - k:m][::-1]))
-        psi[m] = w @ psi[m - k:m][::-1] / m
+    kx = [complex(v) for v in kx[:n]]
+    log_scale = [float(v) for v in log_scale[:n]]
+    # the last order with a nonzero weight: none past it is summed
+    top = len(kx) - 1
+    while top > 0 and (kx[top] == 0 or log_scale[top] == -math.inf):
+        top -= 1
+    half = [0.5 * v for v in log_factorials(n)]
+    root = [sqrt(j) for j in range(n)]
+    psi = [1.0 + 0j]
+    try:
+        # bound[k]: the largest |kx_j| for j >= k; step[k] = e^{d_k}, capped
+        # so that a step from a -inf log_scale cannot overflow
+        bound = [0.0] * (top + 2)
+        for k in range(top, 0, -1):
+            bound[k] = max(abs(kx[k]), bound[k + 1])
+        step = [0.0] + [math.exp(min(log_scale[k + 1] - log_scale[k], 709.0))
+                        for k in range(1, top)]
+        # the cut is tried from the first order past which no step grows
+        steady = max(top - 1, 1)
+        while steady > 1 and step[steady - 1] >= step[steady]:
+            steady -= 1
+        env = [1.0]
+        for m in range(1, n):
+            hm, last = half[m], min(m, top)
+            acc = 0j
+            for k in range(1, last + 1):
+                e = math.exp(log_scale[k] + (hm - half[m - k]))
+                acc += kx[k] * e * psi[m - k]
+                if steady <= k < last:
+                    r = step[k] * root[m - k]
+                    if r <= 0.125 and (2 * r * e * bound[k + 1] * env[m - k - 1]
+                                       <= _UNIT_ROUNDOFF * abs(acc)):
+                        break
+            v = acc / m
+            psi.append(v)
+            env.append(max(abs(v), 0.25 * env[-1]))
+    except OverflowError:       # a weight or a modulus past the float range
+        psi += [complex(math.nan, math.nan)] * (n - len(psi))
     return psi
 
 
-def matrix_exponential(M: FockOperator) -> FockOperator:
+def matrix_exponential(M):
     """expm via scipy's scaling-and-squaring (Pade) implementation: the dense
     reference for D(lam) and S(chi), which the tests compare the production
     ``squeezed_displaced_vacuum`` against.
@@ -314,18 +376,19 @@ def matrix_exponential(M: FockOperator) -> FockOperator:
     scipy is imported here, not at module level, so that no CLI command pays
     its import at start-up.
     """
+    import numpy as np
     import scipy.linalg
 
     return scipy.linalg.expm(np.asarray(M, dtype=complex))
 
 
-def displacement_operator(lam: complex, cfg: TruncationConfig) -> FockOperator:
+def displacement_operator(lam: complex, cfg: TruncationConfig):
     """D(lam) = exp(lam a^dagger - conj(lam) a), by dense expm."""
     a = annihilation(cfg)
-    return matrix_exponential(lam * a.conj().T - np.conj(lam) * a)
+    return matrix_exponential(lam * a.conj().T - complex(lam).conjugate() * a)
 
 
-def squeeze_operator(chi: complex, cfg: TruncationConfig) -> FockOperator:
+def squeeze_operator(chi: complex, cfg: TruncationConfig):
     """S(chi) = exp(chi (a^dagger)^2/2 - conj(chi) a^2/2), by dense expm, with
     a^2 set from its one diagonal, (n-2, n) = sqrt(n-1) sqrt(n).
 
@@ -333,6 +396,7 @@ def squeeze_operator(chi: complex, cfg: TruncationConfig) -> FockOperator:
     S^dagger a S = (a - delta e^{i phi} a^dagger) / sqrt(1 - delta^2)
     on the guarded subspace.
     """
+    import numpy as np
     r = np.sqrt(np.arange(1, cfg.dim, dtype=float))
     a2 = np.zeros((cfg.dim, cfg.dim), dtype=complex)
     a2[:-2, 2:] = np.diag(r[:-1] * r[1:])
@@ -340,7 +404,7 @@ def squeeze_operator(chi: complex, cfg: TruncationConfig) -> FockOperator:
 
 
 def squeezed_displaced_vacuum(delta: float, phi: float, w: complex,
-                              cfg: TruncationConfig) -> FockVector:
+                              cfg: TruncationConfig):
     """S(-artanh(delta) e^{i phi}) D(alpha) |0>, alpha = w / sqrt(1 - delta^2),
     the undeformed squeezed state of a + mu a+ (mu = delta e^{i phi}) with
     eigenvalue w.  Its Bargmann symbol c0 e^{w xi - mu xi^2 / 2} gives the
@@ -356,30 +420,34 @@ def squeezed_displaced_vacuum(delta: float, phi: float, w: complex,
     c0 = (1 - delta * delta) ** 0.25 * cmath.exp(
         -abs(alpha) * abs(alpha) / 2 + mu.conjugate() * alpha * alpha / 2)
     psi = vacuum_image([0.0, w, -mu], [0.0, 0.0, 0.0], cfg.dim)
-    if not abs(c0) >= np.finfo(float).tiny or not np.isfinite(psi).all():
+    if not abs(c0) >= sys.float_info.min or not all(map(cmath.isfinite, psi)):
         raise NotConverged(f"S D|0> at |alpha| = {abs(alpha):.4g} leaves the "
                            "float range")
-    return c0 * psi
+    import numpy as np
+    return c0 * np.array(psi)
 
 
-def inner_product(u: FockVector, v: FockVector) -> complex:
+def inner_product(u, v) -> complex:
     """<u|v> with the physicists' convention (antilinear in u)."""
+    import numpy as np
     return complex(np.vdot(u, v))
 
 
-def norm(v: FockVector) -> float:
+def norm(v) -> float:
+    import numpy as np
     return float(np.linalg.norm(v))
 
 
-def normalize(v: FockVector) -> FockVector:
+def normalize(v):
     n = norm(v)
-    if not np.isfinite(n):
+    if not math.isfinite(n):
         raise NotConverged("state norm leaves the float range")
     if n < 1e-300:
         raise ZeroNorm("cannot normalize a zero vector")
     return v / n
 
 
-def expectation(op: FockOperator, v: FockVector) -> complex:
+def expectation(op, v) -> complex:
     """<v|op|v> for a normalized state v."""
+    import numpy as np
     return complex(np.vdot(v, op @ v))

@@ -19,17 +19,20 @@ h_eig column of ``dheis spectrum`` is diag(H) and its deviation is 0: it
 checks nothing.  A column that could fail, such as the per-level condition
 number kappa_n = ||G e_n|| ||e_n^T G^-1|| from the known eigenvectors (the
 columns of G and the rows of G^-1), is still open.
+
+build_system builds what every caller reads: H, G^-1 and rho.  G and the
+deformed annihilator A are built when read (PseudoHermitianSystem.G and
+.A_op), by the pseudo rows of ``dheis verify`` and the states, not by
+``dheis spectrum``, which reads neither.  numpy is imported by each
+function that uses it, so that importing this module loads no numpy.
 """
 
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .deformed_algebra import exp_coefficients
 from .errors import IllConditioned
-from .fock_core import (FockOperator, FockVector, TruncationConfig,
-                        annihilation, creation, guarded_norm,
+from .fock_core import (TruncationConfig, annihilation, creation, guarded_norm,
                         max_guarded_norm, normalize, number_operator,
                         series_operator, squeezed_displaced_vacuum, vacuum,
                         vacuum_image)
@@ -37,49 +40,61 @@ from .fock_core import (FockOperator, FockVector, TruncationConfig,
 ETA_CONDITION_LIMIT = 1e12
 
 
-def _scaled_exp_coefficients(c: complex, z: float, shift: int,
-                             N: int) -> np.ndarray:
+def _scaled_exp_coefficients(c: complex, z: float, shift: int, N: int):
     """Coefficients of c x^shift e^{-z x}.  A huge z makes them inf or nan,
     reported as numpy's error state says; build_system's finiteness and
     condition checks turn that into an error."""
+    import numpy as np
     return c * np.r_[np.zeros(shift), exp_coefficients([0.0, -z], N)]
 
 
-def _g_coefficients(mu: complex, z: float, N: int) -> np.ndarray:
+def _g_coefficients(mu: complex, z: float, N: int):
     """Coefficients of the exponent of G, g(s) = -mu int_0^s t e^{-z t} dt."""
+    import numpy as np
     integrand = _scaled_exp_coefficients(-mu, z, 1, N)
     return np.r_[0.0, integrand[:N - 1] / np.arange(1, N)]
 
 
-def build_G(mu: complex, z: float, cfg: TruncationConfig) -> FockOperator:
+def build_G(mu: complex, z: float, cfg: TruncationConfig):
     """G = exp(-mu sum_k (-z a+)^k/k! (a+)^2/(k+2)), an exact finite sum."""
     return series_operator(exp_coefficients(_g_coefficients(mu, z, cfg.dim),
                                             cfg.dim), cfg)
 
 
-def build_H(mu: complex, z: float, cfg: TruncationConfig) -> FockOperator:
+def build_H(mu: complex, z: float, cfg: TruncationConfig):
     """H = a+a + mu e^{-z a+} (a+)^2: triangular with diagonal 0..N-1."""
     return number_operator(cfg) + series_operator(
         _scaled_exp_coefficients(mu, z, 2, cfg.dim), cfg)
 
 
-def _build_A(mu: complex, z: float, cfg: TruncationConfig) -> FockOperator:
+def _build_A(mu: complex, z: float, cfg: TruncationConfig):
     """The deformed annihilator  A = a + mu a+ e^{-z a+}."""
     return annihilation(cfg) + series_operator(
         _scaled_exp_coefficients(mu, z, 1, cfg.dim), cfg)
 
 
 class PseudoHermitianSystem(NamedTuple):
-    """G, H, the deformed annihilator, G^-1 and the metric's square root."""
+    """H, G^-1 and the metric's square root for (mu, z, cfg); G and the
+    deformed annihilator are built each time they are read."""
 
-    G: FockOperator
-    H: FockOperator
-    A_op: FockOperator
-    Ginv: FockOperator
-    rho_hat: FockOperator
-    rho_inv: FockOperator
-    eta_eigs: np.ndarray         # sigma(G^-1)^2, ascending
+    mu: complex
+    z: float
+    H: "numpy.ndarray"
+    Ginv: "numpy.ndarray"
+    rho_hat: "numpy.ndarray"
+    rho_inv: "numpy.ndarray"
+    eta_eigs: "numpy.ndarray"       # sigma(G^-1)^2, ascending
     cfg: TruncationConfig
+
+    @property
+    def G(self):
+        """G, built by build_G."""
+        return build_G(self.mu, self.z, self.cfg)
+
+    @property
+    def A_op(self):
+        """The deformed annihilator, built by _build_A."""
+        return _build_A(self.mu, self.z, self.cfg)
 
     @property
     def eta_condition(self) -> float:
@@ -95,7 +110,7 @@ def build_system(mu: complex, z: float, cfg: TruncationConfig) -> PseudoHermitia
     unitary and rho H rho^-1 Hermitian (a square root of the guarded block
     alone breaks both by orders of magnitude), and the singular values are
     never negative."""
-    G = build_G(mu, z, cfg)
+    import numpy as np
     Ginv = series_operator(exp_coefficients(-_g_coefficients(mu, z, cfg.dim),
                                             cfg.dim), cfg)
     if not np.isfinite(Ginv).all():
@@ -104,8 +119,7 @@ def build_system(mu: complex, z: float, cfg: TruncationConfig) -> PseudoHermitia
     V = Vh.conj().T
     eta_eigs = s[::-1] ** 2              # _require_rho rejects inf and 0
     rho, rho_inv = (V * s) @ Vh, (V / s) @ Vh
-    return PseudoHermitianSystem(G=G, H=build_H(mu, z, cfg),
-                                 A_op=_build_A(mu, z, cfg), Ginv=Ginv,
+    return PseudoHermitianSystem(mu=mu, z=z, H=build_H(mu, z, cfg), Ginv=Ginv,
                                  rho_hat=rho, rho_inv=rho_inv,
                                  eta_eigs=eta_eigs, cfg=cfg)
 
@@ -118,7 +132,7 @@ def _require_rho(sys: PseudoHermitianSystem) -> None:
             f"{math.sqrt(sys.eta_eigs[0]):.3e}); reduce |mu|, |z| or dim")
 
 
-def metric(sys: PseudoHermitianSystem) -> FockOperator:
+def metric(sys: PseudoHermitianSystem):
     """eta = (G^-1)+ G^-1, Hermitian by construction."""
     eta = sys.Ginv.conj().T @ sys.Ginv
     return (eta + eta.conj().T) / 2
@@ -127,13 +141,15 @@ def metric(sys: PseudoHermitianSystem) -> FockOperator:
 def pseudo_hermiticity_residual(sys: PseudoHermitianSystem) -> float:
     """Guarded norm of H+ - eta H eta^-1, with eta^-1 = G G+ used exactly."""
     _require_rho(sys)
+    G = sys.G
     lhs = sys.H.conj().T
-    rhs = metric(sys) @ sys.H @ (sys.G @ sys.G.conj().T)
+    rhs = metric(sys) @ sys.H @ (G @ G.conj().T)
     return guarded_norm(lhs - rhs, sys.cfg)
 
 
 def commutator_blocks(sys: PseudoHermitianSystem):
     """Residual matrices [H,A]+A, [H,a+]-a+, [A,a+]-1."""
+    import numpy as np
     ad = creation(sys.cfg)
     H, A = sys.H, sys.A_op
     return (H @ A - A @ H + A, H @ ad - ad @ H - ad,
@@ -145,23 +161,25 @@ def commutator_checks(sys: PseudoHermitianSystem) -> float:
     return max_guarded_norm(commutator_blocks(sys), sys.cfg)
 
 
-def ground_state(sys: PseudoHermitianSystem) -> FockVector:
+def ground_state(sys: PseudoHermitianSystem):
     """Normalized G|0>: annihilated by both H and A."""
     return normalize(sys.G @ vacuum(sys.cfg))
 
 
-def coherent_eigenstate(nu: complex, sys: PseudoHermitianSystem) -> FockVector:
+def coherent_eigenstate(nu: complex, sys: PseudoHermitianSystem):
     """Normalized G e^{-nu a+}|0>: eigenstate of A with eigenvalue -nu."""
-    return normalize(sys.G @ vacuum_image([0.0, -nu], [0.0, 0.0], sys.cfg.dim))
+    import numpy as np
+    return normalize(sys.G @ np.array(
+        vacuum_image([0.0, -nu], [0.0, 0.0], sys.cfg.dim)))
 
 
-def rho_hat(sys: PseudoHermitianSystem) -> FockOperator:
+def rho_hat(sys: PseudoHermitianSystem):
     """The Hermitian positive square root of eta, from the SVD of G^-1."""
     _require_rho(sys)
     return sys.rho_hat
 
 
-def hermitian_hamiltonian(sys: PseudoHermitianSystem) -> FockOperator:
+def hermitian_hamiltonian(sys: PseudoHermitianSystem):
     """H~ = rho H rho^-1: Hermitian and isospectral to a+a."""
     _require_rho(sys)
     return sys.rho_hat @ sys.H @ sys.rho_inv
@@ -169,12 +187,13 @@ def hermitian_hamiltonian(sys: PseudoHermitianSystem) -> FockOperator:
 
 def unitarity_check(sys: PseudoHermitianSystem) -> float:
     """Guarded norm of (rho G)+(rho G) - 1."""
+    import numpy as np
     _require_rho(sys)
     U = sys.rho_hat @ sys.G
     return guarded_norm(U.conj().T @ U - np.eye(sys.cfg.dim), sys.cfg)
 
 
-def generalized_coherent_state(nu: complex, sys: PseudoHermitianSystem) -> FockVector:
+def generalized_coherent_state(nu: complex, sys: PseudoHermitianSystem):
     """rho G D(nu)|0>, eigenstate of rho A rho^-1 with eigenvalue nu."""
     _require_rho(sys)
     psi = sys.rho_hat @ sys.G @ squeezed_displaced_vacuum(0.0, 0.0, nu, sys.cfg)
@@ -182,7 +201,7 @@ def generalized_coherent_state(nu: complex, sys: PseudoHermitianSystem) -> FockV
 
 
 class SpectrumReport(NamedTuple):
-    eigenvalues: np.ndarray
+    eigenvalues: "numpy.ndarray"
     max_deviation_from_integers: float
 
 
@@ -196,6 +215,7 @@ def spectrum_report(sys: PseudoHermitianSystem, which: str = "pseudo") -> Spectr
     full-space identity and principal-submatrix eigenvalues of a dense
     Hermitian matrix do not track it.
     """
+    import numpy as np
     if which == "pseudo":
         ev = np.sort_complex(np.diagonal(sys.H))
     elif which == "hermitian":

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -29,9 +30,14 @@ from deformed_heisenberg.fock_core import (
 CFG = TruncationConfig(64)
 
 
+def _coefficients(prm, n_max):
+    """fock_coefficients' amplitudes as an array (the kernel returns a list)."""
+    return np.array(fock_coefficients(prm, n_max)[0])
+
+
 def _squeezed(lam, mu, n_max):
     """z = 0 amplitudes (C_0 = 1): the squeezed state of a + mu a+."""
-    return fock_coefficients(DeformationParams(z=0.0, lam=lam, mu=mu), n_max)[0]
+    return _coefficients(DeformationParams(z=0.0, lam=lam, mu=mu), n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +124,10 @@ def test_recurrence_matches_exact_integer_tables():
     # |mu/z^2 - lam/z| = 55.5, where the float double sum used to overflow
     (DeformationParams.from_polar(z=0.0136372, delta=0.0158662, phi=-2.07702,
                                   beta=1.11137, theta=-1.39953), 48),
-], ids=["dim128", "dim256", "Y55"])
+    # verify's route box: amplitudes that peak at n = 177, rows cut early
+    (DeformationParams.from_polar(z=0.001, delta=0.3, phi=0.7, beta=12.0,
+                                  theta=-0.4), 200),
+], ids=["dim128", "dim256", "Y55", "route_box"])
 def test_recurrence_matches_mpmath(prm, dim):
     c = fock_coefficients(prm, dim - 1)[0]
     ref = _mp_recurrence(prm, dim - 1)
@@ -129,7 +138,7 @@ def test_recurrence_eigen_residual_at_dim_256():
     cfg = TruncationConfig(256)
     prm = DeformationParams(z=0.02, lam=cmath.exp(0.4j), mu=0.5 * cmath.exp(-1j))
     c0, _ = normalization_c0(prm, n_max=cfg.dim - 1)
-    psi = c0 * fock_coefficients(prm, cfg.dim - 1)[0]
+    psi = c0 * _coefficients(prm, cfg.dim - 1)
     r = (aes_operator(prm, cfg) @ psi - prm.lam * psi)[:cfg.kept]
     assert np.linalg.norm(r) < 1e-12
 
@@ -159,7 +168,7 @@ def test_first_two_amplitudes_closed_forms():
 
 
 def test_fock_coefficients_match_zero_z_symbol_for_tiny_z():
-    c, _ = fock_coefficients(DeformationParams(z=1e-6, lam=0.7, mu=0.3), 10)
+    c = _coefficients(DeformationParams(z=1e-6, lam=0.7, mu=0.3), 10)
     assert max(abs(c - _squeezed(0.7, 0.3, 10))) < 1e-4
 
 
@@ -212,11 +221,10 @@ def test_recurrence_matches_paper_double_sum(prm, n_max):
 
 def _amplitudes_reference(params, n_max):
     """The row recurrence with each row's weights built from a fancy-indexed
-    k and an array power, as first written; _amplitudes reads the same
-    numbers from views of its tables."""
+    k and an array power, every term of every row summed in numpy."""
     lam, mu, z = params.lam, params.mu, params.z
     j = np.arange(n_max + 1)
-    root, log_fact = np.sqrt(j), aes.log_factorials(n_max + 1)
+    root, log_fact = np.sqrt(j), np.array(aes.log_factorials(n_max + 1))
     c = np.r_[1.0 + 0j, np.zeros(n_max, dtype=complex)]
     log_z = math.log(abs(z)) if z else -math.inf
     log_zk = j * log_z - log_fact
@@ -239,12 +247,14 @@ def _random_boxes(count, seed):
 
 
 @pytest.mark.parametrize("prm,n_max", list(_random_boxes(36, seed=2705)))
-def test_amplitudes_are_the_reference_loop_bit_for_bit(prm, n_max):
-    # past the float range both turn inf or nan alike; compare the bits
-    with np.errstate(all="ignore"):
-        got, want = aes._amplitudes(prm, n_max), _amplitudes_reference(prm,
-                                                                       n_max)
-    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+def test_amplitudes_match_the_uncut_reference_loop(prm, n_max):
+    # _amplitudes stops each row where the rest cannot reach its last bit and
+    # sums in plain Python; the reference sums every term with numpy.  The
+    # gap reads <= 3.9e-16 of the largest amplitude over the 36 boxes
+    got = np.array(aes._amplitudes(prm, n_max))
+    with np.errstate(invalid="ignore"):       # 0 * -inf at z = 0, unread
+        want = _amplitudes_reference(prm, n_max)
+    assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
 
 
 def test_route_check_catches_planted_error(monkeypatch):
@@ -264,11 +274,17 @@ def test_route_check_catches_planted_error(monkeypatch):
         fock_coefficients(prm, 10)
 
 
-def test_fock_coefficients_error_paths():
-    # numpy reports the overflow that the finiteness check turns into the error
-    with pytest.warns(RuntimeWarning), \
-            pytest.raises(NotConverged, match="leave the float range"):
-        fock_coefficients(DeformationParams(z=0.5, lam=1e200, mu=0.3), 8)
+@pytest.mark.parametrize("prm", [
+    DeformationParams(z=0.5, lam=1e200, mu=0.3),        # a product is inf
+    DeformationParams(z=1e308, lam=1.0, mu=0.3),        # math.exp raises
+], ids=["product", "exp"])
+def test_fock_coefficients_error_paths(prm):
+    # Python floats overflow to inf without a warning, and a weight whose
+    # math.exp overflows makes the rest nan: the finiteness check reports both
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotConverged, match="leave the float range"):
+            fock_coefficients(prm, 8)
 
 
 def test_phase_window_warning():
@@ -324,7 +340,7 @@ def test_normalization_c0_limits_and_sum():
     assert c0 == pytest.approx((1 - 0.5 ** 2) ** 0.25, abs=1e-9)
     prm = DeformationParams(z=0.003, lam=2 * cmath.exp(0.8j * math.pi), mu=0.5)
     c0, diag = normalization_c0(prm)
-    c = fock_coefficients(prm, diag.terms_used - 1)[0]
+    c = _coefficients(prm, diag.terms_used - 1)
     assert abs(np.sum(np.abs(c0 * c) ** 2) - 1.0) < 1e-11
 
 
@@ -342,7 +358,7 @@ def test_deformed_squeezed_state_matches_series_route():
     prm = DeformationParams(z=0.01, lam=1.0, mu=0.3)
     v_op = deformed_squeezed_state(prm, CFG)
     c0, _ = normalization_c0(prm)
-    c = fock_coefficients(prm, CFG.dim - 1)[0]
+    c = _coefficients(prm, CFG.dim - 1)
     assert max(abs(v_op - c0 * c)) < 1e-9
 
 

@@ -1130,7 +1130,8 @@ def on_call(frame, event, arg):
 
 
 def spy():
-    os.write(2, b"gc.freeze: %d passes\\n" % len(passes))
+    loaded = b" (numpy loaded)" if "numpy" in sys.modules else b""
+    os.write(2, b"gc.freeze: %d passes%s\\n" % (len(passes), loaded))
     freeze()
     sys.setprofile(on_call)
 
@@ -1189,6 +1190,59 @@ def test_module_main_block_runs_the_entry(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == ("gc.freeze: 0 passes\nmain: collector on=1\n"
                            "error: dim must be >= 8\n")
+
+
+@pytest.mark.parametrize("argv, rc, loaded", [
+    (["state", "--dim", "8"], 0, ""),
+    (["sweep-dispersion", "--steps", "3"], 0, " (numpy loaded)"),
+    (["verify", "--dim", "16", "--suite", "dispersion"], 1, " (numpy loaded)"),
+    (["spectrum", "--dim", "16", "--delta", "0.02"], 0, " (numpy loaded)"),
+], ids=["state", "sweep", "verify", "spectrum"])
+def test_module_entry_imports_numpy_before_the_freeze(argv, rc, loaded,
+                                                      tmp_path):
+    # the array subcommands import numpy with the collector still paused, so
+    # its import runs no collector pass and its objects are frozen with the
+    # rest; state loads no numpy at all.  A copy with its bytecode cache
+    # written, as in the test above
+    shutil.copytree(os.path.dirname(cli.__file__),
+                    tmp_path / "deformed_heisenberg",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**_child_env(), "PYTHONPATH": str(tmp_path)}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    for _ in range(2):
+        proc = _spy_entry("module", argv, env)
+    assert proc.returncode == rc
+    assert proc.stderr == (f"gc.freeze: 0 passes{loaded}\n"
+                           "main: collector on=1\n")
+
+
+# runs the entry as `python -m` does, in an interpreter where any import of
+# numpy raises ImportError
+_NO_NUMPY = """
+import runpy, sys
+sys.modules["numpy"] = None
+runpy.run_module("deformed_heisenberg.cli", run_name="__main__",
+                 alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "--dim", "48", "--z", "0.01", "--delta", "0.2", "--phi", "0.7",
+     "--beta", "1.3", "--theta", "-0.4"],
+    ["state", "--dim", "48", "--z", "-0.02", "--delta", "0.3", "--beta",
+     "0.8", "--format", "json"],
+    ["state", "--dim", "8", "--z", "1e308"],
+], ids=["csv", "json", "overflow"])
+def test_state_runs_without_numpy(argv, capsys):
+    # state's kernels are plain Python: the request, its table and its
+    # overflow exit are the bytes of an in-process main() run
+    rc = cli.main(argv)
+    want = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=_child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, want.out,
+                                                           want.err)
 
 
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),

@@ -9,6 +9,7 @@ import os
 import tempfile
 import warnings
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -79,6 +80,14 @@ def argvs(draw):
          to_file=False)
 @example(argv=["spectrum", "--dim=48", "--delta=1e+200", "--z=1e+308"],
          to_file=False)
+# state's plain-Python kernels past the float range: math.exp, float ** and
+# abs of a complex raise OverflowError where numpy returned inf
+@example(argv=["state", "--dim=8", "--z=1e308"], to_file=True)
+@example(argv=["state", "--dim=8", "--beta=1e308"], to_file=True)
+@example(argv=["state", "--dim=8", "--beta=1e200", "--z=0.01"], to_file=False)
+@example(argv=["state", "--dim=1024", "--z=0.3", "--delta=0.999",
+               "--beta=20", "--theta=3"], to_file=False)
+@example(argv=["state", "--dim=8", "--z=-1e-320", "--beta=5"], to_file=True)
 def test_accepted_argv_ends_in_documented_exit_code(argv, to_file):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
@@ -144,3 +153,26 @@ def test_state_table_is_checked_or_refused(argv):
         assert diagnostics["route_deviation"] <= aes_series.ROUTE_DEVIATION_BOUND
     else:
         assert rc == 3
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["state", "--dim=8", "--z=1e308"], 3),
+    (["state", "--dim=8", "--beta=1e308"], 3),
+    (["state", "--dim=8", "--beta=1e200", "--z=0.01"], 3),
+    (["state", "--dim=1024", "--z=0.3", "--delta=0.999", "--beta=20",
+      "--theta=3"], 3),
+    (["state", "--dim=8", "--z=-1e-320", "--beta=5"], 0),
+], ids=["z", "beta", "beta_z", "dim1024", "subnormal_z"])
+def test_state_past_the_float_range_keeps_its_exit_code(argv, rc):
+    # an overflow in the plain-Python kernels is the norm series' nan, as
+    # numpy's inf was: the same exit and message, no OverflowError
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        assert cli.main(argv) == rc
+    if rc:
+        assert stderr.getvalue().startswith(
+            "error: norm series not converged by n_max=")
+        assert stderr.getvalue().endswith(" (tail nan)\n")
+    else:
+        assert stderr.getvalue() == ""
