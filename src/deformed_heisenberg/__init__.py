@@ -13,6 +13,8 @@ carry ring arithmetic, are __slots__ classes.
 
 The package exports no names: each is imported from the module that defines
 it (fock_core, deformed_algebra, aes_series, errors, ...).  Importing the
-package loads nothing, not even numpy, so ``python -m deformed_heisenberg.cli``
-reaches the cli module before numpy loads (see its docstring).
+package loads nothing, and no module imports numpy at load time: each
+function that uses numpy imports it.  So ``dheis state``, whose kernels are
+plain Python, never loads numpy, and the other subcommands load it in
+cli.run (see the cli docstring).
 """

@@ -285,10 +285,10 @@ def cmd_state(args) -> int:
         c0, norm_diag = aes_series.normalization_c0(params, n_max=max(96, n_max),
                                                     amps=amps)
         c, diag = aes_series.fock_coefficients(params, n_max, amps=amps)
-        re, im = [c0 * v.real for v in c], [c0 * v.imag for v in c]
-        w.finish(args, header, [list(range(len(c))), re, im,
+        re_c, im_c = [c0 * v.real for v in c], [c0 * v.imag for v in c]
+        w.finish(args, header, [list(range(len(c))), re_c, im_c,
                                 [abs(complex(x, y)) ** 2
-                                 for x, y in zip(re, im)]],
+                                 for x, y in zip(re_c, im_c)]],
                  diagnostics={"c0": c0, "route_deviation": diag.tail_estimate,
                               "tail_estimate": norm_diag.tail_estimate})
     return EXIT_OK

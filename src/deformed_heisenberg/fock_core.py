@@ -2,8 +2,8 @@
 
 States are plain 1-d complex numpy arrays of amplitudes over |0>..|N-1>;
 operators are dense N x N numpy matrices, complex except where the kernels
-below get real data.  Identity checks always exclude
-the top ``guard`` levels because truncation breaks the ladder relations there.
+below get real data.  Identity checks always exclude the top ``guard``
+levels because truncation breaks the ladder relations there.
 
 ``series_operator`` builds f(a+) from a coefficient list in O(N^2), in one
 vectorised pass with no Python loop over the orders (a cumprod of the scaled
