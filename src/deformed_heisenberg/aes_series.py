@@ -180,8 +180,9 @@ def _amplitudes(params: DeformationParams, n_max: int) -> list:
 
 # Largest gap allowed between the two routes, in units of the largest
 # amplitude.  The benchmark's state requests read below 1e-15; past the turn
-# of a z != 0 series the recurrence can lose more (6.6e-9 against a 60-digit
-# reference at z -0.047, delta 0.69, beta 2.5, N 512, the vacuum image 1.6e-10).
+# of a z != 0 series the recurrence can lose more (6.75e-9 against the tests'
+# 60-digit _mp_recurrence at z -0.047, delta 0.69, beta 2.5, N 512, the
+# vacuum image 2.4e-10).
 ROUTE_DEVIATION_BOUND = 1e-9
 
 # normalization_c0's stop: a norm-series term below this share of the total

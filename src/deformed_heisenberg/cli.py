@@ -63,9 +63,10 @@ a frozen heap would never collect the garbage of whatever was frozen.
 A request pays for every module it loads, so only what every request uses is
 imported at load time: numpy is imported by each function that uses it,
 json where a JSON document is written, fractions (and decimal, which it
-imports) only where exact arithmetic runs (aes_series' exact-integer
-tables, paragrassmann's complex rationals) and scipy only where a dense
-exponential runs.  state loads none of them: its kernels are plain Python.
+imports) only by aes_series' exact-integer reference tables, which no
+request builds (paragrassmann's complex rationals, behind verify's exact
+ODE row, are plain ints), and scipy only where a dense exponential runs.
+state loads none of them: its kernels are plain Python.
 Importing this module still loads every package module, none of which
 imports numpy at load time.  run() imports numpy for the other subcommands
 (ARRAY_COMMANDS, picked from argv[0]) while the collector is still paused,
@@ -370,8 +371,15 @@ def _verify_checks(args):
     """
     import numpy as np
     cfg = TruncationConfig(dim=args.dim)
+    # the guarded k x k block of every product, commutator and Taylor power
+    # in the xp, tilde and uzp residuals reads only the leading (k+1)-blocks
+    # of its factors: each is lower triangular in a+ up to one superdiagonal,
+    # or the transpose of such a matrix.  So those rows build their operators
+    # at dim k + 1 with a guard of 1 (the block the guarded norm reads is
+    # the same k x k one), and no work fills rows the norm discards
+    block = TruncationConfig(cfg.kept + 1, guard=1)
     checks = [
-        ("fock", "canonical_xp_commutator", lambda: _check_xp(cfg), 1e-10),
+        ("fock", "canonical_xp_commutator", lambda: _check_xp(block), 1e-10),
         ("fock", "coherent_normalization",
          lambda: abs(np.linalg.norm(coherent_state(1.0, cfg)) - math.e ** 0.5),
          1e-8),
@@ -383,11 +391,11 @@ def _verify_checks(args):
         for kind in (RealizationKind.TildeZ0_Cas1,
                      RealizationKind.TildeZ0_Cas2):
             checks.append(("algebra", f"tilde_residual_{kind.name}_z{z}",
-                           lambda kind=kind, z=z: _check_tilde(kind, z, cfg),
+                           lambda kind=kind, z=z: _check_tilde(kind, z, block),
                            1e-11))
     for p in (0.1, 0.4):
         checks.append(("algebra", f"uzp_residual_p{p}",
-                       lambda p=p: _check_uzp(p, cfg), 1e-11))
+                       lambda p=p: _check_uzp(p, block), 1e-11))
     checks += [
         ("series", "coefficient_route_agreement", _check_routes, 1e-11),
         ("series", "squeezed_eigenstate_residual",
@@ -404,11 +412,13 @@ def _verify_checks(args):
         # to three digits of headroom, not the six a broken metric would use
         ref = TruncationConfig(48, 12)
         sysm = pseudo_hermitian.build_system(0.2, 0.02, ref)
+        G = sysm.G                      # one build for both rows that read it
         checks += [
             ("pseudo", "pseudo_hermiticity",
-             lambda: pseudo_hermitian.pseudo_hermiticity_residual(sysm), 1e-8),
+             lambda: pseudo_hermitian.pseudo_hermiticity_residual(sysm, G),
+             1e-8),
             ("pseudo", "rho_g_unitarity",
-             lambda: pseudo_hermitian.unitarity_check(sysm), 1e-10),
+             lambda: pseudo_hermitian.unitarity_check(sysm, G), 1e-10),
             ("pseudo", "commutators",
              lambda: pseudo_hermitian.commutator_checks(sysm), 1e-11),
         ]

@@ -197,28 +197,32 @@ def triangular_matrix_function(series_coeffs, K):
     """f(alpha*I + K) for strictly triangular (nilpotent) N x N K: the Taylor
     sum sum_m coeffs[m] K^m, coeffs[m] = f^(m)(alpha)/m!, over its first
     n <= N terms (exact, as K^N = 0), cut where the rest cannot reach the
-    last bit.  Paterson-Stockmeyer with s = ceil(sqrt(n)): K^2..K^s once,
-    then Horner's rule in K^s over blocks of s coefficients.
+    last bit.  Paterson-Stockmeyer over the M terms kept, with
+    s = ceil(sqrt(M)): K^2..K^s once, then Horner's rule in K^s over blocks
+    of s coefficients.
 
     The cut: a row keeps its first M terms, the fewest whose neglected tail
     sum_{m>=M} |c_m| ||K||_F^m is below the unit roundoff times that sum's
     total (N. J. Higham, Functions of Matrices, SIAM 2008, sec. 4.4).  The
-    Horner loop then runs over ceil(M/s) blocks, not ceil(n/s): the dense
+    block is sized from M, not n, since only M terms are summed: the dense
     matmuls are K^2..K^(s-1), K^s when there is more than one block, and
     ceil(M/s) - 1 Horner products, at most 2s - 2 in all.  For the uzp
-    residual operands (||K||_F <= 1.5) M is 12-21 of n = 160-256, one
-    Horner product; for K = a+ the norm is large and every term stays.  The
-    terms cut are not only below the printed digits but slow: the late
-    Horner blocks of an uncut sum multiply matrices whose entries are
-    subnormal, and each product of those runs several times slower than a
-    normal one, as the CPU takes an assist per subnormal operand.
+    operands of ``dheis verify`` (||K||_F <= 1.1) M is 9-19 of n = 49-193,
+    so s is 4 or 5 and a cosh-sinh pair takes 7-10 products, where
+    s = ceil(sqrt(n)) took 8-15; for K = a+ the norm is large, every term
+    stays and s = ceil(sqrt(n)).  The terms cut are not only below the
+    printed digits but slow: the late Horner blocks of an uncut sum multiply
+    matrices whose entries are subnormal, and each product of those runs
+    several times slower than a normal one, as the CPU takes an assist per
+    subnormal operand.
 
     Coefficients with leading axes give one function per row, stacked in the
     same leading axes of the result; the functions share K^2..K^s, so each
-    one adds only its Horner products.  The stack runs to its largest M, and
-    a row cut below it gets zero coefficients there; every block is s wide,
-    zero-padded past M, so a stacked row is bit-identical to a call with
-    that row alone.  The result is real when the coefficients and K are.
+    one adds only its Horner products.  The stack runs to its largest M and
+    is blocked by it, and a row cut below it gets zero coefficients there;
+    every block is s wide, zero-padded past M, so a stacked row is
+    bit-identical to a call with that row alone whenever the row's own M
+    gives the same s.  The result is real when the coefficients and K are.
     """
     import numpy as np
     if np.any(np.abs(np.diag(K)) != 0):
@@ -227,9 +231,10 @@ def triangular_matrix_function(series_coeffs, K):
     c = np.asarray(series_coeffs)[..., :N]
     c = c.astype(np.result_type(c, K, float))
     n = c.shape[-1]
-    s = isqrt(n - 1) + 1
     kept = _taylor_terms_kept(c, float(np.linalg.norm(K)))
-    width = -(-int(kept.max()) // s) * s          # whole blocks of s
+    M = int(kept.max())
+    s = isqrt(M - 1) + 1
+    width = -(-M // s) * s                        # whole blocks of s
     cut = np.zeros(c.shape[:-1] + (width,), dtype=c.dtype)
     w = min(width, n)
     cut[..., :w] = np.where(np.arange(w) < kept[..., None], c[..., :w], 0)

@@ -6,15 +6,18 @@ Solves, with z a paragrassmann generator (z^k0 = 0),
 
 by the grade-by-grade integral recursion: phi = sum_k z^k (C_k + A_k(xi)) e^g,
 g = (lam - nu) xi - mu xi^2/2, with the integration convention A_k(0) = 0.
-The arithmetic is exact (complex rationals), so residuals are literal zeros.
-fractions is imported by the first coercion into them (as_scalar), not when
-this module loads, and an int operand is not coerced: a Fraction times, plus
-or over an int is already exact.
+The arithmetic is exact (complex rationals, QC), so residuals are literal
+zeros.  A QC is a Gaussian-integer numerator over a positive int
+denominator, in lowest terms, and its arithmetic is plain int arithmetic:
+solving and checking load neither fractions nor decimal (which fractions
+imports); only reading a QC's .re or .im, as Fractions, imports fractions.
+An int operand is not coerced into a QC: (a + b i)/d plus k is
+(a + k d + b i)/d, already in lowest terms.
 """
 
 import cmath
 import math
-from math import factorial
+from math import factorial, gcd
 from typing import NamedTuple
 
 from . import _gaussian
@@ -28,73 +31,122 @@ from .fock_core import (TruncationConfig, series_operator,
 # ---------------------------------------------------------------------------
 
 class QC:
-    """Complex number with exact rational (Fraction) real and imaginary parts."""
+    """Exact complex rational (a + b i)/d: a Gaussian-integer numerator
+    a + b i over a positive int denominator d, in lowest terms
+    (gcd(a, b, d) = 1), so that equal values have equal triples.
+    QC(re, im) takes the rational parts (ints, floats by their exact binary
+    value, Fractions); .re and .im read them back as Fractions."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re, im=None):
-        self.re = re
-        self.im = re * 0 if im is None else im     # a zero Fraction by default
+    def __init__(self, re, im=0):
+        (a, p), (b, q) = _ratio(re), _ratio(im)
+        self._set(a * q, b * p, p * q)
+
+    def _set(self, a, b, d):
+        g = gcd(a, b, d)
+        self._a, self._b, self._d = a // g, b // g, d // g
+
+    @property
+    def re(self):
+        from fractions import Fraction
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        from fractions import Fraction
+        return Fraction(self._b, self._d)
 
     def __add__(self, other):
-        if type(other) is int:
-            return QC(self.re + other, self.im)
+        a, b, d = self._a, self._b, self._d
+        if type(other) is int:          # gcd(a + k d, b, d) = gcd(a, b, d)
+            return _qc(a + other * d, b, d)
         o = as_scalar(other)
-        return QC(self.re + o.re, self.im + o.im)
+        if o._d == d:
+            return _lowest(a + o._a, b + o._b, d)
+        return _lowest(a * o._d + o._a * d, b * o._d + o._b * d, d * o._d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return _qc(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         return self + (-as_scalar(other))
 
     def __mul__(self, other):
+        a, b, d = self._a, self._b, self._d
         if type(other) is int:
-            return QC(self.re * other, self.im * other)
+            return _lowest(a * other, b * other, d)
         o = as_scalar(other)
-        return QC(self.re * o.re - self.im * o.im,
-                  self.re * o.im + self.im * o.re)
+        return _lowest(a * o._a - b * o._b, a * o._b + b * o._a, d * o._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        a, b, d = self._a, self._b, self._d
         if type(other) is int:
-            return QC(self.re / other, self.im / other)
+            if other == 0:
+                raise ZeroDivisionError("division by zero complex rational")
+            if other < 0:
+                a, b, other = -a, -b, -other
+            return _lowest(a, b, d * other)
         o = as_scalar(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        # (a + b i)/d over (c + e i)/f is (a + b i)(c - e i) f / (d (c^2 + e^2))
+        c, e, f = o._a, o._b, o._d
+        n = c * c + e * e
+        if n == 0:
             raise ZeroDivisionError("division by zero complex rational")
-        return QC((self.re * o.re + self.im * o.im) / d,
-                  (self.im * o.re - self.re * o.im) / d)
+        return _lowest((a * c + b * e) * f, (b * c - a * e) * f, d * n)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
         try:
             o = as_scalar(other)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return (self._a, self._b, self._d) == (o._a, o._b, o._d)
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self._a / self._d, self._b / self._d)
+
+
+def _qc(a, b, d) -> QC:
+    """The QC (a + b i)/d for a triple already in lowest terms, d > 0."""
+    q = object.__new__(QC)
+    q._a, q._b, q._d = a, b, d
+    return q
+
+
+def _lowest(a, b, d) -> QC:
+    """The QC (a + b i)/d, d > 0, reduced to lowest terms."""
+    q = object.__new__(QC)
+    q._set(a, b, d)
+    return q
+
+
+def _ratio(x):
+    """(numerator, positive denominator) of a rational: an int, a float (its
+    exact binary value; nan and inf raise) or a Fraction."""
+    if type(x) is int:
+        return x, 1
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:
+        raise TypeError(f"cannot coerce {x!r} to a complex rational") from None
 
 
 def as_scalar(x) -> QC:
     """Coerce x into the complex rationals."""
     if isinstance(x, QC):
         return x
-    from fractions import Fraction
-    if isinstance(x, (int, float, Fraction)):
-        return QC(Fraction(x))              # a float: its exact binary value
     if isinstance(x, complex):
-        return QC(Fraction(x.real), Fraction(x.imag))
+        return QC(x.real, x.imag)
     if isinstance(x, tuple) and len(x) == 2:
-        return QC(Fraction(x[0]), Fraction(x[1]))
-    raise TypeError(f"cannot coerce {x!r} to a complex rational")
+        return QC(*x)
+    return QC(x)
 
 
 # ---------------------------------------------------------------------------

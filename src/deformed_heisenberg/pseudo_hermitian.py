@@ -20,11 +20,15 @@ checks nothing.  A column that could fail, such as the per-level condition
 number kappa_n = ||G e_n|| ||e_n^T G^-1|| from the known eigenvectors (the
 columns of G and the rows of G^-1), is still open.
 
-build_system builds what every caller reads: H, G^-1 and rho.  G and the
-deformed annihilator A are built when read (PseudoHermitianSystem.G and
-.A_op), by the pseudo rows of ``dheis verify`` and the states, not by
-``dheis spectrum``, which reads neither.  numpy is imported by each
-function that uses it, so that importing this module loads no numpy.
+build_system builds what every caller reads: H, G^-1 and the SVD factors
+V+ and Sigma of G^-1 = W Sigma V+.  G, the deformed annihilator A, rho and
+rho^-1 are built when read (PseudoHermitianSystem.G, .A_op, .rho_hat and
+.rho_inv), by the pseudo rows of ``dheis verify`` and the states, not by
+``dheis spectrum``, which reads none of them: its H~ spectrum is that of
+X = Sigma (V+ H V) Sigma^-1, which V carries to rho H rho^-1 = V X V+, so it
+takes two dense products where forming rho, rho^-1 and H~ took four, and
+rounds less.  numpy is imported by each function that uses it, so that
+importing this module loads no numpy.
 """
 
 import math
@@ -74,15 +78,16 @@ def _build_A(mu: complex, z: float, cfg: TruncationConfig):
 
 
 class PseudoHermitianSystem(NamedTuple):
-    """H, G^-1 and the metric's square root for (mu, z, cfg); G and the
-    deformed annihilator are built each time they are read."""
+    """H, G^-1 and the SVD factors of G^-1 = W Sigma V+ that the metric
+    needs, for (mu, z, cfg); G, the deformed annihilator, rho and rho^-1 are
+    built each time they are read."""
 
     mu: complex
     z: float
     H: "numpy.ndarray"
     Ginv: "numpy.ndarray"
-    rho_hat: "numpy.ndarray"
-    rho_inv: "numpy.ndarray"
+    Vh: "numpy.ndarray"             # V+
+    sigma: "numpy.ndarray"          # sigma(G^-1), descending
     eta_eigs: "numpy.ndarray"       # sigma(G^-1)^2, ascending
     cfg: TruncationConfig
 
@@ -97,6 +102,18 @@ class PseudoHermitianSystem(NamedTuple):
         return _build_A(self.mu, self.z, self.cfg)
 
     @property
+    def rho_hat(self):
+        """rho = V Sigma V+, the Hermitian positive square root of eta."""
+        V = self.Vh.conj().T
+        return (V * self.sigma) @ self.Vh
+
+    @property
+    def rho_inv(self):
+        """rho^-1 = V Sigma^-1 V+."""
+        V = self.Vh.conj().T
+        return (V / self.sigma) @ self.Vh
+
+    @property
     def eta_condition(self) -> float:
         """cond(eta) = cond(G^-1)^2; inf when G^-1 is numerically singular."""
         lo = float(self.eta_eigs[0])
@@ -104,24 +121,22 @@ class PseudoHermitianSystem(NamedTuple):
 
 
 def build_system(mu: complex, z: float, cfg: TruncationConfig) -> PseudoHermitianSystem:
-    """Assemble the full system.  With G^-1 = W Sigma V+, the metric is
+    """Assemble the system.  With G^-1 = W Sigma V+, the metric is
     eta = V Sigma^2 V+, so rho = V Sigma V+ and rho^-1 = V Sigma^-1 V+ on the
     full space: rho^2 = eta to the SVD's backward error, which keeps rho G
     unitary and rho H rho^-1 Hermitian (a square root of the guarded block
     alone breaks both by orders of magnitude), and the singular values are
-    never negative."""
+    never negative.  Only V+ and Sigma are kept: the H~ spectrum needs
+    neither rho nor rho^-1 (_similar_hamiltonian)."""
     import numpy as np
     Ginv = series_operator(exp_coefficients(-_g_coefficients(mu, z, cfg.dim),
                                             cfg.dim), cfg)
     if not np.isfinite(Ginv).all():
         raise IllConditioned("G^-1 leaves the float range; reduce |mu| or |z|")
     _, s, Vh = np.linalg.svd(Ginv)
-    V = Vh.conj().T
     eta_eigs = s[::-1] ** 2              # _require_rho rejects inf and 0
-    rho, rho_inv = (V * s) @ Vh, (V / s) @ Vh
     return PseudoHermitianSystem(mu=mu, z=z, H=build_H(mu, z, cfg), Ginv=Ginv,
-                                 rho_hat=rho, rho_inv=rho_inv,
-                                 eta_eigs=eta_eigs, cfg=cfg)
+                                 Vh=Vh, sigma=s, eta_eigs=eta_eigs, cfg=cfg)
 
 
 def _require_rho(sys: PseudoHermitianSystem) -> None:
@@ -138,10 +153,11 @@ def metric(sys: PseudoHermitianSystem):
     return (eta + eta.conj().T) / 2
 
 
-def pseudo_hermiticity_residual(sys: PseudoHermitianSystem) -> float:
-    """Guarded norm of H+ - eta H eta^-1, with eta^-1 = G G+ used exactly."""
+def pseudo_hermiticity_residual(sys: PseudoHermitianSystem, G=None) -> float:
+    """Guarded norm of H+ - eta H eta^-1, with eta^-1 = G G+ used exactly;
+    G is sys.G, built here unless the caller passes the one it holds."""
     _require_rho(sys)
-    G = sys.G
+    G = sys.G if G is None else G
     lhs = sys.H.conj().T
     rhs = metric(sys) @ sys.H @ (G @ G.conj().T)
     return guarded_norm(lhs - rhs, sys.cfg)
@@ -179,17 +195,27 @@ def rho_hat(sys: PseudoHermitianSystem):
     return sys.rho_hat
 
 
-def hermitian_hamiltonian(sys: PseudoHermitianSystem):
-    """H~ = rho H rho^-1: Hermitian and isospectral to a+a."""
+def _similar_hamiltonian(sys: PseudoHermitianSystem):
+    """X = Sigma (V+ H V) Sigma^-1, so that rho H rho^-1 = V X V+: the
+    unitary V carries X to H~, and X costs two dense products where H~
+    itself takes four."""
     _require_rho(sys)
-    return sys.rho_hat @ sys.H @ sys.rho_inv
+    Vh, s = sys.Vh, sys.sigma
+    return (Vh @ sys.H @ Vh.conj().T) * (s[:, None] / s)
 
 
-def unitarity_check(sys: PseudoHermitianSystem) -> float:
-    """Guarded norm of (rho G)+(rho G) - 1."""
+def hermitian_hamiltonian(sys: PseudoHermitianSystem):
+    """H~ = rho H rho^-1 = V X V+: Hermitian and isospectral to a+a."""
+    X = _similar_hamiltonian(sys)
+    return sys.Vh.conj().T @ X @ sys.Vh
+
+
+def unitarity_check(sys: PseudoHermitianSystem, G=None) -> float:
+    """Guarded norm of (rho G)+(rho G) - 1; G as in
+    pseudo_hermiticity_residual."""
     import numpy as np
     _require_rho(sys)
-    U = sys.rho_hat @ sys.G
+    U = sys.rho_hat @ (sys.G if G is None else G)
     return guarded_norm(U.conj().T @ U - np.eye(sys.cfg.dim), sys.cfg)
 
 
@@ -211,16 +237,18 @@ def spectrum_report(sys: PseudoHermitianSystem, which: str = "pseudo") -> Spectr
     H is lower triangular, so its eigenvalues are its diagonal, read in
     O(N): np.linalg.eigvals balances first, balancing isolates every
     eigenvalue of a triangular matrix, and it returns exactly diag(H).  The
-    H~ spectrum is taken on the full matrix: the similarity to a+a is a
-    full-space identity and principal-submatrix eigenvalues of a dense
-    Hermitian matrix do not track it.
+    H~ spectrum is eigvalsh of the Hermitian part of X =
+    Sigma (V+ H V) Sigma^-1 (_similar_hamiltonian), unitarily similar to
+    H~, on the full matrix: the similarity to a+a is a full-space identity
+    and principal-submatrix eigenvalues of a dense Hermitian matrix do not
+    track it.
     """
     import numpy as np
     if which == "pseudo":
         ev = np.sort_complex(np.diagonal(sys.H))
     elif which == "hermitian":
-        Ht = hermitian_hamiltonian(sys)
-        ev = np.sort(np.linalg.eigvalsh((Ht + Ht.conj().T) / 2)).astype(complex)
+        X = _similar_hamiltonian(sys)
+        ev = np.sort(np.linalg.eigvalsh((X + X.conj().T) / 2)).astype(complex)
     else:
         raise ValueError("which must be 'pseudo' or 'hermitian'")
     dev = float(np.abs(ev - np.arange(sys.cfg.dim)).max())

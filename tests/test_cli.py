@@ -596,6 +596,26 @@ def test_verify_algebra_bounds_are_tight(capsys):
         assert float(c["residual"]) < 1e-13, c["name"]
 
 
+@pytest.mark.parametrize("dim", [8, 64, 160, 256])
+def test_verify_residuals_at_kept_plus_one_match_the_full_dim(dim):
+    # the guarded k x k block of each product, commutator and Taylor power
+    # reads only the leading (k+1)-blocks of its factors, so verify builds
+    # the xp, tilde and uzp operators at dim k + 1 with a guard of 1.  The
+    # tilde and xp residuals keep every bit; the uzp cosh and sinh sums cut
+    # at roundoff relative to ||K||_F, which the smaller K changes
+    cfg = fock_core.TruncationConfig(dim)
+    block = fock_core.TruncationConfig(cfg.kept + 1, guard=1)
+    assert block.kept == cfg.kept
+    assert cli._check_xp(block) == cli._check_xp(cfg)
+    for kind in (cli.RealizationKind.TildeZ0_Cas1,
+                 cli.RealizationKind.TildeZ0_Cas2):
+        for z in (0.0, 0.02, -0.02):
+            assert (cli._check_tilde(kind, z, block)
+                    == cli._check_tilde(kind, z, cfg)), (kind, z)
+    for p in (0.1, 0.4):
+        assert abs(cli._check_uzp(p, block) - cli._check_uzp(p, cfg)) <= 1e-15
+
+
 def test_state_runs_the_recurrence_once(monkeypatch, capsys):
     # one vector of amplitudes serves the table (to dim - 1) and the norm
     # sum (to max(96, dim - 1)), for dims on both sides of 97
@@ -635,8 +655,11 @@ def test_cli_never_loads_scipy():
     # double every request's start-up.
     # mpmath is a test dependency only: the 60-digit references live in the
     # tests.  dataclasses would mean a record class generated at import, about
-    # 0.8 ms each per request.  The test process has all three loaded
-    # already, so this runs in a fresh interpreter.
+    # 0.8 ms each per request.  fractions (and decimal, which it imports)
+    # only aes_series' exact-integer reference tables load: verify's exact
+    # ODE row runs paragrassmann's complex rationals in plain ints.  The test
+    # process has them all loaded already, so this runs in a fresh
+    # interpreter.
     runs = [
         ("state", ["state", "--dim", "32", "--z", "0.01", "--delta", "0.2"]),
         ("sweep_phi", ["sweep-dispersion", "--steps", "5"]),
@@ -651,7 +674,8 @@ def test_cli_never_loads_scipy():
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_BUDGET, json.dumps(runs),
-         json.dumps(["scipy", "mpmath", "dataclasses"])],
+         json.dumps(["scipy", "mpmath", "dataclasses", "fractions",
+                     "decimal"])],
         capture_output=True, text=True, timeout=60,
         env=_child_env())
     assert proc.returncode == 0, proc.stderr
@@ -1376,8 +1400,9 @@ print(rc, *[m for m in unused if m in sys.modules])
 
 def test_state_request_loads_no_unused_module():
     # json is imported where a JSON document is written, fractions (and
-    # decimal, which it imports) where exact arithmetic runs; a CSV state
-    # request needs neither, nor scipy or the tests' mpmath
+    # decimal, which it imports) only by aes_series' exact-integer reference
+    # tables; a CSV state request needs neither, nor scipy or the tests'
+    # mpmath
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_SET, "state", "--dim", "48", "--z",
          "0.01", "--delta", "0.2"],

@@ -32,7 +32,18 @@ def test_complex_rational_arithmetic():
     assert a.to_complex() == pytest.approx(1 / 3 + 2j)
     with pytest.raises(ZeroDivisionError):
         a / QC(F(0))
+    with pytest.raises(ZeroDivisionError):
+        a / 0
     assert bool(QC(F(0))) is False
+    # the parts read back as Fractions, in lowest terms whatever the route
+    assert (a.re, a.im) == (F(1, 3), F(2)) and type(a.re) is F
+    assert QC(F(2, 4), 0.5) == QC(F(1, 2), F(1, 2))
+    assert (a + 1, 1 + a, a * -3, a / -4) == (
+        QC(F(4, 3), F(2)), QC(F(4, 3), F(2)), QC(F(-1), F(-6)),
+        QC(F(-1, 12), F(-1, 2)))
+    assert (a - a) == 0 and (a - a).re == 0 and (a - a).im == 0
+    with pytest.raises(TypeError):      # equal values, no hash
+        hash(a)
 
 
 def test_as_scalar_coercions():

@@ -177,6 +177,17 @@ def test_rho_and_hermitian_hamiltonian():
                   - np.diag(np.arange(CFG.dim, dtype=complex))).max() < 1e-12
 
 
+def test_hermitian_spectrum_at_large_eta_condition():
+    # `spectrum --dim 256 --delta 0.0451898 --phi -1.11168 --z 0.002322`,
+    # cond(eta) = 2.6e9: eigvalsh of Sigma (V+ H V) Sigma^-1 reads 7.1e-11,
+    # where forming rho, rho^-1 and rho H rho^-1 read 3.2e-10
+    sys = build_system(0.0451898 * cmath.exp(-1.11168j), 0.002322,
+                       TruncationConfig(256))
+    assert 2.5e9 < sys.eta_condition < 2.7e9
+    rep = spectrum_report(sys, "hermitian")
+    assert rep.max_deviation_from_integers <= 1.5e-10
+
+
 def test_rho_matches_independent_square_root():
     # eta formed from G^-1 and rooted by scipy's Schur-based sqrtm, instead
     # of our route through the SVD of G^-1
