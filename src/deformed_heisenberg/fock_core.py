@@ -208,8 +208,8 @@ def triangular_matrix_function(series_coeffs, K):
     matmuls are K^2..K^(s-1), K^s when there is more than one block, and
     ceil(M/s) - 1 Horner products, at most 2s - 2 in all.  For the uzp
     operands of ``dheis verify`` (||K||_F <= 1.1) M is 9-19 of n = 49-193,
-    so s is 4 or 5 and a cosh-sinh pair takes 7-10 products, where
-    s = ceil(sqrt(n)) took 8-15; for K = a+ the norm is large, every term
+    so s is 4 or 5 and a cosh-sinh pair takes 7-10 products, where blocks
+    sized from n would take 8-15; for K = a+ the norm is large, every term
     stays and s = ceil(sqrt(n)).  The terms cut are not only below the
     printed digits but slow: the late Horner blocks of an uncut sum multiply
     matrices whose entries are subnormal, and each product of those runs

@@ -12,7 +12,7 @@ denominator, in lowest terms, and its arithmetic is plain int arithmetic:
 solving and checking load neither fractions nor decimal (which fractions
 imports); only reading a QC's .re or .im, as Fractions, imports fractions.
 An int operand is not coerced into a QC: (a + b i)/d plus k is
-(a + k d + b i)/d, already in lowest terms.
+(a + k d + b i)/d, times k is (k a + k b i)/d.
 """
 
 import cmath
@@ -59,17 +59,15 @@ class QC:
 
     def __add__(self, other):
         a, b, d = self._a, self._b, self._d
-        if type(other) is int:          # gcd(a + k d, b, d) = gcd(a, b, d)
-            return _qc(a + other * d, b, d)
+        if type(other) is int:
+            return _lowest(a + other * d, b, d)
         o = as_scalar(other)
-        if o._d == d:
-            return _lowest(a + o._a, b + o._b, d)
         return _lowest(a * o._d + o._a * d, b * o._d + o._b * d, d * o._d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _qc(-self._a, -self._b, self._d)
+        return _lowest(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         return self + (-as_scalar(other))
@@ -105,19 +103,12 @@ class QC:
     def __eq__(self, other):
         try:
             o = as_scalar(other)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError):
             return NotImplemented
         return (self._a, self._b, self._d) == (o._a, o._b, o._d)
 
     def to_complex(self) -> complex:
         return complex(self._a / self._d, self._b / self._d)
-
-
-def _qc(a, b, d) -> QC:
-    """The QC (a + b i)/d for a triple already in lowest terms, d > 0."""
-    q = object.__new__(QC)
-    q._a, q._b, q._d = a, b, d
-    return q
 
 
 def _lowest(a, b, d) -> QC:
