@@ -6,13 +6,15 @@ benchmarks/workloads.py, plus each subcommand with its defaults, one
 ``state`` argv that raises a PhaseWindow warning and the JSON argvs below,
 each argv once.  Each
 argv runs in-process through ``cli.main``; manifest.tsv holds one line per
-argv, its JSON form and the sha256 of its exit code, stdout and stderr.
-test_golden_paths.py replays it.
+argv with three tab-separated columns: its JSON form, its exit code, and the
+sha256 of its exit code, stdout and stderr.  test_golden_paths.py replays it.
 
 The hashes hold the last bits of the libm and BLAS they were made with, so a
 change that regenerates the manifest changes test data: say which argvs
 moved and why.  Before it overwrites the manifest, the script prints to
-stderr how many argvs changed hash against the old one, and which.  The BLAS
+stderr how many argvs changed hash against the old one, and which: an argv
+whose exit code changed is listed apart from one whose output moved under
+the same exit code.  The BLAS
 is pinned to one thread, as benchmarks/run.py pins every request and
 tests/conftest.py pins the tests.  Run from the repository root:
 
@@ -105,27 +107,38 @@ def digest(rc, out, err) -> str:
     return hashlib.sha256(json.dumps([rc, out, err]).encode()).hexdigest()
 
 
+def read_manifest(path) -> dict:
+    """{argv JSON: (exit code, sha256)} from a manifest file."""
+    rows = (line.split("\t") for line in path.read_text().splitlines())
+    return {argv: (int(rc), sha) for argv, rc, sha in rows}
+
+
 def _moved(old: dict, new: dict) -> list:
-    """Lines naming each argv of ``new`` whose hash differs from ``old``'s,
-    or that ``old`` lacks, then each argv that ``new`` dropped."""
-    return ([f"moved: {argv}" for argv, sha in new.items()
-             if argv in old and old[argv] != sha]
+    """Lines naming each argv of ``new`` whose exit code differs from
+    ``old``'s, then each whose hash alone differs, then each that ``old``
+    lacks, then each argv that ``new`` dropped."""
+    common = [argv for argv in new if argv in old and old[argv] != new[argv]]
+    return ([f"exit code {old[a][0]} -> {new[a][0]}: {a}" for a in common
+             if old[a][0] != new[a][0]]
+            + [f"moved: {a}" for a in common if old[a][0] == new[a][0]]
             + [f"added: {argv}" for argv in new if argv not in old]
             + [f"dropped: {argv}" for argv in old if argv not in new])
 
 
 def main() -> int:
-    new = {json.dumps(argv): digest(*run(argv)) for argv in corpus()}
-    old = {}
-    if MANIFEST.exists():
-        old = dict(line.split("\t")
-                   for line in MANIFEST.read_text().splitlines())
+    new = {}
+    for argv in corpus():
+        result = run(argv)
+        new[json.dumps(argv)] = (result[0], digest(*result))
+    old = read_manifest(MANIFEST) if MANIFEST.exists() else {}
     moved = _moved(old, new)
-    changed = sum(line.startswith("moved") for line in moved)
-    print(f"{changed} of {len(new)} argvs changed hash", file=sys.stderr)
+    changed = sum(not line.startswith(("added", "dropped")) for line in moved)
+    exits = sum(line.startswith("exit code") for line in moved)
+    print(f"{changed} of {len(new)} argvs changed hash, {exits} of them their "
+          "exit code", file=sys.stderr)
     print("".join(f"  {line}\n" for line in moved), end="", file=sys.stderr)
-    MANIFEST.write_text("".join(f"{argv}\t{sha}\n"
-                                for argv, sha in new.items()))
+    MANIFEST.write_text("".join(f"{argv}\t{rc}\t{sha}\n"
+                                for argv, (rc, sha) in new.items()))
     print(f"{len(new)} argvs -> {MANIFEST}", file=sys.stderr)
     return 0
 

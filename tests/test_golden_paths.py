@@ -1,10 +1,12 @@
 """Replay the golden-path corpus (tests/golden) and hold every argv's exit
 code, stdout and stderr to the sha256 recorded in the manifest.
 
-A moved argv is reported with the first line where its in-process run
-differs from a fresh ``python -m deformed_heisenberg.cli`` child.  When the
-two agree, the program's output has changed: regenerate the manifest with
-tests/golden/generate.py and say in CHANGES.md which argvs moved and why.
+An argv whose exit code moved is reported apart from one whose output moved
+under the recorded exit code, and the first few of each with the first line
+where its in-process run differs from a fresh ``python -m
+deformed_heisenberg.cli`` child.  When the two agree, the program's output
+has changed: regenerate the manifest with tests/golden/generate.py and say
+in CHANGES.md which argvs moved and why.
 """
 
 import importlib.util
@@ -24,12 +26,6 @@ def _generate():
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
-
-
-def _manifest():
-    with open(GOLDEN / "manifest.tsv") as fh:
-        return [(json.loads(argv), sha) for argv, sha in
-                (line.rstrip("\n").split("\t") for line in fh)]
 
 
 def _first_difference(argv, rc, out, err) -> str:
@@ -54,15 +50,23 @@ def _first_difference(argv, rc, out, err) -> str:
 
 def test_golden_paths_match_the_manifest():
     gen = _generate()
-    manifest = _manifest()
-    assert [argv for argv, _ in manifest] == gen.corpus()
-    moved = []
-    for argv, sha in manifest:
+    manifest = [(json.loads(argv), rc, sha) for argv, (rc, sha)
+                in gen.read_manifest(GOLDEN / "manifest.tsv").items()]
+    assert [argv for argv, _, _ in manifest] == gen.corpus()
+    exits, moved = [], []
+    for argv, rc, sha in manifest:
         result = gen.run(argv)
         if gen.digest(*result) != sha:
-            moved.append((argv, result))
-    lines = [" ".join(argv) + (f"\n    {_first_difference(argv, *result)}"
-                               if i < REPORTED else "")
-             for i, (argv, result) in enumerate(moved)]
-    assert not moved, f"{len(moved)} of {len(manifest)} argvs moved:\n" \
-        + "\n".join(lines)
+            (exits if result[0] != rc else moved).append((argv, rc, result))
+    lines = []
+    for title, group in (("exit code moved", exits),
+                         ("output moved under the same exit code", moved)):
+        if group:
+            lines.append(f"{title}: {len(group)}")
+        for i, (argv, rc, result) in enumerate(group):
+            head = " ".join(argv) + (f" (exit {rc} -> {result[0]})"
+                                     if result[0] != rc else "")
+            lines.append(head + (f"\n    {_first_difference(argv, *result)}"
+                                 if i < REPORTED else ""))
+    assert not lines, (f"{len(exits) + len(moved)} of {len(manifest)} argvs "
+                       "moved:\n" + "\n".join(lines))
