@@ -1,23 +1,25 @@
 """Algebra eigenstates of the deformed oscillator: series amplitudes and states.
 
-The eigenstates of  e^{z a+} a + mu a+ + nu e^{z a+}  are built two independent
-ways, both O(N^2) at any dim: (i) Fock amplitudes c_n from the row recurrence
-of the eigen-equation, the production route for every z, and (ii) the vacuum
-image exp(x(a+))|0> from the Bargmann ODE psi' = x' psi of the symbol e^{x}
-(fock_core.vacuum_image), which builds the states and checks every table of
-(i).  The tests hold (i) against two references: the exact-integer tables
-(upsilon_table, amplitude_coefficients) and the paper's double series (mpmath).
+The eigenstates of  e^{z a+} a + mu a+ + nu e^{z a+}  solve the Bargmann ODE
+P(xi) w' = Q(xi) w, and both of their routes are calls of the one row kernel
+fock_core.bargmann_rows, O(N^2) at any dim, with two different splits:
+(i) the row recurrence of the eigen-equation (_amplitudes: P = e^{z xi},
+Q = lam - mu xi), the production route for every z, and (ii) the vacuum
+image exp(x(a+))|0> of the symbol e^{x} (eigenstate_image: P = 1, Q = x'),
+which builds the states and checks every table of (i).  The two calls share
+the kernel and the scale of their orders but no coefficient, so the check
+still compares two arithmetic paths.  The tests hold (i) against two
+references: the exact-integer tables (upsilon_table, amplitude_coefficients)
+and the paper's double series (mpmath).
 First-order perturbed squeezed/coherent states and the two-parameter Bargmann
 symbol live here as well.
 
 Both routes and the norm sum are plain Python over lists of complex:
-_amplitudes, _exponent_slope, normalization_c0 and fock_coefficients return
-lists, and ``dheis state``, which runs only these, never loads numpy.  Each
-row sum stops where the rest cannot reach its last bit, so a row costs a
-few dozen terms at the state table's |z| rather than n.  Python floats do
-not warn and math.exp raises OverflowError where numpy returned inf: the
-kernels turn an overflow into nan entries, which the finiteness and norm
-checks report as NotConverged.  The states built from the vacuum image
+_amplitudes, eigenstate_image, normalization_c0 and fock_coefficients return
+lists, and ``dheis state``, which runs only these, never loads numpy.  Python
+floats do not warn where numpy returned inf: the kernel turns an overflow
+into nan entries, which the finiteness and norm checks report as
+NotConverged.  The states built from the vacuum image
 (deformed_squeezed_state, deformed_coherent_state) are numpy arrays; numpy
 is imported where an array is built.
 """
@@ -26,6 +28,7 @@ import cmath
 import math
 import warnings
 from functools import lru_cache
+from itertools import cycle
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -33,9 +36,8 @@ from . import _gaussian
 from .deformed_algebra import (DeformationParams, RealizationKind,
                                build_realization)
 from .errors import BadParams, NonNormalizable, NotConverged, PhaseWindow, BranchCut
-from .fock_core import (_UNIT_ROUNDOFF, TruncationConfig, check_tail,
-                        log_factorials, norm, normalize, series_operator,
-                        squeezed_displaced_vacuum, vacuum_image)
+from .fock_core import (TruncationConfig, bargmann_rows, check_tail, norm,
+                        normalize, series_operator, squeezed_displaced_vacuum)
 
 
 class SeriesDiagnostics(NamedTuple):
@@ -125,53 +127,27 @@ def amplitude_coefficients(n: int):
 
 
 def _amplitudes(params: DeformationParams, n_max: int) -> list:
-    """c_n for n = 0..n_max with C_0 = 1, as a list of complex, from row n of
-    the eigen-equation
+    """c_n for n = 0..n_max with C_0 = 1, as a list of complex: the
+    eigen-equation is the Bargmann ODE e^{z xi} w' = (lam - mu xi) w, whose
+    fock_core.bargmann_rows give row n as
 
-        sqrt(n+1) c_{n+1} = lam c_n - mu sqrt(n) c_{n-1}
-            - sum_{k=1}^{n} (z^k/k!) sqrt(n!/(n-k)!) sqrt(n-k+1) c_{n-k+1},
+        sqrt(n+1) c_{n+1} = (lam - n z) c_n - (mu + (n-1) z^2/2) sqrt(n) c_{n-1}
+            - sum_{j=2}^{n} (n-j) z^{j+1}/(j+1)! sqrt(n!/(n-j)!) c_{n-j},
 
-    each weight exponentiated from one log-factorial table (no factorial,
-    any n_max, O(n_max) memory).  Any real z: at z = 0 the rows are those of
-    the squeezed state of a + mu a+.  A row stops where the rest cannot
-    reach its last bit, as fock_core.vacuum_image's rows do: the k-weights
-    fall by at most q_k = |z| sqrt(n-k)/(k+1) from order k to k+1, and q_k
-    falls with k, so once q_k <= 1/8 the rest is at most 2 q_k times the
-    order-k weight times env[n-k], env[m] = max(|c_m|, env[m-1] / 4).
-    Entries past the float range turn inf or nan; a weight whose exponential
-    overflows makes that amplitude and every later one nan.
-    fock_coefficients and normalization_c0 check finiteness.
+    P_{j+1} = z^{j+1}/(j+1)! on the scale |z|^{j-1}/(j-1)! that
+    eigenstate_image shares.  Any real z, any n_max: at z = 0 the rows are
+    those of the squeezed state of a + mu a+.  fock_coefficients and
+    normalization_c0 check finiteness.
     """
     # Python complex, so that a numpy scalar parameter keeps no numpy type
     lam, mu, z = complex(params.lam), complex(params.mu), params.z
     if z == 0 and abs(mu) >= 1:
         raise NonNormalizable(f"|mu| = {abs(mu)} >= 1 squeezed state has no norm")
-    root = [math.sqrt(j) for j in range(n_max + 1)]
-    log_fact = log_factorials(n_max + 1)
-    half = [0.5 * v for v in log_fact]
-    az = abs(z)
-    log_z = math.log(az) if z else -math.inf
-    log_zk = [0.0] + [k * log_z - log_fact[k] for k in range(1, n_max + 1)]
-    odd = -1.0 if z < 0 else 1.0          # the sign of z^k, k odd
-    c, env = [1.0 + 0j], [1.0]
-    try:
-        for n in range(n_max):            # root[0] = 0 drops c[n - 1]
-            acc = lam * c[n] - mu * root[n] * c[n - 1]
-            hn = half[n]
-            # k = 1..n pairs with c_n..c_1; none at z = 0
-            for k in range(1, n + 1 if z else 1):
-                e = math.exp(log_zk[k] + (hn - half[n - k])) * root[n - k + 1]
-                acc -= (odd * e if k & 1 else e) * c[n - k + 1]
-                q = az * root[n - k] / (k + 1)
-                if q <= 0.125 and (2 * q * e * env[n - k]
-                                   <= _UNIT_ROUNDOFF * abs(acc)):
-                    break
-            v = acc / root[n + 1]
-            c.append(v)
-            env.append(max(abs(v), 0.25 * env[-1]))
-    except OverflowError:           # a weight or a modulus past the float range
-        c += [complex(math.nan, math.nan)] * (n_max + 1 - len(c))
-    return c
+    signs = cycle((1.0, math.copysign(1.0, z)))      # sign(z)^(j-1)
+    js = range(1, n_max if z else 1)            # at z = 0, orders 0 and 1
+    p = [1.0, z] + [z * z / (j * (j + 1)) * s for j, s in zip(js, signs)]
+    ratio = [1.0] + [abs(z) / j for j in js]
+    return bargmann_rows([lam, -mu], p, ratio, n_max + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +156,9 @@ def _amplitudes(params: DeformationParams, n_max: int) -> list:
 
 # Largest gap allowed between the two routes, in units of the largest
 # amplitude.  The benchmark's state requests read below 1e-15; past the turn
-# of a z != 0 series the recurrence can lose more (6.75e-9 against the tests'
-# 60-digit _mp_recurrence at z -0.047, delta 0.69, beta 2.5, N 512, the
-# vacuum image 2.4e-10).
+# of a z != 0 series both routes lose more: at z -0.047, delta 0.69, beta
+# 2.5, N 512 the recurrence reads 7.0e-11 against the tests' 60-digit
+# _mp_recurrence and the vacuum image 1.0e-10, 1.3e-10 apart.
 ROUTE_DEVIATION_BOUND = 1e-9
 
 # normalization_c0's stop: a norm-series term below this share of the total
@@ -199,23 +175,17 @@ def _phase_window_check(params: DeformationParams) -> None:
                 f"window for z={params.z}"))
 
 
-def _exponent_slope(params: DeformationParams, nu: complex, n: int):
-    """(kx, log_scale) of fock_core.vacuum_image for the eigenstates' symbol
-    e^{x}, x(s) = int_0^s ((lam - mu t) e^{-z t} - nu) dt: k x_1 = lam - nu and
-    k x_k = (-z)^{k-2}/(k-2)! (-mu - lam z/(k-1)), with |z|^{k-2}/(k-2)!
-    as its log (-inf for k >= 3 at z = 0), which cannot underflow.  Both are
-    lists; the steps of log_scale, log|z| - log(k-2), fall with k, which
-    lets vacuum_image cut its rows."""
+def eigenstate_image(params: DeformationParams, nu: complex, n: int) -> list:
+    """Fock amplitudes psi_0..psi_{n-1} (psi_0 = 1) of exp(x(a+))|0>, the
+    vacuum image of the eigenstates' symbol, as a list of complex:
+    fock_core.bargmann_rows with P = 1 and Q = x' = (lam - mu xi) e^{-z xi}
+    - nu, whose order j >= 1 is (-z)^{j-1}/(j-1)! (-mu - lam z/j)."""
     lam, mu, z = complex(params.lam), complex(params.mu), params.z
-    sign = math.copysign(1.0, -z)
-    kx = [0.0, lam - complex(nu)] + [
-        (-mu - lam * z / (k - 1)) * sign ** (k - 2) for k in range(2, n)]
-    log_z = math.log(abs(z)) if z else -math.inf
-    log_scale, acc = [0.0, 0.0, 0.0], 0.0
-    for j in range(1, n - 2):
-        acc += log_z - math.log(j)
-        log_scale.append(acc)
-    return kx, log_scale
+    signs = cycle((1.0, math.copysign(1.0, -z)))     # sign(-z)^(j-1)
+    q = [lam - complex(nu)] + [(-mu - lam * z / j) * s
+                               for j, s in zip(range(1, n - 1), signs)]
+    ratio = [1.0] + [abs(z) / j for j in range(1, n)]
+    return bargmann_rows(q, [1.0], ratio, n)
 
 
 def fock_coefficients(params: DeformationParams, n_max: int, amps=None):
@@ -223,8 +193,8 @@ def fock_coefficients(params: DeformationParams, n_max: int, amps=None):
     squeezed eigenstate, for any real z, as a list of complex.
 
     The values come from the row recurrence of the eigen-equation
-    (_amplitudes); the vacuum-image route, which shares only the
-    log-factorial table with it, checks every one.  tail_estimate is the
+    (_amplitudes); the vacuum-image route, which shares only the row
+    kernel's code with it, checks every one.  tail_estimate is the
     largest gap between the routes in units of the largest amplitude,
     terms_used the number of amplitudes checked; NotConverged when the gap
     passes ROUTE_DEVIATION_BOUND.  amps: _amplitudes(params, m) for some
@@ -235,7 +205,7 @@ def fock_coefficients(params: DeformationParams, n_max: int, amps=None):
     c = _amplitudes(params, n_max) if amps is None else amps[:n_max + 1]
     if not all(map(cmath.isfinite, c)):
         raise NotConverged("amplitudes leave the float range: no normalizable state")
-    psi = vacuum_image(*_exponent_slope(params, 0.0, n_max + 1), n_max + 1)
+    psi = eigenstate_image(params, 0.0, n_max + 1)
     try:
         gaps = [abs(p - v) for p, v in zip(psi, c)]
         # a nan gap (the vacuum image past the float range) is the result
@@ -294,22 +264,10 @@ def normalization_c0(params: DeformationParams, n_max: int = 96, amps=None):
 # operator-route state assembly
 # ---------------------------------------------------------------------------
 
-def _eigenstate(params: DeformationParams, nu: complex,
-                cfg: TruncationConfig):
-    """Normalized exp(x(a+))|0> for the exponent
-    x(s) = int_0^s ((lam - mu t) e^{-z t} - nu) dt, tail-guarded: a numpy
-    array."""
-    import numpy as np
-    v = normalize(np.array(
-        vacuum_image(*_exponent_slope(params, nu, cfg.dim), cfg.dim)))
-    check_tail(v, cfg)
-    return v
-
-
 def deformed_squeezed_state(params: DeformationParams, cfg: TruncationConfig):
-    """Normalized eigenstate of e^{z a+} a + mu a+ with eigenvalue lam,
-    the vacuum image of exp(x(a+))."""
-    return _eigenstate(params, 0.0, cfg)
+    """Normalized eigenstate of e^{z a+} a + mu a+ with eigenvalue lam:
+    deformed_coherent_state at nu = 0."""
+    return deformed_coherent_state(params._replace(nu=0.0), cfg)
 
 
 def aes_operator(params: DeformationParams, cfg: TruncationConfig):
@@ -323,8 +281,12 @@ def aes_operator(params: DeformationParams, cfg: TruncationConfig):
 
 def deformed_coherent_state(params: DeformationParams, cfg: TruncationConfig):
     """Normalized eigenstate of e^{z a+} a + mu a+ + nu e^{z a+} with eigenvalue
-    lam: the nu-shifted state  exp(exponent) e^{-nu a+} |0>."""
-    return _eigenstate(params, params.nu, cfg)
+    lam, tail-guarded: the vacuum image exp(x(a+))|0>, x' = (lam - mu xi)
+    e^{-z xi} - nu, as a numpy array."""
+    import numpy as np
+    v = normalize(np.array(eigenstate_image(params, params.nu, cfg.dim)))
+    check_tail(v, cfg)
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -316,7 +316,7 @@ def _check_uzp(p, cfg):
 
 def _check_routes():
     # the recurrence against the vacuum-image route on amplitudes that peak
-    # at n = 177, past the n ~ 170 where z^n/n! underflows; reads 1.1e-13
+    # at n = 177, past the n ~ 170 where z^n/n! underflows; reads 2.0e-15
     params = DeformationParams.from_polar(z=0.001, delta=0.3, phi=0.7,
                                           beta=12.0, theta=-0.4)
     return aes_series.fock_coefficients(params, 199)[1].tail_estimate

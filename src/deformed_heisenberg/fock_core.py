@@ -20,28 +20,32 @@ O(N^3) SVD.  A check that reports the largest of several takes
 ``max_guarded_norm``, which brackets each norm between O(N^2) bounds and
 takes the SVD of only the blocks that can be the largest.
 
-``vacuum_image`` gives exp(x(a+))|0> without the matrix exp(x(a+)), in
-O(N^2) from the Bargmann ODE of e^x, its weights exponentiated from logs;
-each row's sum stops where a bound on the rest cannot reach its last bit.
-It builds every state here, S D|0> too: <0|S D|0> times the image of
-x = w a+ - mu (a+)^2 / 2, the exact amplitudes of the state.
+``bargmann_rows`` is the one kernel for the paper's states: the Fock
+amplitudes of the solution of a first-order Bargmann ODE P(xi) w' = Q(xi) w
+(V. Bargmann, Comm. Pure Appl. Math. 14 (1961) 187), row by row in O(N^2),
+its weights running products of roots and ratios, each row's sum cut where a
+bound on the rest cannot reach its last bit.  Its calls differ only in P and Q:
+the row recurrence of the algebra eigenstates (P = e^{z xi}) and their
+vacuum image exp(x(a+))|0> (P = 1, Q = x') in aes_series, e^{xi_bar a+}|0>
+(``coherent_state``) and S D|0> (``squeezed_displaced_vacuum``, <0|S D|0>
+times the image of x = w a+ - mu (a+)^2 / 2, the exact amplitudes of the
+state).  It is plain Python: it returns a list of complex, ``dheis state``
+runs on it without numpy, and the array callers wrap the list.
 
-``vacuum_image`` and ``log_factorials`` are plain Python: they return lists
-of complex (of float), and ``dheis state`` runs on them without numpy.  The
-array callers (``coherent_state``, ``squeezed_displaced_vacuum`` and the
-eigenstates of aes_series) wrap the list.  Every other kernel here is numpy,
-imported by the function that uses it, so that importing this module loads
-no numpy; ``matrix_exponential`` imports scipy the same way.  Only the dense
-references ``displacement_operator`` and ``squeeze_operator`` reach it, and
-no CLI command does, so none loads scipy.  scipy stays a runtime dependency
-all the same: the traced benchmark (benchmarks/traced_cli.py) wraps
-``matrix_exponential`` by name.
+Every other kernel here is numpy, imported by the function that uses it, so
+that importing this module loads no numpy; ``matrix_exponential`` imports
+scipy the same way.  Only the dense references ``displacement_operator`` and
+``squeeze_operator`` reach it, and no CLI command does, so none loads scipy.
+scipy stays a runtime dependency all the same: the traced benchmark
+(benchmarks/traced_cli.py) wraps ``matrix_exponential`` by name.
 """
 
 import cmath
 import math
 import sys
+from itertools import accumulate, count
 from math import isqrt, sqrt
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import (BadParams, NotConverged, NotNilpotent, TailTooHeavy,
@@ -103,7 +107,7 @@ def vacuum(cfg: TruncationConfig):
 def coherent_state(xi_bar: complex, cfg: TruncationConfig):
     """Unnormalized |xi_bar> = e^{xi_bar a^dagger}|0>: amps[n] = xi_bar^n / sqrt(n!)."""
     import numpy as np
-    amps = np.array(vacuum_image([0.0, xi_bar], [0.0, 0.0], cfg.dim))
+    amps = np.array(bargmann_rows([complex(xi_bar)], [1.0], [], cfg.dim))
     check_tail(amps, cfg)
     return amps
 
@@ -294,81 +298,63 @@ def series_operator(f, cfg: TruncationConfig):
     return np.multiply(F, S.T, out=np.empty((N, N), dtype=g.dtype))
 
 
-def log_factorials(n: int) -> list:
-    """log j! for j = 0..n-1, as one running sum of logs."""
-    out, acc = [0.0], 0.0
-    for j in range(1, n):
-        acc += math.log(j)
-        out.append(acc)
-    return out
+def bargmann_rows(q, p, ratio, n: int) -> list:
+    """Fock amplitudes psi_0..psi_{n-1} (psi_0 = 1) of the solution of the
+    Bargmann ODE P(xi) w' = Q(xi) w, w(0) = 1, as a list of complex: with
+    psi_m = sqrt(m!) w_m, the coefficient of xi^m gives the row
 
+        P_0 sqrt(m+1) psi_{m+1}
+            = sum_{j=0}^{m} (Q_j - (m-j) P_{j+1}) sqrt(m!/(m-j)!) psi_{m-j}.
 
-def vacuum_image(kx, log_scale, n: int) -> list:
-    """Fock amplitudes psi_0..psi_{n-1} (psi_0 = 1) of exp(x(a+))|0>, x(0) = 0,
-    as a list of complex: psi_m = sqrt(m!) w_m for the symbol w = e^x, and
-    w' = x' w gives
-
-        m psi_m = sum_{k=1}^{m} k x_k sqrt(m!/(m-k)!) psi_{m-k}.
-
-    k x_k = kx[k] e^{log_scale[k]} (index 0 unused, zero past len(kx) - 1),
-    so that an order too small for a float can come as a log; each weight is
-    exponentiated from log_scale[k] plus half a log-factorial difference.
+    P_0 = p[0]; the orders j of P and Q share a scale s_j >= 0, Q_j = q[j] s_j
+    and P_{j+1} = p[j+1] s_j (zero past the lists), given by its steps:
+    s_0 = 1, s_{j+1} = s_j ratio[j], and no order past a zero or missing
+    ratio.  The weight W_j = s_j sqrt(m!/(m-j)!) is the running product of
+    r_j = ratio[j] sqrt(m-j), so s_j itself may lie below the float range.
 
     A row's sum stops after order k when the rest cannot reach its last bit.
-    Past the order from which the log_scale steps d_j = log_scale[j+1] -
-    log_scale[j] no longer grow, the weight ratios r_j = e^{d_j} sqrt(m-j)
-    fall with j, so the i-th order after k weighs at most r_k^i times order
-    k.  The amplitudes it pairs with are bounded by an envelope,
-    env[p] = max(|psi_p|, env[p-1] / 4): |psi_{p-i}| <= 4^i env[p].  So once
-    r_k <= 1/8 the rest is at most 2 r_k times the order-k weight, the
-    largest |kx| past k and env[m-k-1], and the sum stops when that is below
-    the unit roundoff of the partial sum.  The envelope forgets the early
-    amplitudes that only the far orders reach, which a running max would
-    not.  For the eigenstates' symbols (aes_series) the weights fall like
-    (|z| sqrt(m))^k / k!, so a row takes a few dozen orders, not m.
+    Past the order from which no ratio grows, r_j falls with j, and order
+    k+i weighs at most r_k^i W_k.  Its amplitudes are bounded by an envelope,
+    env[l] = max(|psi_l|, env[l-1] / 4), so |psi_{l-i}| <= 4^i env[l], and
+    once r_k <= 1/8 the rest is at most 2 W_{k+1} env[m-k-1] times
+    max_{j>k} |q[j]| + m max_{j>0} |p[j+1]|: the sum stops when that is
+    below the unit roundoff of the partial sum.  The envelope forgets the
+    early amplitudes that only the far orders reach, which a running max
+    would not.  For the eigenstates of aes_series the weights fall like
+    (|z| sqrt(m))^j / j!, so a row takes a few dozen orders, not m.
 
     Entries past the float range turn inf or nan, as Python's float
-    arithmetic gives them; a weight whose exponential overflows (math.exp
-    raises) makes that amplitude and every later one nan.  Callers check
-    finiteness.
+    arithmetic gives them; a modulus past it (abs raises OverflowError)
+    makes that amplitude and every later one nan.  Callers check finiteness.
     """
-    kx = [complex(v) for v in kx[:n]]
-    log_scale = [float(v) for v in log_scale[:n]]
-    # the last order with a nonzero weight: none past it is summed
-    top = len(kx) - 1
-    while top > 0 and (kx[top] == 0 or log_scale[top] == -math.inf):
-        top -= 1
-    half = [0.5 * v for v in log_factorials(n)]
-    root = [sqrt(j) for j in range(n)]
-    psi = [1.0 + 0j]
+    # the last order summed, the first past which a ratio is zero or missing
+    top = (ratio[:min(max(len(q), len(p) - 1), n - 1) - 1] + [0]).index(0)
+    ratio = ratio[:top] + [0.0]
+    # the cut's bound on the coefficients past order j: cq[j] + m big_p
+    cq = [*accumulate(map(abs, q[top:0:-1]), max)][::-1] + [0.0] * (top + 1)
+    q = q[:top + 1] + [0.0] * (top + 1 - len(q))
+    b = p[1:top + 2] + [0.0] * (top + 2 - len(p))
+    big_p = max(map(abs, b[1:]), default=0.0)
+    a = [*map(add, q, map(mul, count(), b))]   # order j: (a[j] - m b[j]) W_j
+    # the cut is tried from the first order past which no ratio grows
+    steady = next((j for j in range(top - 1, 0, -1)
+                   if ratio[j - 1] < ratio[j]), 0)
+    root = [*map(sqrt, range(n))]
+    tol = _UNIT_ROUNDOFF / 2
+    psi, env = [1.0 + 0j], [1.0]
     try:
-        # bound[k]: the largest |kx_j| for j >= k; step[k] = e^{d_k}, capped
-        # so that a step from a -inf log_scale cannot overflow
-        bound = [0.0] * (top + 2)
-        for k in range(top, 0, -1):
-            bound[k] = max(abs(kx[k]), bound[k + 1])
-        step = [0.0] + [math.exp(min(log_scale[k + 1] - log_scale[k], 709.0))
-                        for k in range(1, top)]
-        # the cut is tried from the first order past which no step grows
-        steady = max(top - 1, 1)
-        while steady > 1 and step[steady - 1] >= step[steady]:
-            steady -= 1
-        env = [1.0]
-        for m in range(1, n):
-            hm, last = half[m], min(m, top)
-            acc = 0j
-            for k in range(1, last + 1):
-                e = math.exp(log_scale[k] + (hm - half[m - k]))
-                acc += kx[k] * e * psi[m - k]
-                if steady <= k < last:
-                    r = step[k] * root[m - k]
-                    if r <= 0.125 and (2 * r * e * bound[k + 1] * env[m - k - 1]
-                                       <= _UNIT_ROUNDOFF * abs(acc)):
-                        break
-            v = acc / m
-            psi.append(v)
-            env.append(max(abs(v), 0.25 * env[-1]))
-    except OverflowError:       # a weight or a modulus past the float range
+        for m in range(n - 1):
+            w, acc, mp = 1.0, 0j, m * big_p
+            for j in range(min(m, top) + 1):
+                acc += (a[j] - m * b[j]) * w * psi[m - j]
+                r = ratio[j] * root[m - j]
+                w *= r
+                if j >= steady and r <= 0.125 and (
+                        w * (cq[j] + mp) * env[m - j - 1] <= tol * abs(acc)):
+                    break
+            psi.append(acc / (p[0] * root[m + 1]))
+            env.append(max(abs(psi[m + 1]), 0.25 * env[m]))
+    except OverflowError:
         psi += [complex(math.nan, math.nan)] * (n - len(psi))
     return psi
 
@@ -424,7 +410,7 @@ def squeezed_displaced_vacuum(delta: float, phi: float, w: complex,
     # |c0| <= 1 (nan past |alpha| ~ 1e154), so c0 psi cannot overflow
     c0 = (1 - delta * delta) ** 0.25 * cmath.exp(
         -abs(alpha) * abs(alpha) / 2 + mu.conjugate() * alpha * alpha / 2)
-    psi = vacuum_image([0.0, w, -mu], [0.0, 0.0, 0.0], cfg.dim)
+    psi = bargmann_rows([complex(w), -mu], [1.0], [1.0], cfg.dim)
     if not abs(c0) >= sys.float_info.min or not all(map(cmath.isfinite, psi)):
         raise NotConverged(f"S D|0> at |alpha| = {abs(alpha):.4g} leaves the "
                            "float range")

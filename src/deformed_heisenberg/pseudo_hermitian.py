@@ -10,9 +10,14 @@ still used for residuals that involve the (upper-shift) annihilator, whose
 truncated top rows are garbage.  G, G^-1, H and A are functions of a+ (plus
 a+a and a), built from their coefficient lists by fock_core.series_operator;
 the lists of G = e^{g(a+)} and G^-1 = e^{-g(a+)} come from the O(N^2)
-recurrence deformed_algebra.exp_coefficients.  D(nu)|0> is e^{-|nu|^2/2}
-times the vacuum image of nu a+ (fock_core.squeezed_displaced_vacuum at
-delta = 0), not a dense expm.
+recurrence deformed_algebra.exp_coefficients.
+
+The ladder system is the lam = 0 slice of the algebra eigenproblem of
+aes_series: A = G a G^-1, and A psi = -nu psi reads psi'/psi =
+-mu xi e^{-z xi} - nu in Bargmann space, the eigenstates' symbol at lam = 0.
+So ground_state and coherent_eigenstate, G e^{-nu a+}|0>, are vacuum images
+(aes_series.eigenstate_image), one O(N^2) call of the row kernel with no G,
+and generalized_coherent_state is rho times the second.
 
 The spectrum of H is read off its diagonal, 0..N-1 by construction, so the
 h_eig column of ``dheis spectrum`` is diag(H) and its deviation is 0: it
@@ -23,8 +28,8 @@ columns of G and the rows of G^-1), is still open.
 build_system builds what every caller reads: H, G^-1 and the SVD factors
 V+ and Sigma of G^-1 = W Sigma V+.  G, the deformed annihilator A, rho and
 rho^-1 are built when read (PseudoHermitianSystem.G, .A_op, .rho_hat and
-.rho_inv), by the pseudo rows of ``dheis verify`` and the states, not by
-``dheis spectrum``, which reads none of them: its H~ spectrum is that of
+.rho_inv), by the pseudo rows of ``dheis verify`` and rho by
+generalized_coherent_state, not by ``dheis spectrum``, which reads none of them: its H~ spectrum is that of
 X = Sigma (V+ H V) Sigma^-1, which V carries to rho H rho^-1 = V X V+, so it
 takes two dense products where forming rho, rho^-1 and H~ took four, and
 rounds less.  numpy is imported by each function that uses it, so that
@@ -34,12 +39,12 @@ importing this module loads no numpy.
 import math
 from typing import NamedTuple
 
-from .deformed_algebra import exp_coefficients
+from .aes_series import eigenstate_image
+from .deformed_algebra import DeformationParams, exp_coefficients
 from .errors import IllConditioned
 from .fock_core import (TruncationConfig, annihilation, creation, guarded_norm,
                         max_guarded_norm, normalize, number_operator,
-                        series_operator, squeezed_displaced_vacuum, vacuum,
-                        vacuum_image)
+                        series_operator)
 
 ETA_CONDITION_LIMIT = 1e12
 
@@ -179,14 +184,16 @@ def commutator_checks(sys: PseudoHermitianSystem) -> float:
 
 def ground_state(sys: PseudoHermitianSystem):
     """Normalized G|0>: annihilated by both H and A."""
-    return normalize(sys.G @ vacuum(sys.cfg))
+    return coherent_eigenstate(0.0, sys)
 
 
 def coherent_eigenstate(nu: complex, sys: PseudoHermitianSystem):
-    """Normalized G e^{-nu a+}|0>: eigenstate of A with eigenvalue -nu."""
+    """Normalized G e^{-nu a+}|0>: eigenstate of A with eigenvalue -nu, the
+    lam = 0 algebra eigenstate of aes_series, built as its vacuum image with
+    no G."""
     import numpy as np
-    return normalize(sys.G @ np.array(
-        vacuum_image([0.0, -nu], [0.0, 0.0], sys.cfg.dim)))
+    params = DeformationParams(z=sys.z, mu=sys.mu)
+    return normalize(np.array(eigenstate_image(params, nu, sys.cfg.dim)))
 
 
 def rho_hat(sys: PseudoHermitianSystem):
@@ -220,10 +227,11 @@ def unitarity_check(sys: PseudoHermitianSystem, G=None) -> float:
 
 
 def generalized_coherent_state(nu: complex, sys: PseudoHermitianSystem):
-    """rho G D(nu)|0>, eigenstate of rho A rho^-1 with eigenvalue nu."""
+    """rho G D(nu)|0>, eigenstate of rho A rho^-1 with eigenvalue nu: rho
+    times coherent_eigenstate(-nu), as G D(nu)|0> is G e^{nu a+}|0> up to
+    its norm."""
     _require_rho(sys)
-    psi = sys.rho_hat @ sys.G @ squeezed_displaced_vacuum(0.0, 0.0, nu, sys.cfg)
-    return normalize(psi)
+    return normalize(sys.rho_hat @ coherent_eigenstate(-nu, sys))
 
 
 class SpectrumReport(NamedTuple):

@@ -23,7 +23,7 @@ from deformed_heisenberg.errors import (BadParams, BranchCut,
                                         NonNormalizable, NotConverged,
                                         PhaseWindow)
 from deformed_heisenberg.fock_core import (
-    TruncationConfig, annihilation, coherent_state, creation,
+    TruncationConfig, annihilation, bargmann_rows, coherent_state, creation,
     displacement_operator, norm, normalize, series_operator,
     squeeze_operator, vacuum)
 
@@ -73,10 +73,12 @@ def test_amplitude_polynomial_degree():
 
 
 def _mp_recurrence(prm, n_max, dps=60):
-    """The row recurrence of the eigen-equation in dps-digit arithmetic."""
+    """The row recurrence of the eigen-equation in dps-digit arithmetic, with
+    the term -nu e^{z a+} of prm.nu when it is nonzero."""
     import mpmath as mp
     with mp.workdps(dps):
         lam, mu, z = mp.mpc(prm.lam), mp.mpc(prm.mu), mp.mpf(prm.z)
+        nu = mp.mpc(prm.nu)
         sqrt_fact = [mp.sqrt(mp.factorial(j)) for j in range(n_max + 1)]
         zk = [z ** k / mp.factorial(k) for k in range(n_max + 1)]
         c = [mp.mpc(1)]
@@ -85,6 +87,9 @@ def _mp_recurrence(prm, n_max, dps=60):
             for k in range(1, n + 1):
                 rhs -= (zk[k] * sqrt_fact[n] / sqrt_fact[n - k]
                         * mp.sqrt(n - k + 1) * c[n - k + 1])
+            if nu:
+                rhs -= nu * mp.fsum(zk[k] * sqrt_fact[n] / sqrt_fact[n - k]
+                                    * c[n - k] for k in range(n + 1))
             c.append(rhs / mp.sqrt(n + 1))
         return np.array([complex(x) for x in c])
 
@@ -224,7 +229,8 @@ def _amplitudes_reference(params, n_max):
     k and an array power, every term of every row summed in numpy."""
     lam, mu, z = params.lam, params.mu, params.z
     j = np.arange(n_max + 1)
-    root, log_fact = np.sqrt(j), np.array(aes.log_factorials(n_max + 1))
+    root = np.sqrt(j)
+    log_fact = np.r_[0.0, np.cumsum(np.log(j[1:]))]       # log j!
     c = np.r_[1.0 + 0j, np.zeros(n_max, dtype=complex)]
     log_z = math.log(abs(z)) if z else -math.inf
     log_zk = j * log_z - log_fact
@@ -248,13 +254,57 @@ def _random_boxes(count, seed):
 
 @pytest.mark.parametrize("prm,n_max", list(_random_boxes(36, seed=2705)))
 def test_amplitudes_match_the_uncut_reference_loop(prm, n_max):
-    # _amplitudes stops each row where the rest cannot reach its last bit and
-    # sums in plain Python; the reference sums every term with numpy.  The
-    # gap reads <= 3.9e-16 of the largest amplitude over the 36 boxes
-    got = np.array(aes._amplitudes(prm, n_max))
+    # both calls of the row kernel, the recurrence (_amplitudes) and the
+    # vacuum image, stop each row where the rest cannot reach its last bit
+    # and sum in plain Python; the reference sums every term with numpy.
+    # Over the 36 boxes the gaps read <= 4.6e-16 and 5.3e-16 of the largest
+    # amplitude, about a quarter of the bound
     with np.errstate(invalid="ignore"):       # 0 * -inf at z = 0, unread
         want = _amplitudes_reference(prm, n_max)
-    assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
+    for got in (aes._amplitudes(prm, n_max),
+                aes.eigenstate_image(prm, 0.0, n_max + 1)):
+        assert (np.max(np.abs(np.array(got) - want))
+                <= 2e-15 * np.max(np.abs(want)))
+
+
+def _coherent_recurrence(prm, n_max):
+    """The nu != 0 eigenstate in recurrence form, a row-kernel call with P and
+    Q both long: e^{z xi} w' = (lam - mu xi - nu e^{z xi}) w, with order j on
+    the scale |z|^j / j!, so P_{j+1} = z^{j+1}/(j+1)! reads sign^{j+1}
+    |z|/(j+1) and Q_j = -nu z^j/j! (j >= 2) reads -nu sign^j.  z != 0."""
+    lam, mu, nu, z = prm.lam, prm.mu, prm.nu, prm.z
+    sign = math.copysign(1.0, z)
+    q = [lam - nu, (-mu - nu * z) / abs(z)] + [-nu * sign ** j
+                                               for j in range(2, n_max + 1)]
+    p = [1.0] + [sign ** (j + 1) * abs(z) / (j + 1) for j in range(n_max + 1)]
+    ratio = [abs(z) / (j + 1) for j in range(n_max + 1)]
+    return np.array(bargmann_rows(q, p, ratio, n_max + 1))
+
+
+@pytest.mark.parametrize("prm,n_max,bound", [
+    (DeformationParams(z=0.02, lam=1.0, mu=0.5, nu=0.3 - 0.2j), 127, 5e-16),
+    (DeformationParams(z=-0.01, lam=0.7 * cmath.exp(0.3j),
+                       mu=0.4 * cmath.exp(-1j), nu=0.5j), 199, 5e-16),
+    # verify's route box with gamma 0.8: one ulp of lam moves the amplitudes
+    # by 2.6e-14 of the largest, so both routes sit at its conditioning
+    (DeformationParams.from_polar(z=0.001, delta=0.3, phi=0.7, beta=12.0,
+                                  theta=-0.4, gamma=0.8, eta_phase=1.1),
+     199, 4e-14),
+], ids=["z0.02", "z-0.01", "route_box_nu"])
+def test_rows_with_p_and_q_both_long(prm, n_max, bound):
+    # the nu != 0 deformed coherent state: in recurrence form both P and Q
+    # are long, as in no production call.  The references are its vacuum
+    # image (P = 1, Q = (lam - mu xi) e^{-z xi} - nu) and the 60-digit
+    # recurrence with the nu term.  Measured, in units of the largest
+    # amplitude: 7.4e-17, 2.9e-17 and 1.4e-15 for the recurrence form,
+    # 7.4e-17, 3.0e-17 and 1.0e-14 for the vacuum image
+    rec = _coherent_recurrence(prm, n_max)
+    img = np.array(aes.eigenstate_image(prm, prm.nu, n_max + 1))
+    ref = _mp_recurrence(prm, n_max)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(rec - ref)) <= bound * scale
+    assert np.max(np.abs(img - ref)) <= bound * scale
+    assert np.max(np.abs(rec - img)) <= bound * scale
 
 
 def test_route_check_catches_planted_error(monkeypatch):

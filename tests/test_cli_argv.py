@@ -133,9 +133,11 @@ def state_argvs(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=state_argvs())
-# past the turn of its z != 0 series the recurrence is 6.7e-9 of the largest
-# amplitude off the vacuum-image route: a table wrong from the third digit
-# in its last rows, which used to exit 0
+# past the turn of its z != 0 series the two routes are 1.3e-10 of the
+# largest amplitude apart, the recurrence 7.0e-11 and the vacuum image
+# 1.0e-10 off the 60-digit reference; kernels that weighted each order by
+# an exponentiated log-factorial put them 6.5e-9 apart, past
+# ROUTE_DEVIATION_BOUND
 @example(argv=["state", "--dim=512", "--z=-0.04712588751556962",
                "--delta=0.6930850487633382", "--phi=2.643430576872333",
                "--beta=2.523268890914561", "--theta=2.452209385422577",
