@@ -306,8 +306,9 @@ def bargmann_rows(q, p, ratio, n: int) -> list:
         P_0 sqrt(m+1) psi_{m+1}
             = sum_{j=0}^{m} (Q_j - (m-j) P_{j+1}) sqrt(m!/(m-j)!) psi_{m-j}.
 
-    P_0 = p[0]; the orders j of P and Q share a scale s_j >= 0, Q_j = q[j] s_j
-    and P_{j+1} = p[j+1] s_j (zero past the lists), given by its steps:
+    q, p and ratio are lists of Python numbers.  P_0 = p[0]; the orders j
+    of P and Q share a scale s_j >= 0, Q_j = q[j] s_j and P_{j+1} =
+    p[j+1] s_j (zero past the lists), given by its steps:
     s_0 = 1, s_{j+1} = s_j ratio[j], and no order past a zero or missing
     ratio.  The weight W_j = s_j sqrt(m!/(m-j)!) is the running product of
     r_j = ratio[j] sqrt(m-j), so s_j itself may lie below the float range.
