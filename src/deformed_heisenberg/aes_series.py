@@ -193,8 +193,8 @@ def fock_coefficients(params: DeformationParams, n_max: int, amps=None):
     squeezed eigenstate, for any real z, as a list of complex.
 
     The values come from the row recurrence of the eigen-equation
-    (_amplitudes); the vacuum-image route, which shares only the row
-    kernel's code with it, checks every one.  tail_estimate is the
+    (_amplitudes); the vacuum-image route, which shares the row kernel and
+    the scale of its orders with it but no coefficient, checks every one.  tail_estimate is the
     largest gap between the routes in units of the largest amplitude,
     terms_used the number of amplitudes checked; NotConverged when the gap
     passes ROUTE_DEVIATION_BOUND.  amps: _amplitudes(params, m) for some
