@@ -155,8 +155,9 @@ def test_coherent_eigenstate():
 ])
 def test_ladder_states_are_the_lam_zero_algebra_eigenstates(mu, z, nu, dim):
     # A = a + mu a+ e^{-z a+} is G a G^-1, so G|0> and G e^{-nu a+}|0> are
-    # the lam = 0 algebra eigenstates, which the builders take as vacuum
-    # images; the dense G route is the reference.  Measured: <= 2.8e-17 and
+    # the lam = 0 algebra eigenstates, which ground_state and
+    # coherent_eigenstate take as vacuum images; the dense G route is the
+    # reference.  Measured: <= 2.8e-17 and
     # 4.2e-17 over the three boxes (2.8e-17 and 6.2e-17 when the two states
     # were built from G and compared with the vacuum image); the bounds
     # leave about 3.5 times that
