@@ -9,10 +9,11 @@ and the two-parameter algebra with
     [A, B] = 0,   [B, C] = -(2z/p^2)(cosh(pB) - 1),   [A, C] = (1/p) sinh(pB).
 
 The realizations are power series in a+ (or a, by transposition with z -> -z)
-built by fock_core.series_operator.  Each coefficient list comes from the
-O(N^2) recurrence of its series' own ODE: exp_coefficients for e^{u(x)} and
-_pow_series for u(x)^c, with no series composition; the linear exponent
-e^{zx}, most of the calls, runs a scalar loop with the recurrence's bits.
+built by fock_core.series_operator.  Each coefficient list comes from one
+O(N^2) recurrence on its series' own ODE, J. C. P. Miller's (_miller):
+w' = u' w for e^{u(x)} and u w' = c u' w for u(x)^c, no series composition.
+The linear exponent e^{zx}, most of the calls, keeps a scalar loop with its
+bits (_exp_linear): numpy's one-term dot products cost more than the sums.
 z and p are real, so every realization is a float64 triple; its ladder
 factor a (or a+) scales columns (rows) in O(N^2) instead of a dense
 product, and so do the commutators [A, B] and [A, C] with the ladder
@@ -123,36 +124,51 @@ class AlgebraTriple(NamedTuple):
 def exp_coefficients(u, n):
     """Coefficients of e^{u(x)} to order n-1, for u(0) = 0.
 
-    w = e^u solves w' = u' w, so m w_m = sum_{k=1}^{m} k u_k w_{m-k}: one dot
-    product per order, O(n^2) in all.  A linear u = u_1 x, the most common
-    exponent here, takes _exp_linear's scalar loop instead, with the same
-    bits.  A huge u gives inf or nan, reported as numpy's error state says;
-    callers check finiteness where it matters.
+    w = e^u solves w' = u' w: _miller with alpha 1, beta 0, d0 = w0 = 1.  A
+    linear u = u_1 x, most calls, keeps _exp_linear's loop with the same bits,
+    as one-term dot products cost numpy more than their arithmetic.  A huge u
+    gives inf or nan as numpy's error state says; callers check finiteness.
     """
     import numpy as np
     u = np.asarray(u, dtype=complex)[:n]
     if u[0] != 0:
         raise NotNilpotent(f"exponent series has a nonzero constant term {u[0]}")
-    ku = np.arange(len(u)) * u
-    if len(u) == 2:
-        return _exp_linear(complex(ku[1]), n)
+    if len(u) == 2:                   # u_1 weighted as _miller weights it
+        return _exp_linear(complex((np.arange(2) * u)[1]), n)
+    return _miller(u, n, 1, 0, 1, 1.0)
+
+
+def _miller(u, n, alpha, beta, d0, w0):
+    """w_0 .. w_{n-1} from w_0 = w0 and J. C. P. Miller's recurrence (Knuth,
+    TAOCP vol. 2, 4.7), one dot product per order:
+
+        m d0 w_m = sum_{k=1}^{min(m, len(u)-1)} (alpha k - beta m) u_k w_{m-k}.
+
+    e^u (w' = u' w) takes alpha 1, beta 0, d0 = w0 = 1; u^c (u w' = c u' w)
+    takes alpha c + 1, beta 1, d0 = u_0, w0 = u_0^c.
+    """
+    import numpy as np
+    u = np.asarray(u, dtype=complex)[:n]
+    ak = alpha * np.arange(len(u))
+    aku = ak * u                       # the weights if beta = 0, built once
     w = np.zeros(n, dtype=complex)
-    w[0] = 1.0
+    w[0] = w0
     for m in range(1, n):
-        k = min(m, len(u) - 1)
-        w[m] = ku[1:k + 1] @ w[m - 1::-1][:k] / m
+        j = min(m, len(u) - 1)
+        a = aku[1:j + 1] if beta == 0 else (ak[1:j + 1] - beta * m) * u[1:j + 1]
+        w[m] = a @ w[m - 1::-1][:j] / (m * d0)
     return w
 
 
 def _exp_linear(u1: complex, n: int):
     """Coefficients of e^{u1 x} to order n-1: w_m = u1 w_{m-1} / m in plain
     Python floats, several times faster than numpy's one-term dot products
-    at n = 160.  Each step rounds as exp_coefficients' loop does, signed
-    zeros, inf and nan included: the complex product (re re - im im,
-    re im + im re) added to a +0 accumulator, as a dot product sums, then
-    numpy's complex division by m + 0j, ((re + im 0) (1/m), (im - re 0) (1/m)),
-    whose zero products turn an inf part into nan.  Python floats never
-    warn, and overflow to inf as numpy's do.
+    at n = 160.  Each step rounds as _miller's loop does, signed zeros, inf
+    and nan included: the complex product (re re - im im, re im + im re)
+    added to a +0 accumulator, as a dot product sums, then numpy's complex
+    division by m + 0j, ((re + im 0) (1/m), (im - re 0) (1/m)), whose zero
+    products turn an inf part into nan.  Python floats never warn, and
+    overflow to inf as numpy's do.
     """
     import numpy as np
     ur, ui = u1.real, u1.imag
@@ -164,24 +180,6 @@ def _exp_linear(u1: complex, n: int):
         wr, wi = (pr + pi * 0.0) * r, (pi - pr * 0.0) * r
         w += (wr, wi)
     return np.array(w).view(complex)
-
-
-def _pow_series(u, c, n):
-    """Coefficients of (u(x))^c to order n-1 given coefficients of u, u[0] != 0.
-
-    J.C.P. Miller recurrence (Knuth, TAOCP vol. 2, 4.7): w_0 = u_0^c,
-    m u_0 w_m = sum_{k=1}^{m} ((c+1)k - m) u_k w_{m-k}, one dot product per order.
-    """
-    import numpy as np
-    u = np.asarray(u, dtype=complex)[:n]
-    k = np.arange(len(u))
-    w = np.zeros(n, dtype=complex)
-    w[0] = complex(u[0]) ** c
-    for m in range(1, n):
-        j = min(m, len(u) - 1)
-        w[m] = ((((c + 1) * k[1:j + 1] - m) * u[1:j + 1])
-                @ w[m - 1::-1][:j]) / (m * u[0])
-    return w
 
 
 # Taylor data f^(m)(alpha)/m! for the matrix route (triangular_matrix_function);
@@ -256,8 +254,9 @@ def _uzp_coefficients(z: float, p: float, n: int):
     e = exp_coefficients([0.0, z], n)
     q = (p / 2) ** 2 * exp_coefficients([0.0, 2 * z], n)
     q[0] += 1.0
-    C = np.convolve(e, _pow_series(q, 0.5, n))[:n]
-    dB = z * np.convolve(e, _pow_series(q, -0.5, n))[:n - 1]
+    C = np.convolve(e, _miller(q, n, 1.5, 1, q[0], complex(q[0]) ** 0.5))[:n]
+    dB = z * np.convolve(e, _miller(q, n, 0.5, 1, q[0],
+                                    complex(q[0]) ** -0.5))[:n - 1]
     B = np.r_[(2 / p) * math.asinh(p / 2), dB / np.arange(1, n)]
     return B, C
 

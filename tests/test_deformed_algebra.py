@@ -11,7 +11,7 @@ import pytest
 
 from deformed_heisenberg.deformed_algebra import (
     AlgebraTriple, DeformationParams, P_KINDS, RealizationKind,
-    _ladder_commutator, _nilpotent_part, _pow_series, _uzp_coefficients,
+    _ladder_commutator, _miller, _nilpotent_part, _uzp_coefficients,
     build_realization, commutator_residual_tilde,
     commutator_residual_uzp, cosh_series, exp_coefficients, recip_series,
     sinh_series, tilde_basis_change, tilde_residual_blocks,
@@ -128,6 +128,13 @@ def test_uzp_residuals_past_factorial_overflow():
     assert commutator_residual_uzp(tri, prm, cfg) < 1e-12
 
 
+def _pow_series(u, c, n):
+    """Coefficients of u(x)^c to order n-1, u_0 != 0: the Miller recurrence
+    with alpha = c + 1, beta = 1, d0 = u_0 and w0 = u_0^c."""
+    u = np.asarray(u, dtype=complex)
+    return _miller(u, n, c + 1, 1, u[0], complex(u[0]) ** c)
+
+
 def test_pow_series_matches_binomial_expansion():
     # (1 + x)^{1/2} and (1 + x^2)^{-1/2}
     np.testing.assert_allclose(_pow_series([1.0, 1.0], 0.5, 5),
@@ -135,6 +142,65 @@ def test_pow_series_matches_binomial_expansion():
                                rtol=1e-15, atol=0)
     np.testing.assert_allclose(_pow_series([1.0, 0.0, 1.0], -0.5, 6),
                                [1, 0, -1 / 2, 0, 3 / 8, 0], rtol=1e-15, atol=0)
+
+
+# The two numpy loops that the Miller recurrence replaced, kept verbatim as
+# references for its bits
+
+def _old_exp_loop(u, n):
+    u = np.asarray(u, dtype=complex)[:n]
+    ku = np.arange(len(u)) * u
+    w = np.zeros(n, dtype=complex)
+    w[0] = 1.0
+    for m in range(1, n):
+        k = min(m, len(u) - 1)
+        w[m] = ku[1:k + 1] @ w[m - 1::-1][:k] / m
+    return w
+
+
+def _old_pow_loop(u, c, n):
+    u = np.asarray(u, dtype=complex)[:n]
+    k = np.arange(len(u))
+    w = np.zeros(n, dtype=complex)
+    w[0] = complex(u[0]) ** c
+    for m in range(1, n):
+        j = min(m, len(u) - 1)
+        w[m] = ((((c + 1) * k[1:j + 1] - m) * u[1:j + 1])
+                @ w[m - 1::-1][:j]) / (m * u[0])
+    return w
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+@pytest.mark.parametrize("c", [0.5, -0.5, 1 / 3, 2])
+def test_miller_recurrence_is_the_old_loops_bit_for_bit(c):
+    # complex and real u of lengths 3-40, u_0 != 0, 1 for the power, orders
+    # up to 200: each order takes the old loops' dot product and divisor
+    rng = np.random.default_rng(33)
+    for case in range(60):
+        length, n = int(rng.integers(3, 41)), int(rng.integers(1, 201))
+        u = rng.normal(size=length) * 0.5 ** np.arange(length)
+        if case % 2:
+            u = u + 1j * rng.normal(size=length) * 0.5 ** np.arange(length)
+        u[0] = rng.uniform(0.5, 2.0) * (1 if case % 4 < 2 else -1)
+        assert _same_bits(_pow_series(u, c, n), _old_pow_loop(u, c, n)), case
+        u[0] = 0.0
+        assert _same_bits(exp_coefficients(u, n), _old_exp_loop(u, n)), case
+
+
+def test_miller_recurrence_overflows_as_the_old_loops():
+    # past the float range both routes make the same inf and nan, and numpy
+    # reports the overflow
+    u = [0.0, 1e300, -3e299j, 1e300]
+    with pytest.warns(RuntimeWarning):
+        got, ref = exp_coefficients(u, 40), _old_exp_loop(u, 40)
+        got_pow = _pow_series([1e-300, *u[1:]], 0.5, 40)
+        ref_pow = _old_pow_loop([1e-300, *u[1:]], 0.5, 40)
+    assert not np.isfinite(got).all() and not np.isfinite(got_pow).all()
+    assert _same_bits(got, ref) and _same_bits(got_pow, ref_pow)
 
 
 # The power-series kernels against 60-digit mpmath references.  The bound is
