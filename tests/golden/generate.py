@@ -3,8 +3,8 @@
 The corpus is the traffic the benchmark sends, cut to a size a test can
 replay: the first two blocks of seeds 1-10 of every workload in
 benchmarks/workloads.py, plus each subcommand with its defaults, one
-``state`` argv that raises a PhaseWindow warning and the JSON argvs below,
-each argv once.  Each
+``state`` argv that raises a PhaseWindow warning, one ``state`` argv that
+its route check refuses and the JSON argvs below, each argv once.  Each
 argv runs in-process through ``cli.main``; manifest.tsv holds one line per
 argv with three tab-separated columns: its JSON form, its exit code, and the
 sha256 of its exit code, stdout and stderr.  test_golden_paths.py replays it.
@@ -46,6 +46,11 @@ BLOCKS_PER_SEED = 2
 # mu = 0 with arg(lam) = 3 lies outside the z > 0 convergence window
 PHASE_WINDOW = ["state", "--dim", "64", "--z", "0.01", "--delta", "0",
                 "--beta", "1", "--theta", "3"]
+# the row recurrence and the vacuum-image route part by 9.28e-06 of the
+# largest amplitude, past ROUTE_DEVIATION_BOUND: exit 3 and its message
+ROUTE_REFUSED = ["state", "--dim", "512", "--z=0.0853122158916251",
+                 "--delta=0.5842376229416272", "--phi=-2.5303640827329397",
+                 "--beta=6.136298454630414", "--theta=-0.5374828112137386"]
 # the JSON writer on a table that completes: the default spectrum exits 4,
 # this operator_checks one exits 0
 SPECTRUM_OK = ["spectrum", "--dim", "128", "--delta", "0.0464064", "--phi",
@@ -71,6 +76,7 @@ def corpus() -> list:
                 argvs += next(gen)
     argvs += [[name] for name in cli.SUBCOMMAND_FLAGS]
     argvs.append(PHASE_WINDOW)
+    argvs.append(ROUTE_REFUSED)
     argvs += [[name, "--format", "json"]
               for name, flags in cli.SUBCOMMAND_FLAGS.items()
               if "format" in flags]

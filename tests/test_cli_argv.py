@@ -6,6 +6,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -155,6 +157,30 @@ def test_state_table_is_checked_or_refused(argv):
         assert diagnostics["route_deviation"] <= aes_series.ROUTE_DEVIATION_BOUND
     else:
         assert rc == 3
+
+
+# boxes where the two routes part past ROUTE_DEVIATION_BOUND, by 9.28e-06
+# and 8.21e-09 of the largest amplitude, found by a random search over the
+# domain of state_argvs
+@pytest.mark.parametrize("argv", [
+    ["state", "--dim", "512", "--z=0.0853122158916251",
+     "--delta=0.5842376229416272", "--phi=-2.5303640827329397",
+     "--beta=6.136298454630414", "--theta=-0.5374828112137386"],
+    ["state", "--dim", "512", "--z=-0.04355890043796209",
+     "--delta=0.7568350280777051", "--phi=-3.101430670004334",
+     "--beta=4.896232270441945", "--theta=-2.1976440118049165"],
+], ids=["9.28e-06", "8.21e-09"])
+def test_state_refuses_a_table_whose_routes_part(argv):
+    # through python -m, as a user runs it: exit 3 and no partial table
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "deformed_heisenberg.cli", *argv],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: route deviation ")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, rc", [
