@@ -177,8 +177,9 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("c", [0.5, -0.5, 1 / 3, 2])
 def test_miller_recurrence_is_the_old_loops_bit_for_bit(c):
-    # complex and real u of lengths 3-40, u_0 != 0, 1 for the power, orders
-    # up to 200: each order takes the old loops' dot product and divisor
+    # complex and real u of lengths 3-40, u_0 off 0 and 1 for the power and
+    # 0 for the exponential, orders up to 200: each order takes the old
+    # loops' dot product and divisor
     rng = np.random.default_rng(33)
     for case in range(60):
         length, n = int(rng.integers(3, 41)), int(rng.integers(1, 201))
