@@ -2,63 +2,109 @@
 
 Everything here evaluates the table, i <= k and j <= l, of
 
-    H[..., i, j] = d^i/dsigma^i d^j/dtau^j
-                   exp(A sigma^2 + B tau^2 + C sigma tau + D sigma + E tau) |_0
+    H[i][j] = d^i/dsigma^i d^j/dtau^j
+              exp(A sigma^2 + B tau^2 + C sigma tau + D sigma + E tau) |_0
 
 by the two-variable Hermite recurrences (Appell and Kampe de Feriet 1926),
 for the squeezed-displaced matrix elements and the first-order norm factors
-of the perturbed states.  The parameters may be scalars or numpy arrays of
-one shape, which the table carries in front of its (i, j) axes: a sweep grid
-costs one table, not one per point or element.  numpy is imported by each
-function that uses it, so that importing this module loads no numpy.
+of the perturbed states.  Plain Python: a parameter is a number or a list
+over a sweep grid, all lists of one length, a number standing for itself at
+every grid point.  With a list among them, each entry H[i][j] is one list
+over the grid, filled by one list comprehension: a grid costs one table, not
+one per point.  With numbers alone, each entry is a number.
 """
+
+import cmath
 
 from .errors import BadParams
 
 
+def columns(params):
+    """The parameters as lists of one length, a number repeated over it, and
+    whether every parameter was a number (then the lists hold one point)."""
+    sizes = {len(x) for x in params if isinstance(x, list)}
+    if len(sizes) > 1:
+        raise ValueError(f"grid lists of different lengths {sorted(sizes)}")
+    n = max(sizes, default=1)
+    return [x if isinstance(x, list) else [x] * n for x in params], not sizes
+
+
+def _unwrap(table, scalar):
+    return [[col[0] for col in row] for row in table] if scalar else table
+
+
 def quadratic_exponential_derivative(k: int, l: int, A, B, C, D, E):
-    """The table H[..., i, j], i <= k, j <= l, from H[0, 0] = 1 and
+    """The table H[i][j], i <= k, j <= l, from H[0][0] = 1 and
 
-        H[0, j+1] = E H[0, j] + 2j B H[0, j-1]
-        H[i+1, j] = D H[i, j] + 2i A H[i-1, j] + j C H[i, j-1]."""
-    import numpy as np
-    H = np.zeros(np.broadcast(A, B, C, D, E).shape + (k + 1, l + 1), complex)
-    H[..., 0, 0] = 1.0
-    # at j = 0 (i = 0) the index -1 reads the last column (row): still zero
+        H[0][j+1] = E H[0][j] + 2j B H[0][j-1]
+        H[i+1][j] = D H[i][j] + 2i A H[i-1][j] + j C H[i][j-1],
+
+    each recurrence term dropped where its factor 2j, 2i or j is zero."""
+    (A, B, C, D, E), scalar = columns((A, B, C, D, E))
+    top = [[1 + 0j] * len(A)]
     for j in range(l):
-        H[..., 0, j + 1] = E * H[..., 0, j] + 2 * j * B * H[..., 0, j - 1]
-    A, C, D = (np.asarray(x)[..., None] for x in (A, C, D))
+        h, g, m = top[j], top[j - 1], 2.0 * j
+        top.append([e * x for e, x in zip(E, h)] if j == 0 else
+                   [e * x + m * b * y for e, x, b, y in zip(E, h, B, g)])
+    H = [top]
     for i in range(k):
-        H[..., i + 1, :] = D * H[..., i, :] + 2 * i * A * H[..., i - 1, :]
-        H[..., i + 1, 1:] += np.arange(1, l + 1) * C * H[..., i, :-1]
-    return H
+        up, prev, m = H[i], H[i - 1], 2.0 * i
+        row = []
+        for j in range(l + 1):
+            h, g, f, n = up[j], prev[j], up[j - 1], float(j)
+            if i and j:
+                col = [d * x + m * a * y + n * c * u for d, x, a, y, c, u
+                       in zip(D, h, A, g, C, f)]
+            elif i:
+                col = [d * x + m * a * y for d, x, a, y in zip(D, h, A, g)]
+            elif j:
+                col = [d * x + n * c * u for d, x, c, u in zip(D, h, C, f)]
+            else:
+                col = [d * x for d, x in zip(D, h)]
+            row.append(col)
+        H.append(row)
+    return _unwrap(H, scalar)
 
 
-def _coefficients(k: int, l: int, delta, phi, beta, theta):
-    """r^(i + j) over the (k, l) table, r = sqrt(1 - delta^2), then the s^2
-    coefficient -delta e^{-i phi}/2 and the displacement of S D|0>'s
-    generating function, whose conjugates are the t^2 and t coefficients."""
-    import numpy as np
-    if not np.all((0 <= delta) & (delta < 1)):
+def _coefficients(delta, phi, beta, theta):
+    """Per grid point, w = 1/(1 - delta^2) and, scaled by w, delta^2, the
+    sigma^2 coefficient -delta e^{-i phi}/2 and the displacement
+    beta e^{-i theta} - delta beta e^{i(theta - phi)} of S D|0>'s generating
+    function, whose conjugates are the tau^2 and tau coefficients.  w is the
+    tables' 1/r^(i + j), r = sqrt(1 - delta^2), moved into their variables:
+    each quadratic coefficient carries 1/r^2 and each linear one 1/r on top
+    of the 1/r already in the displacement.  e^{i(theta - phi)} is
+    e^{i theta} e^{-i phi}, so that no phase difference leaves the float
+    range."""
+    (delta, phi, beta, theta), scalar = columns((delta, phi, beta, theta))
+    if not all(0 <= x < 1 for x in delta):
         raise BadParams("need 0 <= delta < 1")
-    r = np.sqrt(1 - delta * delta)
-    d = (beta * np.exp(-1j * theta)
-         - delta * beta * np.exp(1j * (theta - phi))) / r
-    i, j = np.ogrid[:k + 1, :l + 1]
-    return r[..., None, None] ** (i + j), -delta * np.exp(-1j * phi) / 2, d
+    ws, c, a, d = [], [], [], []
+    for x, f, b, t in zip(delta, phi, beta, theta):
+        w = 1 / (1 - x * x)
+        ef, et = cmath.exp(-1j * f), cmath.exp(-1j * t)
+        ws.append(w)
+        c.append(x * x * w)
+        a.append(-x * w / 2 * ef)
+        d.append(b * w * (et - x * et.conjugate() * ef))
+    return ws, c, a, d, scalar
+
+
+def _conjugates(zs):
+    return [v.conjugate() for v in zs]
 
 
 def gamma_kl(k: int, l: int, delta, phi, beta, theta):
     """Table of <0|D+ S+ (a+)^i a^j S D|0>, i <= k, j <= l, for the
-    squeezed-displaced vacuum, indexed [..., i, j]."""
-    scale, a, d = _coefficients(k, l, delta, phi, beta, theta)
-    return quadratic_exponential_derivative(
-        k, l, a, a.conjugate(), delta * delta, d, d.conjugate()) / scale
+    squeezed-displaced vacuum, indexed [i][j]."""
+    _, c, a, d, scalar = _coefficients(delta, phi, beta, theta)
+    return _unwrap(quadratic_exponential_derivative(
+        k, l, a, _conjugates(a), c, d, _conjugates(d)), scalar)
 
 
 def lambda_kl(k: int, l: int, delta, phi, beta, theta):
     """Table of <0|D+ S+ a^i (a+)^j S D|0> (anti-normal order), as gamma_kl."""
-    scale, a, d = _coefficients(k, l, delta, phi, beta, theta)
+    w, _, a, d, scalar = _coefficients(delta, phi, beta, theta)
     # sigma couples to a^i, tau to (a+)^j: every coefficient swaps vs gamma_kl
-    return quadratic_exponential_derivative(
-        k, l, a.conjugate(), a, 1.0, d.conjugate(), d) / scale
+    return _unwrap(quadratic_exponential_derivative(
+        k, l, _conjugates(a), a, w, _conjugates(d), d), scalar)

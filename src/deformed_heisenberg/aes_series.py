@@ -339,7 +339,8 @@ def omega_two_param(delta, phi, beta, theta, gamma, eta_phase, z, p) -> float:
     mu = delta * cmath.exp(1j * phi)
     lam = beta * cmath.exp(1j * theta)
     nu = -gamma * cmath.exp(1j * eta_phase)
-    g10, g20, g30 = _gaussian.gamma_kl(3, 0, delta, phi, bt, tt)[1:, 0]
+    g10, g20, g30 = (row[0] for row in
+                     _gaussian.gamma_kl(3, 0, delta, phi, bt, tt)[1:])
     corr = (z * (mu * g30 / 3 - lam * g20 / 2)
             + (p * p / 4) * (mu * g20 / 4 - (lam / 2 - nu / 3) * g10))
     return 1 - corr.real

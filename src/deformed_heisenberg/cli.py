@@ -24,13 +24,14 @@ write, flush or close of --out or stdout that fails (a full disk) prints
 "error: cannot write <--out path | stdout>: <reason>".
 A warning raised while a subcommand runs goes to stderr as one line,
 "warning: <category>: <message>", with no install path or source line.
-numpy's floating-point errors are ignored while sweep-dispersion, verify or
-spectrum runs (one errstate context, in main): a kernel past the float
-range is reported by the package's own finiteness checks, as an error and
-its exit code, never as a numpy RuntimeWarning.  Library calls outside main
-keep numpy's reporting.  state runs on plain Python floats, which never
-warn; its kernels turn an overflow into nan entries, which the same checks
-report.
+numpy's floating-point errors are ignored while verify or spectrum runs
+(one errstate context, in main): a kernel past the float range is reported
+by the package's own finiteness checks, as an error and its exit code,
+never as a numpy RuntimeWarning.  Library calls outside main keep numpy's
+reporting.  state and sweep-dispersion run on plain Python floats, which
+never warn: their kernels turn an overflow into inf or nan entries, which
+the same checks report, and an ArithmeticError that Python raises where
+numpy returned inf ends a sweep in the same convergence failure.
 
 run() is the process entry (``python -m deformed_heisenberg.cli`` and the
 dheis console script) and its one way out.  Under ``python -m`` a request
@@ -66,9 +67,10 @@ json where a JSON document is written, fractions (and decimal, which it
 imports) only by aes_series' exact-integer reference tables, which no
 request builds (paragrassmann's complex rationals, behind verify's exact
 ODE row, are plain ints), and scipy only where a dense exponential runs.
-state loads none of them: its kernels are plain Python.
+state and sweep-dispersion load none of them: their kernels are plain
+Python, and a sweep's grid is numpy.linspace's arithmetic in floats.
 Importing this module still loads every package module, none of which
-imports numpy at load time.  run() imports numpy for the other subcommands
+imports numpy at load time.  run() imports numpy for verify and spectrum
 (ARRAY_COMMANDS, picked from argv[0]) while the collector is still paused,
 before the freeze, so that numpy's import objects are frozen too and its
 import runs no collector pass.  Likewise _build_parser adds flags only to
@@ -251,18 +253,31 @@ def _check_common(args) -> str:
 SWEEP_HEADER = list(dispersion.SweepTable._fields)
 
 
+def _linspace(lo, hi, steps) -> list:
+    """numpy.linspace(lo, hi, steps) in plain floats, bit for bit: y_i =
+    i step + lo, step = (hi - lo)/(steps - 1), and the last value hi.  Where
+    the step underflows to zero, y_i = i/(steps - 1) (hi - lo) + lo."""
+    div, span = steps - 1, hi - lo
+    step = span / div
+    if step == 0:
+        grid = [i / div * span + lo for i in range(steps)]
+    else:
+        grid = [i * step + lo for i in range(steps)]
+    grid[-1] = hi
+    return grid
+
+
 def cmd_sweep_dispersion(args) -> int:
-    import numpy as np
     with _Writer(args.out) as w:
         table = dispersion.sweep_table(
             delta=args.delta, phi=args.phi, beta=args.beta, theta=args.theta,
-            varying=args.var, grid=np.linspace(args.min, args.max, args.steps),
+            varying=args.var, grid=_linspace(args.min, args.max, args.steps),
             z=args.z, p=args.p)
         # a first-order variance goes negative where x2_mean - mean_x^2
         # cancels (large beta) or the expansion breaks down (delta near 1);
         # validity_flag alone does not say the value is meaningless
-        negative = int(np.count_nonzero(
-            np.minimum(table.var_x_def, table.var_p_def) < 0))
+        negative = sum(min(vx, vp) < 0 for vx, vp in
+                       zip(table.var_x_def, table.var_p_def))
         w.finish(args, SWEEP_HEADER, table,
                  diagnostics={"negative_variance_rows": negative}
                  if negative else None)
@@ -344,7 +359,7 @@ def _check_ode():
 def _check_gamma(cfg):
     import numpy as np
     args = (0.3, 0.7, 1.0, 0.2)
-    return float(np.abs(_gaussian.gamma_kl(3, 3, *args)
+    return float(np.abs(np.array(_gaussian.gamma_kl(3, 3, *args))
                         - dispersion.gamma_matrix_table(*args, 3, cfg)).max())
 
 
@@ -504,8 +519,9 @@ SUBCOMMAND_FLAGS = {
     "spectrum": ("delta", "phi", "z", "dim", "format", "out"),
 }
 
-# the subcommands that work on numpy arrays; state needs none
-ARRAY_COMMANDS = ("sweep-dispersion", "verify", "spectrum")
+# the subcommands that work on numpy arrays; state and sweep-dispersion
+# need none
+ARRAY_COMMANDS = ("verify", "spectrum")
 
 _COMMANDS = {
     "sweep-dispersion": (cmd_sweep_dispersion,

@@ -4,11 +4,11 @@ Covers the X/P operators and their dispersions, the squeezed-vacuum matrix
 elements Gamma_kl / Lambda_kl, the first-order perturbed moments and the
 variance tables built from them (sweep_table, over a phi or delta grid), and
 the all-order dispersions of general_dispersion.  The first-order moments
-and the undeformed dispersions (mus_dispersions) take scalars or numpy
-arrays, so a sweep evaluates its whole grid in one call of each and returns
-the result columns as the table; no per-row record is built.  numpy is
-imported by each function that uses it, so that importing this module loads
-no numpy.
+and the undeformed dispersions (mus_dispersions) are plain Python: they take
+numbers or lists over one grid, so a sweep evaluates its whole grid in one
+call of each and returns the result columns as the table; no per-row record
+is built.  numpy is imported by each function that uses it, so that
+importing this module loads no numpy, and a sweep loads none at all.
 """
 
 import cmath
@@ -48,7 +48,7 @@ class QuadratureStats(NamedTuple):
 
     @property
     def srur_bound(self) -> float:
-        return 0.25 * (1.0 + self.corr_f ** 2)
+        return 0.25 * (1.0 + self.corr_f * self.corr_f)
 
     @property
     def product(self) -> float:
@@ -83,16 +83,20 @@ def quadrature_stats(state, cfg: TruncationConfig) -> QuadratureStats:
 def mus_dispersions(delta, phi):
     """Dispersions of the undeformed squeezed states (independent of lam).
 
-    delta and phi may be numpy arrays of one broadcast shape (a sweep grid);
-    the pair is then a pair of arrays, each element computed as for scalars.
+    delta and phi may be lists over one grid (a sweep); the pair is then a
+    pair of lists, each element computed as for numbers.
     """
-    import numpy as np
-    if not np.all((0 <= delta) & (delta < 1)):
+    (delta, phi), scalar = _gaussian.columns((delta, phi))
+    if not all(0 <= x < 1 for x in delta):
         raise BadParams("need 0 <= delta < 1")
-    r2 = 2 * (1 - delta * delta)
-    base = 1 + delta * delta
-    return ((base - 2 * delta * np.cos(phi)) / r2,
-            (base + 2 * delta * np.cos(phi)) / r2)
+    vx, vp = [], []
+    for x, f in zip(delta, phi):
+        r2 = 2 * (1 - x * x)
+        base = 1 + x * x
+        c = 2 * x * math.cos(f)
+        vx.append((base - c) / r2)
+        vp.append((base + c) / r2)
+    return (vx[0], vp[0]) if scalar else (vx, vp)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +106,7 @@ def mus_dispersions(delta, phi):
 def gamma_element(k: int, l: int, delta, phi, beta, theta) -> complex:
     """<0|D+ S+ (a+)^k a^l S D|0>, the corner of the Hermite recurrence table
     of the Gaussian generating function's derivatives."""
-    return _gaussian.gamma_kl(k, l, delta, phi, beta, theta)[..., k, l]
+    return _gaussian.gamma_kl(k, l, delta, phi, beta, theta)[k][l]
 
 
 def gamma_matrix_table(delta, phi, beta, theta, k_max: int,
@@ -123,7 +127,7 @@ def gamma_matrix_table(delta, phi, beta, theta, k_max: int,
 
 def lambda_element(k: int, l: int, delta, phi, beta, theta) -> complex:
     """<0|D+ S+ a^k (a+)^l S D|0>, the corner of the same recurrence table."""
-    return _gaussian.lambda_kl(k, l, delta, phi, beta, theta)[..., k, l]
+    return _gaussian.lambda_kl(k, l, delta, phi, beta, theta)[k][l]
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +165,12 @@ class PerturbedMoments(NamedTuple):
                                corr_f=corr_f)
 
 
+def _transpose(rows, width) -> list:
+    """The columns of equal-width rows, as lists; width empty ones for no
+    rows."""
+    return [list(c) for c in zip(*rows)] if rows else [[] for _ in range(width)]
+
+
 def perturbed_moments(delta, phi, beta, theta, z, p) -> PerturbedMoments:
     """First-order <a>, <a^2>, <a+a>, epsilon and the four X/P moments.
 
@@ -169,92 +179,66 @@ def perturbed_moments(delta, phi, beta, theta, z, p) -> PerturbedMoments:
     R = mu (a+)^2/4 - (lam/2) a+  (nu = 0), against S D |0>, normal-ordering
     everything onto Gamma / Lambda elements; second-order cross terms in
     (z, p^2, epsilon) are dropped.  The 17 elements come from one Gamma table
-    (k <= 5, l <= 2) and one Lambda table (k <= 2, l <= 3), and each Q / R
-    block is formed once.  The parameters may be numpy arrays of one
-    broadcast shape (a sweep grid); every field then is an array of that
-    shape, evaluated elementwise.
+    (k <= 5, l <= 1; Gamma_0j is Gamma_j0's conjugate) and one Lambda table
+    (k <= 2, l <= 3), and each Q / R block is formed once per point.  delta,
+    phi, beta and theta may be lists over one grid (a sweep); the tables are
+    then columns over it, the moments are assembled point by point from
+    them, and every field is a list in grid order.
     """
-    import numpy as np
-    mu = delta * np.exp(1j * phi)
-    lam = beta * np.exp(1j * theta)
+    (delta, phi, beta, theta), scalar = _gaussian.columns(
+        (delta, phi, beta, theta))
     q = p * p / 4.0
-    G = _gaussian.gamma_kl(5, 2, delta, phi, beta, theta)
+    G = _gaussian.gamma_kl(5, 1, delta, phi, beta, theta)
     L = _gaussian.lambda_kl(2, 3, delta, phi, beta, theta)
+    rows = []
+    for (x, f, b, t, g10, g20, g30, g40, g50, g11, g21, g31, g41,
+         l11, l12, l13, l21, l22, l23) in zip(
+            delta, phi, beta, theta, *(G[i][0] for i in range(1, 6)),
+            *(G[i][1] for i in range(1, 5)), *L[1][1:], *L[2][1:]):
+        mu = x * cmath.exp(1j * f)
+        lam = b * cmath.exp(1j * t)
+        half = lam / 2
+        # the Q and R blocks against the element e(m) that carries (a+)^m,
+        # Q = mu e(3)/3 - lam e(2)/2 and R = mu e(2)/4 - (lam/2) e(1), kept
+        # apart.  Past |beta| ~ 1e40 a moment's terms cancel beyond a
+        # float's digits: summed in this order, their rounding leaves the
+        # float range, as the exact first-order product does, and a sweep
+        # exits 3; summed as one polynomial in a+, they cancelled to a
+        # finite table with no correct digit (beta 1e60)
+        m3, m4 = mu * g30, mu * g40
+        mean_q = m3 / 3 - lam * g20 / 2
+        mean_r = mu * g20 / 4 - half * g10
+        eps = -(z * mean_q + q * mean_r).real
+        norm = 1 + 2 * eps
+        # <a^j (.)> + <(a+)^j (.)>^*: Lambda's row j, Gamma's (a+)^(m + j)
+        q1 = (mu * l13 / 3 - lam * l12 / 2
+              + (m4 / 3 - lam * g30 / 2).conjugate())
+        r1 = mu * l12 / 4 - half * l11 + (m3 / 4 - half * g20).conjugate()
+        q2 = (mu * l23 / 3 - lam * l22 / 2
+              + (mu * g50 / 3 - lam * g40 / 2).conjugate())
+        r2 = mu * l22 / 4 - half * l21 + (m4 / 4 - half * g30).conjugate()
+        # a+ a against (a+)^m: a (a+)^m = (a+)^m a + m (a+)^{m-1}
+        n2 = g31 + 2 * g20
+        nq = mu * (g41 + 3 * g30) / 3 - lam * n2 / 2
+        nr = mu * n2 / 4 - half * (g21 + g10)
 
-    def blocks(e):
-        """The Q and R blocks, e(m) being the element that carries (a+)^m."""
-        return mu * e(3) / 3 - lam * e(2) / 2, mu * e(2) / 4 - lam / 2 * e(1)
-
-    def a_power_blocks(j):
-        """<a^j (.)> + <(a+)^j (.)>^* for the Q and R blocks."""
-        aQ, aR = blocks(lambda m: L[..., j, m])
-        adQ, adR = blocks(lambda m: G[..., m + j, 0])
-        return aQ + adQ.conjugate(), aR + adR.conjugate()
-
-    mean_q, mean_r = blocks(lambda m: G[..., m, 0])
-    eps = -(z * mean_q + q * mean_r).real
-    norm = 1 + 2 * eps
-    q1, r1 = a_power_blocks(1)
-    q2, r2 = a_power_blocks(2)
-    # a+ a against (a+)^m: a (a+)^m = (a+)^m a + m (a+)^{m-1}
-    nq, nr = blocks(lambda m: G[..., m + 1, 1] + m * G[..., m, 0])
-
-    g01 = G[..., 0, 1]
-    mean_a = norm * g01 + z * q1 + q * r1
-    a_sq = norm * G[..., 0, 2] + z * q2 + q * r2
-    n_bar = norm * G[..., 1, 1].real + 2 * (z * nq + q * nr).real
-
-    corr = z * q1 + q * r1
-    mean_x_sq = 2 * (g01.real ** 2 * (1 + 4 * eps) + 2 * g01.real * corr.real)
-    mean_p_sq = 2 * (g01.imag ** 2 * (1 + 4 * eps) + 2 * g01.imag * corr.imag)
-    core = norm * (G[..., 1, 1].real + G[..., 0, 2].real)
-    core_p = norm * (G[..., 1, 1].real - G[..., 0, 2].real)
-    x2_mean = 0.5 + core + (z * (q2 + 2 * nq) + q * (r2 + 2 * nr)).real
-    p2_mean = 0.5 + core_p + (z * (-q2 + 2 * nq) + q * (-r2 + 2 * nr)).real
-    return PerturbedMoments(mean_x_sq=mean_x_sq, x2_mean=x2_mean,
-                            mean_p_sq=mean_p_sq, p2_mean=p2_mean,
-                            epsilon=eps, mean_a=mean_a, a_sq=a_sq, n_bar=n_bar)
-
-
-def _perturbed_moments_literal(delta, phi, beta, theta, z, p):
-    """The same four moments, transcribed term-for-term from the grouped
-    Gamma/Lambda presentation (the one that mixes Lambda_41 - Gamma_03 style
-    differences).  Kept private as an independent assembly; equality with
-    perturbed_moments is asserted in the test suite."""
-    mu = delta * cmath.exp(1j * phi)
-    lam = beta * cmath.exp(1j * theta)
-    mub, lamb = mu.conjugate(), lam.conjugate()
-    G = _gaussian.gamma_kl(3, 5, delta, phi, beta, theta)
-    L = _gaussian.lambda_kl(4, 4, delta, phi, beta, theta)
-
-    eps = -(z * (mu * G[3, 0] / 3 - lam * G[2, 0] / 2)
-            + p * p / 4 * (mu * G[2, 0] / 4 - lam / 2 * G[1, 0])).real
-
-    inner = ((1 + 4 * eps) * G[0, 1]
-             + 2 * z * (mub / 3 * G[0, 4] - lamb / 2 * G[0, 3]
-                        + mu / 3 * L[1, 3] - lam / 2 * L[1, 2])
-             + p * p / 2 * (mub / 4 * G[0, 3] - lamb / 2 * G[0, 2]
-                            + mu / 4 * L[1, 2] - lam / 2 * L[1, 1]))
-    mean_x_sq = 2 * G[0, 1].real * inner.real
-    mean_p_sq = 2 * G[0, 1].imag * inner.imag
-
-    re_blocks = (z * (mub / 3 * G[0, 5] - lamb / 2 * G[0, 4]
-                      + mu / 3 * L[2, 3] - lam / 2 * L[2, 2])
-                 + p * p / 4 * (mub / 4 * G[0, 4] - lamb / 2 * G[0, 3]
-                                + mu / 4 * L[2, 2] - lam / 2 * L[2, 1]))
-    plain_blocks = (z * (mub / 3 * (L[4, 1] - G[0, 3])
-                         - lamb / 2 * (L[3, 1] - G[0, 2])
-                         + mu / 3 * (L[1, 4] - L[0, 3])
-                         - lam / 2 * (L[1, 3] - L[0, 2]))
-                    + p * p / 4 * (mub / 4 * (L[3, 1] - G[0, 2])
-                                   - lamb / 2 * (L[2, 1] - G[0, 1])
-                                   + mu / 4 * (L[1, 3] - L[0, 2])
-                                   - lam / 2 * (L[1, 2] - L[0, 1])))
-    base = (1 + 2 * eps) * (G[1, 1] + G[0, 2]).real
-    base_p = (1 + 2 * eps) * (G[1, 1] - G[0, 2]).real
-    x2_mean = 0.5 + base + re_blocks.real + plain_blocks.real
-    p2_mean = 0.5 + base_p - re_blocks.real + plain_blocks.real
-    return mean_x_sq, x2_mean, mean_p_sq, p2_mean
+        g01, g02 = g10.conjugate(), g20.conjugate()
+        corr = z * q1 + q * r1
+        gx, gp, h = g01.real, g01.imag, g11.real
+        rows.append((
+            2 * (gx * gx * (1 + 4 * eps) + 2 * gx * corr.real),
+            0.5 + norm * (h + g02.real)
+            + (z * (q2 + 2 * nq) + q * (r2 + 2 * nr)).real,
+            2 * (gp * gp * (1 + 4 * eps) + 2 * gp * corr.imag),
+            0.5 + norm * (h - g02.real)
+            + (z * (-q2 + 2 * nq) + q * (-r2 + 2 * nr)).real,
+            eps,
+            norm * g01 + z * q1 + q * r1,
+            norm * g02 + z * q2 + q * r2,
+            norm * h + 2 * (z * nq + q * nr).real))
+    if scalar:
+        return PerturbedMoments._make(rows[0])
+    return PerturbedMoments._make(_transpose(rows, 8))
 
 
 def perturbed_quadrature_stats(delta, phi, beta, theta, z, p) -> QuadratureStats:
@@ -322,24 +306,36 @@ def sweep_table(*, delta, phi, beta, theta, varying: str, grid, z, p):
     """Variance table over a phi or delta grid for one (z, p), as columns.
 
     The whole grid goes through one mus_dispersions and one perturbed_moments
-    call on numpy arrays; each SweepTable field is a list, one plain float
+    call on lists; each SweepTable field is a list, one plain float
     (validity_flag: bool) per grid value in grid order.  validity_flag is
     False where |epsilon| = |Omega~ - 1| exceeds the module threshold and the
     first-order state can no longer be trusted.  A non-finite column raises
-    NotConverged naming the first grid value where it is not finite.
+    NotConverged naming the first grid value where it is not finite, as does
+    an arithmetic error (an OverflowError or a complex division by zero),
+    which Python raises where numpy returned inf or nan.
     """
-    import numpy as np
     if varying not in ("phi", "delta"):
         raise BadParams("varying must be 'phi' or 'delta'")
-    g = np.array(grid, dtype=float)
+    g = [float(x) for x in grid]
     d, f = (delta, g) if varying == "phi" else (g, phi)
-    mus = mus_dispersions(d, f)
-    m = perturbed_moments(d, f, beta, theta, z, p)
-    st = m.stats
-    cols = (st.var_x, st.var_p, st.product, st.srur_bound)
-    ok = np.abs(m.epsilon) <= VALIDITY_EPSILON_THRESHOLD
-    bad = ~np.isfinite(cols).all(axis=0)
-    if bad.any():
-        raise NotConverged(f"moments overflow at {varying}="
-                           f"{float(g[bad.argmax()])}")
-    return SweepTable._make(c.tolist() for c in (g, *mus, *cols, ok))
+    try:
+        mus = mus_dispersions(d, f)
+        m = perturbed_moments(d, f, beta, theta, z, p)
+        rows = []
+        # each point's PerturbedMoments.stats and its product and SRUR
+        # bound, inline: building the views per point would double the loop
+        for x, mean_x_sq, x2_mean, mean_p_sq, p2_mean, eps, mean_a, a_sq, _ \
+                in zip(g, *m):
+            var_x, var_p = x2_mean - mean_x_sq, p2_mean - mean_p_sq
+            corr_f = (2 * a_sq.imag
+                      - 2 * (SQRT2 * mean_a.real) * (SQRT2 * mean_a.imag))
+            product, bound = var_x * var_p, 0.25 * (1.0 + corr_f * corr_f)
+            # a finite product has finite factors
+            if not (math.isfinite(product) and math.isfinite(bound)):
+                raise NotConverged(f"moments overflow at {varying}={x}")
+            rows.append((var_x, var_p, product, bound,
+                         abs(eps) <= VALIDITY_EPSILON_THRESHOLD))
+    except ArithmeticError as e:
+        raise NotConverged(f"moments overflow on the {varying} grid: "
+                           f"{type(e).__name__}: {e}") from e
+    return SweepTable(g, *mus, *_transpose(rows, 5))

@@ -425,7 +425,8 @@ def omega_pg_slope(delta, phi, beta, theta) -> float:
     """d(Omega)/dz at z = 0 for the k0 = 2 normalized squeezed state: the
     grade-1 norm correction  +delta Re[delta e^{2i phi} G30/3
     - beta e^{i(phi+theta)} G20/2]."""
-    g20, g30 = _gaussian.gamma_kl(3, 0, delta, phi, beta, theta)[2:, 0]
+    g20, g30 = (row[0] for row in
+                _gaussian.gamma_kl(3, 0, delta, phi, beta, theta)[2:])
     val = (delta * cmath.exp(2j * phi) * g30 / 3
            - beta * cmath.exp(1j * (phi + theta)) * g20 / 2)
     return delta * val.real

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deformed_heisenberg import _gaussian, cli, fock_core
+from deformed_heisenberg import _gaussian, cli, dispersion, fock_core
 from deformed_heisenberg.errors import NotConverged, PhaseWindow
 
 PI = "3.141592653589793"
@@ -60,8 +60,8 @@ def test_sweep_layout_and_formatting(tmp_path):
     assert len(rows) == 200
     # floats carry 17 significant digits; booleans print as 0/1
     assert lines[2] == ("-3.1415926535897931,1.5,0.16666666666666666,"
-                        "1.4400000000000048,0.17333333333333473,"
-                        "0.24960000000000285,0.25,1")
+                        "1.4400000000000013,0.17333333333333079,"
+                        "0.24959999999999655,0.25,1")
     for r in rows:
         assert r[-1] in ("0", "1")
 
@@ -96,26 +96,26 @@ GOLDEN_SWEEP_HEADER = ("grid_value,var_x_mus,var_p_mus,var_x_def,var_p_def,"
                        "product_def,srur_bound,validity_flag")
 GOLDEN_SWEEP_ROWS = (
     "-1,0.43318937815802883,0.94776300279435233,"
-    "0.4232439885157131,0.94841457931053075,0.40141076931384112,"
-    "0.40136769419412577,1\n"
+    "0.42324398851571043,0.94841457931053075,0.40141076931383862,"
+    "0.40136769419412366,1\n"
     "-0.66666666666666674,0.31624416153478679,1.0647082194175943,"
     "0.31005444151274419,1.0662762470037235,0.33060368626304437,"
     "0.33065375108949235,1\n"
     "-0.33333333333333337,0.24049669223107734,1.1404556887213038,"
-    "0.23739083480662138,1.1432975103828831,0.27140835042212447,"
-    "0.2714891424805902,1\n"
+    "0.23739083480662182,1.1432975103828822,0.2714083504221248,"
+    "0.27148914248059008,1\n"
     "0,0.21428571428571436,1.1666666666666667,"
-    "0.21354334041338707,1.170708479971565,0.24999699946340684,"
+    "0.21354334041338663,1.1707084799715641,0.24999699946340614,"
     "0.25006487846177994,1\n"
     "0.33333333333333326,0.24049669223107734,1.1404556887213038,"
     "0.24138923855241878,1.1452395864374192,0.27644851173021562,"
-    "0.27648830332878349,1\n"
+    "0.2764883033287836,1\n"
     "0.66666666666666652,0.31624416153478674,1.0647082194175943,"
-    "0.31796825522276462,1.0695894285972454,0.34009548441577991,"
-    "0.34011012877269486,1\n"
+    "0.3179682552227644,1.0695894285972449,0.34009548441577953,"
+    "0.34011012877269498,1\n"
     "1,0.43318937815802883,0.94776300279435233,"
-    "0.43476340968707505,0.95217273273548209,0.41396986389513823,"
-    "0.41396836062542242,1\n"
+    "0.43476340968707461,0.95217273273548142,0.41396986389513751,"
+    "0.41396836062542264,1\n"
 )
 
 
@@ -269,6 +269,76 @@ def test_sweep_non_finite_row_exits_3(beta, capsys):
     assert captured.out == ""
     assert captured.err == ("error: moments overflow at "
                             "phi=-3.141592653589793\n")
+
+
+# sweeps whose first value past the float range is a square of finite
+# moments: corr_f^2 in srur_bound on the first row, the product_def product
+# on the first row and mid-grid.  Python's float ** raises OverflowError
+# there, where numpy returned inf
+SQUARE_OVERFLOW_ARGVS = {
+    "srur_bound": ["sweep-dispersion", "--beta=5.535614073177673e+47",
+                   "--z=0.01", "--delta=0.47721556743528426", "--steps=2"],
+    "product_def": ["sweep-dispersion", "--beta=1.8820733263483287e+58",
+                    "--z=0.001", "--delta=0.3476049214081612", "--steps=6"],
+    "product_def_mid_grid": [
+        "sweep-dispersion", "--beta=2.219678416574804e+32",
+        "--z=0.015532968502053374", "--p=2.7176419782435183e+32",
+        "--delta=0.667279784102779", "--steps=6"],
+}
+
+
+@pytest.mark.parametrize("argv", SQUARE_OVERFLOW_ARGVS.values(),
+                         ids=SQUARE_OVERFLOW_ARGVS)
+def test_sweep_square_past_the_float_range_exits_3(argv, capsys):
+    args = cli._build_parser(argv).parse_args(argv)
+    grid = cli._linspace(args.min, args.max, args.steps)
+    rows = [dispersion.perturbed_quadrature_stats(args.delta, x, args.beta,
+                                                  args.theta, args.z, args.p)
+            for x in grid]
+    bad = next(i for i, st in enumerate(rows)
+               if not (math.isfinite(st.product)
+                       and math.isfinite(st.srur_bound)))
+    st = rows[bad]
+    assert all(map(math.isfinite, (st.var_x, st.var_p, st.corr_f)))
+    if math.isinf(st.srur_bound):
+        with pytest.raises(OverflowError):
+            st.corr_f ** 2
+    assert cli.main(argv) == 3
+    assert capsys.readouterr() == (
+        "", f"error: moments overflow at phi={grid[bad]}\n")
+
+
+def test_sweep_arithmetic_error_exits_3(monkeypatch, capsys):
+    # an ArithmeticError that the plain-Python moments raise is the sweep's
+    # convergence failure, not a traceback
+    def overflow(*args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli.dispersion, "perturbed_moments", overflow)
+    assert cli.main(["sweep-dispersion", "--steps", "3"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: moments overflow on the phi grid: OverflowError: math "
+        "range error\n")
+
+
+@pytest.mark.parametrize("lo, hi, steps", [
+    (-math.pi, math.pi, 2000), (0.0, 0.9, 1000), (-1.0, 1.0, 7),
+    (-math.pi / 2, math.pi / 2, 200), (-0.0, 0.25, 3),
+    # a step that underflows to zero, a subnormal one, a span near the
+    # float range
+    (0.0, 5e-324, 4), (1e-320, 3e-320, 7), (-1e308, 1e307, 5)])
+def test_sweep_grid_is_numpy_linspace_bit_for_bit(lo, hi, steps):
+    want = [x.hex() for x in np.linspace(lo, hi, steps).tolist()]
+    assert [x.hex() for x in cli._linspace(lo, hi, steps)] == want
+
+
+def test_sweep_grid_value_column_is_numpy_linspace(capsys):
+    argv = ["sweep-dispersion", "--min", "-2.5", "--max", "0.75", "--steps",
+            "999", "--format", "json"]
+    assert cli.main(argv) == 0
+    grid = [row[0] for row in json.loads(capsys.readouterr().out)["rows"]]
+    assert ([x.hex() for x in grid]
+            == [x.hex() for x in np.linspace(-2.5, 0.75, 999).tolist()])
 
 
 def _count_calls(monkeypatch, module, name):
@@ -1218,7 +1288,7 @@ def test_module_main_block_runs_the_entry(tmp_path):
 
 @pytest.mark.parametrize("argv, rc, loaded", [
     (["state", "--dim", "8"], 0, ""),
-    (["sweep-dispersion", "--steps", "3"], 0, " (numpy loaded)"),
+    (["sweep-dispersion", "--steps", "3"], 0, ""),
     (["verify", "--dim", "16", "--suite", "dispersion"], 1, " (numpy loaded)"),
     (["spectrum", "--dim", "16", "--delta", "0.02"], 0, " (numpy loaded)"),
 ], ids=["state", "sweep", "verify", "spectrum"])
@@ -1226,7 +1296,8 @@ def test_module_entry_imports_numpy_before_the_freeze(argv, rc, loaded,
                                                       tmp_path):
     # the array subcommands import numpy with the collector still paused, so
     # its import runs no collector pass and its objects are frozen with the
-    # rest; state loads no numpy at all.  A copy with its bytecode cache
+    # rest; state and sweep-dispersion load no numpy at all.  A copy with
+    # its bytecode cache
     # written, as in the test above
     shutil.copytree(os.path.dirname(cli.__file__),
                     tmp_path / "deformed_heisenberg",
@@ -1262,6 +1333,32 @@ def test_state_runs_without_numpy(argv, capsys):
     # overflow exit are the bytes of an in-process main() run
     rc = cli.main(argv)
     want = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=_child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, want.out,
+                                                           want.err)
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["sweep-dispersion", "--var", "phi", "--steps", "2000", "--z",
+      "0.00323773", "--p", "0", "--beta", "1.31699", "--theta", "1.73882",
+      "--delta", "0.242733"], 0),
+    (["sweep-dispersion", "--var", "delta", "--min", "0", "--max", "0.9",
+      "--steps", "1000", "--z", "0.00475909", "--p", "0.01", "--beta",
+      "1.38319", "--theta", "0.0670167", "--phi", "2.69375", "--format",
+      "json"], 0),
+    (["sweep-dispersion", "--beta", "7.262834877752672e+49", "--p",
+      "5.685684151177333e+38", "--steps", "4"], 3),
+    (["sweep-dispersion", "--var", "delta", "--min", "0", "--max", "1.5",
+      "--steps", "5"], 2),
+], ids=["phi_csv", "delta_json", "overflow", "delta_range"])
+def test_sweep_runs_without_numpy(argv, rc, capsys):
+    # so are sweep-dispersion's: its tables, its negative-variance trailer,
+    # its overflow exit and its delta range check
+    assert cli.main(argv) == rc
+    want = capsys.readouterr()
+    assert (want.out == "") == (rc != 0)
     proc = subprocess.run([sys.executable, "-c", _NO_NUMPY, *argv],
                           capture_output=True, text=True, timeout=60,
                           env=_child_env())

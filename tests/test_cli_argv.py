@@ -70,6 +70,17 @@ def argvs(draw):
 @example(argv=["sweep-dispersion", "--beta=1e+300", "--steps=2"], to_file=True)
 @example(argv=["sweep-dispersion", "--beta=7.262834877752672e+49",
                "--p=5.685684151177333e+38", "--steps=4"], to_file=True)
+# sweeps whose first value past the float range is a square of finite
+# moments, corr_f^2 in srur_bound or the product_def product: Python's float
+# ** raises OverflowError there, where numpy returned inf
+@example(argv=["sweep-dispersion", "--beta=5.535614073177673e+47", "--z=0.01",
+               "--delta=0.47721556743528426", "--steps=2"], to_file=True)
+@example(argv=["sweep-dispersion", "--beta=1.8820733263483287e+58",
+               "--z=0.001", "--delta=0.3476049214081612", "--steps=6"],
+         to_file=False)
+@example(argv=["sweep-dispersion", "--beta=2.219678416574804e+32",
+               "--z=0.015532968502053374", "--p=2.7176419782435183e+32",
+               "--delta=0.667279784102779", "--steps=6"], to_file=False)
 # the same failures with stdout as the target: a sweep that fails mid-grid
 # used to stream its first rows, and eta's overflow to print RuntimeWarnings
 @example(argv=["sweep-dispersion", "--beta=7.262834877752672e+49",

@@ -1,18 +1,20 @@
 """Quadrature statistics: closed forms vs matrix numerics on truncated Fock space."""
 
 import cmath
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from deformed_heisenberg import cli
 from deformed_heisenberg.aes_series import (deformed_squeezed_state,
                                             fock_coefficients,
                                             perturbed_state_first_order,
                                             two_param_perturbed_state)
 from deformed_heisenberg.deformed_algebra import DeformationParams
 from deformed_heisenberg.dispersion import (VALIDITY_EPSILON_THRESHOLD,
-                                            _perturbed_moments_literal,
                                             gamma_element,
                                             gamma_matrix_table,
                                             general_dispersion,
@@ -26,6 +28,7 @@ from deformed_heisenberg.errors import BadParams, NotConverged, TailTooHeavy
 from deformed_heisenberg.fock_core import (TruncationConfig, coherent_state,
                                            displacement_operator,
                                            squeeze_operator, vacuum)
+from moment_references import mp_sweep_point, perturbed_moments_literal
 
 CFG48 = TruncationConfig(48)
 
@@ -106,14 +109,14 @@ def test_mus_dispersions_values():
         with pytest.raises(BadParams):
             mus_dispersions(bad, 0.0)
         with pytest.raises(BadParams):
-            mus_dispersions(np.array([0.2, bad, 0.5]), 0.0)
+            mus_dispersions([0.2, bad, 0.5], 0.0)
     # a grid and the scalar calls give, element by element, the doubles of
-    # the scalar formula with libm's cos (an np.cos one ulp off would move
-    # printed sweep digits): a phi sweep of the benchmark, and the delta
-    # sweep of the seed-1 request whose first-order variances go negative
-    # (phi 2.69375)
-    for delta, phi in ((0.242733, np.linspace(-math.pi, math.pi, 2000)),
-                       (np.linspace(0.0, 0.9, 1000), 2.69375)):
+    # the scalar formula with libm's cos: a phi sweep of the benchmark, and
+    # the delta sweep of the seed-1 request whose first-order variances go
+    # negative (phi 2.69375)
+    for delta, phi in (
+            (0.242733, np.linspace(-math.pi, math.pi, 2000).tolist()),
+            (np.linspace(0.0, 0.9, 1000).tolist(), 2.69375)):
         vx, vp = mus_dispersions(delta, phi)
         d, f = np.broadcast_arrays(delta, phi)
         for i, (dl, ph) in enumerate(zip(d.tolist(), f.tolist())):
@@ -221,7 +224,7 @@ def test_perturbed_moments_two_assemblies_agree():
     for args in ((0.5, 1.0, 2.0, 0.8 * math.pi, 0.001, 0.0),
                  (0.35, -0.7, 1.1, 2.1, 0.004, 0.09)):
         pm = perturbed_moments(*args)
-        lit = _perturbed_moments_literal(*args)
+        lit = perturbed_moments_literal(*args)
         assert abs(pm.mean_x_sq - lit[0]) < 1e-12
         assert abs(pm.x2_mean - lit[1]) < 1e-12
         assert abs(pm.mean_p_sq - lit[2]) < 1e-12
@@ -229,27 +232,27 @@ def test_perturbed_moments_two_assemblies_agree():
 
 
 def _grid_cases():
-    # (delta, phi) with one of them a grid array, at p = 0 and p = 0.01
+    # (delta, phi) with one of them a grid list, at p = 0 and p = 0.01
     for p in (0.0, 0.01):
         for b, t, z in ((1.4, -2.0, 0.003), (0.5, 0.3, 0.0005),
                         (2.0, 0.8 * math.pi, 0.005)):
-            yield (np.linspace(0.0, 0.9, 61), 0.7), b, t, z, p
-            yield (0.45, np.linspace(-math.pi, math.pi, 61)), b, t, z, p
+            yield (np.linspace(0.0, 0.9, 61).tolist(), 0.7), b, t, z, p
+            yield ((0.45, np.linspace(-math.pi, math.pi, 61).tolist()),
+                   b, t, z, p)
 
 
 def _grid_points(dp):
     d, f = dp
-    return [(float(x), f) for x in d] if np.ndim(d) else [(d, float(x))
-                                                         for x in f]
+    return [(x, f) for x in d] if isinstance(d, list) else [(d, x) for x in f]
 
 
 def test_perturbed_moments_on_grid_match_literal_assembly():
-    # the array path against the scalar literal transcription, point by point,
-    # within 1e-12 of each moment's cancellation scale (measured 3.6e-15)
+    # the grid path against the scalar literal transcription, point by point,
+    # within 1e-12 of each moment's cancellation scale (measured 3.8e-15)
     for dp, b, t, z, p in _grid_cases():
         pm = perturbed_moments(*dp, b, t, z, p)
         for i, (d, f) in enumerate(_grid_points(dp)):
-            mxs, x2, mps, p2 = _perturbed_moments_literal(d, f, b, t, z, p)
+            mxs, x2, mps, p2 = perturbed_moments_literal(d, f, b, t, z, p)
             sx = 1 + abs(x2) + abs(mxs)
             sp = 1 + abs(p2) + abs(mps)
             assert abs(pm.mean_x_sq[i] - mxs) < 1e-12 * sx
@@ -259,26 +262,21 @@ def test_perturbed_moments_on_grid_match_literal_assembly():
 
 
 def test_perturbed_moments_on_grid_match_scalar_calls():
-    # numpy's vector loops round differently from its scalar ones, so the
-    # match is to a few ulps of the scale (measured 4.4e-15), not bitwise
-    fields = ("mean_x_sq", "x2_mean", "mean_p_sq", "p2_mean", "epsilon",
-              "mean_a", "a_sq", "n_bar")
+    # a grid and a number take the same per-point arithmetic: bit for bit
     for dp, b, t, z, p in _grid_cases():
         pm = perturbed_moments(*dp, b, t, z, p)
-        assert all(np.shape(getattr(pm, k)) == (61,) for k in fields)
+        assert all(type(col) is list and len(col) == 61 for col in pm)
         for i, (d, f) in enumerate(_grid_points(dp)):
             one = perturbed_moments(d, f, b, t, z, p)
-            scale = 1 + abs(one.x2_mean) + abs(one.p2_mean) + abs(one.n_bar)
-            for k in fields:
-                assert abs(getattr(pm, k)[i] - getattr(one, k)) < 1e-13 * scale
+            assert tuple(col[i] for col in pm) == one
 
 
 def test_gaussian_elements_reject_delta_one_anywhere_in_grid():
     # the rule and message of mus_dispersions, an error cli.EXIT_CODES maps
     with pytest.raises(BadParams, match="need 0 <= delta < 1"):
-        gamma_element(1, 1, np.array([0.2, 1.0]), 0.3, 1.0, 0.1)
+        gamma_element(1, 1, [0.2, 1.0], 0.3, 1.0, 0.1)
     with pytest.raises(BadParams, match="need 0 <= delta < 1"):
-        lambda_element(1, 1, np.array([0.2, 1.0]), 0.3, 1.0, 0.1)
+        lambda_element(1, 1, [0.2, 1.0], 0.3, 1.0, 0.1)
 
 
 def test_perturbed_moments_track_matrix_amplitudes():
@@ -422,6 +420,10 @@ def test_sweep_rows_structure_and_bands():
     with pytest.raises(BadParams):
         sweep_table(delta=0.5, phi=0.0, beta=2.0, theta=0.8 * math.pi,
                     varying="x", grid=[0.1], z=0.001, p=0.0)
+    # an empty grid is an empty table
+    assert sweep_table(delta=0.5, phi=0.0, beta=2.0, theta=0.8 * math.pi,
+                       varying="delta", grid=[], z=0.001,
+                       p=0.0) == ([],) * len(t)
 
 
 def test_sweep_rows_p_trend():
@@ -449,3 +451,66 @@ def test_sweep_rows_validity_flag():
                               0.0025, 0.01).epsilon
     assert abs(eps75) == pytest.approx(0.0744, abs=5e-4)
     assert abs(eps75) < VALIDITY_EPSILON_THRESHOLD
+
+
+def _golden_sweep_argvs(seeds):
+    """The sweep_table argvs of the golden corpus for these seeds."""
+    path = Path(__file__).resolve().parent / "golden" / "generate.py"
+    spec = importlib.util.spec_from_file_location("generate", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    workloads = gen._workloads()
+    for seed in seeds:
+        blocks = workloads.blocks("sweep_table", seed)
+        for _ in range(gen.BLOCKS_PER_SEED):
+            yield from next(blocks)
+
+
+# criterion 08a's box: a phi sweep of 161 rows at z = 0.0025, p = 0.01
+CRITERION_08A_ARGV = ["sweep-dispersion", "--delta", "0.5", "--beta", "2",
+                      "--theta", repr(0.8 * math.pi), "--z", "0.0025",
+                      "--p", "0.01", "--steps", "161"]
+# worst error of a printed column relative to max(|ref|, 1), measured: 7.2e-13
+# over 30 points of each of the 24 sweep_table argvs of seeds 1-3 (a
+# product_def at delta 0.9, where the first-order moments cancel), 9.9e-15
+# on criterion 08a's 161 rows.  numpy's route read 9.3e-13 and 1.5e-14
+SWEEP_REFERENCE_TOL = 2e-12
+POINTS_PER_SWEEP = 30
+
+
+def test_sweep_columns_match_50_digit_reference():
+    argvs = [*_golden_sweep_argvs((1, 2, 3)), CRITERION_08A_ARGV]
+    assert len(argvs) == 25
+    worst = 0.0
+    for argv in argvs:
+        a = cli._build_parser(argv).parse_args(argv)
+        grid = cli._linspace(a.min, a.max, a.steps)
+        d, f = (a.delta, grid) if a.var == "phi" else (grid, a.phi)
+        t = sweep_table(delta=d, phi=f, beta=a.beta, theta=a.theta,
+                        varying=a.var, grid=grid, z=a.z, p=a.p)
+        picks = (range(a.steps) if argv is CRITERION_08A_ARGV else
+                 {round(i * (a.steps - 1) / (POINTS_PER_SWEEP - 1))
+                  for i in range(POINTS_PER_SWEEP)})
+        for i in picks:
+            point = (a.delta, grid[i]) if a.var == "phi" else (grid[i], a.phi)
+            ref = mp_sweep_point(*point, a.beta, a.theta, a.z, a.p)
+            got = [col[i] for col in t[1:7]]
+            worst = max(worst, *(abs(g - r) / max(abs(r), 1.0)
+                                 for g, r in zip(got, ref)))
+            assert t.validity_flag[i] == (abs(ref[6])
+                                          <= VALIDITY_EPSILON_THRESHOLD)
+    assert worst < SWEEP_REFERENCE_TOL
+
+
+def test_sweep_columns_are_the_pointwise_stats():
+    # the sweep's inline per-point view is perturbed_quadrature_stats and
+    # mus_dispersions at each point, bit for bit
+    grid = np.linspace(0.0, 0.9, 37).tolist()
+    t = sweep_table(delta=None, phi=0.4, beta=1.7, theta=-2.2,
+                    varying="delta", grid=grid, z=0.004, p=0.05)
+    for i, d in enumerate(grid):
+        st = perturbed_quadrature_stats(d, 0.4, 1.7, -2.2, 0.004, 0.05)
+        assert (t.var_x_mus[i], t.var_p_mus[i]) == mus_dispersions(d, 0.4)
+        assert (t.var_x_def[i], t.var_p_def[i], t.product_def[i],
+                t.srur_bound[i]) == (st.var_x, st.var_p, st.product,
+                                     st.srur_bound)

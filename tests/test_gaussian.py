@@ -10,9 +10,10 @@ from deformed_heisenberg import _gaussian
 
 K = 5
 # worst error relative to max(|ref|, 1) on the boxes below, measured with
-# the Hermite recurrence: 4.1e-15 for the kernel, 3.4e-15 for the Gamma and
-# Lambda boxes and 2.7e-15 on the grid (a per-element float triple sum reads
-# 8.2e-15, 3.6e-15 and 3.0e-15)
+# the plain-Python Hermite recurrence: 4.4e-15 for the kernel, 2.0e-15 for
+# the Gamma and Lambda boxes and 1.7e-15 on the grid (numpy's recurrence,
+# which divided the table by r^(i + j), read 4.1e-15, 3.4e-15 and 2.7e-15; a
+# per-element float triple sum reads 8.2e-15, 3.6e-15 and 3.0e-15)
 KERNEL_TOL = 1e-14
 ELEMENT_TOL = 8e-15
 
@@ -90,10 +91,11 @@ def test_gamma_lambda_tables_match_triple_sum():
 @pytest.mark.parametrize("table, which", [(_gaussian.gamma_kl, 0),
                                           (_gaussian.lambda_kl, 1)])
 def test_grid_table_matches_triple_sum_pointwise(table, which):
-    # a delta grid carries its shape in front of the (i, j) axes
-    deltas = np.linspace(0.0, 0.9, 7)
+    # each entry of a delta grid's table is a list over the grid
+    deltas = np.linspace(0.0, 0.9, 7).tolist()
     grid = table(K, K, deltas, 0.7, 1.8, -2.1)
-    assert grid.shape == (7, K + 1, K + 1)
-    for d, got in zip(deltas, grid):
-        ref = _mp_elements(float(d), 0.7, 1.8, -2.1)[which]
-        assert _worst(got, ref) < ELEMENT_TOL
+    assert [len(row) for row in grid] == [K + 1] * (K + 1)
+    assert all(len(col) == 7 for row in grid for col in row)
+    for n, d in enumerate(deltas):
+        got = [[col[n] for col in row] for row in grid]
+        assert _worst(got, _mp_elements(d, 0.7, 1.8, -2.1)[which]) < ELEMENT_TOL
