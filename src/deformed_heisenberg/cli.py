@@ -226,7 +226,7 @@ def _check_common(args) -> str:
         if isinstance(v, float) and not math.isfinite(v):
             return f"--{name} must be finite"
     if getattr(args, "delta", 0.0) < 0 or getattr(args, "beta", 0.0) < 0:
-        return "polar moduli delta, beta, gamma must be >= 0"
+        return "polar moduli --delta and --beta must be >= 0"
     if getattr(args, "dim", 8) < 8:
         return "dim must be >= 8"
     flag, least = _size(args)
@@ -477,7 +477,7 @@ def cmd_spectrum(args) -> int:
         rep_h = pseudo_hermitian.spectrum_report(sysm, "pseudo")
         rep_ht = pseudo_hermitian.spectrum_report(sysm, "hermitian")
         n = np.arange(cfg.dim)
-        eh, et = rep_h.eigenvalues.real, rep_ht.eigenvalues.real
+        eh, et = rep_h.eigenvalues, rep_ht.eigenvalues
         w.finish(args, header, [n.tolist(), eh.tolist(),
                                 np.abs(eh - n).tolist(), et.tolist(),
                                 np.abs(et - n).tolist()], diagnostics={

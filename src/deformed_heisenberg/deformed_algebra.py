@@ -12,9 +12,12 @@ The realizations are power series in a+ (or a, by transposition with z -> -z)
 built by fock_core.series_operator.  Each coefficient list comes from one
 O(N^2) recurrence on its series' own ODE, J. C. P. Miller's (_miller):
 w' = u' w for e^{u(x)} and u w' = c u' w for u(x)^c, no series composition.
-The linear exponent e^{zx}, most of the calls, keeps a scalar loop with its
-bits (_exp_linear): numpy's one-term dot products cost more than the sums.
-z and p are real, so every realization is a float64 triple; its ladder
+The linear exponent e^{zx}, most of the calls, runs the same recurrence in a
+plain scalar loop with the same bits (_exp_linear): numpy's one-term dot
+products cost more than the sums.  Each kernel computes in the arithmetic of
+its input, as series_operator does: the complex exponent of the
+pseudo-Hermitian G gives a complex series, and real z and p give float64
+series, so every realization is a float64 triple; its ladder
 factor a (or a+) scales columns (rows) in O(N^2) instead of a dense
 product, and so do the commutators [A, B] and [A, C] with the ladder
 A = -a+ (or a) in the residual checks.  Those checks apply cosh, sinh and
@@ -48,7 +51,7 @@ class DeformationParams(NamedTuple("DeformationParams",
                                    [("z", float), ("p", float), ("lam", complex),
                                     ("mu", complex), ("nu", complex)])):
     """Deformation scalars z, p (real) and the linear-combination coefficients
-    lam, mu, nu (complex), with polar accessors:
+    lam, mu, nu (complex); from_polar takes them as
 
         mu = delta e^{i phi},  lam = beta e^{i theta},  nu = -gamma e^{i eta_phase}.
     """
@@ -70,30 +73,6 @@ class DeformationParams(NamedTuple("DeformationParams",
                    lam=beta * cmath.exp(1j * theta),
                    mu=delta * cmath.exp(1j * phi),
                    nu=-gamma * cmath.exp(1j * eta_phase))
-
-    @property
-    def delta(self) -> float:
-        return abs(self.mu)
-
-    @property
-    def phi(self) -> float:
-        return cmath.phase(self.mu) if self.mu != 0 else 0.0
-
-    @property
-    def beta(self) -> float:
-        return abs(self.lam)
-
-    @property
-    def theta(self) -> float:
-        return cmath.phase(self.lam) if self.lam != 0 else 0.0
-
-    @property
-    def gamma(self) -> float:
-        return abs(self.nu)
-
-    @property
-    def eta_phase(self) -> float:
-        return cmath.phase(-self.nu) if self.nu != 0 else 0.0
 
 
 class RealizationKind(Enum):
@@ -122,19 +101,22 @@ class AlgebraTriple(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def exp_coefficients(u, n):
-    """Coefficients of e^{u(x)} to order n-1, for u(0) = 0.
+    """Coefficients of e^{u(x)} to order n-1, for u(0) = 0, real for a real u
+    and complex for a complex one.
 
     w = e^u solves w' = u' w: _miller with alpha 1, beta 0, d0 = w0 = 1.  A
     linear u = u_1 x, most calls, keeps _exp_linear's loop with the same bits,
     as one-term dot products cost numpy more than their arithmetic.  A huge u
-    gives inf or nan as numpy's error state says; callers check finiteness.
+    gives inf or nan, which numpy reports as its error state says and
+    _exp_linear's Python scalars never do; callers check finiteness.
     """
     import numpy as np
-    u = np.asarray(u, dtype=complex)[:n]
+    u = np.asarray(u)[:n]
+    u = u.astype(np.result_type(u, float))
     if u[0] != 0:
         raise NotNilpotent(f"exponent series has a nonzero constant term {u[0]}")
     if len(u) == 2:                   # u_1 weighted as _miller weights it
-        return _exp_linear(complex((np.arange(2) * u)[1]), n)
+        return _exp_linear((np.arange(2) * u)[1].item(), n)
     return _miller(u, n, 1, 0, 1, 1.0)
 
 
@@ -145,41 +127,37 @@ def _miller(u, n, alpha, beta, d0, w0):
         m d0 w_m = sum_{k=1}^{min(m, len(u)-1)} (alpha k - beta m) u_k w_{m-k}.
 
     e^u (w' = u' w) takes alpha 1, beta 0, d0 = w0 = 1; u^c (u w' = c u' w)
-    takes alpha c + 1, beta 1, d0 = u_0, w0 = u_0^c.
+    takes alpha c + 1, beta 1, d0 = u_0, w0 = u_0^c.  The arithmetic is that
+    of u and w0; each sum is multiplied by 1/(m d0), as numpy's complex
+    division does, so a real u gives the values of the complex route's real
+    parts.
     """
     import numpy as np
-    u = np.asarray(u, dtype=complex)[:n]
+    u = np.asarray(u)[:n]
     ak = alpha * np.arange(len(u))
     aku = ak * u                       # the weights if beta = 0, built once
-    w = np.zeros(n, dtype=complex)
+    w = np.zeros(n, dtype=np.result_type(u, w0))
     w[0] = w0
     for m in range(1, n):
         j = min(m, len(u) - 1)
         a = aku[1:j + 1] if beta == 0 else (ak[1:j + 1] - beta * m) * u[1:j + 1]
-        w[m] = a @ w[m - 1::-1][:j] / (m * d0)
+        w[m] = a @ w[m - 1::-1][:j] * (1 / (m * d0))
     return w
 
 
-def _exp_linear(u1: complex, n: int):
-    """Coefficients of e^{u1 x} to order n-1: w_m = u1 w_{m-1} / m in plain
-    Python floats, several times faster than numpy's one-term dot products
-    at n = 160.  Each step rounds as _miller's loop does, signed zeros, inf
-    and nan included: the complex product (re re - im im, re im + im re)
-    added to a +0 accumulator, as a dot product sums, then numpy's complex
-    division by m + 0j, ((re + im 0) (1/m), (im - re 0) (1/m)), whose zero
-    products turn an inf part into nan.  Python floats never warn, and
-    overflow to inf as numpy's do.
+def _exp_linear(u1, n):
+    """Coefficients of e^{u1 x} to order n-1, float or complex as u1 is:
+    w_m = (0 + u1 w_{m-1}) (1/m) in plain Python scalars, several times
+    faster than numpy's one-term dot products at n = 160, and rounded as
+    _miller rounds them: the dot product's zero accumulator, then the
+    reciprocal.  Python scalars never warn, and overflow to inf as numpy's
+    do.
     """
     import numpy as np
-    ur, ui = u1.real, u1.imag
-    wr, wi = 1.0, 0.0
-    w = [1.0, 0.0]                     # re, im of w_0, w_1, ...
+    w = [1.0]
     for m in range(1, n):
-        pr, pi = 0.0 + (ur * wr - ui * wi), 0.0 + (ur * wi + ui * wr)
-        r = 1.0 / m
-        wr, wi = (pr + pi * 0.0) * r, (pi - pr * 0.0) * r
-        w += (wr, wi)
-    return np.array(w).view(complex)
+        w.append((0.0 + u1 * w[-1]) * (1 / m))
+    return np.array(w, dtype=type(u1))
 
 
 # Taylor data f^(m)(alpha)/m! for the matrix route (triangular_matrix_function);
@@ -193,13 +171,13 @@ def _cosh_sinh_at(alpha):
 def cosh_series(alpha, n):
     c, s = _cosh_sinh_at(alpha)
     return [(c if m % 2 == 0 else s) * t
-            for m, t in enumerate(exp_coefficients([0.0, 1.0], n).real)]
+            for m, t in enumerate(exp_coefficients([0.0, 1.0], n))]
 
 
 def sinh_series(alpha, n):
     c, s = _cosh_sinh_at(alpha)
     return [(s if m % 2 == 0 else c) * t
-            for m, t in enumerate(exp_coefficients([0.0, 1.0], n).real)]
+            for m, t in enumerate(exp_coefficients([0.0, 1.0], n))]
 
 
 def recip_series(alpha, n):
@@ -254,9 +232,8 @@ def _uzp_coefficients(z: float, p: float, n: int):
     e = exp_coefficients([0.0, z], n)
     q = (p / 2) ** 2 * exp_coefficients([0.0, 2 * z], n)
     q[0] += 1.0
-    C = np.convolve(e, _miller(q, n, 1.5, 1, q[0], complex(q[0]) ** 0.5))[:n]
-    dB = z * np.convolve(e, _miller(q, n, 0.5, 1, q[0],
-                                    complex(q[0]) ** -0.5))[:n - 1]
+    C = np.convolve(e, _miller(q, n, 1.5, 1, q[0], q[0] ** 0.5))[:n]
+    dB = z * np.convolve(e, _miller(q, n, 0.5, 1, q[0], q[0] ** -0.5))[:n - 1]
     B = np.r_[(2 / p) * math.asinh(p / 2), dB / np.arange(1, n)]
     return B, C
 
@@ -281,12 +258,11 @@ def build_realization(kind: RealizationKind, params: DeformationParams,
                     RealizationKind.Celeghini_Two)
     if on_a:
         z = -z
-    # z and p are real, so the coefficients are: their imaginary parts are 0
     if kind in P_KINDS:
         B, C = _uzp_coefficients(z, p, cfg.dim)
-        B, C = series_operator(B.real, cfg), series_operator(C.real, cfg)
+        B, C = series_operator(B, cfg), series_operator(C, cfg)
     else:                              # C(a+) = B = e^{z a+}: build it once
-        B = series_operator(exp_coefficients([0.0, z], cfg.dim).real, cfg)
+        B = series_operator(exp_coefficients([0.0, z], cfg.dim), cfg)
         C = B.copy()
     root = np.sqrt(np.arange(1.0, cfg.dim))       # a's entries (n-1, n)
     # C(a+) a in O(N^2): column n is sqrt(n) times column n-1 of C(a+), one

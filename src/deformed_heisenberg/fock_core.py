@@ -12,8 +12,10 @@ power-series recurrences of ``deformed_algebra``.  The residual
 checks use ``triangular_matrix_function``, a Taylor sum in matrix powers that
 evaluates several functions of one matrix from one table of its powers, and
 stops each sum where a norm bound on the rest falls below the unit roundoff.
-Both kernels take their dtype from their inputs: real data give a float64
-matrix, at about a quarter of the complex flops.
+Both kernels take their dtype from their inputs, as the coefficient kernels
+of ``deformed_algebra`` (``exp_coefficients`` and the recurrences under it)
+do: real data give a float64 matrix, at about a quarter of the complex
+flops.
 
 ``guarded_norm`` is a residual's spectral norm on the guarded block, one
 O(N^3) SVD.  A check that reports the largest of several takes

@@ -240,11 +240,12 @@ class SpectrumReport(NamedTuple):
 
 
 def spectrum_report(sys: PseudoHermitianSystem, which: str = "pseudo") -> SpectrumReport:
-    """Eigenvalues (sorted by real part) of H or of the full Hermitian H~.
+    """Sorted real eigenvalues of H or of the full Hermitian H~.
 
     H is lower triangular, so its eigenvalues are its diagonal, read in
     O(N): np.linalg.eigvals balances first, balancing isolates every
-    eigenvalue of a triangular matrix, and it returns exactly diag(H).  The
+    eigenvalue of a triangular matrix, and it returns exactly diag(H), whose
+    imaginary parts are 0 (build_H puts mu only below it).  The
     H~ spectrum is eigvalsh of the Hermitian part of X =
     Sigma (V+ H V) Sigma^-1 (_similar_hamiltonian), unitarily similar to
     H~, on the full matrix: the similarity to a+a is a full-space identity
@@ -253,10 +254,10 @@ def spectrum_report(sys: PseudoHermitianSystem, which: str = "pseudo") -> Spectr
     """
     import numpy as np
     if which == "pseudo":
-        ev = np.sort_complex(np.diagonal(sys.H))
+        ev = np.sort(np.diagonal(sys.H).real)
     elif which == "hermitian":
         X = _similar_hamiltonian(sys)
-        ev = np.sort(np.linalg.eigvalsh((X + X.conj().T) / 2)).astype(complex)
+        ev = np.sort(np.linalg.eigvalsh((X + X.conj().T) / 2))
     else:
         raise ValueError("which must be 'pseudo' or 'hermitian'")
     dev = float(np.abs(ev - np.arange(sys.cfg.dim)).max())

@@ -887,6 +887,10 @@ def test_nonfinite_floats_and_bad_guard_exit_2(argv, tmp_path):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+    if argv[-2] in ("--delta", "--beta") and float(argv[-1]) < 0:
+        # the message names the flags the subcommands have
+        assert proc.stderr == ("error: polar moduli --delta and --beta must "
+                               "be >= 0\n")
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -1072,8 +1076,9 @@ def test_spectrum_huge_z_exits_4_without_numpy_warnings():
 
 @pytest.mark.parametrize("z", ["1e300", "-1e300", "1e308", "-1e308"])
 def test_spectrum_past_the_float_range_prints_no_numpy_warning(z, capsys):
-    # e^{-z x} overflows in exp_coefficients' scalar loop, which must turn
-    # inf into nan as numpy's complex division does, silently
+    # e^{-z x} overflows to inf in exp_coefficients' scalar loop, whose
+    # Python floats never warn; main's errstate context silences the numpy
+    # products that take those inf entries on to G^-1
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = cli.main(["spectrum", "--dim", "8", f"--z={z}"])

@@ -63,7 +63,21 @@ def test_pseudo_spectrum_is_what_eigvals_returns(argv):
     sys = build_system(args.delta * cmath.exp(1j * args.phi), args.z,
                        TruncationConfig(args.dim))
     want = np.sort_complex(np.linalg.eigvals(sys.H))
-    assert np.array_equal(spectrum_report(sys, "pseudo").eigenvalues, want)
+    assert not want.imag.any()
+    got = spectrum_report(sys, "pseudo").eigenvalues
+    assert got.dtype == np.float64 and np.array_equal(got, want.real)
+
+
+@pytest.mark.parametrize("mu, dtype", [(MU, np.float64), (MU + 0j, complex),
+                                       (MU * cmath.exp(0.3j), complex)])
+def test_system_takes_the_arithmetic_of_mu(mu, dtype):
+    # a real mu gives real G, G^-1 and SVD factors, a complex one complex
+    # ones; both spectra are real
+    sys = build_system(mu, Z, CFG)
+    assert sys.G.dtype == sys.Ginv.dtype == sys.Vh.dtype == dtype
+    assert sys.sigma.dtype == np.float64
+    for which in ("pseudo", "hermitian"):
+        assert spectrum_report(sys, which).eigenvalues.dtype == np.float64
 
 
 def test_g_similarity_maps_ladder_operators():
