@@ -423,7 +423,7 @@ def _verify_checks(args):
     if args.suite in (None, "pseudo"):
         # reference box for the pseudo bounds; eta's condition number grows
         # fast with dim, so the stated tolerances are tied to this size.  The
-        # box reads 1.2e-9, 1.4e-13 and 2.5e-14: each bound keeps about one
+        # box reads 1.2e-9, 1.8e-13 and 2.5e-14: each bound keeps about one
         # to three digits of headroom, not the six a broken metric would use
         ref = TruncationConfig(48, 12)
         sysm = pseudo_hermitian.build_system(0.2, 0.02, ref)
