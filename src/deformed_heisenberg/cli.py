@@ -92,12 +92,13 @@ import sys
 import warnings
 
 from . import _gaussian, aes_series, dispersion, paragrassmann, pseudo_hermitian
-from .deformed_algebra import (DeformationParams, RealizationKind,
+from .deformed_algebra import (ON_A, DeformationParams, RealizationKind,
                                build_realization, commutator_residual_tilde,
-                               commutator_residual_uzp)
+                               commutator_residual_uzp, realization_series)
 from .errors import (BadParams, DeformedHeisenbergError, IllConditioned,
                      NonNormalizable, NotConverged)
-from .fock_core import TruncationConfig, coherent_state, guarded_norm
+from .fock_core import (TruncationConfig, annihilation, coherent_state,
+                        guarded_norm, number_operator, series_columns)
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -319,14 +320,45 @@ def _check_xp(cfg):
 
 def _check_tilde(kind, z, cfg):
     params = DeformationParams(z=z, p=0.0, lam=0, mu=0, nu=0)
-    return commutator_residual_tilde(build_realization(kind, params, cfg),
-                                     params, cfg)
+    return commutator_residual_tilde(kind, params, cfg)
 
 
 def _check_uzp(p, cfg):
     params = DeformationParams(z=0.02, p=p, lam=0, mu=0, nu=0)
-    return commutator_residual_uzp(
-        build_realization(RealizationKind.Uzp_One, params, cfg), params, cfg)
+    return commutator_residual_uzp(RealizationKind.Uzp_One, params, cfg)
+
+
+def _check_build(cfg):
+    """Largest relative deviation of built operators, applied to four basis
+    vectors e_j, from their series' columns (fock_core.series_columns): A, B
+    and C of tilde realizations on a+ and on a (transposed) and of Uzp_One,
+    and the pseudo box's H and A, a+a and a added.  C e_{j+1} = sqrt(j+1)
+    c(a+) e_j."""
+    import numpy as np
+    n = cfg.dim
+    cols = [0, 1, n // 2, n - 2]
+    up = [j + 1 for j in cols]
+    params = DeformationParams(z=0.02, p=0.4)
+    pairs = []
+    for kind in (RealizationKind.TildeZ0_Cas1, RealizationKind.TildeZ0_Cas2,
+                 RealizationKind.Uzp_One):
+        A, B, C, _ = build_realization(kind, params, cfg)
+        if kind in ON_A:
+            A, B, C = -A.T, B.T, C.T
+        b, c = realization_series(kind, params, n)
+        pairs += [(A[:, cols], series_columns([0.0, -1.0], cols, n)),
+                  (B[:, cols], series_columns(b, cols, n)),
+                  (C[:, up], series_columns(c, cols, n) * np.sqrt(up))]
+    mu, z = 0.2, 0.02                   # the pseudo suite's box
+    series = pseudo_hermitian._scaled_exp_coefficients
+    pairs += [(pseudo_hermitian.build_H(mu, z, cfg)[:, cols],
+               series_columns(series(mu, z, 2, n), cols, n)
+               + number_operator(cfg)[:, cols]),
+              (pseudo_hermitian._build_A(mu, z, cfg)[:, cols],
+               series_columns(series(mu, z, 1, n), cols, n)
+               + annihilation(cfg)[:, cols])]
+    return float(np.max([np.abs(got - want).max(axis=0)
+                         / np.abs(want).max(axis=0) for got, want in pairs]))
 
 
 def _check_routes():
@@ -378,20 +410,21 @@ def _verify_checks(args):
     report; small boxes trip the tail guards.  error is None for a check that
     ran.
 
-    The algebra rows and pseudo's commutators print the largest of three
-    guarded norms.  fock_core.max_guarded_norm gives it with the SVDs of only
-    the residual blocks that can win, bit for bit the value the three SVDs
-    would give: 13 SVDs per full report, not 30.  The uzp rows' cosh and
-    sinh are Taylor sums cut at roundoff (triangular_matrix_function).
+    The algebra rows and pseudo's commutators check the defining relations
+    as identities of the coefficient series, [a, f(a+)] = f'(a+), and print
+    fock_core.series_bound of the residual series: O(N^2) convolutions and
+    Miller recurrences, no matrix.  One more algebra row, fock_build,
+    holds the matrices built from those series to them (_check_build).  The
+    xp, pseudo-hermiticity and unitarity rows take one SVD each.
     """
     import numpy as np
     cfg = TruncationConfig(dim=args.dim)
-    # the guarded k x k block of every product, commutator and Taylor power
-    # in the xp, tilde and uzp residuals reads only the leading (k+1)-blocks
-    # of its factors: each is lower triangular in a+ up to one superdiagonal,
-    # or the transpose of such a matrix.  So those rows build their operators
-    # at dim k + 1 with a guard of 1 (the block the guarded norm reads is
-    # the same k x k one), and no work fills rows the norm discards
+    # the guarded k x k block of every product and commutator in the xp
+    # residual reads only the leading (k+1)-blocks of its factors: each is
+    # lower triangular in a+ up to one superdiagonal, or the transpose of
+    # such a matrix.  So the xp and fock_build rows build their operators at
+    # dim k + 1 with a guard of 1 (the block the guarded norm reads is the
+    # same k x k one), and no work fills rows the norm discards
     block = TruncationConfig(cfg.kept + 1, guard=1)
     checks = [
         ("fock", "canonical_xp_commutator", lambda: _check_xp(block), 1e-10),
@@ -399,18 +432,23 @@ def _verify_checks(args):
          lambda: abs(np.linalg.norm(coherent_state(1.0, cfg)) - math.e ** 0.5),
          1e-8),
     ]
-    # the algebra residuals read <= 6.3e-14 up to dim 256 and 2.1e-13 at dim
-    # 512; 1e-11 leaves two digits of headroom, not the five a broken
-    # realization or matrix route would need
+    # the series bounds read <= 4.4e-16 (uzp) and <= 8.7e-19 (tilde, 0 at
+    # z = 0) up to dim 1024; 1e-14 keeps a factor 23 of headroom and trips
+    # on a relative error of 1e-12 in one low-order coefficient.  fock_build
+    # reads 0, as its reference rounds as series_operator does; 1e-13 lets
+    # a build that rounds its weights in another order pass (k u, 4e-14 at
+    # dim 512), not a wrong entry
     for z in (0.0, 0.02, -0.02):
         for kind in (RealizationKind.TildeZ0_Cas1,
                      RealizationKind.TildeZ0_Cas2):
             checks.append(("algebra", f"tilde_residual_{kind.name}_z{z}",
-                           lambda kind=kind, z=z: _check_tilde(kind, z, block),
-                           1e-11))
+                           lambda kind=kind, z=z: _check_tilde(kind, z, cfg),
+                           1e-14))
     for p in (0.1, 0.4):
         checks.append(("algebra", f"uzp_residual_p{p}",
-                       lambda p=p: _check_uzp(p, block), 1e-11))
+                       lambda p=p: _check_uzp(p, cfg), 1e-14))
+    checks.append(("algebra", "fock_build", lambda: _check_build(block),
+                   1e-13))
     checks += [
         ("series", "coefficient_route_agreement", _check_routes, 1e-11),
         ("series", "squeezed_eigenstate_residual",
@@ -423,8 +461,10 @@ def _verify_checks(args):
     if args.suite in (None, "pseudo"):
         # reference box for the pseudo bounds; eta's condition number grows
         # fast with dim, so the stated tolerances are tied to this size.  The
-        # box reads 1.2e-9, 1.8e-13 and 2.5e-14: each bound keeps about one
-        # to three digits of headroom, not the six a broken metric would use
+        # box reads 1.2e-9 and 1.8e-13: each bound keeps about one to three
+        # digits of headroom, not the six a broken metric would use.  The
+        # commutators' series bound reads 9.7e-30; 1e-14, as for the
+        # algebra rows, trips on a relative error of 1e-12 in alpha_1
         ref = TruncationConfig(48, 12)
         sysm = pseudo_hermitian.build_system(0.2, 0.02, ref)
         G = sysm.G                      # one build for both rows that read it
@@ -435,7 +475,7 @@ def _verify_checks(args):
             ("pseudo", "rho_g_unitarity",
              lambda: pseudo_hermitian.unitarity_check(sysm, G), 1e-10),
             ("pseudo", "commutators",
-             lambda: pseudo_hermitian.commutator_checks(sysm), 1e-11),
+             lambda: pseudo_hermitian.commutator_checks(sysm), 1e-14),
         ]
     rows = []
     for suite, name, thunk, bound in checks:

@@ -19,18 +19,19 @@ its input, as series_operator does: the complex exponent of the
 pseudo-Hermitian G gives a complex series, and real z and p give float64
 series, so every realization is a float64 triple; its ladder
 factor a (or a+) scales columns (rows) in O(N^2) instead of a dense
-product, and so do the commutators [A, B] and [A, C] with the ladder
-A = -a+ (or a) in the residual checks.  Those checks apply cosh, sinh and
-the reciprocal to the matrices by an independent route, their Taylor sums
-in dense matrix powers (triangular_matrix_function, Paterson-Stockmeyer, cut
-at roundoff), in real arithmetic; cosh and sinh of one matrix share one
-table of its powers.
+product.
 
-tilde_residual_blocks and uzp_residual_blocks give each family's three
-residual matrices.  commutator_residual_tilde and commutator_residual_uzp
-return the largest of their guarded norms, the residual ``dheis verify``
-prints, through fock_core.max_guarded_norm: one SVD per realization where
-the three norms would take three.
+The residual checks need no matrix.  With A = -a+, B = b(a+), C = c(a+) a
+and [a, f(a+)] = f'(a+) (W. H. Louisell, Quantum Statistical Properties of
+Radiation, 1973), [A, B] = 0, [A, C] = c(a+) and [B, C] = -(c b')(a+):
+each relation is an identity of power series, c = b and c b' = z b^2
+(tilde_relations), c = sinh(pb)/p and c b' = (2z/p^2)(cosh(pb) - 1)
+(uzp_relations), the same with z -> -z for the kinds built on a.
+cosh(pb) and sinh(pb) come from e^{+-p(b - b_0)}, products are
+convolutions, and commutator_residual_tilde and commutator_residual_uzp
+return fock_core.series_bound of the residual series, the residual ``dheis
+verify`` prints: O(N^2) in all.  tests/dense_residuals.py checks the same
+relations on the matrices.
 
 numpy is imported by each function that uses it, so that importing this
 module loads no numpy: DeformationParams, which ``dheis state`` builds,
@@ -40,11 +41,11 @@ needs none.
 import cmath
 import math
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import BadParams, NotNilpotent, SingularCosh
-from .fock_core import (TruncationConfig, max_guarded_norm,
-                        series_operator, triangular_matrix_function)
+from .fock_core import TruncationConfig, series_bound, series_operator
 
 
 class DeformationParams(NamedTuple("DeformationParams",
@@ -160,70 +161,15 @@ def _exp_linear(u1, n):
     return np.array(w, dtype=type(u1))
 
 
-# Taylor data f^(m)(alpha)/m! for the matrix route (triangular_matrix_function);
-# a real alpha gives real data
-
-def _cosh_sinh_at(alpha):
-    m = cmath if isinstance(alpha, complex) else math
-    return m.cosh(alpha), m.sinh(alpha)
-
-
-def cosh_series(alpha, n):
-    c, s = _cosh_sinh_at(alpha)
-    return [(c if m % 2 == 0 else s) * t
-            for m, t in enumerate(exp_coefficients([0.0, 1.0], n))]
-
-
-def sinh_series(alpha, n):
-    c, s = _cosh_sinh_at(alpha)
-    return [(s if m % 2 == 0 else c) * t
-            for m, t in enumerate(exp_coefficients([0.0, 1.0], n))]
-
-
-def recip_series(alpha, n):
-    """Coefficients of 1/(alpha + x)."""
-    return [(-1) ** m / alpha ** (m + 1) for m in range(n)]
-
-
-# the largest spread of a diagonal that _nilpotent_part takes as constant
-DIAGONAL_TOL = 1e-12
-
-
-def _nilpotent_part(M):
-    """Split M = alpha I + K with K strictly triangular; the diagonal must be
-    constant (to DIAGONAL_TOL).  alpha is a Python float for a real M,
-    complex otherwise."""
-    import numpy as np
-    d = np.diag(M)
-    alpha = d[0].item()
-    if np.max(np.abs(d - alpha)) > DIAGONAL_TOL:
-        raise BadParams("matrix diagonal is not constant; cannot split off scalar part")
-    K = M - alpha * np.eye(M.shape[0], dtype=M.dtype)
-    np.fill_diagonal(K, 0.0)
-    return alpha, K
-
-
-def _apply_series(series_fn, M):
-    """f(M) for M = alpha I + nilpotent, with f's Taylor data from series_fn(alpha, N)."""
-    alpha, K = _nilpotent_part(M)
-    return triangular_matrix_function(series_fn(alpha, M.shape[0]), K)
-
-
-def _cosh_sinh(M):
-    """(cosh M, sinh M) for M = alpha I + nilpotent, from one table of powers."""
-    alpha, K = _nilpotent_part(M)
-    n = M.shape[0]
-    return triangular_matrix_function([cosh_series(alpha, n),
-                                       sinh_series(alpha, n)], K)
-
-
 # ---------------------------------------------------------------------------
 # realizations
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8, typed=True)
 def _uzp_coefficients(z: float, p: float, n: int):
     """Coefficients of the two-parameter B = (2/p) arcsinh((p/2) e^{zx}) and of
-    C = e^{zx} sqrt(1 + (p/2)^2 e^{2zx}) before its factor a (or a+).
+    C = e^{zx} sqrt(1 + (p/2)^2 e^{2zx}) before its factor a (or a+), cached
+    read-only: ``dheis verify`` checks a box's series, then their matrices.
 
     With q = 1 + (p/2)^2 e^{2zx}: C = e^{zx} q^{1/2}, and B' = z e^{zx} q^{-1/2},
     so B = (2/p) arcsinh(p/2) + int_0^x z e^{zt} q^{-1/2} dt.
@@ -235,112 +181,122 @@ def _uzp_coefficients(z: float, p: float, n: int):
     C = np.convolve(e, _miller(q, n, 1.5, 1, q[0], q[0] ** 0.5))[:n]
     dB = z * np.convolve(e, _miller(q, n, 0.5, 1, q[0], q[0] ** -0.5))[:n - 1]
     B = np.r_[(2 / p) * math.asinh(p / 2), dB / np.arange(1, n)]
+    B.flags.writeable = C.flags.writeable = False
     return B, C
+
+
+# the kinds built on a: transposes of their a+ series with z -> -z
+ON_A = {RealizationKind.TildeZ0_Cas2, RealizationKind.Uzp_Two,
+        RealizationKind.Celeghini_Two}
+
+
+def _series_z(kind: RealizationKind, z: float) -> float:
+    """The z of kind's series in x = a+ (a on a): 0 for the Celeghini kinds,
+    -z on a, and +0.0 for a zero, the key of the cached series of z = 0."""
+    if kind in (RealizationKind.Celeghini_One, RealizationKind.Celeghini_Two):
+        z = 0.0
+    return (-z if kind in ON_A else z) + 0.0
+
+
+def realization_series(kind: RealizationKind, params: DeformationParams,
+                       n: int):
+    """(b, c), the coefficients to order n-1 of B = b(x) and of C before its
+    ladder factor, c(x), x = a+ or a (b is c for the exponential kinds).
+    BadParams for an unknown kind, or p = 0 for a p-dependent kind."""
+    if not isinstance(kind, RealizationKind):
+        raise BadParams(f"unknown realization kind {kind!r}")
+    if kind in P_KINDS and params.p == 0:
+        raise BadParams(f"{kind.name} needs p != 0")
+    z = _series_z(kind, params.z)
+    if kind in P_KINDS:
+        return _uzp_coefficients(z, params.p, n)
+    e = exp_coefficients([0.0, z], n)
+    return e, e
 
 
 def build_realization(kind: RealizationKind, params: DeformationParams,
                       cfg: TruncationConfig) -> AlgebraTriple:
     """Operator triple (A, B, C) for the requested realization: A = -a+,
-    C = C(a+) a, or for the kinds built on a, A = a, C = a+ C(a).
-
-    Raises BadParams when p = 0 is passed for a p-dependent kind.
-    """
+    B = b(a+), C = c(a+) a, or for the kinds built on a, A = a, B = b(a),
+    C = a+ c(a), from realization_series (which raises its BadParams)."""
     import numpy as np
-    if not isinstance(kind, RealizationKind):
-        raise BadParams(f"unknown realization kind {kind!r}")
-    z, p = params.z, params.p
-    if kind in P_KINDS and p == 0:
-        raise BadParams(f"{kind.name} needs p != 0")
-    if kind in (RealizationKind.Celeghini_One, RealizationKind.Celeghini_Two):
-        z = 0.0                        # the z = 0 members of the Uzp kinds
-    # the kinds built on a are transposes of their a+ series with z -> -z
-    on_a = kind in (RealizationKind.TildeZ0_Cas2, RealizationKind.Uzp_Two,
-                    RealizationKind.Celeghini_Two)
-    if on_a:
-        z = -z
-    if kind in P_KINDS:
-        B, C = _uzp_coefficients(z, p, cfg.dim)
-        B, C = series_operator(B, cfg), series_operator(C, cfg)
-    else:                              # C(a+) = B = e^{z a+}: build it once
-        B = series_operator(exp_coefficients([0.0, z], cfg.dim), cfg)
-        C = B.copy()
+    b, c = realization_series(kind, params, cfg.dim)
+    B = series_operator(b, cfg)
+    C = B.copy() if c is b else series_operator(c, cfg)
     root = np.sqrt(np.arange(1.0, cfg.dim))       # a's entries (n-1, n)
     # C(a+) a in O(N^2): column n is sqrt(n) times column n-1 of C(a+), one
     # product per entry as in the dense matmul; a+ C(a) is its transpose
     C[:, 1:] = C[:, :-1] * root
     C[:, 0] = 0.0
     a = np.diag(root, 1)
-    if on_a:
+    if kind in ON_A:
         return AlgebraTriple(A=a, B=B.T, C=C.T, kind=kind)
     return AlgebraTriple(A=-a.T, B=B, C=C, kind=kind)
 
 
-def _ladder_commutator(A, X):
-    """A X - X A.  For a ladder A (-a+ or a: one nonzero diagonal, next to
-    the main one) each entry of A X and of X A is a single product, so row
-    and column scalings by that diagonal give the dense products' values in
-    O(N^2).  Any other A takes the dense products."""
+# ---------------------------------------------------------------------------
+# the defining relations as identities of the coefficient series
+# ---------------------------------------------------------------------------
+
+def _c_db(b, c):
+    """Coefficients of c b', one order fewer than b; [B, C] = -(c b')(x)."""
     import numpy as np
-    off = -1 if np.diagonal(A, -1).any() else 1
-    d = np.diagonal(A, off)
-    if np.count_nonzero(A) != np.count_nonzero(d):
-        return A @ X - X @ A
-    # A X moves row src of X to row dst; X A moves column dst to column src
-    src, dst = ((slice(None, -1), slice(1, None)) if off < 0
-                else (slice(1, None), slice(None, -1)))
-    out = np.zeros(X.shape, dtype=np.result_type(A, X))
-    out[dst] = d[:, None] * X[src]
-    out[:, src] -= X[:, dst] * d
-    return out
+    return np.convolve(c, b[1:] * np.arange(1, len(b)))[:len(b) - 1]
 
 
-def uzp_residual_blocks(triple: AlgebraTriple, params: DeformationParams):
-    """Residual matrices of the two-parameter defining relations:
-
-        [A,B],   [B,C] + (2z/p^2)(cosh pB - 1),   [A,C] - (1/p) sinh pB.
-    """
+def _cosh_sinh(b, p):
+    """Coefficients of cosh(pb) and sinh(pb): e^{+-p b_0} times the series
+    e^{+-p(b - b_0)} of exp_coefficients."""
     import numpy as np
-    z, p = params.z, params.p
-    A, B, C = triple.A, triple.B, triple.C
-    cosh_pB, sinh_pB = _cosh_sinh(p * B)
-    return (_ladder_commutator(A, B),
-            B @ C - C @ B + (2 * z / p ** 2) * (cosh_pB - np.eye(len(B))),
-            _ladder_commutator(A, C) - sinh_pB / p)
+    u = p * np.asarray(b)
+    u0, u[0] = u[0], 0.0
+    ep = np.exp(u0) * exp_coefficients(u, len(u))
+    em = np.exp(-u0) * exp_coefficients(-u, len(u))
+    return (ep + em) / 2, (ep - em) / 2
 
 
-def tilde_residual_blocks(triple: AlgebraTriple, params: DeformationParams):
-    """Residual matrices [A,B], [B,C] + z B^2, [A,C] - B."""
-    z = params.z
-    A, B, C = triple.A, triple.B, triple.C
-    return (_ladder_commutator(A, B), B @ C - C @ B + z * (B @ B),
-            _ladder_commutator(A, C) - B)
+def tilde_relations(b, c, z):
+    """Residual series of [A, C] = B and [B, C] = -z B^2: c - b and
+    c b' - z b^2, to one order fewer than b.  [A, B] = 0 holds identically."""
+    import numpy as np
+    n = len(b) - 1
+    return c[:n] - b[:n], _c_db(b, c) - z * np.convolve(b, b)[:n]
 
 
-def commutator_residual_uzp(triple: AlgebraTriple, params: DeformationParams,
-                            cfg: TruncationConfig) -> float:
-    """Largest guarded norm of the three uzp_residual_blocks."""
-    return max_guarded_norm(uzp_residual_blocks(triple, params), cfg)
+def uzp_relations(b, c, z, p):
+    """Residual series of [A, C] = (1/p) sinh(pB) and [B, C] =
+    -(2z/p^2)(cosh(pB) - 1): c - sinh(pb)/p and c b' - (2z/p^2)(cosh(pb) -
+    1), to one order fewer than b.  [A, B] = 0 holds identically."""
+    ch, sh = _cosh_sinh(b[:-1], p)
+    ch[0] -= 1.0
+    return c[:-1] - sh / p, _c_db(b, c) - (2 * z / p ** 2) * ch
 
 
-def commutator_residual_tilde(triple: AlgebraTriple, params: DeformationParams,
+def commutator_residual_tilde(kind: RealizationKind, params: DeformationParams,
                               cfg: TruncationConfig) -> float:
-    """Largest guarded norm of the three tilde_residual_blocks."""
-    return max_guarded_norm(tilde_residual_blocks(triple, params), cfg)
+    """Largest series_bound of the tilde_relations of kind's series."""
+    b, c = realization_series(kind, params, cfg.kept + 1)
+    z = _series_z(kind, params.z)
+    return max(series_bound(r, cfg) for r in tilde_relations(b, c, z))
 
 
-def tilde_basis_change(triple: AlgebraTriple, p: float,
-                       cfg: TruncationConfig) -> AlgebraTriple:
-    """Map a two-parameter triple to the one-parameter (tilde) basis:
+def commutator_residual_uzp(kind: RealizationKind, params: DeformationParams,
+                            cfg: TruncationConfig) -> float:
+    """Largest series_bound of the uzp_relations of kind's series."""
+    b, c = realization_series(kind, params, cfg.kept + 1)
+    z = _series_z(kind, params.z)
+    return max(series_bound(r, cfg) for r in uzp_relations(b, c, z, params.p))
 
-        A -> A,   B -> (2/p) sinh(pB/2),   C -> cosh(pB/2)^{-1} C.
 
-    The inverse cosh factor is the reciprocal's Taylor sum on the nilpotent
-    split; SingularCosh if its scalar part vanishes numerically.
-    """
-    A, B, C = triple.A, triple.B, triple.C
-    cosh_half, sinh_half = _cosh_sinh((p / 2) * B)
-    B_t = (2 / p) * sinh_half
-    if abs(cosh_half[0, 0]) < 1e-12:
-        raise SingularCosh(f"cosh(pB/2) scalar part {cosh_half[0, 0]} ~ 0")
-    inv = _apply_series(recip_series, cosh_half)
-    return AlgebraTriple(A=A, B=B_t, C=inv @ C, kind=triple.kind)
+def tilde_basis_change(b, c, p: float):
+    """Map two-parameter series (b, c) to the one-parameter (tilde) basis,
+    b -> (2/p) sinh(pb/2) and c -> c / cosh(pb/2), under which uzp_relations
+    turn into tilde_relations.  1/u for u = cosh(pb/2) is _miller's u^-1;
+    SingularCosh if its constant term vanishes numerically."""
+    import numpy as np
+    n = len(b)
+    ch, sh = _cosh_sinh(b, p / 2)
+    if abs(ch[0]) < 1e-12:
+        raise SingularCosh(f"cosh(p b_0/2) = {ch[0]} ~ 0")
+    return (2 / p) * sh, np.convolve(c, _miller(ch, n, 0, 1, ch[0],
+                                                1 / ch[0]))[:n]

@@ -1,15 +1,17 @@
 """Truncated Fock-space linear algebra.
 
 States are plain 1-d complex numpy arrays of amplitudes over |0>..|N-1>;
-operators are dense N x N numpy matrices, complex except where the kernels
-below get real data.  Identity checks always exclude the top ``guard``
-levels because truncation breaks the ladder relations there.
+operators are dense N x N numpy matrices, float64 for the ladder operators
+a, a+ and a+a and wherever the kernels below get real data.  Identity
+checks always exclude the top ``guard`` levels because truncation breaks
+the ladder relations there.
 
 ``series_operator`` builds f(a+) from a coefficient list in O(N^2), in one
 vectorised pass with no Python loop over the orders (a cumprod of the scaled
 roots and one product with the coefficients); the lists come from the
-power-series recurrences of ``deformed_algebra``.  The residual
-checks use ``triangular_matrix_function``, a Taylor sum in matrix powers that
+power-series recurrences of ``deformed_algebra``, and ``series_columns``
+is its column-by-column reference.  The tests' dense residual route uses
+``triangular_matrix_function``, a Taylor sum in matrix powers that
 evaluates several functions of one matrix from one table of its powers, and
 stops each sum where a norm bound on the rest falls below the unit roundoff.
 Both kernels take their dtype from their inputs, as the coefficient kernels
@@ -18,9 +20,8 @@ do: real data give a float64 matrix, at about a quarter of the complex
 flops.
 
 ``guarded_norm`` is a residual's spectral norm on the guarded block, one
-O(N^3) SVD.  A check that reports the largest of several takes
-``max_guarded_norm``, which brackets each norm between O(N^2) bounds and
-takes the SVD of only the blocks that can be the largest.
+O(N^3) SVD.  A residual that is a series r(a+) needs none: ``series_bound``
+bounds its norm on the kept block by sum_k |r_k| ||(a+)^k||, in O(N).
 
 ``bargmann_rows`` is the one kernel for the paper's states: the Fock
 amplitudes of the solution of a first-order Bargmann ODE P(xi) w' = Q(xi) w
@@ -83,20 +84,21 @@ class TruncationConfig(NamedTuple("TruncationConfig",
 
 
 def annihilation(cfg: TruncationConfig):
-    """Matrix of a: entry (n-1, n) = sqrt(n)."""
+    """Matrix of a, float64: entry (n-1, n) = sqrt(n)."""
     import numpy as np
-    return np.diag(np.sqrt(np.arange(1, cfg.dim, dtype=float)), 1).astype(complex)
+    return np.diag(np.sqrt(np.arange(1, cfg.dim, dtype=float)), 1)
 
 
 def creation(cfg: TruncationConfig):
-    """Matrix of a^dagger: entry (n+1, n) = sqrt(n+1). Strictly lower triangular,
-    hence nilpotent in the truncation: (a^dagger)^N = 0."""
-    return annihilation(cfg).conj().T
+    """Matrix of a^dagger, float64: entry (n+1, n) = sqrt(n+1). Strictly
+    lower triangular, hence nilpotent in the truncation: (a^dagger)^N = 0."""
+    return annihilation(cfg).T
 
 
 def number_operator(cfg: TruncationConfig):
+    """Matrix of a^dagger a, float64."""
     import numpy as np
-    return np.diag(np.arange(cfg.dim, dtype=float)).astype(complex)
+    return np.diag(np.arange(cfg.dim, dtype=float))
 
 
 def vacuum(cfg: TruncationConfig):
@@ -146,34 +148,39 @@ def guarded_norm(mat, cfg: TruncationConfig) -> float:
     return float(np.linalg.norm(guarded_block(mat, cfg), ord=2))
 
 
-# relative slack between the norm bounds of max_guarded_norm, far above the
-# rounding of the bounds and of the SVD
-_BOUND_SLACK = 1e-8
-
-
-def max_guarded_norm(mats, cfg: TruncationConfig) -> float:
-    """max(guarded_norm(M, cfg) for M in mats), with an SVD only for the
-    matrices that can attain it.
-
-    A guarded block's spectral norm lies between its largest column norm and
-    its Frobenius norm, both O(N^2) against the SVD's O(N^3).  A block whose
-    Frobenius norm stays below the largest column norm of any block cannot
-    be the largest, so it gets no SVD; the block with that column norm
-    always does, and the result is its guarded_norm, bit for bit.  When a
-    bound is inf or nan, or every column norm is below 1e-100 (where the
-    squares lose entries to underflow), every block gets its SVD.  A block
-    with a nan entry then raises numpy.linalg.LinAlgError ("SVD did not
-    converge"); one with an inf entry has a nan norm, and that nan is the
-    result: Python's max would drop it unless it came first.
-    """
+def series_bound(r, cfg: TruncationConfig) -> float:
+    """sum_k |r_k| ||(a+)^k|| on the kept block, a bound on the spectral norm
+    there of r(a+) (or of r(a)).  (a+)^k is a weighted shift, its norm the
+    largest weight sqrt((kept-1)!/(kept-1-k)!), summed in logs so that kept
+    past 170 works.  An inf or nan coefficient gives inf, never 0."""
     import numpy as np
-    blocks = [guarded_block(M, cfg) for M in mats]
-    upper = [float(np.linalg.norm(b)) for b in blocks]
-    lower = max(float(np.linalg.norm(b, axis=0).max()) for b in blocks)
-    if not (np.isfinite(upper).all() and lower >= 1e-100):
-        return float(np.max([guarded_norm(M, cfg) for M in mats]))
-    return max(guarded_norm(M, cfg) for M, f in zip(mats, upper)
-               if f >= (1 - _BOUND_SLACK) * lower)
+    k = cfg.kept
+    r = np.abs(np.asarray(r)[:k])
+    if not np.isfinite(r).all():
+        return math.inf
+    log_w = np.r_[0.0, np.cumsum(np.log(np.arange(k - 1, k - len(r), -1.0)))]
+    with np.errstate(divide="ignore", over="ignore"):   # log 0, a huge bound
+        return float(np.exp(np.log(r) + log_w / 2).sum())
+
+
+def series_columns(f, cols, n: int):
+    """Columns cols of series_operator(f) at dim n, an (n, len(cols)) array:
+    entry (j + k, j) is f_k sqrt((j+k)!/j!), the root a running product down
+    the column with series_operator's exact scales 2^-e and 2^{ek}, so that
+    a correct build matches it bit for bit."""
+    import numpy as np
+    e = (n.bit_length() + 1) // 2
+    f = np.asarray(f)[:n]
+    ek = e * np.arange(len(f))
+    fk = np.ldexp(f.real, ek)
+    if np.iscomplexobj(f):
+        fk = fk + 1j * np.ldexp(f.imag, ek)
+    root = np.ldexp(np.sqrt(np.arange(1, n, dtype=float)), -e)
+    out = np.zeros((n, len(cols)), dtype=fk.dtype)
+    for i, j in enumerate(cols):
+        k = min(len(f), n - j)
+        out[j:j + k, i] = fk[:k] * np.r_[1.0, np.cumprod(root[j:j + k - 1])]
+    return out
 
 
 # unit roundoff of float64
@@ -212,15 +219,9 @@ def triangular_matrix_function(series_coeffs, K):
     total (N. J. Higham, Functions of Matrices, SIAM 2008, sec. 4.4).  The
     block is sized from M, not n, since only M terms are summed: the dense
     matmuls are K^2..K^(s-1), K^s when there is more than one block, and
-    ceil(M/s) - 1 Horner products, at most 2s - 2 in all.  For the uzp
-    operands of ``dheis verify`` (||K||_F <= 1.1) M is 9-19 of n = 49-193,
-    so s is 4 or 5 and a cosh-sinh pair takes 7-10 products, where blocks
-    sized from n would take 8-15; for K = a+ the norm is large, every term
-    stays and s = ceil(sqrt(n)).  The terms cut are not only below the
-    printed digits but slow: the late Horner blocks of an uncut sum multiply
-    matrices whose entries are subnormal, and each product of those runs
-    several times slower than a normal one, as the CPU takes an assist per
-    subnormal operand.
+    ceil(M/s) - 1 Horner products, at most 2s - 2 in all.  Cut terms are
+    slow as well as small: products of subnormal entries take a CPU assist
+    per operand.
 
     Coefficients with leading axes give one function per row, stacked in the
     same leading axes of the result; the functions share K^2..K^s, so each

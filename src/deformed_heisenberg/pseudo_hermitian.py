@@ -7,8 +7,10 @@ the product of the blocks).  In particular H = a+a + mu e^{-z a+} (a+)^2 is
 definite, and rho = sqrt(eta) comes from the SVD of G^-1 without forming eta,
 so rho G is unitary to the SVD's backward error.  Guarded norms are
 still used for residuals that involve the (upper-shift) annihilator, whose
-truncated top rows are garbage.  G, G^-1, H and A are functions of a+ (plus
-a+a and a), built from their coefficient lists by fock_core.series_operator;
+truncated top rows are garbage; the commutator relations of H and A are
+identities of their coefficient series (commutator_checks), which need no
+matrix.  G, G^-1, H and A are functions of a+ (plus a+a and a), real for a
+real mu, built from their coefficient lists by fock_core.series_operator;
 the lists of G = e^{g(a+)} and G^-1 = e^{-g(a+)} come from the O(N^2)
 recurrence deformed_algebra.exp_coefficients.
 
@@ -42,8 +44,8 @@ from typing import NamedTuple
 from .aes_series import eigenstate_image
 from .deformed_algebra import DeformationParams, exp_coefficients
 from .errors import IllConditioned
-from .fock_core import (TruncationConfig, annihilation, creation, guarded_norm,
-                        max_guarded_norm, normalize, number_operator,
+from .fock_core import (TruncationConfig, annihilation, guarded_norm,
+                        normalize, number_operator, series_bound,
                         series_operator)
 
 ETA_CONDITION_LIMIT = 1e12
@@ -168,18 +170,17 @@ def pseudo_hermiticity_residual(sys: PseudoHermitianSystem, G=None) -> float:
     return guarded_norm(lhs - rhs, sys.cfg)
 
 
-def commutator_blocks(sys: PseudoHermitianSystem):
-    """Residual matrices [H,A]+A, [H,a+]-a+, [A,a+]-1."""
-    import numpy as np
-    ad = creation(sys.cfg)
-    H, A = sys.H, sys.A_op
-    return (H @ A - A @ H + A, H @ ad - ad @ H - ad,
-            A @ ad - ad @ A - np.eye(sys.cfg.dim))
-
-
 def commutator_checks(sys: PseudoHermitianSystem) -> float:
-    """Largest guarded norm of the three commutator_blocks."""
-    return max_guarded_norm(commutator_blocks(sys), sys.cfg)
+    """[H, A] = -A, [H, a+] = a+ and [A, a+] = 1 as series identities: with
+    H = a+a + h(a+), A = a + alpha(a+) and [a, f(a+)] = f'(a+), [H, A] + A
+    is x alpha' + alpha - h', whose fock_core.series_bound this returns, and
+    the other two residuals vanish identically."""
+    import numpy as np
+    n = sys.cfg.kept
+    alpha = _scaled_exp_coefficients(sys.mu, sys.z, 1, n)[:n]
+    h = _scaled_exp_coefficients(sys.mu, sys.z, 2, n)[:n + 1]
+    k = np.arange(n)
+    return series_bound(k * alpha + alpha - (k + 1) * h[1:], sys.cfg)
 
 
 def ground_state(sys: PseudoHermitianSystem):

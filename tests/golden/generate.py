@@ -18,16 +18,31 @@ the same exit code.  The BLAS
 is pinned to one thread, as benchmarks/run.py pins every request and
 tests/conftest.py pins the tests.  Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/generate.py
+    PYTHONPATH=src python tests/golden/generate.py [--against REV]
+
+With --against, the corpus also runs on the tree of REV, a git revision of
+this repository: ``git archive`` extracts it to a temporary directory,
+removed afterwards, and a child interpreter with the same BLAS pins runs it
+there.  For each argv whose output differs from REV's, stderr gets what
+moved: the exit code and the row count where they changed, whether any text
+besides the numbers changed, and the largest relative move of each table
+column, diagnostic or verify row, with its values at REV and here.  The
+script still writes only the manifest.
 """
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
+import re
+import subprocess
 import sys
+import tarfile
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -131,11 +146,95 @@ def _moved(old: dict, new: dict) -> list:
             + [f"dropped: {argv}" for argv in old if argv not in new])
 
 
-def main() -> int:
-    new = {}
-    for argv in corpus():
-        result = run(argv)
-        new[json.dumps(argv)] = (result[0], digest(*result))
+# a number as the CLI prints one: %.17g, inf, nan and their signs
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:inf|nan|(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)"
+                    r"(?![\w.])")
+
+
+def series(argv, out) -> tuple:
+    """(row count, {name: [numbers]}) of one output: a table's columns and
+    diagnostics by name, or a verify report's residuals by check name."""
+    if argv[0] == "verify" and out.startswith("{"):
+        checks = json.loads(out)["checks"]
+        return len(checks), {c["name"]: [float(c["residual"])] for c in checks}
+    if out.startswith("{"):
+        doc = json.loads(out)
+        named = {h: [r[i] for r in doc["rows"]]
+                 for i, h in enumerate(doc["header"])}
+        named.update({k: [v] for k, v in doc.get("diagnostics", {}).items()})
+        return len(doc["rows"]), named
+    lines = out.splitlines() + [""]
+    body = [ln.split(",") for ln in lines[2:-1] if not ln.startswith("#")]
+    named = {h: [float(r[i]) for r in body]
+             for i, h in enumerate(lines[1].split(",")) if body}
+    named.update({k: [float(v)] for k, _, v in (ln[2:].partition("=")
+                                                for ln in lines[2:]
+                                                if ln.startswith("# "))})
+    return len(body), named
+
+
+def _largest_move(old, new) -> tuple:
+    """(relative move, old value, new value) of the entry of one column that
+    moved most relative to its old value; an entry that leaves 0 or the
+    finite numbers moves inf."""
+    moves = [(abs(b - a) / abs(a) if a and math.isfinite(a + b)
+              else math.inf, a, b)
+             for a, b in zip(old, new) if a != b and not (a != a and b != b)]
+    return max(moves, default=(0.0, None, None))
+
+
+def describe(argv, old, new) -> list:
+    """What moved between two (exit code, stdout, stderr) results of argv."""
+    lines = []
+    if old[0] != new[0]:
+        lines.append(f"exit code {old[0]} -> {new[0]}")
+    # the distinct lines of each stream with every number masked: a table
+    # that only gains or loses rows keeps them
+    if [set(NUMBER.sub("#", t).splitlines()) for t in old[1:]] != [
+            set(NUMBER.sub("#", t).splitlines()) for t in new[1:]]:
+        lines.append("text besides the numbers changed")
+    if not (old[0] == new[0] == 0 or argv[0] == "verify"):
+        return lines
+    (n_old, a), (n_new, b) = series(argv, old[1]), series(argv, new[1])
+    if n_old != n_new:
+        lines.append(f"rows {n_old} -> {n_new}")
+    for name in (name for name in b if name in a):     # in output order
+        rel, x, y = _largest_move(a[name], b[name])
+        if rel:
+            lines.append(f"{name}: {x:.17g} -> {y:.17g} (relative {rel:.2g})")
+    return lines
+
+
+def run_at(rev, argvs) -> list:
+    """The results of argvs on the tree of git revision rev, run by a child
+    interpreter on its sources (this script's run(), with the pins)."""
+    root = HERE.parents[1]
+    tree = subprocess.run(["git", "-C", str(root), "archive", rev],
+                          capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(tree)) as tar:
+            tar.extractall(tmp, filter="data")
+        env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src")}
+        child = subprocess.run(
+            [sys.executable, str(Path(__file__).resolve()), "--child"],
+            input=json.dumps(argvs), capture_output=True, text=True,
+            env=env, check=True)
+    return [tuple(r) for r in json.loads(child.stdout)]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="write the golden manifest")
+    ap.add_argument("--against", metavar="REV",
+                    help="list what moved against git revision REV")
+    ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:              # run the argvs on stdin, results to stdout
+        print(json.dumps([run(a) for a in json.load(sys.stdin)]))
+        return 0
+    argvs = corpus()
+    results = [run(argv) for argv in argvs]
+    new = {json.dumps(argv): (r[0], digest(*r))
+           for argv, r in zip(argvs, results)}
     old = read_manifest(MANIFEST) if MANIFEST.exists() else {}
     moved = _moved(old, new)
     changed = sum(not line.startswith(("added", "dropped")) for line in moved)
@@ -143,6 +242,16 @@ def main() -> int:
     print(f"{changed} of {len(new)} argvs changed hash, {exits} of them their "
           "exit code", file=sys.stderr)
     print("".join(f"  {line}\n" for line in moved), end="", file=sys.stderr)
+    if args.against:
+        before = run_at(args.against, argvs)
+        diff = [(argv, a, b) for argv, a, b in zip(argvs, before, results)
+                if a != b]
+        print(f"{len(diff)} of {len(argvs)} argvs moved against "
+              f"{args.against}", file=sys.stderr)
+        for argv, a, b in diff:
+            print(f"  {json.dumps(argv)}", file=sys.stderr)
+            print("".join(f"    {line}\n" for line in describe(argv, a, b)),
+                  end="", file=sys.stderr)
     MANIFEST.write_text("".join(f"{argv}\t{rc}\t{sha}\n"
                                 for argv, (rc, sha) in new.items()))
     print(f"{len(new)} argvs -> {MANIFEST}", file=sys.stderr)

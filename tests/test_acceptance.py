@@ -22,9 +22,7 @@ from deformed_heisenberg.aes_series import (aes_operator,
                                             normalization_c0)
 from deformed_heisenberg.deformed_algebra import (DeformationParams,
                                                   RealizationKind,
-                                                  build_realization,
-                                                  commutator_residual_tilde,
-                                                  commutator_residual_uzp)
+                                                  build_realization)
 from deformed_heisenberg.dispersion import (gamma_element,
                                             general_dispersion,
                                             lambda_element, mus_dispersions,
@@ -42,6 +40,7 @@ from deformed_heisenberg.pseudo_hermitian import (build_system,
                                                   commutator_checks,
                                                   pseudo_hermiticity_residual,
                                                   unitarity_check)
+from dense_residuals import residual_tilde, residual_uzp
 
 
 def _squeezed_displaced(delta, phi, beta, theta, cfg):
@@ -85,6 +84,8 @@ def test_criterion_02_srur_on_random_states():
 
 
 def test_criterion_03_commutation_residuals():
+    # the tests' dense route (dense_residuals): the relations on the built
+    # matrices, independent of the series identities that verify prints
     cfg = TruncationConfig(64)
     worst = 0.0
     for z in (0.0, 0.01, -0.01, 0.05, -0.05):
@@ -92,12 +93,12 @@ def test_criterion_03_commutation_residuals():
             prm = DeformationParams(z=z, p=p)
             for kind in (RealizationKind.Uzp_One, RealizationKind.Uzp_Two):
                 tri = build_realization(kind, prm, cfg)
-                worst = max(worst, commutator_residual_uzp(tri, prm, cfg))
+                worst = max(worst, residual_uzp(tri, prm, cfg))
         prm = DeformationParams(z=z)
         for kind in (RealizationKind.TildeZ0_Cas1,
                      RealizationKind.TildeZ0_Cas2):
             tri = build_realization(kind, prm, cfg)
-            worst = max(worst, commutator_residual_tilde(tri, prm, cfg))
+            worst = max(worst, residual_tilde(tri, prm, cfg))
     print(f"criterion 03: worst commutation residual {worst:.3e} (bound 1e-7)")
     assert worst < 1e-7
 

@@ -1,5 +1,6 @@
 """Command-line front end: deterministic sweep/state/verify/spectrum output."""
 
+import contextlib
 import errno
 import io
 import json
@@ -575,12 +576,27 @@ def test_state_dim_256_is_fast():
 
 
 def test_verify_dim_256_is_fast():
-    # the matrix-side checks take O(sqrt(N)) dense products per function
+    # the algebra rows are O(N^2) series identities; the other matrix-side
+    # checks take a few dense products
     proc = _run_cli(["verify", "--dim", "256"], timeout=30)
     assert proc.returncode == 0
     checks = json.loads(proc.stdout)["checks"]
-    assert len(checks) == 18
+    assert len(checks) == 19
     assert all(c["passed"] for c in checks)
+
+
+@pytest.mark.parametrize("dim", ["256", "512"])
+def test_verify_past_factorial_overflow(dim):
+    # kept is 192 and 384, past the 170 where (kept - 1)! leaves the float
+    # range: the series bounds take their weights from logs and stay at the
+    # rounding of the coefficient lists, and the build row reads 0
+    proc = _run_cli(["verify", "--dim", dim], timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    checks = json.loads(proc.stdout)["checks"]
+    algebra = [c for c in checks if c["suite"] == "algebra"]
+    assert len(algebra) == 9
+    for c in algebra:
+        assert c["passed"] and float(c["residual"]) <= 1e-15, c
 
 
 @pytest.mark.parametrize("argv, rc", [
@@ -645,34 +661,37 @@ def test_verify_default_box_passes(tmp_path):
 
 
 def test_verify_pseudo_bounds_are_tight(capsys):
-    # the dim-48 reference box reads 1.2e-9, 1.4e-13 and 2.5e-14; bounds of
-    # 1e-7, 1e-6 and 1e-8 let a metric route that lost six digits pass
+    # the dim-48 reference box reads 1.2e-9, 1.8e-13 and, for the
+    # commutators' series bound, 9.7e-30; bounds of 1e-7, 1e-6 and 1e-8 let
+    # a metric route that lost six digits pass
     assert cli.main(["verify", "--dim", "64", "--suite", "pseudo"]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
     bounds = {c["name"]: float(c["bound"]) for c in checks}
     assert bounds == {"pseudo_hermiticity": 1e-8, "rho_g_unitarity": 1e-10,
-                      "commutators": 1e-11}
+                      "commutators": 1e-14}
     assert all(c["passed"] for c in checks)
 
 
 def test_verify_algebra_bounds_are_tight(capsys):
-    # the residuals read <= 6.3e-14 up to dim 256 (2.1e-13 at dim 512);
-    # bounds of 1e-8 and 1e-7 let a realization that lost half its digits pass
+    # the series bounds read <= 4.4e-16 up to dim 1024, and the build row
+    # reads 0; bounds of 1e-11 let a coefficient with a relative error of
+    # 1e-12 pass
     assert cli.main(["verify", "--dim", "256", "--suite", "algebra"]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
-    assert len(checks) == 8
-    for c in checks:
-        assert float(c["bound"]) == 1e-11, c["name"]
-        assert float(c["residual"]) < 1e-13, c["name"]
+    assert len(checks) == 9
+    for c in checks[:8]:
+        assert float(c["bound"]) == 1e-14, c["name"]
+        assert float(c["residual"]) < 1e-15, c["name"]
+    assert checks[8]["name"] == "fock_build"
+    assert (float(checks[8]["bound"]), checks[8]["residual"]) == (1e-13, "0")
 
 
 @pytest.mark.parametrize("dim", [8, 64, 160, 256])
 def test_verify_residuals_at_kept_plus_one_match_the_full_dim(dim):
-    # the guarded k x k block of each product, commutator and Taylor power
-    # reads only the leading (k+1)-blocks of its factors, so verify builds
-    # the xp, tilde and uzp operators at dim k + 1 with a guard of 1.  The
-    # tilde and xp residuals keep every bit; the uzp cosh and sinh sums cut
-    # at roundoff relative to ||K||_F, which the smaller K changes
+    # the guarded k x k block of each product and commutator of the xp
+    # residual reads only the leading (k+1)-blocks of its factors, so verify
+    # builds its operators at dim k + 1 with a guard of 1; the series rows
+    # read only k, the kept block's size
     cfg = fock_core.TruncationConfig(dim)
     block = fock_core.TruncationConfig(cfg.kept + 1, guard=1)
     assert block.kept == cfg.kept
@@ -683,7 +702,7 @@ def test_verify_residuals_at_kept_plus_one_match_the_full_dim(dim):
             assert (cli._check_tilde(kind, z, block)
                     == cli._check_tilde(kind, z, cfg)), (kind, z)
     for p in (0.1, 0.4):
-        assert abs(cli._check_uzp(p, block) - cli._check_uzp(p, cfg)) <= 1e-15
+        assert cli._check_uzp(p, block) == cli._check_uzp(p, cfg), p
 
 
 def test_state_runs_the_recurrence_once(monkeypatch, capsys):
@@ -808,7 +827,7 @@ def test_verify_reports_linalg_error_as_failed_check(tmp_path, monkeypatch):
     out = tmp_path / "verify_nan.json"
     assert cli.main(["verify", "--out", str(out)]) == 1
     checks = json.loads(out.read_text())["checks"]
-    assert len(checks) == 18
+    assert len(checks) == 19
     failed = [c for c in checks if not c["passed"]]
     assert failed == [{
         "suite": "fock", "name": "canonical_xp_commutator", "residual": "inf",
@@ -1087,10 +1106,11 @@ def test_spectrum_past_the_float_range_prints_no_numpy_warning(z, capsys):
     assert capsys.readouterr().err.startswith("error: G^-1 leaves the float")
 
 
-def test_verify_takes_one_svd_per_algebra_row(monkeypatch, capsys):
-    # every row that prints the largest of several guarded norms takes the
-    # SVDs of only the blocks that can win: 13 SVDs for verify's 12 norm
-    # rows (pseudo's commutators take two), against 30 with one per norm
+def test_verify_algebra_rows_take_no_svd_or_matrix_function(monkeypatch,
+                                                            capsys):
+    # the algebra rows and pseudo's commutators are series identities: the
+    # only SVDs of a full report are those of the xp, pseudo-hermiticity
+    # and unitarity rows, and no row sums a Taylor series in matrix powers
     calls = []
     for module in (cli, cli.pseudo_hermitian, fock_core):
         real = module.guarded_norm
@@ -1100,9 +1120,89 @@ def test_verify_takes_one_svd_per_algebra_row(monkeypatch, capsys):
             return real(mat, cfg)
 
         monkeypatch.setattr(module, "guarded_norm", counted)
+
+    def refused(*args):
+        raise AssertionError("triangular_matrix_function called")
+
+    monkeypatch.setattr(fock_core, "triangular_matrix_function", refused)
     assert cli.main(["verify", "--dim", "64"]) == 0
+    assert len(calls) == 3
+    calls.clear()
+    assert cli.main(["verify", "--dim", "64", "--suite", "algebra"]) == 0
     capsys.readouterr()
-    assert len(calls) <= 13
+    assert calls == []
+
+
+def _verify_rows(argv):
+    """{name: (residual, bound)} of a verify report run in-process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["verify", *argv])
+    return {c["name"]: (float(c["residual"]), float(c["bound"]))
+            for c in json.loads(out.getvalue())["checks"]}
+
+
+@pytest.mark.parametrize("series, order, factor", [
+    (0, 3, -1.0), (1, 3, -1.0),             # a sign flip in b_3 or c_3
+    (0, 1, 1 + 1e-12), (1, 1, 1 + 1e-12),   # b_1 or c_1 off by 1e-12
+], ids=["sign_b3", "sign_c3", "rel_b1", "rel_c1"])
+def test_verify_relation_rows_trip_on_a_planted_coefficient(
+        monkeypatch, series, order, factor):
+    # one coefficient of b or c is wrong in every realization the rows
+    # check; the z = 0 series are constants, so there the defect takes the
+    # constant term.  Every relation row reads past its bound, and by a
+    # factor >= 10 for the error of 1e-12 (1.4e-13 and up at dim 64)
+    from deformed_heisenberg import deformed_algebra
+    real = deformed_algebra.realization_series
+
+    def planted(kind, params, n):
+        out = [np.array(x) for x in real(kind, params, n)]
+        x = out[series]
+        k = order if x[order] != 0 else 0
+        x[k] *= factor
+        return out
+
+    monkeypatch.setattr(deformed_algebra, "realization_series", planted)
+    rows = _verify_rows(["--dim", "64", "--suite", "algebra"])
+    relation = {k: v for k, v in rows.items() if k != "fock_build"}
+    assert len(relation) == 8
+    for name, (r, bound) in relation.items():
+        assert r > 10 * bound, (name, r)
+
+
+@pytest.mark.parametrize("target", ["B_TildeZ0_Cas1", "C_TildeZ0_Cas2",
+                                    "A_Uzp_One", "C_Uzp_One", "H", "A"])
+def test_verify_build_row_trips_on_one_wrong_entry(monkeypatch, target):
+    # one entry of one built matrix off by a relative 1e-6, in a probed
+    # column (j = 1; C is probed at e_2); the operators on a are held
+    # through their transposes, so their entry sits at the transposed place
+    name, _, kind = target.partition("_")
+    col = 2 if name == "C" else 1
+    real_build = cli.build_realization
+
+    def build(k, params, cfg):
+        tri = real_build(k, params, cfg)
+        if k.name == kind:
+            M = getattr(tri, name)
+            i, j = (col, col + 1) if k in cli.ON_A else (col + 1, col)
+            M[i, j] *= 1 + 1e-6
+        return tri
+
+    monkeypatch.setattr(cli, "build_realization", build)
+    for attr in ("build_H", "_build_A"):
+        real = getattr(cli.pseudo_hermitian, attr)
+
+        def pseudo(mu, z, cfg, real=real, attr=attr):
+            M = real(mu, z, cfg)
+            if target == attr.strip("_").split("_")[1]:
+                M[col + 2, col] *= 1 + 1e-6         # h starts at x^2
+            return M
+
+        monkeypatch.setattr(cli.pseudo_hermitian, attr, pseudo)
+    rows = _verify_rows(["--dim", "64", "--suite", "algebra"])
+    r, bound = rows["fock_build"]
+    assert r > 1e3 * bound, r
+    assert all(v[0] <= v[1] for k, v in rows.items() if k != "fock_build")
 
 
 def test_flag_validation_exits_2(capsys):

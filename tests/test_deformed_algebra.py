@@ -10,17 +10,19 @@ import numpy as np
 import pytest
 
 from deformed_heisenberg.deformed_algebra import (
-    AlgebraTriple, DeformationParams, P_KINDS, RealizationKind,
-    _ladder_commutator, _miller, _nilpotent_part, _uzp_coefficients,
-    build_realization, commutator_residual_tilde,
-    commutator_residual_uzp, cosh_series, exp_coefficients, recip_series,
-    sinh_series, tilde_basis_change, tilde_residual_blocks,
-    uzp_residual_blocks)
+    AlgebraTriple, DeformationParams, P_KINDS, RealizationKind, _miller,
+    _uzp_coefficients, build_realization, commutator_residual_tilde,
+    commutator_residual_uzp, exp_coefficients, realization_series,
+    tilde_basis_change, tilde_relations, uzp_relations)
 from deformed_heisenberg.errors import BadParams, SingularCosh
 from deformed_heisenberg.fock_core import (
     TruncationConfig, annihilation, creation, guarded_norm,
-    matrix_exponential, series_operator)
+    matrix_exponential, series_bound, series_operator)
 from deformed_heisenberg.pseudo_hermitian import _g_coefficients
+from dense_residuals import (cosh_series, ladder_commutator, nilpotent_part,
+                             recip_series, residual_tilde, residual_uzp,
+                             sinh_series, tilde_residual_blocks,
+                             uzp_residual_blocks)
 
 CFG = TruncationConfig(64)
 
@@ -119,7 +121,7 @@ def test_uzp_residuals_past_factorial_overflow():
         np.testing.assert_allclose(c[:170], want, rtol=1e-13, atol=0)
     prm = DeformationParams(z=0.02, p=0.4)
     tri = build_realization(RealizationKind.Uzp_One, prm, cfg)
-    assert commutator_residual_uzp(tri, prm, cfg) < 1e-12
+    assert residual_uzp(tri, prm, cfg) < 1e-12
 
 
 def _pow_series(u, c, n):
@@ -397,7 +399,7 @@ def test_ladder_commutator_is_exact_dense_commutator(kind, dim):
             tri = build_realization(kind, DeformationParams(z=z, p=p), cfg)
             A = tri.A
             for X in (tri.B, tri.C):
-                assert np.array_equal(_ladder_commutator(A, X), A @ X - X @ A)
+                assert np.array_equal(ladder_commutator(A, X), A @ X - X @ A)
 
 
 def test_ladder_commutator_takes_dense_products_for_other_operators():
@@ -405,7 +407,7 @@ def test_ladder_commutator_takes_dense_products_for_other_operators():
     X = rng.standard_normal((16, 16))
     a = annihilation(TruncationConfig(16)).real
     for A in (a + a.T, a + np.eye(16), rng.standard_normal((16, 16))):
-        assert np.array_equal(_ladder_commutator(A, X), A @ X - X @ A)
+        assert np.array_equal(ladder_commutator(A, X), A @ X - X @ A)
 
 
 def test_p_kinds_reject_zero_p():
@@ -442,7 +444,7 @@ def test_uzp_defining_relations_spot_checks():
             prm = DeformationParams(z=z, p=p)
             for kind in (RealizationKind.Uzp_One, RealizationKind.Uzp_Two):
                 tri = build_realization(kind, prm, CFG)
-                r = commutator_residual_uzp(tri, prm, CFG)
+                r = residual_uzp(tri, prm, CFG)
                 assert r < 1e-7, (kind, z, p, r)
 
 
@@ -460,28 +462,64 @@ def test_tilde_defining_relations():
     prm = DeformationParams(z=0.05)
     for kind in (RealizationKind.TildeZ0_Cas1, RealizationKind.TildeZ0_Cas2):
         tri = build_realization(kind, prm, CFG)
-        r = commutator_residual_tilde(tri, prm, CFG)
+        r = residual_tilde(tri, prm, CFG)
         assert r < 1e-9, (kind, r)
 
 
-@pytest.mark.parametrize("dim", [64, 128, 160])
-def test_verify_rows_print_the_largest_residual_norm(dim):
-    # verify's 8 algebra rows call the commutator_residual_* functions,
-    # whose max_guarded_norm takes an SVD only for the blocks that can win;
-    # the printed number is the largest of the three norms, exactly
-    cfg = TruncationConfig(dim)
-    boxes = [(kind, DeformationParams(z=z), tilde_residual_blocks,
-              commutator_residual_tilde)
+def _verify_boxes():
+    # verify's 8 algebra rows: (kind, params, series row, dense route)
+    boxes = [(kind, DeformationParams(z=z), commutator_residual_tilde,
+              residual_tilde)
              for z in (0.0, 0.02, -0.02)
              for kind in (RealizationKind.TildeZ0_Cas1,
                           RealizationKind.TildeZ0_Cas2)]
-    boxes += [(RealizationKind.Uzp_One, DeformationParams(z=0.02, p=p),
-               uzp_residual_blocks, commutator_residual_uzp)
-              for p in (0.1, 0.4)]
-    for kind, prm, blocks, residual in boxes:
+    return boxes + [(RealizationKind.Uzp_One, DeformationParams(z=0.02, p=p),
+                     commutator_residual_uzp, residual_uzp)
+                    for p in (0.1, 0.4)]
+
+
+@pytest.mark.parametrize("dim", [64, 128, 160])
+def test_verify_rows_and_the_dense_route_agree_on_verify_boxes(dim):
+    # verify prints the series bounds, at the rounding of the coefficient
+    # lists (<= 4.4e-16); the dense route reads the same relations on the
+    # built matrices, at the rounding of their products (<= 4.1e-14 here)
+    cfg = TruncationConfig(dim)
+    for kind, prm, series, dense in _verify_boxes():
+        assert series(kind, prm, cfg) < 1e-15, (kind, prm)
         tri = build_realization(kind, prm, cfg)
-        assert residual(tri, prm, cfg) == \
-            max(guarded_norm(R, cfg) for R in blocks(tri, prm)), (kind, prm)
+        assert dense(tri, prm, cfg) < 1e-13, (kind, prm)
+
+
+@pytest.mark.parametrize("dim", [16, 64, 200])
+@pytest.mark.parametrize("k", [0, 1, 7])
+@pytest.mark.parametrize("kind", [RealizationKind.TildeZ0_Cas1,
+                                  RealizationKind.TildeZ0_Cas2,
+                                  RealizationKind.Uzp_One,
+                                  RealizationKind.Uzp_Two],
+                         ids=lambda k: k.name)
+def test_series_bound_is_the_dense_norm_of_a_one_term_residual(kind, k, dim):
+    # an error d planted in c_k makes the residual series of [A, C] d x^k
+    # plus rounding, and the dense [A, C] - B (or - sinh(pB)/p) the operator
+    # d (a+)^k (d a^k on a), whose spectral norm on the kept block is its
+    # largest weight: the series bound, to the planted error's digits
+    cfg = TruncationConfig(dim)
+    prm = DeformationParams(z=0.02, p=0.3)
+    b, c = realization_series(kind, prm, dim)
+    c = c.copy()
+    c[k] += 1e-6
+    A, B, C = -creation(cfg), series_operator(b, cfg), series_operator(c, cfg)
+    C = C @ annihilation(cfg)
+    if kind in (RealizationKind.TildeZ0_Cas2, RealizationKind.Uzp_Two):
+        A, B, C = -A.T, B.T, C.T
+    tri = AlgebraTriple(A=A, B=B, C=C, kind=kind)
+    z = -prm.z if kind is RealizationKind.Uzp_Two else prm.z
+    if kind in P_KINDS:
+        dense = guarded_norm(uzp_residual_blocks(tri, prm)[2], cfg)
+        series = series_bound(uzp_relations(b, c, z, prm.p)[0], cfg)
+    else:
+        dense = guarded_norm(tilde_residual_blocks(tri, prm)[2], cfg)
+        series = series_bound(tilde_relations(b, c, z)[0], cfg)
+    assert dense == pytest.approx(series, rel=1e-7)
 
 
 @pytest.mark.parametrize("z", [0.02, -0.02, 1.0, -3.7, 5e-324, 1e150, -1e300,
@@ -510,45 +548,50 @@ def test_linear_exponent_loop_is_the_dot_product_loop_bit_for_bit(z):
                                       ref.view(np.uint64)), n
 
 
-def test_tilde_basis_change_satisfies_one_parameter_relations():
-    prm = DeformationParams(z=0.02, p=0.3)
-    tri = build_realization(RealizationKind.Uzp_One, prm, CFG)
-    mapped = tilde_basis_change(tri, prm.p, CFG)
-    r = commutator_residual_tilde(mapped, prm, CFG)
-    assert r < 1e-7, r
+@pytest.mark.parametrize("z", [0.0, 0.02, -0.05])
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+def test_tilde_basis_change_satisfies_one_parameter_relations(z, p):
+    # the mapped series of Uzp_One satisfy the tilde identities c = b and
+    # c b' = z b^2 under the series bound, at the rounding of the lists
+    prm = DeformationParams(z=z, p=p)
+    b, c = realization_series(RealizationKind.Uzp_One, prm, CFG.kept + 1)
+    bt, ct = tilde_basis_change(b, c, p)
+    r = max(series_bound(x, CFG) for x in tilde_relations(bt, ct, z))
+    assert r < 1e-14, r
 
 
 def test_tilde_basis_change_against_expm_route():
-    # cross-check the exact Taylor evaluation against scipy's expm:
-    # B_t = (e^{pB/2} - e^{-pB/2})/p  and  cosh(pB/2) @ C_t = C
+    # the mapped series built into matrices, against scipy's expm of the
+    # built B: B_t = (e^{pB/2} - e^{-pB/2})/p and cosh(pB/2) C_t = C
     prm = DeformationParams(z=0.02, p=0.3)
     tri = build_realization(RealizationKind.Uzp_One, prm, CFG)
-    mapped = tilde_basis_change(tri, prm.p, CFG)
+    b, c = realization_series(RealizationKind.Uzp_One, prm, CFG.dim)
+    bt, ct = tilde_basis_change(b, c, prm.p)
+    B_t = series_operator(bt, CFG)
+    C_t = series_operator(ct, CFG) @ annihilation(CFG)
     Ep = matrix_exponential(prm.p * tri.B / 2)
     Em = matrix_exponential(-prm.p * tri.B / 2)
-    assert guarded_norm(mapped.B - (Ep - Em) / prm.p, CFG) < 1e-10
-    assert guarded_norm((Ep + Em) / 2 @ mapped.C - tri.C, CFG) < 1e-8
+    assert guarded_norm(B_t - (Ep - Em) / prm.p, CFG) < 1e-10
+    assert guarded_norm((Ep + Em) / 2 @ C_t - tri.C, CFG) < 1e-8
 
 
 def test_tilde_basis_change_small_p_is_near_identity():
     prm = DeformationParams(z=0.02, p=1e-3)
-    tri = build_realization(RealizationKind.Uzp_One, prm, CFG)
-    mapped = tilde_basis_change(tri, prm.p, CFG)
-    # B -> B + O(p^2 B^3)
-    assert guarded_norm(mapped.B - tri.B, CFG) < 1e-5
-    assert guarded_norm(mapped.C - tri.C, CFG) < 1e-5
+    b, c = realization_series(RealizationKind.Uzp_One, prm, CFG.dim)
+    bt, ct = tilde_basis_change(b, c, prm.p)
+    # b -> b + O(p^2 b^3)
+    assert series_bound(bt - b, CFG) < 1e-5
+    assert series_bound(ct - c, CFG) < 1e-5
 
 
 def test_matrix_functions_refuse_what_they_cannot_evaluate():
     # alpha I + K needs a constant diagonal
     with pytest.raises(BadParams):
-        _nilpotent_part(np.diag([1.0, 2.0]))
-    # B = (i pi/p) I: the scalar part of cosh(pB/2) is cos(pi/2) ~ 6e-17
-    p, eye = 0.3, np.eye(CFG.dim)
-    tri = AlgebraTriple(A=eye, B=(1j * math.pi / p) * eye, C=eye,
-                        kind=RealizationKind.Uzp_One)
+        nilpotent_part(np.diag([1.0, 2.0]))
+    # b = i pi/p: the constant term of cosh(pb/2) is cos(pi/2) ~ 6e-17
+    p = 0.3
     with pytest.raises(SingularCosh):
-        tilde_basis_change(tri, p, CFG)
+        tilde_basis_change(np.array([1j * math.pi / p, 0, 0]), np.ones(3), p)
 
 
 def test_limit_chain_z_then_p():

@@ -12,17 +12,18 @@ import scipy.linalg
 from deformed_heisenberg import fock_core
 from deformed_heisenberg.aes_series import deformed_squeezed_state
 from deformed_heisenberg.deformed_algebra import (
-    DeformationParams, RealizationKind, _apply_series, _nilpotent_part,
-    build_realization, cosh_series, exp_coefficients, sinh_series)
+    DeformationParams, RealizationKind, build_realization, exp_coefficients)
 from deformed_heisenberg.errors import (BadParams, NotConverged, NotNilpotent,
                                        TailTooHeavy, ZeroNorm)
 from deformed_heisenberg.fock_core import (
     TruncationConfig, annihilation, check_tail, coherent_state,
     creation, displacement_operator, expectation, guarded_norm,
-    inner_product, matrix_exponential, max_guarded_norm, norm, normalize,
-    number_operator, series_operator, squeeze_operator,
+    inner_product, matrix_exponential, norm, normalize, number_operator,
+    series_bound, series_columns, series_operator, squeeze_operator,
     squeezed_displaced_vacuum, tail_fraction, triangular_matrix_function,
     vacuum)
+from dense_residuals import (apply_series, cosh_series, max_guarded_norm,
+                             nilpotent_part, sinh_series)
 
 CFG64 = TruncationConfig(64)
 
@@ -44,6 +45,20 @@ def test_annihilation_entries():
     expected = np.array([[0, 1, 0], [0, 0, math.sqrt(2)], [0, 0, 0]])
     np.testing.assert_allclose(a, expected, atol=0)
     assert np.all(annihilation(TruncationConfig(1, 0)) == 0)
+
+
+def test_ladder_operators_are_real():
+    # a, a+ and a+a are float64, so the operators built from them with real
+    # data stay real; momentum's factor i makes P complex
+    from deformed_heisenberg.dispersion import (momentum_operator,
+                                                position_operator)
+    cfg = TruncationConfig(16)
+    for op in (annihilation, creation, number_operator, position_operator):
+        assert op(cfg).dtype == np.float64, op.__name__
+    assert momentum_operator(cfg).dtype == complex
+    np.testing.assert_allclose(number_operator(cfg),
+                               creation(cfg) @ annihilation(cfg),
+                               rtol=1e-15, atol=0)
 
 
 def test_creation_entries():
@@ -117,7 +132,7 @@ def test_triangular_matrix_function_asinh_at_z_zero():
     B = build_realization(RealizationKind.Uzp_One, DeformationParams(p=p),
                           cfg).B
     np.testing.assert_array_equal(B, B[0, 0] * np.eye(cfg.dim))
-    np.testing.assert_allclose(_apply_series(sinh_series, (p / 2) * B),
+    np.testing.assert_allclose(apply_series(sinh_series, (p / 2) * B),
                                (p / 2) * np.eye(8), rtol=0, atol=1e-15)
 
 
@@ -158,7 +173,7 @@ def test_paterson_stockmeyer_matches_term_by_term_on_uzp_b(series_fn):
     cfg = TruncationConfig(160)
     params = DeformationParams(z=0.02, p=0.4)
     B = build_realization(RealizationKind.Uzp_One, params, cfg).B
-    alpha, K = _nilpotent_part(params.p * B)
+    alpha, K = nilpotent_part(params.p * B)
     coeffs = series_fn(alpha, cfg.dim)
     ref = _term_by_term(coeffs, K, cfg)
     got = triangular_matrix_function(coeffs, K)
@@ -279,7 +294,7 @@ def test_cut_taylor_sum_matches_term_by_term_on_uzp_boxes(p, dim,
     cfg = TruncationConfig(dim)
     params = DeformationParams(z=0.02, p=p)
     B = build_realization(RealizationKind.Uzp_One, params, cfg).B
-    alpha, K = _nilpotent_part(p * B)
+    alpha, K = nilpotent_part(p * B)
     rows = [cosh_series(alpha, dim), sinh_series(alpha, dim)]
     s = math.isqrt(dim - 1) + 1
     for row, ref in zip(rows, _shared_term_by_term(rows, K)):
@@ -313,8 +328,53 @@ def test_taylor_cut_keeps_the_terms_above_roundoff(norm):
     assert fock_core._taylor_terms_kept(rows, norm)[1] == 160
 
 
+@pytest.mark.parametrize("dim", [8, 64, 240, 600])
+def test_series_bound_of_one_power_is_its_dense_norm(dim):
+    # (a+)^k on the kept block is a weighted shift: its spectral norm is its
+    # largest weight, sqrt((kept-1)!/(kept-1-k)!), which the bound sums in
+    # logs, so that kept past 170 gives finite weights
+    cfg = TruncationConfig(dim)
+    ad = creation(TruncationConfig(cfg.kept))
+    power = np.eye(cfg.kept)
+    for k in range(min(cfg.kept, 12)):
+        r = np.zeros(k + 1)
+        r[k] = -0.5
+        want = 0.5 * np.linalg.norm(power, 2)
+        assert series_bound(r, cfg) == pytest.approx(want, rel=1e-12), k
+        power = ad @ power
+    assert math.isfinite(series_bound(np.full(cfg.kept, 1e-300), cfg))
+    # orders past the kept block do not act on it
+    assert series_bound(np.r_[np.zeros(cfg.kept), 1.0], cfg) == 0.0
+
+
+def test_series_bound_reads_a_broken_series_as_inf():
+    cfg = TruncationConfig(16)
+    assert series_bound(np.zeros(12), cfg) == 0.0
+    for bad in (math.inf, -math.inf, math.nan, complex(0, math.nan)):
+        r = np.zeros(12, dtype=complex)
+        r[3] = bad
+        assert series_bound(r, cfg) == math.inf, bad
+
+
+@pytest.mark.parametrize("dim", [8, 64, 200, 512])
+def test_series_columns_are_series_operator_bit_for_bit(dim):
+    # the column reference takes each column's running product of roots,
+    # series_operator one cumprod over a Hankel view: the same roundings,
+    # real and complex, past the n ~ 340 where sqrt(n!) overflows
+    cfg = TruncationConfig(dim, guard=1)
+    rng = np.random.default_rng(dim)
+    cols = [0, 1, dim // 2, dim - 2, dim - 1]
+    for f in (exp_coefficients([0.0, 0.3], dim),
+              exp_coefficients([0.0, 0.1 - 0.2j, 0.05j], dim),
+              rng.normal(size=7), [0.5]):
+        got, want = series_columns(f, cols, dim), series_operator(f, cfg)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want[:, cols])
+
+
 def _count_svds(monkeypatch):
-    # max_guarded_norm takes each SVD through fock_core.guarded_norm
+    # max_guarded_norm (dense_residuals) takes each SVD through
+    # fock_core.guarded_norm
     calls = []
 
     def counted(mat, cfg):
@@ -422,8 +482,10 @@ def test_exp_coefficients_match_expm_of_creation():
         k = np.arange(cfg.dim)
         want = np.array([z ** m / math.factorial(m) for m in k])
         np.testing.assert_allclose(coeffs, want, rtol=1e-14, atol=0)
+        # matrix_exponential takes scipy's complex expm, for real z too:
+        # its real one rounds z a+ = -1.2 a+ to 7.3e-13 here
         np.testing.assert_allclose(series_operator(coeffs, cfg),
-                                   scipy.linalg.expm(z * creation(cfg)),
+                                   matrix_exponential(z * creation(cfg)),
                                    rtol=0, atol=1e-13)
 
 

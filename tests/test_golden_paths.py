@@ -70,3 +70,29 @@ def test_golden_paths_match_the_manifest():
                                  if i < REPORTED else ""))
     assert not lines, (f"{len(exits) + len(moved)} of {len(manifest)} argvs "
                        "moved:\n" + "\n".join(lines))
+
+
+def test_describe_lists_what_moved_by_column_and_verify_row():
+    # generate.py --against prints these lines for each moved argv
+    gen = _generate()
+    argv = ["state", "--dim", "8"]
+    old = (0, "# dim=8\nn,re_c\n0,0.5\n1,0.25\n# c0=2\n", "")
+    new = (0, "# dim=8\nn,re_c\n0,0.5\n1,0.25000000000000006\n2,0\n"
+           "# c0=2\n", "")
+    assert gen.describe(argv, old, new) == [
+        "rows 2 -> 3",
+        "re_c: 0.25 -> 0.25000000000000006 (relative 2.2e-16)"]
+    assert gen.describe(argv, old, (3, "", "error: no norm\n")) == [
+        "exit code 0 -> 3", "text besides the numbers changed"]
+    report = {"checks": [{"name": "uzp_residual_p0.1",
+                          "residual": "3.0871341691237857e-14"},
+                         {"name": "fock_build", "residual": "0"}]}
+    moved = json.loads(json.dumps(report))
+    moved["checks"][0]["residual"] = "3.0871338459495874e-14"
+    moved["checks"][1]["residual"] = "1e-16"
+    got = gen.describe(["verify"], (0, json.dumps(report), ""),
+                       (0, json.dumps(moved), ""))
+    assert sorted(got) == [
+        "fock_build: 0 -> 9.9999999999999998e-17 (relative inf)",
+        "uzp_residual_p0.1: 3.0871341691237857e-14 -> "
+        "3.0871338459495874e-14 (relative 1e-07)"]

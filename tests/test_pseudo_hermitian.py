@@ -21,7 +21,6 @@ from deformed_heisenberg.pseudo_hermitian import (ETA_CONDITION_LIMIT,
                                                   build_G, build_H,
                                                   build_system,
                                                   coherent_eigenstate,
-                                                  commutator_blocks,
                                                   commutator_checks,
                                                   generalized_coherent_state,
                                                   ground_state,
@@ -29,14 +28,17 @@ from deformed_heisenberg.pseudo_hermitian import (ETA_CONDITION_LIMIT,
                                                   pseudo_hermiticity_residual,
                                                   rho_hat, spectrum_report,
                                                   unitarity_check)
+from dense_residuals import pseudo_commutator_blocks
 
 CFG = TruncationConfig(48, 12)
 MU, Z = 0.2, 0.02
 
 
 def test_build_g_zero_z_is_plain_gaussian():
+    # matrix_exponential takes scipy's complex expm of the real a+ a+: its
+    # real one rounds this G to 1.7e-12
     ad = creation(CFG)
-    ref = scipy.linalg.expm(-0.5 * MU * (ad @ ad))
+    ref = matrix_exponential(-0.5 * MU * (ad @ ad))
     assert np.abs(build_G(MU, 0.0, CFG) - ref).max() < 1e-12
 
 
@@ -71,10 +73,11 @@ def test_pseudo_spectrum_is_what_eigvals_returns(argv):
 @pytest.mark.parametrize("mu, dtype", [(MU, np.float64), (MU + 0j, complex),
                                        (MU * cmath.exp(0.3j), complex)])
 def test_system_takes_the_arithmetic_of_mu(mu, dtype):
-    # a real mu gives real G, G^-1 and SVD factors, a complex one complex
-    # ones; both spectra are real
+    # a real mu gives real G, G^-1, H, A and SVD factors, a complex one
+    # complex ones; both spectra are real
     sys = build_system(mu, Z, CFG)
     assert sys.G.dtype == sys.Ginv.dtype == sys.Vh.dtype == dtype
+    assert sys.H.dtype == sys.A_op.dtype == dtype
     assert sys.sigma.dtype == np.float64
     for which in ("pseudo", "hermitian"):
         assert spectrum_report(sys, which).eigenvalues.dtype == np.float64
@@ -114,20 +117,45 @@ def test_h_is_dressed_number_operator():
 
 
 def _commutator_norms(sys_):
-    return [guarded_norm(R, sys_.cfg) for R in commutator_blocks(sys_)]
+    return [guarded_norm(R, sys_.cfg) for R in pseudo_commutator_blocks(sys_)]
 
 
 def test_commutator_checks():
+    # the dense route (dense_residuals) on the matrices
     r1, r2, r3 = _commutator_norms(build_system(0.0, 0.0, CFG))
     assert max(r1, r2, r3) < 1e-12
     r1, r2, r3 = _commutator_norms(build_system(0.3, 0.05, CFG))
     assert r1 < 1e-8 and r2 < 1e-8
     assert r3 < 1e-10
-    # commutator_checks, which verify prints, is the largest of the three
-    # through max_guarded_norm, on verify's own box too
+    # commutator_checks, which verify prints, is the series bound of
+    # x alpha' + alpha - h', at the rounding of the coefficient lists, on
+    # verify's own box too and for a complex mu
     for sys_ in (build_system(0.0, 0.0, CFG), build_system(0.3, 0.05, CFG),
-                 build_system(0.2, 0.02, TruncationConfig(48, 12))):
-        assert commutator_checks(sys_) == max(_commutator_norms(sys_))
+                 build_system(0.2, 0.02, TruncationConfig(48, 12)),
+                 build_system(0.3 * cmath.exp(2j), -0.05, CFG)):
+        assert commutator_checks(sys_) < 1e-15
+
+
+def test_commutator_checks_trip_on_a_wrong_coefficient(monkeypatch):
+    # an error planted in one coefficient of alpha (A's series) leaves
+    # x alpha' + alpha - h' = d (k + 1) x^k, whose bound is that times the
+    # largest weight of (a+)^k on the kept block
+    sys_ = build_system(MU, Z, CFG)
+    real = pseudo_hermitian._scaled_exp_coefficients
+    for k, rel in ((1, 1e-12), (3, -2.0)):
+        def planted(c, z, shift, n):
+            out = real(c, z, shift, n)
+            if shift == 1:
+                out[k] *= 1 + rel
+            return out
+
+        monkeypatch.setattr(pseudo_hermitian, "_scaled_exp_coefficients",
+                            planted)
+        d = abs(rel * real(MU, Z, 1, CFG.dim)[k])
+        weight = math.sqrt(math.prod(range(CFG.kept - k, CFG.kept)))
+        assert commutator_checks(sys_) == pytest.approx((k + 1) * d * weight,
+                                                        rel=1e-3)
+        assert commutator_checks(sys_) > 1e-14
 
 
 def test_pseudo_hermiticity_residual():
