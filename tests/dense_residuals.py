@@ -168,8 +168,3 @@ def residual_uzp(triple, params, cfg):
 def residual_tilde(triple, params, cfg):
     """Largest guarded norm of the three tilde_residual_blocks."""
     return max_guarded_norm(tilde_residual_blocks(triple, params), cfg)
-
-
-def pseudo_commutator_residual(sys):
-    """Largest guarded norm of the three pseudo_commutator_blocks."""
-    return max_guarded_norm(pseudo_commutator_blocks(sys), sys.cfg)

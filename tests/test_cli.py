@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deformed_heisenberg import _gaussian, cli, dispersion, fock_core
+from deformed_heisenberg import (_gaussian, cli, deformed_algebra, dispersion,
+                                 fock_core)
 from deformed_heisenberg.errors import NotConverged, PhaseWindow
 
 PI = "3.141592653589793"
@@ -1152,7 +1153,6 @@ def test_verify_relation_rows_trip_on_a_planted_coefficient(
     # check; the z = 0 series are constants, so there the defect takes the
     # constant term.  Every relation row reads past its bound, and by a
     # factor >= 10 for the error of 1e-12 (1.4e-13 and up at dim 64)
-    from deformed_heisenberg import deformed_algebra
     real = deformed_algebra.realization_series
 
     def planted(kind, params, n):
@@ -1189,12 +1189,12 @@ def test_verify_build_row_trips_on_one_wrong_entry(monkeypatch, target):
         return tri
 
     monkeypatch.setattr(cli, "build_realization", build)
-    for attr in ("build_H", "_build_A"):
+    for attr, op in (("build_H", "H"), ("_build_A", "A")):
         real = getattr(cli.pseudo_hermitian, attr)
 
-        def pseudo(mu, z, cfg, real=real, attr=attr):
+        def pseudo(mu, z, cfg, real=real, op=op):
             M = real(mu, z, cfg)
-            if target == attr.strip("_").split("_")[1]:
+            if target == op:
                 M[col + 2, col] *= 1 + 1e-6         # h starts at x^2
             return M
 

@@ -410,6 +410,24 @@ def test_ladder_commutator_takes_dense_products_for_other_operators():
         assert np.array_equal(ladder_commutator(A, X), A @ X - X @ A)
 
 
+def test_uzp_series_are_cached_read_only():
+    # verify checks a box's series and then the matrices built from them:
+    # one computation, shared, so no caller may write to it; a complex z
+    # with zero imaginary part keeps its own complex entry
+    prm = DeformationParams(z=0.02, p=0.4)
+    b, c = realization_series(RealizationKind.Uzp_One, prm, 40)
+    assert realization_series(RealizationKind.Uzp_One, prm, 40)[0] is b
+    for x in (b, c):
+        with pytest.raises(ValueError):
+            x[1] = 0.0
+    assert _uzp_coefficients(0.02 + 0j, 0.4, 40)[0].dtype == complex
+    # the z = 0 series of Celeghini_Two (z -> -0.0 on a) is that of
+    # Celeghini_One, with +0.0 zeros
+    one, two = (realization_series(kind, prm, 40) for kind in (
+        RealizationKind.Celeghini_One, RealizationKind.Celeghini_Two))
+    assert one[0] is two[0] and not np.signbit(one[0]).any()
+
+
 def test_p_kinds_reject_zero_p():
     for kind in P_KINDS:
         with pytest.raises(BadParams):
