@@ -11,10 +11,14 @@ of the perturbed states.  Plain Python: a parameter is a number or a list
 over a sweep grid, all lists of one length, a number standing for itself at
 every grid point.  With a list among them, each entry H[i][j] is one list
 over the grid, filled by one list comprehension: a grid costs one table, not
-one per point.  With numbers alone, each entry is a number.
+one per point.  With numbers alone, each entry is a number.  A coefficient
+that depends on numbers alone is evaluated once (each), in the order a point
+rounds it: on a sweep e^{-i theta}, and w, delta^2 w, -delta w/2, beta w and
+delta conj(e^{-i theta}) on a phi grid or e^{-i phi} on a delta grid.
 """
 
 import cmath
+from operator import mul
 
 from .errors import BadParams
 
@@ -29,8 +33,11 @@ def columns(params):
     return [x if isinstance(x, list) else [x] * n for x in params], not sizes
 
 
-def _unwrap(table, scalar):
-    return [[col[0] for col in row] for row in table] if scalar else table
+def each(f, *params):
+    """f(*params) once if all are numbers, else the list of f at each point."""
+    if any(isinstance(x, list) for x in params):
+        return list(map(f, *columns(params)[0]))
+    return f(*params)
 
 
 def quadratic_exponential_derivative(k: int, l: int, A, B, C, D, E):
@@ -63,48 +70,43 @@ def quadratic_exponential_derivative(k: int, l: int, A, B, C, D, E):
                 col = [d * x for d, x in zip(D, h)]
             row.append(col)
         H.append(row)
-    return _unwrap(H, scalar)
+    return [[col[0] for col in row] for row in H] if scalar else H
 
 
 def _coefficients(delta, phi, beta, theta):
-    """Per grid point, w = 1/(1 - delta^2) and, scaled by w, delta^2, the
-    sigma^2 coefficient -delta e^{-i phi}/2 and the displacement
-    beta e^{-i theta} - delta beta e^{i(theta - phi)} of S D|0>'s generating
-    function, whose conjugates are the tau^2 and tau coefficients.  w is the
-    tables' 1/r^(i + j), r = sqrt(1 - delta^2), moved into their variables:
-    each quadratic coefficient carries 1/r^2 and each linear one 1/r on top
-    of the 1/r already in the displacement.  e^{i(theta - phi)} is
+    """w = 1/(1 - delta^2) and, scaled by w, delta^2, the sigma^2 coefficient
+    -delta e^{-i phi}/2 and the displacement beta e^{-i theta} -
+    delta beta e^{i(theta - phi)} of S D|0>'s generating function, whose
+    conjugates are the tau^2 and tau coefficients; each a number or a list
+    over the grid as its parameters are (each).  w is the tables'
+    1/r^(i + j), r = sqrt(1 - delta^2), moved into their variables: each
+    quadratic coefficient carries 1/r^2 and each linear one 1/r on top of
+    the 1/r already in the displacement.  e^{i(theta - phi)} is
     e^{i theta} e^{-i phi}, so that no phase difference leaves the float
     range."""
-    (delta, phi, beta, theta), scalar = columns((delta, phi, beta, theta))
-    if not all(0 <= x < 1 for x in delta):
+    if not all(0 <= x < 1 for x in columns((delta,))[0][0]):
         raise BadParams("need 0 <= delta < 1")
-    ws, c, a, d = [], [], [], []
-    for x, f, b, t in zip(delta, phi, beta, theta):
-        w = 1 / (1 - x * x)
-        ef, et = cmath.exp(-1j * f), cmath.exp(-1j * t)
-        ws.append(w)
-        c.append(x * x * w)
-        a.append(-x * w / 2 * ef)
-        d.append(b * w * (et - x * et.conjugate() * ef))
-    return ws, c, a, d, scalar
-
-
-def _conjugates(zs):
-    return [v.conjugate() for v in zs]
+    w = each(lambda x: 1 / (1 - x * x), delta)
+    ef = each(lambda f: cmath.exp(-1j * f), phi)
+    et = each(lambda t: cmath.exp(-1j * t), theta)
+    xc = each(lambda x, e: x * e.conjugate(), delta, et)
+    bw = each(mul, beta, w)
+    a = each(mul, each(lambda x, w: -x * w / 2, delta, w), ef)
+    d = each(lambda bw, et, xc, ef: bw * (et - xc * ef), bw, et, xc, ef)
+    return w, each(lambda x, w: x * x * w, delta, w), a, d
 
 
 def gamma_kl(k: int, l: int, delta, phi, beta, theta):
     """Table of <0|D+ S+ (a+)^i a^j S D|0>, i <= k, j <= l, for the
     squeezed-displaced vacuum, indexed [i][j]."""
-    _, c, a, d, scalar = _coefficients(delta, phi, beta, theta)
-    return _unwrap(quadratic_exponential_derivative(
-        k, l, a, _conjugates(a), c, d, _conjugates(d)), scalar)
+    _, c, a, d = _coefficients(delta, phi, beta, theta)
+    return quadratic_exponential_derivative(
+        k, l, a, each(complex.conjugate, a), c, d, each(complex.conjugate, d))
 
 
 def lambda_kl(k: int, l: int, delta, phi, beta, theta):
     """Table of <0|D+ S+ a^i (a+)^j S D|0> (anti-normal order), as gamma_kl."""
-    w, _, a, d, scalar = _coefficients(delta, phi, beta, theta)
+    w, _, a, d = _coefficients(delta, phi, beta, theta)
     # sigma couples to a^i, tau to (a+)^j: every coefficient swaps vs gamma_kl
-    return _unwrap(quadratic_exponential_derivative(
-        k, l, _conjugates(a), a, w, _conjugates(d), d), scalar)
+    return quadratic_exponential_derivative(
+        k, l, each(complex.conjugate, a), a, w, each(complex.conjugate, d), d)

@@ -135,14 +135,15 @@ def _miller(u, n, alpha, beta, d0, w0):
     """
     import numpy as np
     u = np.asarray(u)[:n]
-    ak = alpha * np.arange(len(u))
-    aku = ak * u                       # the weights if beta = 0, built once
+    # the weights (alpha k - beta m) u_k of every order m, built once as one
+    # table; one row if beta = 0, where they do not depend on m
+    W = (alpha * np.arange(len(u))
+         - beta * np.arange(n if beta else 1)[:, None]) * u
     w = np.zeros(n, dtype=np.result_type(u, w0))
     w[0] = w0
     for m in range(1, n):
         j = min(m, len(u) - 1)
-        a = aku[1:j + 1] if beta == 0 else (ak[1:j + 1] - beta * m) * u[1:j + 1]
-        w[m] = a @ w[m - 1::-1][:j] * (1 / (m * d0))
+        w[m] = W[m if beta else 0, 1:j + 1] @ w[m - 1::-1][:j] * (1 / (m * d0))
     return w
 
 

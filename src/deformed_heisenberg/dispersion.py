@@ -4,18 +4,21 @@ Covers the X/P operators and their dispersions, the squeezed-vacuum matrix
 elements Gamma_kl / Lambda_kl, the first-order perturbed moments and the
 variance tables built from them (sweep_table, over a phi or delta grid), and
 the all-order dispersions of general_dispersion.  The first-order moments
-and the undeformed dispersions (mus_dispersions) are plain Python: they take
-numbers or lists over one grid, so a sweep evaluates its whole grid in one
-call of each and returns the result columns as the table; no per-row record
-is built.  numpy is imported by each function that uses it, so that
-importing this module loads no numpy, and a sweep loads none at all.
+and the undeformed dispersions (mus_dispersions) are plain Python on numbers
+or lists over one grid.  A sweep is one pass: _moments, the one assembly of
+the moments, yields each point's from one Gamma and one Lambda table, with
+the grid's constants evaluated once, and sweep_table derives the point's row
+in the same iteration.  numpy is imported by each function that uses it, so
+that importing this module loads no numpy, and a sweep loads none at all.
 """
 
 import cmath
 import math
+from operator import mul
 from typing import NamedTuple
 
 from . import _gaussian
+from ._gaussian import columns, each
 from .aes_series import fock_coefficients
 from .deformed_algebra import DeformationParams
 from .errors import BadParams, NotConverged
@@ -86,7 +89,7 @@ def mus_dispersions(delta, phi):
     delta and phi may be lists over one grid (a sweep); the pair is then a
     pair of lists, each element computed as for numbers.
     """
-    (delta, phi), scalar = _gaussian.columns((delta, phi))
+    (delta, phi), scalar = columns((delta, phi))
     if not all(0 <= x < 1 for x in delta):
         raise BadParams("need 0 <= delta < 1")
     vx, vp = [], []
@@ -166,38 +169,25 @@ class PerturbedMoments(NamedTuple):
 
 
 def _transpose(rows, width) -> list:
-    """The columns of equal-width rows, as lists; width empty ones for no
-    rows."""
+    """The columns of equal-width rows as lists; width empty ones for none."""
     return [list(c) for c in zip(*rows)] if rows else [[] for _ in range(width)]
 
 
-def perturbed_moments(delta, phi, beta, theta, z, p) -> PerturbedMoments:
-    """First-order <a>, <a^2>, <a+a>, epsilon and the four X/P moments.
-
-    The corrections come from sandwiching the bracket operator
-    1 + z Q + (p^2/4) R,  Q = mu (a+)^3/3 - lam (a+)^2/2,
-    R = mu (a+)^2/4 - (lam/2) a+  (nu = 0), against S D |0>, normal-ordering
-    everything onto Gamma / Lambda elements; second-order cross terms in
-    (z, p^2, epsilon) are dropped.  The 17 elements come from one Gamma table
-    (k <= 5, l <= 1; Gamma_0j is Gamma_j0's conjugate) and one Lambda table
-    (k <= 2, l <= 3), and each Q / R block is formed once per point.  delta,
-    phi, beta and theta may be lists over one grid (a sweep); the tables are
-    then columns over it, the moments are assembled point by point from
-    them, and every field is a list in grid order.
-    """
-    (delta, phi, beta, theta), scalar = _gaussian.columns(
-        (delta, phi, beta, theta))
+def _moments(delta, phi, beta, theta, z, p):
+    """Yield each grid point's first seven PerturbedMoments fields, then the
+    norm, h, nq and nr of its n_bar, which only perturbed_moments forms; some
+    parameter is a list.  mu, lam and lam/2 are evaluated once where their
+    parameters are numbers (_gaussian.each)."""
     q = p * p / 4.0
     G = _gaussian.gamma_kl(5, 1, delta, phi, beta, theta)
     L = _gaussian.lambda_kl(2, 3, delta, phi, beta, theta)
-    rows = []
-    for (x, f, b, t, g10, g20, g30, g40, g50, g11, g21, g31, g41,
+    lam = each(lambda b, t: b * cmath.exp(1j * t), beta, theta)
+    mu = each(mul, delta, each(lambda f: cmath.exp(1j * f), phi))
+    (mus, lams, halves), _ = columns((mu, lam, each(lambda v: v / 2, lam)))
+    for (mu, lam, half, g10, g20, g30, g40, g50, g11, g21, g31, g41,
          l11, l12, l13, l21, l22, l23) in zip(
-            delta, phi, beta, theta, *(G[i][0] for i in range(1, 6)),
+            mus, lams, halves, *(G[i][0] for i in range(1, 6)),
             *(G[i][1] for i in range(1, 5)), *L[1][1:], *L[2][1:]):
-        mu = x * cmath.exp(1j * f)
-        lam = b * cmath.exp(1j * t)
-        half = lam / 2
         # the Q and R blocks against the element e(m) that carries (a+)^m,
         # Q = mu e(3)/3 - lam e(2)/2 and R = mu e(2)/4 - (lam/2) e(1), kept
         # apart.  Past |beta| ~ 1e40 a moment's terms cancel beyond a
@@ -225,20 +215,38 @@ def perturbed_moments(delta, phi, beta, theta, z, p) -> PerturbedMoments:
         g01, g02 = g10.conjugate(), g20.conjugate()
         corr = z * q1 + q * r1
         gx, gp, h = g01.real, g01.imag, g11.real
-        rows.append((
-            2 * (gx * gx * (1 + 4 * eps) + 2 * gx * corr.real),
-            0.5 + norm * (h + g02.real)
-            + (z * (q2 + 2 * nq) + q * (r2 + 2 * nr)).real,
-            2 * (gp * gp * (1 + 4 * eps) + 2 * gp * corr.imag),
-            0.5 + norm * (h - g02.real)
-            + (z * (-q2 + 2 * nq) + q * (-r2 + 2 * nr)).real,
-            eps,
-            norm * g01 + z * q1 + q * r1,
-            norm * g02 + z * q2 + q * r2,
-            norm * h + 2 * (z * nq + q * nr).real))
-    if scalar:
-        return PerturbedMoments._make(rows[0])
-    return PerturbedMoments._make(_transpose(rows, 8))
+        yield (2 * (gx * gx * (1 + 4 * eps) + 2 * gx * corr.real),
+               0.5 + norm * (h + g02.real)
+               + (z * (q2 + 2 * nq) + q * (r2 + 2 * nr)).real,
+               2 * (gp * gp * (1 + 4 * eps) + 2 * gp * corr.imag),
+               0.5 + norm * (h - g02.real)
+               + (z * (-q2 + 2 * nq) + q * (-r2 + 2 * nr)).real,
+               eps,
+               norm * g01 + z * q1 + q * r1,
+               norm * g02 + z * q2 + q * r2,
+               norm, h, nq, nr)
+
+
+def perturbed_moments(delta, phi, beta, theta, z, p) -> PerturbedMoments:
+    """First-order <a>, <a^2>, <a+a>, epsilon and the four X/P moments.
+
+    The corrections come from sandwiching the bracket operator
+    1 + z Q + (p^2/4) R,  Q = mu (a+)^3/3 - lam (a+)^2/2,
+    R = mu (a+)^2/4 - (lam/2) a+  (nu = 0), against S D |0>, normal-ordering
+    everything onto Gamma / Lambda elements; second-order cross terms in
+    (z, p^2, epsilon) are dropped.  The 17 elements come from one Gamma table
+    (k <= 5, l <= 1; Gamma_0j is Gamma_j0's conjugate) and one Lambda table
+    (k <= 2, l <= 3), and each Q / R block is formed once per point, by
+    _moments, the one assembly that sweep_table reads too.  delta, phi, beta
+    and theta may be lists over one grid; the tables are then columns over
+    it, and every field is a list in grid order.
+    """
+    scalar = not any(isinstance(x, list) for x in (delta, phi, beta, theta))
+    q = p * p / 4.0
+    rows = [(*m, norm * h + 2 * (z * nq + q * nr).real)
+            for *m, norm, h, nq, nr in _moments(
+                [delta] if scalar else delta, phi, beta, theta, z, p)]
+    return PerturbedMoments._make(rows[0] if scalar else _transpose(rows, 8))
 
 
 def perturbed_quadrature_stats(delta, phi, beta, theta, z, p) -> QuadratureStats:
@@ -305,8 +313,9 @@ class SweepTable(NamedTuple):
 def sweep_table(*, delta, phi, beta, theta, varying: str, grid, z, p):
     """Variance table over a phi or delta grid for one (z, p), as columns.
 
-    The whole grid goes through one mus_dispersions and one perturbed_moments
-    call on lists; each SweepTable field is a list, one plain float
+    One pass over the grid: one mus_dispersions call on lists, then each
+    point's moments from _moments and its row from them in one iteration,
+    with no n_bar; each SweepTable field is a list, one plain float
     (validity_flag: bool) per grid value in grid order.  validity_flag is
     False where |epsilon| = |Omega~ - 1| exceeds the module threshold and the
     first-order state can no longer be trusted.  A non-finite column raises
@@ -319,13 +328,10 @@ def sweep_table(*, delta, phi, beta, theta, varying: str, grid, z, p):
     g = [float(x) for x in grid]
     d, f = (delta, g) if varying == "phi" else (g, phi)
     try:
-        mus = mus_dispersions(d, f)
-        m = perturbed_moments(d, f, beta, theta, z, p)
-        rows = []
-        # each point's PerturbedMoments.stats and its product and SRUR
-        # bound, inline: building the views per point would double the loop
-        for x, mean_x_sq, x2_mean, mean_p_sq, p2_mean, eps, mean_a, a_sq, _ \
-                in zip(g, *m):
+        mus, rows = mus_dispersions(d, f), []
+        # each point's PerturbedMoments.stats, product and SRUR bound
+        for x, (mean_x_sq, x2_mean, mean_p_sq, p2_mean, eps, mean_a, a_sq,
+                _, _, _, _) in zip(g, _moments(d, f, beta, theta, z, p)):
             var_x, var_p = x2_mean - mean_x_sq, p2_mean - mean_p_sq
             corr_f = (2 * a_sq.imag
                       - 2 * (SQRT2 * mean_a.real) * (SQRT2 * mean_a.imag))

@@ -26,11 +26,15 @@ removed afterwards, and a child interpreter with the same BLAS pins runs it
 there.  For each argv whose output differs from REV's, stderr gets what
 moved: the exit code and the row count where they changed, whether any text
 besides the numbers changed, and the largest relative move of each table
-column, diagnostic or verify row, with its values at REV and here.  The
-script still writes only the manifest.
+column, diagnostic or verify row, with its values at REV and here and the
+number of its entries that moved.  A summary ends the report: per
+subcommand, how many of the argvs run moved, those whose exit code, text or
+row count changed counted apart and the others grouped by the decade of
+their largest relative move.  The script still writes only the manifest.
 """
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import importlib.util
@@ -174,35 +178,85 @@ def series(argv, out) -> tuple:
 
 
 def _largest_move(old, new) -> tuple:
-    """(relative move, old value, new value) of the entry of one column that
-    moved most relative to its old value; an entry that leaves 0 or the
-    finite numbers moves inf."""
+    """(relative move, old value, new value, entries moved) of one column:
+    the entry that moved most relative to its old value, where an entry that
+    leaves 0 or the finite numbers moves inf, and how many entries moved."""
     moves = [(abs(b - a) / abs(a) if a and math.isfinite(a + b)
               else math.inf, a, b)
              for a, b in zip(old, new) if a != b and not (a != a and b != b)]
-    return max(moves, default=(0.0, None, None))
+    return (*max(moves, default=(0.0, None, None)), len(moves))
+
+
+def compare(argv, old, new) -> dict:
+    """What moved between two (exit code, stdout, stderr) results of argv:
+    the exit codes if they differ, whether any text besides the numbers
+    changed, the row counts if they differ, and the _largest_move of each
+    column, diagnostic or verify row whose entries moved, in output order."""
+    moved = {"exit": None, "text": False, "rows": None, "columns": {}}
+    if old[0] != new[0]:
+        moved["exit"] = (old[0], new[0])
+    # the distinct lines of each stream with every number masked: a table
+    # that only gains or loses rows keeps them
+    moved["text"] = [set(NUMBER.sub("#", t).splitlines()) for t in old[1:]] != [
+        set(NUMBER.sub("#", t).splitlines()) for t in new[1:]]
+    if not (old[0] == new[0] == 0 or argv[0] == "verify"):
+        return moved
+    (n_old, a), (n_new, b) = series(argv, old[1]), series(argv, new[1])
+    if n_old != n_new:
+        moved["rows"] = (n_old, n_new)
+    for name in (name for name in b if name in a):     # in output order
+        move = _largest_move(a[name], b[name])
+        if move[0]:
+            moved["columns"][name] = move
+    return moved
 
 
 def describe(argv, old, new) -> list:
-    """What moved between two (exit code, stdout, stderr) results of argv."""
+    """compare's findings as lines: what moved between two results."""
+    m = compare(argv, old, new)
     lines = []
-    if old[0] != new[0]:
-        lines.append(f"exit code {old[0]} -> {new[0]}")
-    # the distinct lines of each stream with every number masked: a table
-    # that only gains or loses rows keeps them
-    if [set(NUMBER.sub("#", t).splitlines()) for t in old[1:]] != [
-            set(NUMBER.sub("#", t).splitlines()) for t in new[1:]]:
+    if m["exit"]:
+        lines.append("exit code {} -> {}".format(*m["exit"]))
+    if m["text"]:
         lines.append("text besides the numbers changed")
-    if not (old[0] == new[0] == 0 or argv[0] == "verify"):
-        return lines
-    (n_old, a), (n_new, b) = series(argv, old[1]), series(argv, new[1])
-    if n_old != n_new:
-        lines.append(f"rows {n_old} -> {n_new}")
-    for name in (name for name in b if name in a):     # in output order
-        rel, x, y = _largest_move(a[name], b[name])
-        if rel:
-            lines.append(f"{name}: {x:.17g} -> {y:.17g} (relative {rel:.2g})")
+    if m["rows"]:
+        lines.append("rows {} -> {}".format(*m["rows"]))
+    for name, (rel, x, y, count) in m["columns"].items():
+        entries = "entry" if count == 1 else "entries"
+        lines.append(f"{name}: {x:.17g} -> {y:.17g} (relative {rel:.2g}, "
+                     f"{count} {entries} moved)")
     return lines
+
+
+def _group(argv, old, new) -> str:
+    """The summary group of an argv that moved: its exit code, text or row
+    count changed, each apart, or else the decade of its largest relative
+    move ('<= 1e-15', 'inf')."""
+    m = compare(argv, old, new)
+    for key, label in (("exit", "exit code changed"), ("text", "text changed"),
+                       ("rows", "row count changed")):
+        if m[key]:
+            return label
+    rel = max((c[0] for c in m["columns"].values()), default=0.0)
+    return ("no number moved" if not rel else "inf" if rel == math.inf
+            else f"<= 1e{math.ceil(math.log10(rel))}")
+
+
+def _group_order(label):
+    return (0, float(label[3:])) if label.startswith("<=") else (1, label)
+
+
+def summary(argvs, before, after) -> list:
+    """One line per subcommand: how many of the argvs run moved, and how
+    many of those fell in each _group, the size groups smallest first."""
+    run = collections.Counter(argv[0] for argv in argvs)
+    moved = {sub: collections.Counter() for sub in run}
+    for argv, a, b in zip(argvs, before, after):
+        if a != b:
+            moved[argv[0]][_group(argv, a, b)] += 1
+    return [f"{sub}: {sum(c.values())} of {n} argvs moved"
+            + "".join(f"; {k}: {c[k]}" for k in sorted(c, key=_group_order))
+            for sub, n in run.items() for c in [moved[sub]]]
 
 
 def run_at(rev, argvs) -> list:
@@ -252,6 +306,11 @@ def main(argv=None) -> int:
             print(f"  {json.dumps(argv)}", file=sys.stderr)
             print("".join(f"    {line}\n" for line in describe(argv, a, b)),
                   end="", file=sys.stderr)
+        print("summary by subcommand, largest relative move per argv:",
+              file=sys.stderr)
+        print("".join(f"  {line}\n" for line in summary(argvs, before,
+                                                         results)),
+              end="", file=sys.stderr)
     MANIFEST.write_text("".join(f"{argv}\t{rc}\t{sha}\n"
                                 for argv, (rc, sha) in new.items()))
     print(f"{len(new)} argvs -> {MANIFEST}", file=sys.stderr)

@@ -312,11 +312,16 @@ def test_sweep_square_past_the_float_range_exits_3(argv, capsys):
 
 def test_sweep_arithmetic_error_exits_3(monkeypatch, capsys):
     # an ArithmeticError that the plain-Python moments raise is the sweep's
-    # convergence failure, not a traceback
+    # convergence failure, not a traceback: here at the second point of the
+    # one pass that assembles them
+    real = cli.dispersion._moments
+
     def overflow(*args):
+        moments = real(*args)
+        yield next(moments)
         raise OverflowError("math range error")
 
-    monkeypatch.setattr(cli.dispersion, "perturbed_moments", overflow)
+    monkeypatch.setattr(cli.dispersion, "_moments", overflow)
     assert cli.main(["sweep-dispersion", "--steps", "3"]) == 3
     assert capsys.readouterr() == (
         "", "error: moments overflow on the phi grid: OverflowError: math "
@@ -357,10 +362,11 @@ def _count_calls(monkeypatch, module, name):
 
 @pytest.mark.parametrize("var", ["phi", "delta"])
 def test_sweep_cost_does_not_grow_with_steps(var, monkeypatch, capsys):
-    # the whole grid goes through one perturbed_moments call, which takes one
-    # Gamma and one Lambda table: two kernel calls for 10 rows as for 2000
+    # the whole grid goes through one pass of the moment assembly, which
+    # takes one Gamma and one Lambda table: two kernel calls for 10 rows as
+    # for 2000
     counts = {name: _count_calls(monkeypatch, module, name)
-              for module, name in ((cli.dispersion, "perturbed_moments"),
+              for module, name in ((cli.dispersion, "_moments"),
                                    (_gaussian, "quadratic_exponential_derivative"),
                                    (_gaussian, "gamma_kl"),
                                    (_gaussian, "lambda_kl"))}
@@ -372,7 +378,7 @@ def test_sweep_cost_does_not_grow_with_steps(var, monkeypatch, capsys):
                          "--p", "0.01"]) == 0
         assert len(_data_rows(capsys.readouterr().out)) == int(steps)
         assert {k: c["n"] for k, c in counts.items()} == {
-            "perturbed_moments": 1, "quadratic_exponential_derivative": 2,
+            "_moments": 1, "quadratic_exponential_derivative": 2,
             "gamma_kl": 1, "lambda_kl": 1}
 
 

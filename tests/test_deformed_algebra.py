@@ -218,6 +218,36 @@ def test_miller_recurrence_overflows_as_the_old_loops():
     assert _same_bits(got, ref) and _same_bits(got_pow, ref_pow)
 
 
+def _miller_per_order(u, n, alpha, beta, d0, w0):
+    """_miller with the weights (alpha k - beta m) u_k formed at each order."""
+    u = np.asarray(u)[:n]
+    ak = alpha * np.arange(len(u))
+    w = np.zeros(n, dtype=np.result_type(u, w0))
+    w[0] = w0
+    for m in range(1, n):
+        j = min(m, len(u) - 1)
+        a = (ak[1:j + 1] - beta * m) * u[1:j + 1]
+        w[m] = a @ w[m - 1::-1][:j] * (1 / (m * d0))
+    return w
+
+
+def test_miller_weight_table_keeps_the_per_order_bits():
+    # the weights of every order come from one table built once; each order
+    # reads the bits the two per-order temporaries gave, for real and
+    # complex u, series shorter and longer than n, integer and float beta
+    rng = np.random.default_rng(91)
+    for case in range(200):
+        n, length = int(rng.integers(2, 200)), int(rng.integers(2, 220))
+        u = rng.normal(size=length) * 10.0 ** rng.uniform(-3, 1)
+        if case % 2:
+            u = u + 1j * rng.normal(size=length)
+        u[0] = rng.uniform(0.5, 2.0)
+        c, beta = float(rng.uniform(-2.0, 2.0)), (1, 1.0, 0.5, 2)[case % 4]
+        args = (u, n, c + 1, beta, u[0], u[0] ** c)
+        got, ref = _miller(*args), _miller_per_order(*args)
+        assert got.dtype == ref.dtype and _same_bits(got, ref), case
+
+
 # The power-series kernels against 60-digit mpmath references.  The bound is
 # on max_k |got_k - ref_k| / |ref_k| over the entries above 1e-290.
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deformed_heisenberg import cli
 from deformed_heisenberg.aes_series import (deformed_squeezed_state,
@@ -514,3 +516,44 @@ def test_sweep_columns_are_the_pointwise_stats():
         assert (t.var_x_def[i], t.var_p_def[i], t.product_def[i],
                 t.srur_bound[i]) == (st.var_x, st.var_p, st.product,
                                      st.srur_bound)
+
+
+def _hex(v):
+    return v if isinstance(v, bool) else v.hex()
+
+
+@st.composite
+def _sweeps(draw):
+    """sweep_table's keywords: a phi or a delta grid of 3 to 400 points, p 0
+    or not, beta up to 1e3."""
+    var = draw(st.sampled_from(["phi", "delta"]))
+    lo, hi = ((-4.0, 4.0) if var == "phi" else (0.0, 0.95))
+    a = draw(st.floats(lo, hi))
+    b = draw(st.floats(lo, hi).filter(lambda x: x != a))
+    fixed = {"phi": draw(st.floats(-4.0, 4.0)),
+             "delta": draw(st.floats(0.0, 0.95))}
+    fixed[var] = None
+    return dict(fixed, varying=var,
+                grid=cli._linspace(min(a, b), max(a, b),
+                                   draw(st.integers(3, 400))),
+                beta=draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3))),
+                theta=draw(st.floats(-4.0, 4.0)),
+                z=draw(st.floats(-0.01, 0.01)),
+                p=draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.5))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(kw=_sweeps())
+def test_one_pass_sweep_is_the_pointwise_moments_bit_for_bit(kw):
+    # every column of the one-pass table, -0.0 and nan included, is what
+    # mus_dispersions and perturbed_moments(...).stats give at each point
+    t = sweep_table(**kw)
+    for i, x in enumerate(kw["grid"]):
+        d, f = ((kw["delta"], x) if kw["varying"] == "phi"
+                else (x, kw["phi"]))
+        pm = perturbed_moments(d, f, kw["beta"], kw["theta"], kw["z"],
+                               kw["p"])
+        s = pm.stats
+        want = (x, *mus_dispersions(d, f), s.var_x, s.var_p, s.product,
+                s.srur_bound, abs(pm.epsilon) <= VALIDITY_EPSILON_THRESHOLD)
+        assert [_hex(col[i]) for col in t] == [_hex(v) for v in want], i
