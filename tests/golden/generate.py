@@ -197,8 +197,9 @@ def compare(argv, old, new) -> dict:
         moved["exit"] = (old[0], new[0])
     # the distinct lines of each stream with every number masked: a table
     # that only gains or loses rows keeps them
-    moved["text"] = [set(NUMBER.sub("#", t).splitlines()) for t in old[1:]] != [
-        set(NUMBER.sub("#", t).splitlines()) for t in new[1:]]
+    masked = [[set(NUMBER.sub("#", t).splitlines()) for t in r[1:]]
+              for r in (old, new)]
+    moved["text"] = masked[0] != masked[1]
     if not (old[0] == new[0] == 0 or argv[0] == "verify"):
         return moved
     (n_old, a), (n_new, b) = series(argv, old[1]), series(argv, new[1])
@@ -228,34 +229,34 @@ def describe(argv, old, new) -> list:
     return lines
 
 
-def _group(argv, old, new) -> str:
-    """The summary group of an argv that moved: its exit code, text or row
-    count changed, each apart, or else the decade of its largest relative
-    move ('<= 1e-15', 'inf')."""
+def _group(argv, old, new) -> tuple:
+    """(sort key, label) of the summary group of an argv that moved: the
+    decade of its largest relative move ('<= 1e-15', then 'inf'), or, counted
+    apart, a change of exit code, text or row count."""
     m = compare(argv, old, new)
-    for key, label in (("exit", "exit code changed"), ("text", "text changed"),
-                       ("rows", "row count changed")):
+    for rank, (key, label) in enumerate((("exit", "exit code changed"),
+                                         ("text", "text changed"),
+                                         ("rows", "row count changed"))):
         if m[key]:
-            return label
+            return (2, rank), label
     rel = max((c[0] for c in m["columns"].values()), default=0.0)
-    return ("no number moved" if not rel else "inf" if rel == math.inf
-            else f"<= 1e{math.ceil(math.log10(rel))}")
-
-
-def _group_order(label):
-    return (0, float(label[3:])) if label.startswith("<=") else (1, label)
+    if not rel or rel == math.inf:
+        return (1, not rel), "inf" if rel else "no number moved"
+    decade = math.ceil(math.log10(rel))
+    return (0, decade), f"<= 1e{decade}"
 
 
 def summary(argvs, before, after) -> list:
     """One line per subcommand: how many of the argvs run moved, and how
-    many of those fell in each _group, the size groups smallest first."""
+    many of those fell in each _group, in the groups' order."""
     run = collections.Counter(argv[0] for argv in argvs)
     moved = {sub: collections.Counter() for sub in run}
     for argv, a, b in zip(argvs, before, after):
         if a != b:
             moved[argv[0]][_group(argv, a, b)] += 1
     return [f"{sub}: {sum(c.values())} of {n} argvs moved"
-            + "".join(f"; {k}: {c[k]}" for k in sorted(c, key=_group_order))
+            + "".join(f"; {label}: {c[key, label]}"
+                      for key, label in sorted(c))
             for sub, n in run.items() for c in [moved[sub]]]
 
 

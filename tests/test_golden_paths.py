@@ -113,6 +113,6 @@ def test_describe_lists_what_moved_by_column_and_verify_row():
              (0, json.dumps(moved), ""), old]
     assert gen.summary(argvs, before, after) == [
         "state: 5 of 6 argvs moved; <= 1e-15: 1; <= 1e-6: 1; "
-        "exit code changed: 1; row count changed: 1; text changed: 1",
+        "exit code changed: 1; text changed: 1; row count changed: 1",
         "verify: 1 of 1 argvs moved; inf: 1",
         "spectrum: 0 of 1 argvs moved"]
