@@ -73,9 +73,10 @@ Importing this module still loads every package module, none of which
 imports numpy at load time.  run() imports numpy for verify and spectrum
 (ARRAY_COMMANDS, picked from argv[0]) while the collector is still paused,
 before the freeze, so that numpy's import objects are frozen too and its
-import runs no collector pass.  Likewise _build_parser adds flags only to
-the subparser that argv[0] names; the other subparsers stay, without flags,
-so usage errors and help texts do not change.
+import runs no collector pass.  A well-formed request is parsed by
+_request_args, without argparse: argparse (and gettext and locale, which it
+loads to translate its messages) is imported only to print help or a usage
+error, by _build_parser, which parses every argv _request_args declines.
 """
 
 import gc
@@ -83,12 +84,12 @@ import gc
 if __name__ == "__main__":
     gc.disable()        # resumed by run(), after gc.freeze (module docstring)
 
-import argparse
 import cmath
 import itertools
 import math
 import os
 import sys
+import types
 import warnings
 
 from . import _gaussian, aes_series, dispersion, paragrassmann, pseudo_hermitian
@@ -328,35 +329,36 @@ def _check_uzp(p, cfg):
     return commutator_residual_uzp(RealizationKind.Uzp_One, params, cfg)
 
 
-def _check_build(cfg):
+def _check_build(cfg, ladder=False):
     """Largest relative deviation of built operators, applied to four basis
     vectors e_j, from their series' columns (fock_core.series_columns): A, B
     and C of tilde realizations on a+ and on a (transposed) and of Uzp_One,
-    and the pseudo box's H and A, a+a and a added.  C e_{j+1} = sqrt(j+1)
-    c(a+) e_j."""
+    or with ladder the pseudo box's H and A, a+a and a added.
+    C e_{j+1} = sqrt(j+1) c(a+) e_j."""
     import numpy as np
     n = cfg.dim
     cols = [0, 1, n // 2, n - 2]
     up = [j + 1 for j in cols]
-    params = DeformationParams(z=0.02, p=0.4)
-    pairs = []
-    for kind in (RealizationKind.TildeZ0_Cas1, RealizationKind.TildeZ0_Cas2,
-                 RealizationKind.Uzp_One):
-        A, B, C, _ = build_realization(kind, params, cfg)
-        if kind in ON_A:
-            A, B, C = -A.T, B.T, C.T
-        b, c = realization_series(kind, params, n)
-        pairs += [(A[:, cols], series_columns([0.0, -1.0], cols, n)),
-                  (B[:, cols], series_columns(b, cols, n)),
-                  (C[:, up], series_columns(c, cols, n) * np.sqrt(up))]
-    mu, z = 0.2, 0.02                   # the pseudo suite's box
-    series = pseudo_hermitian._scaled_exp_coefficients
-    pairs += [(pseudo_hermitian.build_H(mu, z, cfg)[:, cols],
-               series_columns(series(mu, z, 2, n), cols, n)
-               + number_operator(cfg)[:, cols]),
-              (pseudo_hermitian._build_A(mu, z, cfg)[:, cols],
-               series_columns(series(mu, z, 1, n), cols, n)
-               + annihilation(cfg)[:, cols])]
+    if ladder:
+        mu, z = 0.2, 0.02               # the pseudo suite's box
+        series = pseudo_hermitian._scaled_exp_coefficients
+        pairs = [(pseudo_hermitian.build_H(mu, z, cfg)[:, cols],
+                  series_columns(series(mu, z, 2, n), cols, n)
+                  + number_operator(cfg)[:, cols]),
+                 (pseudo_hermitian._build_A(mu, z, cfg)[:, cols],
+                  series_columns(series(mu, z, 1, n), cols, n)
+                  + annihilation(cfg)[:, cols])]
+    else:
+        params, pairs = DeformationParams(z=0.02, p=0.4), []
+        for kind in (RealizationKind.TildeZ0_Cas1,
+                     RealizationKind.TildeZ0_Cas2, RealizationKind.Uzp_One):
+            A, B, C, _ = build_realization(kind, params, cfg)
+            if kind in ON_A:
+                A, B, C = -A.T, B.T, C.T
+            b, c = realization_series(kind, params, n)
+            pairs += [(A[:, cols], series_columns([0.0, -1.0], cols, n)),
+                      (B[:, cols], series_columns(b, cols, n)),
+                      (C[:, up], series_columns(c, cols, n) * np.sqrt(up))]
     return float(np.max([np.abs(got - want).max(axis=0)
                          / np.abs(want).max(axis=0) for got, want in pairs]))
 
@@ -413,8 +415,9 @@ def _verify_checks(args):
     The algebra rows and pseudo's commutators check the defining relations
     as identities of the coefficient series, [a, f(a+)] = f'(a+), and print
     fock_core.series_bound of the residual series: O(N^2) convolutions and
-    Miller recurrences, no matrix.  One more algebra row, fock_build,
-    holds the matrices built from those series to them (_check_build).  The
+    Miller recurrences, no matrix.  One more row in each suite, fock_build
+    and ladder_build, holds the matrices built from those series to them
+    (_check_build).  The
     xp, pseudo-hermiticity and unitarity rows take one SVD each.
     """
     import numpy as np
@@ -476,6 +479,8 @@ def _verify_checks(args):
              lambda: pseudo_hermitian.unitarity_check(sysm, G), 1e-10),
             ("pseudo", "commutators",
              lambda: pseudo_hermitian.commutator_checks(sysm), 1e-14),
+            ("pseudo", "ladder_build", lambda: _check_build(block, True),
+             1e-13),
         ]
     rows = []
     for suite, name, thunk, bound in checks:
@@ -531,7 +536,7 @@ def cmd_spectrum(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-# every flag once, as add_argument keywords; dest is the flag name
+# every flag once, as add_argument keywords (_request_args reads the same)
 FLAGS = {
     "delta": dict(type=float, default=0.5),
     "phi": dict(type=float, default=0.0),
@@ -572,11 +577,45 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv=()):
-    """The dheis parser.  When argv[0] names a subcommand, only that
-    subparser gets its flags; the others still exist, so that every usage
-    error and help text stays the same."""
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
+def _request_args(argv):
+    """argparse's namespace for a well-formed request, or None.  Well-formed
+    is what every argparse reads alike: an exact subcommand, then --flag=value
+    or --flag value tokens naming its SUBCOMMAND_FLAGS in full, where a
+    separate value that starts with "-" is an ASCII negative decimal (-2,
+    -.5), and each value of its FLAGS type and choices; the last of a
+    repeated flag wins.  Keys come in argparse's order, which _check_common
+    follows.  Any other argv (help, an abbreviation, a bad value) goes to
+    argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values = {flag: FLAGS[flag].get("default")
+              for flag in SUBCOMMAND_FLAGS[argv[0]]}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        flag = option[2:]
+        if not option.startswith("--") or flag not in values:
+            return None
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and not (
+                    value.isascii() and value[-1].isdigit()
+                    and value[1:].replace(".", "", 1).isdigit()):
+                return None
+        try:
+            value = FLAGS[flag].get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in FLAGS[flag].get("choices", (value,)):
+            return None
+        values[flag] = value
+    return types.SimpleNamespace(subcommand=argv[0], **values,
+                                 func=_COMMANDS[argv[0]][0])
+
+
+def _build_parser():
+    """The dheis parser, for every argv that _request_args declines."""
+    import argparse
     ap = argparse.ArgumentParser(
         prog="dheis",
         description="Deformed Heisenberg algebra states: data tables and checks")
@@ -585,9 +624,8 @@ def _build_parser(argv=()):
         flags = SUBCOMMAND_FLAGS[name]
         sp = sub.add_parser(name, help=f"{text}; flags: "
                             + " ".join(f"--{f}" for f in flags))
-        if named in (None, name):
-            for flag in flags:
-                sp.add_argument(f"--{flag}", **FLAGS[flag])
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **FLAGS[flag])
         sp.set_defaults(func=func)
     return ap
 
@@ -606,7 +644,7 @@ def _silence_stdout():
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
+    args = _request_args(argv) or _build_parser().parse_args(argv)
     msg = _check_common(args)
     if msg:
         print(f"error: {msg}", file=sys.stderr)

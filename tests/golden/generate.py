@@ -24,13 +24,15 @@ With --against, the corpus also runs on the tree of REV, a git revision of
 this repository: ``git archive`` extracts it to a temporary directory,
 removed afterwards, and a child interpreter with the same BLAS pins runs it
 there.  For each argv whose output differs from REV's, stderr gets what
-moved: the exit code and the row count where they changed, whether any text
-besides the numbers changed, and the largest relative move of each table
-column, diagnostic or verify row, with its values at REV and here and the
-number of its entries that moved.  A summary ends the report: per
-subcommand, how many of the argvs run moved, those whose exit code, text or
-row count changed counted apart and the others grouped by the decade of
-their largest relative move.  The script still writes only the manifest.
+moved: the exit code and a table's row count where they changed, whether any
+text besides the numbers changed, each verify row present on one side only
+(added or removed, with its residual), and the largest relative move of
+each table column, diagnostic or verify row, with its values at REV and
+here, the table row it is in and the number of its entries that moved.  A
+summary ends the report: per subcommand, how many of the argvs run moved,
+those whose exit code, text or row count changed or that gained or lost a
+verify row counted apart and the others grouped by the decade of their
+largest relative move.  The script still writes only the manifest.
 """
 
 import argparse
@@ -178,33 +180,55 @@ def series(argv, out) -> tuple:
 
 
 def _largest_move(old, new) -> tuple:
-    """(relative move, old value, new value, entries moved) of one column:
-    the entry that moved most relative to its old value, where an entry that
-    leaves 0 or the finite numbers moves inf, and how many entries moved."""
+    """(relative move, old value, new value, entries moved, row) of one
+    column: the entry that moved most relative to its old value, where an
+    entry that leaves 0 or the finite numbers moves inf, how many entries
+    moved, and the row of that entry, None in a column of one entry."""
     moves = [(abs(b - a) / abs(a) if a and math.isfinite(a + b)
-              else math.inf, a, b)
-             for a, b in zip(old, new) if a != b and not (a != a and b != b)]
-    return (*max(moves, default=(0.0, None, None)), len(moves))
+              else math.inf, a, b, i)
+             for i, (a, b) in enumerate(zip(old, new))
+             if a != b and not (a != a and b != b)]
+    rel, a, b, row = max(moves, key=lambda m: m[0],
+                         default=(0.0, None, None, None))
+    return rel, a, b, len(moves), row if len(old) > 1 else None
+
+
+def _masked(argv, result, drop) -> list:
+    """The distinct lines of stdout and stderr with every number masked.  A
+    verify report is first written again without the checks named in drop,
+    so that a row present on one side only is not a change of text."""
+    out = result[1]
+    if argv[0] == "verify" and out.startswith("{"):
+        doc = json.loads(out)
+        doc["checks"] = [c for c in doc["checks"] if c["name"] not in drop]
+        out = json.dumps(doc, indent=1, sort_keys=True)
+    return [set(NUMBER.sub("#", t).splitlines()) for t in (out, result[2])]
 
 
 def compare(argv, old, new) -> dict:
     """What moved between two (exit code, stdout, stderr) results of argv:
     the exit codes if they differ, whether any text besides the numbers
-    changed, the row counts if they differ, and the _largest_move of each
-    column, diagnostic or verify row whose entries moved, in output order."""
-    moved = {"exit": None, "text": False, "rows": None, "columns": {}}
+    changed, the row counts of a table if they differ, the verify rows
+    present on one side only, and the _largest_move of each column,
+    diagnostic or verify row whose entries moved, in output order."""
+    moved = {"exit": None, "text": False, "rows": None, "added": {},
+             "removed": {}, "columns": {}}
     if old[0] != new[0]:
         moved["exit"] = (old[0], new[0])
-    # the distinct lines of each stream with every number masked: a table
-    # that only gains or loses rows keeps them
-    masked = [[set(NUMBER.sub("#", t).splitlines()) for t in r[1:]]
-              for r in (old, new)]
-    moved["text"] = masked[0] != masked[1]
-    if not (old[0] == new[0] == 0 or argv[0] == "verify"):
+    verify = argv[0] == "verify"
+    if not (old[0] == new[0] == 0 or verify):
+        # the distinct lines with every number masked: a table that only
+        # gains or loses rows keeps them
+        moved["text"] = _masked(argv, old, ()) != _masked(argv, new, ())
         return moved
     (n_old, a), (n_new, b) = series(argv, old[1]), series(argv, new[1])
-    if n_old != n_new:
+    if verify:
+        moved["added"] = {k: v[0] for k, v in b.items() if k not in a}
+        moved["removed"] = {k: v[0] for k, v in a.items() if k not in b}
+    elif n_old != n_new:
         moved["rows"] = (n_old, n_new)
+    drop = {**moved["added"], **moved["removed"]}
+    moved["text"] = _masked(argv, old, drop) != _masked(argv, new, drop)
     for name in (name for name in b if name in a):     # in output order
         move = _largest_move(a[name], b[name])
         if move[0]:
@@ -213,7 +237,9 @@ def compare(argv, old, new) -> dict:
 
 
 def describe(argv, old, new) -> list:
-    """compare's findings as lines: what moved between two results."""
+    """compare's findings as lines: what moved between two results.  A
+    column of more than one entry names the row of its largest move; a
+    verify row is a line of its own, named by its check."""
     m = compare(argv, old, new)
     lines = []
     if m["exit"]:
@@ -222,21 +248,27 @@ def describe(argv, old, new) -> list:
         lines.append("text besides the numbers changed")
     if m["rows"]:
         lines.append("rows {} -> {}".format(*m["rows"]))
-    for name, (rel, x, y, count) in m["columns"].items():
+    for key in ("added", "removed"):
+        lines += [f"{key} row {name}: {v:.17g}" for name, v in m[key].items()]
+    for name, (rel, x, y, count, row) in m["columns"].items():
         entries = "entry" if count == 1 else "entries"
+        at = "" if row is None else f"row {row}, "
         lines.append(f"{name}: {x:.17g} -> {y:.17g} (relative {rel:.2g}, "
-                     f"{count} {entries} moved)")
+                     f"{at}{count} {entries} moved)")
     return lines
 
 
 def _group(argv, old, new) -> tuple:
     """(sort key, label) of the summary group of an argv that moved: the
     decade of its largest relative move ('<= 1e-15', then 'inf'), or, counted
-    apart, a change of exit code, text or row count."""
+    apart, a change of exit code, text or row count, or a verify row added
+    or removed."""
     m = compare(argv, old, new)
     for rank, (key, label) in enumerate((("exit", "exit code changed"),
                                          ("text", "text changed"),
-                                         ("rows", "row count changed"))):
+                                         ("rows", "row count changed"),
+                                         ("added", "verify rows added"),
+                                         ("removed", "verify rows removed"))):
         if m[key]:
             return (2, rank), label
     rel = max((c[0] for c in m["columns"].values()), default=0.0)

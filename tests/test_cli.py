@@ -292,7 +292,7 @@ SQUARE_OVERFLOW_ARGVS = {
 @pytest.mark.parametrize("argv", SQUARE_OVERFLOW_ARGVS.values(),
                          ids=SQUARE_OVERFLOW_ARGVS)
 def test_sweep_square_past_the_float_range_exits_3(argv, capsys):
-    args = cli._build_parser(argv).parse_args(argv)
+    args = cli._build_parser().parse_args(argv)
     grid = cli._linspace(args.min, args.max, args.steps)
     rows = [dispersion.perturbed_quadrature_stats(args.delta, x, args.beta,
                                                   args.theta, args.z, args.p)
@@ -588,7 +588,7 @@ def test_verify_dim_256_is_fast():
     proc = _run_cli(["verify", "--dim", "256"], timeout=30)
     assert proc.returncode == 0
     checks = json.loads(proc.stdout)["checks"]
-    assert len(checks) == 19
+    assert len(checks) == 20
     assert all(c["passed"] for c in checks)
 
 
@@ -675,8 +675,28 @@ def test_verify_pseudo_bounds_are_tight(capsys):
     checks = json.loads(capsys.readouterr().out)["checks"]
     bounds = {c["name"]: float(c["bound"]) for c in checks}
     assert bounds == {"pseudo_hermiticity": 1e-8, "rho_g_unitarity": 1e-10,
-                      "commutators": 1e-14}
+                      "commutators": 1e-14, "ladder_build": 1e-13}
     assert all(c["passed"] for c in checks)
+    assert checks[-1]["residual"] == "0"
+
+
+def test_verify_pseudo_suite_trips_on_a_shifted_annihilator(monkeypatch,
+                                                            capsys):
+    # A built from the series of mu x^2 e^{-zx} (shift 2) instead of
+    # mu x e^{-zx}: the metric and commutator rows read only H and the
+    # series, so ladder_build is the pseudo row that sees the built A
+    real = cli.pseudo_hermitian._scaled_exp_coefficients
+
+    def shifted(mu, z, cfg):
+        return (cli.annihilation(cfg)
+                + cli.pseudo_hermitian.series_operator(real(mu, z, 2, cfg.dim),
+                                                       cfg))
+
+    monkeypatch.setattr(cli.pseudo_hermitian, "_build_A", shifted)
+    assert cli.main(["verify", "--dim", "64", "--suite", "pseudo"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["ladder_build"]
+    assert float(checks[-1]["residual"]) > 1e3 * float(checks[-1]["bound"])
 
 
 def test_verify_algebra_bounds_are_tight(capsys):
@@ -834,7 +854,7 @@ def test_verify_reports_linalg_error_as_failed_check(tmp_path, monkeypatch):
     out = tmp_path / "verify_nan.json"
     assert cli.main(["verify", "--out", str(out)]) == 1
     checks = json.loads(out.read_text())["checks"]
-    assert len(checks) == 19
+    assert len(checks) == 20
     failed = [c for c in checks if not c["passed"]]
     assert failed == [{
         "suite": "fock", "name": "canonical_xp_commutator", "residual": "inf",
@@ -1205,10 +1225,16 @@ def test_verify_build_row_trips_on_one_wrong_entry(monkeypatch, target):
             return M
 
         monkeypatch.setattr(cli.pseudo_hermitian, attr, pseudo)
-    rows = _verify_rows(["--dim", "64", "--suite", "algebra"])
-    r, bound = rows["fock_build"]
+    # H and A are held by the pseudo suite's row, the realizations by the
+    # algebra suite's
+    suite, row = (("pseudo", "ladder_build") if target in ("H", "A")
+                  else ("algebra", "fock_build"))
+    rows = _verify_rows(["--dim", "64", "--suite", suite])
+    r, bound = rows.pop(row)
     assert r > 1e3 * bound, r
-    assert all(v[0] <= v[1] for k, v in rows.items() if k != "fock_build")
+    if target == "H":
+        rows.pop("pseudo_hermiticity")      # it reads the built H too
+    assert all(v[0] <= v[1] for v in rows.values())
 
 
 def test_flag_validation_exits_2(capsys):

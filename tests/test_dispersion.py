@@ -485,7 +485,7 @@ def test_sweep_columns_match_50_digit_reference():
     assert len(argvs) == 25
     worst = 0.0
     for argv in argvs:
-        a = cli._build_parser(argv).parse_args(argv)
+        a = cli._build_parser().parse_args(argv)
         grid = cli._linspace(a.min, a.max, a.steps)
         d, f = (a.delta, grid) if a.var == "phi" else (grid, a.phi)
         t = sweep_table(delta=d, phi=f, beta=a.beta, theta=a.theta,

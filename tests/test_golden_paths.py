@@ -82,10 +82,12 @@ def test_describe_lists_what_moved_by_column_and_verify_row():
            "# c0=2\n", "")
     assert gen.describe(argv, old, new) == [
         "rows 2 -> 3",
-        "re_c: 0.25 -> 0.25000000000000006 (relative 2.2e-16, 1 entry moved)"]
+        "re_c: 0.25 -> 0.25000000000000006 (relative 2.2e-16, row 1, 1 entry "
+        "moved)"]
     three = (0, "# dim=8\nn,re_c\n0,0.5000001\n1,0.26\n# c0=2.5\n", "")
     assert gen.describe(argv, old, three) == [
-        "re_c: 0.25 -> 0.26000000000000001 (relative 0.04, 2 entries moved)",
+        "re_c: 0.25 -> 0.26000000000000001 (relative 0.04, row 1, 2 entries "
+        "moved)",
         "c0: 2 -> 2.5 (relative 0.25, 1 entry moved)"]
     assert gen.describe(argv, old, (3, "", "error: no norm\n")) == [
         "exit code 0 -> 3", "text besides the numbers changed"]
@@ -102,17 +104,33 @@ def test_describe_lists_what_moved_by_column_and_verify_row():
         "moved)",
         "uzp_residual_p0.1: 3.0871341691237857e-14 -> "
         "3.0871338459495874e-14 (relative 1e-07, 1 entry moved)"]
+    # a verify row on one side only is listed as added or removed, not as a
+    # change of text or row count; the rows on both sides are compared by
+    # check name
+    grown = json.loads(json.dumps(report))
+    grown["checks"].insert(1, {"name": "ladder_build", "residual": "0"})
+    assert gen.describe(["verify"], (0, json.dumps(report), ""),
+                        (0, json.dumps(grown), "")) == [
+        "added row ladder_build: 0"]
+    grown["checks"][0]["residual"] = "inf"
+    assert gen.describe(["verify"], (1, json.dumps(grown), ""),
+                        (0, json.dumps(moved), "")) == [
+        "exit code 1 -> 0", "removed row ladder_build: 0",
+        "uzp_residual_p0.1: inf -> 3.0871338459495874e-14 (relative inf, "
+        "1 entry moved)",
+        "fock_build: 0 -> 9.9999999999999998e-17 (relative inf, 1 entry "
+        "moved)"]
     tiny = (0, old[1].replace("0.25", "0.25000000000000006"), "")
     small = (0, old[1].replace("0.25", "0.2500001"), "")
     argvs = [argv, ["state", "--dim", "9"], ["state", "--dim", "10"],
              ["state", "--dim", "11"], ["state", "--dim", "12"], ["state"],
-             ["verify"], ["spectrum"]]
-    before = [old] * 6 + [(0, json.dumps(report), ""), old]
+             ["verify"], ["verify", "--dim", "9"], ["spectrum"]]
+    before = [old] * 6 + [(0, json.dumps(report), "")] * 2 + [old]
     after = [tiny, small, (3, "", "error: no norm\n"), new,
              (0, old[1], "warning: phase window\n"), old,
-             (0, json.dumps(moved), ""), old]
+             (0, json.dumps(moved), ""), (0, json.dumps(grown), ""), old]
     assert gen.summary(argvs, before, after) == [
         "state: 5 of 6 argvs moved; <= 1e-15: 1; <= 1e-6: 1; "
         "exit code changed: 1; text changed: 1; row count changed: 1",
-        "verify: 1 of 1 argvs moved; inf: 1",
+        "verify: 2 of 2 argvs moved; inf: 1; verify rows added: 1",
         "spectrum: 0 of 1 argvs moved"]
