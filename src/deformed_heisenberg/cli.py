@@ -479,8 +479,8 @@ def _verify_checks(args):
              lambda: pseudo_hermitian.unitarity_check(sysm, G), 1e-10),
             ("pseudo", "commutators",
              lambda: pseudo_hermitian.commutator_checks(sysm), 1e-14),
-            ("pseudo", "ladder_build", lambda: _check_build(block, True),
-             1e-13),
+            ("pseudo", "ladder_build",
+             lambda: _check_build(block, ladder=True), 1e-13),
         ]
     rows = []
     for suite, name, thunk, bound in checks:

@@ -215,18 +215,18 @@ def compare(argv, old, new) -> dict:
              "removed": {}, "columns": {}}
     if old[0] != new[0]:
         moved["exit"] = (old[0], new[0])
-    verify = argv[0] == "verify"
-    if not (old[0] == new[0] == 0 or verify):
-        # the distinct lines with every number masked: a table that only
-        # gains or loses rows keeps them
-        moved["text"] = _masked(argv, old, ()) != _masked(argv, new, ())
-        return moved
-    (n_old, a), (n_new, b) = series(argv, old[1]), series(argv, new[1])
-    if verify:
-        moved["added"] = {k: v[0] for k, v in b.items() if k not in a}
-        moved["removed"] = {k: v[0] for k, v in a.items() if k not in b}
-    elif n_old != n_new:
-        moved["rows"] = (n_old, n_new)
+    a = b = {}
+    # a verify report is JSON whatever its exit code; a usage error prints none
+    if (old[0] == new[0] == 0
+            or argv[0] == "verify" and old[1][:1] == new[1][:1] == "{"):
+        (n_old, a), (n_new, b) = series(argv, old[1]), series(argv, new[1])
+        if argv[0] == "verify":
+            moved["added"] = {k: v[0] for k, v in b.items() if k not in a}
+            moved["removed"] = {k: v[0] for k, v in a.items() if k not in b}
+        elif n_old != n_new:
+            moved["rows"] = (n_old, n_new)
+    # the distinct lines with every number masked: a table that only gains
+    # or loses rows keeps them
     drop = {**moved["added"], **moved["removed"]}
     moved["text"] = _masked(argv, old, drop) != _masked(argv, new, drop)
     for name in (name for name in b if name in a):     # in output order

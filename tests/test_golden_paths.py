@@ -120,6 +120,10 @@ def test_describe_lists_what_moved_by_column_and_verify_row():
         "1 entry moved)",
         "fock_build: 0 -> 9.9999999999999998e-17 (relative inf, 1 entry "
         "moved)"]
+    assert gen.describe(["verify", "--dim", "4"],
+                        (2, "", "error: dim must be >= 8\n"),
+                        (2, "", "error: --dim must be >= 8\n")) == [
+        "text besides the numbers changed"]
     tiny = (0, old[1].replace("0.25", "0.25000000000000006"), "")
     small = (0, old[1].replace("0.25", "0.2500001"), "")
     argvs = [argv, ["state", "--dim", "9"], ["state", "--dim", "10"],
