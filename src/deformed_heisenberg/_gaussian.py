@@ -8,13 +8,15 @@ Everything here evaluates the table, i <= k and j <= l, of
 by the two-variable Hermite recurrences (Appell and Kampe de Feriet 1926),
 for the squeezed-displaced matrix elements and the first-order norm factors
 of the perturbed states.  Plain Python: a parameter is a number or a list
-over a sweep grid, all lists of one length, a number standing for itself at
-every grid point.  With a list among them, each entry H[i][j] is one list
-over the grid, filled by one list comprehension: a grid costs one table, not
-one per point.  With numbers alone, each entry is a number.  A coefficient
-that depends on numbers alone is evaluated once (each), in the order a point
-rounds it: on a sweep e^{-i theta}, and w, delta^2 w, -delta w/2, beta w and
-delta conj(e^{-i theta}) on a phi grid or e^{-i phi} on a delta grid.
+over a grid, all lists of one length, a number standing for itself at every
+grid point.  With a list among them, each entry H[i][j] is one list over the
+grid, filled by one list comprehension; with numbers alone, each entry is a
+number.  A sweep builds no such table: it takes _coefficients once for its
+grid, and dispersion._moments forms each point's entries by these
+recurrences within its one pass.  A coefficient that depends on numbers
+alone is evaluated once (each), in the order a point rounds it: on a sweep
+e^{-i theta}, and w, delta^2 w, -delta w/2, beta w and delta conj(e^{-i
+theta}) on a phi grid or e^{-i phi} on a delta grid.
 """
 
 import cmath

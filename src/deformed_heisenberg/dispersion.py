@@ -6,9 +6,10 @@ variance tables built from them (sweep_table, over a phi or delta grid), and
 the all-order dispersions of general_dispersion.  The first-order moments
 and the undeformed dispersions (mus_dispersions) are plain Python on numbers
 or lists over one grid.  A sweep is one pass: _moments, the one assembly of
-the moments, yields each point's from one Gamma and one Lambda table, with
-the grid's constants evaluated once, and sweep_table derives the point's row
-in the same iteration.  numpy is imported by each function that uses it, so
+the moments, takes the grid's Gaussian coefficients once and forms each
+point's Gamma and Lambda entries and moments in one iteration, with the
+grid's constants evaluated once, and sweep_table derives the point's row in
+the same iteration.  numpy is imported by each function that uses it, so
 that importing this module loads no numpy, and a sweep loads none at all.
 """
 
@@ -176,18 +177,38 @@ def _transpose(rows, width) -> list:
 def _moments(delta, phi, beta, theta, z, p):
     """Yield each grid point's first seven PerturbedMoments fields, then the
     norm, h, nq and nr of its n_bar, which only perturbed_moments forms; some
-    parameter is a list.  mu, lam and lam/2 are evaluated once where their
+    parameter is a list.  One _gaussian._coefficients call serves the grid;
+    each point forms the 15 Gamma and Lambda entries it reads from its w, c,
+    a and d, by the recurrences of quadratic_exponential_derivative written
+    out term by term, so each entry has the bits of gamma_kl(5, 1) and
+    lambda_kl(2, 3).  mu, lam and lam/2 are evaluated once where their
     parameters are numbers (_gaussian.each)."""
     q = p * p / 4.0
-    G = _gaussian.gamma_kl(5, 1, delta, phi, beta, theta)
-    L = _gaussian.lambda_kl(2, 3, delta, phi, beta, theta)
+    coefficients = _gaussian._coefficients(delta, phi, beta, theta)
     lam = each(lambda b, t: b * cmath.exp(1j * t), beta, theta)
     mu = each(mul, delta, each(lambda f: cmath.exp(1j * f), phi))
-    (mus, lams, halves), _ = columns((mu, lam, each(lambda v: v / 2, lam)))
-    for (mu, lam, half, g10, g20, g30, g40, g50, g11, g21, g31, g41,
-         l11, l12, l13, l21, l22, l23) in zip(
-            mus, lams, halves, *(G[i][0] for i in range(1, 6)),
-            *(G[i][1] for i in range(1, 5)), *L[1][1:], *L[2][1:]):
+    one = 1 + 0j
+    for mu, lam, half, w, c, a, d in zip(*columns(
+            (mu, lam, each(lambda v: v / 2, lam), *coefficients))[0]):
+        # Gamma: sigma^2 a, tau^2 conj(a), sigma tau c, sigma d, tau conj(d);
+        # Lambda swaps each pair and couples sigma tau by w, so its top row
+        # is Gamma's first column and Lambda_10 is Gamma_01
+        ac, dc = a.conjugate(), d.conjugate()
+        g10, g01 = d * one, dc * one
+        g20 = d * g10 + 2.0 * a * one
+        g30 = d * g20 + 4.0 * a * g10
+        g40 = d * g30 + 6.0 * a * g20
+        g50 = d * g40 + 8.0 * a * g30
+        g11 = d * g01 + 1.0 * c * one
+        g21 = d * g11 + 2.0 * a * g01 + 1.0 * c * g10
+        g31 = d * g21 + 4.0 * a * g11 + 1.0 * c * g20
+        g41 = d * g31 + 6.0 * a * g21 + 1.0 * c * g30
+        l11 = dc * g10 + 1.0 * w * one
+        l12 = dc * g20 + 2.0 * w * g10
+        l13 = dc * g30 + 3.0 * w * g20
+        l21 = dc * l11 + 2.0 * ac * g10 + 1.0 * w * g01
+        l22 = dc * l12 + 2.0 * ac * g20 + 2.0 * w * l11
+        l23 = dc * l13 + 2.0 * ac * g30 + 3.0 * w * l12
         # the Q and R blocks against the element e(m) that carries (a+)^m,
         # Q = mu e(3)/3 - lam e(2)/2 and R = mu e(2)/4 - (lam/2) e(1), kept
         # apart.  Past |beta| ~ 1e40 a moment's terms cancel beyond a
@@ -234,12 +255,12 @@ def perturbed_moments(delta, phi, beta, theta, z, p) -> PerturbedMoments:
     1 + z Q + (p^2/4) R,  Q = mu (a+)^3/3 - lam (a+)^2/2,
     R = mu (a+)^2/4 - (lam/2) a+  (nu = 0), against S D |0>, normal-ordering
     everything onto Gamma / Lambda elements; second-order cross terms in
-    (z, p^2, epsilon) are dropped.  The 17 elements come from one Gamma table
-    (k <= 5, l <= 1; Gamma_0j is Gamma_j0's conjugate) and one Lambda table
-    (k <= 2, l <= 3), and each Q / R block is formed once per point, by
-    _moments, the one assembly that sweep_table reads too.  delta, phi, beta
-    and theta may be lists over one grid; the tables are then columns over
-    it, and every field is a list in grid order.
+    (z, p^2, epsilon) are dropped.  The 17 elements are 15 entries of the
+    Gamma (k <= 5, l <= 1) and Lambda (k <= 2, l <= 3) tables, formed per
+    point, and the conjugates Gamma_01 and Gamma_02 of Gamma_10 and Gamma_20;
+    they and each Q / R block are formed once per point, by _moments, the one
+    assembly that sweep_table reads too.  delta, phi, beta and theta may be
+    lists over one grid; every field is then a list in grid order.
     """
     scalar = not any(isinstance(x, list) for x in (delta, phi, beta, theta))
     q = p * p / 4.0
@@ -313,15 +334,16 @@ class SweepTable(NamedTuple):
 def sweep_table(*, delta, phi, beta, theta, varying: str, grid, z, p):
     """Variance table over a phi or delta grid for one (z, p), as columns.
 
-    One pass over the grid: one mus_dispersions call on lists, then each
-    point's moments from _moments and its row from them in one iteration,
-    with no n_bar; each SweepTable field is a list, one plain float
-    (validity_flag: bool) per grid value in grid order.  validity_flag is
-    False where |epsilon| = |Omega~ - 1| exceeds the module threshold and the
-    first-order state can no longer be trusted.  A non-finite column raises
-    NotConverged naming the first grid value where it is not finite, as does
-    an arithmetic error (an OverflowError or a complex division by zero),
-    which Python raises where numpy returned inf or nan.
+    One pass over the grid: one mus_dispersions call on lists, then from
+    _moments, after its one _gaussian._coefficients call, each point's
+    Gamma/Lambda entries, moments and row in one iteration, with no n_bar;
+    each SweepTable field is a list, one plain float (validity_flag: bool)
+    per grid value in grid order.  validity_flag is False where
+    |epsilon| = |Omega~ - 1| exceeds the module threshold and the first-order
+    state can no longer be trusted.  A non-finite column raises NotConverged
+    naming the first grid value where it is not finite, as does an
+    arithmetic error (an OverflowError or a complex division by zero), which
+    Python raises where numpy returned inf or nan.
     """
     if varying not in ("phi", "delta"):
         raise BadParams("varying must be 'phi' or 'delta'")

@@ -1,17 +1,22 @@
 """Independent assemblies of the first-order perturbed moments.
 
 perturbed_moments_literal transcribes the grouped Gamma/Lambda presentation
-term for term, in floats.  mp_sweep_point transcribes the tables and the
-moments of dispersion.perturbed_moments at 50 digits: the Hermite
-recurrence on S D|0>'s generating function, divided by r^(i + j) as its
-derivatives are, and the moments from the Q and R blocks, one by one.
+term for term, in floats.  moments_from_tables is dispersion._moments as it
+read its Gamma/Lambda entries from the grid-wide gamma_kl and lambda_kl
+tables, the reference the per-point entries are held to bit for bit.
+mp_sweep_point transcribes the tables and the moments of
+dispersion.perturbed_moments at 50 digits: the Hermite recurrence on
+S D|0>'s generating function, divided by r^(i + j) as its derivatives are,
+and the moments from the Q and R blocks, one by one.
 """
 
 import cmath
+from operator import mul
 
 import mpmath
 
 from deformed_heisenberg import _gaussian
+from deformed_heisenberg._gaussian import columns, each
 
 
 def perturbed_moments_literal(delta, phi, beta, theta, z, p):
@@ -52,6 +57,62 @@ def perturbed_moments_literal(delta, phi, beta, theta, z, p):
     x2_mean = 0.5 + base + re_blocks.real + plain_blocks.real
     p2_mean = 0.5 + base_p - re_blocks.real + plain_blocks.real
     return mean_x_sq, x2_mean, mean_p_sq, p2_mean
+
+
+def moments_from_tables(delta, phi, beta, theta, z, p):
+    """dispersion._moments read from grid-wide tables: each grid point's
+    first seven PerturbedMoments fields, then the norm, h, nq and nr of its
+    n_bar, with the Gamma and Lambda entries taken from gamma_kl(5, 1) and
+    lambda_kl(2, 3) on the whole grid; some parameter is a list.  mu, lam and
+    lam/2 are evaluated once where their parameters are numbers
+    (_gaussian.each)."""
+    q = p * p / 4.0
+    G = _gaussian.gamma_kl(5, 1, delta, phi, beta, theta)
+    L = _gaussian.lambda_kl(2, 3, delta, phi, beta, theta)
+    lam = each(lambda b, t: b * cmath.exp(1j * t), beta, theta)
+    mu = each(mul, delta, each(lambda f: cmath.exp(1j * f), phi))
+    (mus, lams, halves), _ = columns((mu, lam, each(lambda v: v / 2, lam)))
+    for (mu, lam, half, g10, g20, g30, g40, g50, g11, g21, g31, g41,
+         l11, l12, l13, l21, l22, l23) in zip(
+            mus, lams, halves, *(G[i][0] for i in range(1, 6)),
+            *(G[i][1] for i in range(1, 5)), *L[1][1:], *L[2][1:]):
+        # the Q and R blocks against the element e(m) that carries (a+)^m,
+        # Q = mu e(3)/3 - lam e(2)/2 and R = mu e(2)/4 - (lam/2) e(1), kept
+        # apart.  Past |beta| ~ 1e40 a moment's terms cancel beyond a
+        # float's digits: summed in this order, their rounding leaves the
+        # float range, as the exact first-order product does, and a sweep
+        # exits 3; summed as one polynomial in a+, they cancelled to a
+        # finite table with no correct digit (beta 1e60)
+        m3, m4 = mu * g30, mu * g40
+        mean_q = m3 / 3 - lam * g20 / 2
+        mean_r = mu * g20 / 4 - half * g10
+        eps = -(z * mean_q + q * mean_r).real
+        norm = 1 + 2 * eps
+        # <a^j (.)> + <(a+)^j (.)>^*: Lambda's row j, Gamma's (a+)^(m + j)
+        q1 = (mu * l13 / 3 - lam * l12 / 2
+              + (m4 / 3 - lam * g30 / 2).conjugate())
+        r1 = mu * l12 / 4 - half * l11 + (m3 / 4 - half * g20).conjugate()
+        q2 = (mu * l23 / 3 - lam * l22 / 2
+              + (mu * g50 / 3 - lam * g40 / 2).conjugate())
+        r2 = mu * l22 / 4 - half * l21 + (m4 / 4 - half * g30).conjugate()
+        # a+ a against (a+)^m: a (a+)^m = (a+)^m a + m (a+)^{m-1}
+        n2 = g31 + 2 * g20
+        nq = mu * (g41 + 3 * g30) / 3 - lam * n2 / 2
+        nr = mu * n2 / 4 - half * (g21 + g10)
+
+        g01, g02 = g10.conjugate(), g20.conjugate()
+        corr = z * q1 + q * r1
+        gx, gp, h = g01.real, g01.imag, g11.real
+        yield (2 * (gx * gx * (1 + 4 * eps) + 2 * gx * corr.real),
+               0.5 + norm * (h + g02.real)
+               + (z * (q2 + 2 * nq) + q * (r2 + 2 * nr)).real,
+               2 * (gp * gp * (1 + 4 * eps) + 2 * gp * corr.imag),
+               0.5 + norm * (h - g02.real)
+               + (z * (-q2 + 2 * nq) + q * (-r2 + 2 * nr)).real,
+               eps,
+               norm * g01 + z * q1 + q * r1,
+               norm * g02 + z * q2 + q * r2,
+               norm, h, nq, nr)
 
 
 def _mp_table(k, l, A, B, C, D, E):

@@ -363,10 +363,11 @@ def _count_calls(monkeypatch, module, name):
 @pytest.mark.parametrize("var", ["phi", "delta"])
 def test_sweep_cost_does_not_grow_with_steps(var, monkeypatch, capsys):
     # the whole grid goes through one pass of the moment assembly, which
-    # takes one Gamma and one Lambda table: two kernel calls for 10 rows as
-    # for 2000
+    # takes the Gaussian coefficients once and forms each point's Gamma and
+    # Lambda entries itself: no table kernel call, for 10 rows as for 2000
     counts = {name: _count_calls(monkeypatch, module, name)
               for module, name in ((cli.dispersion, "_moments"),
+                                   (_gaussian, "_coefficients"),
                                    (_gaussian, "quadratic_exponential_derivative"),
                                    (_gaussian, "gamma_kl"),
                                    (_gaussian, "lambda_kl"))}
@@ -378,8 +379,9 @@ def test_sweep_cost_does_not_grow_with_steps(var, monkeypatch, capsys):
                          "--p", "0.01"]) == 0
         assert len(_data_rows(capsys.readouterr().out)) == int(steps)
         assert {k: c["n"] for k, c in counts.items()} == {
-            "_moments": 1, "quadratic_exponential_derivative": 2,
-            "gamma_kl": 1, "lambda_kl": 1}
+            "_moments": 1, "_coefficients": 1,
+            "quadratic_exponential_derivative": 0, "gamma_kl": 0,
+            "lambda_kl": 0}
 
 
 def test_sweep_reports_negative_variance_rows(capsys):

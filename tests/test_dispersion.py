@@ -3,6 +3,7 @@
 import cmath
 import importlib.util
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deformed_heisenberg import cli
+from deformed_heisenberg import cli, dispersion
 from deformed_heisenberg.aes_series import (deformed_squeezed_state,
                                             fock_coefficients,
                                             perturbed_state_first_order,
@@ -30,7 +31,8 @@ from deformed_heisenberg.errors import BadParams, NotConverged, TailTooHeavy
 from deformed_heisenberg.fock_core import (TruncationConfig, coherent_state,
                                            displacement_operator,
                                            squeeze_operator, vacuum)
-from moment_references import mp_sweep_point, perturbed_moments_literal
+from moment_references import (moments_from_tables, mp_sweep_point,
+                               perturbed_moments_literal)
 
 CFG48 = TruncationConfig(48)
 
@@ -557,3 +559,62 @@ def test_one_pass_sweep_is_the_pointwise_moments_bit_for_bit(kw):
         want = (x, *mus_dispersions(d, f), s.var_x, s.var_p, s.product,
                 s.srur_bound, abs(pm.epsilon) <= VALIDITY_EPSILON_THRESHOLD)
         assert [_hex(col[i]) for col in t] == [_hex(v) for v in want], i
+
+
+# beta 0, 1e-300 ... 1e300 and 1.7e308: past about 1e40 the moments cancel to
+# noise, past about 1e60 they overflow to inf and nan, and at 1.7e308 the
+# displacement coefficient itself does
+TABLE_BETAS = (0.0, *(10.0 ** e for e in range(-300, 301, 50)), 1.3, 1e40,
+               1.7e308)
+
+
+def _moment_case(rng):
+    """_moments' arguments: a phi or a delta grid of 1 to 400 points, delta
+    0 at some points or for the whole grid, z and p 0 or not."""
+    n = rng.choice((1, 2, rng.randint(1, 400)))
+    if rng.random() < 0.5:
+        d = rng.choice((0.0, rng.uniform(0.0, 0.95)))
+        f = [rng.uniform(-4.0, 4.0) for _ in range(n)]
+    else:
+        d = [rng.choice((0.0, rng.uniform(0.0, 0.95))) for _ in range(n)]
+        f = rng.uniform(-4.0, 4.0)
+    b = rng.choice((*TABLE_BETAS, rng.uniform(0.0, 1e3)))
+    return (d, f, b, rng.uniform(-4.0, 4.0),
+            rng.choice((0.0, rng.uniform(-0.01, 0.01))),
+            rng.choice((0.0, rng.uniform(1e-3, 0.5))))
+
+
+def _bits(values):
+    # -0.0, inf and nan by float.hex, a complex's parts apart
+    return [(v.real.hex(), v.imag.hex()) if isinstance(v, complex)
+            else v.hex() for v in values]
+
+
+def _moment_bits(args):
+    """The hex of every value _moments yields on the grid, and of every
+    perturbed_moments field at the grid's first and last points as
+    numbers; an exception by its type and message."""
+    d, f, *rest = args
+    points = [(d[i] if isinstance(d, list) else d,
+               f[i] if isinstance(f, list) else f) for i in (0, -1)]
+    try:
+        return ([_bits(m) for m in dispersion._moments(*args)],
+                [_bits(perturbed_moments(*pt, *rest)) for pt in points])
+    except Exception as e:
+        return type(e), str(e)
+
+
+def test_moments_are_the_grid_tables_entries_bit_for_bit(monkeypatch):
+    # each point's Gamma and Lambda entries, formed in the moment pass, give
+    # every moment the bits it has from gamma_kl(5, 1) and lambda_kl(2, 3)
+    # on the whole grid; the scalar path of perturbed_moments too
+    rng = random.Random(39)
+    cases = [_moment_case(rng) for _ in range(150)]
+    cases.append(([0.2, 1.0], 0.3, 1.0, 0.1, 0.003, 0.01))
+    got = [_moment_bits(args) for args in cases]
+    monkeypatch.setattr(dispersion, "_moments", moments_from_tables)
+    for args, bits in zip(cases, got):
+        assert bits == _moment_bits(args), args[2:]
+    assert got[-1] == (BadParams, "need 0 <= delta < 1")
+    assert any("nan" in str(bits) for bits in got)
+    assert any("inf" in str(bits) for bits in got)
