@@ -4,22 +4,20 @@ Covers the X/P operators and their dispersions, the squeezed-vacuum matrix
 elements Gamma_kl / Lambda_kl, the first-order perturbed moments and the
 variance tables built from them (sweep_table, over a phi or delta grid), and
 the all-order dispersions of general_dispersion.  The first-order moments
-and the undeformed dispersions (mus_dispersions) are plain Python on numbers
-or lists over one grid.  A sweep is one pass: _moments, the one assembly of
-the moments, takes the grid's Gaussian coefficients once and forms each
-point's Gamma and Lambda entries and moments in one iteration, with the
-grid's constants evaluated once, and sweep_table derives the point's row in
-the same iteration.  numpy is imported by each function that uses it, so
-that importing this module loads no numpy, and a sweep loads none at all.
+and the undeformed dispersions (mus_dispersions) are plain Python on
+numbers.  A sweep is one loop over its points: _moments, the one assembly of
+the moments, forms each point's Gaussian coefficients, Gamma and Lambda
+entries and moments in one iteration, with the sweep's constants evaluated
+once, and sweep_table derives the point's row in the same iteration.  numpy
+is imported by each function that uses it, so that importing this module
+loads no numpy, and a sweep loads none at all.
 """
 
 import cmath
 import math
-from operator import mul
 from typing import NamedTuple
 
 from . import _gaussian
-from ._gaussian import columns, each
 from .aes_series import fock_coefficients
 from .deformed_algebra import DeformationParams
 from .errors import BadParams, NotConverged
@@ -85,22 +83,14 @@ def quadrature_stats(state, cfg: TruncationConfig) -> QuadratureStats:
 
 
 def mus_dispersions(delta, phi):
-    """Dispersions of the undeformed squeezed states (independent of lam).
-
-    delta and phi may be lists over one grid (a sweep); the pair is then a
-    pair of lists, each element computed as for numbers.
-    """
-    (delta, phi), scalar = columns((delta, phi))
-    if not all(0 <= x < 1 for x in delta):
+    """Dispersions (var_x, var_p) of the undeformed squeezed states
+    (independent of lam)."""
+    if not 0 <= delta < 1:
         raise BadParams("need 0 <= delta < 1")
-    vx, vp = [], []
-    for x, f in zip(delta, phi):
-        r2 = 2 * (1 - x * x)
-        base = 1 + x * x
-        c = 2 * x * math.cos(f)
-        vx.append((base - c) / r2)
-        vp.append((base + c) / r2)
-    return (vx[0], vp[0]) if scalar else (vx, vp)
+    r2 = 2 * (1 - delta * delta)
+    base = 1 + delta * delta
+    c = 2 * delta * math.cos(phi)
+    return (base - c) / r2, (base + c) / r2
 
 
 # ---------------------------------------------------------------------------
@@ -174,22 +164,34 @@ def _transpose(rows, width) -> list:
     return [list(c) for c in zip(*rows)] if rows else [[] for _ in range(width)]
 
 
-def _moments(delta, phi, beta, theta, z, p):
-    """Yield each grid point's first seven PerturbedMoments fields, then the
-    norm, h, nq and nr of its n_bar, which only perturbed_moments forms; some
-    parameter is a list.  One _gaussian._coefficients call serves the grid;
-    each point forms the 15 Gamma and Lambda entries it reads from its w, c,
-    a and d, by the recurrences of quadratic_exponential_derivative written
-    out term by term, so each entry has the bits of gamma_kl(5, 1) and
-    lambda_kl(2, 3).  mu, lam and lam/2 are evaluated once where their
-    parameters are numbers (_gaussian.each)."""
+def _moments(deltas, phis, beta, theta, z, p):
+    """Yield, for each point of the equal-length lists deltas and phis, its
+    first seven PerturbedMoments fields, then the norm, h, nq and nr of its
+    n_bar, which only perturbed_moments forms.  Each point forms its w, c, a
+    and d by the operations of _gaussian._coefficients, and from them the 15
+    Gamma and Lambda entries it reads, by the recurrences of
+    quadratic_exponential_derivative written out term by term, so each entry
+    has the bits of gamma_kl(5, 1) and lambda_kl(2, 3) at that point.
+    e^{-i theta}, lam and lam/2 are evaluated once: a sweep varies neither
+    beta nor theta."""
     q = p * p / 4.0
-    coefficients = _gaussian._coefficients(delta, phi, beta, theta)
-    lam = each(lambda b, t: b * cmath.exp(1j * t), beta, theta)
-    mu = each(mul, delta, each(lambda f: cmath.exp(1j * f), phi))
+    et = cmath.exp(-1j * theta)
+    etc = et.conjugate()
+    lam = beta * cmath.exp(1j * theta)
+    half = lam / 2
     one = 1 + 0j
-    for mu, lam, half, w, c, a, d in zip(*columns(
-            (mu, lam, each(lambda v: v / 2, lam), *coefficients))[0]):
+    for x, f in zip(deltas, phis):
+        if not 0 <= x < 1:
+            raise BadParams("need 0 <= delta < 1")
+        # w is the tables' 1/r^(i + j), r = sqrt(1 - delta^2), moved into
+        # their variables; e^{i(theta - phi)} is e^{i theta} e^{-i phi}, so
+        # that no phase difference leaves the float range
+        w = 1 / (1 - x * x)
+        ef = cmath.exp(-1j * f)
+        c = x * x * w
+        a = -x * w / 2 * ef
+        d = beta * w * (et - x * etc * ef)
+        mu = x * cmath.exp(1j * f)
         # Gamma: sigma^2 a, tau^2 conj(a), sigma tau c, sigma d, tau conj(d);
         # Lambda swaps each pair and couples sigma tau by w, so its top row
         # is Gamma's first column and Lambda_10 is Gamma_01
@@ -256,18 +258,14 @@ def perturbed_moments(delta, phi, beta, theta, z, p) -> PerturbedMoments:
     R = mu (a+)^2/4 - (lam/2) a+  (nu = 0), against S D |0>, normal-ordering
     everything onto Gamma / Lambda elements; second-order cross terms in
     (z, p^2, epsilon) are dropped.  The 17 elements are 15 entries of the
-    Gamma (k <= 5, l <= 1) and Lambda (k <= 2, l <= 3) tables, formed per
-    point, and the conjugates Gamma_01 and Gamma_02 of Gamma_10 and Gamma_20;
-    they and each Q / R block are formed once per point, by _moments, the one
-    assembly that sweep_table reads too.  delta, phi, beta and theta may be
-    lists over one grid; every field is then a list in grid order.
+    Gamma (k <= 5, l <= 1) and Lambda (k <= 2, l <= 3) tables and the
+    conjugates Gamma_01 and Gamma_02 of Gamma_10 and Gamma_20; they and each
+    Q / R block are formed once, by _moments, the one assembly that
+    sweep_table reads too.  Every parameter is a number.
     """
-    scalar = not any(isinstance(x, list) for x in (delta, phi, beta, theta))
     q = p * p / 4.0
-    rows = [(*m, norm * h + 2 * (z * nq + q * nr).real)
-            for *m, norm, h, nq, nr in _moments(
-                [delta] if scalar else delta, phi, beta, theta, z, p)]
-    return PerturbedMoments._make(rows[0] if scalar else _transpose(rows, 8))
+    *m, norm, h, nq, nr = next(_moments([delta], [phi], beta, theta, z, p))
+    return PerturbedMoments(*m, norm * h + 2 * (z * nq + q * nr).real)
 
 
 def perturbed_quadrature_stats(delta, phi, beta, theta, z, p) -> QuadratureStats:
@@ -334,11 +332,12 @@ class SweepTable(NamedTuple):
 def sweep_table(*, delta, phi, beta, theta, varying: str, grid, z, p):
     """Variance table over a phi or delta grid for one (z, p), as columns.
 
-    One pass over the grid: one mus_dispersions call on lists, then from
-    _moments, after its one _gaussian._coefficients call, each point's
-    Gamma/Lambda entries, moments and row in one iteration, with no n_bar;
-    each SweepTable field is a list, one plain float (validity_flag: bool)
-    per grid value in grid order.  validity_flag is False where
+    One loop over the grid's points, each a (delta, phi) pair: mus_dispersions
+    at every point first, so that a delta outside [0, 1) fails before any
+    moment can overflow, then from _moments each point's Gamma/Lambda
+    entries, moments and row in one iteration, with no n_bar; each
+    SweepTable field is a list, one plain float (validity_flag: bool) per
+    grid value in grid order.  validity_flag is False where
     |epsilon| = |Omega~ - 1| exceeds the module threshold and the first-order
     state can no longer be trusted.  A non-finite column raises NotConverged
     naming the first grid value where it is not finite, as does an
@@ -348,12 +347,14 @@ def sweep_table(*, delta, phi, beta, theta, varying: str, grid, z, p):
     if varying not in ("phi", "delta"):
         raise BadParams("varying must be 'phi' or 'delta'")
     g = [float(x) for x in grid]
-    d, f = (delta, g) if varying == "phi" else (g, phi)
+    deltas, phis = (([delta] * len(g), g) if varying == "phi"
+                    else (g, [phi] * len(g)))
     try:
-        mus, rows = mus_dispersions(d, f), []
+        mus = [mus_dispersions(x, f) for x, f in zip(deltas, phis)]
+        rows, moments = [], _moments(deltas, phis, beta, theta, z, p)
         # each point's PerturbedMoments.stats, product and SRUR bound
         for x, (mean_x_sq, x2_mean, mean_p_sq, p2_mean, eps, mean_a, a_sq,
-                _, _, _, _) in zip(g, _moments(d, f, beta, theta, z, p)):
+                _, _, _, _) in zip(g, moments):
             var_x, var_p = x2_mean - mean_x_sq, p2_mean - mean_p_sq
             corr_f = (2 * a_sq.imag
                       - 2 * (SQRT2 * mean_a.real) * (SQRT2 * mean_a.imag))
@@ -366,4 +367,4 @@ def sweep_table(*, delta, phi, beta, theta, varying: str, grid, z, p):
     except ArithmeticError as e:
         raise NotConverged(f"moments overflow on the {varying} grid: "
                            f"{type(e).__name__}: {e}") from e
-    return SweepTable(g, *mus, *_transpose(rows, 5))
+    return SweepTable(g, *_transpose(mus, 2), *_transpose(rows, 5))

@@ -2,8 +2,10 @@
 
 perturbed_moments_literal transcribes the grouped Gamma/Lambda presentation
 term for term, in floats.  moments_from_tables is dispersion._moments as it
-read its Gamma/Lambda entries from the grid-wide gamma_kl and lambda_kl
-tables, the reference the per-point entries are held to bit for bit.
+read its Gamma/Lambda entries from gamma_kl and lambda_kl tables, one pair
+per point, the reference the moment pass's own entries are held to bit for
+bit.  Every function here takes numbers, moments_from_tables a point list
+of them as _moments does.
 mp_sweep_point transcribes the tables and the moments of
 dispersion.perturbed_moments at 50 digits: the Hermite recurrence on
 S D|0>'s generating function, divided by r^(i + j) as its derivatives are,
@@ -11,12 +13,10 @@ and the moments from the Q and R blocks, one by one.
 """
 
 import cmath
-from operator import mul
 
 import mpmath
 
 from deformed_heisenberg import _gaussian
-from deformed_heisenberg._gaussian import columns, each
 
 
 def perturbed_moments_literal(delta, phi, beta, theta, z, p):
@@ -59,23 +59,23 @@ def perturbed_moments_literal(delta, phi, beta, theta, z, p):
     return mean_x_sq, x2_mean, mean_p_sq, p2_mean
 
 
-def moments_from_tables(delta, phi, beta, theta, z, p):
-    """dispersion._moments read from grid-wide tables: each grid point's
-    first seven PerturbedMoments fields, then the norm, h, nq and nr of its
-    n_bar, with the Gamma and Lambda entries taken from gamma_kl(5, 1) and
-    lambda_kl(2, 3) on the whole grid; some parameter is a list.  mu, lam and
-    lam/2 are evaluated once where their parameters are numbers
-    (_gaussian.each)."""
+def moments_from_tables(deltas, phis, beta, theta, z, p):
+    """dispersion._moments read from tables: for each point of the
+    equal-length lists deltas and phis, its first seven PerturbedMoments
+    fields, then the norm, h, nq and nr of its n_bar, with the Gamma and
+    Lambda entries taken from gamma_kl(5, 1) and lambda_kl(2, 3) at that
+    point."""
     q = p * p / 4.0
-    G = _gaussian.gamma_kl(5, 1, delta, phi, beta, theta)
-    L = _gaussian.lambda_kl(2, 3, delta, phi, beta, theta)
-    lam = each(lambda b, t: b * cmath.exp(1j * t), beta, theta)
-    mu = each(mul, delta, each(lambda f: cmath.exp(1j * f), phi))
-    (mus, lams, halves), _ = columns((mu, lam, each(lambda v: v / 2, lam)))
-    for (mu, lam, half, g10, g20, g30, g40, g50, g11, g21, g31, g41,
-         l11, l12, l13, l21, l22, l23) in zip(
-            mus, lams, halves, *(G[i][0] for i in range(1, 6)),
-            *(G[i][1] for i in range(1, 5)), *L[1][1:], *L[2][1:]):
+    lam = beta * cmath.exp(1j * theta)
+    half = lam / 2
+    for x, f in zip(deltas, phis):
+        G = _gaussian.gamma_kl(5, 1, x, f, beta, theta)
+        L = _gaussian.lambda_kl(2, 3, x, f, beta, theta)
+        mu = x * cmath.exp(1j * f)
+        g10, g20, g30, g40, g50 = (G[i][0] for i in range(1, 6))
+        g11, g21, g31, g41 = (G[i][1] for i in range(1, 5))
+        l11, l12, l13 = L[1][1:]
+        l21, l22, l23 = L[2][1:]
         # the Q and R blocks against the element e(m) that carries (a+)^m,
         # Q = mu e(3)/3 - lam e(2)/2 and R = mu e(2)/4 - (lam/2) e(1), kept
         # apart.  Past |beta| ~ 1e40 a moment's terms cancel beyond a

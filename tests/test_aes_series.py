@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -72,26 +73,33 @@ def test_amplitude_polynomial_degree():
         assert min(degs) >= 0
 
 
+def _mp_rows(prm, n_max):
+    """c_0..c_{n_max} (c_0 = 1) by the row recurrence of the eigen-equation
+    at mpmath's working precision, with the term -nu e^{z a+} of prm.nu when
+    it is nonzero."""
+    import mpmath as mp
+    lam, mu, z = mp.mpc(prm.lam), mp.mpc(prm.mu), mp.mpf(prm.z)
+    nu = mp.mpc(prm.nu)
+    sqrt_fact = [mp.sqrt(mp.factorial(j)) for j in range(n_max + 1)]
+    zk = [z ** k / mp.factorial(k) for k in range(n_max + 1)]
+    c = [mp.mpc(1)]
+    for n in range(n_max):
+        rhs = lam * c[n] - (mu * mp.sqrt(n) * c[n - 1] if n else 0)
+        for k in range(1, n + 1):
+            rhs -= (zk[k] * sqrt_fact[n] / sqrt_fact[n - k]
+                    * mp.sqrt(n - k + 1) * c[n - k + 1])
+        if nu:
+            rhs -= nu * mp.fsum(zk[k] * sqrt_fact[n] / sqrt_fact[n - k]
+                                * c[n - k] for k in range(n + 1))
+        c.append(rhs / mp.sqrt(n + 1))
+    return c
+
+
 def _mp_recurrence(prm, n_max, dps=60):
-    """The row recurrence of the eigen-equation in dps-digit arithmetic, with
-    the term -nu e^{z a+} of prm.nu when it is nonzero."""
+    """_mp_rows in dps-digit arithmetic, rounded to complex."""
     import mpmath as mp
     with mp.workdps(dps):
-        lam, mu, z = mp.mpc(prm.lam), mp.mpc(prm.mu), mp.mpf(prm.z)
-        nu = mp.mpc(prm.nu)
-        sqrt_fact = [mp.sqrt(mp.factorial(j)) for j in range(n_max + 1)]
-        zk = [z ** k / mp.factorial(k) for k in range(n_max + 1)]
-        c = [mp.mpc(1)]
-        for n in range(n_max):
-            rhs = lam * c[n] - (mu * mp.sqrt(n) * c[n - 1] if n else 0)
-            for k in range(1, n + 1):
-                rhs -= (zk[k] * sqrt_fact[n] / sqrt_fact[n - k]
-                        * mp.sqrt(n - k + 1) * c[n - k + 1])
-            if nu:
-                rhs -= nu * mp.fsum(zk[k] * sqrt_fact[n] / sqrt_fact[n - k]
-                                    * c[n - k] for k in range(n + 1))
-            c.append(rhs / mp.sqrt(n + 1))
-        return np.array([complex(x) for x in c])
+        return np.array([complex(x) for x in _mp_rows(prm, n_max)])
 
 
 def _exact_power(w, t):
@@ -392,6 +400,70 @@ def test_normalization_c0_limits_and_sum():
     c0, diag = normalization_c0(prm)
     c = _coefficients(prm, diag.terms_used - 1)
     assert abs(np.sum(np.abs(c0 * c) ** 2) - 1.0) < 1e-11
+
+
+def _audit_box(rng, sizes, z_max, delta_max, beta_max):
+    """A seeded box of the audits below: a size from sizes, |z| log-uniform
+    over [3e-4, z_max] with either sign, delta up to delta_max, beta from
+    0.1 to beta_max and uniform phases."""
+    z = math.copysign(10 ** rng.uniform(math.log10(3e-4), math.log10(z_max)),
+                      rng.choice((-1, 1)))
+    return rng.choice(sizes), DeformationParams.from_polar(
+        z=z, delta=rng.uniform(0.0, delta_max),
+        phi=rng.uniform(-math.pi, math.pi), beta=rng.uniform(0.1, beta_max),
+        theta=rng.uniform(-math.pi, math.pi))
+
+
+def test_amplitudes_keep_parity_and_conjugation_symmetry():
+    # (z, lam, mu) -> (-z, -lam, mu) gives (-1)^n psi_n and conjugating lam
+    # and mu gives conj(psi_n), bit for bit (up to the sign of zero), on
+    # both routes at dims no mpmath reference reaches; an entry past the
+    # float range is nan on all three boxes.  Both routes are sign
+    # symmetric, so this catches a broken kernel, not a wrong route
+    rng = random.Random(20)
+    for _ in range(30):
+        dim, prm = _audit_box(rng, (256, 512, 1024, 1536), 0.2, 0.9, 16.0)
+        parity = prm._replace(z=-prm.z, lam=-prm.lam)
+        conj = prm._replace(lam=prm.lam.conjugate(), mu=prm.mu.conjugate())
+        for route in (lambda q: aes._amplitudes(q, dim - 1),
+                      lambda q: aes.eigenstate_image(q, 0.0, dim)):
+            psi, par, con = route(prm), route(parity), route(conj)
+            assert len(psi) == len(par) == len(con) == dim
+            for n, (a, b, c) in enumerate(zip(psi, par, con)):
+                if cmath.isnan(a):
+                    assert cmath.isnan(b) and cmath.isnan(c), (prm, n)
+                    continue
+                assert b == (-a if n % 2 else a), (prm, n)
+                assert c == a.conjugate(), (prm, n)
+
+
+# c0's relative error in units of tail_estimate + u, u = 2^-53: 0.501 at
+# most on the 18 accepted of the first 25 boxes of the audit's seed (c0's
+# relative error is half its norm sum's), so the bound keeps 2x headroom
+C0_AUDIT_FACTOR = 1.0
+
+
+def test_normalization_c0_error_within_its_tail_estimate():
+    # c0 against 1/sqrt of the 60-digit norm sum over n <= n_max, on 12
+    # seeded boxes with |z| up to 0.05, delta up to 0.8 and beta up to 6; a
+    # box whose series the sum refuses is skipped
+    import mpmath as mp
+    rng = random.Random(20)
+    accepted = 0
+    for _ in range(12):
+        n_max, prm = _audit_box(rng, (96, 128, 192, 256), 0.05, 0.8, 6.0)
+        try:
+            c0, diag = normalization_c0(prm, n_max)
+        except NotConverged:
+            continue
+        accepted += 1
+        with mp.workdps(60):
+            ref = 1 / mp.sqrt(mp.fsum(abs(c) ** 2
+                                      for c in _mp_rows(prm, n_max)))
+            err = float(abs(c0 - ref) / ref)
+        assert err <= C0_AUDIT_FACTOR * (diag.tail_estimate + 2.0 ** -53), (
+            prm, n_max, err, diag)
+    assert accepted >= 6
 
 
 def test_normalization_c0_not_converged():

@@ -239,10 +239,13 @@ def test_sweep_flags_are_plain_bools_for_both_vars(tmp_path, capsys):
 def test_sweep_bad_params_removes_partial_file(tmp_path, capsys):
     out = tmp_path / "partial.csv"
     # the grid walks past delta = 1 after three rows; a negative delta
-    # fails on the first
+    # fails on the first; a delta past 1 fails before the moments of the
+    # first point overflow
     for argv in (["--var", "delta", "--min", "0", "--max", "1.5",
                   "--steps", "5"],
-                 ["--delta", "-0.2"]):
+                 ["--delta", "-0.2"],
+                 ["--var", "delta", "--min", "0.5", "--max", "1.5",
+                  "--beta", "1e300", "--steps", "3"]):
         rc = cli.main(["sweep-dispersion", *argv, "--out", str(out)])
         assert rc == 2
         assert not out.exists()
@@ -363,8 +366,8 @@ def _count_calls(monkeypatch, module, name):
 @pytest.mark.parametrize("var", ["phi", "delta"])
 def test_sweep_cost_does_not_grow_with_steps(var, monkeypatch, capsys):
     # the whole grid goes through one pass of the moment assembly, which
-    # takes the Gaussian coefficients once and forms each point's Gamma and
-    # Lambda entries itself: no table kernel call, for 10 rows as for 2000
+    # forms each point's Gaussian coefficients and Gamma and Lambda entries
+    # itself: no coefficient or table kernel call, for 10 rows as for 2000
     counts = {name: _count_calls(monkeypatch, module, name)
               for module, name in ((cli.dispersion, "_moments"),
                                    (_gaussian, "_coefficients"),
@@ -379,7 +382,7 @@ def test_sweep_cost_does_not_grow_with_steps(var, monkeypatch, capsys):
                          "--p", "0.01"]) == 0
         assert len(_data_rows(capsys.readouterr().out)) == int(steps)
         assert {k: c["n"] for k, c in counts.items()} == {
-            "_moments": 1, "_coefficients": 1,
+            "_moments": 1, "_coefficients": 0,
             "quadratic_exponential_derivative": 0, "gamma_kl": 0,
             "lambda_kl": 0}
 

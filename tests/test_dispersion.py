@@ -113,22 +113,26 @@ def test_mus_dispersions_values():
         with pytest.raises(BadParams):
             mus_dispersions(bad, 0.0)
         with pytest.raises(BadParams):
-            mus_dispersions([0.2, bad, 0.5], 0.0)
-    # a grid and the scalar calls give, element by element, the doubles of
-    # the scalar formula with libm's cos: a phi sweep of the benchmark, and
-    # the delta sweep of the seed-1 request whose first-order variances go
-    # negative (phi 2.69375)
-    for delta, phi in (
-            (0.242733, np.linspace(-math.pi, math.pi, 2000).tolist()),
-            (np.linspace(0.0, 0.9, 1000).tolist(), 2.69375)):
-        vx, vp = mus_dispersions(delta, phi)
-        d, f = np.broadcast_arrays(delta, phi)
-        for i, (dl, ph) in enumerate(zip(d.tolist(), f.tolist())):
+            sweep_table(delta=None, phi=0.0, beta=1.0, theta=0.1,
+                        varying="delta", grid=[0.2, bad, 0.5], z=0.001,
+                        p=0.0)
+    # a sweep's columns and the scalar calls give, element by element, the
+    # doubles of the scalar formula with libm's cos: a phi sweep of the
+    # benchmark, and the delta sweep of the seed-1 request whose first-order
+    # variances go negative (phi 2.69375)
+    for delta, phi, var, grid in (
+            (0.242733, None, "phi", np.linspace(-math.pi, math.pi, 2000)),
+            (None, 2.69375, "delta", np.linspace(0.0, 0.9, 1000))):
+        t = sweep_table(delta=delta, phi=phi, beta=2.0, theta=0.8 * math.pi,
+                        varying=var, grid=grid, z=0.0025, p=0.01)
+        for i, x in enumerate(grid.tolist()):
+            dl, ph = (delta, x) if var == "phi" else (x, phi)
             r2 = 2 * (1 - dl * dl)
             base = 1 + dl * dl
             ref = ((base - 2 * dl * math.cos(ph)) / r2,
                    (base + 2 * dl * math.cos(ph)) / r2)
-            assert (vx[i], vp[i]) == ref == mus_dispersions(dl, ph), (dl, ph)
+            assert ((t.var_x_mus[i], t.var_p_mus[i]) == ref
+                    == mus_dispersions(dl, ph)), (dl, ph)
 
 
 def test_mus_dispersions_match_matrix_and_minimize():
@@ -236,51 +240,54 @@ def test_perturbed_moments_two_assemblies_agree():
 
 
 def _grid_cases():
-    # (delta, phi) with one of them a grid list, at p = 0 and p = 0.01
+    # a delta grid beside a fixed phi, or the reverse, as a sweep's point
+    # lists, at p = 0 and p = 0.01
+    n = 61
     for p in (0.0, 0.01):
         for b, t, z in ((1.4, -2.0, 0.003), (0.5, 0.3, 0.0005),
                         (2.0, 0.8 * math.pi, 0.005)):
-            yield (np.linspace(0.0, 0.9, 61).tolist(), 0.7), b, t, z, p
-            yield ((0.45, np.linspace(-math.pi, math.pi, 61).tolist()),
+            yield np.linspace(0.0, 0.9, n).tolist(), [0.7] * n, b, t, z, p
+            yield ([0.45] * n, np.linspace(-math.pi, math.pi, n).tolist(),
                    b, t, z, p)
 
 
-def _grid_points(dp):
-    d, f = dp
-    return [(x, f) for x in d] if isinstance(d, list) else [(d, x) for x in f]
-
-
-def test_perturbed_moments_on_grid_match_literal_assembly():
-    # the grid path against the scalar literal transcription, point by point,
-    # within 1e-12 of each moment's cancellation scale (measured 3.8e-15)
-    for dp, b, t, z, p in _grid_cases():
-        pm = perturbed_moments(*dp, b, t, z, p)
-        for i, (d, f) in enumerate(_grid_points(dp)):
+def test_moment_pass_matches_literal_assembly():
+    # the sweep's moment pass against the scalar literal transcription,
+    # point by point, within 1e-12 of each moment's cancellation scale
+    # (measured 3.8e-15)
+    for ds, fs, b, t, z, p in _grid_cases():
+        for (mx, x2m, mp, p2m, *_), d, f in zip(
+                dispersion._moments(ds, fs, b, t, z, p), ds, fs):
             mxs, x2, mps, p2 = perturbed_moments_literal(d, f, b, t, z, p)
             sx = 1 + abs(x2) + abs(mxs)
             sp = 1 + abs(p2) + abs(mps)
-            assert abs(pm.mean_x_sq[i] - mxs) < 1e-12 * sx
-            assert abs(pm.x2_mean[i] - x2) < 1e-12 * sx
-            assert abs(pm.mean_p_sq[i] - mps) < 1e-12 * sp
-            assert abs(pm.p2_mean[i] - p2) < 1e-12 * sp
+            assert abs(mx - mxs) < 1e-12 * sx
+            assert abs(x2m - x2) < 1e-12 * sx
+            assert abs(mp - mps) < 1e-12 * sp
+            assert abs(p2m - p2) < 1e-12 * sp
 
 
-def test_perturbed_moments_on_grid_match_scalar_calls():
-    # a grid and a number take the same per-point arithmetic: bit for bit
-    for dp, b, t, z, p in _grid_cases():
-        pm = perturbed_moments(*dp, b, t, z, p)
-        assert all(type(col) is list and len(col) == 61 for col in pm)
-        for i, (d, f) in enumerate(_grid_points(dp)):
-            one = perturbed_moments(d, f, b, t, z, p)
-            assert tuple(col[i] for col in pm) == one
+def test_moment_pass_matches_scalar_calls():
+    # a point of a sweep and a number alone take the same arithmetic: bit
+    # for bit, n_bar included
+    for ds, fs, b, t, z, p in _grid_cases():
+        moments = list(dispersion._moments(ds, fs, b, t, z, p))
+        assert len(moments) == len(ds)
+        for (*m, norm, h, nq, nr), d, f in zip(moments, ds, fs):
+            n_bar = norm * h + 2 * (z * nq + p * p / 4.0 * nr).real
+            assert (*m, n_bar) == perturbed_moments(d, f, b, t, z, p)
 
 
 def test_gaussian_elements_reject_delta_one_anywhere_in_grid():
-    # the rule and message of mus_dispersions, an error cli.EXIT_CODES maps
+    # the rule and message of mus_dispersions, an error cli.EXIT_CODES maps,
+    # for a single element and at any point of the moment pass
     with pytest.raises(BadParams, match="need 0 <= delta < 1"):
-        gamma_element(1, 1, [0.2, 1.0], 0.3, 1.0, 0.1)
+        gamma_element(1, 1, 1.0, 0.3, 1.0, 0.1)
     with pytest.raises(BadParams, match="need 0 <= delta < 1"):
-        lambda_element(1, 1, [0.2, 1.0], 0.3, 1.0, 0.1)
+        lambda_element(1, 1, 1.0, 0.3, 1.0, 0.1)
+    with pytest.raises(BadParams, match="need 0 <= delta < 1"):
+        list(dispersion._moments([0.2, 1.0], [0.3, 0.3], 1.0, 0.1, 0.003,
+                                 0.01))
 
 
 def test_perturbed_moments_track_matrix_amplitudes():
@@ -569,15 +576,16 @@ TABLE_BETAS = (0.0, *(10.0 ** e for e in range(-300, 301, 50)), 1.3, 1e40,
 
 
 def _moment_case(rng):
-    """_moments' arguments: a phi or a delta grid of 1 to 400 points, delta
-    0 at some points or for the whole grid, z and p 0 or not."""
+    """_moments' arguments: the point lists of a phi or a delta grid of 1 to
+    400 points, delta 0 at some points or for the whole grid, z and p 0 or
+    not."""
     n = rng.choice((1, 2, rng.randint(1, 400)))
     if rng.random() < 0.5:
-        d = rng.choice((0.0, rng.uniform(0.0, 0.95)))
+        d = [rng.choice((0.0, rng.uniform(0.0, 0.95)))] * n
         f = [rng.uniform(-4.0, 4.0) for _ in range(n)]
     else:
         d = [rng.choice((0.0, rng.uniform(0.0, 0.95))) for _ in range(n)]
-        f = rng.uniform(-4.0, 4.0)
+        f = [rng.uniform(-4.0, 4.0)] * n
     b = rng.choice((*TABLE_BETAS, rng.uniform(0.0, 1e3)))
     return (d, f, b, rng.uniform(-4.0, 4.0),
             rng.choice((0.0, rng.uniform(-0.01, 0.01))),
@@ -591,12 +599,11 @@ def _bits(values):
 
 
 def _moment_bits(args):
-    """The hex of every value _moments yields on the grid, and of every
-    perturbed_moments field at the grid's first and last points as
-    numbers; an exception by its type and message."""
+    """The hex of every value _moments yields on the point lists, and of
+    every perturbed_moments field at their first and last points; an
+    exception by its type and message."""
     d, f, *rest = args
-    points = [(d[i] if isinstance(d, list) else d,
-               f[i] if isinstance(f, list) else f) for i in (0, -1)]
+    points = [(d[i], f[i]) for i in (0, -1)]
     try:
         return ([_bits(m) for m in dispersion._moments(*args)],
                 [_bits(perturbed_moments(*pt, *rest)) for pt in points])
@@ -605,12 +612,12 @@ def _moment_bits(args):
 
 
 def test_moments_are_the_grid_tables_entries_bit_for_bit(monkeypatch):
-    # each point's Gamma and Lambda entries, formed in the moment pass, give
-    # every moment the bits it has from gamma_kl(5, 1) and lambda_kl(2, 3)
-    # on the whole grid; the scalar path of perturbed_moments too
+    # each point's coefficients and Gamma and Lambda entries, formed in the
+    # moment pass, give every moment the bits it has from gamma_kl(5, 1) and
+    # lambda_kl(2, 3) at that point; the path of perturbed_moments too
     rng = random.Random(39)
     cases = [_moment_case(rng) for _ in range(150)]
-    cases.append(([0.2, 1.0], 0.3, 1.0, 0.1, 0.003, 0.01))
+    cases.append(([0.2, 1.0], [0.3, 0.3], 1.0, 0.1, 0.003, 0.01))
     got = [_moment_bits(args) for args in cases]
     monkeypatch.setattr(dispersion, "_moments", moments_from_tables)
     for args, bits in zip(cases, got):

@@ -91,11 +91,7 @@ def test_gamma_lambda_tables_match_triple_sum():
 @pytest.mark.parametrize("table, which", [(_gaussian.gamma_kl, 0),
                                           (_gaussian.lambda_kl, 1)])
 def test_grid_table_matches_triple_sum_pointwise(table, which):
-    # each entry of a delta grid's table is a list over the grid
-    deltas = np.linspace(0.0, 0.9, 7).tolist()
-    grid = table(K, K, deltas, 0.7, 1.8, -2.1)
-    assert [len(row) for row in grid] == [K + 1] * (K + 1)
-    assert all(len(col) == 7 for row in grid for col in row)
-    for n, d in enumerate(deltas):
-        got = [[col[n] for col in row] for row in grid]
+    # one table per point of a delta grid, as a sweep's points take them
+    for d in np.linspace(0.0, 0.9, 7).tolist():
+        got = table(K, K, d, 0.7, 1.8, -2.1)
         assert _worst(got, _mp_elements(d, 0.7, 1.8, -2.1)[which]) < ELEMENT_TOL
